@@ -1,40 +1,33 @@
 """Command-line surface: reproducible verification runs and data exports.
 
 Subcommands
-    cyclotomy-table      full cyclotomic-number table (csv or json)
+    cyclotomy-table      full cyclotomic-number table (--format json or csv)
     pt-sums              per-class character sums P_t
     jacobsthal-scan      JSON lines of H/I/curve records over GF(p^2k)
     expsum               one record for a given pair (a, b)
     expsum-sweep         all a for a fixed b, with the distribution report
     walsh-spectrum       full Walsh spectrum of a pair
     theorem1-verify      closed-form spectrum check of the (1, 1) pair
-    sequences-crosscorr  cross-correlation table of the decimated pair
+    sequences-crosscorr  cross-correlation table of the decimated pair (json or csv)
     verify-all           the complete identity suite; exit 0 iff all pass
 
-Exit codes: 0 ok, 1 verification failure, 2 invalid arguments,
-3 desk-scale guard exceeded.  All randomness is seeded and the seed is
-printed; element arguments accept "c0,c1,...,c_{m-1}" digits or "g^e".
-The CHARSUM_THREADS environment variable (or --threads) sets the
-partition width of the sweeps; output is byte-identical regardless.
+Output is JSON lines; only cyclotomy-table and sequences-crosscorr take
+--format, to choose csv instead.  Exit codes: 0 ok, 1 verification
+failure, 2 invalid arguments, 3 desk-scale guard exceeded.  All
+randomness is seeded and the seed is printed; element arguments accept
+"c0,c1,...,c_{m-1}" digits or "g^e".
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
 
 from . import __version__, cyclotomy, expsum, jacobsthal, sequences, walsh
-from .errors import (
-    BoundViolation,
-    CharsumError,
-    GuardExceeded,
-    OracleMismatch,
-    RootCountViolation,
-)
+from .errors import CharsumError, GuardExceeded, IdentityViolation, ZeroB
 from .field_core import FieldParams, build_context, context
 
 SCHEMA_VERSION = 1
@@ -60,15 +53,6 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
-def _pmap(fn, items, threads):
-    """Partitioned map with deterministic (input-order) merge."""
-    if threads <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _guard_check(args) -> None:
     size = args.p ** (4 * args.k)
     if size > args.guard and not args.force:
@@ -85,12 +69,12 @@ def _parse_common(sub, element_args=()):
                      help="refuse runs with p^4k beyond this size")
     sub.add_argument("--force", action="store_true",
                      help="override the desk-scale guard")
-    sub.add_argument("--threads", type=int,
-                     default=int(os.environ.get("CHARSUM_THREADS", "1")),
-                     help="sweep partition width (output is identical)")
-    sub.add_argument("--format", choices=("json", "csv", "text"), default="json")
     for name, help_text in element_args:
         sub.add_argument(name, required=True, help=help_text)
+
+
+def _format_arg(sub):
+    sub.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 # --------------------------------------------------------------------------
@@ -145,15 +129,10 @@ def _cmd_expsum(args) -> int:
 def _cmd_expsum_sweep(args) -> int:
     ctx = context(args.p, args.k)
     b = ctx.parse_element(args.b)
+    if b.is_zero:
+        raise ZeroB("distribution sweep needs b != 0")
     _emit(_header("expsum-sweep", args, ctx))
-    coeffs = [a for a in [ctx.zero] + list(ctx.powers())
-              if not (a.is_zero and b.is_zero)]
-    records = _pmap(
-        lambda a: expsum.expsum_record(ctx, expsum.CoeffPair(a, b), check_oracle=False),
-        coeffs, args.threads)
-    for rec in records:
-        _emit(rec.to_json_dict(ctx))
-    report = expsum.distribution_sweep(ctx, b)
+    report = expsum.distribution_sweep(ctx, b, lambda rec: _emit(rec.to_json_dict(ctx)))
     _emit(report.to_json_dict(ctx))
     return 0
 
@@ -220,6 +199,11 @@ def _run_verify_all(args) -> int:
 
     sweeps = {}
 
+    def sweep(b):
+        if b.enc not in sweeps:
+            sweeps[b.enc] = expsum.distribution_sweep(ctx, b)  # raises on any defect
+        return sweeps[b.enc]
+
     def check_lemma1():
         rep = cyclotomy.verify_lemma1(view)
         return rep.ok, f"total {rep.total}, {len(rep.mismatches)} mismatches"
@@ -252,17 +236,12 @@ def _run_verify_all(args) -> int:
 
     def check_theorem3():
         for b in b_values:
-            sweeps[b.enc] = expsum.distribution_sweep(ctx, b)  # OracleMismatch on defect
+            sweep(b)
         return True, f"full sweeps at {len(b_values)} b values"
 
     def check_prop1():
-        for b in b_values:
-            for a in [ctx.zero] + list(ctx.powers()):
-                pair = expsum.CoeffPair(a, b)
-                if expsum.classify(ctx, pair) is expsum.CaseTag.JACOBSTHAL:
-                    continue
-                if expsum.N_count(ctx, pair)[0] > 2:
-                    return False, f"N > 2 at a = {ctx.format_element(a)}"
+        # the sweeps raise RangeViolation on N > 2 outside the JACOBSTHAL case
+        ranged = sum(rep.r + rep.s + rep.t for rep in map(sweep, b_values))
         samples = 0
         while samples < args.samples:
             a = ctx.from_enc(rng.randrange(ctx.q))
@@ -275,7 +254,8 @@ def _run_verify_all(args) -> int:
             if expsum.prop1_F_zeros(ctx, pair) != expsum.L_zeros_field(ctx, pair):
                 return False, "L and F zero sets differ"
             samples += 1
-        return True, f"range check + {samples} sampled zero-set comparisons"
+        return True, (f"N <= 2 at {ranged} three-valued pairs + {samples} sampled "
+                      "zero-set comparisons")
 
     def check_prop2():
         n_pairs = 0
@@ -315,7 +295,7 @@ def _run_verify_all(args) -> int:
     def check_rst():
         lines = []
         for b in b_values:
-            rep = sweeps.get(b.enc) or expsum.distribution_sweep(ctx, b)
+            rep = sweep(b)
             if any(rep.residuals):
                 return False, f"residuals {rep.residuals} at b = {ctx.format_element(b)}"
             lines.append(f"b={ctx.format_element(b)}: (r,s,t)=({rep.r},{rep.s},{rep.t})")
@@ -384,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
             extra(s)
         handlers[name] = fn
 
-    add("cyclotomy-table", _cmd_cyclotomy_table)
+    add("cyclotomy-table", _cmd_cyclotomy_table, extra=_format_arg)
     add("pt-sums", _cmd_pt_sums)
     add("jacobsthal-scan", _cmd_jacobsthal_scan)
     add("expsum", _cmd_expsum,
@@ -394,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("walsh-spectrum", _cmd_walsh_spectrum,
         element_args=(("--a", "first coefficient"), ("--b", "second coefficient")))
     add("theorem1-verify", _cmd_theorem1_verify)
-    add("sequences-crosscorr", _cmd_sequences_crosscorr)
+    add("sequences-crosscorr", _cmd_sequences_crosscorr, extra=_format_arg)
     add("verify-all", _cmd_verify_all, extra=lambda s: (
         s.add_argument("--b", default="g^0;g^1",
                        help="semicolon-separated b values for the sweeps"),
@@ -418,7 +398,7 @@ def run(argv=None) -> int:
     except GuardExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (BoundViolation, OracleMismatch, RootCountViolation) as exc:
+    except IdentityViolation as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     except (CharsumError, ValueError) as exc:

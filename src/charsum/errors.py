@@ -73,13 +73,29 @@ class NoSolution(CharsumError):
     """Internal: the g-equation had no solution although the case held."""
 
 
-class BoundViolation(CharsumError):
+class IdentityViolation(CharsumError):
+    """A verified claim of the paper failed; the CLI exits with status 1."""
+
+
+class BoundViolation(IdentityViolation):
     """A proven bound was violated by an exhaustive scan."""
 
 
-class OracleMismatch(CharsumError):
+class OracleMismatch(IdentityViolation):
     """Closed form and brute-force oracle disagree."""
 
 
-class RootCountViolation(CharsumError):
+class RootCountViolation(IdentityViolation):
     """The spectrum root polynomial did not have exactly one root."""
+
+
+class RangeViolation(IdentityViolation):
+    """A three-valued case (NORM_DIFFER or SQUARE_MATCH) produced N > 2."""
+
+
+class ParityViolation(IdentityViolation):
+    """L had an odd number of zeros on U, although -U = U and L is odd."""
+
+
+class ParsevalViolation(IdentityViolation):
+    """The squared magnitudes of a Walsh spectrum do not sum to p^(2n)."""

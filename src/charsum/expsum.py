@@ -23,9 +23,10 @@ Jacobsthal sum of order p^k + 1:
 
     2 N(a,b) = p^k - H_{p^k+1}(-b^(p^2k+1)/g^2) / (p^k + 1) + 1.
 
-distribution_sweep fixes b, walks every a, checks the closed form
-against the brute-force sum and tallies how often S_f(0) hits each of
-the three values (r, s, t), verifying
+distribution_sweep fixes b and is the one walk over every a: it builds
+each pair's record (case, N and witnesses, the closed form checked
+against the brute-force sum), streams it to its caller, and tallies how
+often S_f(0) hits each of the three values (r, s, t), verifying
 
     r + s + t  = p^n - p^k + chi(b),
     -r + s + 3t = chi(b) p^k,
@@ -47,6 +48,8 @@ from .errors import (
     BothCoefficientsZero,
     NoSolution,
     OracleMismatch,
+    ParityViolation,
+    RangeViolation,
     WrongCase,
     ZeroB,
 )
@@ -108,6 +111,57 @@ def chi(ctx: FieldCtx, b: Elem) -> int:
 
 
 # --------------------------------------------------------------------------
+# monomial sums sum_i c_i x^(m_i), terms given as (Elem c_i, integer m_i >= 1)
+# --------------------------------------------------------------------------
+
+def _eval_terms(ctx: FieldCtx, terms, x: Elem) -> Elem:
+    """The sum at one element x, in plain field arithmetic."""
+    return sum((c * x ** m for c, m in terms), ctx.zero)
+
+
+def _linearized_values(ctx: FieldCtx, terms, logs):
+    """The sum at x = xi^logs (numpy array of logs): the one table-backed
+    evaluator of monomial sums.  Returns an int64 array of value encodings."""
+    order = ctx.order
+    total = None
+    for c, mult in terms:
+        if c.is_zero:
+            continue
+        enc = ctx.exp_enc[(ctx.dlog(c) + (mult % order) * logs) % order]
+        total = enc if total is None else ctx.add_enc_bulk(total, enc)
+    if total is None:
+        return np.zeros(len(logs), dtype=np.int64)
+    return total
+
+
+def trace_values(ctx: FieldCtx, terms):
+    """Tr(sum_i c_i x^(m_i)) at x = 0, xi^0, xi^1, ..., xi^(q-2), as an
+    int64 array (the value at x = 0 is 0)."""
+    if ctx.has_tables:
+        logs = np.arange(ctx.order, dtype=np.int64)
+        vals = ctx.trace_enc[_linearized_values(ctx, terms, logs)]
+    else:
+        vals = [ctx.abs_trace(_eval_terms(ctx, terms, x)) for x in ctx.powers()]
+    return np.concatenate(([0], vals))
+
+
+def f_values(ctx: FieldCtx, pair: CoeffPair):
+    """f(x) = Tr(a x^d + b x^2) at x = 0, xi^0, xi^1, ..., as trace_values."""
+    return trace_values(ctx, ((pair.a, ctx.params.d), (pair.b, 2)))
+
+
+def _zero_set(ctx: FieldCtx, terms) -> list:
+    """Zeros of the sum in GF(p^n): 0 first, then the rest by dlog."""
+    if ctx.has_tables:
+        logs = np.arange(ctx.order, dtype=np.int64)
+        zero_logs = logs[_linearized_values(ctx, terms, logs) == 0]
+        zeros = [ctx.from_enc(int(e)) for e in ctx.exp_enc[zero_logs]]
+    else:
+        zeros = [x for x in ctx.powers() if _eval_terms(ctx, terms, x).is_zero]
+    return [ctx.zero] + zeros
+
+
+# --------------------------------------------------------------------------
 # the subgroup U and the linearized polynomial
 # --------------------------------------------------------------------------
 
@@ -124,17 +178,11 @@ def subgroup_U(ctx: FieldCtx) -> list:
 
 
 def L_eval(ctx: FieldCtx, x: Elem, pair: CoeffPair) -> Elem:
-    k = ctx.params.k
-    p = ctx.p
-    a, b = pair.a, pair.b
-    return (b ** (p ** (2 * k)) * x
-            + a * x ** (p ** k)
-            + b * x ** (p ** (2 * k))
-            + a ** (p ** (2 * k)) * x ** (p ** (3 * k)))
+    return _eval_terms(ctx, _L_terms(ctx, pair), x)
 
 
 def _L_terms(ctx: FieldCtx, pair: CoeffPair):
-    # (coefficient, frobenius multiplier) view of L, for the bulk evaluator
+    # (coefficient, exponent) terms of L
     p, k = ctx.p, ctx.params.k
     a, b = pair.a, pair.b
     return (
@@ -145,39 +193,27 @@ def _L_terms(ctx: FieldCtx, pair: CoeffPair):
     )
 
 
-def _linearized_values(ctx: FieldCtx, terms, logs):
-    """Evaluate sum_i c_i x^(p^e_i) at x = xi^logs (numpy array of logs).
-
-    terms: iterable of (Elem coefficient, integer power multiplier p^e_i).
-    Returns an int64 array of value encodings."""
-    order = ctx.order
-    total = None
-    for c, mult in terms:
-        if c.is_zero:
-            continue
-        enc = ctx.exp_enc[(ctx.dlog(c) + (mult % order) * logs) % order]
-        total = enc if total is None else ctx.add_enc_bulk(total, enc)
-    if total is None:
-        return np.zeros(len(logs), dtype=np.int64)
-    return total
-
-
 def N_count(ctx: FieldCtx, pair: CoeffPair):
     """Zeros of L on U: returns (N, witnesses), witnesses sorted by dlog.
 
-    The raw zero count is always even (checked); N is half of it."""
+    The raw zero count is always even (ParityViolation otherwise); N is
+    half of it."""
     pair.require_admissible()
-    witnesses = [u for u in subgroup_U(ctx) if L_eval(ctx, u, pair).is_zero]
-    assert len(witnesses) % 2 == 0, "zero count on U must be even"
-    witnesses.sort(key=ctx.dlog)
+    terms = _L_terms(ctx, pair)
+    if ctx.has_tables:
+        # U's logs (p^2k - 1) j for j = 0..p^2k increase and stay below q - 1,
+        # so the zeros come out in dlog order
+        step = ctx.p ** (2 * ctx.params.k) - 1
+        u_logs = step * np.arange(step + 2, dtype=np.int64)
+        zero_logs = u_logs[_linearized_values(ctx, terms, u_logs) == 0]
+        witnesses = [ctx.from_enc(int(e)) for e in ctx.exp_enc[zero_logs]]
+    else:
+        witnesses = [u for u in subgroup_U(ctx) if _eval_terms(ctx, terms, u).is_zero]
+        witnesses.sort(key=ctx.dlog)
+    if len(witnesses) % 2:
+        raise ParityViolation(f"{len(witnesses)} zeros of L on U at "
+                              f"a={ctx.format_element(pair.a)}, b={ctx.format_element(pair.b)}")
     return len(witnesses) // 2, witnesses
-
-
-def _N_fast(ctx: FieldCtx, pair: CoeffPair, u_logs) -> int:
-    vals = _linearized_values(ctx, _L_terms(ctx, pair), u_logs)
-    zeros = int(np.count_nonzero(vals == 0))
-    assert zeros % 2 == 0
-    return zeros // 2
 
 
 # --------------------------------------------------------------------------
@@ -193,35 +229,7 @@ def S0_closed(ctx: FieldCtx, pair: CoeffPair) -> int:
 def S0_bruteforce(ctx: FieldCtx, pair: CoeffPair) -> CycInt:
     """The defining sum over all of GF(p^n), exact in Z[w]."""
     pair.require_admissible()
-    return CycInt.from_counts(ctx.p, _f_value_counts(ctx, pair))
-
-
-def _f_value_counts(ctx: FieldCtx, pair: CoeffPair):
-    """Histogram of f(x) = Tr(a x^d + b x^2) over all x in GF(p^n)."""
-    p = ctx.p
-    d = ctx.params.d
-    a, b = pair.a, pair.b
-    if ctx.has_tables:
-        order = ctx.order
-        logs = np.arange(order, dtype=np.int64)
-        terms = []
-        if not a.is_zero:
-            terms.append((ctx.dlog(a), d % order))
-        if not b.is_zero:
-            terms.append((ctx.dlog(b), 2))
-        total = None
-        for e_c, mult in terms:
-            enc = ctx.exp_enc[(e_c + mult * logs) % order]
-            total = enc if total is None else ctx.add_enc_bulk(total, enc)
-        if total is None:
-            total = np.zeros(order, dtype=np.int64)
-        counts = np.bincount(ctx.trace_enc[total], minlength=p).astype(object)
-        counts[0] += 1  # the x = 0 term, f(0) = 0
-        return [int(v) for v in counts]
-    counts = [0] * p
-    for x in ctx.elements():
-        counts[ctx.abs_trace(a * x ** d + b * x * x)] += 1
-    return counts
+    return CycInt.from_counts(ctx.p, np.bincount(f_values(ctx, pair), minlength=ctx.p))
 
 
 # --------------------------------------------------------------------------
@@ -248,29 +256,13 @@ def prop1_F_zeros(ctx: FieldCtx, pair: CoeffPair) -> list:
     if A.is_zero:
         raise WrongCase("F degenerates when the norms agree")
     p, k = ctx.p, ctx.params.k
-    terms = ((A ** (p ** k), 1), (B, p ** k), (A, p ** (2 * k)))
-    if ctx.has_tables:
-        logs = np.arange(ctx.order, dtype=np.int64)
-        vals = _linearized_values(ctx, terms, logs)
-        zeros = [ctx.from_enc(int(ctx.exp_enc[e])) for e in logs[vals == 0]]
-    else:
-        zeros = [x for x in ctx.powers()
-                 if sum((c * x ** m for c, m in terms), ctx.zero).is_zero]
-    zeros.append(ctx.zero)
-    return sorted(zeros, key=lambda z: -1 if z.is_zero else ctx.dlog(z))
+    return _zero_set(ctx, ((A ** (p ** k), 1), (B, p ** k), (A, p ** (2 * k))))
 
 
 def L_zeros_field(ctx: FieldCtx, pair: CoeffPair) -> list:
     """Zero set of L in all of GF(p^n), same ordering as prop1_F_zeros."""
     pair.require_admissible()
-    if ctx.has_tables:
-        logs = np.arange(ctx.order, dtype=np.int64)
-        vals = _linearized_values(ctx, _L_terms(ctx, pair), logs)
-        zeros = [ctx.from_enc(int(ctx.exp_enc[e])) for e in logs[vals == 0]]
-    else:
-        zeros = [x for x in ctx.powers() if L_eval(ctx, x, pair).is_zero]
-    zeros.append(ctx.zero)
-    return sorted(zeros, key=lambda z: -1 if z.is_zero else ctx.dlog(z))
+    return _zero_set(ctx, _L_terms(ctx, pair))
 
 
 # --------------------------------------------------------------------------
@@ -433,15 +425,16 @@ class ExpSumRecord:
         }
 
 
-def expsum_record(ctx: FieldCtx, pair: CoeffPair, check_oracle=True) -> ExpSumRecord:
-    """Classify, count zeros, and (optionally) confirm the brute-force sum."""
+def expsum_record(ctx: FieldCtx, pair: CoeffPair) -> ExpSumRecord:
+    """Classify, count zeros, and confirm the closed form against the
+    brute-force sum (OracleMismatch on any defect)."""
     tag = classify(ctx, pair)
     n, witnesses = N_count(ctx, pair)
     s0 = ctx.p ** (2 * ctx.params.k) * (2 * n - 1)
-    if check_oracle:
-        brute = S0_bruteforce(ctx, pair)
-        if brute != s0:
-            raise OracleMismatch(f"closed {s0} != brute {brute} at {pair}")
+    brute = S0_bruteforce(ctx, pair)
+    if brute != s0:
+        raise OracleMismatch(f"closed {s0} != brute {brute} at "
+                             f"a={ctx.format_element(pair.a)}, b={ctx.format_element(pair.b)}")
     return ExpSumRecord(pair=pair, tag=tag, N=n, S0=s0, witnesses=tuple(witnesses))
 
 
@@ -476,57 +469,33 @@ class DistributionReport:
         }
 
 
-def distribution_sweep(ctx: FieldCtx, b: Elem, check_oracle=True) -> DistributionReport:
-    """Walk every a in GF(p^n) for the fixed b != 0.
+def distribution_sweep(ctx: FieldCtx, b: Elem, on_record=None) -> DistributionReport:
+    """Walk every a in GF(p^n), in the order 0, xi^0, xi^1, ..., for the fixed b != 0.
 
-    For each pair the closed form p^2k (2N - 1) is compared against the
-    brute-force sum (OracleMismatch on any defect), then tallied."""
+    Each pair's expsum_record (which checks the closed form against the
+    brute-force sum) is passed to on_record, if given, and then tallied;
+    records are not kept.  N > 2 outside the JACOBSTHAL case raises
+    RangeViolation."""
     if b.is_zero:
         raise ZeroB("distribution sweep needs b != 0")
-    p, k = ctx.p, ctx.params.k
-    p2k = p ** (2 * k)
-    pk = p ** k
+    pk = ctx.p ** ctx.params.k
     sign = chi(ctx, b)
-
-    fast = ctx.has_tables
-    if fast:
-        order = ctx.order
-        logs = np.arange(order, dtype=np.int64)
-        d_logs = (ctx.params.d % order) * logs % order
-        b_part = ctx.exp_enc[(ctx.dlog(b) + 2 * logs) % order]
-        u_logs = ((p2k - 1) * np.arange(p2k + 1, dtype=np.int64)) % order
 
     tally = {0: 0, 1: 0, 2: 0}
     jac_hist = {}
     s0_total = 0
     for a in [ctx.zero] + list(ctx.powers()):
-        pair = CoeffPair(a, b)
-        tag = classify(ctx, pair)
-        if fast:
-            n = _N_fast(ctx, pair, u_logs)
-            if check_oracle:
-                if a.is_zero:
-                    total = b_part
-                else:
-                    total = ctx.add_enc_bulk(ctx.exp_enc[(ctx.dlog(a) + d_logs) % order], b_part)
-                counts = np.bincount(ctx.trace_enc[total], minlength=p)
-                counts = [int(v) for v in counts]
-                counts[0] += 1
-                brute = CycInt.from_counts(p, counts)
+        rec = expsum_record(ctx, CoeffPair(a, b))
+        if on_record is not None:
+            on_record(rec)
+        s0_total += rec.S0
+        if rec.tag is CaseTag.JACOBSTHAL:
+            jac_hist[rec.N] = jac_hist.get(rec.N, 0) + 1
+        elif rec.N > 2:
+            raise RangeViolation(
+                f"{rec.tag.value} pair has N = {rec.N} > 2 at a={ctx.format_element(a)}")
         else:
-            n = N_count(ctx, pair)[0]
-            if check_oracle:
-                brute = S0_bruteforce(ctx, pair)
-        s0 = p2k * (2 * n - 1)
-        if check_oracle and brute != s0:
-            raise OracleMismatch(
-                f"closed {s0} != brute force at a={ctx.format_element(a)}")
-        s0_total += s0
-        if tag is CaseTag.JACOBSTHAL:
-            jac_hist[n] = jac_hist.get(n, 0) + 1
-        else:
-            assert n <= 2, "three-valued case produced N > 2"
-            tally[n] += 1
+            tally[rec.N] += 1
 
     r, s, t = tally[0], tally[1], tally[2]
     residuals = (

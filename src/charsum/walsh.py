@@ -25,15 +25,14 @@ and the value-multiset against the closed-form counts:
 
 from __future__ import annotations
 
-import weakref
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cycint import CycInt
-from .errors import RootCountViolation
-from .expsum import CoeffPair
+from .errors import ParsevalViolation, RootCountViolation
+from .expsum import CoeffPair, f_values, trace_values
 from .field_core import Elem, FieldCtx
 
 
@@ -52,59 +51,13 @@ class FunctionSpec:
 
 def walsh_coeff(spec: FunctionSpec, y: Elem) -> CycInt:
     """S_f(y), exact in Z[w]."""
-    ctx = spec.ctx
-    p = ctx.p
-    counts = _walsh_counts(spec, y)
-    return CycInt.from_counts(p, counts)
+    return _coeff_at(spec.ctx, f_values(spec.ctx, spec.pair), y)
 
 
-def _walsh_counts(spec: FunctionSpec, y: Elem):
-    ctx = spec.ctx
-    p = ctx.p
-    fvals = _f_value_counts_per_x(spec)
-    if y.is_zero:
-        shifted = fvals
-    else:
-        if ctx.has_tables:
-            logs = np.arange(ctx.order, dtype=np.int64)
-            tr_yx = ctx.trace_enc[ctx.exp_enc[(ctx.dlog(y) + logs) % ctx.order]]
-            shifted = np.concatenate(([fvals[0]], (fvals[1:] - tr_yx) % p))
-        else:
-            shifted = [fvals[0]] + [
-                (fv - ctx.abs_trace(y * x)) % p
-                for fv, x in zip(fvals[1:], ctx.powers())
-            ]
-    counts = np.bincount(np.asarray(shifted), minlength=p)
-    return [int(v) for v in counts]
-
-
-_FVAL_CACHE = weakref.WeakKeyDictionary()  # ctx -> {(a, b) enc pair: values}
-
-
-def _f_value_counts_per_x(spec: FunctionSpec):
-    """f(x) for x = 0, xi^0, xi^1, ...; memoized per context and pair."""
-    ctx = spec.ctx
-    key = (spec.pair.a.enc, spec.pair.b.enc)
-    cache = _FVAL_CACHE.setdefault(ctx, {})
-    if key not in cache:
-        if ctx.has_tables:
-            order = ctx.order
-            logs = np.arange(order, dtype=np.int64)
-            total = None
-            for c, mult in ((spec.pair.a, ctx.params.d % order), (spec.pair.b, 2)):
-                if c.is_zero:
-                    continue
-                enc = ctx.exp_enc[(ctx.dlog(c) + mult * logs) % order]
-                total = enc if total is None else ctx.add_enc_bulk(total, enc)
-            if total is None:
-                total = np.zeros(order, dtype=np.int64)
-            vals = np.concatenate(([0], ctx.trace_enc[total]))
-        else:
-            vals = [0] + [spec.value(x) for x in ctx.powers()]
-        if len(cache) > 8:
-            cache.clear()
-        cache[key] = vals
-    return cache[key]
+def _coeff_at(ctx: FieldCtx, fvals, y: Elem) -> CycInt:
+    # fvals: f at x = 0, xi^0, xi^1, ... (expsum.f_values)
+    shifted = fvals if y.is_zero else (fvals - trace_values(ctx, ((y, 1),))) % ctx.p
+    return CycInt.from_counts(ctx.p, np.bincount(shifted, minlength=ctx.p))
 
 
 @dataclass(frozen=True)
@@ -126,15 +79,17 @@ class Spectrum:
 
 
 def full_spectrum(spec: FunctionSpec) -> Spectrum:
-    """Every coefficient, the value-multiset summary, and exact Parseval."""
+    """Every coefficient, the value-multiset summary, and exact Parseval
+    (ParsevalViolation on a defect)."""
     ctx = spec.ctx
-    coeffs = [walsh_coeff(spec, ctx.zero)]
-    coeffs.extend(walsh_coeff(spec, y) for y in ctx.powers())
+    fvals = f_values(ctx, spec.pair)
+    coeffs = [_coeff_at(ctx, fvals, y) for y in [ctx.zero] + list(ctx.powers())]
     parseval = CycInt.zero(ctx.p)
     for c in coeffs:
         parseval = parseval + c.norm_squared()
     total = parseval.as_int()  # raises NotRationalInteger on defect
-    assert total == ctx.q ** 2, f"Parseval defect: {total} != {ctx.q ** 2}"
+    if total != ctx.q ** 2:
+        raise ParsevalViolation(f"Parseval defect: {total} != {ctx.q ** 2}")
     summary = dict(Counter(str(c) for c in coeffs))
     return Spectrum(spec=spec, coefficients=tuple(coeffs),
                     summary=summary, parseval=total)
@@ -169,12 +124,13 @@ class RootReport:
     special_ok: bool | None   # the y^2-in-GF(p^2k) shortcut, when it applies
 
 
-def theorem1_verify(ctx: FieldCtx, y: Elem) -> RootReport:
+def theorem1_verify(ctx: FieldCtx, y: Elem, actual: CycInt | None = None) -> RootReport:
     """Root-scan verification of the closed form at one point y.
 
     Scans GF(p^k) for roots of the quartic-trace polynomial, demands
     exactly one (RootCountViolation otherwise), and compares
-    -p^2k w^(Tr_k(x0) 4^(-1)) against the brute-force coefficient."""
+    -p^2k w^(Tr_k(x0) 4^(-1)) against the brute-force coefficient of the
+    pair (1, 1) at y: actual if given, else computed here."""
     p, k = ctx.p, ctx.params.k
     p2k1 = p ** (2 * k) + 1
     kview = ctx.subfield(k)
@@ -194,7 +150,8 @@ def theorem1_verify(ctx: FieldCtx, y: Elem) -> RootReport:
     x0 = roots[0]
     inv4 = pow(4, -1, p)
     predicted = (-(p ** (2 * k))) * CycInt.omega_power(p, kview.abs_trace(x0) * inv4)
-    actual = walsh_coeff(FunctionSpec(ctx, CoeffPair(ctx.one, ctx.one)), y)
+    if actual is None:
+        actual = walsh_coeff(FunctionSpec(ctx, CoeffPair(ctx.one, ctx.one)), y)
     special = None
     view2k = ctx.subfield(2 * k)
     if view2k.contains(y2):
@@ -220,9 +177,9 @@ def theorem1_spectrum_check(ctx: FieldCtx) -> SpectrumCheck:
     p, k = ctx.p, ctx.params.k
     p2k = p ** (2 * k)
     spec = FunctionSpec(ctx, CoeffPair(ctx.one, ctx.one))
-    reports = [theorem1_verify(ctx, ctx.zero)]
-    reports.extend(theorem1_verify(ctx, y) for y in ctx.powers())
     spectrum = full_spectrum(spec)
+    reports = [theorem1_verify(ctx, y, c)
+               for y, c in zip([ctx.zero] + list(ctx.powers()), spectrum.coefficients)]
     want = {str(CycInt.integer(p, -p2k)): (p ** (2 * k - 1) - 1) * (p2k + 1) + 1}
     for i in range(1, p):
         want[str((-p2k) * CycInt.omega_power(p, i))] = p ** (2 * k - 1) * (p2k + 1)

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from charsum.cli import run
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _lines(capsys):
@@ -64,14 +70,6 @@ def test_expsum_sweep(capsys):
     assert report["r"] + report["s"] + report["t"] == 79
 
 
-def test_expsum_sweep_threaded_is_identical(capsys):
-    assert run(["expsum-sweep", "--p", "3", "--k", "1", "--b", "g^1"]) == 0
-    plain = capsys.readouterr().out
-    assert run(["expsum-sweep", "--p", "3", "--k", "1", "--b", "g^1",
-                "--threads", "4"]) == 0
-    assert capsys.readouterr().out == plain
-
-
 def test_walsh_spectrum(capsys):
     assert run(["walsh-spectrum", "--p", "3", "--k", "1", "--a", "g^0", "--b", "g^0"]) == 0
     lines = _lines(capsys)
@@ -113,9 +111,15 @@ def test_guard_exit_code(capsys):
 
 
 def test_invalid_arguments_exit_code(capsys):
-    assert run(["expsum", "--p", "3", "--k", "1", "--a", "bogus", "--b", "g^0"]) == 2
-    assert run(["expsum", "--p", "3", "--k", "1", "--a", "g^0"]) == 2  # missing --b
-    assert run(["nonsense"]) == 2
+    for argv in (
+        ["expsum", "--p", "3", "--k", "1", "--a", "bogus", "--b", "g^0"],
+        ["expsum", "--p", "3", "--k", "1", "--a", "g^0"],  # missing --b
+        ["nonsense"],
+        ["expsum-sweep", "--p", "3", "--k", "1", "--b", "0"],  # sweeps need b != 0
+        ["pt-sums", "--p", "3", "--k", "1", "--format", "csv"],  # json only
+    ):
+        assert run(argv) == 2, argv
+        assert capsys.readouterr().out == "", argv
 
 
 def test_force_overrides_guard(capsys):
@@ -124,8 +128,16 @@ def test_force_overrides_guard(capsys):
     assert run(["pt-sums", "--p", "3", "--k", "1", "--guard", "10", "--force"]) == 0
 
 
-def test_threads_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("CHARSUM_THREADS", "3")
-    from charsum.cli import build_parser
-    args = build_parser().parse_args(["pt-sums", "--p", "3", "--k", "1"])
-    assert args.threads == 3
+def test_failed_range_check_under_optimize():
+    # python -O strips asserts: with every pair tallied as three-valued, the
+    # sweep's N <= 2 check must still fail theorem3 and exit 1, not crash
+    code = ("import sys; from charsum import cli, expsum; "
+            "expsum.classify = lambda ctx, pair: expsum.CaseTag.NORM_DIFFER; "
+            "sys.exit(cli.run(['verify-all', '--p', '3', '--k', '1', '--b', 'g^1']))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    assert any(line.startswith("[FAIL] theorem3") for line in proc.stdout.splitlines())
+    assert "Traceback" not in proc.stderr

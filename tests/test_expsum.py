@@ -3,7 +3,7 @@ import random
 import pytest
 
 from charsum import expsum as es
-from charsum.errors import BothCoefficientsZero, WrongCase, ZeroB
+from charsum.errors import BothCoefficientsZero, RangeViolation, WrongCase, ZeroB
 from charsum.field_core import FieldParams, build_context
 
 
@@ -158,6 +158,7 @@ def test_square_match_norms_iff_b_square(ctx31):
 # --------------------------------------------------------------------------
 
 def test_F_and_L_zero_sets_agree(ctx31):
+    slow = build_context(FieldParams(3, 1), 4, use_tables=False)
     rng = random.Random(31)
     pk = 3
     found = 0
@@ -169,7 +170,11 @@ def test_F_and_L_zero_sets_agree(ctx31):
         if a ** (pk * (pk + 1)) == b ** (pk + 1):
             continue
         pair = pair_of(ctx31, a, b)
-        assert es.prop1_F_zeros(ctx31, pair) == es.L_zeros_field(ctx31, pair)
+        zeros = es.prop1_F_zeros(ctx31, pair)
+        assert zeros == es.L_zeros_field(ctx31, pair)
+        if found < 10:  # the table path against plain field arithmetic
+            ref = es.L_zeros_field(slow, pair_of(slow, slow.from_enc(a.enc), slow.from_enc(b.enc)))
+            assert [z.enc for z in zeros] == [z.enc for z in ref]
         found += 1
 
 
@@ -359,11 +364,26 @@ def test_sweep_identities_51(ctx51):
 
 
 def test_sweep_matches_slow_context(ctx31):
+    # per a: the same case, N, S0 and witness encodings from the table path
+    # and from plain field arithmetic, at b = 1 and b = xi
     slow = build_context(FieldParams(3, 1), 4, use_tables=False)
-    fast = es.distribution_sweep(ctx31, ctx31.one)
-    ref = es.distribution_sweep(slow, slow.one)
-    assert (ref.r, ref.s, ref.t) == (fast.r, fast.s, fast.t)
-    assert ref.jac_histogram == fast.jac_histogram
+    for e in (0, 1):
+        fast_recs, slow_recs = [], []
+        fast = es.distribution_sweep(ctx31, ctx31.from_exp(e), fast_recs.append)
+        ref = es.distribution_sweep(slow, slow.from_exp(e), slow_recs.append)
+        assert (ref.r, ref.s, ref.t) == (fast.r, fast.s, fast.t)
+        assert ref.jac_histogram == fast.jac_histogram
+        assert len(fast_recs) == len(slow_recs) == 81
+        for f, s in zip(fast_recs, slow_recs):
+            assert (f.pair.a.enc, f.tag, f.N, f.S0) == (s.pair.a.enc, s.tag, s.N, s.S0)
+            assert [w.enc for w in f.witnesses] == [w.enc for w in s.witnesses]
+
+
+def test_sweep_range_check_raises(ctx31, monkeypatch):
+    # tallied as three-valued, the JACOBSTHAL pairs with N = 3 must be caught
+    monkeypatch.setattr(es, "classify", lambda ctx, pair: es.CaseTag.NORM_DIFFER)
+    with pytest.raises(RangeViolation):
+        es.distribution_sweep(ctx31, ctx31.xi)
 
 
 def test_sweep_rejects_zero_b(ctx31):

@@ -5,6 +5,7 @@ import pytest
 from charsum import walsh as wa
 from charsum.cycint import CycInt
 from charsum.expsum import CoeffPair, S0_bruteforce
+from charsum.field_core import FieldParams, build_context
 
 
 def spec_of(ctx, a, b):
@@ -72,6 +73,13 @@ def test_spectrum_counts_31(ctx31):
     }
     assert spectrum.summary == want
     assert spectrum.parseval == 81 ** 2
+
+
+def test_full_spectrum_matches_slow_context(ctx31):
+    slow = build_context(FieldParams(3, 1), 4, use_tables=False)
+    fast = wa.full_spectrum(spec_of(ctx31, ctx31.xi ** 5, ctx31.xi ** 11))
+    ref = wa.full_spectrum(spec_of(slow, slow.xi ** 5, slow.xi ** 11))
+    assert [c.c for c in fast.coefficients] == [c.c for c in ref.coefficients]
 
 
 def test_spectrum_counts_51(ctx51):
