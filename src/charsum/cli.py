@@ -282,10 +282,15 @@ def _run_verify_all(args) -> int:
         return True, f"{args.samples} seeded triples"
 
     def check_cor2():
+        # (i)-(vi) per pair; (vii) depends on b alone, so once per b
         n_pairs = 0
         for b in b_values:
+            total, expected = expsum.corollary_eq9_check(ctx, b)
+            if total != expected:
+                return False, (f"property vii: sum of N = {total}, expected {expected} "
+                               f"at b = {ctx.format_element(b)}")
             for a in expsum.jacobsthal_pairs(ctx, b):
-                results = expsum.corollary_suite(ctx, expsum.CoeffPair(a, b))
+                results = expsum.corollary_properties(ctx, expsum.CoeffPair(a, b))
                 bad = [key for key, ok in results.items() if ok is False]
                 if bad:
                     return False, f"properties {bad} failed at a = {ctx.format_element(a)}"

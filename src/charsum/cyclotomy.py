@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycint import CycInt
-from .errors import IndexOutOfRange, ZeroArgument
+from .errors import ClassSumViolation, IndexOutOfRange, ZeroArgument
 from .field_core import Elem, SubfieldView
 
 
@@ -150,7 +150,8 @@ class PtVector:
 
 
 def pt_sums(view: SubfieldView) -> PtVector:
-    """Per-class additive character sums, checked against their closed form."""
+    """Per-class additive character sums, checked against their closed form
+    (ClassSumViolation on a defect)."""
     order = class_count(view)
     pk = _pk(view)
     p = view.ctx.p
@@ -160,5 +161,6 @@ def pt_sums(view: SubfieldView) -> PtVector:
     values = tuple(CycInt.from_counts(p, c) for c in counts)
     for t, v in enumerate(values):
         want = pk - 1 if t == (pk + 1) // 2 else -1
-        assert v == want, f"P_{t} = {v}, expected {want}"
+        if v != want:
+            raise ClassSumViolation(f"P_{t} = {v}, expected {want}")
     return PtVector(order=order, values=values)

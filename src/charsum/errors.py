@@ -94,7 +94,22 @@ class RangeViolation(IdentityViolation):
 
 
 class ParityViolation(IdentityViolation):
-    """L had an odd number of zeros on U, although -U = U and L is odd."""
+    """A count proven even came out odd: the zeros of L on U (-U = U and L
+    is odd), or 2 N on the Jacobsthal route."""
+
+
+class DivisibilityViolation(IdentityViolation):
+    """A Jacobsthal sum H_{p^k+1} of the N route is not divisible by p^k + 1."""
+
+
+class CaseViolation(IdentityViolation):
+    """A consequence of a pair's case conditions failed: the defining
+    equation of g, a nonzero nonsquare-count term, or the case of the
+    special pairs of property (vi)."""
+
+
+class ClassSumViolation(IdentityViolation):
+    """A cyclotomic class sum P_t differs from its closed form."""
 
 
 class ParsevalViolation(IdentityViolation):

@@ -23,10 +23,17 @@ Jacobsthal sum of order p^k + 1:
 
     2 N(a,b) = p^k - H_{p^k+1}(-b^(p^2k+1)/g^2) / (p^k + 1) + 1.
 
+The defining sum for every a at once comes from one exact transform,
+character_counts: Tr(a z) = sum_i a_i Tr(e_i z) over the base-p digits
+a_i of a, so a per-digit butterfly over the joint counts of the vector
+(Tr(e_i x^d))_i and of Tr(b x^2) yields the value counts of
+Tr(a x^d + b x^2) for every a, in integers.
+
 distribution_sweep fixes b and is the one walk over every a: it builds
 each pair's record (case, N and witnesses, the closed form checked
-against the brute-force sum), streams it to its caller, and tallies how
-often S_f(0) hits each of the three values (r, s, t), verifying
+against the transform's defining sum), streams it to its caller, and
+tallies how often S_f(0) hits each of the three values (r, s, t),
+verifying
 
     r + s + t  = p^n - p^k + chi(b),
     -r + s + 3t = chi(b) p^k,
@@ -46,6 +53,8 @@ from . import jacobsthal
 from .cycint import CycInt
 from .errors import (
     BothCoefficientsZero,
+    CaseViolation,
+    DivisibilityViolation,
     NoSolution,
     OracleMismatch,
     ParityViolation,
@@ -148,6 +157,41 @@ def trace_values(ctx: FieldCtx, terms):
 def f_values(ctx: FieldCtx, pair: CoeffPair):
     """f(x) = Tr(a x^d + b x^2) at x = 0, xi^0, xi^1, ..., as trace_values."""
     return trace_values(ctx, ((pair.a, ctx.params.d), (pair.b, 2)))
+
+
+def character_counts(ctx: FieldCtx, z_terms, v_terms):
+    """The value counts of Tr(a z(x) + v(x)) over x in GF(p^n), for every a
+    at once; z and v are monomial sums given as terms.
+
+    Returns the int64 array of shape (q, p) with
+
+        counts[a.enc, j] = #{x : Tr(a z(x) + v(x)) = j mod p},
+
+    so that sum_x w^Tr(a z(x) + v(x)) is CycInt.from_counts(p, counts[a.enc]).
+
+    With e_i the element encoded as p^i and a = sum_i a_i e_i, the trace
+    is linear: Tr(a z) = sum_i a_i w_i, w_i = Tr(e_i z).  The pairs
+    (w, Tr v) over all x are counted into a (p,)*m + (p,) array; one
+    butterfly per digit axis, rolling the value axis by a_i w_i, turns
+    counts over w into counts over a.  That is about m p^2 q integer
+    additions, with temporaries of O(q p) entries and no floats.
+    """
+    p, m, q = ctx.p, ctx.m, ctx.q
+    w = np.zeros(q, dtype=np.int64)
+    for i in range(m):
+        e = ctx.from_enc(p ** i)
+        w += p ** i * trace_values(ctx, tuple((e * c, mult) for c, mult in z_terms))
+    counts = np.bincount(w * p + trace_values(ctx, v_terms), minlength=q * p)
+    # axis i of the (outer, p, inner, p) view is digit m-1-i of the encoding;
+    # the butterfly is the same for every digit
+    for i in range(m):
+        src = counts.reshape(p ** i, p, p ** (m - 1 - i), p)
+        out = np.zeros_like(src)
+        for ai in range(p):
+            for wi in range(p):
+                out[:, ai] += np.roll(src[:, wi], ai * wi, axis=-1)
+        counts = out
+    return counts.reshape(q, p)
 
 
 def _zero_set(ctx: FieldCtx, terms) -> list:
@@ -289,7 +333,9 @@ def find_g(ctx: FieldCtx, pair: CoeffPair) -> Elem:
         raise NoSolution("target is not a (p^k-1)-th power")
     t = (e // (pk - 1)) % (pk + 1)
     g = view.generator ** t
-    assert g ** (pk - 1) == target
+    if g ** (pk - 1) != target:
+        raise CaseViolation(f"g^(p^k-1) != -b^(p^3k)/a at a={ctx.format_element(pair.a)}, "
+                            f"b={ctx.format_element(pair.b)}")
     return g
 
 
@@ -305,7 +351,9 @@ def N_via_nonsquares(ctx: FieldCtx, pair: CoeffPair) -> int:
     for c in kview.elements():
         diff = (c * g) ** 2 - bq
         e = view.eta(diff)
-        assert e != 0, "(cg)^2 - b^(p^2k+1) vanished; case conditions violated"
+        if e == 0:
+            raise CaseViolation("(cg)^2 - b^(p^2k+1) vanished at "
+                                f"a={ctx.format_element(pair.a)}, b={ctx.format_element(pair.b)}")
         if e == -1:
             count += 1
     return count
@@ -320,9 +368,12 @@ def N_via_jacobsthal(ctx: FieldCtx, pair: CoeffPair) -> int:
     g = find_g(ctx, pair)
     arg = -(pair.b ** (p ** (2 * k) + 1)) / (g * g)
     H = jacobsthal.H_sum(view, pk + 1, arg)
-    assert H % (pk + 1) == 0
+    where = f"a={ctx.format_element(pair.a)}, b={ctx.format_element(pair.b)}"
+    if H % (pk + 1):
+        raise DivisibilityViolation(f"H = {H} is not divisible by {pk + 1} at {where}")
     num = pk - H // (pk + 1) + 1
-    assert num % 2 == 0
+    if num % 2:
+        raise ParityViolation(f"2N = {num} is odd at {where}")
     return num // 2
 
 
@@ -363,7 +414,20 @@ def corollary_eq9_check(ctx: FieldCtx, b: Elem):
 def corollary_suite(ctx: FieldCtx, pair: CoeffPair) -> dict:
     """The seven verified properties of N in the JACOBSTHAL case.
 
-    Returns {"i": bool, ..., "vii": bool}; "vi" is None when its
+    Returns {"i": bool, ..., "vii": bool}: corollary_properties of the
+    pair, and as "vii" corollary_eq9_check of its b.  Property (vii)
+    depends on b alone and walks the whole slice, so a walk over the
+    slice takes corollary_properties per pair and checks (vii) once."""
+    out = corollary_properties(ctx, pair)
+    total, expected = corollary_eq9_check(ctx, pair.b)
+    out["vii"] = total == expected
+    return out
+
+
+def corollary_properties(ctx: FieldCtx, pair: CoeffPair) -> dict:
+    """Properties (i)-(vi) of N at one JACOBSTHAL pair.
+
+    Returns {"i": bool, ..., "vi": bool}; "vi" is None when its
     hypotheses (p = 3 mod 4, k odd, b square) do not apply."""
     _require_jacobsthal(ctx, pair)
     p, k = ctx.p, ctx.params.k
@@ -392,13 +456,13 @@ def corollary_suite(ctx: FieldCtx, pair: CoeffPair) -> dict:
         ok = True
         for sign in (1, -1):
             special = CoeffPair(sign * root * b ** half, b)
-            assert classify(ctx, special) is CaseTag.JACOBSTHAL
+            if classify(ctx, special) is not CaseTag.JACOBSTHAL:
+                raise CaseViolation(f"special pair a={ctx.format_element(special.a)}, "
+                                    f"b={ctx.format_element(b)} is not JACOBSTHAL")
             ok = ok and N_count(ctx, special)[0] == (pk + 1) // 2
         out["vi"] = ok
     else:
         out["vi"] = None
-    total, expected = corollary_eq9_check(ctx, b)
-    out["vii"] = total == expected
     return out
 
 
@@ -428,12 +492,16 @@ class ExpSumRecord:
 def expsum_record(ctx: FieldCtx, pair: CoeffPair) -> ExpSumRecord:
     """Classify, count zeros, and confirm the closed form against the
     brute-force sum (OracleMismatch on any defect)."""
+    return _checked_record(ctx, pair, S0_bruteforce(ctx, pair))
+
+
+def _checked_record(ctx: FieldCtx, pair: CoeffPair, defining: CycInt) -> ExpSumRecord:
+    # defining: the defining sum S_f(0) of the pair, from either exact route
     tag = classify(ctx, pair)
     n, witnesses = N_count(ctx, pair)
     s0 = ctx.p ** (2 * ctx.params.k) * (2 * n - 1)
-    brute = S0_bruteforce(ctx, pair)
-    if brute != s0:
-        raise OracleMismatch(f"closed {s0} != brute {brute} at "
+    if defining != s0:
+        raise OracleMismatch(f"closed {s0} != defining sum {defining} at "
                              f"a={ctx.format_element(pair.a)}, b={ctx.format_element(pair.b)}")
     return ExpSumRecord(pair=pair, tag=tag, N=n, S0=s0, witnesses=tuple(witnesses))
 
@@ -472,20 +540,21 @@ class DistributionReport:
 def distribution_sweep(ctx: FieldCtx, b: Elem, on_record=None) -> DistributionReport:
     """Walk every a in GF(p^n), in the order 0, xi^0, xi^1, ..., for the fixed b != 0.
 
-    Each pair's expsum_record (which checks the closed form against the
-    brute-force sum) is passed to on_record, if given, and then tallied;
-    records are not kept.  N > 2 outside the JACOBSTHAL case raises
-    RangeViolation."""
+    Each pair's record, as expsum_record builds it but checked against
+    the defining sum from one character_counts transform over all a, is
+    passed to on_record, if given, and then tallied; records are not kept.
+    N > 2 outside the JACOBSTHAL case raises RangeViolation."""
     if b.is_zero:
         raise ZeroB("distribution sweep needs b != 0")
-    pk = ctx.p ** ctx.params.k
+    p, pk = ctx.p, ctx.p ** ctx.params.k
     sign = chi(ctx, b)
+    counts = character_counts(ctx, ((ctx.one, ctx.params.d),), ((b, 2),))
 
     tally = {0: 0, 1: 0, 2: 0}
     jac_hist = {}
     s0_total = 0
     for a in [ctx.zero] + list(ctx.powers()):
-        rec = expsum_record(ctx, CoeffPair(a, b))
+        rec = _checked_record(ctx, CoeffPair(a, b), CycInt.from_counts(p, counts[a.enc]))
         if on_record is not None:
             on_record(rec)
         s0_total += rec.S0

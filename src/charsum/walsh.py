@@ -5,7 +5,10 @@ For f mapping GF(p^n) to GF(p), the transform at y is
 
     S_f(y) = sum_x w^(f(x) - Tr(y x)),
 
-computed exactly as a cyclotomic integer.  f is bent when every
+computed exactly as a cyclotomic integer.  full_spectrum reads every
+coefficient from one expsum.character_counts transform, with
+S_f(y) = sum_x w^(f(x) + Tr(y (-x))); walsh_coeff recounts a single
+coefficient from its definition.  f is bent when every
 coefficient satisfies |S_f(y)|^2 = p^n, and weakly regular with unit -1
 when additionally every coefficient lies in {-p^(n/2) w^j}.
 
@@ -32,7 +35,7 @@ import numpy as np
 
 from .cycint import CycInt
 from .errors import ParsevalViolation, RootCountViolation
-from .expsum import CoeffPair, f_values, trace_values
+from .expsum import CoeffPair, character_counts, f_values, trace_values
 from .field_core import Elem, FieldCtx
 
 
@@ -50,12 +53,9 @@ class FunctionSpec:
 
 
 def walsh_coeff(spec: FunctionSpec, y: Elem) -> CycInt:
-    """S_f(y), exact in Z[w]."""
-    return _coeff_at(spec.ctx, f_values(spec.ctx, spec.pair), y)
-
-
-def _coeff_at(ctx: FieldCtx, fvals, y: Elem) -> CycInt:
-    # fvals: f at x = 0, xi^0, xi^1, ... (expsum.f_values)
+    """S_f(y), exact in Z[w], from its definition at this one point."""
+    ctx = spec.ctx
+    fvals = f_values(ctx, spec.pair)
     shifted = fvals if y.is_zero else (fvals - trace_values(ctx, ((y, 1),))) % ctx.p
     return CycInt.from_counts(ctx.p, np.bincount(shifted, minlength=ctx.p))
 
@@ -82,8 +82,11 @@ def full_spectrum(spec: FunctionSpec) -> Spectrum:
     """Every coefficient, the value-multiset summary, and exact Parseval
     (ParsevalViolation on a defect)."""
     ctx = spec.ctx
-    fvals = f_values(ctx, spec.pair)
-    coeffs = [_coeff_at(ctx, fvals, y) for y in [ctx.zero] + list(ctx.powers())]
+    pair = spec.pair
+    counts = character_counts(ctx, ((-ctx.one, 1),),
+                              ((pair.a, ctx.params.d), (pair.b, 2)))
+    coeffs = [CycInt.from_counts(ctx.p, counts[y.enc])
+              for y in [ctx.zero] + list(ctx.powers())]
     parseval = CycInt.zero(ctx.p)
     for c in coeffs:
         parseval = parseval + c.norm_squared()

@@ -128,16 +128,40 @@ def test_force_overrides_guard(capsys):
     assert run(["pt-sums", "--p", "3", "--k", "1", "--guard", "10", "--force"]) == 0
 
 
+def _run_src(*args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=300)
+
+
 def test_failed_range_check_under_optimize():
     # python -O strips asserts: with every pair tallied as three-valued, the
     # sweep's N <= 2 check must still fail theorem3 and exit 1, not crash
     code = ("import sys; from charsum import cli, expsum; "
             "expsum.classify = lambda ctx, pair: expsum.CaseTag.NORM_DIFFER; "
             "sys.exit(cli.run(['verify-all', '--p', '3', '--k', '1', '--b', 'g^1']))")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
-                          text=True, env=env, timeout=300)
+    proc = _run_src("-O", "-c", code)
     assert proc.returncode == 1, proc.stderr
     assert any(line.startswith("[FAIL] theorem3") for line in proc.stdout.splitlines())
     assert "Traceback" not in proc.stderr
+
+
+def test_failed_class_sums_under_optimize():
+    # python -O: a class sum P_0 off by one must fail the pt check and exit 1
+    code = ("import sys; from charsum import cli, cyclotomy; "
+            "real = cyclotomy.CycInt; "
+            "cyclotomy.CycInt = type('Off', (real,), {'from_counts': classmethod("
+            "lambda cls, p, c: real.from_counts(p, [c[0] + 1] + list(c[1:])))}); "
+            "sys.exit(cli.run(['verify-all', '--p', '3', '--k', '1']))")
+    proc = _run_src("-O", "-c", code)
+    assert proc.returncode == 1, proc.stderr
+    assert any(line.startswith("[FAIL] pt class sums") for line in proc.stdout.splitlines())
+    assert "Traceback" not in proc.stderr
+
+
+def test_module_entry_point():
+    # python -m charsum runs the CLI from an uninstalled source tree
+    proc = _run_src("-m", "charsum", "verify-all", "--p", "3", "--k", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert "all identities verified" in proc.stdout

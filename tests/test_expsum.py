@@ -3,7 +3,16 @@ import random
 import pytest
 
 from charsum import expsum as es
-from charsum.errors import BothCoefficientsZero, RangeViolation, WrongCase, ZeroB
+from charsum.cycint import CycInt
+from charsum.errors import (
+    BothCoefficientsZero,
+    DivisibilityViolation,
+    OracleMismatch,
+    ParityViolation,
+    RangeViolation,
+    WrongCase,
+    ZeroB,
+)
 from charsum.field_core import FieldParams, build_context
 
 
@@ -102,6 +111,18 @@ def test_S0_oracle_equivalence_full_grid_51(ctx51):
     for a in ctx51.powers():
         pair = pair_of(ctx51, a, ctx51.zero)
         assert es.S0_bruteforce(ctx51, pair) == es.S0_closed(ctx51, pair)
+
+
+@pytest.mark.parametrize("fixture", ["ctx31", "ctx51"])
+def test_character_counts_match_bruteforce(fixture, request):
+    # one transform row per a equals the per-pair defining sum, a = 0 included
+    ctx = request.getfixturevalue(fixture)
+    for b in (ctx.one, ctx.xi):
+        counts = es.character_counts(ctx, ((ctx.one, ctx.params.d),), ((b, 2),))
+        assert counts.shape == (ctx.q, ctx.p)
+        for a in ctx.elements():
+            row = CycInt.from_counts(ctx.p, counts[a.enc])
+            assert row == es.S0_bruteforce(ctx, pair_of(ctx, a, b))
 
 
 def test_S0_bruteforce_matches_slow_loop(ctx31):
@@ -250,6 +271,18 @@ def test_three_paths_agree(fixture, request):
             assert n1 == es.N_via_jacobsthal(ctx, pair)
 
 
+def test_jacobsthal_route_checks_raise(ctx31, monkeypatch):
+    # the divisibility and parity of the H-sum route are checks, not asserts
+    pair = pair_of(ctx31, es.jacobsthal_pairs(ctx31, ctx31.one)[0], ctx31.one)
+    real = es.jacobsthal.H_sum
+    monkeypatch.setattr(es.jacobsthal, "H_sum", lambda *args: real(*args) + 1)
+    with pytest.raises(DivisibilityViolation):
+        es.N_via_jacobsthal(ctx31, pair)
+    monkeypatch.setattr(es.jacobsthal, "H_sum", lambda *args: real(*args) + 4)
+    with pytest.raises(ParityViolation):
+        es.N_via_jacobsthal(ctx31, pair)
+
+
 def test_jacobsthal_case_parity_and_bound(ctx31, ctx51):
     for ctx in (ctx31, ctx51):
         pk = ctx.p ** ctx.params.k
@@ -384,6 +417,20 @@ def test_sweep_range_check_raises(ctx31, monkeypatch):
     monkeypatch.setattr(es, "classify", lambda ctx, pair: es.CaseTag.NORM_DIFFER)
     with pytest.raises(RangeViolation):
         es.distribution_sweep(ctx31, ctx31.xi)
+
+
+def test_sweep_oracle_mismatch_raises(ctx31, monkeypatch):
+    # a closed form off by one at a single a must disagree with the transform
+    real = es.N_count
+    bad = ctx31.xi ** 5
+
+    def off_by_one(ctx, pair):
+        n, witnesses = real(ctx, pair)
+        return (n + 1 if pair.a == bad else n), witnesses
+
+    monkeypatch.setattr(es, "N_count", off_by_one)
+    with pytest.raises(OracleMismatch, match="a=g\\^5,"):
+        es.distribution_sweep(ctx31, ctx31.one)
 
 
 def test_sweep_rejects_zero_b(ctx31):

@@ -36,8 +36,12 @@ def test_walsh_coeff_11(ctx31):
 
 
 def test_walsh_coeff_matches_plain_sum(ctx31):
-    # definitional recount without any tables or caching
+    # definitional recount without any tables or caching, and the one-pass
+    # transform of full_spectrum against the per-point walsh_coeff at every y
     spec = spec_of(ctx31, ctx31.xi ** 2, ctx31.xi ** 11)
+    spectrum = wa.full_spectrum(spec)
+    for y in ctx31.elements():
+        assert spectrum.coefficient(y) == wa.walsh_coeff(spec, y)
     rng = random.Random(10)
     for _ in range(5):
         y = ctx31.from_enc(rng.randrange(ctx31.q))
