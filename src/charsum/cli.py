@@ -157,28 +157,23 @@ def _cmd_theorem1_verify(args) -> int:
     ctx = context(args.p, args.k)
     chk = walsh.theorem1_spectrum_check(ctx)
     _emit(_header("theorem1-verify", args, ctx))
-    ok = (chk.all_formula_ok and chk.all_special_ok and chk.counts_ok
-          and chk.bent and chk.weakly_regular)
     _emit({"formula_ok": chk.all_formula_ok, "special_case_ok": chk.all_special_ok,
            "counts_ok": chk.counts_ok, "bent": chk.bent,
            "weakly_regular_neg": chk.weakly_regular,
            "summary": dict(sorted(chk.summary.items()))})
-    return 0 if ok else 1
+    return 0 if chk.ok(ctx) else 1
 
 
 def _cmd_sequences_crosscorr(args) -> int:
     ctx = context(args.p, args.k)
-    s = sequences.m_sequence(ctx)
-    u = sequences.decimate(s, ctx.params.d)
-    v = sequences.decimate(s, 2)
+    table = sequences.correlation_table(ctx)
     if args.format == "csv":
         print("tau,value")
-        for tau in range(u.period):
-            print(f"{tau},{sequences.cross_correlation(u, v, tau)}")
+        for tau, c in enumerate(table):
+            print(f"{tau},{c}")
     else:
         _emit(_header("sequences-crosscorr", args, ctx))
-        for tau in range(u.period):
-            c = sequences.cross_correlation(u, v, tau)
+        for tau, c in enumerate(table):
             _emit({"tau": tau, "coeff": list(c.c)})
     return 0
 
@@ -210,7 +205,7 @@ def _run_verify_all(args) -> int:
 
     def check_pt():
         pt = cyclotomy.pt_sums(view)  # raises on defect
-        return True, f"values {[v.as_int() for v in pt.values]}"
+        return len(pt.values) == pk + 1, f"values {[v.as_int() for v in pt.values]}"
 
     def check_eq1():
         n_checked = 0
@@ -225,8 +220,9 @@ def _run_verify_all(args) -> int:
 
     def check_theorem2():
         rep = jacobsthal.theorem2_scan(view)  # BoundViolation on defect
-        return True, (f"{len(rep.records)} elements, max |H| = {rep.max_abs_H}, "
-                      f"ratio {rep.max_ratio:.4f}")
+        return len(rep.records) == pk * pk - pk, (
+            f"{len(rep.records)} elements, max |H| = {rep.max_abs_H}, "
+            f"ratio {rep.max_ratio:.4f}")
 
     def check_curve():
         for rec in jacobsthal.theorem2_scan(view).records:
@@ -260,7 +256,7 @@ def _run_verify_all(args) -> int:
     def check_prop2():
         n_pairs = 0
         for b in b_values:
-            for a in expsum.jacobsthal_pairs(ctx, b):
+            for a in sweep(b).jacobsthal:
                 pair = expsum.CoeffPair(a, b)
                 n1 = expsum.N_count(ctx, pair)[0]
                 n2 = expsum.N_via_nonsquares(ctx, pair)
@@ -285,11 +281,12 @@ def _run_verify_all(args) -> int:
         # (i)-(vi) per pair; (vii) depends on b alone, so once per b
         n_pairs = 0
         for b in b_values:
-            total, expected = expsum.corollary_eq9_check(ctx, b)
+            jac = sweep(b).jacobsthal
+            total, expected = expsum.corollary_eq9_check(ctx, b, jac)
             if total != expected:
                 return False, (f"property vii: sum of N = {total}, expected {expected} "
                                f"at b = {ctx.format_element(b)}")
-            for a in expsum.jacobsthal_pairs(ctx, b):
+            for a in jac:
                 results = expsum.corollary_properties(ctx, expsum.CoeffPair(a, b))
                 bad = [key for key, ok in results.items() if ok is False]
                 if bad:
@@ -308,9 +305,7 @@ def _run_verify_all(args) -> int:
 
     def check_theorem1():
         chk = walsh.theorem1_spectrum_check(ctx)
-        ok = (chk.all_formula_ok and chk.all_special_ok and chk.counts_ok
-              and chk.bent and chk.weakly_regular)
-        return ok, f"spectrum counts {chk.summary}"
+        return chk.ok(ctx), f"spectrum counts {chk.summary}"
 
     checks = [
         ("lemma1 cyclotomic table", check_lemma1),

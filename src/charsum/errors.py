@@ -95,7 +95,8 @@ class RangeViolation(IdentityViolation):
 
 class ParityViolation(IdentityViolation):
     """A count proven even came out odd: the zeros of L on U (-U = U and L
-    is odd), or 2 N on the Jacobsthal route."""
+    is odd), 2 N on the Jacobsthal route, or a value count of the two
+    equal half-period runs behind the cross-correlation table."""
 
 
 class DivisibilityViolation(IdentityViolation):

@@ -403,10 +403,15 @@ def jacobsthal_pairs(ctx: FieldCtx, b: Elem):
     return out
 
 
-def corollary_eq9_check(ctx: FieldCtx, b: Elem):
-    """sum of N over the JACOBSTHAL slice of b vs (p^k+1)(p^k - chi(b))/2."""
+def corollary_eq9_check(ctx: FieldCtx, b: Elem, slice=None):
+    """sum of N over the JACOBSTHAL slice of b vs (p^k+1)(p^k - chi(b))/2.
+
+    slice, if given, is that slice (DistributionReport.jacobsthal of a
+    sweep at b); otherwise jacobsthal_pairs walks every a for it."""
     pk = ctx.p ** ctx.params.k
-    total = sum(N_count(ctx, CoeffPair(a, b))[0] for a in jacobsthal_pairs(ctx, b))
+    if slice is None:
+        slice = jacobsthal_pairs(ctx, b)
+    total = sum(N_count(ctx, CoeffPair(a, b))[0] for a in slice)
     expected = (pk + 1) * (pk - chi(ctx, b)) // 2
     return total, expected
 
@@ -512,8 +517,9 @@ class DistributionReport:
 
     r, s, t count S_f(0) = -p^2k, p^2k, 3 p^2k over the NORM_DIFFER and
     SQUARE_MATCH cases; jac_histogram maps N to its frequency over the
-    JACOBSTHAL case.  residuals are the three identity defects and must
-    all be zero."""
+    JACOBSTHAL case and jacobsthal lists that slice, the a of the
+    JACOBSTHAL pairs in sweep order (not part of the JSON record).
+    residuals are the three identity defects and must all be zero."""
 
     b: Elem
     chi_b: int
@@ -523,6 +529,7 @@ class DistributionReport:
     jac_histogram: dict
     s0_total: int
     residuals: tuple
+    jacobsthal: tuple
 
     def to_json_dict(self, ctx: FieldCtx) -> dict:
         return {
@@ -552,6 +559,7 @@ def distribution_sweep(ctx: FieldCtx, b: Elem, on_record=None) -> DistributionRe
 
     tally = {0: 0, 1: 0, 2: 0}
     jac_hist = {}
+    jac_slice = []
     s0_total = 0
     for a in [ctx.zero] + list(ctx.powers()):
         rec = _checked_record(ctx, CoeffPair(a, b), CycInt.from_counts(p, counts[a.enc]))
@@ -560,6 +568,7 @@ def distribution_sweep(ctx: FieldCtx, b: Elem, on_record=None) -> DistributionRe
         s0_total += rec.S0
         if rec.tag is CaseTag.JACOBSTHAL:
             jac_hist[rec.N] = jac_hist.get(rec.N, 0) + 1
+            jac_slice.append(a)
         elif rec.N > 2:
             raise RangeViolation(
                 f"{rec.tag.value} pair has N = {rec.N} > 2 at a={ctx.format_element(a)}")
@@ -576,4 +585,4 @@ def distribution_sweep(ctx: FieldCtx, b: Elem, on_record=None) -> DistributionRe
         raise OracleMismatch(f"distribution identities violated: {residuals}")
     return DistributionReport(b=b, chi_b=sign, r=r, s=s, t=t,
                               jac_histogram=jac_hist, s0_total=s0_total,
-                              residuals=residuals)
+                              residuals=residuals, jacobsthal=tuple(jac_slice))

@@ -491,12 +491,28 @@ class FieldCtx:
             self._views[degree] = SubfieldView(self, degree)
         return self._views[degree]
 
-    # --- bulk helpers (numpy, table-backed) ----------------------------------------
+    # --- bulk helpers (numpy; table-backed, else one scalar op per element) --------
 
     def add_enc_bulk(self, u, v):
-        """Elementwise field addition of two int64 encoding arrays."""
-        s = (self.digits[u] + self.digits[v]) % self.p
-        return s @ self.pow_basis
+        """Elementwise field addition of two int64 encoding arrays (either
+        may be a scalar encoding)."""
+        if self.has_tables:
+            s = (self.digits[u] + self.digits[v]) % self.p
+            return s @ self.pow_basis
+        u, v = np.broadcast_arrays(np.asarray(u, dtype=np.int64),
+                                   np.asarray(v, dtype=np.int64))
+        return np.array([self.add_enc(int(a), int(b)) for a, b in zip(u, v)],
+                        dtype=np.int64)
+
+    def pow_enc_bulk(self, u, e):
+        """Elementwise u^e of an int64 encoding array, e >= 1 (0^e = 0)."""
+        if e < 1:
+            raise ValueError(f"bulk power needs e >= 1, got {e}")
+        if self.has_tables:
+            # log_enc[0] = -1 indexes a valid entry; the zeros are masked after
+            out = self.exp_enc[(self.log_enc[u] * (e % self.order)) % self.order]
+            return np.where(u == 0, 0, out)
+        return np.array([self.pow_enc(int(a), e) for a in u], dtype=np.int64)
 
     def __repr__(self):
         mod = ",".join(str(c) for c in self.modulus)

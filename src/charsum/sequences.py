@@ -21,6 +21,12 @@ Sketch of why this exact form: the f-sum splits over x = xi^t into two
 half-period runs of w^(s(d t + d tau) + s(2 t + (p^n-1)/2)), the second
 trace term being -v(t) because -1 = xi^((p^n-1)/2) and (p^n-1)/2 is
 even; the x = 0 term contributes the +1.
+
+The two runs have the same value counts, not just the same sum, so the
+counts of Tr(a x^d - x^2) over the field are e_0 + 2 (counts of C(tau)).
+correlation_table reads C(tau) for every tau from one
+expsum.character_counts transform that way; cross_correlation, a loop
+over one period, stays the sequence-side reference of s0_relation_report.
 """
 
 from __future__ import annotations
@@ -28,9 +34,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cycint import CycInt
-from .errors import PeriodMismatch
-from .expsum import CoeffPair, S0_bruteforce
+from .errors import ParityViolation, PeriodMismatch
+from .expsum import CoeffPair, S0_bruteforce, character_counts
 from .field_core import FieldCtx
 
 
@@ -81,6 +89,26 @@ def cross_correlation(u: PSequence, v: PSequence, tau: int) -> CycInt:
     for t in range(u.period):
         counts[(u[t + tau] - v[t]) % p] += 1
     return CycInt.from_counts(p, counts)
+
+
+def correlation_table(ctx: FieldCtx) -> tuple:
+    """C(tau) of the decimated pair (decimate(s, d), decimate(s, 2)) for
+    tau = 0 .. P-1, from the value counts of Tr(a x^d - x^2) at every
+    a = xi^(d tau) in one transform.  ParityViolation if a count of the
+    two half-period runs is odd."""
+    p, d = ctx.p, ctx.params.d
+    counts = character_counts(ctx, ((ctx.one, d),), ((-ctx.one, 2),))
+    zero_term = np.eye(p, dtype=np.int64)[0]  # x = 0 gives the value 0
+    step = ctx.xi ** d
+    a = ctx.one
+    table = []
+    for tau in range(ctx.order // 2):
+        runs = counts[a.enc] - zero_term
+        if (runs % 2).any():
+            raise ParityViolation(f"odd value counts {runs.tolist()} at tau = {tau}")
+        table.append(CycInt.from_counts(p, runs // 2))
+        a = a * step
+    return tuple(table)
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,14 @@ For the pair (1, 1) the spectrum has a closed form: S_f(y) equals
 
 the division by 4 meaning multiplication by 4^(-1) mod p.  When
 y^2 lies in GF(p^2k) the root is simply -Tr(y^2) relative to GF(p^k).
-theorem1_verify checks all of this against the brute-force transform,
-and the value-multiset against the closed-form counts:
--p^2k w^i occurs p^(2k-1)(p^2k+1) times for i != 0, and -p^2k occurs
-(p^(2k-1)-1)(p^2k+1) + 1 times.
+theorem1_root_scan checks all of this for every y at once: it steps X
+through GF(p^k) and evaluates the polynomial at all q values of y per
+step with the bulk field operations (FieldCtx.add_enc_bulk and
+pow_enc_bulk), so its temporaries are O(q) encodings.  theorem1_verify
+is the per-point reference, a scalar scan at one y.
+theorem1_spectrum_check adds the value-multiset against the closed-form
+counts: -p^2k w^i occurs p^(2k-1)(p^2k+1) times for i != 0, and -p^2k
+occurs (p^(2k-1)-1)(p^2k+1) + 1 times.
 """
 
 from __future__ import annotations
@@ -128,7 +132,8 @@ class RootReport:
 
 
 def theorem1_verify(ctx: FieldCtx, y: Elem, actual: CycInt | None = None) -> RootReport:
-    """Root-scan verification of the closed form at one point y.
+    """Root-scan verification of the closed form at one point y, the
+    per-point reference of theorem1_root_scan.
 
     Scans GF(p^k) for roots of the quartic-trace polynomial, demands
     exactly one (RootCountViolation otherwise), and compares
@@ -164,8 +169,66 @@ def theorem1_verify(ctx: FieldCtx, y: Elem, actual: CycInt | None = None) -> Roo
 
 
 @dataclass(frozen=True)
+class RootScan:
+    """The closed form of the (1, 1) spectrum at every y; the arrays are
+    indexed like Spectrum.coefficients (y = 0, xi^0, xi^1, ...)."""
+
+    x0: np.ndarray          # encoding of the unique root in GF(p^k)
+    formula_ok: np.ndarray  # -p^2k w^(Tr_k(x0) 4^(-1)) equals S_f(y)
+    special: np.ndarray     # y^2 lies in GF(p^2k)
+    special_ok: np.ndarray  # x0 = -Tr(y^2) to GF(p^k); meaningful where special
+    roots_checked: int      # the number of y with exactly one root
+
+
+def _root_polynomial(ctx: FieldCtx, y2, ypow, ypow_k, x: Elem):
+    """The quartic-trace polynomial at X = x for every y (encoding arrays)."""
+    p2k1 = ctx.p ** (2 * ctx.params.k) + 1
+    pk = ctx.p ** ctx.params.k
+    s = ctx.add_enc_bulk(y2, x.enc)
+    return ctx.add_enc_bulk(ctx.add_enc_bulk(ypow, ctx.pow_enc_bulk(s, p2k1 // 2)),
+                            ctx.add_enc_bulk(ypow_k, ctx.pow_enc_bulk(s, pk * p2k1 // 2)))
+
+
+def theorem1_root_scan(ctx: FieldCtx, spectrum: Spectrum) -> RootScan:
+    """theorem1_verify at every y at once, against the coefficients of
+    spectrum, the spectrum of the pair (1, 1).
+
+    One step per x in GF(p^k) evaluates the root polynomial at all q
+    values of y; RootCountViolation unless every y has exactly one root."""
+    p, k = ctx.p, ctx.params.k
+    pk, p2k = p ** k, p ** (2 * k)
+    kview = ctx.subfield(k)
+    inv4 = pow(4, -1, p)
+    ys = np.array([y.enc for y in [ctx.zero] + list(ctx.powers())], dtype=np.int64)
+    y2 = ctx.pow_enc_bulk(ys, 2)
+    ypow = ctx.pow_enc_bulk(ys, p2k + 1)
+    ypow_k = ctx.pow_enc_bulk(ys, pk * (p2k + 1))
+    roots = np.zeros(len(ys), dtype=np.int64)
+    x0 = np.zeros(len(ys), dtype=np.int64)
+    w_exp = np.zeros(len(ys), dtype=np.int64)  # Tr_k(x0) 4^(-1) mod p
+    for x in kview.elements():
+        hit = _root_polynomial(ctx, y2, ypow, ypow_k, x) == 0
+        roots += hit
+        x0[hit] = x.enc
+        w_exp[hit] = kview.abs_trace(x) * inv4 % p
+    bad = np.flatnonzero(roots != 1)
+    if len(bad):
+        y = ctx.from_enc(int(ys[bad[0]]))
+        raise RootCountViolation(
+            f"{roots[bad[0]]} roots at y={ctx.format_element(y)}; expected 1")
+    predicted = [(-p2k) * CycInt.omega_power(p, j) for j in range(p)]
+    formula_ok = np.array([c == predicted[j]
+                           for c, j in zip(spectrum.coefficients, w_exp)])
+    special = ctx.pow_enc_bulk(y2, p2k) == y2
+    rel_trace = ctx.add_enc_bulk(y2, ctx.pow_enc_bulk(y2, pk))
+    return RootScan(x0=x0, formula_ok=formula_ok, special=special,
+                    special_ok=ctx.add_enc_bulk(x0, rel_trace) == 0,
+                    roots_checked=int(np.count_nonzero(roots == 1)))
+
+
+@dataclass(frozen=True)
 class SpectrumCheck:
-    all_roots_unique: bool
+    roots_checked: int  # y values with a unique root; q when the scan is whole
     all_formula_ok: bool
     all_special_ok: bool
     counts_ok: bool
@@ -173,23 +236,28 @@ class SpectrumCheck:
     weakly_regular: bool
     summary: dict
 
+    def ok(self, ctx: FieldCtx) -> bool:
+        return (self.roots_checked == ctx.q and self.all_formula_ok
+                and self.all_special_ok and self.counts_ok
+                and self.bent and self.weakly_regular)
+
 
 def theorem1_spectrum_check(ctx: FieldCtx) -> SpectrumCheck:
-    """Verify the whole (1, 1) spectrum: per-y roots and formula, the
-    closed-form value counts, bentness, and weak regularity."""
+    """Verify the whole (1, 1) spectrum: per-y roots and formula (one
+    theorem1_root_scan), the closed-form value counts, bentness, and weak
+    regularity."""
     p, k = ctx.p, ctx.params.k
     p2k = p ** (2 * k)
     spec = FunctionSpec(ctx, CoeffPair(ctx.one, ctx.one))
     spectrum = full_spectrum(spec)
-    reports = [theorem1_verify(ctx, y, c)
-               for y, c in zip([ctx.zero] + list(ctx.powers()), spectrum.coefficients)]
+    scan = theorem1_root_scan(ctx, spectrum)
     want = {str(CycInt.integer(p, -p2k)): (p ** (2 * k - 1) - 1) * (p2k + 1) + 1}
     for i in range(1, p):
         want[str((-p2k) * CycInt.omega_power(p, i))] = p ** (2 * k - 1) * (p2k + 1)
     return SpectrumCheck(
-        all_roots_unique=True,  # theorem1_verify would have raised
-        all_formula_ok=all(r.formula_ok for r in reports),
-        all_special_ok=all(r.special_ok for r in reports if r.special_ok is not None),
+        roots_checked=scan.roots_checked,
+        all_formula_ok=bool(scan.formula_ok.all()),
+        all_special_ok=bool(scan.special_ok[scan.special].all()),
         counts_ok=spectrum.summary == want,
         bent=is_bent(spec, spectrum),
         weakly_regular=is_weakly_regular_neg(spec, spectrum),

@@ -160,6 +160,25 @@ def test_failed_class_sums_under_optimize():
     assert "Traceback" not in proc.stderr
 
 
+def test_failed_theorem1_under_optimize():
+    # python -O: one spectrum coefficient rotated by w must fail theorem1's
+    # closed form and exit 1 (the value counts stay the same)
+    code = ("import sys, dataclasses\n"
+            "from charsum import cli, walsh\n"
+            "real = walsh.full_spectrum\n"
+            "def off(spec):\n"
+            "    s = real(spec)\n"
+            "    c = list(s.coefficients)\n"
+            "    c[7] = c[7].omega_shift(1)\n"
+            "    return dataclasses.replace(s, coefficients=tuple(c))\n"
+            "walsh.full_spectrum = off\n"
+            "sys.exit(cli.run(['verify-all', '--p', '3', '--k', '1']))\n")
+    proc = _run_src("-O", "-c", code)
+    assert proc.returncode == 1, proc.stderr
+    assert any(line.startswith("[FAIL] theorem1 spectrum") for line in proc.stdout.splitlines())
+    assert "Traceback" not in proc.stderr
+
+
 def test_module_entry_point():
     # python -m charsum runs the CLI from an uninstalled source tree
     proc = _run_src("-m", "charsum", "verify-all", "--p", "3", "--k", "1")

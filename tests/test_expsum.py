@@ -362,6 +362,17 @@ def test_eq9_sums(ctx31, ctx51):
             assert total == expected == (pk + 1) * (pk - es.chi(ctx, b)) // 2
 
 
+@pytest.mark.parametrize("fixture", ["ctx31", "ctx51"])
+def test_sweep_jacobsthal_slice(fixture, request):
+    # the sweep's slice is jacobsthal_pairs in the same order, and (vii)
+    # gives the same sums from it as from its own walk
+    ctx = request.getfixturevalue(fixture)
+    for b in (ctx.one, ctx.xi):
+        jac = es.distribution_sweep(ctx, b).jacobsthal
+        assert jac == tuple(es.jacobsthal_pairs(ctx, b))
+        assert es.corollary_eq9_check(ctx, b, jac) == es.corollary_eq9_check(ctx, b)
+
+
 def test_eq9_sum_all_b_31(ctx31):
     for b in ctx31.powers():
         total, expected = es.corollary_eq9_check(ctx31, b)
@@ -406,6 +417,7 @@ def test_sweep_matches_slow_context(ctx31):
         ref = es.distribution_sweep(slow, slow.from_exp(e), slow_recs.append)
         assert (ref.r, ref.s, ref.t) == (fast.r, fast.s, fast.t)
         assert ref.jac_histogram == fast.jac_histogram
+        assert [a.enc for a in ref.jacobsthal] == [a.enc for a in fast.jacobsthal]
         assert len(fast_recs) == len(slow_recs) == 81
         for f, s in zip(fast_recs, slow_recs):
             assert (f.pair.a.enc, f.tag, f.N, f.S0) == (s.pair.a.enc, s.tag, s.N, s.S0)

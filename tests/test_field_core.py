@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from charsum.errors import (
@@ -218,6 +219,22 @@ def test_slow_path_matches_tables(ctx31):
     sub = slow.subfield(2)
     for e, x in enumerate(sub.nonzero_elements()):
         assert sub.discrete_log(x) == e
+
+
+@pytest.mark.parametrize("use_tables", [True, False])
+def test_bulk_ops_match_scalar(use_tables):
+    # add_enc_bulk and pow_enc_bulk, table path and per-element fallback,
+    # against the scalar operations at every encoding of GF(3^4)
+    ctx = build_context(FieldParams(3, 1), 4, use_tables=use_tables)
+    assert ctx.has_tables is use_tables
+    u = np.arange(ctx.q, dtype=np.int64)
+    v = u[::-1].copy()
+    assert ctx.add_enc_bulk(u, v).tolist() == [ctx.add_enc(a, b) for a, b in zip(range(81), v)]
+    assert ctx.add_enc_bulk(u, 5).tolist() == [ctx.add_enc(a, 5) for a in range(81)]
+    for e in (1, 2, 7, 40, 80, 81, 10 * 80 + 3):
+        assert ctx.pow_enc_bulk(u, e).tolist() == [ctx.pow_enc(a, e) for a in range(81)]
+    with pytest.raises(ValueError):
+        ctx.pow_enc_bulk(u, 0)
 
 
 # --------------------------------------------------------------------------

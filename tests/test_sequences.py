@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from charsum import sequences as seqs
-from charsum.errors import PeriodMismatch
+from charsum.errors import ParityViolation, PeriodMismatch
 
 
 def test_m_sequence_period_and_balance(ctx31):
@@ -60,6 +60,32 @@ def test_pinned_s0_relation(fixture, request):
     report = seqs.s0_relation_report(ctx)
     assert report.ok
     assert len(report.shifts) == (ctx.q - 1) // 2
+
+
+@pytest.mark.parametrize("fixture", ["ctx31", "ctx51"])
+def test_correlation_table_matches_cross_correlation(fixture, request):
+    # the one-transform table against the per-shift loop over the sequences
+    ctx = request.getfixturevalue(fixture)
+    s = seqs.m_sequence(ctx)
+    u, v = seqs.decimate(s, ctx.params.d), seqs.decimate(s, 2)
+    table = seqs.correlation_table(ctx)
+    assert len(table) == u.period
+    for tau, c in enumerate(table):
+        assert c.c == seqs.cross_correlation(u, v, tau).c
+
+
+def test_correlation_table_parity_check(ctx31, monkeypatch):
+    # value counts that the two half-period runs cannot split must raise
+    real = seqs.character_counts
+
+    def odd(ctx, z_terms, v_terms):
+        counts = real(ctx, z_terms, v_terms)
+        counts[ctx.one.enc, 1] += 1
+        return counts
+
+    monkeypatch.setattr(seqs, "character_counts", odd)
+    with pytest.raises(ParityViolation, match="tau = 0"):
+        seqs.correlation_table(ctx31)
 
 
 def test_relation_values_multiset(ctx31):

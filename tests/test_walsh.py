@@ -4,6 +4,7 @@ import pytest
 
 from charsum import walsh as wa
 from charsum.cycint import CycInt
+from charsum.errors import RootCountViolation
 from charsum.expsum import CoeffPair, S0_bruteforce
 from charsum.field_core import FieldParams, build_context
 
@@ -146,5 +147,41 @@ def test_root_verification_everywhere(fixture, request):
 
 def test_full_spectrum_check(ctx31):
     chk = wa.theorem1_spectrum_check(ctx31)
+    assert chk.roots_checked == 81
     assert chk.all_formula_ok and chk.all_special_ok and chk.counts_ok
     assert chk.bent and chk.weakly_regular
+    assert chk.ok(ctx31)
+
+
+@pytest.mark.parametrize("fixture", ["ctx31", "ctx51"])
+def test_root_scan_matches_per_point(fixture, request):
+    # the bulk scan against the scalar theorem1_verify at every y
+    ctx = request.getfixturevalue(fixture)
+    spectrum = wa.full_spectrum(spec_of(ctx, ctx.one, ctx.one))
+    scan = wa.theorem1_root_scan(ctx, spectrum)
+    assert scan.roots_checked == ctx.q
+    for i, (y, c) in enumerate(zip([ctx.zero] + list(ctx.powers()), spectrum.coefficients)):
+        report = wa.theorem1_verify(ctx, y, c)
+        assert report.x0.enc == scan.x0[i]
+        assert report.formula_ok == scan.formula_ok[i]
+        assert report.special_ok == (bool(scan.special_ok[i]) if scan.special[i] else None)
+
+
+def test_spectrum_check_matches_slow_context(ctx31):
+    slow = build_context(FieldParams(3, 1), 4, use_tables=False)
+    assert wa.theorem1_spectrum_check(slow) == wa.theorem1_spectrum_check(ctx31)
+
+
+def test_root_scan_second_root_raises(ctx31, monkeypatch):
+    # a second root of the quartic at y = 0 (whose root is 0) must be caught
+    real = wa._root_polynomial
+
+    def extra_root(ctx, y2, ypow, ypow_k, x):
+        vals = real(ctx, y2, ypow, ypow_k, x)
+        if x == ctx.one:
+            vals[0] = 0
+        return vals
+
+    monkeypatch.setattr(wa, "_root_polynomial", extra_root)
+    with pytest.raises(RootCountViolation, match="2 roots at y=0;"):
+        wa.theorem1_spectrum_check(ctx31)
