@@ -21,6 +21,7 @@ randomness is seeded and the seed is printed; element arguments accept
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -144,8 +145,8 @@ def _cmd_walsh_spectrum(args) -> int:
     spectrum = walsh.full_spectrum(spec)
     _emit(_header("walsh-spectrum", args, ctx))
     labels = ["0"] + [f"g^{e}" for e in range(ctx.order)]
-    for label, c in zip(labels, spectrum.coefficients):
-        _emit({"y": label, "coeff": list(c.c), "norm2": c.norm_squared().as_int()})
+    for label, c, n in zip(labels, spectrum.coefficients, spectrum.norms):
+        _emit({"y": label, "coeff": list(c.c), "norm2": n.as_int()})
     _emit({"summary": dict(sorted(spectrum.summary.items())),
            "parseval": spectrum.parseval,
            "bent": walsh.is_bent(spec, spectrum),
@@ -199,6 +200,11 @@ def _run_verify_all(args) -> int:
             sweeps[b.enc] = expsum.distribution_sweep(ctx, b)  # raises on any defect
         return sweeps[b.enc]
 
+    @functools.cache
+    def bound_scan():
+        # theorem2 and curve read the same scan; BoundViolation on defect
+        return jacobsthal.theorem2_scan(view)
+
     def check_lemma1():
         rep = cyclotomy.verify_lemma1(view)
         return rep.ok, f"total {rep.total}, {len(rep.mismatches)} mismatches"
@@ -219,13 +225,13 @@ def _run_verify_all(args) -> int:
         return True, f"{n_checked} elements"
 
     def check_theorem2():
-        rep = jacobsthal.theorem2_scan(view)  # BoundViolation on defect
+        rep = bound_scan()
         return len(rep.records) == pk * pk - pk, (
             f"{len(rep.records)} elements, max |H| = {rep.max_abs_H}, "
             f"ratio {rep.max_ratio:.4f}")
 
     def check_curve():
-        for rec in jacobsthal.theorem2_scan(view).records:
+        for rec in bound_scan().records:
             if rec.H != (pk + 1) * (rec.curve_N - pk):
                 return False, f"mismatch at a = {ctx.format_element(rec.a)}"
         return True, "H/(p^k+1) = N - p^k throughout"
@@ -245,7 +251,7 @@ def _run_verify_all(args) -> int:
             if a.is_zero and b.is_zero:
                 continue
             pair = expsum.CoeffPair(a, b)
-            if not (pair.a ** (pk * (pk + 1)) != pair.b ** (pk + 1)):
+            if expsum.case_detail(ctx, pair).norms_match:
                 continue
             if expsum.prop1_F_zeros(ctx, pair) != expsum.L_zeros_field(ctx, pair):
                 return False, "L and F zero sets differ"
@@ -341,10 +347,6 @@ def _run_verify_all(args) -> int:
     return 0
 
 
-def _cmd_verify_all(args) -> int:
-    return _run_verify_all(args)
-
-
 # --------------------------------------------------------------------------
 # entry point
 # --------------------------------------------------------------------------
@@ -375,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
         element_args=(("--a", "first coefficient"), ("--b", "second coefficient")))
     add("theorem1-verify", _cmd_theorem1_verify)
     add("sequences-crosscorr", _cmd_sequences_crosscorr, extra=_format_arg)
-    add("verify-all", _cmd_verify_all, extra=lambda s: (
+    add("verify-all", _run_verify_all, extra=lambda s: (
         s.add_argument("--b", default="g^0;g^1",
                        help="semicolon-separated b values for the sweeps"),
         s.add_argument("--samples", type=int, default=200,

@@ -99,24 +99,16 @@ def full_table(view: SubfieldView) -> CycNumberTable:
     """All cyclotomic numbers in one pass over GF(p^2k)*."""
     order = class_count(view)
     ctx = view.ctx
-    if ctx.has_tables:
-        sub_exp, sub_log = view._tables()
-        i_idx = np.arange(view.order, dtype=np.int64) % order
-        shifted = ctx.add_enc_bulk(sub_exp, np.ones(view.order, dtype=np.int64))
-        mask = shifted != 0
-        j_idx = sub_log[shifted[mask]] % order
-        assert (sub_log[shifted[mask]] >= 0).all()
-        flat = np.bincount(i_idx[mask] * order + j_idx, minlength=order * order)
-        table = tuple(tuple(int(v) for v in flat[r * order:(r + 1) * order])
-                      for r in range(order))
-    else:
-        counts = [[0] * order for _ in range(order)]
-        one = ctx.one
-        for e, x in enumerate(view.nonzero_elements()):
-            y = x + one
-            if not y.is_zero:
-                counts[e % order][class_index(view, y)] += 1
-        table = tuple(tuple(row) for row in counts)
+    e = np.arange(view.order, dtype=np.int64)  # x = nu^e
+    shifted = ctx.add_enc_bulk(ctx.exp_enc_bulk(view.step * e), 1)
+    mask = shifted != 0
+    logs = ctx.log_enc_bulk(shifted[mask])
+    assert (logs % view.step == 0).all()  # x + 1 stays in GF(p^2k)
+    i_idx = e[mask] % order
+    j_idx = logs // view.step % order
+    flat = np.bincount(i_idx * order + j_idx, minlength=order * order)
+    table = tuple(tuple(int(v) for v in flat[r * order:(r + 1) * order])
+                  for r in range(order))
     return CycNumberTable(order=order, table=table, nu_log=ctx.dlog(view.generator))
 
 

@@ -123,20 +123,15 @@ def chi(ctx: FieldCtx, b: Elem) -> int:
 # monomial sums sum_i c_i x^(m_i), terms given as (Elem c_i, integer m_i >= 1)
 # --------------------------------------------------------------------------
 
-def _eval_terms(ctx: FieldCtx, terms, x: Elem) -> Elem:
-    """The sum at one element x, in plain field arithmetic."""
-    return sum((c * x ** m for c, m in terms), ctx.zero)
-
-
 def _linearized_values(ctx: FieldCtx, terms, logs):
-    """The sum at x = xi^logs (numpy array of logs): the one table-backed
-    evaluator of monomial sums.  Returns an int64 array of value encodings."""
+    """The sum at x = xi^logs (numpy array of logs): the one evaluator of
+    monomial sums.  Returns an int64 array of value encodings."""
     order = ctx.order
     total = None
     for c, mult in terms:
         if c.is_zero:
             continue
-        enc = ctx.exp_enc[(ctx.dlog(c) + (mult % order) * logs) % order]
+        enc = ctx.exp_enc_bulk(ctx.dlog(c) + (mult % order) * logs)
         total = enc if total is None else ctx.add_enc_bulk(total, enc)
     if total is None:
         return np.zeros(len(logs), dtype=np.int64)
@@ -146,12 +141,8 @@ def _linearized_values(ctx: FieldCtx, terms, logs):
 def trace_values(ctx: FieldCtx, terms):
     """Tr(sum_i c_i x^(m_i)) at x = 0, xi^0, xi^1, ..., xi^(q-2), as an
     int64 array (the value at x = 0 is 0)."""
-    if ctx.has_tables:
-        logs = np.arange(ctx.order, dtype=np.int64)
-        vals = ctx.trace_enc[_linearized_values(ctx, terms, logs)]
-    else:
-        vals = [ctx.abs_trace(_eval_terms(ctx, terms, x)) for x in ctx.powers()]
-    return np.concatenate(([0], vals))
+    logs = np.arange(ctx.order, dtype=np.int64)
+    return np.concatenate(([0], ctx.trace_enc_bulk(_linearized_values(ctx, terms, logs))))
 
 
 def f_values(ctx: FieldCtx, pair: CoeffPair):
@@ -196,13 +187,9 @@ def character_counts(ctx: FieldCtx, z_terms, v_terms):
 
 def _zero_set(ctx: FieldCtx, terms) -> list:
     """Zeros of the sum in GF(p^n): 0 first, then the rest by dlog."""
-    if ctx.has_tables:
-        logs = np.arange(ctx.order, dtype=np.int64)
-        zero_logs = logs[_linearized_values(ctx, terms, logs) == 0]
-        zeros = [ctx.from_enc(int(e)) for e in ctx.exp_enc[zero_logs]]
-    else:
-        zeros = [x for x in ctx.powers() if _eval_terms(ctx, terms, x).is_zero]
-    return [ctx.zero] + zeros
+    logs = np.arange(ctx.order, dtype=np.int64)
+    zero_logs = logs[_linearized_values(ctx, terms, logs) == 0]
+    return [ctx.zero] + [ctx.from_enc(int(e)) for e in ctx.exp_enc_bulk(zero_logs)]
 
 
 # --------------------------------------------------------------------------
@@ -222,7 +209,8 @@ def subgroup_U(ctx: FieldCtx) -> list:
 
 
 def L_eval(ctx: FieldCtx, x: Elem, pair: CoeffPair) -> Elem:
-    return _eval_terms(ctx, _L_terms(ctx, pair), x)
+    """L at one element x, in plain field arithmetic."""
+    return sum((c * x ** m for c, m in _L_terms(ctx, pair)), ctx.zero)
 
 
 def _L_terms(ctx: FieldCtx, pair: CoeffPair):
@@ -243,17 +231,12 @@ def N_count(ctx: FieldCtx, pair: CoeffPair):
     The raw zero count is always even (ParityViolation otherwise); N is
     half of it."""
     pair.require_admissible()
-    terms = _L_terms(ctx, pair)
-    if ctx.has_tables:
-        # U's logs (p^2k - 1) j for j = 0..p^2k increase and stay below q - 1,
-        # so the zeros come out in dlog order
-        step = ctx.p ** (2 * ctx.params.k) - 1
-        u_logs = step * np.arange(step + 2, dtype=np.int64)
-        zero_logs = u_logs[_linearized_values(ctx, terms, u_logs) == 0]
-        witnesses = [ctx.from_enc(int(e)) for e in ctx.exp_enc[zero_logs]]
-    else:
-        witnesses = [u for u in subgroup_U(ctx) if _eval_terms(ctx, terms, u).is_zero]
-        witnesses.sort(key=ctx.dlog)
+    # U's logs (p^2k - 1) j for j = 0..p^2k increase and stay below q - 1,
+    # so the zeros come out in dlog order
+    step = ctx.p ** (2 * ctx.params.k) - 1
+    u_logs = step * np.arange(step + 2, dtype=np.int64)
+    zero_logs = u_logs[_linearized_values(ctx, _L_terms(ctx, pair), u_logs) == 0]
+    witnesses = [ctx.from_enc(int(e)) for e in ctx.exp_enc_bulk(zero_logs)]
     if len(witnesses) % 2:
         raise ParityViolation(f"{len(witnesses)} zeros of L on U at "
                               f"a={ctx.format_element(pair.a)}, b={ctx.format_element(pair.b)}")

@@ -17,9 +17,12 @@ is the least significant digit).  Every run of the tool therefore sees
 the same field element behind any given "g^e" label.
 
 When p^m <= 2^20 the context carries exp/log/trace lookup tables (plain
-numpy arrays) that the sweep code uses for bulk work; above that bound
-all operations fall back to polynomial arithmetic and baby-step
-giant-step logs, exact but slow.
+numpy arrays); above that bound all operations fall back to polynomial
+arithmetic and baby-step giant-step logs, exact but slow.  Only this
+module knows which kind a context is: other modules do bulk work through
+the FieldCtx bulk primitives (exp_enc_bulk, log_enc_bulk, trace_enc_bulk,
+add_enc_bulk, pow_enc_bulk), the only consumers of the tables besides the
+scalar operations, which make one scalar call per element without them.
 """
 
 from __future__ import annotations
@@ -460,14 +463,7 @@ class FieldCtx:
         """Absolute trace GF(p^m) -> GF(p), as an integer in 0..p-1."""
         if self.has_tables:
             return int(self.trace_enc[x.enc])
-        acc = self.zero
-        y = x
-        for _ in range(self.m):
-            acc = acc + y
-            y = y ** self.p
-        cs = acc.coeffs
-        assert all(v == 0 for v in cs[1:])
-        return cs[0]
+        return _prime_field_value(self.rel_trace(x, 1))
 
     def rel_trace(self, x: Elem, to_degree: int, from_degree: int | None = None) -> Elem:
         """Relative trace GF(p^from) -> GF(p^to); x must lie in the source field."""
@@ -493,6 +489,28 @@ class FieldCtx:
 
     # --- bulk helpers (numpy; table-backed, else one scalar op per element) --------
 
+    def exp_enc_bulk(self, logs):
+        """Encodings of xi^logs for an int64 array of exponents (taken mod p^m - 1)."""
+        logs = np.asarray(logs, dtype=np.int64) % self.order
+        if self.has_tables:
+            return self.exp_enc[logs]
+        return np.array([self.pow_enc(self.xi.enc, int(e)) for e in logs], dtype=np.int64)
+
+    def log_enc_bulk(self, u):
+        """Discrete logs (0 <= e < p^m - 1) of an int64 array of nonzero encodings."""
+        u = np.asarray(u, dtype=np.int64)
+        if (u == 0).any():
+            raise ZeroArgument("discrete log of zero")
+        if self.has_tables:
+            return self.log_enc[u]
+        return np.array([self.dlog(Elem(self, int(a))) for a in u], dtype=np.int64)
+
+    def trace_enc_bulk(self, u):
+        """Absolute traces (0..p-1) of an int64 array of encodings, as int64."""
+        if self.has_tables:
+            return self.trace_enc[u].astype(np.int64)
+        return np.array([self.abs_trace(Elem(self, int(a))) for a in u], dtype=np.int64)
+
     def add_enc_bulk(self, u, v):
         """Elementwise field addition of two int64 encoding arrays (either
         may be a scalar encoding)."""
@@ -517,6 +535,12 @@ class FieldCtx:
     def __repr__(self):
         mod = ",".join(str(c) for c in self.modulus)
         return f"FieldCtx(GF({self.p}^{self.m}), modulus=[{mod}])"
+
+
+def _prime_field_value(t: Elem) -> int:
+    """A trace value, an element of GF(p), as the integer 0..p-1."""
+    assert t.enc < t.ctx.p, "trace left the prime field"
+    return t.enc
 
 
 def _bsgs(g: Elem, x: Elem, n: int) -> int:
@@ -558,17 +582,6 @@ class SubfieldView:
         self.order = self.q - 1
         self.step = ctx.order // self.order if ctx.order else 1
         self.generator = ctx.from_exp(self.step)
-        self._sub_log = None
-
-    def _tables(self):
-        if self._sub_log is None:
-            exps = (self.step * np.arange(self.order, dtype=np.int64)) % self.ctx.order
-            sub_exp = self.ctx.exp_enc[exps]
-            sub_log = np.full(self.ctx.q, -1, dtype=np.int64)
-            sub_log[sub_exp] = np.arange(self.order, dtype=np.int64)
-            self._sub_log = sub_log
-            self._sub_exp = sub_exp
-        return self._sub_exp, self._sub_log
 
     def contains(self, x: Elem) -> bool:
         if x.is_zero:
@@ -580,10 +593,7 @@ class SubfieldView:
     def elements(self):
         """Zero, then powers of the induced generator."""
         yield self.ctx.zero
-        x = self.ctx.one
-        for _ in range(self.order):
-            yield x
-            x = x * self.generator
+        yield from self.nonzero_elements()
 
     def nonzero_elements(self):
         x = self.ctx.one
@@ -618,17 +628,9 @@ class SubfieldView:
         return -1
 
     def abs_trace(self, x: Elem) -> int:
-        """Absolute trace of this subfield GF(p^degree) -> GF(p)."""
-        if not self.contains(x):
-            raise NotInSubfield(f"{x!r} not in GF({self.ctx.p}^{self.degree})")
-        acc = self.ctx.zero
-        y = x
-        for _ in range(self.degree):
-            acc = acc + y
-            y = y ** self.ctx.p
-        cs = acc.coeffs
-        assert all(v == 0 for v in cs[1:])
-        return cs[0]
+        """Absolute trace of this subfield GF(p^degree) -> GF(p)
+        (NotInSubfield if x lies outside it)."""
+        return _prime_field_value(self.ctx.rel_trace(x, 1, self.degree))
 
     def __repr__(self):
         return f"SubfieldView(GF({self.ctx.p}^{self.degree}) in GF({self.ctx.p}^{self.ctx.m}))"

@@ -63,10 +63,8 @@ class PSequence:
 
 def m_sequence(ctx: FieldCtx) -> PSequence:
     """s(t) = Tr(xi^t) for t = 0 .. p^n - 2."""
-    if ctx.has_tables:
-        symbols = tuple(int(v) for v in ctx.trace_enc[ctx.exp_enc])
-    else:
-        symbols = tuple(ctx.abs_trace(x) for x in ctx.powers())
+    logs = np.arange(ctx.order, dtype=np.int64)
+    symbols = tuple(int(v) for v in ctx.trace_enc_bulk(ctx.exp_enc_bulk(logs)))
     return PSequence(p=ctx.p, symbols=symbols, origin="trace m-sequence")
 
 

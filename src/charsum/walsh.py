@@ -68,11 +68,13 @@ def walsh_coeff(spec: FunctionSpec, y: Elem) -> CycInt:
 class Spectrum:
     """All p^n Walsh coefficients of one function.
 
-    coefficients[i] belongs to y = 0 for i = 0 and y = xi^(i-1) after;
-    summary counts coefficients by their canonical rendering."""
+    coefficients[i] belongs to y = 0 for i = 0 and y = xi^(i-1) after,
+    norms[i] is its |S|^2 (a CycInt); summary counts coefficients by
+    their canonical rendering."""
 
     spec: FunctionSpec
     coefficients: tuple
+    norms: tuple
     summary: dict
     parseval: int  # sum of |S|^2, must be p^(2n)
 
@@ -91,14 +93,14 @@ def full_spectrum(spec: FunctionSpec) -> Spectrum:
                               ((pair.a, ctx.params.d), (pair.b, 2)))
     coeffs = [CycInt.from_counts(ctx.p, counts[y.enc])
               for y in [ctx.zero] + list(ctx.powers())]
-    parseval = CycInt.zero(ctx.p)
-    for c in coeffs:
-        parseval = parseval + c.norm_squared()
-    total = parseval.as_int()  # raises NotRationalInteger on defect
+    # one |S|^2 per distinct coefficient value: a bent spectrum has p of them
+    norm_of = {c: c.norm_squared() for c in set(coeffs)}
+    norms = tuple(norm_of[c] for c in coeffs)
+    total = sum(norms, CycInt.zero(ctx.p)).as_int()  # raises NotRationalInteger on defect
     if total != ctx.q ** 2:
         raise ParsevalViolation(f"Parseval defect: {total} != {ctx.q ** 2}")
     summary = dict(Counter(str(c) for c in coeffs))
-    return Spectrum(spec=spec, coefficients=tuple(coeffs),
+    return Spectrum(spec=spec, coefficients=tuple(coeffs), norms=norms,
                     summary=summary, parseval=total)
 
 
@@ -106,7 +108,7 @@ def is_bent(spec: FunctionSpec, spectrum: Spectrum | None = None) -> bool:
     """All coefficients of squared magnitude exactly p^n."""
     spectrum = spectrum or full_spectrum(spec)
     q = spec.ctx.q
-    return all(c.norm_squared() == q for c in spectrum.coefficients)
+    return all(n == q for n in spectrum.norms)
 
 
 def is_weakly_regular_neg(spec: FunctionSpec, spectrum: Spectrum | None = None) -> bool:

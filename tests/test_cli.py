@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from charsum import jacobsthal
 from charsum.cli import run
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -19,6 +20,21 @@ def test_verify_all_31(capsys):
     assert out.count("[ok  ]") == 12
     assert "all identities verified" in out
     assert "seed=" in out
+
+
+def test_verify_all_scans_jacobsthal_once(capsys, monkeypatch):
+    # theorem2 and curve read one Jacobsthal bound scan
+    calls = []
+    real = jacobsthal.theorem2_scan
+
+    def counting(view):
+        calls.append(view)
+        return real(view)
+
+    monkeypatch.setattr(jacobsthal, "theorem2_scan", counting)
+    assert run(["verify-all", "--p", "3", "--k", "1"]) == 0
+    assert capsys.readouterr().out.count("[ok  ]") == 12
+    assert len(calls) == 1
 
 
 def test_expsum_record(capsys):

@@ -1,8 +1,11 @@
 import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import charsum
 from charsum.errors import (
     DegreeUnsupported,
     DivisionByZero,
@@ -223,8 +226,8 @@ def test_slow_path_matches_tables(ctx31):
 
 @pytest.mark.parametrize("use_tables", [True, False])
 def test_bulk_ops_match_scalar(use_tables):
-    # add_enc_bulk and pow_enc_bulk, table path and per-element fallback,
-    # against the scalar operations at every encoding of GF(3^4)
+    # every bulk operation, table path and per-element fallback, against
+    # the scalar operations at every encoding of GF(3^4)
     ctx = build_context(FieldParams(3, 1), 4, use_tables=use_tables)
     assert ctx.has_tables is use_tables
     u = np.arange(ctx.q, dtype=np.int64)
@@ -235,6 +238,14 @@ def test_bulk_ops_match_scalar(use_tables):
         assert ctx.pow_enc_bulk(u, e).tolist() == [ctx.pow_enc(a, e) for a in range(81)]
     with pytest.raises(ValueError):
         ctx.pow_enc_bulk(u, 0)
+    logs = np.arange(-80, 2 * 80, dtype=np.int64)
+    assert ctx.exp_enc_bulk(logs).tolist() == [ctx.pow_enc(ctx.xi.enc, int(e)) for e in logs]
+    assert ctx.log_enc_bulk(u[1:]).tolist() == [ctx.dlog(ctx.from_enc(a)) for a in range(1, 81)]
+    with pytest.raises(ZeroArgument):
+        ctx.log_enc_bulk(u)
+    assert ctx.trace_enc_bulk(u).tolist() == [ctx.abs_trace(ctx.from_enc(a)) for a in range(81)]
+    for bulk in (ctx.exp_enc_bulk(logs), ctx.log_enc_bulk(u[1:]), ctx.trace_enc_bulk(u)):
+        assert bulk.dtype == np.int64
 
 
 # --------------------------------------------------------------------------
@@ -260,3 +271,20 @@ def test_elem_identity(ctx31):
     assert -ctx31.one == ctx31.elem([2])
     with pytest.raises(AttributeError):
         x.enc = 3
+
+
+# --------------------------------------------------------------------------
+# field_core is the one owner of the field representation
+# --------------------------------------------------------------------------
+
+def test_only_field_core_reads_tables():
+    # every other module computes through the FieldCtx bulk primitives and
+    # never asks whether a context has tables
+    pattern = re.compile(r"has_tables|exp_enc\b|log_enc\b|trace_enc\b|\.digits\b"
+                         r"|neg_enc\b|pow_basis|_tables\(")
+    package = Path(charsum.__file__).resolve().parent
+    offenders = [f"{path.name}:{n}: {line.strip()}"
+                 for path in sorted(package.glob("*.py")) if path.name != "field_core.py"
+                 for n, line in enumerate(path.read_text().splitlines(), 1)
+                 if pattern.search(line)]
+    assert offenders == []

@@ -4,6 +4,7 @@ import pytest
 
 from charsum import sequences as seqs
 from charsum.errors import ParityViolation, PeriodMismatch
+from charsum.field_core import FieldParams, build_context
 
 
 def test_m_sequence_period_and_balance(ctx31):
@@ -11,6 +12,11 @@ def test_m_sequence_period_and_balance(ctx31):
     assert s.period == 80
     counts = Counter(s.symbols)
     assert counts[0] == 26 and counts[1] == 27 and counts[2] == 27
+
+
+def test_m_sequence_matches_slow_context(ctx31):
+    slow = build_context(FieldParams(3, 1), 4, use_tables=False)
+    assert seqs.m_sequence(slow) == seqs.m_sequence(ctx31)
 
 
 def test_shift_and_add(ctx31):

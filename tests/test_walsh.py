@@ -122,6 +122,9 @@ def test_bent_and_weakly_regular(ctx31, ctx51):
         spectrum = wa.full_spectrum(spec)
         assert wa.is_bent(spec, spectrum)
         assert wa.is_weakly_regular_neg(spec, spectrum)
+        assert len(spectrum.norms) == ctx.q
+        assert all(n == c.norm_squared()
+                   for n, c in zip(spectrum.norms, spectrum.coefficients))
 
 
 def test_root_verification_at_zero(ctx31):
