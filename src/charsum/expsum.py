@@ -29,9 +29,16 @@ a_i of a, so a per-digit butterfly over the joint counts of the vector
 (Tr(e_i x^d))_i and of Tr(b x^2) yields the value counts of
 Tr(a x^d + b x^2) for every a, in integers.
 
-distribution_sweep fixes b and is the one walk over every a: it builds
-each pair's record (case, N and witnesses, the closed form checked
-against the transform's defining sum), streams it to its caller, and
+N(a, b) for every a at once comes from N_table: on U, L(u) = 0 is a
+linear condition on a, met by p^2k values of a per u, so one count over
+the (p^2k + 1) p^2k incidences gives every 2N(a, b).  case_tags gives
+every case from dlogs.  The direct zero count N_count and case_detail
+stay as per-pair references that cross-check both tables inside every
+sweep.
+
+distribution_sweep fixes b and covers every a in array work: it checks
+each closed form against the transform's defining sum, streams each
+pair's record (case, N and witnesses) to its caller if asked, and
 tallies how often S_f(0) hits each of the three values (r, s, t),
 verifying
 
@@ -110,6 +117,28 @@ def case_detail(ctx: FieldCtx, pair: CoeffPair) -> CaseDetail:
     else:
         tag = CaseTag.JACOBSTHAL
     return CaseDetail(tag=tag, norms_match=norms_match, b_square=b_square)
+
+
+# the values of case_tags, in this order
+CASE_TAGS = (CaseTag.NORM_DIFFER, CaseTag.SQUARE_MATCH, CaseTag.JACOBSTHAL)
+
+
+def case_tags(ctx: FieldCtx, b: Elem):
+    """The case of (a, b) for every a at once, from dlogs.
+
+    Returns an int8 array over the sweep order a = 0, xi^0, xi^1, ...,
+    holding indexes into CASE_TAGS.  With la = log a and lb = log b,
+    modulo q - 1: the norms match iff (p^k + 1)(p^k la - lb) = 0, and
+    a^2 = b^d iff 2 la = d lb.  a = 0 is NORM_DIFFER, since b != 0."""
+    if b.is_zero:
+        raise ZeroB("the bulk case split needs b != 0")
+    pk, order = ctx.p ** ctx.params.k, ctx.order
+    lb = ctx.dlog(b)
+    la = np.arange(order, dtype=np.int64)
+    norms_match = (pk + 1) * ((pk * la - lb) % order) % order == 0
+    square_match = (2 * la - ctx.params.d * lb % order) % order == 0
+    tags = np.where(square_match, 1, np.where(norms_match, 2, 0))
+    return np.concatenate(([0], tags)).astype(np.int8)
 
 
 def chi(ctx: FieldCtx, b: Elem) -> int:
@@ -196,16 +225,11 @@ def _zero_set(ctx: FieldCtx, terms) -> list:
 # the subgroup U and the linearized polynomial
 # --------------------------------------------------------------------------
 
-def subgroup_U(ctx: FieldCtx) -> list:
-    """The p^2k + 1 powers of xi^(p^2k - 1)."""
+def U_logs(ctx: FieldCtx):
+    """The dlogs (p^2k - 1) j, j = 0..p^2k, of the p^2k + 1 elements of U,
+    as an increasing int64 array (all below q - 1)."""
     step = ctx.p ** (2 * ctx.params.k) - 1
-    g = ctx.from_exp(step)
-    out = []
-    u = ctx.one
-    for _ in range(step + 2):  # |U| = p^2k + 1
-        out.append(u)
-        u = u * g
-    return out
+    return step * np.arange(step + 2, dtype=np.int64)
 
 
 def L_eval(ctx: FieldCtx, x: Elem, pair: CoeffPair) -> Elem:
@@ -231,16 +255,75 @@ def N_count(ctx: FieldCtx, pair: CoeffPair):
     The raw zero count is always even (ParityViolation otherwise); N is
     half of it."""
     pair.require_admissible()
-    # U's logs (p^2k - 1) j for j = 0..p^2k increase and stay below q - 1,
-    # so the zeros come out in dlog order
-    step = ctx.p ** (2 * ctx.params.k) - 1
-    u_logs = step * np.arange(step + 2, dtype=np.int64)
+    # U's logs increase, so the zeros come out in dlog order
+    u_logs = U_logs(ctx)
     zero_logs = u_logs[_linearized_values(ctx, _L_terms(ctx, pair), u_logs) == 0]
     witnesses = [ctx.from_enc(int(e)) for e in ctx.exp_enc_bulk(zero_logs)]
     if len(witnesses) % 2:
         raise ParityViolation(f"{len(witnesses)} zeros of L on U at "
                               f"a={ctx.format_element(pair.a)}, b={ctx.format_element(pair.b)}")
     return len(witnesses) // 2, witnesses
+
+
+def N_table(ctx: FieldCtx, b: Elem):
+    """N(a, b) for every a at once, from the zeros of L on U.
+
+    On U, u^(p^2k) = u^(-1), so L(u) = T(a u^(p^k)) + T(b^(p^2k) u) with T
+    the trace GF(p^n) -> GF(p^2k).  T is zero on theta GF(p^2k), where
+    theta = xi^((p^2k+1)/2) has theta^(p^2k) = -theta, and T(c/2) = c for
+    c in GF(p^2k).  So L(u) = 0 exactly when
+
+        a = u^(-p^k) (c_u/2 + theta t),  c_u = -(b^(p^2k) u + b u^(-1)),
+
+    for one of the p^2k elements t of GF(p^2k).  When c_u != 0 that set
+    is u^(-p^k) (c_u/2) W with W = 1 + theta GF(p^2k), the same for every
+    u, so it costs one addition per t and then dlog arithmetic only.
+
+    Returns (n, incidence).  incidence is the flat int64 array of these a
+    (encodings): p^2k entries per u, the u in increasing dlog (U_logs
+    order).  n[a.enc] = N(a, b) is half the number of times a occurs.
+    ParityViolation unless the incidences total (p^2k + 1) p^2k and
+    every count is even."""
+    if b.is_zero:
+        raise ZeroB("the N table needs b != 0")
+    p, k = ctx.p, ctx.params.k
+    pk, Q = p ** k, p ** (2 * k)
+    u_logs = U_logs(ctx)
+    lb = ctx.dlog(b)
+    minus_c = ctx.add_enc_bulk(ctx.exp_enc_bulk(Q * lb + u_logs), ctx.exp_enc_bulk(lb - u_logs))
+    shift = -pk * u_logs
+    # theta t for t = nu^s, nu = xi^(p^2k+1) the generator of GF(p^2k)*
+    theta_logs = (Q + 1) // 2 + (Q + 1) * np.arange(Q - 1, dtype=np.int64)
+    incidence = np.empty((Q + 1, Q), dtype=np.int64)
+    zero = minus_c == 0
+    for j in np.flatnonzero(zero):
+        incidence[j] = np.concatenate(([0], ctx.exp_enc_bulk(theta_logs + shift[j])))
+    w_logs = ctx.log_enc_bulk(ctx.add_enc_bulk(
+        np.concatenate(([0], ctx.exp_enc_bulk(theta_logs))), 1))
+    row_logs = ctx.log_enc_bulk(minus_c[~zero]) + ctx.dlog(-(ctx.one / 2)) + shift[~zero]
+    incidence[~zero] = ctx.exp_enc_bulk((row_logs[:, None] + w_logs).ravel()).reshape(-1, Q)
+    incidence = incidence.ravel()
+    twice = np.bincount(incidence, minlength=ctx.q)
+    n_odd = int(np.count_nonzero(twice % 2))
+    if twice.sum() != (Q + 1) * Q or n_odd:
+        raise ParityViolation(f"{twice.sum()} zeros of L on U over all a, expected {(Q + 1) * Q}, "
+                              f"odd at {n_odd} a, b={ctx.format_element(b)}")
+    return twice // 2, incidence
+
+
+def _witnesses(ctx: FieldCtx, incidence, a_encs):
+    """For each encoding in a_encs, in turn, the encodings of the zeros of L
+    on U at that a, in dlog order, read from N_table's incidence array."""
+    Q = ctx.p ** (2 * ctx.params.k)
+    pos = np.flatnonzero(np.isin(incidence, a_encs))
+    # the incidence runs over u in dlog order, and a stable sort keeps that order within each a
+    pos = pos[np.argsort(incidence[pos], kind="stable")]
+    found = incidence[pos]
+    u_encs = ctx.exp_enc_bulk(U_logs(ctx)[pos // Q])
+    lo = np.searchsorted(found, a_encs, "left")
+    hi = np.searchsorted(found, a_encs, "right")
+    for i, j in zip(lo, hi):
+        yield u_encs[i:j]
 
 
 # --------------------------------------------------------------------------
@@ -484,14 +567,18 @@ def expsum_record(ctx: FieldCtx, pair: CoeffPair) -> ExpSumRecord:
 
 
 def _checked_record(ctx: FieldCtx, pair: CoeffPair, defining: CycInt) -> ExpSumRecord:
-    # defining: the defining sum S_f(0) of the pair, from either exact route
+    # defining: the defining sum S_f(0) of the pair (S0_bruteforce)
     tag = classify(ctx, pair)
     n, witnesses = N_count(ctx, pair)
     s0 = ctx.p ** (2 * ctx.params.k) * (2 * n - 1)
     if defining != s0:
-        raise OracleMismatch(f"closed {s0} != defining sum {defining} at "
-                             f"a={ctx.format_element(pair.a)}, b={ctx.format_element(pair.b)}")
+        raise _oracle_mismatch(ctx, pair, s0, defining)
     return ExpSumRecord(pair=pair, tag=tag, N=n, S0=s0, witnesses=tuple(witnesses))
+
+
+def _oracle_mismatch(ctx: FieldCtx, pair: CoeffPair, s0: int, defining: CycInt):
+    return OracleMismatch(f"closed {s0} != defining sum {defining} at "
+                          f"a={ctx.format_element(pair.a)}, b={ctx.format_element(pair.b)}")
 
 
 @dataclass(frozen=True)
@@ -528,37 +615,47 @@ class DistributionReport:
 
 
 def distribution_sweep(ctx: FieldCtx, b: Elem, on_record=None) -> DistributionReport:
-    """Walk every a in GF(p^n), in the order 0, xi^0, xi^1, ..., for the fixed b != 0.
+    """Every a in GF(p^n), in the order 0, xi^0, xi^1, ..., for the fixed b != 0.
 
-    Each pair's record, as expsum_record builds it but checked against
-    the defining sum from one character_counts transform over all a, is
-    passed to on_record, if given, and then tallied; records are not kept.
-    N > 2 outside the JACOBSTHAL case raises RangeViolation."""
+    N comes from N_table and the case from case_tags, for all a at once.
+    Each closed form is checked against the defining sum from one
+    character_counts transform, N > 2 outside the JACOBSTHAL case raises
+    RangeViolation, and the direct zero count and case_detail cross-check
+    both tables on the JACOBSTHAL slice and on at most 32 evenly strided a
+    (a = 0 among them).  Only then, if on_record is given, is each pair's
+    record, as expsum_record would build it, passed to it in sweep order;
+    records are not kept."""
     if b.is_zero:
         raise ZeroB("distribution sweep needs b != 0")
-    p, pk = ctx.p, ctx.p ** ctx.params.k
+    p, pk, Q = ctx.p, ctx.p ** ctx.params.k, ctx.p ** (2 * ctx.params.k)
     sign = chi(ctx, b)
-    counts = character_counts(ctx, ((ctx.one, ctx.params.d),), ((b, 2),))
+    a_encs = np.concatenate(([0], ctx.exp_enc_bulk(np.arange(ctx.order, dtype=np.int64))))
+    n_by_enc, incidence = N_table(ctx, b)
+    n = n_by_enc[a_encs]
+    s0 = Q * (2 * n - 1)
+    tags = case_tags(ctx, b)
 
-    tally = {0: 0, 1: 0, 2: 0}
-    jac_hist = {}
-    jac_slice = []
-    s0_total = 0
-    for a in [ctx.zero] + list(ctx.powers()):
-        rec = _checked_record(ctx, CoeffPair(a, b), CycInt.from_counts(p, counts[a.enc]))
-        if on_record is not None:
-            on_record(rec)
-        s0_total += rec.S0
-        if rec.tag is CaseTag.JACOBSTHAL:
-            jac_hist[rec.N] = jac_hist.get(rec.N, 0) + 1
-            jac_slice.append(a)
-        elif rec.N > 2:
-            raise RangeViolation(
-                f"{rec.tag.value} pair has N = {rec.N} > 2 at a={ctx.format_element(a)}")
-        else:
-            tally[rec.N] += 1
+    # sum_j c_j w^j is the integer s exactly when c_1 = ... = c_(p-1) and c_0 - c_1 = s
+    counts = character_counts(ctx, ((ctx.one, ctx.params.d),), ((b, 2),))[a_encs]
+    off = np.flatnonzero(~((counts[:, 1:] == counts[:, 1:2]).all(axis=1)
+                           & (counts[:, 0] - counts[:, 1] == s0)))
+    if off.size:
+        i = off[0]
+        raise _oracle_mismatch(ctx, CoeffPair(ctx.from_enc(int(a_encs[i])), b), int(s0[i]),
+                               CycInt.from_counts(p, counts[i]))
+    jac = tags == CASE_TAGS.index(CaseTag.JACOBSTHAL)
+    over = np.flatnonzero(~jac & (n > 2))
+    if over.size:
+        i = over[0]
+        raise RangeViolation(f"{CASE_TAGS[tags[i]].value} pair has N = {n[i]} > 2 "
+                             f"at a={ctx.format_element(ctx.from_enc(int(a_encs[i])))}")
+    # at most 32 evenly strided sweep positions, a = 0 first
+    strided = np.arange(ctx.q) % -(-ctx.q // 32) == 0
+    _cross_check(ctx, b, a_encs, n, tags, incidence, np.flatnonzero(jac | strided))
 
-    r, s, t = tally[0], tally[1], tally[2]
+    r, s, t = (int(c) for c in np.bincount(n[~jac], minlength=3))
+    jac_hist = {v: int(c) for v, c in enumerate(np.bincount(n[jac])) if c}
+    s0_total = int(s0.sum())
     residuals = (
         (r + s + t) - (ctx.q - pk + sign),
         (-r + s + 3 * t) - sign * pk,
@@ -566,6 +663,28 @@ def distribution_sweep(ctx: FieldCtx, b: Elem, on_record=None) -> DistributionRe
     )
     if any(residuals):
         raise OracleMismatch(f"distribution identities violated: {residuals}")
+    if on_record is not None:
+        witnesses = _witnesses(ctx, incidence, a_encs)
+        for i, (a_enc, w) in enumerate(zip(a_encs, witnesses)):
+            on_record(ExpSumRecord(pair=CoeffPair(ctx.from_enc(int(a_enc)), b),
+                                   tag=CASE_TAGS[tags[i]], N=int(n[i]), S0=int(s0[i]),
+                                   witnesses=tuple(ctx.from_enc(int(e)) for e in w)))
     return DistributionReport(b=b, chi_b=sign, r=r, s=s, t=t,
-                              jac_histogram=jac_hist, s0_total=s0_total,
-                              residuals=residuals, jacobsthal=tuple(jac_slice))
+                              jac_histogram=jac_hist, s0_total=s0_total, residuals=residuals,
+                              jacobsthal=tuple(ctx.from_enc(int(e)) for e in a_encs[jac]))
+
+
+def _cross_check(ctx: FieldCtx, b: Elem, a_encs, n, tags, incidence, sample):
+    # N_count and case_detail at the sweep positions in sample against the
+    # N table, its witnesses and the bulk case split
+    for i, witnesses in zip(sample, _witnesses(ctx, incidence, a_encs[sample])):
+        pair = CoeffPair(ctx.from_enc(int(a_encs[i])), b)
+        where = f"a={ctx.format_element(pair.a)}, b={ctx.format_element(b)}"
+        n_direct, w_direct = N_count(ctx, pair)
+        if n_direct != n[i] or [w.enc for w in w_direct] != witnesses.tolist():
+            raise OracleMismatch(f"direct zero count N = {n_direct} != N table {n[i]}, "
+                                 f"or other witnesses, at {where}")
+        tag = case_detail(ctx, pair).tag
+        if tag is not CASE_TAGS[tags[i]]:
+            raise CaseViolation(f"case_detail gives {tag.value}, the bulk case split "
+                                f"{CASE_TAGS[tags[i]].value} at {where}")

@@ -154,8 +154,8 @@ def _run_src(*args):
 def test_failed_range_check_under_optimize():
     # python -O strips asserts: with every pair tallied as three-valued, the
     # sweep's N <= 2 check must still fail theorem3 and exit 1, not crash
-    code = ("import sys; from charsum import cli, expsum; "
-            "expsum.classify = lambda ctx, pair: expsum.CaseTag.NORM_DIFFER; "
+    code = ("import sys, numpy; from charsum import cli, expsum; "
+            "expsum.case_tags = lambda ctx, b: numpy.zeros(ctx.q, dtype=numpy.int8); "
             "sys.exit(cli.run(['verify-all', '--p', '3', '--k', '1', '--b', 'g^1']))")
     proc = _run_src("-O", "-c", code)
     assert proc.returncode == 1, proc.stderr

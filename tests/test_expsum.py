@@ -1,11 +1,15 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charsum import expsum as es
 from charsum.cycint import CycInt
 from charsum.errors import (
     BothCoefficientsZero,
+    CaseViolation,
     DivisibilityViolation,
     OracleMismatch,
     ParityViolation,
@@ -13,11 +17,15 @@ from charsum.errors import (
     WrongCase,
     ZeroB,
 )
-from charsum.field_core import FieldParams, build_context
+from charsum.field_core import FieldParams, build_context, context
 
 
 def pair_of(ctx, a, b):
     return es.CoeffPair(a, b)
+
+
+def U_elements(ctx):
+    return [ctx.from_enc(int(e)) for e in ctx.exp_enc_bulk(es.U_logs(ctx))]
 
 
 # --------------------------------------------------------------------------
@@ -25,7 +33,7 @@ def pair_of(ctx, a, b):
 # --------------------------------------------------------------------------
 
 def test_subgroup_structure(ctx31):
-    U = es.subgroup_U(ctx31)
+    U = U_elements(ctx31)
     assert len(U) == 10
     order = len(U)
     for u in U:
@@ -48,7 +56,7 @@ def test_L_basics(ctx31):
 def test_L_lands_in_half_field_on_U(ctx31):
     view = ctx31.subfield(2)
     pair = pair_of(ctx31, ctx31.xi ** 5, ctx31.xi ** 2)
-    for u in es.subgroup_U(ctx31):
+    for u in U_elements(ctx31):
         assert view.contains(es.L_eval(ctx31, u, pair))
 
 
@@ -426,23 +434,81 @@ def test_sweep_matches_slow_context(ctx31):
 
 def test_sweep_range_check_raises(ctx31, monkeypatch):
     # tallied as three-valued, the JACOBSTHAL pairs with N = 3 must be caught
-    monkeypatch.setattr(es, "classify", lambda ctx, pair: es.CaseTag.NORM_DIFFER)
+    monkeypatch.setattr(es, "case_tags", lambda ctx, b: np.zeros(ctx.q, dtype=np.int8))
     with pytest.raises(RangeViolation):
         es.distribution_sweep(ctx31, ctx31.xi)
 
 
 def test_sweep_oracle_mismatch_raises(ctx31, monkeypatch):
     # a closed form off by one at a single a must disagree with the transform
-    real = es.N_count
+    real = es.N_table
     bad = ctx31.xi ** 5
+
+    def off_by_one(ctx, b):
+        n, incidence = real(ctx, b)
+        n = n.copy()
+        n[bad.enc] += 1
+        return n, incidence
+
+    monkeypatch.setattr(es, "N_table", off_by_one)
+    with pytest.raises(OracleMismatch, match="defining sum .* a=g\\^5,"):
+        es.distribution_sweep(ctx31, ctx31.one)
+
+
+def test_sweep_cross_check_catches_N_count(ctx31, monkeypatch):
+    # a = 0 is always cross-checked: a direct count off by one there must disagree
+    real = es.N_count
 
     def off_by_one(ctx, pair):
         n, witnesses = real(ctx, pair)
-        return (n + 1 if pair.a == bad else n), witnesses
+        return (n + 1 if pair.a.is_zero else n), witnesses
 
     monkeypatch.setattr(es, "N_count", off_by_one)
-    with pytest.raises(OracleMismatch, match="a=g\\^5,"):
+    with pytest.raises(OracleMismatch, match="a=0,"):
         es.distribution_sweep(ctx31, ctx31.one)
+
+
+def test_sweep_cross_check_catches_case_split(ctx31, monkeypatch):
+    # a = 0 (NORM_DIFFER, N = 0) tagged SQUARE_MATCH passes the oracle and the
+    # range check; only the cross-check against case_detail sees it
+    real = es.case_tags
+
+    def flipped(ctx, b):
+        tags = real(ctx, b).copy()
+        tags[0] = es.CASE_TAGS.index(es.CaseTag.SQUARE_MATCH)
+        return tags
+
+    monkeypatch.setattr(es, "case_tags", flipped)
+    with pytest.raises(CaseViolation, match="a=0,"):
+        es.distribution_sweep(ctx31, ctx31.one)
+
+
+@pytest.mark.parametrize("fixture", ["ctx31", "ctx51", "ctx32"])
+def test_sweep_tables_match_direct_count(fixture, request):
+    # every a: the N table's N and witnesses equal N_count's, and the bulk
+    # case split equals case_detail
+    ctx = request.getfixturevalue(fixture)
+    for b in (ctx.one, ctx.xi):
+        recs = []
+        es.distribution_sweep(ctx, b, recs.append)
+        assert [rec.pair.a for rec in recs] == [ctx.zero] + list(ctx.powers())
+        for rec in recs:
+            n, witnesses = es.N_count(ctx, rec.pair)
+            assert rec.N == n
+            assert [w.enc for w in rec.witnesses] == [w.enc for w in witnesses]
+            assert rec.tag is es.case_detail(ctx, rec.pair).tag
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(pk=st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2)]), data=st.data())
+def test_N_table_and_case_tags_property(pk, data):
+    ctx = context(*pk)
+    b = ctx.from_exp(data.draw(st.integers(0, ctx.order - 1), label="log b"))
+    i = data.draw(st.integers(0, ctx.order), label="sweep position of a")
+    a = ctx.zero if i == 0 else ctx.from_exp(i - 1)
+    n, _ = es.N_table(ctx, b)
+    assert n[a.enc] == es.N_count(ctx, pair_of(ctx, a, b))[0]
+    assert es.CASE_TAGS[es.case_tags(ctx, b)[i]] is es.classify(ctx, pair_of(ctx, a, b))
 
 
 def test_sweep_rejects_zero_b(ctx31):
