@@ -187,8 +187,13 @@ def _run_verify_all(args) -> int:
     ctx = context(args.p, args.k)
     pk = args.p ** args.k
     view = ctx.subfield(2 * args.k)
-    kview = ctx.subfield(args.k)
     b_values = [ctx.parse_element(s.strip()) for s in args.b.split(";")]
+    if any(b.is_zero for b in b_values):
+        raise ZeroB("the sweeps need b != 0")
+    if len({b.enc for b in b_values}) < len(b_values):
+        raise ValueError("repeated b value")
+    if args.samples < 1:
+        raise ValueError("--samples must be at least 1")
     rng = random.Random(args.seed)
     print(f"charsum verify-all  p={args.p} k={args.k} seed={args.seed} "
           f"b={[ctx.format_element(b) for b in b_values]}")
@@ -202,7 +207,7 @@ def _run_verify_all(args) -> int:
 
     @functools.cache
     def bound_scan():
-        # theorem2 and curve read the same scan; BoundViolation on defect
+        # eq1, theorem2 and curve read the same scan; BoundViolation on defect
         return jacobsthal.theorem2_scan(view)
 
     def check_lemma1():
@@ -214,15 +219,11 @@ def _run_verify_all(args) -> int:
         return len(pt.values) == pk + 1, f"values {[v.as_int() for v in pt.values]}"
 
     def check_eq1():
-        n_checked = 0
-        for a in view.nonzero_elements():
-            if kview.contains(a):
-                continue
-            got = jacobsthal.I_sum(view, pk + 1, a)
-            if got != jacobsthal.eq1_value(pk, view.eta(a)):
-                return False, f"a = {ctx.format_element(a)} gives {got}"
-            n_checked += 1
-        return True, f"{n_checked} elements"
+        records = bound_scan().records
+        for rec in records:
+            if rec.I != jacobsthal.eq1_value(pk, view.eta(rec.a)):
+                return False, f"a = {ctx.format_element(rec.a)} gives {rec.I}"
+        return True, f"{len(records)} elements"
 
     def check_theorem2():
         rep = bound_scan()
@@ -262,9 +263,9 @@ def _run_verify_all(args) -> int:
     def check_prop2():
         n_pairs = 0
         for b in b_values:
-            for a in sweep(b).jacobsthal:
+            # the sweep has checked its N table against N_count on this slice
+            for a, n1 in sweep(b).jacobsthal.items():
                 pair = expsum.CoeffPair(a, b)
-                n1 = expsum.N_count(ctx, pair)[0]
                 n2 = expsum.N_via_nonsquares(ctx, pair)
                 n3 = expsum.N_via_jacobsthal(ctx, pair)
                 if not n1 == n2 == n3:
@@ -273,7 +274,8 @@ def _run_verify_all(args) -> int:
         return True, f"{n_pairs} pairs, three paths each"
 
     def check_cor1():
-        for _ in range(args.samples):
+        samples = 0
+        while samples < args.samples:
             a = ctx.from_enc(rng.randrange(ctx.q))
             b = ctx.from_enc(rng.randrange(ctx.q))
             if a.is_zero and b.is_zero:
@@ -281,18 +283,19 @@ def _run_verify_all(args) -> int:
             h = ctx.from_exp(rng.randrange(ctx.order))
             if not expsum.corollary1_check(ctx, expsum.CoeffPair(a, b), h):
                 return False, f"scaling failed at h = {ctx.format_element(h)}"
-        return True, f"{args.samples} seeded triples"
+            samples += 1
+        return True, f"{samples} seeded triples"
 
     def check_cor2():
         # (i)-(vi) per pair; (vii) depends on b alone, so once per b
         n_pairs = 0
         for b in b_values:
-            jac = sweep(b).jacobsthal
-            total, expected = expsum.corollary_eq9_check(ctx, b, jac)
+            rep = sweep(b)
+            total, expected = expsum.corollary_eq9_check(ctx, rep)
             if total != expected:
                 return False, (f"property vii: sum of N = {total}, expected {expected} "
                                f"at b = {ctx.format_element(b)}")
-            for a in jac:
+            for a in rep.jacobsthal:
                 results = expsum.corollary_properties(ctx, expsum.CoeffPair(a, b))
                 bad = [key for key, ok in results.items() if ok is False]
                 if bad:

@@ -167,6 +167,12 @@ def _linearized_values(ctx: FieldCtx, terms, logs):
     return total
 
 
+def sweep_order(ctx: FieldCtx):
+    """The encodings of 0, xi^0, xi^1, ..., xi^(q-2), as an int64 array:
+    the order of every sweep over the field."""
+    return np.concatenate(([0], ctx.exp_enc_bulk(np.arange(ctx.order, dtype=np.int64))))
+
+
 def trace_values(ctx: FieldCtx, terms):
     """Tr(sum_i c_i x^(m_i)) at x = 0, xi^0, xi^1, ..., xi^(q-2), as an
     int64 array (the value at x = 0 is 0)."""
@@ -469,28 +475,23 @@ def jacobsthal_pairs(ctx: FieldCtx, b: Elem):
     return out
 
 
-def corollary_eq9_check(ctx: FieldCtx, b: Elem, slice=None):
-    """sum of N over the JACOBSTHAL slice of b vs (p^k+1)(p^k - chi(b))/2.
-
-    slice, if given, is that slice (DistributionReport.jacobsthal of a
-    sweep at b); otherwise jacobsthal_pairs walks every a for it."""
+def corollary_eq9_check(ctx: FieldCtx, report):
+    """sum of N over the JACOBSTHAL slice of b vs (p^k+1)(p^k - chi(b))/2,
+    from the N table of report, the distribution_sweep at b."""
     pk = ctx.p ** ctx.params.k
-    if slice is None:
-        slice = jacobsthal_pairs(ctx, b)
-    total = sum(N_count(ctx, CoeffPair(a, b))[0] for a in slice)
-    expected = (pk + 1) * (pk - chi(ctx, b)) // 2
-    return total, expected
+    return sum(report.jacobsthal.values()), (pk + 1) * (pk - report.chi_b) // 2
 
 
 def corollary_suite(ctx: FieldCtx, pair: CoeffPair) -> dict:
     """The seven verified properties of N in the JACOBSTHAL case.
 
     Returns {"i": bool, ..., "vii": bool}: corollary_properties of the
-    pair, and as "vii" corollary_eq9_check of its b.  Property (vii)
-    depends on b alone and walks the whole slice, so a walk over the
-    slice takes corollary_properties per pair and checks (vii) once."""
+    pair, and as "vii" corollary_eq9_check of the sweep at its b.
+    Property (vii) depends on b alone and needs that whole sweep, so a
+    walk over the slice takes corollary_properties per pair and checks
+    (vii) once."""
     out = corollary_properties(ctx, pair)
-    total, expected = corollary_eq9_check(ctx, pair.b)
+    total, expected = corollary_eq9_check(ctx, distribution_sweep(ctx, pair.b))
     out["vii"] = total == expected
     return out
 
@@ -563,11 +564,7 @@ class ExpSumRecord:
 def expsum_record(ctx: FieldCtx, pair: CoeffPair) -> ExpSumRecord:
     """Classify, count zeros, and confirm the closed form against the
     brute-force sum (OracleMismatch on any defect)."""
-    return _checked_record(ctx, pair, S0_bruteforce(ctx, pair))
-
-
-def _checked_record(ctx: FieldCtx, pair: CoeffPair, defining: CycInt) -> ExpSumRecord:
-    # defining: the defining sum S_f(0) of the pair (S0_bruteforce)
+    defining = S0_bruteforce(ctx, pair)
     tag = classify(ctx, pair)
     n, witnesses = N_count(ctx, pair)
     s0 = ctx.p ** (2 * ctx.params.k) * (2 * n - 1)
@@ -587,9 +584,9 @@ class DistributionReport:
 
     r, s, t count S_f(0) = -p^2k, p^2k, 3 p^2k over the NORM_DIFFER and
     SQUARE_MATCH cases; jac_histogram maps N to its frequency over the
-    JACOBSTHAL case and jacobsthal lists that slice, the a of the
-    JACOBSTHAL pairs in sweep order (not part of the JSON record).
-    residuals are the three identity defects and must all be zero."""
+    JACOBSTHAL case and jacobsthal maps each a of that slice, in sweep
+    order, to its N (not part of the JSON record).  residuals are the
+    three identity defects and must all be zero."""
 
     b: Elem
     chi_b: int
@@ -599,7 +596,7 @@ class DistributionReport:
     jac_histogram: dict
     s0_total: int
     residuals: tuple
-    jacobsthal: tuple
+    jacobsthal: dict
 
     def to_json_dict(self, ctx: FieldCtx) -> dict:
         return {
@@ -615,7 +612,7 @@ class DistributionReport:
 
 
 def distribution_sweep(ctx: FieldCtx, b: Elem, on_record=None) -> DistributionReport:
-    """Every a in GF(p^n), in the order 0, xi^0, xi^1, ..., for the fixed b != 0.
+    """Every a in GF(p^n), in sweep_order, for the fixed b != 0.
 
     N comes from N_table and the case from case_tags, for all a at once.
     Each closed form is checked against the defining sum from one
@@ -623,13 +620,13 @@ def distribution_sweep(ctx: FieldCtx, b: Elem, on_record=None) -> DistributionRe
     RangeViolation, and the direct zero count and case_detail cross-check
     both tables on the JACOBSTHAL slice and on at most 32 evenly strided a
     (a = 0 among them).  Only then, if on_record is given, is each pair's
-    record, as expsum_record would build it, passed to it in sweep order;
-    records are not kept."""
+    record, as expsum_record gives it but read from the tables, passed
+    to it in sweep order; records are not kept."""
     if b.is_zero:
         raise ZeroB("distribution sweep needs b != 0")
     p, pk, Q = ctx.p, ctx.p ** ctx.params.k, ctx.p ** (2 * ctx.params.k)
     sign = chi(ctx, b)
-    a_encs = np.concatenate(([0], ctx.exp_enc_bulk(np.arange(ctx.order, dtype=np.int64))))
+    a_encs = sweep_order(ctx)
     n_by_enc, incidence = N_table(ctx, b)
     n = n_by_enc[a_encs]
     s0 = Q * (2 * n - 1)
@@ -671,7 +668,8 @@ def distribution_sweep(ctx: FieldCtx, b: Elem, on_record=None) -> DistributionRe
                                    witnesses=tuple(ctx.from_enc(int(e)) for e in w)))
     return DistributionReport(b=b, chi_b=sign, r=r, s=s, t=t,
                               jac_histogram=jac_hist, s0_total=s0_total, residuals=residuals,
-                              jacobsthal=tuple(ctx.from_enc(int(e)) for e in a_encs[jac]))
+                              jacobsthal={ctx.from_enc(int(e)): int(v)
+                                          for e, v in zip(a_encs[jac], n[jac])})
 
 
 def _cross_check(ctx: FieldCtx, b: Elem, a_encs, n, tags, incidence, sample):

@@ -96,17 +96,13 @@ def correlation_table(ctx: FieldCtx) -> tuple:
     two half-period runs is odd."""
     p, d = ctx.p, ctx.params.d
     counts = character_counts(ctx, ((ctx.one, d),), ((-ctx.one, 2),))
-    zero_term = np.eye(p, dtype=np.int64)[0]  # x = 0 gives the value 0
-    step = ctx.xi ** d
-    a = ctx.one
-    table = []
-    for tau in range(ctx.order // 2):
-        runs = counts[a.enc] - zero_term
-        if (runs % 2).any():
-            raise ParityViolation(f"odd value counts {runs.tolist()} at tau = {tau}")
-        table.append(CycInt.from_counts(p, runs // 2))
-        a = a * step
-    return tuple(table)
+    taus = np.arange(ctx.order // 2, dtype=np.int64)
+    # x = 0 gives the value 0
+    runs = counts[ctx.exp_enc_bulk(d * taus)] - np.eye(p, dtype=np.int64)[0]
+    odd = np.flatnonzero((runs % 2).any(axis=1))
+    if odd.size:
+        raise ParityViolation(f"odd value counts {runs[odd[0]].tolist()} at tau = {odd[0]}")
+    return tuple(CycInt.from_counts(p, r // 2) for r in runs)
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ import numpy as np
 
 from .cycint import CycInt
 from .errors import ParsevalViolation, RootCountViolation
-from .expsum import CoeffPair, character_counts, f_values, trace_values
+from .expsum import CoeffPair, character_counts, f_values, sweep_order, trace_values
 from .field_core import Elem, FieldCtx
 
 
@@ -90,9 +90,8 @@ def full_spectrum(spec: FunctionSpec) -> Spectrum:
     ctx = spec.ctx
     pair = spec.pair
     counts = character_counts(ctx, ((-ctx.one, 1),),
-                              ((pair.a, ctx.params.d), (pair.b, 2)))
-    coeffs = [CycInt.from_counts(ctx.p, counts[y.enc])
-              for y in [ctx.zero] + list(ctx.powers())]
+                              ((pair.a, ctx.params.d), (pair.b, 2)))[sweep_order(ctx)]
+    coeffs = [CycInt.from_counts(ctx.p, c) for c in counts]
     # one |S|^2 per distinct coefficient value: a bent spectrum has p of them
     norm_of = {c: c.norm_squared() for c in set(coeffs)}
     norms = tuple(norm_of[c] for c in coeffs)
@@ -201,7 +200,7 @@ def theorem1_root_scan(ctx: FieldCtx, spectrum: Spectrum) -> RootScan:
     pk, p2k = p ** k, p ** (2 * k)
     kview = ctx.subfield(k)
     inv4 = pow(4, -1, p)
-    ys = np.array([y.enc for y in [ctx.zero] + list(ctx.powers())], dtype=np.int64)
+    ys = sweep_order(ctx)
     y2 = ctx.pow_enc_bulk(ys, 2)
     ypow = ctx.pow_enc_bulk(ys, p2k + 1)
     ypow_k = ctx.pow_enc_bulk(ys, pk * (p2k + 1))

@@ -157,7 +157,7 @@ def test_c09_jacobsthal_case_properties(sizes):
                 results = expsum.corollary_suite(ctx, CoeffPair(a, b))
                 failed = [name for name, ok in results.items() if ok is False]
                 assert not failed, (key, failed)
-            total, expected = expsum.corollary_eq9_check(ctx, b)
+            total, expected = expsum.corollary_eq9_check(ctx, expsum.distribution_sweep(ctx, b))
             assert total == expected == (pk + 1) * (pk - expsum.chi(ctx, b)) // 2
     ctx31 = sizes[(3, 1)]
     nu = view2k(ctx31).generator

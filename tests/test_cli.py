@@ -23,18 +23,23 @@ def test_verify_all_31(capsys):
 
 
 def test_verify_all_scans_jacobsthal_once(capsys, monkeypatch):
-    # theorem2 and curve read one Jacobsthal bound scan
-    calls = []
-    real = jacobsthal.theorem2_scan
+    # eq1, theorem2 and curve read one Jacobsthal bound scan, which takes
+    # I_sum at orders p^k + 1 and 2(p^k + 1) at each of its 6 elements
+    calls = {"theorem2_scan": 0, "I_sum": 0}
 
-    def counting(view):
-        calls.append(view)
-        return real(view)
+    def counting(name):
+        real = getattr(jacobsthal, name)
 
-    monkeypatch.setattr(jacobsthal, "theorem2_scan", counting)
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(jacobsthal, name, counting(name))
     assert run(["verify-all", "--p", "3", "--k", "1"]) == 0
     assert capsys.readouterr().out.count("[ok  ]") == 12
-    assert len(calls) == 1
+    assert calls == {"theorem2_scan": 1, "I_sum": 12}
 
 
 def test_expsum_record(capsys):
@@ -133,6 +138,10 @@ def test_invalid_arguments_exit_code(capsys):
         ["nonsense"],
         ["expsum-sweep", "--p", "3", "--k", "1", "--b", "0"],  # sweeps need b != 0
         ["pt-sums", "--p", "3", "--k", "1", "--format", "csv"],  # json only
+        ["verify-all", "--p", "3", "--k", "1", "--b", "0"],
+        ["verify-all", "--p", "3", "--k", "1", "--b", "g^1;g^1"],  # repeated b
+        ["verify-all", "--p", "3", "--k", "1", "--samples", "0"],
+        ["verify-all", "--p", "3", "--k", "1", "--samples", "-3"],
     ):
         assert run(argv) == 2, argv
         assert capsys.readouterr().out == "", argv

@@ -366,24 +366,26 @@ def test_eq9_sums(ctx31, ctx51):
     for ctx in (ctx31, ctx51):
         pk = ctx.p ** ctx.params.k
         for b in (ctx.one, ctx.xi):
-            total, expected = es.corollary_eq9_check(ctx, b)
+            total, expected = es.corollary_eq9_check(ctx, es.distribution_sweep(ctx, b))
             assert total == expected == (pk + 1) * (pk - es.chi(ctx, b)) // 2
 
 
 @pytest.mark.parametrize("fixture", ["ctx31", "ctx51"])
 def test_sweep_jacobsthal_slice(fixture, request):
     # the sweep's slice is jacobsthal_pairs in the same order, and (vii)
-    # gives the same sums from it as from its own walk
+    # sums the same N from the N table as N_count gives over that walk
     ctx = request.getfixturevalue(fixture)
     for b in (ctx.one, ctx.xi):
-        jac = es.distribution_sweep(ctx, b).jacobsthal
-        assert jac == tuple(es.jacobsthal_pairs(ctx, b))
-        assert es.corollary_eq9_check(ctx, b, jac) == es.corollary_eq9_check(ctx, b)
+        rep = es.distribution_sweep(ctx, b)
+        pairs = es.jacobsthal_pairs(ctx, b)
+        assert list(rep.jacobsthal) == pairs
+        total, _ = es.corollary_eq9_check(ctx, rep)
+        assert total == sum(es.N_count(ctx, pair_of(ctx, a, b))[0] for a in pairs)
 
 
 def test_eq9_sum_all_b_31(ctx31):
     for b in ctx31.powers():
-        total, expected = es.corollary_eq9_check(ctx31, b)
+        total, expected = es.corollary_eq9_check(ctx31, es.distribution_sweep(ctx31, b))
         assert total == expected
 
 
@@ -490,13 +492,17 @@ def test_sweep_tables_match_direct_count(fixture, request):
     ctx = request.getfixturevalue(fixture)
     for b in (ctx.one, ctx.xi):
         recs = []
-        es.distribution_sweep(ctx, b, recs.append)
+        rep = es.distribution_sweep(ctx, b, recs.append)
         assert [rec.pair.a for rec in recs] == [ctx.zero] + list(ctx.powers())
         for rec in recs:
             n, witnesses = es.N_count(ctx, rec.pair)
             assert rec.N == n
             assert [w.enc for w in rec.witnesses] == [w.enc for w in witnesses]
             assert rec.tag is es.case_detail(ctx, rec.pair).tag
+        assert list(rep.jacobsthal) == [rec.pair.a for rec in recs
+                                        if rec.tag is es.CaseTag.JACOBSTHAL]
+        for a, n in rep.jacobsthal.items():
+            assert n == es.N_count(ctx, pair_of(ctx, a, b))[0]
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
