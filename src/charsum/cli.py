@@ -27,12 +27,13 @@ import random
 import sys
 import time
 
+import numpy as np
+
 from . import __version__, cyclotomy, expsum, jacobsthal, sequences, walsh
 from .errors import CharsumError, GuardExceeded, IdentityViolation, ZeroB
-from .field_core import FieldParams, build_context, context
+from .field_core import TABLE_LIMIT, FieldParams, build_context, context
 
 SCHEMA_VERSION = 1
-DEFAULT_GUARD = 10 ** 8
 DEFAULT_SEED = 20260809
 
 
@@ -55,10 +56,13 @@ def _emit(obj) -> None:
 
 
 def _guard_check(args) -> None:
-    size = args.p ** (4 * args.k)
+    # the size of the field the command builds: jacobsthal-scan works in
+    # GF(p^2k), every other command in GF(p^4k)
+    degree = 2 if args.cmd == "jacobsthal-scan" else 4
+    size = args.p ** (degree * args.k)
     if size > args.guard and not args.force:
         raise GuardExceeded(
-            f"p^4k = {size} exceeds the guard {args.guard}; pass --force to override")
+            f"p^{degree}k = {size} exceeds the guard {args.guard}; pass --force to override")
 
 
 def _parse_common(sub, element_args=()):
@@ -66,8 +70,10 @@ def _parse_common(sub, element_args=()):
     sub.add_argument("--k", type=int, required=True, help="tower parameter, n = 4k")
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED,
                      help="seed for randomized checks (printed in the header)")
-    sub.add_argument("--guard", type=int, default=DEFAULT_GUARD,
-                     help="refuse runs with p^4k beyond this size")
+    sub.add_argument("--guard", type=int, default=TABLE_LIMIT,
+                     help="refuse runs whose field (p^4k elements, p^2k for "
+                          "jacobsthal-scan) is larger than this: beyond the "
+                          "lookup tables, arithmetic is pure Python")
     sub.add_argument("--force", action="store_true",
                      help="override the desk-scale guard")
     for name, help_text in element_args:
@@ -245,20 +251,27 @@ def _run_verify_all(args) -> int:
     def check_prop1():
         # the sweeps raise RangeViolation on N > 2 outside the JACOBSTHAL case
         ranged = sum(rep.r + rep.s + rep.t for rep in map(sweep, b_values))
+        # ker L = ker F at every a of each swept b with differing norms, by
+        # the dlog condition, and at --samples drawn pairs
+        a_encs = [expsum.sweep_order(ctx)[~expsum.norms_match(ctx, b)] for b in b_values]
+        b_encs = [np.full(len(a), b.enc) for a, b in zip(a_encs, b_values)]
+        expected = sum(map(len, a_encs)) + args.samples
         samples = 0
         while samples < args.samples:
             a = ctx.from_enc(rng.randrange(ctx.q))
             b = ctx.from_enc(rng.randrange(ctx.q))
             if a.is_zero and b.is_zero:
                 continue
-            pair = expsum.CoeffPair(a, b)
-            if expsum.case_detail(ctx, pair).norms_match:
+            if expsum.case_detail(ctx, expsum.CoeffPair(a, b)).norms_match:
                 continue
-            if expsum.prop1_F_zeros(ctx, pair) != expsum.L_zeros_field(ctx, pair):
-                return False, "L and F zero sets differ"
+            a_encs.append([a.enc])
+            b_encs.append([b.enc])
             samples += 1
-        return True, (f"N <= 2 at {ranged} three-valued pairs + {samples} sampled "
-                      "zero-set comparisons")
+        compared = expsum.prop1_kernel_check(ctx, np.concatenate(a_encs), np.concatenate(b_encs))
+        if compared != expected:
+            return False, f"ker L = ker F at {compared} pairs, expected {expected}"
+        return True, (f"N <= 2 at {ranged} three-valued pairs + ker L = ker F at {compared} "
+                      f"norms-differ pairs ({samples} sampled)")
 
     def check_prop2():
         n_pairs = 0

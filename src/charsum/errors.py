@@ -85,6 +85,11 @@ class OracleMismatch(IdentityViolation):
     """Closed form and brute-force oracle disagree."""
 
 
+class KernelMismatch(IdentityViolation):
+    """L and F of a pair with differing norms have different zeros, or F
+    has more than p^2k of them."""
+
+
 class RootCountViolation(IdentityViolation):
     """The spectrum root polynomial did not have exactly one root."""
 

@@ -16,10 +16,15 @@ Coefficient pairs split into three cases:
 
 In the first two cases N(a,b) <= 2, so S_f(0) is one of -p^2k, p^2k,
 3 p^2k (and zeros of L coincide with those of a companion polynomial
-F when the norms differ).  In the JACOBSTHAL case N(a,b) is computed
-three independent ways: the direct zero count, a nonsquare count over
-GF(p^k) through an auxiliary g with g^(p^k-1) = -b^(p^3k)/a, and a
-Jacobsthal sum of order p^k + 1:
+F when the norms differ).  L and F are p^k-linearized, so their zeros
+are the kernels of m x m matrices over GF(p): prop1_kernel_check builds
+them from dlogs and traces for a batch of pairs (form_matrices) and
+compares the kernels by one batched row reduction mod p (rref_mod_p);
+the zero sets over the whole field stay as its per-pair reference.
+
+In the JACOBSTHAL case N(a,b) is computed three independent ways: the
+direct zero count, a nonsquare count over GF(p^k) through an auxiliary
+g with g^(p^k-1) = -b^(p^3k)/a, and a Jacobsthal sum of order p^k + 1:
 
     2 N(a,b) = p^k - H_{p^k+1}(-b^(p^2k+1)/g^2) / (p^k + 1) + 1.
 
@@ -62,6 +67,7 @@ from .errors import (
     BothCoefficientsZero,
     CaseViolation,
     DivisibilityViolation,
+    KernelMismatch,
     NoSolution,
     OracleMismatch,
     ParityViolation,
@@ -123,22 +129,31 @@ def case_detail(ctx: FieldCtx, pair: CoeffPair) -> CaseDetail:
 CASE_TAGS = (CaseTag.NORM_DIFFER, CaseTag.SQUARE_MATCH, CaseTag.JACOBSTHAL)
 
 
+def norms_match(ctx: FieldCtx, b: Elem):
+    """Whether a^(p^k(p^k+1)) = b^(p^k+1), for every a at once, from dlogs:
+    a bool array over the sweep order a = 0, xi^0, xi^1, ...  With la =
+    log a and lb = log b, the norms match iff (p^k + 1)(p^k la - lb) = 0
+    modulo q - 1.  a = 0 does not match, since b != 0."""
+    if b.is_zero:
+        raise ZeroB("the bulk case split needs b != 0")
+    pk, order = ctx.p ** ctx.params.k, ctx.order
+    la = np.arange(order, dtype=np.int64)
+    return np.concatenate(([False], (pk + 1) * ((pk * la - ctx.dlog(b)) % order) % order == 0))
+
+
 def case_tags(ctx: FieldCtx, b: Elem):
     """The case of (a, b) for every a at once, from dlogs.
 
     Returns an int8 array over the sweep order a = 0, xi^0, xi^1, ...,
-    holding indexes into CASE_TAGS.  With la = log a and lb = log b,
-    modulo q - 1: the norms match iff (p^k + 1)(p^k la - lb) = 0, and
-    a^2 = b^d iff 2 la = d lb.  a = 0 is NORM_DIFFER, since b != 0."""
-    if b.is_zero:
-        raise ZeroB("the bulk case split needs b != 0")
-    pk, order = ctx.p ** ctx.params.k, ctx.order
-    lb = ctx.dlog(b)
+    holding indexes into CASE_TAGS: the norms from norms_match, and
+    a^2 = b^d iff 2 log a = d log b modulo q - 1.  a = 0 is NORM_DIFFER,
+    since b != 0."""
+    matched = norms_match(ctx, b)
+    order = ctx.order
     la = np.arange(order, dtype=np.int64)
-    norms_match = (pk + 1) * ((pk * la - lb) % order) % order == 0
-    square_match = (2 * la - ctx.params.d * lb % order) % order == 0
-    tags = np.where(square_match, 1, np.where(norms_match, 2, 0))
-    return np.concatenate(([0], tags)).astype(np.int8)
+    square_match = (2 * la - ctx.params.d * ctx.dlog(b) % order) % order == 0
+    square_match = np.concatenate(([False], square_match))
+    return np.where(square_match, 1, np.where(matched, 2, 0)).astype(np.int8)
 
 
 def chi(ctx: FieldCtx, b: Elem) -> int:
@@ -243,16 +258,19 @@ def L_eval(ctx: FieldCtx, x: Elem, pair: CoeffPair) -> Elem:
     return sum((c * x ** m for c, m in _L_terms(ctx, pair)), ctx.zero)
 
 
+def _L_monomials(ctx: FieldCtx):
+    # L as (sign, s, r, e) terms, each the monomial sign a^s b^r X^e
+    pk = ctx.p ** ctx.params.k
+    return ((1, 0, pk ** 2, 1), (1, 1, 0, pk), (1, 0, 1, pk ** 2), (1, pk ** 2, 0, pk ** 3))
+
+
+def _terms(pair: CoeffPair, monomials):
+    # the (coefficient, exponent) terms of a monomial list at one pair
+    return tuple((sign * pair.a ** s * pair.b ** r, e) for sign, s, r, e in monomials)
+
+
 def _L_terms(ctx: FieldCtx, pair: CoeffPair):
-    # (coefficient, exponent) terms of L
-    p, k = ctx.p, ctx.params.k
-    a, b = pair.a, pair.b
-    return (
-        (b ** (p ** (2 * k)), 1),
-        (a, p ** k),
-        (b, p ** (2 * k)),
-        (a ** (p ** (2 * k)), p ** (3 * k)),
-    )
+    return _terms(pair, _L_monomials(ctx))
 
 
 def N_count(ctx: FieldCtx, pair: CoeffPair):
@@ -381,6 +399,141 @@ def L_zeros_field(ctx: FieldCtx, pair: CoeffPair) -> list:
     return _zero_set(ctx, _L_terms(ctx, pair))
 
 
+def _F_monomials(ctx: FieldCtx):
+    # F as (sign, s, r, e) terms like _L_monomials: A and B expanded, and
+    # A^(p^k) = a^(p^2k (p^k+1)) - b^(p^k (p^k+1)), as Frobenius is additive
+    pk = ctx.p ** ctx.params.k
+    return ((1, pk * (pk + 1), 0, pk ** 2), (-1, 0, pk + 1, pk ** 2),
+            (1, pk ** 2, pk ** 3, pk), (-1, 1, pk, pk),
+            (1, pk ** 2 * (pk + 1), 0, 1), (-1, 0, pk * (pk + 1), 1))
+
+
+def form_matrices(ctx: FieldCtx, monomials):
+    """The matrices over GF(p) of a linearized polynomial P, as a function
+    of the pairs (a, b).
+
+    P is the sum of sign a^s b^r X^e over monomials, (sign, s, r, e) terms
+    as in _L_monomials.  Returns matrices(la, lb): for pairs with dlogs la
+    and lb (-1 for a zero coefficient), the float32 array (n, m, m) of
+    Tr(e_i P(e_j)) mod p, e_j the element encoded as p^j.
+
+    With c the coefficient of a monomial and y = e_i e_j^e,
+    Tr(c y) = sum_d Tr(c e_d) y_d over the digits y_d of y.  So each pair
+    costs m traces Tr(c e_d) per monomial, and one float32 product with
+    the digits gives every entry: exact, as each is a sum of fewer than
+    2^24 / p^2 integers below p^2.  The product is an einsum: numpy's own
+    loop, which unlike a threaded BLAS is fast at these sizes.  No field
+    addition is needed."""
+    p, m, order = ctx.p, ctx.m, ctx.order
+    basis = ctx.log_enc_bulk(p ** np.arange(m, dtype=np.int64))
+    # row (t, d), column i m + j: digit d of e_i e_j^e for monomial t, times its sign
+    digits = np.concatenate([
+        sign * np.array([ctx.decode(int(y)) for y in ctx.exp_enc_bulk(
+            (basis[:, None] + (e % order) * basis % order).ravel())]).T
+        for sign, _, _, e in monomials]).astype(np.float32)
+
+    def matrices(la, lb):
+        coords = []
+        for _, s, r, _ in monomials:
+            live = ((s == 0) | (la >= 0)) & ((r == 0) | (lb >= 0))
+            logs = (s % order) * la + (r % order) * lb
+            traces = ctx.trace_enc_bulk(ctx.exp_enc_bulk(logs[:, None] + basis))
+            coords.append(live[:, None] * traces)
+        out = np.einsum("nk,km->nm", np.concatenate(coords, axis=1).astype(np.float32), digits)
+        return _mod_p(out, p).reshape(-1, m, m)
+    return matrices
+
+
+def _mod_p(x, p: int):
+    # x mod p in place, for a float32 array of integers below 2^24 / p in
+    # magnitude: exact, as x / p is correctly rounded and, unless it is an
+    # integer, at least 1/p away from one; about five times faster than %
+    # on integer arrays
+    x -= p * np.floor(x / p)
+    return x
+
+
+def rref_mod_p(mats, p: int):
+    """Reduced row echelon forms mod p of a stack of matrices (n, r, c)
+    with entries in 0..p-1, as float32, and their ranks (int64, n).
+
+    The float32 arithmetic is exact: every value stays within (p - 1)^2
+    of 0..p-1, and _mod_p reduces it exactly."""
+    mats = mats.astype(np.float32)
+    inverse = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.float32)
+    rank = np.zeros(len(mats), dtype=np.int64)
+    rows = np.arange(mats.shape[1])
+    for col in range(mats.shape[2]):
+        candidates = (mats[:, :, col] != 0) & (rows >= rank[:, None])
+        found = np.flatnonzero(candidates.any(axis=1))
+        # the columns before col are zero in every row from rank on; when
+        # every matrix has a pivot, work on a view and skip the copy back
+        every = found.size == len(mats)
+        sub = mats[:, :, col:] if every else mats[found, :, col:]
+        at = np.arange(found.size)
+        top, pivot = rank[found], candidates[found].argmax(axis=1)
+        pivot_row = sub[at, pivot]
+        pivot_row = _mod_p(pivot_row * inverse[pivot_row[:, 0].astype(np.intp)][:, None], p)
+        sub[at, pivot] = sub[at, top]
+        sub -= sub[:, :, :1] * pivot_row[:, None, :]
+        _mod_p(sub, p)
+        sub[at, top] = pivot_row
+        if not every:
+            mats[found, :, col:] = sub
+        rank[found] += 1
+    return mats, rank
+
+
+def kernel_mismatches(L_mats, F_mats, p: int, max_dim: int):
+    """Indexes of the pairs whose matrices have different kernels, or an F
+    kernel of dimension above max_dim, with the kernel dimensions of both
+    stacks: kernels agree iff the reduced row echelon forms do."""
+    n, m = len(L_mats), L_mats.shape[2]
+    reduced, rank = rref_mod_p(np.concatenate((L_mats, F_mats)), p)
+    dim_L, dim_F = m - rank[:n], m - rank[n:]
+    bad = np.flatnonzero((reduced[:n] != reduced[n:]).any(axis=(1, 2)) | (dim_F > max_dim))
+    return bad, dim_L, dim_F
+
+
+def _dlogs(ctx: FieldCtx, encs):
+    # the dlogs of an int64 encoding array, -1 at zero: form_matrices' la and lb
+    return np.where(encs == 0, -1, ctx.log_enc_bulk(np.where(encs == 0, 1, encs)))
+
+
+PROP1_BLOCK = 512  # pairs per batch of prop1_kernel_check: temporaries of a few 100 KiB
+
+
+def prop1_kernel_check(ctx: FieldCtx, a_encs, b_encs) -> int:
+    """Proposition 1 by linear algebra at every pair (a_encs[i], b_encs[i])
+    of encodings, whose norms must differ: L and F have the same zeros in
+    GF(p^n), at most p^2k of them.
+
+    L and F are p^k-linearized, so their zeros are the kernels of their
+    form_matrices (the trace form is nondegenerate), and F has degree
+    p^2k, so its kernel has dimension at most 2k; see kernel_mismatches.
+    Runs in blocks of PROP1_BLOCK pairs; KernelMismatch at the first pair
+    that fails.  Returns the number of pairs compared."""
+    a_encs, b_encs = np.asarray(a_encs, dtype=np.int64), np.asarray(b_encs, dtype=np.int64)
+    if ((a_encs == 0) & (b_encs == 0)).any():
+        raise BothCoefficientsZero("(a, b) = (0, 0) is not admissible")
+    L_form, F_form = form_matrices(ctx, _L_monomials(ctx)), form_matrices(ctx, _F_monomials(ctx))
+    compared = 0
+    for start in range(0, a_encs.size, PROP1_BLOCK):
+        a, b = a_encs[start:start + PROP1_BLOCK], b_encs[start:start + PROP1_BLOCK]
+        la, lb = _dlogs(ctx, a), _dlogs(ctx, b)
+        bad, dim_L, dim_F = kernel_mismatches(L_form(la, lb), F_form(la, lb),
+                                              ctx.p, 2 * ctx.params.k)
+        if bad.size:
+            i = bad[0]
+            raise KernelMismatch(
+                f"zeros of L and F span dimensions {dim_L[i]} and {dim_F[i]} over GF({ctx.p}), "
+                f"not one common space of dimension <= {2 * ctx.params.k}, at "
+                f"a={ctx.format_element(ctx.from_enc(int(a[i])))}, "
+                f"b={ctx.format_element(ctx.from_enc(int(b[i])))}")
+        compared += a.size
+    return compared
+
+
 # --------------------------------------------------------------------------
 # the Jacobsthal case: g, the nonsquare count, and the H-sum route
 # --------------------------------------------------------------------------
@@ -413,11 +566,10 @@ def find_g(ctx: FieldCtx, pair: CoeffPair) -> Elem:
 
 def N_via_nonsquares(ctx: FieldCtx, pair: CoeffPair) -> int:
     """#{c in GF(p^k) : (cg)^2 - b^(p^2k+1) is a nonsquare in GF(p^2k)}."""
-    _require_jacobsthal(ctx, pair)
+    g = find_g(ctx, pair)  # WrongCase outside the JACOBSTHAL case
     k = ctx.params.k
     view = ctx.subfield(2 * k)
     kview = ctx.subfield(k)
-    g = find_g(ctx, pair)
     bq = pair.b ** (ctx.p ** (2 * k) + 1)
     count = 0
     for c in kview.elements():
@@ -433,11 +585,10 @@ def N_via_nonsquares(ctx: FieldCtx, pair: CoeffPair) -> int:
 
 def N_via_jacobsthal(ctx: FieldCtx, pair: CoeffPair) -> int:
     """N from 2N = p^k - H_{p^k+1}(-b^(p^2k+1)/g^2)/(p^k+1) + 1."""
-    _require_jacobsthal(ctx, pair)
+    g = find_g(ctx, pair)  # WrongCase outside the JACOBSTHAL case
     p, k = ctx.p, ctx.params.k
     pk = p ** k
     view = ctx.subfield(2 * k)
-    g = find_g(ctx, pair)
     arg = -(pair.b ** (p ** (2 * k) + 1)) / (g * g)
     H = jacobsthal.H_sum(view, pk + 1, arg)
     where = f"a={ctx.format_element(pair.a)}, b={ctx.format_element(pair.b)}"

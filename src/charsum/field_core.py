@@ -489,12 +489,19 @@ class FieldCtx:
 
     # --- bulk helpers (numpy; table-backed, else one scalar op per element) --------
 
+    def _per_element(self, fn, *arrays):
+        # the fallback of the bulk primitives: one scalar call per element,
+        # for arrays of any (broadcast) shape
+        arrays = np.broadcast_arrays(*(np.asarray(x, dtype=np.int64) for x in arrays))
+        out = [fn(*map(int, xs)) for xs in zip(*(x.ravel() for x in arrays))]
+        return np.array(out, dtype=np.int64).reshape(arrays[0].shape)
+
     def exp_enc_bulk(self, logs):
         """Encodings of xi^logs for an int64 array of exponents (taken mod p^m - 1)."""
         logs = np.asarray(logs, dtype=np.int64) % self.order
         if self.has_tables:
             return self.exp_enc[logs]
-        return np.array([self.pow_enc(self.xi.enc, int(e)) for e in logs], dtype=np.int64)
+        return self._per_element(lambda e: self.pow_enc(self.xi.enc, e), logs)
 
     def log_enc_bulk(self, u):
         """Discrete logs (0 <= e < p^m - 1) of an int64 array of nonzero encodings."""
@@ -503,13 +510,13 @@ class FieldCtx:
             raise ZeroArgument("discrete log of zero")
         if self.has_tables:
             return self.log_enc[u]
-        return np.array([self.dlog(Elem(self, int(a))) for a in u], dtype=np.int64)
+        return self._per_element(lambda a: self.dlog(Elem(self, a)), u)
 
     def trace_enc_bulk(self, u):
         """Absolute traces (0..p-1) of an int64 array of encodings, as int64."""
         if self.has_tables:
             return self.trace_enc[u].astype(np.int64)
-        return np.array([self.abs_trace(Elem(self, int(a))) for a in u], dtype=np.int64)
+        return self._per_element(lambda a: self.abs_trace(Elem(self, a)), u)
 
     def add_enc_bulk(self, u, v):
         """Elementwise field addition of two int64 encoding arrays (either
@@ -517,10 +524,7 @@ class FieldCtx:
         if self.has_tables:
             s = (self.digits[u] + self.digits[v]) % self.p
             return s @ self.pow_basis
-        u, v = np.broadcast_arrays(np.asarray(u, dtype=np.int64),
-                                   np.asarray(v, dtype=np.int64))
-        return np.array([self.add_enc(int(a), int(b)) for a, b in zip(u, v)],
-                        dtype=np.int64)
+        return self._per_element(self.add_enc, u, v)
 
     def pow_enc_bulk(self, u, e):
         """Elementwise u^e of an int64 encoding array, e >= 1 (0^e = 0)."""
@@ -530,7 +534,7 @@ class FieldCtx:
             # log_enc[0] = -1 indexes a valid entry; the zeros are masked after
             out = self.exp_enc[(self.log_enc[u] * (e % self.order)) % self.order]
             return np.where(u == 0, 0, out)
-        return np.array([self.pow_enc(int(a), e) for a in u], dtype=np.int64)
+        return self._per_element(lambda a: self.pow_enc(a, e), u)
 
     def __repr__(self):
         mod = ",".join(str(c) for c in self.modulus)

@@ -4,7 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from charsum import jacobsthal
+from charsum import expsum, jacobsthal
 from charsum.cli import run
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -23,9 +23,9 @@ def test_verify_all_31(capsys):
 
 
 def test_verify_all_scans_jacobsthal_once(capsys, monkeypatch):
-    # eq1, theorem2 and curve read one Jacobsthal bound scan, which takes
-    # I_sum at orders p^k + 1 and 2(p^k + 1) at each of its 6 elements
-    calls = {"theorem2_scan": 0, "I_sum": 0}
+    # eq1, theorem2 and curve read one Jacobsthal bound scan, which reads
+    # every record from one table of eta and calls no per-a I_sum
+    calls = {"theorem2_scan": 0, "scan_table": 0, "I_sum": 0}
 
     def counting(name):
         real = getattr(jacobsthal, name)
@@ -39,7 +39,7 @@ def test_verify_all_scans_jacobsthal_once(capsys, monkeypatch):
         monkeypatch.setattr(jacobsthal, name, counting(name))
     assert run(["verify-all", "--p", "3", "--k", "1"]) == 0
     assert capsys.readouterr().out.count("[ok  ]") == 12
-    assert calls == {"theorem2_scan": 1, "I_sum": 12}
+    assert calls == {"theorem2_scan": 1, "scan_table": 1, "I_sum": 0}
 
 
 def test_expsum_record(capsys):
@@ -128,7 +128,19 @@ def test_byte_identical_reruns(capsys):
 
 
 def test_guard_exit_code(capsys):
-    assert run(["verify-all", "--p", "101", "--k", "3"]) == 3
+    # the default guard is the lookup-table limit on the field each command
+    # builds: GF(p^4k), or GF(p^2k) for jacobsthal-scan
+    for argv in (
+        ["verify-all", "--p", "101", "--k", "3"],
+        ["verify-all", "--p", "7", "--k", "2"],   # p^4k = 5,764,801
+        ["verify-all", "--p", "37", "--k", "1"],  # p^4k = 1,874,161
+        ["pt-sums", "--p", "37", "--k", "1"],
+        ["jacobsthal-scan", "--p", "37", "--k", "2"],  # p^2k = 1,874,161
+    ):
+        assert run(argv) == 3, argv
+        assert capsys.readouterr().out == "", argv
+    assert run(["jacobsthal-scan", "--p", "37", "--k", "1"]) == 0  # p^2k = 1369
+    assert capsys.readouterr().out.count("\n") == 1 + 37 * 37 - 37 + 1
 
 
 def test_invalid_arguments_exit_code(capsys):
@@ -170,6 +182,52 @@ def test_failed_range_check_under_optimize():
     assert proc.returncode == 1, proc.stderr
     assert any(line.startswith("[FAIL] theorem3") for line in proc.stdout.splitlines())
     assert "Traceback" not in proc.stderr
+
+
+def test_failed_prop1_under_optimize():
+    # python -O: with the sign of one term of F flipped, the kernel check
+    # must fail prop1 and exit 1
+    code = ("import sys; from charsum import cli, expsum; "
+            "real = expsum._F_monomials; "
+            "expsum._F_monomials = lambda ctx: ((-real(ctx)[0][0],) + real(ctx)[0][1:],) "
+            "+ real(ctx)[1:]; "
+            "sys.exit(cli.run(['verify-all', '--p', '3', '--k', '1', '--b', 'g^1']))")
+    proc = _run_src("-O", "-c", code)
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines if line.startswith("[FAIL]")] == [
+        "[FAIL] prop1 three-valued range"]
+    assert "zeros of L and F span" in next(line for line in lines if line.startswith("[FAIL]"))
+    assert "Traceback" not in proc.stderr
+
+
+def test_failed_bound_scan_under_optimize():
+    # python -O: an H beyond the Hasse bound must fail the three checks that
+    # read the bound scan and exit 1
+    code = ("import sys\n"
+            "from charsum import cli, jacobsthal\n"
+            "real = jacobsthal.scan_table\n"
+            "def inflated(view):\n"
+            "    logs, H, I, I2, curve_N = real(view)\n"
+            "    return logs, 100 * H, I, I2, curve_N\n"
+            "jacobsthal.scan_table = inflated\n"
+            "sys.exit(cli.run(['verify-all', '--p', '3', '--k', '1']))\n")
+    proc = _run_src("-O", "-c", code)
+    assert proc.returncode == 1, proc.stderr
+    failed = [line.split(":")[0] for line in proc.stdout.splitlines() if line.startswith("[FAIL]")]
+    assert failed == ["[FAIL] eq1 companion sum", "[FAIL] theorem2 jacobsthal bound",
+                      "[FAIL] curve count identity"]
+    assert "Traceback" not in proc.stderr
+
+
+def test_prop1_counts_the_pairs_compared(capsys, monkeypatch):
+    # prop1 fails unless it compared every norms-differ a of the swept b
+    # (77 at p = 3, k = 1) plus the --samples pairs
+    real = expsum.prop1_kernel_check
+    monkeypatch.setattr(expsum, "prop1_kernel_check", lambda *args: real(*args) - 1)
+    assert run(["verify-all", "--p", "3", "--k", "1", "--b", "g^1", "--samples", "5"]) == 1
+    assert "[FAIL] prop1 three-valued range: ker L = ker F at 81 pairs, expected 82" in (
+        capsys.readouterr().out)
 
 
 def test_failed_class_sums_under_optimize():

@@ -11,6 +11,7 @@ from charsum.errors import (
     BothCoefficientsZero,
     CaseViolation,
     DivisibilityViolation,
+    KernelMismatch,
     OracleMismatch,
     ParityViolation,
     RangeViolation,
@@ -230,6 +231,120 @@ def test_F_degenerates_exactly_on_matching_norms(ctx31):
 
 
 # --------------------------------------------------------------------------
+# Proposition 1 by linear algebra
+# --------------------------------------------------------------------------
+
+def _kernels_match_zero_sets(ctx, a_encs, b_encs):
+    # each matrix's kernel is the zero set found by _zero_set: every zero,
+    # as its digit vector, is in the kernel, and the kernel has as many
+    # elements as the zero set
+    la, lb = es._dlogs(ctx, np.asarray(a_encs)), es._dlogs(ctx, np.asarray(b_encs))
+    L = es.form_matrices(ctx, es._L_monomials(ctx))(la, lb)
+    F = es.form_matrices(ctx, es._F_monomials(ctx))(la, lb)
+    bad, dim_L, dim_F = es.kernel_mismatches(L, F, ctx.p, 2 * ctx.params.k)
+    assert bad.size == 0
+    for i, (a, b) in enumerate(zip(a_encs, b_encs)):
+        pair = pair_of(ctx, ctx.from_enc(int(a)), ctx.from_enc(int(b)))
+        zeros = es.L_zeros_field(ctx, pair)
+        assert zeros == es.prop1_F_zeros(ctx, pair)
+        assert len(zeros) == ctx.p ** dim_L[i] == ctx.p ** dim_F[i]
+        digits = np.array([z.coeffs for z in zeros]).T
+        assert not (L[i].astype(np.int64) @ digits % ctx.p).any()
+        assert not (F[i].astype(np.int64) @ digits % ctx.p).any()
+    assert es.prop1_kernel_check(ctx, a_encs, b_encs) == len(a_encs)
+
+
+@pytest.mark.parametrize("fixture", ["ctx31", "ctx51"])
+def test_kernel_route_matches_zero_sets(fixture, request):
+    # every a with differing norms, for b in {1, xi}
+    ctx = request.getfixturevalue(fixture)
+    for b in (ctx.one, ctx.xi):
+        a_encs = es.sweep_order(ctx)[~es.norms_match(ctx, b)]
+        _kernels_match_zero_sets(ctx, a_encs, np.full(a_encs.size, b.enc))
+
+
+def test_kernel_route_matches_zero_sets_seeded_32(ctx32):
+    # seeded pairs with differing norms, among them a = 0 and b = 0
+    rng = random.Random(32)
+    pairs = [(0, ctx32.xi.enc), (ctx32.xi.enc, 0)]
+    while len(pairs) < 12:
+        a, b = ctx32.from_enc(rng.randrange(ctx32.q)), ctx32.from_enc(rng.randrange(ctx32.q))
+        if (a.is_zero and b.is_zero) or es.case_detail(ctx32, pair_of(ctx32, a, b)).norms_match:
+            continue
+        pairs.append((a.enc, b.enc))
+    _kernels_match_zero_sets(ctx32, *zip(*pairs))
+
+
+def test_form_matrices_match_slow_context(ctx31):
+    # the table path against the per-element fallback of the bulk primitives
+    slow = build_context(FieldParams(3, 1), 4, use_tables=False)
+    a_encs = es.sweep_order(ctx31)[~es.norms_match(ctx31, ctx31.xi)][::7]
+    la, lb = es._dlogs(ctx31, a_encs), np.full(a_encs.size, ctx31.dlog(ctx31.xi))
+    for monomials in (es._L_monomials(ctx31), es._F_monomials(ctx31)):
+        fast = es.form_matrices(ctx31, monomials)(la, lb)
+        assert fast.tolist() == es.form_matrices(slow, monomials)(la, lb).tolist()
+    assert es.prop1_kernel_check(slow, a_encs, np.full(a_encs.size, ctx31.xi.enc)) == a_encs.size
+
+
+def test_kernel_check_catches_perturbed_F(ctx31):
+    a, b = ctx31.xi ** 5, ctx31.xi
+    la, lb = es._dlogs(ctx31, np.array([a.enc])), es._dlogs(ctx31, np.array([b.enc]))
+    L = es.form_matrices(ctx31, es._L_monomials(ctx31))(la, lb)
+    F = es.form_matrices(ctx31, es._F_monomials(ctx31))(la, lb)
+    assert es.kernel_mismatches(L, F, 3, 2)[0].tolist() == []
+    # one entry of F's first row off at a digit where a common zero is nonzero
+    zero = es.L_zeros_field(ctx31, pair_of(ctx31, a, b))[1]
+    j = next(i for i, c in enumerate(zero.coeffs) if c)
+    off = F.copy()
+    off[0, 0, j] = (off[0, 0, j] + 1) % 3
+    assert es.kernel_mismatches(L, off, 3, 2)[0].tolist() == [0]
+    # the same kernel as L, but of dimension above 2k, is refused too
+    zero_maps = np.zeros_like(F)
+    assert es.kernel_mismatches(zero_maps, zero_maps, 3, 2)[0].tolist() == [0]
+
+
+def test_kernel_check_raises_on_wrong_F(ctx31, monkeypatch):
+    # F with the sign of its first term flipped no longer shares L's zeros
+    real = es._F_monomials
+    monkeypatch.setattr(es, "_F_monomials", lambda ctx: (
+        ((-real(ctx)[0][0],) + real(ctx)[0][1:],) + real(ctx)[1:]))
+    a_encs = es.sweep_order(ctx31)[~es.norms_match(ctx31, ctx31.one)]
+    with pytest.raises(KernelMismatch, match="a=.*, b=g\\^0"):
+        es.prop1_kernel_check(ctx31, a_encs, np.full(a_encs.size, ctx31.one.enc))
+    with pytest.raises(BothCoefficientsZero):
+        es.prop1_kernel_check(ctx31, [0], [0])
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(p=st.sampled_from([3, 5, 7]), data=st.data())
+def test_rref_mod_p_kernel_sizes(p, data):
+    # the rank from rref_mod_p against a count of the kernel over all of GF(p)^c
+    r, c = data.draw(st.integers(1, 4), label="rows"), data.draw(st.integers(1, 4), label="cols")
+    rows = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=c, max_size=c),
+                              min_size=r, max_size=r), label="matrix")
+    mat = np.array(rows, dtype=np.int16)
+    reduced, rank = es.rref_mod_p(mat[None], p)
+    vectors = np.indices((p,) * c).reshape(c, -1)
+
+    def in_kernel(m):
+        return ~(m.astype(np.int64) @ vectors % p).any(axis=0)
+
+    assert np.count_nonzero(in_kernel(mat)) == p ** (c - rank[0])
+    assert (in_kernel(reduced[0]) == in_kernel(mat)).all()
+    assert es.rref_mod_p(reduced, p)[0].tolist() == reduced.tolist()  # reduced is a fixed point
+
+
+def test_norms_match_matches_case_detail(ctx31, ctx51):
+    for ctx in (ctx31, ctx51):
+        pk = ctx.p ** ctx.params.k
+        for b in (ctx.one, ctx.xi):
+            matched = es.norms_match(ctx, b)
+            pairs = [pair_of(ctx, ctx.from_enc(int(a)), b) for a in es.sweep_order(ctx)]
+            assert matched.tolist() == [es.case_detail(ctx, pair).norms_match for pair in pairs]
+            assert np.count_nonzero(matched) == pk + 1  # the fibre of the norm map
+
+
+# --------------------------------------------------------------------------
 # the Jacobsthal case: g and the three N paths
 # --------------------------------------------------------------------------
 
@@ -264,6 +379,23 @@ def test_find_g_properties(ctx31):
 def test_find_g_wrong_case(ctx31):
     with pytest.raises(WrongCase):
         es.find_g(ctx31, pair_of(ctx31, ctx31.one, ctx31.one))
+
+
+def test_N_routes_check_the_case_once(ctx31, monkeypatch):
+    # each route checks the case once, through find_g, and still refuses
+    # pairs outside the JACOBSTHAL case
+    calls = []
+    real = es.classify
+    monkeypatch.setattr(es, "classify", lambda ctx, pair: calls.append(pair) or real(ctx, pair))
+    pair = pair_of(ctx31, es.jacobsthal_pairs(ctx31, ctx31.one)[0], ctx31.one)
+    for route in (es.N_via_nonsquares, es.N_via_jacobsthal):
+        calls.clear()
+        route(ctx31, pair)
+        assert len(calls) == 1, route.__name__
+        with pytest.raises(WrongCase):
+            route(ctx31, pair_of(ctx31, ctx31.one, ctx31.one))
+        with pytest.raises(BothCoefficientsZero):
+            route(ctx31, pair_of(ctx31, ctx31.zero, ctx31.zero))
 
 
 @pytest.mark.parametrize("fixture", ["ctx31", "ctx51"])

@@ -1,9 +1,12 @@
+import functools
 import random
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import charsum
 from charsum.errors import (
@@ -246,6 +249,39 @@ def test_bulk_ops_match_scalar(use_tables):
     assert ctx.trace_enc_bulk(u).tolist() == [ctx.abs_trace(ctx.from_enc(a)) for a in range(81)]
     for bulk in (ctx.exp_enc_bulk(logs), ctx.log_enc_bulk(u[1:]), ctx.trace_enc_bulk(u)):
         assert bulk.dtype == np.int64
+
+
+@functools.cache
+def _slow_context(p, k):
+    return build_context(FieldParams(p, k), 4 * k, use_tables=False)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(pk=st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2)]), data=st.data())
+def test_bulk_primitives_match_slow_context_property(pk, data):
+    # each bulk primitive: the table path against the per-element fallback
+    # of a use_tables=False context of the same field, on random encodings
+    # in a random 1-d or 2-d shape
+    fast, slow = context(*pk), _slow_context(*pk)
+    assert fast.has_tables and not slow.has_tables and fast.modulus == slow.modulus
+    shape = data.draw(st.sampled_from([(5,), (2, 3), (1, 4)]), label="shape")
+    size = int(np.prod(shape))
+
+    def encodings(lo, label):
+        drawn = data.draw(st.lists(st.integers(lo, fast.q - 1), min_size=size, max_size=size),
+                          label=label)
+        return np.array(drawn, dtype=np.int64).reshape(shape)
+
+    u, v, nonzero = encodings(0, "u"), encodings(0, "v"), encodings(1, "nonzero")
+    logs = np.array(data.draw(st.lists(st.integers(-2 * fast.order, 2 * fast.order),
+                                       min_size=size, max_size=size), label="logs")).reshape(shape)
+    e = data.draw(st.integers(1, 3 * fast.order), label="e")
+    for name, args in (("exp_enc_bulk", (logs,)), ("log_enc_bulk", (nonzero,)),
+                       ("trace_enc_bulk", (u,)), ("add_enc_bulk", (u, v)),
+                       ("add_enc_bulk", (u, int(v.flat[0]))), ("pow_enc_bulk", (u, e))):
+        got, want = getattr(fast, name)(*args), getattr(slow, name)(*args)
+        assert got.shape == want.shape == shape and got.dtype == want.dtype == np.int64, name
+        assert got.tolist() == want.tolist(), name
 
 
 # --------------------------------------------------------------------------

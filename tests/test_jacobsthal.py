@@ -1,9 +1,10 @@
 import math
+import random
 
 import pytest
 
 from charsum import jacobsthal as jac
-from charsum.errors import ZeroArgument, ZeroC
+from charsum.errors import BoundViolation, ZeroArgument, ZeroC
 from charsum.field_core import FieldParams, build_context
 
 
@@ -193,6 +194,50 @@ def test_bound_scan(fixture, count, request):
     assert 0 <= report.max_ratio <= 1
     # the k-even case has an integer bound; record whether it is attained
     assert isinstance(report.attained, bool)
+
+
+@pytest.mark.parametrize("fixture", ["ctx31", "ctx32"])
+def test_scan_table_matches_records(fixture, request):
+    # every a off GF(p^k), in dlog order: the eta-table record equals the
+    # per-a jacobsthal_record (H_sum, I_sum and curve_point_count)
+    ctx = request.getfixturevalue(fixture)
+    view = view2k(ctx)
+    kview = ctx.subfield(ctx.params.k)
+    records = jac.theorem2_scan(view).records
+    assert [rec.a for rec in records] == [a for a in view.nonzero_elements()
+                                          if not kview.contains(a)]
+    assert list(records) == [jac.jacobsthal_record(view, rec.a) for rec in records]
+
+
+@pytest.mark.parametrize("p,k", [(5, 2), (13, 1)])
+def test_scan_table_matches_records_seeded(p, k):
+    # standalone GF(p^2k), 15 seeded a off GF(p^k) against jacobsthal_record
+    ctx = build_context(FieldParams(p, k), 2 * k)
+    view = ctx.subfield(2 * k)
+    records = jac.theorem2_scan(view).records
+    assert len(records) == p ** (2 * k) - p ** k
+    for rec in random.Random(p * 100 + k).sample(records, 15):
+        assert rec == jac.jacobsthal_record(view, rec.a)
+
+
+def test_scan_on_slow_context_agrees(ctx31):
+    # the per-element fallback of the bulk primitives gives the same scan
+    slow = build_context(FieldParams(3, 1), 2, use_tables=False)
+    fast = build_context(FieldParams(3, 1), 2)
+    strip = lambda rep: [(r.a.enc, r.H, r.I, r.I2, r.curve_N) for r in rep.records]
+    assert strip(jac.theorem2_scan(slow.subfield(2))) == strip(jac.theorem2_scan(fast.subfield(2)))
+
+
+def test_scan_bound_violation_raises(ctx31, monkeypatch):
+    real = jac.scan_table
+
+    def inflated(view):
+        logs, H, I, I2, curve_N = real(view)
+        return logs, 100 * H, I, I2, curve_N
+
+    monkeypatch.setattr(jac, "scan_table", inflated)
+    with pytest.raises(BoundViolation, match="exceeds the bound"):
+        jac.theorem2_scan(view2k(ctx31))
 
 
 def test_integrality_tightening_31(ctx31):
