@@ -147,16 +147,18 @@ def _cmd_expsum_sweep(args) -> int:
 def _cmd_walsh_spectrum(args) -> int:
     ctx = context(args.p, args.k)
     pair = expsum.CoeffPair(ctx.parse_element(args.a), ctx.parse_element(args.b))
-    spec = walsh.FunctionSpec(ctx, pair)
-    spectrum = walsh.full_spectrum(spec)
+    spectrum = walsh.full_spectrum(walsh.FunctionSpec(ctx, pair))
     _emit(_header("walsh-spectrum", args, ctx))
     labels = ["0"] + [f"g^{e}" for e in range(ctx.order)]
-    for label, c, n in zip(labels, spectrum.coefficients, spectrum.norms):
-        _emit({"y": label, "coeff": list(c.c), "norm2": n.as_int()})
+    for label, row in zip(labels, map(tuple, spectrum.counts)):
+        c, n = spectrum.values[row]
+        # |S|^2 is a rational integer on every bent spectrum and at p = 3
+        _emit({"y": label, "coeff": list(c.c),
+               "norm2": n.as_int() if n.is_rational_integer else list(n.c)})
     _emit({"summary": dict(sorted(spectrum.summary.items())),
            "parseval": spectrum.parseval,
-           "bent": walsh.is_bent(spec, spectrum),
-           "weakly_regular_neg": walsh.is_weakly_regular_neg(spec, spectrum)})
+           "bent": spectrum.bent,
+           "weakly_regular_neg": spectrum.weakly_regular_neg})
     return 0
 
 

@@ -7,10 +7,12 @@ For f mapping GF(p^n) to GF(p), the transform at y is
 
 computed exactly as a cyclotomic integer.  full_spectrum reads every
 coefficient from one expsum.character_counts transform, with
-S_f(y) = sum_x w^(f(x) + Tr(y (-x))); walsh_coeff recounts a single
-coefficient from its definition.  f is bent when every
-coefficient satisfies |S_f(y)|^2 = p^n, and weakly regular with unit -1
-when additionally every coefficient lies in {-p^(n/2) w^j}.
+S_f(y) = sum_x w^(f(x) + Tr(y (-x))), and keeps that (q, p) count array.
+Rows sum to p^n, so equal coefficients have equal rows and one CycInt per
+distinct row suffices; walsh_coeff recounts a single coefficient from its
+definition.  f is bent when every coefficient satisfies |S_f(y)|^2 = p^n,
+and weakly regular with unit -1 when additionally every coefficient lies
+in {-p^(n/2) w^j}.
 
 For the pair (1, 1) the spectrum has a closed form: S_f(y) equals
 -p^2k w^(Tr_k(x0)/4), where x0 is the unique root in GF(p^k) of
@@ -23,8 +25,8 @@ y^2 lies in GF(p^2k) the root is simply -Tr(y^2) relative to GF(p^k).
 theorem1_root_scan checks all of this for every y at once: it steps X
 through GF(p^k) and evaluates the polynomial at all q values of y per
 step with the bulk field operations (FieldCtx.add_enc_bulk and
-pow_enc_bulk), so its temporaries are O(q) encodings.  theorem1_verify
-is the per-point reference, a scalar scan at one y.
+pow_enc_bulk), so its temporaries are O(q) encodings, and compares count
+rows.  theorem1_verify is the per-point reference, a scalar scan at one y.
 theorem1_spectrum_check adds the value-multiset against the closed-form
 counts: -p^2k w^i occurs p^(2k-1)(p^2k+1) times for i != 0, and -p^2k
 occurs (p^(2k-1)-1)(p^2k+1) + 1 times.
@@ -66,57 +68,47 @@ def walsh_coeff(spec: FunctionSpec, y: Elem) -> CycInt:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """All p^n Walsh coefficients of one function.
-
-    coefficients[i] belongs to y = 0 for i = 0 and y = xi^(i-1) after,
-    norms[i] is its |S|^2 (a CycInt); summary counts coefficients by
-    their canonical rendering."""
+    """All p^n Walsh coefficients of one function, as value counts:
+    counts[i, j] = #{x : f(x) - Tr(y x) = j} for y = 0 at i = 0 and
+    y = xi^(i-1) after.  values maps each distinct row (a tuple) to
+    (S_f(y), |S_f(y)|^2); summary counts the coefficients by their
+    canonical rendering, in order of first occurrence."""
 
     spec: FunctionSpec
-    coefficients: tuple
-    norms: tuple
+    counts: np.ndarray
+    values: dict
     summary: dict
-    parseval: int  # sum of |S|^2, must be p^(2n)
+    parseval: int             # sum of |S|^2, must be p^(2n)
+    bent: bool                # every |S|^2 is p^n
+    weakly_regular_neg: bool  # every S is in {-p^(n/2) w^j : j = 0..p-1}
 
     def coefficient(self, y: Elem) -> CycInt:
-        if y.is_zero:
-            return self.coefficients[0]
-        return self.coefficients[1 + self.spec.ctx.dlog(y)]
+        row = self.counts[0 if y.is_zero else 1 + self.spec.ctx.dlog(y)]
+        return self.values[tuple(row)][0]
 
 
 def full_spectrum(spec: FunctionSpec) -> Spectrum:
-    """Every coefficient, the value-multiset summary, and exact Parseval
-    (ParsevalViolation on a defect)."""
+    """Every coefficient, the value-multiset summary, exact Parseval
+    (ParsevalViolation on a defect), bentness and weak regularity."""
     ctx = spec.ctx
-    pair = spec.pair
+    p, q, pair = ctx.p, ctx.q, spec.pair
     counts = character_counts(ctx, ((-ctx.one, 1),),
                               ((pair.a, ctx.params.d), (pair.b, 2)))[sweep_order(ctx)]
-    coeffs = [CycInt.from_counts(ctx.p, c) for c in counts]
-    # one |S|^2 per distinct coefficient value: a bent spectrum has p of them
-    norm_of = {c: c.norm_squared() for c in set(coeffs)}
-    norms = tuple(norm_of[c] for c in coeffs)
-    total = sum(norms, CycInt.zero(ctx.p)).as_int()  # raises NotRationalInteger on defect
-    if total != ctx.q ** 2:
-        raise ParsevalViolation(f"Parseval defect: {total} != {ctx.q ** 2}")
-    summary = dict(Counter(str(c) for c in coeffs))
-    return Spectrum(spec=spec, coefficients=tuple(coeffs), norms=norms,
-                    summary=summary, parseval=total)
-
-
-def is_bent(spec: FunctionSpec, spectrum: Spectrum | None = None) -> bool:
-    """All coefficients of squared magnitude exactly p^n."""
-    spectrum = spectrum or full_spectrum(spec)
-    q = spec.ctx.q
-    return all(n == q for n in spectrum.norms)
-
-
-def is_weakly_regular_neg(spec: FunctionSpec, spectrum: Spectrum | None = None) -> bool:
-    """All coefficients in {-p^(n/2) w^j : j = 0..p-1} (the unit is -1)."""
-    ctx = spec.ctx
-    spectrum = spectrum or full_spectrum(spec)
-    root = ctx.p ** (2 * ctx.params.k)  # p^(n/2), n = 4k
-    allowed = {(-root) * CycInt.omega_power(ctx.p, j) for j in range(ctx.p)}
-    return all(c in allowed for c in spectrum.coefficients)
+    multiplicity = Counter(map(tuple, counts))
+    coeffs = {row: CycInt.from_counts(p, row) for row in multiplicity}
+    values = {row: (c, c.norm_squared()) for row, c in coeffs.items()}
+    total = sum((n * multiplicity[row] for row, (_, n) in values.items()),
+                CycInt.zero(p)).as_int()  # raises NotRationalInteger on defect
+    if total != q ** 2:
+        raise ParsevalViolation(f"Parseval defect: {total} != {q ** 2}")
+    root = p ** (2 * ctx.params.k)  # p^(n/2), n = 4k
+    allowed = {(-root) * CycInt.omega_power(p, j) for j in range(p)}
+    return Spectrum(
+        spec=spec, counts=counts, values=values,
+        summary={str(c): multiplicity[row] for row, (c, _) in values.items()},
+        parseval=total,
+        bent=all(n == q for _, n in values.values()),
+        weakly_regular_neg=all(c in allowed for c, _ in values.values()))
 
 
 # --------------------------------------------------------------------------
@@ -172,7 +164,7 @@ def theorem1_verify(ctx: FieldCtx, y: Elem, actual: CycInt | None = None) -> Roo
 @dataclass(frozen=True)
 class RootScan:
     """The closed form of the (1, 1) spectrum at every y; the arrays are
-    indexed like Spectrum.coefficients (y = 0, xi^0, xi^1, ...)."""
+    indexed like the rows of Spectrum.counts (y = 0, xi^0, xi^1, ...)."""
 
     x0: np.ndarray          # encoding of the unique root in GF(p^k)
     formula_ok: np.ndarray  # -p^2k w^(Tr_k(x0) 4^(-1)) equals S_f(y)
@@ -191,7 +183,7 @@ def _root_polynomial(ctx: FieldCtx, y2, ypow, ypow_k, x: Elem):
 
 
 def theorem1_root_scan(ctx: FieldCtx, spectrum: Spectrum) -> RootScan:
-    """theorem1_verify at every y at once, against the coefficients of
+    """theorem1_verify at every y at once, against the count rows of
     spectrum, the spectrum of the pair (1, 1).
 
     One step per x in GF(p^k) evaluates the root polynomial at all q
@@ -217,9 +209,9 @@ def theorem1_root_scan(ctx: FieldCtx, spectrum: Spectrum) -> RootScan:
         y = ctx.from_enc(int(ys[bad[0]]))
         raise RootCountViolation(
             f"{roots[bad[0]]} roots at y={ctx.format_element(y)}; expected 1")
-    predicted = [(-p2k) * CycInt.omega_power(p, j) for j in range(p)]
-    formula_ok = np.array([c == predicted[j]
-                           for c, j in zip(spectrum.coefficients, w_exp)])
+    # -p^2k w^j is the row with C - p^2k at j and C = (q + p^2k)/p elsewhere
+    predicted = (ctx.q + p2k) // p - p2k * (np.arange(p) == w_exp[:, None])
+    formula_ok = (spectrum.counts == predicted).all(axis=1)
     special = ctx.pow_enc_bulk(y2, p2k) == y2
     rel_trace = ctx.add_enc_bulk(y2, ctx.pow_enc_bulk(y2, pk))
     return RootScan(x0=x0, formula_ok=formula_ok, special=special,
@@ -249,8 +241,7 @@ def theorem1_spectrum_check(ctx: FieldCtx) -> SpectrumCheck:
     regularity."""
     p, k = ctx.p, ctx.params.k
     p2k = p ** (2 * k)
-    spec = FunctionSpec(ctx, CoeffPair(ctx.one, ctx.one))
-    spectrum = full_spectrum(spec)
+    spectrum = full_spectrum(FunctionSpec(ctx, CoeffPair(ctx.one, ctx.one)))
     scan = theorem1_root_scan(ctx, spectrum)
     want = {str(CycInt.integer(p, -p2k)): (p ** (2 * k - 1) - 1) * (p2k + 1) + 1}
     for i in range(1, p):
@@ -260,7 +251,7 @@ def theorem1_spectrum_check(ctx: FieldCtx) -> SpectrumCheck:
         all_formula_ok=bool(scan.formula_ok.all()),
         all_special_ok=bool(scan.special_ok[scan.special].all()),
         counts_ok=spectrum.summary == want,
-        bent=is_bent(spec, spectrum),
-        weakly_regular=is_weakly_regular_neg(spec, spectrum),
+        bent=spectrum.bent,
+        weakly_regular=spectrum.weakly_regular_neg,
         summary=spectrum.summary,
     )

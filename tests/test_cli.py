@@ -103,6 +103,19 @@ def test_walsh_spectrum(capsys):
     assert sum(summary["summary"].values()) == 81
 
 
+def test_walsh_spectrum_non_integer_norms(capsys):
+    # a non-bent pair at p = 5: |S|^2 has omega terms, emitted as a coefficient list
+    assert run(["walsh-spectrum", "--p", "5", "--k", "1", "--a", "g^0", "--b", "g^3"]) == 0
+    lines = _lines(capsys)
+    rows = [json.loads(s) for s in lines[1:-1]]
+    assert len(rows) == 625
+    assert any(isinstance(row["norm2"], list) for row in rows)
+    assert all(len(row["norm2"]) == 4 for row in rows if isinstance(row["norm2"], list))
+    summary = json.loads(lines[-1])
+    assert summary["parseval"] == 625 ** 2
+    assert not summary["bent"]
+
+
 def test_theorem1_verify_cmd(capsys):
     assert run(["theorem1-verify", "--p", "3", "--k", "1"]) == 0
     payload = json.loads(_lines(capsys)[-1])
@@ -244,16 +257,17 @@ def test_failed_class_sums_under_optimize():
 
 
 def test_failed_theorem1_under_optimize():
-    # python -O: one spectrum coefficient rotated by w must fail theorem1's
-    # closed form and exit 1 (the value counts stay the same)
-    code = ("import sys, dataclasses\n"
+    # python -O: one spectrum coefficient multiplied by w (its count row
+    # rotated by one place) must fail theorem1's closed form and exit 1 (the
+    # value counts stay the same)
+    code = ("import sys, dataclasses, numpy\n"
             "from charsum import cli, walsh\n"
             "real = walsh.full_spectrum\n"
             "def off(spec):\n"
             "    s = real(spec)\n"
-            "    c = list(s.coefficients)\n"
-            "    c[7] = c[7].omega_shift(1)\n"
-            "    return dataclasses.replace(s, coefficients=tuple(c))\n"
+            "    c = s.counts.copy()\n"
+            "    c[7] = numpy.roll(c[7], 1)\n"
+            "    return dataclasses.replace(s, counts=c)\n"
             "walsh.full_spectrum = off\n"
             "sys.exit(cli.run(['verify-all', '--p', '3', '--k', '1']))\n")
     proc = _run_src("-O", "-c", code)

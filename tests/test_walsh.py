@@ -1,7 +1,11 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from charsum import context
 from charsum import walsh as wa
 from charsum.cycint import CycInt
 from charsum.errors import RootCountViolation
@@ -24,7 +28,7 @@ def test_function_symmetry(ctx31):
 def test_walsh_coeff_degenerate_pair(ctx31):
     spec = spec_of(ctx31, ctx31.zero, ctx31.zero)
     assert wa.walsh_coeff(spec, ctx31.zero) == 81
-    assert not wa.is_bent(spec)
+    assert not wa.full_spectrum(spec).bent
 
 
 def test_walsh_coeff_11(ctx31):
@@ -84,7 +88,37 @@ def test_full_spectrum_matches_slow_context(ctx31):
     slow = build_context(FieldParams(3, 1), 4, use_tables=False)
     fast = wa.full_spectrum(spec_of(ctx31, ctx31.xi ** 5, ctx31.xi ** 11))
     ref = wa.full_spectrum(spec_of(slow, slow.xi ** 5, slow.xi ** 11))
-    assert [c.c for c in fast.coefficients] == [c.c for c in ref.coefficients]
+    assert ([fast.coefficient(y).c for y in ctx31.elements()]
+            == [ref.coefficient(y).c for y in slow.elements()])
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(pk=st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2)]),
+       a=st.integers(0, 2 ** 20), b=st.integers(0, 2 ** 20),
+       ys=st.lists(st.integers(0, 2 ** 20), min_size=1, max_size=4))
+@example(pk=(5, 1), a=0, b=0, ys=[0, 1])       # degenerate pair, not bent
+@example(pk=(3, 2), a=0, b=7, ys=[0, 40])      # a = 0
+@example(pk=(7, 1), a=3, b=0, ys=[5])          # b = 0
+@example(pk=(5, 1), a=1, b=125, ys=[0, 2, 3])  # (g^0, g^3): not bent
+@example(pk=(3, 2), a=1, b=1, ys=[0, 9])       # (1, 1): bent
+def test_full_spectrum_matches_walsh_coeff_property(pk, a, b, ys):
+    # the transform of full_spectrum against the definitional walsh_coeff at
+    # random y, every distinct value's norm against norm_squared, and bent
+    # against the norms of the distinct rows found by np.unique; a, b and y
+    # are encodings reduced mod q
+    ctx = context(*pk)
+    spec = spec_of(ctx, ctx.from_enc(a % ctx.q), ctx.from_enc(b % ctx.q))
+    spectrum = wa.full_spectrum(spec)
+    for y in ys:
+        y = ctx.from_enc(y % ctx.q)
+        assert spectrum.coefficient(y) == wa.walsh_coeff(spec, y)
+    for row, (c, n) in spectrum.values.items():
+        assert c == CycInt.from_counts(ctx.p, row)
+        assert n == c.norm_squared()
+    distinct = np.unique(spectrum.counts, axis=0)
+    assert len(distinct) == len(spectrum.values)
+    norms = [CycInt.from_counts(ctx.p, row).norm_squared() for row in distinct]
+    assert spectrum.bent == all(n == ctx.q for n in norms)
 
 
 def test_spectrum_counts_51(ctx51):
@@ -120,11 +154,24 @@ def test_bent_and_weakly_regular(ctx31, ctx51):
     for ctx in (ctx31, ctx51):
         spec = spec_of(ctx, ctx.one, ctx.one)
         spectrum = wa.full_spectrum(spec)
-        assert wa.is_bent(spec, spectrum)
-        assert wa.is_weakly_regular_neg(spec, spectrum)
-        assert len(spectrum.norms) == ctx.q
-        assert all(n == c.norm_squared()
-                   for n, c in zip(spectrum.norms, spectrum.coefficients))
+        assert spectrum.bent
+        assert spectrum.weakly_regular_neg
+        assert len(spectrum.counts) == ctx.q
+        assert all(n == c.norm_squared() for c, n in spectrum.values.values())
+
+
+def test_spectrum_check_builds_one_cycint_per_value(ctx51, monkeypatch):
+    # one CycInt per distinct coefficient (p on the (1, 1) spectrum), not per y
+    calls = {"from_counts": 0}
+    real = CycInt.from_counts.__func__
+
+    def counted(cls, p, counts):
+        calls["from_counts"] += 1
+        return real(cls, p, counts)
+
+    monkeypatch.setattr(CycInt, "from_counts", classmethod(counted))
+    assert wa.theorem1_spectrum_check(ctx51).ok(ctx51)
+    assert calls["from_counts"] <= ctx51.p
 
 
 def test_root_verification_at_zero(ctx31):
@@ -163,8 +210,8 @@ def test_root_scan_matches_per_point(fixture, request):
     spectrum = wa.full_spectrum(spec_of(ctx, ctx.one, ctx.one))
     scan = wa.theorem1_root_scan(ctx, spectrum)
     assert scan.roots_checked == ctx.q
-    for i, (y, c) in enumerate(zip([ctx.zero] + list(ctx.powers()), spectrum.coefficients)):
-        report = wa.theorem1_verify(ctx, y, c)
+    for i, y in enumerate([ctx.zero] + list(ctx.powers())):
+        report = wa.theorem1_verify(ctx, y, spectrum.coefficient(y))
         assert report.x0.enc == scan.x0[i]
         assert report.formula_ok == scan.formula_ok[i]
         assert report.special_ok == (bool(scan.special_ok[i]) if scan.special[i] else None)
