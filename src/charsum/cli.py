@@ -278,31 +278,43 @@ def _run_verify_all(args) -> int:
     def check_prop2():
         n_pairs = 0
         for b in b_values:
-            # the sweep has checked its N table against N_count on this slice
-            for a, n1 in sweep(b).jacobsthal.items():
-                pair = expsum.CoeffPair(a, b)
-                n2 = expsum.N_via_nonsquares(ctx, pair)
-                n3 = expsum.N_via_jacobsthal(ctx, pair)
-                if not n1 == n2 == n3:
-                    return False, f"paths {n1}/{n2}/{n3} at a = {ctx.format_element(a)}"
-                n_pairs += 1
+            # the sweep has checked its N table against the direct count on this slice
+            slice_ = sweep(b).jacobsthal
+            a_encs = np.array([a.enc for a in slice_], dtype=np.int64)
+            n1 = np.array(list(slice_.values()), dtype=np.int64)
+            n2 = expsum.N_via_nonsquares_bulk(ctx, b, a_encs)
+            n3 = expsum.N_via_jacobsthal_bulk(ctx, b, a_encs)
+            if not n1.size == n2.size == n3.size:
+                return False, f"paths evaluated {n1.size}/{n2.size}/{n3.size} pairs"
+            off = np.flatnonzero((n1 != n2) | (n1 != n3))
+            if off.size:
+                i = off[0]
+                return False, (f"paths {n1[i]}/{n2[i]}/{n3[i]} at "
+                               f"a = {ctx.format_element(ctx.from_enc(int(a_encs[i])))}")
+            n_pairs += n2.size
         return True, f"{n_pairs} pairs, three paths each"
 
     def check_cor1():
-        samples = 0
-        while samples < args.samples:
-            a = ctx.from_enc(rng.randrange(ctx.q))
-            b = ctx.from_enc(rng.randrange(ctx.q))
-            if a.is_zero and b.is_zero:
+        # the seeded triples first, in the order of the rng stream, then one batch
+        triples = []
+        while len(triples) < args.samples:
+            a, b = rng.randrange(ctx.q), rng.randrange(ctx.q)
+            if a == 0 and b == 0:
                 continue
-            h = ctx.from_exp(rng.randrange(ctx.order))
-            if not expsum.corollary1_check(ctx, expsum.CoeffPair(a, b), h):
-                return False, f"scaling failed at h = {ctx.format_element(h)}"
-            samples += 1
-        return True, f"{samples} seeded triples"
+            triples.append((a, b, rng.randrange(ctx.order)))
+        a_encs, b_encs, h_logs = np.array(triples, dtype=np.int64).T
+        same = expsum.corollary1_bulk(ctx, a_encs, b_encs, h_logs)
+        if same.size != args.samples:
+            return False, f"{same.size} triples evaluated, expected {args.samples}"
+        off = np.flatnonzero(~same)
+        if off.size:
+            h = ctx.from_exp(int(h_logs[off[0]]))
+            return False, f"scaling failed at h = {ctx.format_element(h)}"
+        return True, f"{same.size} seeded triples"
 
     def check_cor2():
-        # (i)-(vi) per pair; (vii) depends on b alone, so once per b
+        # (i)-(vi) at every pair of the slice in one batch per b; (vii)
+        # depends on b alone, so once per b
         n_pairs = 0
         for b in b_values:
             rep = sweep(b)
@@ -310,12 +322,18 @@ def _run_verify_all(args) -> int:
             if total != expected:
                 return False, (f"property vii: sum of N = {total}, expected {expected} "
                                f"at b = {ctx.format_element(b)}")
-            for a in rep.jacobsthal:
-                results = expsum.corollary_properties(ctx, expsum.CoeffPair(a, b))
-                bad = [key for key, ok in results.items() if ok is False]
-                if bad:
-                    return False, f"properties {bad} failed at a = {ctx.format_element(a)}"
-                n_pairs += 1
+            a_list = list(rep.jacobsthal)
+            results = expsum.corollary_properties(ctx, b, [a.enc for a in a_list])
+            checked = {key: ok for key, ok in results.items() if ok is not None}
+            sizes = sorted({ok.size for ok in checked.values()})
+            if sizes != [len(a_list)]:
+                return False, f"{sizes} pairs evaluated, expected {len(a_list)}"
+            failed = np.flatnonzero(~np.logical_and.reduce(list(checked.values())))
+            if failed.size:
+                i = failed[0]
+                bad = [key for key, ok in checked.items() if not ok[i]]
+                return False, f"properties {bad} failed at a = {ctx.format_element(a_list[i])}"
+            n_pairs += len(a_list)
         return True, f"{n_pairs} pairs x 7 properties"
 
     def check_rst():

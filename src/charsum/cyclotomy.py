@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycint import CycInt
-from .errors import ClassSumViolation, IndexOutOfRange, ZeroArgument
+from .errors import ClassSumViolation, IndexOutOfRange, InvariantViolation, ZeroArgument
 from .field_core import Elem, SubfieldView
 
 
@@ -103,7 +103,8 @@ def full_table(view: SubfieldView) -> CycNumberTable:
     shifted = ctx.add_enc_bulk(ctx.exp_enc_bulk(view.step * e), 1)
     mask = shifted != 0
     logs = ctx.log_enc_bulk(shifted[mask])
-    assert (logs % view.step == 0).all()  # x + 1 stays in GF(p^2k)
+    if (logs % view.step).any():
+        raise InvariantViolation("x + 1 left GF(p^2k)")
     i_idx = e[mask] % order
     j_idx = logs // view.step % order
     flat = np.bincount(i_idx * order + j_idx, minlength=order * order)

@@ -120,3 +120,10 @@ class ClassSumViolation(IdentityViolation):
 
 class ParsevalViolation(IdentityViolation):
     """The squared magnitudes of a Walsh spectrum do not sum to p^(2n)."""
+
+
+class InvariantViolation(IdentityViolation):
+    """A fact that holds by construction failed: the shape of d, a lookup
+    table's build-time self-check, a trace outside GF(p), a quadratic
+    character other than 0 or +-1, or a subfield sum or root leaving its
+    field."""

@@ -28,6 +28,17 @@ g with g^(p^k-1) = -b^(p^3k)/a, and a Jacobsthal sum of order p^k + 1:
 
     2 N(a,b) = p^k - H_{p^k+1}(-b^(p^2k+1)/g^2) / (p^k + 1) + 1.
 
+Each route runs on an array of pairs at once.  N_count_bulk is the
+direct count: one evaluation of L at every u in U with per-pair
+coefficients (_linearized_values takes coefficient dlogs per row), with
+the parity check per pair.  N_via_nonsquares_bulk and
+N_via_jacobsthal_bulk solve for g in dlogs and evaluate their sums as
+(pairs, p^k) and (pairs, p^2k - 1) arrays of eta.  corollary1_bulk and
+corollary_properties make one direct count over all the pairs they
+compare.  The one-pair functions (N_count, N_via_nonsquares,
+N_via_jacobsthal, corollary1_check) are thin calls of the batches;
+find_g and corollary_suite stay pair by pair, as references.
+
 The defining sum for every a at once comes from one exact transform,
 character_counts: Tr(a z) = sum_i a_i Tr(e_i z) over the base-p digits
 a_i of a, so a per-digit butterfly over the joint counts of the vector
@@ -37,9 +48,8 @@ Tr(a x^d + b x^2) for every a, in integers.
 N(a, b) for every a at once comes from N_table: on U, L(u) = 0 is a
 linear condition on a, met by p^2k values of a per u, so one count over
 the (p^2k + 1) p^2k incidences gives every 2N(a, b).  case_tags gives
-every case from dlogs.  The direct zero count N_count and case_detail
-stay as per-pair references that cross-check both tables inside every
-sweep.
+every case from dlogs.  The direct zero count and case_detail
+cross-check both tables inside every sweep.
 
 distribution_sweep fixes b and covers every a in array work: it checks
 each closed form against the transform's defining sum, streams each
@@ -129,6 +139,26 @@ def case_detail(ctx: FieldCtx, pair: CoeffPair) -> CaseDetail:
 CASE_TAGS = (CaseTag.NORM_DIFFER, CaseTag.SQUARE_MATCH, CaseTag.JACOBSTHAL)
 
 
+def _norms_match(ctx: FieldCtx, la, lb: int):
+    # a^(p^k(p^k+1)) = b^(p^k+1) at a = xi^la (la = -1 for a = 0), b = xi^lb:
+    # iff (p^k + 1)(p^k la - lb) = 0 modulo q - 1; a = 0 does not match
+    pk, order = ctx.p ** ctx.params.k, ctx.order
+    return (la >= 0) & ((pk + 1) * ((pk * la - lb) % order) % order == 0)
+
+
+def _tags(ctx: FieldCtx, la, lb: int):
+    # the CASE_TAGS index of (a, b) at every a = xi^la (la = -1 for a = 0),
+    # b = xi^lb: a^2 = b^d iff 2 la = d lb modulo q - 1
+    order = ctx.order
+    square_match = (la >= 0) & ((2 * la - ctx.params.d * lb % order) % order == 0)
+    return np.where(square_match, 1, np.where(_norms_match(ctx, la, lb), 2, 0)).astype(np.int8)
+
+
+def _sweep_logs(ctx: FieldCtx):
+    # the dlogs of the sweep order a = 0, xi^0, xi^1, ..., -1 for a = 0
+    return np.arange(-1, ctx.order, dtype=np.int64)
+
+
 def norms_match(ctx: FieldCtx, b: Elem):
     """Whether a^(p^k(p^k+1)) = b^(p^k+1), for every a at once, from dlogs:
     a bool array over the sweep order a = 0, xi^0, xi^1, ...  With la =
@@ -136,24 +166,27 @@ def norms_match(ctx: FieldCtx, b: Elem):
     modulo q - 1.  a = 0 does not match, since b != 0."""
     if b.is_zero:
         raise ZeroB("the bulk case split needs b != 0")
-    pk, order = ctx.p ** ctx.params.k, ctx.order
-    la = np.arange(order, dtype=np.int64)
-    return np.concatenate(([False], (pk + 1) * ((pk * la - ctx.dlog(b)) % order) % order == 0))
+    return _norms_match(ctx, _sweep_logs(ctx), ctx.dlog(b))
 
 
 def case_tags(ctx: FieldCtx, b: Elem):
     """The case of (a, b) for every a at once, from dlogs.
 
     Returns an int8 array over the sweep order a = 0, xi^0, xi^1, ...,
-    holding indexes into CASE_TAGS: the norms from norms_match, and
+    holding indexes into CASE_TAGS: the norms as in norms_match, and
     a^2 = b^d iff 2 log a = d log b modulo q - 1.  a = 0 is NORM_DIFFER,
     since b != 0."""
-    matched = norms_match(ctx, b)
-    order = ctx.order
-    la = np.arange(order, dtype=np.int64)
-    square_match = (2 * la - ctx.params.d * ctx.dlog(b) % order) % order == 0
-    square_match = np.concatenate(([False], square_match))
-    return np.where(square_match, 1, np.where(matched, 2, 0)).astype(np.int8)
+    if b.is_zero:
+        raise ZeroB("the bulk case split needs b != 0")
+    return _tags(ctx, _sweep_logs(ctx), ctx.dlog(b))
+
+
+def _require_jacobsthal_bulk(ctx: FieldCtx, b: Elem, la):
+    # WrongCase unless every (xi^la, b) is a JACOBSTHAL pair
+    if b.is_zero:
+        raise ZeroB("b must be nonzero")
+    if (_tags(ctx, la, ctx.dlog(b)) != CASE_TAGS.index(CaseTag.JACOBSTHAL)).any():
+        raise WrongCase("operation defined only in the JACOBSTHAL case")
 
 
 def chi(ctx: FieldCtx, b: Elem) -> int:
@@ -168,18 +201,33 @@ def chi(ctx: FieldCtx, b: Elem) -> int:
 # --------------------------------------------------------------------------
 
 def _linearized_values(ctx: FieldCtx, terms, logs):
-    """The sum at x = xi^logs (numpy array of logs): the one evaluator of
-    monomial sums.  Returns an int64 array of value encodings."""
+    """The sum at x = xi^logs (int64 array of logs): the one evaluator of
+    monomial sums.
+
+    terms are (c, mult) pairs, c the dlog of the coefficient (-1 for a zero
+    one): an int, or an int64 array (n,) that gives each of n rows its own
+    coefficients, so that one call evaluates n sums.  Returns the int64
+    value encodings, of shape (len(logs),) or (n, len(logs))."""
     order = ctx.order
+    shape = np.broadcast_shapes(*(np.shape(c) for c, _ in terms)) + np.shape(logs)
     total = None
     for c, mult in terms:
-        if c.is_zero:
+        c = np.asarray(c, dtype=np.int64)[..., None]
+        live = c >= 0
+        if not live.any():
             continue
-        enc = ctx.exp_enc_bulk(ctx.dlog(c) + (mult % order) * logs)
+        enc = ctx.exp_enc_bulk(c + (mult % order) * logs)
+        if not live.all():
+            enc = np.where(live, enc, 0)
         total = enc if total is None else ctx.add_enc_bulk(total, enc)
     if total is None:
-        return np.zeros(len(logs), dtype=np.int64)
-    return total
+        return np.zeros(shape, dtype=np.int64)
+    return total if total.shape == shape else np.broadcast_to(total, shape).copy()
+
+
+def _coefficient_logs(ctx: FieldCtx, terms):
+    # (Elem c, mult) terms as _linearized_values takes them
+    return tuple((-1 if c.is_zero else ctx.dlog(c), mult) for c, mult in terms)
 
 
 def sweep_order(ctx: FieldCtx):
@@ -192,7 +240,8 @@ def trace_values(ctx: FieldCtx, terms):
     """Tr(sum_i c_i x^(m_i)) at x = 0, xi^0, xi^1, ..., xi^(q-2), as an
     int64 array (the value at x = 0 is 0)."""
     logs = np.arange(ctx.order, dtype=np.int64)
-    return np.concatenate(([0], ctx.trace_enc_bulk(_linearized_values(ctx, terms, logs))))
+    values = _linearized_values(ctx, _coefficient_logs(ctx, terms), logs)
+    return np.concatenate(([0], ctx.trace_enc_bulk(values)))
 
 
 def f_values(ctx: FieldCtx, pair: CoeffPair):
@@ -238,7 +287,7 @@ def character_counts(ctx: FieldCtx, z_terms, v_terms):
 def _zero_set(ctx: FieldCtx, terms) -> list:
     """Zeros of the sum in GF(p^n): 0 first, then the rest by dlog."""
     logs = np.arange(ctx.order, dtype=np.int64)
-    zero_logs = logs[_linearized_values(ctx, terms, logs) == 0]
+    zero_logs = logs[_linearized_values(ctx, _coefficient_logs(ctx, terms), logs) == 0]
     return [ctx.zero] + [ctx.from_enc(int(e)) for e in ctx.exp_enc_bulk(zero_logs)]
 
 
@@ -269,24 +318,54 @@ def _terms(pair: CoeffPair, monomials):
     return tuple((sign * pair.a ** s * pair.b ** r, e) for sign, s, r, e in monomials)
 
 
+def _monomial_terms(ctx: FieldCtx, monomials, la, lb):
+    # the terms of a monomial list at every pair (a, b) = (xi^la, xi^lb) at
+    # once, as _linearized_values takes them: (dlogs of sign a^s b^r, e),
+    # -1 where a coefficient is zero (la or lb is -1 for a zero a or b)
+    order = ctx.order
+    out = []
+    for sign, s, r, e in monomials:
+        live = ((s == 0) | (la >= 0)) & ((r == 0) | (lb >= 0))
+        logs = ((s % order) * la + (r % order) * lb + (sign < 0) * (order // 2)) % order
+        out.append((np.where(live, logs, -1), e))
+    return out
+
+
 def _L_terms(ctx: FieldCtx, pair: CoeffPair):
     return _terms(pair, _L_monomials(ctx))
 
 
-def N_count(ctx: FieldCtx, pair: CoeffPair):
-    """Zeros of L on U: returns (N, witnesses), witnesses sorted by dlog.
+def N_count_bulk(ctx: FieldCtx, a_encs, b_encs):
+    """The direct count of the zeros of L on U at every pair (a_encs[i],
+    b_encs[i]) of encodings at once.
 
-    The raw zero count is always even (ParityViolation otherwise); N is
-    half of it."""
-    pair.require_admissible()
-    # U's logs increase, so the zeros come out in dlog order
-    u_logs = U_logs(ctx)
-    zero_logs = u_logs[_linearized_values(ctx, _L_terms(ctx, pair), u_logs) == 0]
-    witnesses = [ctx.from_enc(int(e)) for e in ctx.exp_enc_bulk(zero_logs)]
-    if len(witnesses) % 2:
-        raise ParityViolation(f"{len(witnesses)} zeros of L on U at "
-                              f"a={ctx.format_element(pair.a)}, b={ctx.format_element(pair.b)}")
-    return len(witnesses) // 2, witnesses
+    One _linearized_values call per block of pairs (see _in_blocks)
+    evaluates L, with each pair's own coefficients, at every u in U.  Returns
+    (n, zeros): the int64 array n[i] = N(a_i, b_i), and the bool array
+    (pairs, p^2k + 1) that marks the zeros of L among the elements of U in
+    U_logs order, that is by dlog.  The raw zero count of a pair is always
+    even: ParityViolation at the first pair where it is odd."""
+    a_encs, b_encs = np.asarray(a_encs, dtype=np.int64), np.asarray(b_encs, dtype=np.int64)
+    if ((a_encs == 0) & (b_encs == 0)).any():
+        raise BothCoefficientsZero("(a, b) = (0, 0) is not admissible")
+    u_logs, monomials = U_logs(ctx), _L_monomials(ctx)
+    zeros = _in_blocks(lambda a, b: _linearized_values(
+        ctx, _monomial_terms(ctx, monomials, _dlogs(ctx, a), _dlogs(ctx, b)), u_logs) == 0,
+        u_logs.size, a_encs, b_encs)
+    twice = zeros.sum(axis=1)
+    odd = np.flatnonzero(twice % 2)
+    if odd.size:
+        i = odd[0]
+        raise ParityViolation(f"{twice[i]} zeros of L on U at "
+                              f"{_where(ctx, a_encs[i], b_encs[i])}")
+    return twice // 2, zeros
+
+
+def N_count(ctx: FieldCtx, pair: CoeffPair):
+    """Zeros of L on U at one pair, the one-pair call of N_count_bulk:
+    returns (N, witnesses), witnesses sorted by dlog."""
+    n, zeros = N_count_bulk(ctx, [pair.a.enc], [pair.b.enc])
+    return int(n[0]), [ctx.from_enc(int(e)) for e in ctx.exp_enc_bulk(U_logs(ctx)[zeros[0]])]
 
 
 def N_table(ctx: FieldCtx, b: Elem):
@@ -426,19 +505,17 @@ def form_matrices(ctx: FieldCtx, monomials):
     addition is needed."""
     p, m, order = ctx.p, ctx.m, ctx.order
     basis = ctx.log_enc_bulk(p ** np.arange(m, dtype=np.int64))
-    # row (t, d), column i m + j: digit d of e_i e_j^e for monomial t, times its sign
+    # row (t, d), column i m + j: digit d of e_i e_j^e for monomial t
     digits = np.concatenate([
-        sign * np.array([ctx.decode(int(y)) for y in ctx.exp_enc_bulk(
+        np.array([ctx.decode(int(y)) for y in ctx.exp_enc_bulk(
             (basis[:, None] + (e % order) * basis % order).ravel())]).T
-        for sign, _, _, e in monomials]).astype(np.float32)
+        for _, _, _, e in monomials]).astype(np.float32)
 
     def matrices(la, lb):
         coords = []
-        for _, s, r, _ in monomials:
-            live = ((s == 0) | (la >= 0)) & ((r == 0) | (lb >= 0))
-            logs = (s % order) * la + (r % order) * lb
-            traces = ctx.trace_enc_bulk(ctx.exp_enc_bulk(logs[:, None] + basis))
-            coords.append(live[:, None] * traces)
+        for c, _ in _monomial_terms(ctx, monomials, la, lb):
+            traces = ctx.trace_enc_bulk(ctx.exp_enc_bulk(c[:, None] + basis))
+            coords.append((c >= 0)[:, None] * traces)
         out = np.einsum("nk,km->nm", np.concatenate(coords, axis=1).astype(np.float32), digits)
         return _mod_p(out, p).reshape(-1, m, m)
     return matrices
@@ -495,12 +572,31 @@ def kernel_mismatches(L_mats, F_mats, p: int, max_dim: int):
     return bad, dim_L, dim_F
 
 
+def _where(ctx: FieldCtx, a_enc, b_enc) -> str:
+    # the pair of encodings a_enc, b_enc, as error messages name it
+    return (f"a={ctx.format_element(ctx.from_enc(int(a_enc)))}, "
+            f"b={ctx.format_element(ctx.from_enc(int(b_enc)))}")
+
+
 def _dlogs(ctx: FieldCtx, encs):
     # the dlogs of an int64 encoding array, -1 at zero: form_matrices' la and lb
     return np.where(encs == 0, -1, ctx.log_enc_bulk(np.where(encs == 0, 1, encs)))
 
 
 PROP1_BLOCK = 512  # pairs per batch of prop1_kernel_check: temporaries of a few 100 KiB
+
+# entries per block of the (pairs, points) arrays of N_count_bulk and the
+# prop2 routes: int64 temporaries of 128 KiB, whatever the field size
+BLOCK_ENTRIES = 1 << 14
+
+
+def _in_blocks(fn, width: int, *arrays):
+    # fn on consecutive slices of the arrays, of BLOCK_ENTRIES // width
+    # entries (at least one) each, for a fn that makes arrays of width
+    # points per entry; the results joined
+    n, size = len(arrays[0]), max(1, BLOCK_ENTRIES // width)
+    return np.concatenate([fn(*(x[i:i + size] for x in arrays))
+                           for i in range(0, max(n, 1), size)])
 
 
 def prop1_kernel_check(ctx: FieldCtx, a_encs, b_encs) -> int:
@@ -527,9 +623,8 @@ def prop1_kernel_check(ctx: FieldCtx, a_encs, b_encs) -> int:
             i = bad[0]
             raise KernelMismatch(
                 f"zeros of L and F span dimensions {dim_L[i]} and {dim_F[i]} over GF({ctx.p}), "
-                f"not one common space of dimension <= {2 * ctx.params.k}, at "
-                f"a={ctx.format_element(ctx.from_enc(int(a[i])))}, "
-                f"b={ctx.format_element(ctx.from_enc(int(b[i])))}")
+                f"not one common space of dimension <= {2 * ctx.params.k}, "
+                f"at {_where(ctx, a[i], b[i])}")
         compared += a.size
     return compared
 
@@ -564,40 +659,102 @@ def find_g(ctx: FieldCtx, pair: CoeffPair) -> Elem:
     return g
 
 
+def _g_logs(ctx: FieldCtx, b: Elem, a_encs):
+    """The dlogs of find_g's g at every pair (a, b), a in a_encs, with the
+    same checks: t (p^k - 1) = log_nu(-b^(p^3k)/a) modulo p^2k - 1, solved
+    in dlog arithmetic, with the smallest nonnegative t."""
+    k, order = ctx.params.k, ctx.order
+    pk, step = ctx.p ** k, ctx.subfield(2 * k).step
+    a_encs = np.asarray(a_encs, dtype=np.int64)
+    la = _dlogs(ctx, a_encs)
+    _require_jacobsthal_bulk(ctx, b, la)
+    # -1 = xi^((q-1)/2)
+    target = (order // 2 + ctx.p ** (3 * k) % order * ctx.dlog(b) - la) % order
+    if (target % step).any():
+        raise NotInSubfield("-b^(p^3k)/a is not in GF(p^2k)")
+    e = target // step
+    if (e % (pk - 1)).any():
+        raise NoSolution("target is not a (p^k-1)-th power")
+    g = step * (e // (pk - 1) % (pk + 1))
+    bad = np.flatnonzero(g * (pk - 1) % order != target)
+    if bad.size:
+        raise CaseViolation(f"g^(p^k-1) != -b^(p^3k)/a at {_where(ctx, a_encs[bad[0]], b.enc)}")
+    return g
+
+
+def _nonsquare_counts(ctx: FieldCtx, b: Elem, a_encs, g_logs):
+    # the nonsquare count at every pair (a, b) with its g = xi^g_logs, from
+    # one (pairs, p^k) array of eta((c g)^2 - b^(p^2k+1)), c in GF(p^k)
+    k = ctx.params.k
+    view = ctx.subfield(2 * k)
+    c_logs = ctx.subfield(k).step * np.arange(ctx.p ** k - 1, dtype=np.int64)
+    g_logs = np.asarray(g_logs, dtype=np.int64)
+    squares = np.zeros((g_logs.size, c_logs.size + 1), dtype=np.int64)  # c = 0 first
+    squares[:, 1:] = ctx.exp_enc_bulk(2 * (c_logs + g_logs[:, None]))
+    eta = view.eta_bulk(ctx.add_enc_bulk(squares, (-(b ** (ctx.p ** (2 * k) + 1))).enc))
+    vanished = np.flatnonzero((eta == 0).any(axis=1))
+    if vanished.size:
+        raise CaseViolation("(cg)^2 - b^(p^2k+1) vanished at "
+                            f"{_where(ctx, a_encs[vanished[0]], b.enc)}")
+    return (eta == -1).sum(axis=1)
+
+
 def N_via_nonsquares(ctx: FieldCtx, pair: CoeffPair) -> int:
     """#{c in GF(p^k) : (cg)^2 - b^(p^2k+1) is a nonsquare in GF(p^2k)}."""
     g = find_g(ctx, pair)  # WrongCase outside the JACOBSTHAL case
-    k = ctx.params.k
-    view = ctx.subfield(2 * k)
-    kview = ctx.subfield(k)
-    bq = pair.b ** (ctx.p ** (2 * k) + 1)
-    count = 0
-    for c in kview.elements():
-        diff = (c * g) ** 2 - bq
-        e = view.eta(diff)
-        if e == 0:
-            raise CaseViolation("(cg)^2 - b^(p^2k+1) vanished at "
-                                f"a={ctx.format_element(pair.a)}, b={ctx.format_element(pair.b)}")
-        if e == -1:
-            count += 1
-    return count
+    return int(_nonsquare_counts(ctx, pair.b, [pair.a.enc], [ctx.dlog(g)])[0])
+
+
+def N_via_nonsquares_bulk(ctx: FieldCtx, b: Elem, a_encs):
+    """N_via_nonsquares at every pair (a, b), a in a_encs, at once: one
+    array pass per block of pairs.  Returns int64."""
+    return _in_blocks(lambda a: _nonsquare_counts(ctx, b, a, _g_logs(ctx, b, a)),
+                      ctx.p ** ctx.params.k, np.asarray(a_encs, dtype=np.int64))
+
+
+def _jacobsthal_args(ctx: FieldCtx, b: Elem, g_logs):
+    # the encodings of -b^(p^2k+1)/g^2, where the N route evaluates H
+    Q = ctx.p ** (2 * ctx.params.k)
+    lb = ctx.dlog(b)
+    return ctx.exp_enc_bulk(ctx.order // 2 + (Q + 1) * lb - 2 * np.asarray(g_logs, dtype=np.int64))
+
+
+def _N_from_H(ctx: FieldCtx, b: Elem, a_encs, H):
+    # 2N = p^k - H/(p^k+1) + 1 at every pair (a, b), checking that H is
+    # divisible by p^k + 1 and that 2N is even
+    pk = ctx.p ** ctx.params.k
+    bad = np.flatnonzero(H % (pk + 1))
+    if bad.size:
+        i = bad[0]
+        raise DivisibilityViolation(f"H = {H[i]} is not divisible by {pk + 1} at "
+                                    f"{_where(ctx, a_encs[i], b.enc)}")
+    num = pk - H // (pk + 1) + 1
+    odd = np.flatnonzero(num % 2)
+    if odd.size:
+        i = odd[0]
+        raise ParityViolation(f"2N = {num[i]} is odd at {_where(ctx, a_encs[i], b.enc)}")
+    return num // 2
 
 
 def N_via_jacobsthal(ctx: FieldCtx, pair: CoeffPair) -> int:
     """N from 2N = p^k - H_{p^k+1}(-b^(p^2k+1)/g^2)/(p^k+1) + 1."""
     g = find_g(ctx, pair)  # WrongCase outside the JACOBSTHAL case
-    p, k = ctx.p, ctx.params.k
-    pk = p ** k
-    view = ctx.subfield(2 * k)
-    arg = -(pair.b ** (p ** (2 * k) + 1)) / (g * g)
-    H = jacobsthal.H_sum(view, pk + 1, arg)
-    where = f"a={ctx.format_element(pair.a)}, b={ctx.format_element(pair.b)}"
-    if H % (pk + 1):
-        raise DivisibilityViolation(f"H = {H} is not divisible by {pk + 1} at {where}")
-    num = pk - H // (pk + 1) + 1
-    if num % 2:
-        raise ParityViolation(f"2N = {num} is odd at {where}")
-    return num // 2
+    pk = ctx.p ** ctx.params.k
+    arg = ctx.from_enc(int(_jacobsthal_args(ctx, pair.b, [ctx.dlog(g)])[0]))
+    H = jacobsthal.H_sum(ctx.subfield(2 * ctx.params.k), pk + 1, arg)
+    return int(_N_from_H(ctx, pair.b, [pair.a.enc], np.array([H]))[0])
+
+
+def N_via_jacobsthal_bulk(ctx: FieldCtx, b: Elem, a_encs):
+    """N_via_jacobsthal at every pair (a, b), a in a_encs, at once: each
+    block of pairs takes one jacobsthal.H_sums call, an array
+    of eta over GF(p^2k)* per pair.  Returns int64."""
+    view, pk = ctx.subfield(2 * ctx.params.k), ctx.p ** ctx.params.k
+
+    def block(a):
+        H = jacobsthal.H_sums(view, pk + 1, _jacobsthal_args(ctx, b, _g_logs(ctx, b, a)))
+        return _N_from_H(ctx, b, a, H)
+    return _in_blocks(block, view.order, np.asarray(a_encs, dtype=np.int64))
 
 
 # --------------------------------------------------------------------------
@@ -606,12 +763,23 @@ def N_via_jacobsthal(ctx: FieldCtx, pair: CoeffPair) -> int:
 
 def corollary1_check(ctx: FieldCtx, pair: CoeffPair, h: Elem) -> bool:
     """N(a, b) == N(a h^d, b h^2) for h != 0."""
-    pair.require_admissible()
     if h.is_zero:
         raise ZeroB("scaling element h must be nonzero")
-    d = ctx.params.d
-    scaled = CoeffPair(pair.a * h ** d, pair.b * h * h)
-    return N_count(ctx, pair)[0] == N_count(ctx, scaled)[0]
+    return bool(corollary1_bulk(ctx, [pair.a.enc], [pair.b.enc], [ctx.dlog(h)])[0])
+
+
+def corollary1_bulk(ctx: FieldCtx, a_encs, b_encs, h_logs):
+    """corollary1_check at every triple (a_encs[i], b_encs[i], xi^h_logs[i])
+    at once, from one N_count_bulk call over the pairs and their scalings
+    (a h^d, b h^2): a bool array."""
+    a, b, h = (np.asarray(x, dtype=np.int64) for x in (a_encs, b_encs, h_logs))
+
+    def scaled(encs, e):
+        # encs times h^e, in dlogs; zero stays zero
+        return np.where(encs == 0, 0, ctx.exp_enc_bulk(_dlogs(ctx, encs) + e % ctx.order * h))
+    n, _ = N_count_bulk(ctx, np.concatenate((a, scaled(a, ctx.params.d))),
+                        np.concatenate((b, scaled(b, 2))))
+    return n[:a.size] == n[a.size:]
 
 
 def jacobsthal_pairs(ctx: FieldCtx, b: Elem):
@@ -633,59 +801,87 @@ def corollary_eq9_check(ctx: FieldCtx, report):
     return sum(report.jacobsthal.values()), (pk + 1) * (pk - report.chi_b) // 2
 
 
-def corollary_suite(ctx: FieldCtx, pair: CoeffPair) -> dict:
-    """The seven verified properties of N in the JACOBSTHAL case.
-
-    Returns {"i": bool, ..., "vii": bool}: corollary_properties of the
-    pair, and as "vii" corollary_eq9_check of the sweep at its b.
-    Property (vii) depends on b alone and needs that whole sweep, so a
-    walk over the slice takes corollary_properties per pair and checks
-    (vii) once."""
-    out = corollary_properties(ctx, pair)
-    total, expected = corollary_eq9_check(ctx, distribution_sweep(ctx, pair.b))
-    out["vii"] = total == expected
-    return out
-
-
-def corollary_properties(ctx: FieldCtx, pair: CoeffPair) -> dict:
-    """Properties (i)-(vi) of N at one JACOBSTHAL pair.
-
-    Returns {"i": bool, ..., "vi": bool}; "vi" is None when its
-    hypotheses (p = 3 mod 4, k odd, b square) do not apply."""
-    _require_jacobsthal(ctx, pair)
-    p, k = ctx.p, ctx.params.k
-    pk = p ** k
-    a, b = pair.a, pair.b
-    detail = case_detail(ctx, pair)
-    N = N_count(ctx, pair)[0]
-    N_inv = N_count(ctx, CoeffPair(a.inverse(), b.inverse()))[0]
-    N_nega = N_count(ctx, CoeffPair(-a, b))[0]
-    N_negb = N_count(ctx, CoeffPair(a, -b))[0]
-
+def _properties(pk: int, b_square: bool, N, N_inv, N_nega, N_negb) -> dict:
+    # properties (i)-(v) from N at (a, b), (1/a, 1/b), (-a, b) and (a, -b):
+    # ints, or arrays over a
     out = {}
-    if detail.b_square:
+    if b_square:
         out["i"] = N == N_inv
         out["iii"] = N_nega == pk + 1 - N_inv
     else:
         out["i"] = N == pk + 1 - N_inv
         out["iii"] = N_nega == N_inv
-    out["ii"] = (N + N_nega == pk + 1) and (N + N_negb == pk + 1)
-    out["iv"] = (N % 2 == 0) == detail.b_square
-    out["v"] = (2 * N - (pk + 1)) ** 2 <= 4 * pk and N >= 1
-    if p % 4 == 3 and k % 2 == 1 and detail.b_square:
-        view = ctx.subfield(2 * k)
-        root = view.generator ** ((p ** (2 * k) - 1) // 4)
-        half = ctx.params.d // 2
-        ok = True
-        for sign in (1, -1):
-            special = CoeffPair(sign * root * b ** half, b)
-            if classify(ctx, special) is not CaseTag.JACOBSTHAL:
-                raise CaseViolation(f"special pair a={ctx.format_element(special.a)}, "
-                                    f"b={ctx.format_element(b)} is not JACOBSTHAL")
-            ok = ok and N_count(ctx, special)[0] == (pk + 1) // 2
-        out["vi"] = ok
-    else:
-        out["vi"] = None
+    out["ii"] = (N + N_nega == pk + 1) & (N + N_negb == pk + 1)
+    out["iv"] = (N % 2 == 0) == b_square
+    out["v"] = ((2 * N - (pk + 1)) ** 2 <= 4 * pk) & (N >= 1)
+    return out
+
+
+def _special_a(ctx: FieldCtx, b: Elem) -> tuple:
+    # the a of the two special pairs (a, b) of property (vi),
+    # +-nu^((p^2k-1)/4) b^(d/2), or () where its hypotheses (p = 3 mod 4,
+    # k odd, b square) do not apply
+    p, k = ctx.p, ctx.params.k
+    if p % 4 != 3 or k % 2 == 0 or chi(ctx, b) != 1:
+        return ()
+    root = ctx.subfield(2 * k).generator ** ((p ** (2 * k) - 1) // 4)
+    return tuple(sign * root * b ** (ctx.params.d // 2) for sign in (1, -1))
+
+
+def _special_pair_violation(ctx: FieldCtx, a: Elem, b: Elem):
+    return CaseViolation(f"special pair a={ctx.format_element(a)}, "
+                         f"b={ctx.format_element(b)} is not JACOBSTHAL")
+
+
+def corollary_suite(ctx: FieldCtx, pair: CoeffPair) -> dict:
+    """The seven verified properties of N at one JACOBSTHAL pair, pair by
+    pair with N_count: the reference for corollary_properties and, as
+    (vii), corollary_eq9_check of the sweep at its b.
+
+    Returns {"i": bool, ..., "vii": bool}; "vi" is None when its
+    hypotheses (p = 3 mod 4, k odd, b square) do not apply."""
+    _require_jacobsthal(ctx, pair)
+    pk = ctx.p ** ctx.params.k
+    a, b = pair.a, pair.b
+    N = [N_count(ctx, other)[0] for other in
+         (pair, CoeffPair(a.inverse(), b.inverse()), CoeffPair(-a, b), CoeffPair(a, -b))]
+    out = _properties(pk, case_detail(ctx, pair).b_square, *N)
+    specials = [CoeffPair(s, b) for s in _special_a(ctx, b)]
+    for special in specials:
+        if classify(ctx, special) is not CaseTag.JACOBSTHAL:
+            raise _special_pair_violation(ctx, special.a, b)
+    out["vi"] = all(N_count(ctx, s)[0] == (pk + 1) // 2 for s in specials) if specials else None
+    total, expected = corollary_eq9_check(ctx, distribution_sweep(ctx, b))
+    out["vii"] = total == expected
+    return out
+
+
+def corollary_properties(ctx: FieldCtx, b: Elem, a_encs) -> dict:
+    """Properties (i)-(vi) of N at every JACOBSTHAL pair (a, b), a in a_encs.
+
+    Returns {"i": bool array, ..., "vi": bool array} over a_encs; "vi" is
+    None when its hypotheses (p = 3 mod 4, k odd, b square) do not apply.
+    One N_count_bulk call covers (a, b), (a, -b), (1/a, 1/b) and (-a, b)
+    at every a, and the two special pairs of (vi), which depend on b
+    alone.  WrongCase unless every pair is JACOBSTHAL; CaseViolation
+    unless the special pairs are."""
+    a_encs = np.asarray(a_encs, dtype=np.int64)
+    la = _dlogs(ctx, a_encs)
+    _require_jacobsthal_bulk(ctx, b, la)
+    pk, n, minus = ctx.p ** ctx.params.k, a_encs.size, ctx.order // 2  # xi^minus = -1
+    specials = _special_a(ctx, b)
+    special_encs = np.array([s.enc for s in specials], dtype=np.int64)
+    for s, tag in zip(specials, _tags(ctx, _dlogs(ctx, special_encs), ctx.dlog(b))):
+        if CASE_TAGS[tag] is not CaseTag.JACOBSTHAL:
+            raise _special_pair_violation(ctx, s, b)
+    pair_a = np.concatenate((a_encs, a_encs, ctx.exp_enc_bulk(-la), ctx.exp_enc_bulk(la + minus),
+                             special_encs))
+    pair_b = np.repeat([b.enc, (-b).enc, b.inverse().enc, b.enc, b.enc],
+                       [n, n, n, n, special_encs.size])
+    N, N_negb, N_inv, N_nega, N_special = np.split(N_count_bulk(ctx, pair_a, pair_b)[0],
+                                                   [n, 2 * n, 3 * n, 4 * n])
+    out = _properties(pk, chi(ctx, b) == 1, N, N_inv, N_nega, N_negb)
+    out["vi"] = np.full(n, (N_special == (pk + 1) // 2).all()) if specials else None
     return out
 
 
@@ -768,9 +964,9 @@ def distribution_sweep(ctx: FieldCtx, b: Elem, on_record=None) -> DistributionRe
     N comes from N_table and the case from case_tags, for all a at once.
     Each closed form is checked against the defining sum from one
     character_counts transform, N > 2 outside the JACOBSTHAL case raises
-    RangeViolation, and the direct zero count and case_detail cross-check
-    both tables on the JACOBSTHAL slice and on at most 32 evenly strided a
-    (a = 0 among them).  Only then, if on_record is given, is each pair's
+    RangeViolation, and the direct zero count (N_count_bulk) and
+    case_detail cross-check both tables on the JACOBSTHAL slice and on at
+    most 32 evenly strided a (a = 0 among them).  Only then, if on_record is given, is each pair's
     record, as expsum_record gives it but read from the tables, passed
     to it in sweep order; records are not kept."""
     if b.is_zero:
@@ -824,16 +1020,18 @@ def distribution_sweep(ctx: FieldCtx, b: Elem, on_record=None) -> DistributionRe
 
 
 def _cross_check(ctx: FieldCtx, b: Elem, a_encs, n, tags, incidence, sample):
-    # N_count and case_detail at the sweep positions in sample against the
-    # N table, its witnesses and the bulk case split
-    for i, witnesses in zip(sample, _witnesses(ctx, incidence, a_encs[sample])):
-        pair = CoeffPair(ctx.from_enc(int(a_encs[i])), b)
-        where = f"a={ctx.format_element(pair.a)}, b={ctx.format_element(b)}"
-        n_direct, w_direct = N_count(ctx, pair)
-        if n_direct != n[i] or [w.enc for w in w_direct] != witnesses.tolist():
-            raise OracleMismatch(f"direct zero count N = {n_direct} != N table {n[i]}, "
+    # the direct zero count (one N_count_bulk call) and case_detail at the
+    # sweep positions in sample against the N table, its witnesses and the
+    # bulk case split
+    n_direct, zeros = N_count_bulk(ctx, a_encs[sample], np.full(sample.size, b.enc))
+    u_encs = ctx.exp_enc_bulk(U_logs(ctx))
+    table_witnesses = _witnesses(ctx, incidence, a_encs[sample])
+    for i, n_i, zeros_i, witnesses in zip(sample, n_direct, zeros, table_witnesses):
+        where = _where(ctx, a_encs[i], b.enc)
+        if n_i != n[i] or u_encs[zeros_i].tolist() != witnesses.tolist():
+            raise OracleMismatch(f"direct zero count N = {n_i} != N table {n[i]}, "
                                  f"or other witnesses, at {where}")
-        tag = case_detail(ctx, pair).tag
+        tag = case_detail(ctx, CoeffPair(ctx.from_enc(int(a_encs[i])), b)).tag
         if tag is not CASE_TAGS[tags[i]]:
             raise CaseViolation(f"case_detail gives {tag.value}, the bulk case split "
                                 f"{CASE_TAGS[tags[i]].value} at {where}")

@@ -16,13 +16,23 @@ the requested degree in ascending base-p encoding order (constant term
 is the least significant digit).  Every run of the tool therefore sees
 the same field element behind any given "g^e" label.
 
-When p^m <= 2^20 the context carries exp/log/trace lookup tables (plain
-numpy arrays); above that bound all operations fall back to polynomial
-arithmetic and baby-step giant-step logs, exact but slow.  Only this
-module knows which kind a context is: other modules do bulk work through
-the FieldCtx bulk primitives (exp_enc_bulk, log_enc_bulk, trace_enc_bulk,
-add_enc_bulk, pow_enc_bulk), the only consumers of the tables besides the
-scalar operations, which make one scalar call per element without them.
+When p^m <= 2^20 (p^(m+1) for odd m) the context carries lookup tables
+(plain numpy arrays): exp, log, trace and negation over all encodings,
+and one addition table over half-width encodings.  With s = p^ceil(m/2), every encoding splits
+as u = (u // s) s + u % s into two digit halves below s, and addition is
+digitwise, so
+
+    u + v = T[u // s, v // s] s + T[u % s, v % s]
+
+with T the s x s table of digitwise sums mod p: two gathers from a table
+of q entries (p q for odd m), in place of a (q, m) digit array.  Above
+the bound all operations fall back to polynomial arithmetic and
+baby-step giant-step logs, exact but slow.  Only this module knows which
+kind a context is: other modules do bulk work through the FieldCtx bulk
+primitives (exp_enc_bulk, log_enc_bulk, trace_enc_bulk, add_enc_bulk,
+pow_enc_bulk, SubfieldView.eta_bulk), the only consumers of the tables
+besides the scalar operations, which make one scalar call per element
+without them.
 """
 
 from __future__ import annotations
@@ -37,12 +47,14 @@ from .errors import (
     DegreeUnsupported,
     DivisionByZero,
     EvenCharacteristic,
+    GuardExceeded,
+    InvariantViolation,
     NonPrimeP,
     NotInSubfield,
     ZeroArgument,
 )
 
-TABLE_LIMIT = 1 << 20  # log/exp/trace tables are built only up to this size
+TABLE_LIMIT = 1 << 20  # lookup tables are built only up to this many entries
 
 
 # --------------------------------------------------------------------------
@@ -177,8 +189,10 @@ class FieldParams:
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         # structural invariants: d even, gcd(d, p^n - 1) = 2
-        assert self.d % 2 == 0
-        assert math.gcd(self.d, self.p ** self.n - 1) == 2
+        if self.d % 2:
+            raise InvariantViolation(f"d = {self.d} is odd")
+        if math.gcd(self.d, self.p ** self.n - 1) != 2:
+            raise InvariantViolation(f"gcd(d, p^n - 1) != 2 at p={self.p}, k={self.k}")
 
     @property
     def n(self) -> int:
@@ -284,7 +298,9 @@ class FieldCtx:
         self.modulus = modulus
         self._pow = [self.p ** i for i in range(m + 1)]
         self._order_factors = prime_factors(self.order) if self.order > 1 else []
-        self.has_tables = use_tables and self.q <= TABLE_LIMIT
+        # the largest table, the addition table, has p^(2 ceil(m/2)) entries:
+        # q for even m, p q for odd m
+        self.has_tables = use_tables and self.p ** (2 * -(-m // 2)) <= TABLE_LIMIT
         if self.has_tables:
             self._build_tables()
         xi_t = ((0, 1) + (0,) * (m - 2)) if m > 1 else ((-modulus[0]) % self.p,)
@@ -322,27 +338,22 @@ class FieldCtx:
     def _build_tables(self):
         p, m, q, order = self.p, self.m, self.q, self.order
         # int64 exponent products in the bulk paths stay below order^2
-        assert order * order < 2 ** 62, "field too large for int64 exponent math"
+        if order * order >= 2 ** 62:
+            raise GuardExceeded(f"GF({p}^{m}) is too large for int64 exponent math")
         mod = self.modulus
-        # digit matrix and base-p weights
-        codes = np.arange(q, dtype=np.int64)
-        digits = np.empty((q, m), dtype=np.int32)
-        for i in range(m):
-            digits[:, i] = codes % p
-            codes //= p
-        self.digits = digits
-        self.pow_basis = np.array(self._pow[:m], dtype=np.int64)
         # exp table by repeated multiplication with X
         exp = np.empty(order, dtype=np.int64)
         t = (1,) + (0,) * (m - 1)
         for e in range(order):
             exp[e] = self.encode(t)
             t = _poly_mul_by_x(t, mod, p)
-        assert self.encode(t) == 1, "modulus is not primitive"
+        if self.encode(t) != 1:
+            raise InvariantViolation(f"modulus {mod} is not primitive")
         self.exp_enc = exp
         log = np.full(q, -1, dtype=np.int64)
         log[exp] = np.arange(order, dtype=np.int64)
-        assert log[0] == -1 and (log[1:] >= 0).all(), "exp table has collisions"
+        if log[0] != -1 or (log[1:] < 0).any():
+            raise InvariantViolation("exp table has collisions")
         self.log_enc = log
         # trace by linearity: Tr(sum c_i X^i) = sum c_i Tr(X^i)
         tr_basis = np.empty(m, dtype=np.int64)
@@ -352,18 +363,43 @@ class FieldCtx:
             for j in range(m):
                 conj = self.decode(int(exp[(e * p ** j) % order])) if order else (1,)
                 acc = [(a + b) % p for a, b in zip(acc, conj)]
-            assert all(v == 0 for v in acc[1:]), "trace left the prime field"
+            if any(acc[1:]):
+                raise InvariantViolation(f"Tr(X^{i}) left the prime field")
             tr_basis[i] = acc[0]
-        self.trace_enc = ((digits @ tr_basis) % p).astype(np.int32)
-        self.neg_enc = (((p - digits) % p) @ self.pow_basis).astype(np.int64)
+        # the half-width split u = hi s + lo: the addition table over the
+        # digit halves, and trace and negation as sums of one half table each
+        h = -(-m // 2)
+        s = p ** h
+        digits = np.empty((s, h), dtype=np.int64)
+        codes = np.arange(s, dtype=np.int64)
+        for i in range(h):
+            digits[:, i] = codes % p
+            codes //= p
+        self.add_side = s
+        self.add_table = _digitwise_sums(digits, p)
+        hi, lo = np.divmod(np.arange(q, dtype=np.int64), s)
+        tr_lo, tr_hi = digits @ tr_basis[:h], digits[:, :m - h] @ tr_basis[h:]
+        self.trace_enc = ((tr_hi[hi] + tr_lo[lo]) % p).astype(np.int32)
+        neg = ((p - digits) % p) @ np.array(self._pow[:h], dtype=np.int64)
+        self.neg_enc = neg[hi] * s + neg[lo]
+        # self-check: 0 is neutral in the table, and x + (-x) = 0 at every x
+        if (self.add_table[::s] != np.arange(s)).any() or (
+                self.add_enc_bulk(np.arange(q, dtype=np.int64), self.neg_enc) != 0).any():
+            raise InvariantViolation(f"the addition table of GF({p}^{m}) fails its self-check")
 
     # --- scalar arithmetic on encodings ---------------------------------------
 
     def add_enc(self, u, v):
+        if self.has_tables:
+            s, t = self.add_side, self.add_table
+            (uh, ul), (vh, vl) = divmod(u, s), divmod(v, s)
+            return int(t[uh * s + vh]) * s + int(t[ul * s + vl])
         a, b = self.decode(u), self.decode(v)
         return self.encode(tuple((x + y) % self.p for x, y in zip(a, b)))
 
     def sub_enc(self, u, v):
+        if self.has_tables:
+            return self.add_enc(u, int(self.neg_enc[v]))
         a, b = self.decode(u), self.decode(v)
         return self.encode(tuple((x - y) % self.p for x, y in zip(a, b)))
 
@@ -520,10 +556,12 @@ class FieldCtx:
 
     def add_enc_bulk(self, u, v):
         """Elementwise field addition of two int64 encoding arrays (either
-        may be a scalar encoding)."""
+        may be a scalar encoding): two gathers from the half-width addition
+        table."""
         if self.has_tables:
-            s = (self.digits[u] + self.digits[v]) % self.p
-            return s @ self.pow_basis
+            s, t = self.add_side, self.add_table
+            uh, vh = u // s, v // s
+            return t[uh * s + vh] * s + t[(u - uh * s) * s + (v - vh * s)]
         return self._per_element(self.add_enc, u, v)
 
     def pow_enc_bulk(self, u, e):
@@ -541,9 +579,21 @@ class FieldCtx:
         return f"FieldCtx(GF({self.p}^{self.m}), modulus=[{mod}])"
 
 
+def _digitwise_sums(digits, p: int):
+    """The addition table over encodings below s = p^h, flat: entry x s + y
+    is the encoding of the digitwise sum mod p of x and y, from the (s, h)
+    digits of every x."""
+    s, h = digits.shape
+    table = np.zeros((s, s), dtype=np.int64)
+    for i in range(h):
+        table += (digits[:, i, None] + digits[None, :, i]) % p * p ** i
+    return table.ravel()
+
+
 def _prime_field_value(t: Elem) -> int:
     """A trace value, an element of GF(p), as the integer 0..p-1."""
-    assert t.enc < t.ctx.p, "trace left the prime field"
+    if t.enc >= t.ctx.p:
+        raise InvariantViolation(f"trace {t!r} left the prime field")
     return t.enc
 
 
@@ -628,8 +678,20 @@ class SubfieldView:
         s = x ** (self.order // 2)
         if s == self.ctx.one:
             return 1
-        assert s == -self.ctx.one
+        if s != -self.ctx.one:
+            raise InvariantViolation(
+                f"{x!r}^((q-1)/2) is not +-1 in GF({self.ctx.p}^{self.degree})")
         return -1
+
+    def eta_bulk(self, u):
+        """eta at an int64 array of encodings of this subfield, as int64:
+        0 at zero, else (-1)^(log / step), the parity of the dlog to the
+        induced generator (NotInSubfield if an encoding lies outside)."""
+        nonzero = u != 0
+        logs = self.ctx.log_enc_bulk(np.where(nonzero, u, 1))
+        if (logs % self.step).any():
+            raise NotInSubfield(f"an encoding is not in GF({self.ctx.p}^{self.degree})")
+        return np.where(nonzero, 1 - 2 * (logs // self.step % 2), 0)
 
     def abs_trace(self, x: Elem) -> int:
         """Absolute trace of this subfield GF(p^degree) -> GF(p)

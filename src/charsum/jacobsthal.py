@@ -20,11 +20,12 @@ GF(p^k), A = a0, C = mu a1^2.  The Hasse bound on N yields
 
     |H_{p^k+1}(a)| <= 2 p^(k/2) (p^k + 1),
 
-which theorem2_scan asserts exhaustively (in exact integer arithmetic,
+which theorem2_scan checks exhaustively (in exact integer arithmetic,
 comparing H^2 against 4 p^k (p^k+1)^2).
 
 H_sum, I_sum and curve_point_count evaluate one a by definition, and
-jacobsthal_record combines them; they are the references.  The scan
+jacobsthal_record combines them; they are the references.  H_sums is
+H_sum at an array of a, one row of eta values per a.  The scan
 reads every a from scan_table instead: x^(p^k+1) is the norm of x, so
 each sum is a weighted sum over GF(p^k)* of one table of eta(t + a),
 and each curve count is one bulk pass over GF(p^k).
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundViolation, NotInSubfield, ZeroArgument, ZeroC
+from .errors import BoundViolation, InvariantViolation, NotInSubfield, ZeroArgument, ZeroC
 from .field_core import Elem, SubfieldView
 
 
@@ -54,10 +55,25 @@ def _check_arg(view: SubfieldView, a: Elem) -> None:
 def H_sum(view: SubfieldView, n: int, a: Elem) -> int:
     """Jacobsthal sum of order n at a (exact integer)."""
     _check_arg(view, a)
-    total = 0
-    for x in view.nonzero_elements():  # the x = 0 term is eta(0) = 0
-        total += view.eta(x ** (n + 1) + a * x)
-    return total
+    return int(H_sums(view, n, [a.enc])[0])
+
+
+def H_sums(view: SubfieldView, n: int, a_encs):
+    """Jacobsthal sums of order n at an array of nonzero encodings of the
+    scan field, by definition: one (len(a_encs), p^2k - 1) array of
+    eta(x^(n+1) + a x) over x in GF(p^2k)* (the x = 0 term is eta(0) = 0),
+    summed per row.  Returns int64."""
+    ctx = view.ctx
+    a_encs = np.asarray(a_encs, dtype=np.int64)
+    if (a_encs == 0).any():
+        raise ZeroArgument("a must be nonzero")
+    la = ctx.log_enc_bulk(a_encs)
+    if (la % view.step).any():
+        raise NotInSubfield("an a is not in the scan field")
+    x_logs = view.step * np.arange(view.order, dtype=np.int64)
+    values = ctx.add_enc_bulk(ctx.exp_enc_bulk((n + 1) * x_logs),
+                              ctx.exp_enc_bulk(la[:, None] + x_logs))
+    return view.eta_bulk(values).sum(axis=1)
 
 
 def I_sum(view: SubfieldView, n: int, a: Elem) -> int:
@@ -84,7 +100,8 @@ def mu_sqrt(view: SubfieldView) -> Elem:
     mu = xi^e with e = (q_ambient - 1)/(p^k - 1); e is always even here,
     so mu^(1/2) = xi^(e/2).  It lies in GF(p^2k) but not in GF(p^k)."""
     kview = view.ctx.subfield(view.degree // 2)
-    assert kview.step % 2 == 0
+    if kview.step % 2:
+        raise InvariantViolation(f"the dlog {kview.step} of mu is odd")
     return view.ctx.from_exp(kview.step // 2)
 
 
@@ -182,15 +199,6 @@ class BoundScanReport:
         return math.sqrt(self.max_abs_H ** 2 / self.bound_sq)
 
 
-def _quadratic_char(ctx, encs, step: int):
-    """The quadratic character of the subfield whose dlogs are the
-    multiples of step, at an int64 array of its encodings: 0 at zero,
-    else (-1)^(log / step)."""
-    nonzero = encs != 0
-    logs = ctx.log_enc_bulk(np.where(nonzero, encs, 1))
-    return np.where(nonzero, 1 - 2 * (logs // step % 2), 0)
-
-
 def scan_table(view: SubfieldView):
     """H, I and I_2n at order n = p^k + 1, and the curve count, at every a
     off GF(p^k) at once.
@@ -221,7 +229,7 @@ def scan_table(view: SubfieldView):
     a = ctx.exp_enc_bulk(la)
     u = np.arange(pk - 1, dtype=np.int64)
     t = ctx.exp_enc_bulk(kstep * u)
-    table = _quadratic_char(ctx, ctx.add_enc_bulk(t[:, None], a), view.step)
+    table = view.eta_bulk(ctx.add_enc_bulk(t[:, None], a))
     H = n * ((1 - 2 * (u % 2)) @ table)
     I = n * table.sum(axis=0)
     I2 = n * table[2 * u % (pk - 1)].sum(axis=0)
@@ -233,7 +241,7 @@ def scan_table(view: SubfieldView):
     for c, s, e in ((ctx.one, 0, 3), (-half, 1, 2), (-half, pk, 2), (sixteenth, 2, 1),
                     (-2 * sixteenth, pk + 1, 1), (sixteenth, 2 * pk, 1)):
         w = ctx.add_enc_bulk(w, ctx.exp_enc_bulk(ctx.dlog(c) + s * la[:, None] + e * kstep * u))
-    curve_N = pk + _quadratic_char(ctx, w, kstep).sum(axis=1)
+    curve_N = pk + ctx.subfield(view.degree // 2).eta_bulk(w).sum(axis=1)
     return logs, H, I, I2, curve_N
 
 

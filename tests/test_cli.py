@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from charsum import expsum, jacobsthal
 from charsum.cli import run
 
@@ -241,6 +243,55 @@ def test_prop1_counts_the_pairs_compared(capsys, monkeypatch):
     assert run(["verify-all", "--p", "3", "--k", "1", "--b", "g^1", "--samples", "5"]) == 1
     assert "[FAIL] prop1 three-valued range: ker L = ker F at 81 pairs, expected 82" in (
         capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("drop_parity", [False, True])
+def test_failed_addition_table_under_optimize(drop_parity):
+    # python -O: one wrong entry of the half-width addition table, set after
+    # its build-time self-check, must fail verify-all with exit 1; the
+    # per-pair parity check of the direct count catches it, and without that
+    # check the cross-check against the N table still does
+    code = ("import inspect, sys\n"
+            "from charsum import cli, expsum, field_core\n"
+            f"if {drop_parity}:\n"
+            "    source = inspect.getsource(expsum.N_count_bulk)\n"
+            "    assert 'if odd.size:' in source\n"
+            "    exec(source.replace('if odd.size:', 'if False:'), vars(expsum))\n"
+            "ctx = field_core.context(3, 2)\n"
+            "s = ctx.add_side\n"
+            "ctx.add_table[s + 2] = (ctx.add_table[s + 2] + 1) % s\n"
+            "sys.exit(cli.run(['verify-all', '--p', '3', '--k', '2']))\n")
+    proc = _run_src("-O", "-c", code)
+    assert proc.returncode == 1, proc.stderr
+    theorem3 = next(line for line in proc.stdout.splitlines() if "theorem3" in line)
+    assert theorem3.startswith("[FAIL]")
+    assert ("direct zero count" if drop_parity else "zeros of L on U at") in theorem3
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("name, failed", [
+    ("N_via_nonsquares_bulk", "[FAIL] prop2/eq8 triple path: paths evaluated"),
+    ("N_via_jacobsthal_bulk", "[FAIL] prop2/eq8 triple path: paths evaluated"),
+    ("corollary1_bulk", "[FAIL] corollary1 scaling: 4 triples evaluated, expected 5"),
+    ("corollary_properties", "[FAIL] corollary2 suite: "),
+])
+def test_batched_checks_count_the_pairs(capsys, monkeypatch, name, failed):
+    # prop2, corollary1 and corollary2 fail unless their batches evaluated
+    # every pair: here each batch drops its last one
+    real = getattr(expsum, name)
+
+    def short(*args):
+        out = real(*args)
+        if isinstance(out, dict):
+            return {key: ok if ok is None else ok[:-1] for key, ok in out.items()}
+        return out[:-1]
+
+    monkeypatch.setattr(expsum, name, short)
+    assert run(["verify-all", "--p", "3", "--k", "1", "--b", "g^1", "--samples", "5"]) == 1
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
+    assert len(lines) == 1 and lines[0].startswith(failed), lines
+    if name == "corollary_properties":
+        assert "pairs evaluated, expected" in lines[0]
 
 
 def test_failed_class_sums_under_optimize():

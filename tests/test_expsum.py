@@ -1,3 +1,4 @@
+import functools
 import random
 
 import numpy as np
@@ -411,6 +412,55 @@ def test_three_paths_agree(fixture, request):
             assert n1 == es.N_via_jacobsthal(ctx, pair)
 
 
+@pytest.mark.parametrize("fixture", ["ctx31", "ctx51", "ctx32"])
+def test_bulk_routes_match_pair_routes(fixture, request, monkeypatch):
+    # the batched nonsquare and H routes and the bulk g, at every pair of
+    # the slice, against find_g, the one-pair routes and the N table, also
+    # one pair per block
+    ctx = request.getfixturevalue(fixture)
+    for b in (ctx.one, ctx.xi):
+        slice_ = es.distribution_sweep(ctx, b).jacobsthal
+        a_encs = np.array([a.enc for a in slice_])
+        pairs = [pair_of(ctx, a, b) for a in slice_]
+        assert es._g_logs(ctx, b, a_encs).tolist() == [
+            ctx.dlog(es.find_g(ctx, pair)) for pair in pairs]
+        n2 = es.N_via_nonsquares_bulk(ctx, b, a_encs)
+        n3 = es.N_via_jacobsthal_bulk(ctx, b, a_encs)
+        assert n2.tolist() == n3.tolist() == list(slice_.values())
+        if ctx.p == 3 and ctx.params.k == 1:
+            assert n2.tolist() == [es.N_via_nonsquares(ctx, pair) for pair in pairs]
+            assert n3.tolist() == [es.N_via_jacobsthal(ctx, pair) for pair in pairs]
+        monkeypatch.setattr(es, "BLOCK_ENTRIES", 1)  # one pair per block
+        assert es.N_via_nonsquares_bulk(ctx, b, a_encs).tolist() == n2.tolist()
+        assert es.N_via_jacobsthal_bulk(ctx, b, a_encs).tolist() == n3.tolist()
+        assert es.N_count_bulk(ctx, a_encs, np.full(a_encs.size, b.enc))[0].tolist() == (
+            n2.tolist())
+        monkeypatch.undo()
+
+
+def test_bulk_routes_refuse_other_cases(ctx31):
+    b = ctx31.one
+    a_encs = np.array([a.enc for a in es.jacobsthal_pairs(ctx31, b)] + [ctx31.one.enc])
+    for route in (es.N_via_nonsquares_bulk, es.N_via_jacobsthal_bulk):
+        with pytest.raises(WrongCase):
+            route(ctx31, b, a_encs)
+        with pytest.raises(ZeroB):
+            route(ctx31, ctx31.zero, a_encs[:1])
+
+
+def test_bulk_jacobsthal_route_checks_raise(ctx31, monkeypatch):
+    # the batch keeps the divisibility and parity checks of the H-sum route
+    b = ctx31.one
+    a_encs = np.array([a.enc for a in es.jacobsthal_pairs(ctx31, b)])
+    real = es.jacobsthal.H_sums
+    monkeypatch.setattr(es.jacobsthal, "H_sums", lambda *args: real(*args) + 1)
+    with pytest.raises(DivisibilityViolation):
+        es.N_via_jacobsthal_bulk(ctx31, b, a_encs)
+    monkeypatch.setattr(es.jacobsthal, "H_sums", lambda *args: real(*args) + 4)
+    with pytest.raises(ParityViolation):
+        es.N_via_jacobsthal_bulk(ctx31, b, a_encs)
+
+
 def test_jacobsthal_route_checks_raise(ctx31, monkeypatch):
     # the divisibility and parity of the H-sum route are checks, not asserts
     pair = pair_of(ctx31, es.jacobsthal_pairs(ctx31, ctx31.one)[0], ctx31.one)
@@ -526,6 +576,53 @@ def test_corollary_suite_wrong_case(ctx31):
         es.corollary_suite(ctx31, pair_of(ctx31, ctx31.one, ctx31.one))
 
 
+@pytest.mark.parametrize("fixture", ["ctx31", "ctx51"])
+def test_corollary_properties_match_suite(fixture, request):
+    # the batch over a slice (one N_count_bulk call per b) against the
+    # pair-by-pair reference; (vi) applies at p = 3 and b square only
+    ctx = request.getfixturevalue(fixture)
+    for b in (ctx.one, ctx.xi):
+        pairs = es.jacobsthal_pairs(ctx, b)
+        results = es.corollary_properties(ctx, b, [a.enc for a in pairs])
+        assert list(results) == ["i", "iii", "ii", "iv", "v", "vi"]
+        assert (results["vi"] is None) == (ctx.p == 5 or es.chi(ctx, b) == -1)
+        for i, a in enumerate(pairs):
+            want = es.corollary_suite(ctx, pair_of(ctx, a, b))
+            got = {key: None if ok is None else bool(ok[i]) for key, ok in results.items()}
+            assert got == {key: ok for key, ok in want.items() if key != "vii"}
+
+
+def test_corollary_properties_refuse_other_cases(ctx31):
+    b = ctx31.one
+    a_encs = [a.enc for a in es.jacobsthal_pairs(ctx31, b)]
+    for outside in (0, ctx31.one.enc):  # NORM_DIFFER and SQUARE_MATCH
+        with pytest.raises(WrongCase):
+            es.corollary_properties(ctx31, b, a_encs + [outside])
+    with pytest.raises(ZeroB):
+        es.corollary_properties(ctx31, ctx31.zero, a_encs)
+
+
+def test_corollary1_bulk_scales_each_pair(ctx31, ctx32, monkeypatch):
+    # the batch counts every pair and its scaling (a h^d, b h^2), a = 0 or
+    # b = 0 among them, as plain field arithmetic gives them
+    seen = []
+    real = es.N_count_bulk
+    monkeypatch.setattr(es, "N_count_bulk",
+                        lambda ctx, a, b: seen.append((a, b)) or real(ctx, a, b))
+    rng = random.Random(29)
+    for ctx in (ctx31, ctx32):
+        triples = [(0, 1 + rng.randrange(ctx.q - 1), 5), (7, 0, 3)] + [
+            (1 + rng.randrange(ctx.q - 1), rng.randrange(ctx.q), rng.randrange(ctx.order))
+            for _ in range(30)]
+        seen.clear()
+        assert es.corollary1_bulk(ctx, *map(np.array, zip(*triples))).all()
+        (a_all, b_all), = seen
+        scaled = [(ctx.from_enc(a) * ctx.from_exp(h) ** ctx.params.d,
+                   ctx.from_enc(b) * ctx.from_exp(h) ** 2) for a, b, h in triples]
+        assert a_all.tolist() == [a for a, _, _ in triples] + [x.enc for x, _ in scaled]
+        assert b_all.tolist() == [b for _, b, _ in triples] + [y.enc for _, y in scaled]
+
+
 # --------------------------------------------------------------------------
 # the distribution sweep
 # --------------------------------------------------------------------------
@@ -590,14 +687,15 @@ def test_sweep_oracle_mismatch_raises(ctx31, monkeypatch):
 
 
 def test_sweep_cross_check_catches_N_count(ctx31, monkeypatch):
-    # a = 0 is always cross-checked: a direct count off by one there must disagree
-    real = es.N_count
+    # a = 0 is always cross-checked: a direct count off by one there must
+    # disagree (the sweep makes the direct count for its sample in one batch)
+    real = es.N_count_bulk
 
-    def off_by_one(ctx, pair):
-        n, witnesses = real(ctx, pair)
-        return (n + 1 if pair.a.is_zero else n), witnesses
+    def off_by_one(ctx, a_encs, b_encs):
+        n, zeros = real(ctx, a_encs, b_encs)
+        return n + (np.asarray(a_encs) == 0), zeros
 
-    monkeypatch.setattr(es, "N_count", off_by_one)
+    monkeypatch.setattr(es, "N_count_bulk", off_by_one)
     with pytest.raises(OracleMismatch, match="a=0,"):
         es.distribution_sweep(ctx31, ctx31.one)
 
@@ -647,6 +745,63 @@ def test_N_table_and_case_tags_property(pk, data):
     n, _ = es.N_table(ctx, b)
     assert n[a.enc] == es.N_count(ctx, pair_of(ctx, a, b))[0]
     assert es.CASE_TAGS[es.case_tags(ctx, b)[i]] is es.classify(ctx, pair_of(ctx, a, b))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(pk=st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1)]), data=st.data())
+def test_character_counts_match_bruteforce_property(pk, data):
+    # a row of the transform against the defining sum at a random pair,
+    # a = 0 or b = 0 among them
+    ctx = context(*pk)
+    lb = data.draw(st.integers(-1, ctx.order - 1), label="log b, -1 for b = 0")
+    b = ctx.zero if lb < 0 else ctx.from_exp(lb)
+    a = ctx.from_enc(data.draw(st.integers(int(b.is_zero), ctx.q - 1), label="a"))
+    counts = es.character_counts(ctx, ((ctx.one, ctx.params.d),), ((b, 2),))
+    assert CycInt.from_counts(ctx.p, counts[a.enc]) == es.S0_bruteforce(ctx, pair_of(ctx, a, b))
+
+
+@functools.cache
+def _slow_context(p, k):
+    return build_context(FieldParams(p, k), 4 * k, use_tables=False)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(pk=st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2)]), data=st.data())
+def test_N_count_bulk_property(pk, data):
+    # the batched direct count at random pairs, a = 0 or b = 0 among them:
+    # N and witnesses against the rows of the N table, and against the same
+    # count on the use_tables=False context
+    ctx, slow = context(*pk), _slow_context(*pk)
+    element = st.one_of(st.just(0), st.integers(1, ctx.q - 1))
+    pairs = data.draw(st.lists(st.tuples(element, element).filter(any), min_size=1, max_size=3),
+                      label="pairs")
+    a_encs, b_encs = (np.array(x, dtype=np.int64) for x in zip(*pairs))
+    n, zeros = es.N_count_bulk(ctx, a_encs, b_encs)
+    n_slow, zeros_slow = es.N_count_bulk(slow, a_encs, b_encs)
+    assert n.tolist() == n_slow.tolist() and zeros.tolist() == zeros_slow.tolist()
+    u_encs = ctx.exp_enc_bulk(es.U_logs(ctx))
+    for a, b, n_i, zeros_i in zip(a_encs, b_encs, n, zeros):
+        assert zeros_i.sum() == 2 * n_i
+        if b:
+            table, incidence = es.N_table(ctx, ctx.from_enc(int(b)))
+            witnesses, = es._witnesses(ctx, incidence, a_encs[a_encs == a][:1])
+            assert n_i == table[a] and u_encs[zeros_i].tolist() == witnesses.tolist()
+
+
+def test_N_count_bulk_parity_and_admissibility(ctx31, monkeypatch):
+    with pytest.raises(BothCoefficientsZero):
+        es.N_count_bulk(ctx31, [1, 0], [1, 0])
+    # one zero of L on U too many at the second pair must raise there
+    real = es._linearized_values
+
+    def extra_zero(ctx, terms, logs):
+        values = real(ctx, terms, logs).copy()
+        values[1, np.flatnonzero(values[1])[0]] = 0
+        return values
+
+    monkeypatch.setattr(es, "_linearized_values", extra_zero)
+    with pytest.raises(ParityViolation, match="zeros of L on U at a=g\\^3, b=g\\^5"):
+        es.N_count_bulk(ctx31, [1, ctx31.from_exp(3).enc], [1, ctx31.from_exp(5).enc])
 
 
 def test_sweep_rejects_zero_b(ctx31):

@@ -1,3 +1,4 @@
+import ast
 import functools
 import random
 import re
@@ -9,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import charsum
+from charsum import field_core
 from charsum.errors import (
     DegreeUnsupported,
     DivisionByZero,
     EvenCharacteristic,
+    InvariantViolation,
     NonPrimeP,
     NotInSubfield,
     ZeroArgument,
@@ -252,17 +255,19 @@ def test_bulk_ops_match_scalar(use_tables):
 
 
 @functools.cache
-def _slow_context(p, k):
-    return build_context(FieldParams(p, k), 4 * k, use_tables=False)
+def _slow_context(p, k, m):
+    return build_context(FieldParams(p, k), m, use_tables=False)
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
-@given(pk=st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2)]), data=st.data())
-def test_bulk_primitives_match_slow_context_property(pk, data):
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(pkm=st.sampled_from([(3, 1, 4), (5, 1, 4), (7, 1, 4), (3, 2, 8), (3, 3, 3), (5, 1, 1)]),
+       data=st.data())
+def test_bulk_primitives_match_slow_context_property(pkm, data):
     # each bulk primitive: the table path against the per-element fallback
     # of a use_tables=False context of the same field, on random encodings
-    # in a random 1-d or 2-d shape
-    fast, slow = context(*pk), _slow_context(*pk)
+    # in a random 1-d or 2-d shape; odd degrees split the encodings into
+    # unequal halves for the addition table
+    fast, slow = context(*pkm), _slow_context(*pkm)
     assert fast.has_tables and not slow.has_tables and fast.modulus == slow.modulus
     shape = data.draw(st.sampled_from([(5,), (2, 3), (1, 4)]), label="shape")
     size = int(np.prod(shape))
@@ -282,6 +287,53 @@ def test_bulk_primitives_match_slow_context_property(pk, data):
         got, want = getattr(fast, name)(*args), getattr(slow, name)(*args)
         assert got.shape == want.shape == shape and got.dtype == want.dtype == np.int64, name
         assert got.tolist() == want.tolist(), name
+    x, y = int(u.flat[0]), int(v.flat[0])
+    for name in ("add_enc", "sub_enc"):
+        assert getattr(fast, name)(x, y) == getattr(slow, name)(x, y), name
+    for degree in (d for d in range(1, fast.m + 1) if fast.m % d == 0):
+        sub = fast.subfield(degree)
+        members = fast.exp_enc_bulk(sub.step * logs) * (u % 2)  # some zeros among them
+        want = [sub.eta(fast.from_enc(int(a))) for a in members.ravel()]
+        for ctx in (fast, slow):
+            assert ctx.subfield(degree).eta_bulk(members).ravel().tolist() == want, degree
+
+
+def test_addition_table_self_check(monkeypatch):
+    # the half-width addition table is checked when the tables are built:
+    # 0 must be neutral, and x + (-x) = 0 at every encoding
+    real = field_core._digitwise_sums
+    for x, y in ((5, 0), (1, 2)):  # (1, 2): 1 + 2 = 0 digitwise at p = 3
+
+        def corrupt(digits, p, x=x, y=y):
+            table = real(digits, p).copy()
+            s = len(digits)
+            table[x * s + y] = (table[x * s + y] + 1) % s
+            return table
+
+        monkeypatch.setattr(field_core, "_digitwise_sums", corrupt)
+        with pytest.raises(InvariantViolation, match="addition table"):
+            build_context(FieldParams(3, 1), 4)
+
+
+def test_odd_degree_tables_fit_the_limit():
+    # at odd m the addition table has p q entries, and tables are built only
+    # when it fits: 1021^2 <= 2^20 < 1031^2
+    assert build_context(FieldParams(1021, 1), 1).has_tables
+    assert not build_context(FieldParams(1031, 1), 1).has_tables
+    assert context(3, 3, 3).has_tables and context(5, 1, 1).has_tables
+
+
+def test_eta_bulk_refuses_outside_the_subfield(ctx31):
+    with pytest.raises(NotInSubfield):
+        ctx31.subfield(2).eta_bulk(np.array([0, 1, ctx31.xi.enc]))
+
+
+def test_no_assert_statements():
+    # python -O strips assert statements: every check in the package raises
+    package = Path(charsum.__file__).resolve().parent
+    asserts = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert asserts == []
 
 
 # --------------------------------------------------------------------------
@@ -317,7 +369,7 @@ def test_only_field_core_reads_tables():
     # every other module computes through the FieldCtx bulk primitives and
     # never asks whether a context has tables
     pattern = re.compile(r"has_tables|exp_enc\b|log_enc\b|trace_enc\b|\.digits\b"
-                         r"|neg_enc\b|pow_basis|_tables\(")
+                         r"|neg_enc\b|pow_basis|add_table\b|add_side\b|_tables\(")
     package = Path(charsum.__file__).resolve().parent
     offenders = [f"{path.name}:{n}: {line.strip()}"
                  for path in sorted(package.glob("*.py")) if path.name != "field_core.py"

@@ -1,7 +1,10 @@
+import functools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charsum import jacobsthal as jac
 from charsum.errors import BoundViolation, ZeroArgument, ZeroC
@@ -218,6 +221,43 @@ def test_scan_table_matches_records_seeded(p, k):
     assert len(records) == p ** (2 * k) - p ** k
     for rec in random.Random(p * 100 + k).sample(records, 15):
         assert rec == jac.jacobsthal_record(view, rec.a)
+
+
+@functools.cache
+def _standalone_scan(p, k):
+    view = build_context(FieldParams(p, k), 2 * k).subfield(2 * k)
+    return view, jac.scan_table(view)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(pk=st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (5, 2), (3, 3),
+                           (31, 1)]), data=st.data())
+def test_scan_table_matches_references_property(pk, data):
+    # a random a off GF(p^k) of a standalone GF(p^2k): H, I, I_2n and the
+    # curve count from the eta table against H_sum, I_sum and
+    # curve_point_count, each by definition
+    view, (logs, H, I, I2, curve_N) = _standalone_scan(*pk)
+    i = data.draw(st.integers(0, logs.size - 1), label="position of a")
+    a = view.generator ** int(logs[i])
+    p, k = pk
+    n = p ** k + 1
+    kview = view.ctx.subfield(k)
+    a0, a1 = jac.decompose_half_basis(view, a)
+    assert H[i] == jac.H_sum(view, n, a)
+    assert I[i] == jac.I_sum(view, n, a)
+    assert I2[i] == jac.I_sum(view, 2 * n, a)
+    assert curve_N[i] == jac.curve_point_count(kview, a0, kview.generator * a1 * a1)
+
+
+def test_H_sums_matches_oracle(ctx31):
+    # the batched definition at every a of GF(9)*, orders 4 and 8
+    view = view2k(ctx31)
+    elements = list(view.nonzero_elements())
+    for n in (4, 8):
+        assert jac.H_sums(view, n, [a.enc for a in elements]).tolist() == [
+            _oracle_H(view, n, a) for a in elements]
+    with pytest.raises(ZeroArgument):
+        jac.H_sums(view, 4, [1, 0])
 
 
 def test_scan_on_slow_context_agrees(ctx31):
