@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__, cyclotomy, expsum, jacobsthal, sequences, walsh
 from .errors import CharsumError, GuardExceeded, IdentityViolation, ZeroB
-from .field_core import TABLE_LIMIT, FieldParams, build_context, context
+from .field_core import FieldParams, build_context, context, size_guard
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 20260809
@@ -55,27 +55,14 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
-def _guard_check(args) -> None:
-    # the size of the field the command builds: jacobsthal-scan works in
-    # GF(p^2k), every other command in GF(p^4k)
-    degree = 2 if args.cmd == "jacobsthal-scan" else 4
-    size = args.p ** (degree * args.k)
-    if size > args.guard and not args.force:
-        raise GuardExceeded(
-            f"p^{degree}k = {size} exceeds the guard {args.guard}; pass --force to override")
-
-
 def _parse_common(sub, element_args=()):
     sub.add_argument("--p", type=int, required=True, help="odd prime characteristic")
     sub.add_argument("--k", type=int, required=True, help="tower parameter, n = 4k")
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED,
                      help="seed for randomized checks (printed in the header)")
-    sub.add_argument("--guard", type=int, default=TABLE_LIMIT,
-                     help="refuse runs whose field (p^4k elements, p^2k for "
-                          "jacobsthal-scan) is larger than this: beyond the "
-                          "lookup tables, arithmetic is pure Python")
     sub.add_argument("--force", action="store_true",
-                     help="override the desk-scale guard")
+                     help="run even if the field (p^4k elements, p^2k for jacobsthal-scan) "
+                          "is beyond the lookup tables, in pure-Python arithmetic")
     for name, help_text in element_args:
         sub.add_argument(name, required=True, help=help_text)
 
@@ -228,8 +215,9 @@ def _run_verify_all(args) -> int:
 
     def check_eq1():
         records = bound_scan().records
-        for rec in records:
-            if rec.I != jacobsthal.eq1_value(pk, view.eta(rec.a)):
+        eta = view.eta_bulk(np.array([rec.a.enc for rec in records], dtype=np.int64))
+        for rec, eta_a in zip(records, eta.tolist()):
+            if rec.I != jacobsthal.eq1_value(pk, eta_a):
                 return False, f"a = {ctx.format_element(rec.a)} gives {rec.I}"
         return True, f"{len(records)} elements"
 
@@ -431,10 +419,13 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        _guard_check(args)
+        # the field the command builds, GF(p^2k) for jacobsthal-scan and
+        # GF(p^4k) for every other command, must have lookup tables
+        if not args.force:
+            size_guard(args.p, (2 if args.cmd == "jacobsthal-scan" else 4) * args.k)
         return args._handlers[args.cmd](args)
     except GuardExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}; pass --force to override", file=sys.stderr)
         return 3
     except IdentityViolation as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

@@ -103,9 +103,6 @@ class CycInt:
 
     __rmul__ = __mul__
 
-    def scale(self, n):
-        return self * int(n)
-
     def omega_shift(self, j):
         """w^j * self, exponent arithmetic only (no convolution)."""
         p = self.p

@@ -17,7 +17,9 @@ p^k - 1 at t = (p^k+1)/2 and -1 everywhere else.
 All functions take a SubfieldView of even degree 2k (either the 2k-view
 of the big GF(p^4k) context or the full view of a standalone GF(p^2k)
 context); values do not depend on that choice, class indices do, so
-reports record the generator nu in use.
+reports record the generator nu in use.  full_table and pt_sums evaluate
+x + 1 and Tr(x) at every x = nu^e with one FieldCtx.sum_enc_bulk call
+each; cyclotomic_number is the scalar reference.
 """
 
 from __future__ import annotations
@@ -100,7 +102,7 @@ def full_table(view: SubfieldView) -> CycNumberTable:
     order = class_count(view)
     ctx = view.ctx
     e = np.arange(view.order, dtype=np.int64)  # x = nu^e
-    shifted = ctx.add_enc_bulk(ctx.exp_enc_bulk(view.step * e), 1)
+    shifted = ctx.sum_enc_bulk(((0, 1), (0, 0)), view.step * e)
     mask = shifted != 0
     logs = ctx.log_enc_bulk(shifted[mask])
     if (logs % view.step).any():
@@ -144,13 +146,17 @@ class PtVector:
 
 def pt_sums(view: SubfieldView) -> PtVector:
     """Per-class additive character sums, checked against their closed form
-    (ClassSumViolation on a defect)."""
+    (ClassSumViolation on a defect), from Tr(x) = sum_{i < 2k} x^(p^i) at
+    every x = nu^e (InvariantViolation if a trace is not in GF(p))."""
     order = class_count(view)
     pk = _pk(view)
-    p = view.ctx.p
-    counts = [[0] * p for _ in range(order)]
-    for e, x in enumerate(view.nonzero_elements()):
-        counts[e % order][view.abs_trace(x)] += 1
+    ctx = view.ctx
+    p = ctx.p
+    e = np.arange(view.order, dtype=np.int64)
+    traces = ctx.sum_enc_bulk(tuple((0, p ** i) for i in range(view.degree)), view.step * e)
+    if (traces >= p).any():
+        raise InvariantViolation("a trace of GF(p^2k) left GF(p)")
+    counts = np.bincount(e % order * p + traces, minlength=order * p).reshape(order, p)
     values = tuple(CycInt.from_counts(p, c) for c in counts)
     for t, v in enumerate(values):
         want = pk - 1 if t == (pk + 1) // 2 else -1

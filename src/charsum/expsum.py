@@ -29,15 +29,15 @@ g with g^(p^k-1) = -b^(p^3k)/a, and a Jacobsthal sum of order p^k + 1:
     2 N(a,b) = p^k - H_{p^k+1}(-b^(p^2k+1)/g^2) / (p^k + 1) + 1.
 
 Each route runs on an array of pairs at once.  N_count_bulk is the
-direct count: one evaluation of L at every u in U with per-pair
-coefficients (_linearized_values takes coefficient dlogs per row), with
-the parity check per pair.  N_via_nonsquares_bulk and
-N_via_jacobsthal_bulk solve for g in dlogs and evaluate their sums as
-(pairs, p^k) and (pairs, p^2k - 1) arrays of eta.  corollary1_bulk and
-corollary_properties make one direct count over all the pairs they
-compare.  The one-pair functions (N_count, N_via_nonsquares,
-N_via_jacobsthal, corollary1_check) are thin calls of the batches;
-find_g and corollary_suite stay pair by pair, as references.
+direct count: one FieldCtx.sum_enc_bulk evaluation of L at every u in U
+with per-pair coefficient dlogs, with the parity check per pair.
+N_via_nonsquares_bulk and N_via_jacobsthal_bulk solve for g in dlogs
+and evaluate their sums as (pairs, p^k) and (pairs, p^2k - 1) arrays of
+eta.  corollary1_bulk and corollary_properties make one direct count
+over all the pairs they compare.  The one-pair functions (N_count,
+N_via_nonsquares, N_via_jacobsthal, corollary1_check) are thin calls of
+the batches; find_g and corollary_suite stay pair by pair, as
+references.
 
 The defining sum for every a at once comes from one exact transform,
 character_counts: Tr(a z) = sum_i a_i Tr(e_i z) over the base-p digits
@@ -79,6 +79,7 @@ from .errors import (
     DivisibilityViolation,
     KernelMismatch,
     NoSolution,
+    NotInSubfield,
     OracleMismatch,
     ParityViolation,
     RangeViolation,
@@ -200,33 +201,8 @@ def chi(ctx: FieldCtx, b: Elem) -> int:
 # monomial sums sum_i c_i x^(m_i), terms given as (Elem c_i, integer m_i >= 1)
 # --------------------------------------------------------------------------
 
-def _linearized_values(ctx: FieldCtx, terms, logs):
-    """The sum at x = xi^logs (int64 array of logs): the one evaluator of
-    monomial sums.
-
-    terms are (c, mult) pairs, c the dlog of the coefficient (-1 for a zero
-    one): an int, or an int64 array (n,) that gives each of n rows its own
-    coefficients, so that one call evaluates n sums.  Returns the int64
-    value encodings, of shape (len(logs),) or (n, len(logs))."""
-    order = ctx.order
-    shape = np.broadcast_shapes(*(np.shape(c) for c, _ in terms)) + np.shape(logs)
-    total = None
-    for c, mult in terms:
-        c = np.asarray(c, dtype=np.int64)[..., None]
-        live = c >= 0
-        if not live.any():
-            continue
-        enc = ctx.exp_enc_bulk(c + (mult % order) * logs)
-        if not live.all():
-            enc = np.where(live, enc, 0)
-        total = enc if total is None else ctx.add_enc_bulk(total, enc)
-    if total is None:
-        return np.zeros(shape, dtype=np.int64)
-    return total if total.shape == shape else np.broadcast_to(total, shape).copy()
-
-
 def _coefficient_logs(ctx: FieldCtx, terms):
-    # (Elem c, mult) terms as _linearized_values takes them
+    # (Elem c, mult) terms as FieldCtx.sum_enc_bulk takes them
     return tuple((-1 if c.is_zero else ctx.dlog(c), mult) for c, mult in terms)
 
 
@@ -239,9 +215,13 @@ def sweep_order(ctx: FieldCtx):
 def trace_values(ctx: FieldCtx, terms):
     """Tr(sum_i c_i x^(m_i)) at x = 0, xi^0, xi^1, ..., xi^(q-2), as an
     int64 array (the value at x = 0 is 0)."""
-    logs = np.arange(ctx.order, dtype=np.int64)
-    values = _linearized_values(ctx, _coefficient_logs(ctx, terms), logs)
-    return np.concatenate(([0], ctx.trace_enc_bulk(values)))
+    return np.concatenate(([0], _traces(ctx, _coefficient_logs(ctx, terms))))
+
+
+def _traces(ctx: FieldCtx, terms):
+    # the traces at x = xi^0, xi^1, ... for terms as FieldCtx.sum_enc_bulk
+    # takes them, one row per row of coefficients
+    return ctx.trace_enc_bulk(ctx.sum_enc_bulk(terms, np.arange(ctx.order, dtype=np.int64)))
 
 
 def f_values(ctx: FieldCtx, pair: CoeffPair):
@@ -260,17 +240,18 @@ def character_counts(ctx: FieldCtx, z_terms, v_terms):
     so that sum_x w^Tr(a z(x) + v(x)) is CycInt.from_counts(p, counts[a.enc]).
 
     With e_i the element encoded as p^i and a = sum_i a_i e_i, the trace
-    is linear: Tr(a z) = sum_i a_i w_i, w_i = Tr(e_i z).  The pairs
-    (w, Tr v) over all x are counted into a (p,)*m + (p,) array; one
+    is linear: Tr(a z) = sum_i a_i w_i, w_i = Tr(e_i z), all m of them
+    from one evaluation of z with one row of coefficients per e_i.  The
+    pairs (w, Tr v) over all x are counted into a (p,)*m + (p,) array; one
     butterfly per digit axis, rolling the value axis by a_i w_i, turns
     counts over w into counts over a.  That is about m p^2 q integer
     additions, with temporaries of O(q p) entries and no floats.
     """
-    p, m, q = ctx.p, ctx.m, ctx.q
-    w = np.zeros(q, dtype=np.int64)
-    for i in range(m):
-        e = ctx.from_enc(p ** i)
-        w += p ** i * trace_values(ctx, tuple((e * c, mult) for c, mult in z_terms))
+    p, m, q, order = ctx.p, ctx.m, ctx.q, ctx.order
+    basis = ctx.log_enc_bulk(p ** np.arange(m, dtype=np.int64))
+    rows = tuple((np.where(c < 0, -1, (basis + c) % order), mult)
+                 for c, mult in _coefficient_logs(ctx, z_terms))
+    w = np.concatenate(([0], p ** np.arange(m, dtype=np.int64) @ _traces(ctx, rows)))
     counts = np.bincount(w * p + trace_values(ctx, v_terms), minlength=q * p)
     # axis i of the (outer, p, inner, p) view is digit m-1-i of the encoding;
     # the butterfly is the same for every digit
@@ -287,7 +268,7 @@ def character_counts(ctx: FieldCtx, z_terms, v_terms):
 def _zero_set(ctx: FieldCtx, terms) -> list:
     """Zeros of the sum in GF(p^n): 0 first, then the rest by dlog."""
     logs = np.arange(ctx.order, dtype=np.int64)
-    zero_logs = logs[_linearized_values(ctx, _coefficient_logs(ctx, terms), logs) == 0]
+    zero_logs = logs[ctx.sum_enc_bulk(_coefficient_logs(ctx, terms), logs) == 0]
     return [ctx.zero] + [ctx.from_enc(int(e)) for e in ctx.exp_enc_bulk(zero_logs)]
 
 
@@ -313,14 +294,9 @@ def _L_monomials(ctx: FieldCtx):
     return ((1, 0, pk ** 2, 1), (1, 1, 0, pk), (1, 0, 1, pk ** 2), (1, pk ** 2, 0, pk ** 3))
 
 
-def _terms(pair: CoeffPair, monomials):
-    # the (coefficient, exponent) terms of a monomial list at one pair
-    return tuple((sign * pair.a ** s * pair.b ** r, e) for sign, s, r, e in monomials)
-
-
 def _monomial_terms(ctx: FieldCtx, monomials, la, lb):
     # the terms of a monomial list at every pair (a, b) = (xi^la, xi^lb) at
-    # once, as _linearized_values takes them: (dlogs of sign a^s b^r, e),
+    # once, as FieldCtx.sum_enc_bulk takes them: (dlogs of sign a^s b^r, e),
     # -1 where a coefficient is zero (la or lb is -1 for a zero a or b)
     order = ctx.order
     out = []
@@ -332,14 +308,15 @@ def _monomial_terms(ctx: FieldCtx, monomials, la, lb):
 
 
 def _L_terms(ctx: FieldCtx, pair: CoeffPair):
-    return _terms(pair, _L_monomials(ctx))
+    # the (coefficient, exponent) terms of L at one pair
+    return tuple((sign * pair.a ** s * pair.b ** r, e) for sign, s, r, e in _L_monomials(ctx))
 
 
 def N_count_bulk(ctx: FieldCtx, a_encs, b_encs):
     """The direct count of the zeros of L on U at every pair (a_encs[i],
     b_encs[i]) of encodings at once.
 
-    One _linearized_values call per block of pairs (see _in_blocks)
+    One FieldCtx.sum_enc_bulk call per block of pairs (see _in_blocks)
     evaluates L, with each pair's own coefficients, at every u in U.  Returns
     (n, zeros): the int64 array n[i] = N(a_i, b_i), and the bool array
     (pairs, p^2k + 1) that marks the zeros of L among the elements of U in
@@ -349,8 +326,8 @@ def N_count_bulk(ctx: FieldCtx, a_encs, b_encs):
     if ((a_encs == 0) & (b_encs == 0)).any():
         raise BothCoefficientsZero("(a, b) = (0, 0) is not admissible")
     u_logs, monomials = U_logs(ctx), _L_monomials(ctx)
-    zeros = _in_blocks(lambda a, b: _linearized_values(
-        ctx, _monomial_terms(ctx, monomials, _dlogs(ctx, a), _dlogs(ctx, b)), u_logs) == 0,
+    zeros = _in_blocks(lambda a, b: ctx.sum_enc_bulk(
+        _monomial_terms(ctx, monomials, _dlogs(ctx, a), _dlogs(ctx, b)), u_logs) == 0,
         u_logs.size, a_encs, b_encs)
     twice = zeros.sum(axis=1)
     odd = np.flatnonzero(twice % 2)
@@ -393,7 +370,7 @@ def N_table(ctx: FieldCtx, b: Elem):
     pk, Q = p ** k, p ** (2 * k)
     u_logs = U_logs(ctx)
     lb = ctx.dlog(b)
-    minus_c = ctx.add_enc_bulk(ctx.exp_enc_bulk(Q * lb + u_logs), ctx.exp_enc_bulk(lb - u_logs))
+    minus_c = ctx.sum_enc_bulk(((Q * lb, 1), (lb, -1)), u_logs)
     shift = -pk * u_logs
     # theta t for t = nu^s, nu = xi^(p^2k+1) the generator of GF(p^2k)*
     theta_logs = (Q + 1) // 2 + (Q + 1) * np.arange(Q - 1, dtype=np.int64)

@@ -28,11 +28,12 @@ with T the s x s table of digitwise sums mod p: two gathers from a table
 of q entries (p q for odd m), in place of a (q, m) digit array.  Above
 the bound all operations fall back to polynomial arithmetic and
 baby-step giant-step logs, exact but slow.  Only this module knows which
-kind a context is: other modules do bulk work through the FieldCtx bulk
-primitives (exp_enc_bulk, log_enc_bulk, trace_enc_bulk, add_enc_bulk,
-pow_enc_bulk, SubfieldView.eta_bulk), the only consumers of the tables
-besides the scalar operations, which make one scalar call per element
-without them.
+kind a context is (size_guard is the one rule): other modules do bulk
+work through the FieldCtx bulk primitives (exp_enc_bulk, log_enc_bulk,
+trace_enc_bulk, add_enc_bulk, pow_enc_bulk, SubfieldView.eta_bulk, and
+sum_enc_bulk, the one evaluator of monomial sums sum_i c_i x^(e_i)), the
+only consumers of the tables besides the scalar operations, which make
+one scalar call per element without them.
 """
 
 from __future__ import annotations
@@ -55,6 +56,14 @@ from .errors import (
 )
 
 TABLE_LIMIT = 1 << 20  # lookup tables are built only up to this many entries
+
+
+def size_guard(p: int, m: int) -> None:
+    """The table rule, GuardExceeded unless GF(p^m) gets lookup tables: its
+    largest table, the addition table of p^(2 ceil(m/2)) entries (q for
+    even m, p q for odd m), must have at most TABLE_LIMIT entries."""
+    if p ** (2 * -(-m // 2)) > TABLE_LIMIT:
+        raise GuardExceeded(f"GF({p}^{m}) is beyond the lookup tables of {TABLE_LIMIT} entries")
 
 
 # --------------------------------------------------------------------------
@@ -258,10 +267,6 @@ class Elem:
     def inverse(self):
         return Elem(self.ctx, self.ctx.inv_enc(self.enc))
 
-    def frobenius(self, i=1):
-        """self^(p^i)."""
-        return self ** (self.ctx.p ** i)
-
     def __eq__(self, other):
         if isinstance(other, Elem):
             return self.ctx is other.ctx and self.enc == other.enc
@@ -297,10 +302,11 @@ class FieldCtx:
         self.order = self.q - 1
         self.modulus = modulus
         self._pow = [self.p ** i for i in range(m + 1)]
-        self._order_factors = prime_factors(self.order) if self.order > 1 else []
-        # the largest table, the addition table, has p^(2 ceil(m/2)) entries:
-        # q for even m, p q for odd m
-        self.has_tables = use_tables and self.p ** (2 * -(-m // 2)) <= TABLE_LIMIT
+        try:
+            size_guard(self.p, m)
+            self.has_tables = use_tables
+        except GuardExceeded:
+            self.has_tables = False
         if self.has_tables:
             self._build_tables()
         xi_t = ((0, 1) + (0,) * (m - 2)) if m > 1 else ((-modulus[0]) % self.p,)
@@ -485,7 +491,7 @@ class FieldCtx:
             yield x
             x = x * self.xi
 
-    # --- logs, traces, frobenius ----------------------------------------------------
+    # --- logs and traces ------------------------------------------------------------
 
     def dlog(self, x: Elem) -> int:
         """e with xi^e = x, 0 <= e < p^m - 1."""
@@ -573,6 +579,30 @@ class FieldCtx:
             out = self.exp_enc[(self.log_enc[u] * (e % self.order)) % self.order]
             return np.where(u == 0, 0, out)
         return self._per_element(lambda a: self.pow_enc(a, e), u)
+
+    def sum_enc_bulk(self, terms, logs):
+        """The monomial sum sum_i c_i x^(e_i) at x = xi^logs (an int64 array
+        of dlogs): the one evaluator of monomial sums.
+
+        terms are (c, e) pairs, c the dlog of the coefficient (-1 for a zero
+        one) and e any integer exponent: c is an int, or an int64 array (n,)
+        that gives each of n rows its own coefficients, so that one call
+        evaluates n sums.  Returns the int64 value encodings, of shape
+        (len(logs),) or (n, len(logs))."""
+        shape = np.broadcast_shapes(*(np.shape(c) for c, _ in terms)) + np.shape(logs)
+        total = None
+        for c, e in terms:
+            c = np.asarray(c, dtype=np.int64)[..., None]
+            live = c >= 0
+            if not live.any():
+                continue
+            enc = self.exp_enc_bulk(c + (e % self.order) * logs)
+            if not live.all():
+                enc = np.where(live, enc, 0)
+            total = enc if total is None else self.add_enc_bulk(total, enc)
+        if total is None:
+            return np.zeros(shape, dtype=np.int64)
+        return total if total.shape == shape else np.broadcast_to(total, shape).copy()
 
     def __repr__(self):
         mod = ",".join(str(c) for c in self.modulus)

@@ -28,7 +28,9 @@ jacobsthal_record combines them; they are the references.  H_sums is
 H_sum at an array of a, one row of eta values per a.  The scan
 reads every a from scan_table instead: x^(p^k+1) is the norm of x, so
 each sum is a weighted sum over GF(p^k)* of one table of eta(t + a),
-and each curve count is one bulk pass over GF(p^k).
+and each curve count is one bulk pass over GF(p^k).  Every polynomial
+in those arrays (x^(n+1) + a x, t + a and the curve's cubic) is one
+FieldCtx.sum_enc_bulk call.
 
 All functions take a SubfieldView of even degree 2k, so they run both
 on the 2k-view of the big context and on a standalone GF(p^2k) context.
@@ -71,9 +73,7 @@ def H_sums(view: SubfieldView, n: int, a_encs):
     if (la % view.step).any():
         raise NotInSubfield("an a is not in the scan field")
     x_logs = view.step * np.arange(view.order, dtype=np.int64)
-    values = ctx.add_enc_bulk(ctx.exp_enc_bulk((n + 1) * x_logs),
-                              ctx.exp_enc_bulk(la[:, None] + x_logs))
-    return view.eta_bulk(values).sum(axis=1)
+    return view.eta_bulk(ctx.sum_enc_bulk(((0, n + 1), (la, 1)), x_logs)).sum(axis=1)
 
 
 def I_sum(view: SubfieldView, n: int, a: Elem) -> int:
@@ -226,10 +226,9 @@ def scan_table(view: SubfieldView):
     logs = np.arange(view.order, dtype=np.int64)
     logs = logs[logs % n != 0]
     la = view.step * logs
-    a = ctx.exp_enc_bulk(la)
     u = np.arange(pk - 1, dtype=np.int64)
-    t = ctx.exp_enc_bulk(kstep * u)
-    table = view.eta_bulk(ctx.add_enc_bulk(t[:, None], a))
+    # row u: t_u x^0 + x at x = a
+    table = view.eta_bulk(ctx.sum_enc_bulk(((kstep * u, 0), (0, 1)), la))
     H = n * ((1 - 2 * (u % 2)) @ table)
     I = n * table.sum(axis=0)
     I2 = n * table[2 * u % (pk - 1)].sum(axis=0)
@@ -237,10 +236,9 @@ def scan_table(view: SubfieldView):
     # the curve of each a (rows) at each z = t_u (columns): z^3 - A z^2 + C z
     # as a sum of terms c a^s z^e, with A and C expanded
     half, sixteenth = ctx.one / 2, ctx.one / 16
-    w = 0
-    for c, s, e in ((ctx.one, 0, 3), (-half, 1, 2), (-half, pk, 2), (sixteenth, 2, 1),
-                    (-2 * sixteenth, pk + 1, 1), (sixteenth, 2 * pk, 1)):
-        w = ctx.add_enc_bulk(w, ctx.exp_enc_bulk(ctx.dlog(c) + s * la[:, None] + e * kstep * u))
+    w = ctx.sum_enc_bulk(tuple((ctx.dlog(c) + s * la, e) for c, s, e in (
+        (ctx.one, 0, 3), (-half, 1, 2), (-half, pk, 2), (sixteenth, 2, 1),
+        (-2 * sixteenth, pk + 1, 1), (sixteenth, 2 * pk, 1))), kstep * u)
     curve_N = pk + ctx.subfield(view.degree // 2).eta_bulk(w).sum(axis=1)
     return logs, H, I, I2, curve_N
 

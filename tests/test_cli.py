@@ -169,15 +169,21 @@ def test_invalid_arguments_exit_code(capsys):
         ["verify-all", "--p", "3", "--k", "1", "--b", "g^1;g^1"],  # repeated b
         ["verify-all", "--p", "3", "--k", "1", "--samples", "0"],
         ["verify-all", "--p", "3", "--k", "1", "--samples", "-3"],
+        ["pt-sums", "--p", "3", "--k", "1", "--guard", "10"],  # --force is the only override
     ):
         assert run(argv) == 2, argv
         assert capsys.readouterr().out == "", argv
 
 
 def test_force_overrides_guard(capsys):
-    # small field, tiny guard: --force lets it through
-    assert run(["pt-sums", "--p", "3", "--k", "1", "--guard", "10"]) == 3
-    assert run(["pt-sums", "--p", "3", "--k", "1", "--guard", "10", "--force"]) == 0
+    # GF(37^4) is beyond the lookup tables: refused, unless --force runs it
+    # in pure-Python arithmetic
+    assert run(["pt-sums", "--p", "37", "--k", "1"]) == 3
+    assert capsys.readouterr().out == ""
+    assert run(["pt-sums", "--p", "37", "--k", "1", "--force"]) == 0
+    header, values = map(json.loads, _lines(capsys))
+    assert header["context"]["degree"] == 4
+    assert values == {"order": 38, "values": [36 if t == 19 else -1 for t in range(38)]}
 
 
 def _run_src(*args):

@@ -2,7 +2,8 @@ import pytest
 
 from charsum import cyclotomy as cy
 from charsum.cycint import CycInt
-from charsum.errors import IndexOutOfRange, ZeroArgument
+from charsum.errors import IndexOutOfRange, InvariantViolation, ZeroArgument
+from charsum.field_core import FieldCtx, context
 
 
 def view2k(ctx):
@@ -128,3 +129,29 @@ def test_slow_path_table(ctx31):
     slow = build_context(FieldParams(3, 1), 4, use_tables=False)
     table = cy.full_table(slow.subfield(2))
     assert table.table == cy.full_table(view2k(ctx31)).table
+    assert cy.pt_sums(slow.subfield(2)) == cy.pt_sums(view2k(ctx31))
+
+
+@pytest.mark.parametrize("pk", [(3, 1), (5, 1), (3, 2)])
+def test_pt_sums_match_scalar_recount(pk):
+    # the class sums against a recount of Tr(x) by SubfieldView.abs_trace
+    # at every x = nu^e of GF(p^2k)*, x in C_(e mod p^k+1)
+    view = view2k(context(*pk))
+    order, p = cy.class_count(view), view.ctx.p
+    counts = [[0] * p for _ in range(order)]
+    for e, x in enumerate(view.nonzero_elements()):
+        counts[e % order][view.abs_trace(x)] += 1
+    assert cy.pt_sums(view).values == tuple(CycInt.from_counts(p, c) for c in counts)
+
+
+def test_pt_sums_refuse_a_trace_outside_the_prime_field(ctx31, monkeypatch):
+    real = FieldCtx.sum_enc_bulk
+
+    def off(ctx, terms, logs):
+        values = real(ctx, terms, logs).copy()
+        values[0] += ctx.p
+        return values
+
+    monkeypatch.setattr(FieldCtx, "sum_enc_bulk", off)
+    with pytest.raises(InvariantViolation, match="left GF"):
+        cy.pt_sums(view2k(ctx31))

@@ -13,13 +13,14 @@ from charsum.errors import (
     CaseViolation,
     DivisibilityViolation,
     KernelMismatch,
+    NotInSubfield,
     OracleMismatch,
     ParityViolation,
     RangeViolation,
     WrongCase,
     ZeroB,
 )
-from charsum.field_core import FieldParams, build_context, context
+from charsum.field_core import FieldCtx, FieldParams, build_context, context
 
 
 def pair_of(ctx, a, b):
@@ -792,16 +793,27 @@ def test_N_count_bulk_parity_and_admissibility(ctx31, monkeypatch):
     with pytest.raises(BothCoefficientsZero):
         es.N_count_bulk(ctx31, [1, 0], [1, 0])
     # one zero of L on U too many at the second pair must raise there
-    real = es._linearized_values
+    real = FieldCtx.sum_enc_bulk
 
     def extra_zero(ctx, terms, logs):
         values = real(ctx, terms, logs).copy()
         values[1, np.flatnonzero(values[1])[0]] = 0
         return values
 
-    monkeypatch.setattr(es, "_linearized_values", extra_zero)
+    monkeypatch.setattr(FieldCtx, "sum_enc_bulk", extra_zero)
     with pytest.raises(ParityViolation, match="zeros of L on U at a=g\\^3, b=g\\^5"):
         es.N_count_bulk(ctx31, [1, ctx31.from_exp(3).enc], [1, ctx31.from_exp(5).enc])
+
+
+def test_g_logs_refuses_other_cases_with_a_typed_error(ctx31, monkeypatch):
+    # with the case split bypassed, the dlog solve for g must still refuse a
+    # NORM_DIFFER pair with its own check: NotInSubfield, not a NameError
+    b = ctx31.xi
+    tags = es.case_tags(ctx31, b)[1:]
+    a = es.sweep_order(ctx31)[1:][tags == es.CASE_TAGS.index(es.CaseTag.NORM_DIFFER)][0]
+    monkeypatch.setattr(es, "_require_jacobsthal_bulk", lambda ctx, b, la: None)
+    with pytest.raises(NotInSubfield):
+        es.N_via_nonsquares_bulk(ctx31, b, [a])
 
 
 def test_sweep_rejects_zero_b(ctx31):

@@ -1,7 +1,9 @@
 import ast
+import builtins
 import functools
 import random
 import re
+import symtable
 from pathlib import Path
 
 import numpy as np
@@ -287,6 +289,28 @@ def test_bulk_primitives_match_slow_context_property(pkm, data):
         got, want = getattr(fast, name)(*args), getattr(slow, name)(*args)
         assert got.shape == want.shape == shape and got.dtype == want.dtype == np.int64, name
         assert got.tolist() == want.tolist(), name
+    # the evaluator, with one coefficient row per sum (a zero coefficient
+    # among them) and negative and zero exponents, against the per-element
+    # fallback and against scalar arithmetic
+    coefficient = st.integers(-1, fast.order - 1)
+    row = np.array([-1] + data.draw(st.lists(coefficient, min_size=2, max_size=2), label="row"))
+    terms = ((row, data.draw(st.integers(-2 * fast.order, 2 * fast.order), label="e")),
+             (data.draw(coefficient, label="c0"), 0),
+             (data.draw(coefficient, label="c1"), -data.draw(st.integers(1, fast.order), label="-e")))
+    got, want = fast.sum_enc_bulk(terms, logs.ravel()), slow.sum_enc_bulk(terms, logs.ravel())
+    assert got.shape == want.shape == (3, size) and got.dtype == want.dtype == np.int64
+    assert got.tolist() == want.tolist()
+
+    def scalar(r, log):
+        # row r at x = xi^log: sum of c x^e, each factor by scalar arithmetic
+        x, total = fast.pow_enc(fast.xi.enc, log), 0
+        for c, e in terms:
+            c = int(np.broadcast_to(c, 3)[r])
+            if c >= 0:
+                term = fast.mul_enc(fast.pow_enc(fast.xi.enc, c), fast.pow_enc(x, e))
+                total = fast.add_enc(total, term)
+        return total
+    assert got.tolist() == [[scalar(r, int(log)) for log in logs.ravel()] for r in range(3)]
     x, y = int(u.flat[0]), int(v.flat[0])
     for name in ("add_enc", "sub_enc"):
         assert getattr(fast, name)(x, y) == getattr(slow, name)(x, y), name
@@ -334,6 +358,26 @@ def test_no_assert_statements():
     asserts = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
                for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
     assert asserts == []
+
+
+def test_every_global_a_function_reads_is_bound():
+    # a global name that a function reads but no module-level statement
+    # binds is a NameError waiting on the branch that reads it
+    package = Path(charsum.__file__).resolve().parent
+    unbound = []
+    for path in sorted(package.glob("*.py")):
+        top = symtable.symtable(path.read_text(), str(path), "exec")
+        bound = {sym.get_name() for sym in top.get_symbols()
+                 if sym.is_assigned() or sym.is_imported()} | set(dir(builtins))
+        tables = list(top.get_children())
+        while tables:
+            table = tables.pop()
+            tables.extend(table.get_children())
+            unbound += [f"{path.stem}.{table.get_name()}: {sym.get_name()}"
+                        for sym in table.get_symbols()
+                        if sym.is_global() and sym.is_referenced()
+                        and sym.get_name() not in bound]
+    assert unbound == []
 
 
 # --------------------------------------------------------------------------
