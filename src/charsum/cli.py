@@ -134,7 +134,7 @@ def _cmd_expsum_sweep(args) -> int:
 def _cmd_walsh_spectrum(args) -> int:
     ctx = context(args.p, args.k)
     pair = expsum.CoeffPair(ctx.parse_element(args.a), ctx.parse_element(args.b))
-    spectrum = walsh.full_spectrum(walsh.FunctionSpec(ctx, pair))
+    spectrum = walsh.full_spectrum(ctx, pair)
     _emit(_header("walsh-spectrum", args, ctx))
     labels = ["0"] + [f"g^{e}" for e in range(ctx.order)]
     for label, row in zip(labels, map(tuple, spectrum.counts)):

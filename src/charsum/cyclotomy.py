@@ -19,7 +19,8 @@ of the big GF(p^4k) context or the full view of a standalone GF(p^2k)
 context); values do not depend on that choice, class indices do, so
 reports record the generator nu in use.  full_table and pt_sums evaluate
 x + 1 and Tr(x) at every x = nu^e with one FieldCtx.sum_enc_bulk call
-each; cyclotomic_number is the scalar reference.
+each; the scalar references (class_index, cyclotomic_number) are in
+charsum.reference, which no command imports.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycint import CycInt
-from .errors import ClassSumViolation, IndexOutOfRange, InvariantViolation, ZeroArgument
-from .field_core import Elem, SubfieldView
+from .errors import ClassSumViolation, InvariantViolation
+from .field_core import SubfieldView
 
 
 def _pk(view: SubfieldView) -> int:
@@ -42,31 +43,6 @@ def _pk(view: SubfieldView) -> int:
 def class_count(view: SubfieldView) -> int:
     """Number of classes, p^k + 1."""
     return _pk(view) + 1
-
-
-def class_index(view: SubfieldView, x: Elem) -> int:
-    """t with x in C_t, i.e. log_nu(x) mod (p^k + 1)."""
-    if x.is_zero:
-        raise ZeroArgument("zero belongs to no cyclotomic class")
-    return view.discrete_log(x) % class_count(view)
-
-
-def cyclotomic_number(view: SubfieldView, i: int, j: int) -> int:
-    """Brute-force (i, j): walk C_i and classify x + 1."""
-    order = class_count(view)
-    if not (0 <= i <= order - 1 and 0 <= j <= order - 1):
-        raise IndexOutOfRange(f"indices must lie in 0..{order - 1}")
-    one = view.ctx.one
-    base = view.generator ** i
-    step = view.generator ** order
-    count = 0
-    x = base
-    for _ in range(_pk(view) - 1):
-        y = x + one
-        if not y.is_zero and class_index(view, y) == j:
-            count += 1
-        x = x * step
-    return count
 
 
 def closed_form(pk: int, i: int, j: int) -> int:

@@ -19,8 +19,7 @@ In the first two cases N(a,b) <= 2, so S_f(0) is one of -p^2k, p^2k,
 F when the norms differ).  L and F are p^k-linearized, so their zeros
 are the kernels of m x m matrices over GF(p): prop1_kernel_check builds
 them from dlogs and traces for a batch of pairs (form_matrices) and
-compares the kernels by one batched row reduction mod p (rref_mod_p);
-the zero sets over the whole field stay as its per-pair reference.
+compares the kernels by one batched row reduction mod p (rref_mod_p).
 
 In the JACOBSTHAL case N(a,b) is computed three independent ways: the
 direct zero count, a nonsquare count over GF(p^k) through an auxiliary
@@ -34,10 +33,10 @@ with per-pair coefficient dlogs, with the parity check per pair.
 N_via_nonsquares_bulk and N_via_jacobsthal_bulk solve for g in dlogs
 and evaluate their sums as (pairs, p^k) and (pairs, p^2k - 1) arrays of
 eta.  corollary1_bulk and corollary_properties make one direct count
-over all the pairs they compare.  The one-pair functions (N_count,
-N_via_nonsquares, N_via_jacobsthal, corollary1_check) are thin calls of
-the batches; find_g and corollary_suite stay pair by pair, as
-references.
+over all the pairs they compare.  The per-pair references (the zero
+sets over the whole field, find_g) are in charsum.reference, which no
+command imports; corollary_suite, the pair-by-pair reference of
+corollary_properties, and L_eval stay here, as perfbench names them.
 
 The defining sum for every a at once comes from one exact transform,
 character_counts: Tr(a z) = sum_i a_i Tr(e_i z) over the base-p digits
@@ -114,12 +113,8 @@ class CaseDetail:
     b_square: bool      # b != 0 and b^((p^n-1)/2) == 1
 
 
-def classify(ctx: FieldCtx, pair: CoeffPair) -> CaseTag:
-    """Which of the three cases (a, b) falls in.  Exact exponentiation only."""
-    return case_detail(ctx, pair).tag
-
-
 def case_detail(ctx: FieldCtx, pair: CoeffPair) -> CaseDetail:
+    """The case of (a, b) and the conditions behind it, by exact powers."""
     pair.require_admissible()
     p, k, d = ctx.p, ctx.params.k, ctx.params.d
     a, b = pair.a, pair.b
@@ -265,13 +260,6 @@ def character_counts(ctx: FieldCtx, z_terms, v_terms):
     return counts.reshape(q, p)
 
 
-def _zero_set(ctx: FieldCtx, terms) -> list:
-    """Zeros of the sum in GF(p^n): 0 first, then the rest by dlog."""
-    logs = np.arange(ctx.order, dtype=np.int64)
-    zero_logs = logs[ctx.sum_enc_bulk(_coefficient_logs(ctx, terms), logs) == 0]
-    return [ctx.zero] + [ctx.from_enc(int(e)) for e in ctx.exp_enc_bulk(zero_logs)]
-
-
 # --------------------------------------------------------------------------
 # the subgroup U and the linearized polynomial
 # --------------------------------------------------------------------------
@@ -407,14 +395,8 @@ def _witnesses(ctx: FieldCtx, incidence, a_encs):
 
 
 # --------------------------------------------------------------------------
-# S_f(0): closed form and brute force
+# S_f(0) by brute force
 # --------------------------------------------------------------------------
-
-def S0_closed(ctx: FieldCtx, pair: CoeffPair) -> int:
-    """p^2k (2 N(a,b) - 1)."""
-    n, _ = N_count(ctx, pair)
-    return ctx.p ** (2 * ctx.params.k) * (2 * n - 1)
-
 
 def S0_bruteforce(ctx: FieldCtx, pair: CoeffPair) -> CycInt:
     """The defining sum over all of GF(p^n), exact in Z[w]."""
@@ -425,35 +407,6 @@ def S0_bruteforce(ctx: FieldCtx, pair: CoeffPair) -> CycInt:
 # --------------------------------------------------------------------------
 # the companion polynomial F (norms-differ case)
 # --------------------------------------------------------------------------
-
-def _F_terms(ctx: FieldCtx, pair: CoeffPair):
-    p, k = ctx.p, ctx.params.k
-    a, b = pair.a, pair.b
-    pk = p ** k
-    A = a ** (pk * (pk + 1)) - b ** (pk + 1)
-    B = a ** (p ** (2 * k)) * b ** (p ** (3 * k)) - a * b ** pk
-    return A, B
-
-
-def prop1_F_zeros(ctx: FieldCtx, pair: CoeffPair) -> list:
-    """Zero set in GF(p^n) of
-    F(X) = A X^(p^2k) + B X^(p^k) + A^(p^k) X,  A = a^(p^k(p^k+1)) - b^(p^k+1),
-    B = a^(p^2k) b^(p^3k) - a b^(p^k); requires A != 0.
-
-    Checked elsewhere to coincide with the zero set of L."""
-    pair.require_admissible()
-    A, B = _F_terms(ctx, pair)
-    if A.is_zero:
-        raise WrongCase("F degenerates when the norms agree")
-    p, k = ctx.p, ctx.params.k
-    return _zero_set(ctx, ((A ** (p ** k), 1), (B, p ** k), (A, p ** (2 * k))))
-
-
-def L_zeros_field(ctx: FieldCtx, pair: CoeffPair) -> list:
-    """Zero set of L in all of GF(p^n), same ordering as prop1_F_zeros."""
-    pair.require_admissible()
-    return _zero_set(ctx, _L_terms(ctx, pair))
-
 
 def _F_monomials(ctx: FieldCtx):
     # F as (sign, s, r, e) terms like _L_monomials: A and B expanded, and
@@ -611,35 +564,15 @@ def prop1_kernel_check(ctx: FieldCtx, a_encs, b_encs) -> int:
 # --------------------------------------------------------------------------
 
 def _require_jacobsthal(ctx: FieldCtx, pair: CoeffPair):
-    if classify(ctx, pair) is not CaseTag.JACOBSTHAL:
+    if case_detail(ctx, pair).tag is not CaseTag.JACOBSTHAL:
         raise WrongCase("operation defined only in the JACOBSTHAL case")
 
 
-def find_g(ctx: FieldCtx, pair: CoeffPair) -> Elem:
-    """Canonical g in GF(p^2k)* with g^(p^k-1) = -b^(p^3k)/a.
-
-    Solves t (p^k-1) = log_nu(target) mod (p^2k-1); returns nu^t with the
-    smallest nonnegative t.  Solvable whenever the case conditions hold."""
-    _require_jacobsthal(ctx, pair)
-    p, k = ctx.p, ctx.params.k
-    pk = p ** k
-    view = ctx.subfield(2 * k)
-    target = -(pair.b ** (p ** (3 * k))) / pair.a
-    e = view.discrete_log(target)  # raises NotInSubfield if out of case
-    if e % (pk - 1):
-        raise NoSolution("target is not a (p^k-1)-th power")
-    t = (e // (pk - 1)) % (pk + 1)
-    g = view.generator ** t
-    if g ** (pk - 1) != target:
-        raise CaseViolation(f"g^(p^k-1) != -b^(p^3k)/a at a={ctx.format_element(pair.a)}, "
-                            f"b={ctx.format_element(pair.b)}")
-    return g
-
-
 def _g_logs(ctx: FieldCtx, b: Elem, a_encs):
-    """The dlogs of find_g's g at every pair (a, b), a in a_encs, with the
-    same checks: t (p^k - 1) = log_nu(-b^(p^3k)/a) modulo p^2k - 1, solved
-    in dlog arithmetic, with the smallest nonnegative t."""
+    """The dlogs of the canonical g in GF(p^2k)* with g^(p^k-1) =
+    -b^(p^3k)/a at every pair (a, b), a in a_encs: t (p^k - 1) =
+    log_nu(-b^(p^3k)/a) modulo p^2k - 1, solved in dlog arithmetic, with
+    the smallest nonnegative t, and g = nu^t."""
     k, order = ctx.params.k, ctx.order
     pk, step = ctx.p ** k, ctx.subfield(2 * k).step
     a_encs = np.asarray(a_encs, dtype=np.int64)
@@ -676,15 +609,10 @@ def _nonsquare_counts(ctx: FieldCtx, b: Elem, a_encs, g_logs):
     return (eta == -1).sum(axis=1)
 
 
-def N_via_nonsquares(ctx: FieldCtx, pair: CoeffPair) -> int:
-    """#{c in GF(p^k) : (cg)^2 - b^(p^2k+1) is a nonsquare in GF(p^2k)}."""
-    g = find_g(ctx, pair)  # WrongCase outside the JACOBSTHAL case
-    return int(_nonsquare_counts(ctx, pair.b, [pair.a.enc], [ctx.dlog(g)])[0])
-
-
 def N_via_nonsquares_bulk(ctx: FieldCtx, b: Elem, a_encs):
-    """N_via_nonsquares at every pair (a, b), a in a_encs, at once: one
-    array pass per block of pairs.  Returns int64."""
+    """#{c in GF(p^k) : (cg)^2 - b^(p^2k+1) is a nonsquare in GF(p^2k)} at
+    every pair (a, b), a in a_encs, at once: one array pass per block of
+    pairs.  Returns int64."""
     return _in_blocks(lambda a: _nonsquare_counts(ctx, b, a, _g_logs(ctx, b, a)),
                       ctx.p ** ctx.params.k, np.asarray(a_encs, dtype=np.int64))
 
@@ -713,19 +641,11 @@ def _N_from_H(ctx: FieldCtx, b: Elem, a_encs, H):
     return num // 2
 
 
-def N_via_jacobsthal(ctx: FieldCtx, pair: CoeffPair) -> int:
-    """N from 2N = p^k - H_{p^k+1}(-b^(p^2k+1)/g^2)/(p^k+1) + 1."""
-    g = find_g(ctx, pair)  # WrongCase outside the JACOBSTHAL case
-    pk = ctx.p ** ctx.params.k
-    arg = ctx.from_enc(int(_jacobsthal_args(ctx, pair.b, [ctx.dlog(g)])[0]))
-    H = jacobsthal.H_sum(ctx.subfield(2 * ctx.params.k), pk + 1, arg)
-    return int(_N_from_H(ctx, pair.b, [pair.a.enc], np.array([H]))[0])
-
-
 def N_via_jacobsthal_bulk(ctx: FieldCtx, b: Elem, a_encs):
-    """N_via_jacobsthal at every pair (a, b), a in a_encs, at once: each
-    block of pairs takes one jacobsthal.H_sums call, an array
-    of eta over GF(p^2k)* per pair.  Returns int64."""
+    """N from 2N = p^k - H_{p^k+1}(-b^(p^2k+1)/g^2)/(p^k+1) + 1 at every
+    pair (a, b), a in a_encs, at once: each block of pairs takes one
+    jacobsthal.H_sums call, an array of eta over GF(p^2k)* per pair.
+    Returns int64."""
     view, pk = ctx.subfield(2 * ctx.params.k), ctx.p ** ctx.params.k
 
     def block(a):
@@ -738,17 +658,10 @@ def N_via_jacobsthal_bulk(ctx: FieldCtx, b: Elem, a_encs):
 # scaling invariance and the Jacobsthal-case corollaries
 # --------------------------------------------------------------------------
 
-def corollary1_check(ctx: FieldCtx, pair: CoeffPair, h: Elem) -> bool:
-    """N(a, b) == N(a h^d, b h^2) for h != 0."""
-    if h.is_zero:
-        raise ZeroB("scaling element h must be nonzero")
-    return bool(corollary1_bulk(ctx, [pair.a.enc], [pair.b.enc], [ctx.dlog(h)])[0])
-
-
 def corollary1_bulk(ctx: FieldCtx, a_encs, b_encs, h_logs):
-    """corollary1_check at every triple (a_encs[i], b_encs[i], xi^h_logs[i])
-    at once, from one N_count_bulk call over the pairs and their scalings
-    (a h^d, b h^2): a bool array."""
+    """N(a, b) == N(a h^d, b h^2) at every triple (a_encs[i], b_encs[i],
+    h = xi^h_logs[i]) at once, from one N_count_bulk call over the pairs
+    and their scalings: a bool array."""
     a, b, h = (np.asarray(x, dtype=np.int64) for x in (a_encs, b_encs, h_logs))
 
     def scaled(encs, e):
@@ -766,7 +679,7 @@ def jacobsthal_pairs(ctx: FieldCtx, b: Elem):
     out = []
     for a in ctx.powers():
         pair = CoeffPair(a, b)
-        if classify(ctx, pair) is CaseTag.JACOBSTHAL:
+        if case_detail(ctx, pair).tag is CaseTag.JACOBSTHAL:
             out.append(a)
     return out
 
@@ -825,7 +738,7 @@ def corollary_suite(ctx: FieldCtx, pair: CoeffPair) -> dict:
     out = _properties(pk, case_detail(ctx, pair).b_square, *N)
     specials = [CoeffPair(s, b) for s in _special_a(ctx, b)]
     for special in specials:
-        if classify(ctx, special) is not CaseTag.JACOBSTHAL:
+        if case_detail(ctx, special).tag is not CaseTag.JACOBSTHAL:
             raise _special_pair_violation(ctx, special.a, b)
     out["vi"] = all(N_count(ctx, s)[0] == (pk + 1) // 2 for s in specials) if specials else None
     total, expected = corollary_eq9_check(ctx, distribution_sweep(ctx, b))
@@ -889,7 +802,7 @@ def expsum_record(ctx: FieldCtx, pair: CoeffPair) -> ExpSumRecord:
     """Classify, count zeros, and confirm the closed form against the
     brute-force sum (OracleMismatch on any defect)."""
     defining = S0_bruteforce(ctx, pair)
-    tag = classify(ctx, pair)
+    tag = case_detail(ctx, pair).tag
     n, witnesses = N_count(ctx, pair)
     s0 = ctx.p ** (2 * ctx.params.k) * (2 * n - 1)
     if defining != s0:

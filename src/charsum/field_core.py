@@ -463,13 +463,17 @@ class FieldCtx:
         return Elem(self, int(enc))
 
     def parse_element(self, text: str) -> Elem:
-        """Accepts "g^e" (a power of xi) or "c0,c1,...,c_{m-1}" digits."""
+        """Accepts "g^e" (a power of xi) or "c0,c1,...,c_{m-1}" base-p
+        digits, each in 0..p-1 (ValueError otherwise)."""
         text = text.strip()
         if text.startswith("g^"):
             return self.from_exp(int(text[2:]))
         if text == "g":
             return self.xi
-        return self.elem([int(v) for v in text.split(",")])
+        digits = [int(v) for v in text.split(",")]
+        if not all(0 <= v < self.p for v in digits):
+            raise ValueError(f"digits of {text!r} must lie in 0..{self.p - 1}")
+        return self.elem(digits)
 
     def format_element(self, x: Elem) -> str:
         """Render as "g^e", or "0" for the zero element."""

@@ -23,14 +23,14 @@ GF(p^k), A = a0, C = mu a1^2.  The Hasse bound on N yields
 which theorem2_scan checks exhaustively (in exact integer arithmetic,
 comparing H^2 against 4 p^k (p^k+1)^2).
 
-H_sum, I_sum and curve_point_count evaluate one a by definition, and
-jacobsthal_record combines them; they are the references.  H_sums is
-H_sum at an array of a, one row of eta values per a.  The scan
-reads every a from scan_table instead: x^(p^k+1) is the norm of x, so
-each sum is a weighted sum over GF(p^k)* of one table of eta(t + a),
-and each curve count is one bulk pass over GF(p^k).  Every polynomial
-in those arrays (x^(n+1) + a x, t + a and the curve's cubic) is one
-FieldCtx.sum_enc_bulk call.
+H_sums evaluates H by definition at an array of a, one row of eta
+values per a.  The scan reads every a from scan_table instead:
+x^(p^k+1) is the norm of x, so each sum is a weighted sum over GF(p^k)*
+of one table of eta(t + a), and each curve count is one bulk pass over
+GF(p^k).  Every polynomial in those arrays (x^(n+1) + a x, t + a and the
+curve's cubic) is one FieldCtx.sum_enc_bulk call.  The per-a references
+(I_sum, the half-basis decomposition, curve_point_count and
+jacobsthal_record) are in charsum.reference, which no command imports.
 
 All functions take a SubfieldView of even degree 2k, so they run both
 on the 2k-view of the big context and on a standalone GF(p^2k) context.
@@ -43,21 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundViolation, InvariantViolation, NotInSubfield, ZeroArgument, ZeroC
+from .errors import BoundViolation, NotInSubfield, ZeroArgument
 from .field_core import Elem, SubfieldView
-
-
-def _check_arg(view: SubfieldView, a: Elem) -> None:
-    if a.is_zero:
-        raise ZeroArgument("a must be nonzero")
-    if not view.contains(a):
-        raise NotInSubfield(f"{a!r} is not in the scan field")
-
-
-def H_sum(view: SubfieldView, n: int, a: Elem) -> int:
-    """Jacobsthal sum of order n at a (exact integer)."""
-    _check_arg(view, a)
-    return int(H_sums(view, n, [a.enc])[0])
 
 
 def H_sums(view: SubfieldView, n: int, a_encs):
@@ -76,68 +63,9 @@ def H_sums(view: SubfieldView, n: int, a_encs):
     return view.eta_bulk(ctx.sum_enc_bulk(((0, n + 1), (la, 1)), x_logs)).sum(axis=1)
 
 
-def I_sum(view: SubfieldView, n: int, a: Elem) -> int:
-    """Companion sum of order n at a (exact integer)."""
-    _check_arg(view, a)
-    total = 0
-    for x in view.nonzero_elements():
-        total += view.eta(x ** n + a)
-    return total
-
-
 def eq1_value(pk: int, eta_a: int) -> int:
     """Closed form of I_{p^k+1}(a) for a outside GF(p^k)."""
     return -(pk + 1) * (eta_a + 1)
-
-
-# --------------------------------------------------------------------------
-# half-basis decomposition and the curve reduction
-# --------------------------------------------------------------------------
-
-def mu_sqrt(view: SubfieldView) -> Elem:
-    """A fixed square root of mu, the induced generator of GF(p^k)*.
-
-    mu = xi^e with e = (q_ambient - 1)/(p^k - 1); e is always even here,
-    so mu^(1/2) = xi^(e/2).  It lies in GF(p^2k) but not in GF(p^k)."""
-    kview = view.ctx.subfield(view.degree // 2)
-    if kview.step % 2:
-        raise InvariantViolation(f"the dlog {kview.step} of mu is odd")
-    return view.ctx.from_exp(kview.step // 2)
-
-
-def decompose_half_basis(view: SubfieldView, a: Elem) -> tuple:
-    """Write a = a0 + 2 mu^(1/2) a1 with a0, a1 in GF(p^k).
-
-    The conjugate over GF(p^k) flips the sign of mu^(1/2), so
-    a0 = (a + a^(p^k))/2 and a1 = (a - a^(p^k))/(4 mu^(1/2))."""
-    if not view.contains(a):
-        raise NotInSubfield(f"{a!r} is not in the decomposition field")
-    ctx = view.ctx
-    pk = ctx.p ** (view.degree // 2)
-    conj = a ** pk
-    inv2 = ctx.one * pow(2, -1, ctx.p)
-    root = mu_sqrt(view)
-    a0 = (a + conj) * inv2
-    a1 = (a - conj) * inv2 * inv2 / root
-    return a0, a1
-
-
-def recompose(view: SubfieldView, a0: Elem, a1: Elem) -> Elem:
-    return a0 + 2 * mu_sqrt(view) * a1
-
-
-def curve_point_count(kview: SubfieldView, A: Elem, C: Elem) -> int:
-    """Affine points of f^2 = z^3 - A z^2 + C z over GF(p^k).
-
-    Counted as sum_z (1 + zeta(z^3 - A z^2 + C z)) with zeta(0) = 0, so
-    a z with vanishing cubic contributes exactly the one point (z, 0)."""
-    if C.is_zero:
-        raise ZeroC("curve reduction needs C != 0")
-    count = 0
-    for z in kview.elements():
-        w = z * z * z - A * z * z + C * z
-        count += 1 + kview.eta(w)
-    return count
 
 
 # --------------------------------------------------------------------------
@@ -163,26 +91,6 @@ class JacobsthalRecord:
             "curve_N": self.curve_N,
             "bound_ratio": self.bound_ratio,
         }
-
-
-def jacobsthal_record(view: SubfieldView, a: Elem) -> JacobsthalRecord:
-    """H, I, I_{2n} and (off GF(p^k)) the curve count, at order n = p^k+1."""
-    _check_arg(view, a)
-    pk = view.ctx.p ** (view.degree // 2)
-    n = pk + 1
-    H = H_sum(view, n, a)
-    I = I_sum(view, n, a)
-    I2 = I_sum(view, 2 * n, a)
-    kview = view.ctx.subfield(view.degree // 2)
-    curve_N = None
-    ratio = None
-    if not kview.contains(a):
-        a0, a1 = decompose_half_basis(view, a)
-        mu = kview.generator
-        curve_N = curve_point_count(kview, a0, mu * a1 * a1)
-        ratio = abs(H) / (2 * math.sqrt(pk) * n)
-    return JacobsthalRecord(a=a, order_n=n, H=H, I=I, I2=I2,
-                            curve_N=curve_N, bound_ratio=ratio)
 
 
 @dataclass(frozen=True)
@@ -213,7 +121,7 @@ def scan_table(view: SubfieldView):
 
     so one (p^k - 1) x (p^2k - p^k) table of eta gives all three.  The
     curve of a has A = a0 = (a + a^(p^k))/2 and C = mu a1^2 =
-    (a - a^(p^k))^2 / 16 (see decompose_half_basis), and its affine count
+    (a - a^(p^k))^2 / 16 (see reference.decompose_half_basis), and its affine count
     is p^k + sum_z zeta(z^3 - A z^2 + C z) over z = t_u in GF(p^k)*, with
     zeta the quadratic character of GF(p^k).
 

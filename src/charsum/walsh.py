@@ -9,10 +9,9 @@ computed exactly as a cyclotomic integer.  full_spectrum reads every
 coefficient from one expsum.character_counts transform, with
 S_f(y) = sum_x w^(f(x) + Tr(y (-x))), and keeps that (q, p) count array.
 Rows sum to p^n, so equal coefficients have equal rows and one CycInt per
-distinct row suffices; walsh_coeff recounts a single coefficient from its
-definition.  f is bent when every coefficient satisfies |S_f(y)|^2 = p^n,
-and weakly regular with unit -1 when additionally every coefficient lies
-in {-p^(n/2) w^j}.
+distinct row suffices.  f is bent when every coefficient satisfies
+|S_f(y)|^2 = p^n, and weakly regular with unit -1 when additionally every
+coefficient lies in {-p^(n/2) w^j}.
 
 For the pair (1, 1) the spectrum has a closed form: S_f(y) equals
 -p^2k w^(Tr_k(x0)/4), where x0 is the unique root in GF(p^k) of
@@ -26,10 +25,12 @@ theorem1_root_scan checks all of this for every y at once: it steps X
 through GF(p^k) and evaluates the polynomial at all q values of y per
 step with the bulk field operations (FieldCtx.add_enc_bulk and
 pow_enc_bulk), so its temporaries are O(q) encodings, and compares count
-rows.  theorem1_verify is the per-point reference, a scalar scan at one y.
-theorem1_spectrum_check adds the value-multiset against the closed-form
-counts: -p^2k w^i occurs p^(2k-1)(p^2k+1) times for i != 0, and -p^2k
-occurs (p^(2k-1)-1)(p^2k+1) + 1 times.
+rows.  theorem1_spectrum_check adds the value-multiset against the
+closed-form counts: -p^2k w^i occurs p^(2k-1)(p^2k+1) times for i != 0,
+and -p^2k occurs (p^(2k-1)-1)(p^2k+1) + 1 times.
+
+The per-point references (f_value, walsh_coeff and theorem1_verify) are
+in charsum.reference, which no command imports.
 """
 
 from __future__ import annotations
@@ -41,40 +42,20 @@ import numpy as np
 
 from .cycint import CycInt
 from .errors import ParsevalViolation, RootCountViolation
-from .expsum import CoeffPair, character_counts, f_values, sweep_order, trace_values
+from .expsum import CoeffPair, character_counts, sweep_order
 from .field_core import Elem, FieldCtx
 
 
 @dataclass(frozen=True)
-class FunctionSpec:
-    """f(x) = Tr(a x^d + b x^2) as an evaluable object."""
-
-    ctx: FieldCtx
-    pair: CoeffPair
-
-    def value(self, x: Elem) -> int:
-        ctx = self.ctx
-        return ctx.abs_trace(self.pair.a * x ** ctx.params.d
-                             + self.pair.b * x * x)
-
-
-def walsh_coeff(spec: FunctionSpec, y: Elem) -> CycInt:
-    """S_f(y), exact in Z[w], from its definition at this one point."""
-    ctx = spec.ctx
-    fvals = f_values(ctx, spec.pair)
-    shifted = fvals if y.is_zero else (fvals - trace_values(ctx, ((y, 1),))) % ctx.p
-    return CycInt.from_counts(ctx.p, np.bincount(shifted, minlength=ctx.p))
-
-
-@dataclass(frozen=True)
 class Spectrum:
-    """All p^n Walsh coefficients of one function, as value counts:
-    counts[i, j] = #{x : f(x) - Tr(y x) = j} for y = 0 at i = 0 and
-    y = xi^(i-1) after.  values maps each distinct row (a tuple) to
+    """All p^n Walsh coefficients of f(x) = Tr(a x^d + b x^2), (a, b) =
+    pair, as value counts: counts[i, j] = #{x : f(x) - Tr(y x) = j} for
+    y = 0 at i = 0 and y = xi^(i-1) after.  values maps each distinct row (a tuple) to
     (S_f(y), |S_f(y)|^2); summary counts the coefficients by their
     canonical rendering, in order of first occurrence."""
 
-    spec: FunctionSpec
+    ctx: FieldCtx
+    pair: CoeffPair
     counts: np.ndarray
     values: dict
     summary: dict
@@ -83,15 +64,14 @@ class Spectrum:
     weakly_regular_neg: bool  # every S is in {-p^(n/2) w^j : j = 0..p-1}
 
     def coefficient(self, y: Elem) -> CycInt:
-        row = self.counts[0 if y.is_zero else 1 + self.spec.ctx.dlog(y)]
+        row = self.counts[0 if y.is_zero else 1 + self.ctx.dlog(y)]
         return self.values[tuple(row)][0]
 
 
-def full_spectrum(spec: FunctionSpec) -> Spectrum:
+def full_spectrum(ctx: FieldCtx, pair: CoeffPair) -> Spectrum:
     """Every coefficient, the value-multiset summary, exact Parseval
     (ParsevalViolation on a defect), bentness and weak regularity."""
-    ctx = spec.ctx
-    p, q, pair = ctx.p, ctx.q, spec.pair
+    p, q = ctx.p, ctx.q
     counts = character_counts(ctx, ((-ctx.one, 1),),
                               ((pair.a, ctx.params.d), (pair.b, 2)))[sweep_order(ctx)]
     multiplicity = Counter(map(tuple, counts))
@@ -104,7 +84,7 @@ def full_spectrum(spec: FunctionSpec) -> Spectrum:
     root = p ** (2 * ctx.params.k)  # p^(n/2), n = 4k
     allowed = {(-root) * CycInt.omega_power(p, j) for j in range(p)}
     return Spectrum(
-        spec=spec, counts=counts, values=values,
+        ctx=ctx, pair=pair, counts=counts, values=values,
         summary={str(c): multiplicity[row] for row, (c, _) in values.items()},
         parseval=total,
         bent=all(n == q for _, n in values.values()),
@@ -114,52 +94,6 @@ def full_spectrum(spec: FunctionSpec) -> Spectrum:
 # --------------------------------------------------------------------------
 # the closed-form spectrum of the pair (1, 1)
 # --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RootReport:
-    y: Elem
-    x0: Elem
-    coeff: CycInt
-    formula_ok: bool
-    special_ok: bool | None   # the y^2-in-GF(p^2k) shortcut, when it applies
-
-
-def theorem1_verify(ctx: FieldCtx, y: Elem, actual: CycInt | None = None) -> RootReport:
-    """Root-scan verification of the closed form at one point y, the
-    per-point reference of theorem1_root_scan.
-
-    Scans GF(p^k) for roots of the quartic-trace polynomial, demands
-    exactly one (RootCountViolation otherwise), and compares
-    -p^2k w^(Tr_k(x0) 4^(-1)) against the brute-force coefficient of the
-    pair (1, 1) at y: actual if given, else computed here."""
-    p, k = ctx.p, ctx.params.k
-    p2k1 = p ** (2 * k) + 1
-    kview = ctx.subfield(k)
-    y2 = y * y
-    ypow = y ** p2k1
-    ypow_k = y ** (p ** k * p2k1)
-    roots = []
-    for x in kview.elements():
-        s = y2 + x
-        val = (ypow + s ** (p2k1 // 2)
-               + ypow_k + s ** (p ** k * p2k1 // 2))
-        if val.is_zero:
-            roots.append(x)
-    if len(roots) != 1:
-        raise RootCountViolation(
-            f"{len(roots)} roots at y={ctx.format_element(y)}; expected 1")
-    x0 = roots[0]
-    inv4 = pow(4, -1, p)
-    predicted = (-(p ** (2 * k))) * CycInt.omega_power(p, kview.abs_trace(x0) * inv4)
-    if actual is None:
-        actual = walsh_coeff(FunctionSpec(ctx, CoeffPair(ctx.one, ctx.one)), y)
-    special = None
-    view2k = ctx.subfield(2 * k)
-    if view2k.contains(y2):
-        special = x0 == -ctx.rel_trace(y2, k, 2 * k)
-    return RootReport(y=y, x0=x0, coeff=actual,
-                      formula_ok=predicted == actual, special_ok=special)
-
 
 @dataclass(frozen=True)
 class RootScan:
@@ -183,7 +117,7 @@ def _root_polynomial(ctx: FieldCtx, y2, ypow, ypow_k, x: Elem):
 
 
 def theorem1_root_scan(ctx: FieldCtx, spectrum: Spectrum) -> RootScan:
-    """theorem1_verify at every y at once, against the count rows of
+    """The closed form at every y at once, against the count rows of
     spectrum, the spectrum of the pair (1, 1).
 
     One step per x in GF(p^k) evaluates the root polynomial at all q
@@ -241,7 +175,7 @@ def theorem1_spectrum_check(ctx: FieldCtx) -> SpectrumCheck:
     regularity."""
     p, k = ctx.p, ctx.params.k
     p2k = p ** (2 * k)
-    spectrum = full_spectrum(FunctionSpec(ctx, CoeffPair(ctx.one, ctx.one)))
+    spectrum = full_spectrum(ctx, CoeffPair(ctx.one, ctx.one))
     scan = theorem1_root_scan(ctx, spectrum)
     want = {str(CycInt.integer(p, -p2k)): (p ** (2 * k - 1) - 1) * (p2k + 1) + 1}
     for i in range(1, p):

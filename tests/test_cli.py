@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from charsum import expsum, jacobsthal
+from charsum import expsum, jacobsthal, reference
 from charsum.cli import run
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -29,8 +30,8 @@ def test_verify_all_scans_jacobsthal_once(capsys, monkeypatch):
     # every record from one table of eta and calls no per-a I_sum
     calls = {"theorem2_scan": 0, "scan_table": 0, "I_sum": 0}
 
-    def counting(name):
-        real = getattr(jacobsthal, name)
+    def counting(module, name):
+        real = getattr(module, name)
 
         def counted(*args):
             calls[name] += 1
@@ -38,7 +39,8 @@ def test_verify_all_scans_jacobsthal_once(capsys, monkeypatch):
         return counted
 
     for name in calls:
-        monkeypatch.setattr(jacobsthal, name, counting(name))
+        module = reference if name == "I_sum" else jacobsthal
+        monkeypatch.setattr(module, name, counting(module, name))
     assert run(["verify-all", "--p", "3", "--k", "1"]) == 0
     assert capsys.readouterr().out.count("[ok  ]") == 12
     assert calls == {"theorem2_scan": 1, "scan_table": 1, "I_sum": 0}
@@ -161,6 +163,8 @@ def test_guard_exit_code(capsys):
 def test_invalid_arguments_exit_code(capsys):
     for argv in (
         ["expsum", "--p", "3", "--k", "1", "--a", "bogus", "--b", "g^0"],
+        ["expsum", "--p", "3", "--k", "1", "--a", "5", "--b", "g^1"],  # digit 5 >= p
+        ["expsum", "--p", "3", "--k", "1", "--a", "1,-1", "--b", "g^1"],  # digit -1 < 0
         ["expsum", "--p", "3", "--k", "1", "--a", "g^0"],  # missing --b
         ["nonsense"],
         ["expsum-sweep", "--p", "3", "--k", "1", "--b", "0"],  # sweeps need b != 0
@@ -320,8 +324,8 @@ def test_failed_theorem1_under_optimize():
     code = ("import sys, dataclasses, numpy\n"
             "from charsum import cli, walsh\n"
             "real = walsh.full_spectrum\n"
-            "def off(spec):\n"
-            "    s = real(spec)\n"
+            "def off(ctx, pair):\n"
+            "    s = real(ctx, pair)\n"
             "    c = s.counts.copy()\n"
             "    c[7] = numpy.roll(c[7], 1)\n"
             "    return dataclasses.replace(s, counts=c)\n"
@@ -338,3 +342,52 @@ def test_module_entry_point():
     proc = _run_src("-m", "charsum", "verify-all", "--p", "3", "--k", "1")
     assert proc.returncode == 0, proc.stderr
     assert "all identities verified" in proc.stdout
+
+
+def test_no_command_loads_the_references():
+    # every subcommand at (3, 1), stdout discarded: charsum.reference stays
+    # off the command path
+    code = """
+import os, sys
+from contextlib import redirect_stdout
+from charsum import cli
+extra = {"expsum": ["--a", "g^0", "--b", "g^0"], "expsum-sweep": ["--b", "g^1"],
+         "walsh-spectrum": ["--a", "g^0", "--b", "g^0"]}
+commands = sorted(cli.build_parser().get_default("_handlers"))
+assert len(commands) == 9, commands
+with open(os.devnull, "w") as null, redirect_stdout(null):
+    for cmd in commands:
+        assert cli.run([cmd, "--p", "3", "--k", "1", *extra.get(cmd, [])]) == 0, cmd
+print("charsum.reference" in sys.modules)
+"""
+    proc = _run_src("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_every_reference_is_called_by_a_test():
+    # a reference route stays only while it cross-checks another route: each
+    # public function of charsum.reference is called in some file of tests/
+    tree = ast.parse((SRC / "charsum" / "reference.py").read_text())
+    public = {node.name for node in tree.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    called = set()
+    for path in Path(__file__).resolve().parent.glob("*.py"):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        # the names this file binds to the module, and to its functions
+        module_names, function_names = set(), {}
+        for node in nodes:
+            if isinstance(node, ast.ImportFrom) and node.module == "charsum":
+                module_names |= {a.asname or a.name for a in node.names if a.name == "reference"}
+            if isinstance(node, ast.ImportFrom) and node.module == "charsum.reference":
+                function_names.update((a.asname or a.name, a.name) for a in node.names)
+        for node in nodes:
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                    and func.value.id in module_names):
+                called.add(func.attr)
+            elif isinstance(func, ast.Name) and func.id in function_names:
+                called.add(function_names[func.id])
+    assert len(public) >= 10 and public <= called, sorted(public - called)

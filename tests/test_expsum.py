@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charsum import expsum as es
+from charsum import reference as ref
 from charsum.cycint import CycInt
 from charsum.errors import (
     BothCoefficientsZero,
@@ -29,6 +30,11 @@ def pair_of(ctx, a, b):
 
 def U_elements(ctx):
     return [ctx.from_enc(int(e)) for e in ctx.exp_enc_bulk(es.U_logs(ctx))]
+
+
+def _S0_closed(ctx, pair):
+    # the closed form p^2k (2 N(a,b) - 1), from the direct zero count
+    return ctx.p ** (2 * ctx.params.k) * (2 * es.N_count(ctx, pair)[0] - 1)
 
 
 # --------------------------------------------------------------------------
@@ -91,11 +97,11 @@ def test_witnesses_negation_closed(ctx31):
 
 def test_S0_examples(ctx31):
     one = ctx31.one
-    assert es.S0_closed(ctx31, pair_of(ctx31, one, one)) == -9
+    assert _S0_closed(ctx31, pair_of(ctx31, one, one)) == -9
     assert es.S0_bruteforce(ctx31, pair_of(ctx31, one, one)) == -9
-    assert es.S0_closed(ctx31, pair_of(ctx31, -one, one)) == 9
+    assert _S0_closed(ctx31, pair_of(ctx31, -one, one)) == 9
     assert es.S0_bruteforce(ctx31, pair_of(ctx31, -one, one)) == 9
-    assert es.S0_closed(ctx31, pair_of(ctx31, ctx31.zero, one)) == -9
+    assert _S0_closed(ctx31, pair_of(ctx31, ctx31.zero, one)) == -9
     assert es.S0_bruteforce(ctx31, pair_of(ctx31, ctx31.zero, one)) == -9
 
 
@@ -109,7 +115,7 @@ def test_S0_oracle_equivalence_full_grid(ctx31):
             pair = pair_of(ctx31, a, b)
             brute = es.S0_bruteforce(ctx31, pair)
             assert brute.is_rational_integer
-            assert brute == es.S0_closed(ctx31, pair)
+            assert brute == _S0_closed(ctx31, pair)
             count += 1
     assert count == 6560
 
@@ -121,7 +127,7 @@ def test_S0_oracle_equivalence_full_grid_51(ctx51):
         es.distribution_sweep(ctx51, b)  # raises OracleMismatch on any defect
     for a in ctx51.powers():
         pair = pair_of(ctx51, a, ctx51.zero)
-        assert es.S0_bruteforce(ctx51, pair) == es.S0_closed(ctx51, pair)
+        assert es.S0_bruteforce(ctx51, pair) == _S0_closed(ctx51, pair)
 
 
 @pytest.mark.parametrize("fixture", ["ctx31", "ctx51"])
@@ -153,14 +159,14 @@ def test_S0_bruteforce_matches_slow_loop(ctx31):
 
 def test_classify_examples(ctx31):
     one = ctx31.one
-    assert es.classify(ctx31, pair_of(ctx31, one, one)) is es.CaseTag.SQUARE_MATCH
+    assert es.case_detail(ctx31, pair_of(ctx31, one, one)).tag is es.CaseTag.SQUARE_MATCH
     detail = es.case_detail(ctx31, pair_of(ctx31, one, one))
     assert detail.norms_match and detail.b_square
-    assert es.classify(ctx31, pair_of(ctx31, ctx31.zero, one)) is es.CaseTag.NORM_DIFFER
+    assert es.case_detail(ctx31, pair_of(ctx31, ctx31.zero, one)).tag is es.CaseTag.NORM_DIFFER
     nu = ctx31.subfield(2).generator
-    assert es.classify(ctx31, pair_of(ctx31, nu ** 2, one)) is es.CaseTag.JACOBSTHAL
+    assert es.case_detail(ctx31, pair_of(ctx31, nu ** 2, one)).tag is es.CaseTag.JACOBSTHAL
     with pytest.raises(BothCoefficientsZero):
-        es.classify(ctx31, pair_of(ctx31, ctx31.zero, ctx31.zero))
+        es.case_detail(ctx31, pair_of(ctx31, ctx31.zero, ctx31.zero))
 
 
 def test_tags_partition_everything(ctx31):
@@ -169,7 +175,7 @@ def test_tags_partition_everything(ctx31):
         for a in ctx31.elements():
             if a.is_zero and b.is_zero:
                 continue
-            tags[es.classify(ctx31, pair_of(ctx31, a, b))] += 1
+            tags[es.case_detail(ctx31, pair_of(ctx31, a, b)).tag] += 1
     assert sum(tags.values()) == 6560
     assert all(v > 0 for v in tags.values())
 
@@ -202,11 +208,12 @@ def test_F_and_L_zero_sets_agree(ctx31):
         if a ** (pk * (pk + 1)) == b ** (pk + 1):
             continue
         pair = pair_of(ctx31, a, b)
-        zeros = es.prop1_F_zeros(ctx31, pair)
-        assert zeros == es.L_zeros_field(ctx31, pair)
+        zeros = ref.prop1_F_zeros(ctx31, pair)
+        assert zeros == ref.L_zeros_field(ctx31, pair)
         if found < 10:  # the table path against plain field arithmetic
-            ref = es.L_zeros_field(slow, pair_of(slow, slow.from_enc(a.enc), slow.from_enc(b.enc)))
-            assert [z.enc for z in zeros] == [z.enc for z in ref]
+            plain = ref.L_zeros_field(slow, pair_of(slow, slow.from_enc(a.enc),
+                                                    slow.from_enc(b.enc)))
+            assert [z.enc for z in zeros] == [z.enc for z in plain]
         found += 1
 
 
@@ -215,7 +222,7 @@ def test_three_valued_cases_have_small_N(ctx31, ctx51):
         for b in (ctx.one, ctx.xi):
             for a in [ctx.zero] + list(ctx.powers()):
                 pair = pair_of(ctx, a, b)
-                if es.classify(ctx, pair) is es.CaseTag.JACOBSTHAL:
+                if es.case_detail(ctx, pair).tag is es.CaseTag.JACOBSTHAL:
                     continue
                 assert es.N_count(ctx, pair)[0] <= 2
 
@@ -225,11 +232,11 @@ def test_F_degenerates_exactly_on_matching_norms(ctx31):
     for b in (ctx31.one, ctx31.xi):
         for a in es.jacobsthal_pairs(ctx31, b):
             pair = pair_of(ctx31, a, b)
-            _, B = es._F_terms(ctx31, pair)
+            _, B = ref._F_terms(ctx31, pair)
             assert B.is_zero
             assert view.contains(a * b ** 3)  # a b^(p^k) falls into GF(p^2k)
             with pytest.raises(WrongCase):
-                es.prop1_F_zeros(ctx31, pair)
+                ref.prop1_F_zeros(ctx31, pair)
 
 
 # --------------------------------------------------------------------------
@@ -237,7 +244,7 @@ def test_F_degenerates_exactly_on_matching_norms(ctx31):
 # --------------------------------------------------------------------------
 
 def _kernels_match_zero_sets(ctx, a_encs, b_encs):
-    # each matrix's kernel is the zero set found by _zero_set: every zero,
+    # each matrix's kernel is the zero set found by reference._zero_set: every zero,
     # as its digit vector, is in the kernel, and the kernel has as many
     # elements as the zero set
     la, lb = es._dlogs(ctx, np.asarray(a_encs)), es._dlogs(ctx, np.asarray(b_encs))
@@ -247,8 +254,8 @@ def _kernels_match_zero_sets(ctx, a_encs, b_encs):
     assert bad.size == 0
     for i, (a, b) in enumerate(zip(a_encs, b_encs)):
         pair = pair_of(ctx, ctx.from_enc(int(a)), ctx.from_enc(int(b)))
-        zeros = es.L_zeros_field(ctx, pair)
-        assert zeros == es.prop1_F_zeros(ctx, pair)
+        zeros = ref.L_zeros_field(ctx, pair)
+        assert zeros == ref.prop1_F_zeros(ctx, pair)
         assert len(zeros) == ctx.p ** dim_L[i] == ctx.p ** dim_F[i]
         digits = np.array([z.coeffs for z in zeros]).T
         assert not (L[i].astype(np.int64) @ digits % ctx.p).any()
@@ -295,7 +302,7 @@ def test_kernel_check_catches_perturbed_F(ctx31):
     F = es.form_matrices(ctx31, es._F_monomials(ctx31))(la, lb)
     assert es.kernel_mismatches(L, F, 3, 2)[0].tolist() == []
     # one entry of F's first row off at a digit where a common zero is nonzero
-    zero = es.L_zeros_field(ctx31, pair_of(ctx31, a, b))[1]
+    zero = ref.L_zeros_field(ctx31, pair_of(ctx31, a, b))[1]
     j = next(i for i, c in enumerate(zero.coeffs) if c)
     off = F.copy()
     off[0, 0, j] = (off[0, 0, j] + 1) % 3
@@ -366,7 +373,7 @@ def test_find_g_properties(ctx31):
     for b in (ctx31.one, ctx31.xi):
         for a in es.jacobsthal_pairs(ctx31, b):
             pair = pair_of(ctx31, a, b)
-            g = es.find_g(ctx31, pair)
+            g = ref.find_g(ctx31, pair)
             # defining property and canonicality
             assert g ** (p ** k - 1) * a + b ** (p ** (3 * k)) == ctx31.zero
             assert view.discrete_log(g) < p ** k + 1
@@ -380,57 +387,42 @@ def test_find_g_properties(ctx31):
 
 def test_find_g_wrong_case(ctx31):
     with pytest.raises(WrongCase):
-        es.find_g(ctx31, pair_of(ctx31, ctx31.one, ctx31.one))
-
-
-def test_N_routes_check_the_case_once(ctx31, monkeypatch):
-    # each route checks the case once, through find_g, and still refuses
-    # pairs outside the JACOBSTHAL case
-    calls = []
-    real = es.classify
-    monkeypatch.setattr(es, "classify", lambda ctx, pair: calls.append(pair) or real(ctx, pair))
-    pair = pair_of(ctx31, es.jacobsthal_pairs(ctx31, ctx31.one)[0], ctx31.one)
-    for route in (es.N_via_nonsquares, es.N_via_jacobsthal):
-        calls.clear()
-        route(ctx31, pair)
-        assert len(calls) == 1, route.__name__
-        with pytest.raises(WrongCase):
-            route(ctx31, pair_of(ctx31, ctx31.one, ctx31.one))
-        with pytest.raises(BothCoefficientsZero):
-            route(ctx31, pair_of(ctx31, ctx31.zero, ctx31.zero))
+        ref.find_g(ctx31, pair_of(ctx31, ctx31.one, ctx31.one))
 
 
 @pytest.mark.parametrize("fixture", ["ctx31", "ctx51"])
 def test_three_paths_agree(fixture, request):
+    # the two batched routes over the slice against the direct zero count,
+    # pair by pair, and against the scalar recount of the nonsquare
+    # criterion at the reference g
     ctx = request.getfixturevalue(fixture)
     for b in (ctx.one, ctx.xi):
         pairs = es.jacobsthal_pairs(ctx, b)
         assert pairs, "case must be populated"
-        for a in pairs:
+        a_encs = [a.enc for a in pairs]
+        n2 = es.N_via_nonsquares_bulk(ctx, b, a_encs)
+        n3 = es.N_via_jacobsthal_bulk(ctx, b, a_encs)
+        for a, n2_i, n3_i in zip(pairs, n2.tolist(), n3.tolist(), strict=True):
             pair = pair_of(ctx, a, b)
             n1 = es.N_count(ctx, pair)[0]
-            assert n1 == es.N_via_nonsquares(ctx, pair)
-            assert n1 == es.N_via_jacobsthal(ctx, pair)
+            assert n1 == n2_i == n3_i == _eq5_count(ctx, pair, ref.find_g(ctx, pair))
 
 
 @pytest.mark.parametrize("fixture", ["ctx31", "ctx51", "ctx32"])
 def test_bulk_routes_match_pair_routes(fixture, request, monkeypatch):
     # the batched nonsquare and H routes and the bulk g, at every pair of
-    # the slice, against find_g, the one-pair routes and the N table, also
-    # one pair per block
+    # the slice, against the reference find_g and the N table, also one
+    # pair per block
     ctx = request.getfixturevalue(fixture)
     for b in (ctx.one, ctx.xi):
         slice_ = es.distribution_sweep(ctx, b).jacobsthal
         a_encs = np.array([a.enc for a in slice_])
         pairs = [pair_of(ctx, a, b) for a in slice_]
         assert es._g_logs(ctx, b, a_encs).tolist() == [
-            ctx.dlog(es.find_g(ctx, pair)) for pair in pairs]
+            ctx.dlog(ref.find_g(ctx, pair)) for pair in pairs]
         n2 = es.N_via_nonsquares_bulk(ctx, b, a_encs)
         n3 = es.N_via_jacobsthal_bulk(ctx, b, a_encs)
         assert n2.tolist() == n3.tolist() == list(slice_.values())
-        if ctx.p == 3 and ctx.params.k == 1:
-            assert n2.tolist() == [es.N_via_nonsquares(ctx, pair) for pair in pairs]
-            assert n3.tolist() == [es.N_via_jacobsthal(ctx, pair) for pair in pairs]
         monkeypatch.setattr(es, "BLOCK_ENTRIES", 1)  # one pair per block
         assert es.N_via_nonsquares_bulk(ctx, b, a_encs).tolist() == n2.tolist()
         assert es.N_via_jacobsthal_bulk(ctx, b, a_encs).tolist() == n3.tolist()
@@ -460,18 +452,6 @@ def test_bulk_jacobsthal_route_checks_raise(ctx31, monkeypatch):
     monkeypatch.setattr(es.jacobsthal, "H_sums", lambda *args: real(*args) + 4)
     with pytest.raises(ParityViolation):
         es.N_via_jacobsthal_bulk(ctx31, b, a_encs)
-
-
-def test_jacobsthal_route_checks_raise(ctx31, monkeypatch):
-    # the divisibility and parity of the H-sum route are checks, not asserts
-    pair = pair_of(ctx31, es.jacobsthal_pairs(ctx31, ctx31.one)[0], ctx31.one)
-    real = es.jacobsthal.H_sum
-    monkeypatch.setattr(es.jacobsthal, "H_sum", lambda *args: real(*args) + 1)
-    with pytest.raises(DivisibilityViolation):
-        es.N_via_jacobsthal(ctx31, pair)
-    monkeypatch.setattr(es.jacobsthal, "H_sum", lambda *args: real(*args) + 4)
-    with pytest.raises(ParityViolation):
-        es.N_via_jacobsthal(ctx31, pair)
 
 
 def test_jacobsthal_case_parity_and_bound(ctx31, ctx51):
@@ -508,16 +488,16 @@ def test_jacobsthal_N_observed_minimum_32(ctx32):
 # --------------------------------------------------------------------------
 
 def test_scaling_invariance(ctx31):
-    pair = pair_of(ctx31, ctx31.xi ** 3, ctx31.xi ** 5)
-    assert es.corollary1_check(ctx31, pair, ctx31.one)
+    # (xi^3, xi^5) at h = 1, then the seeded triples, in one batch
+    triples = [((ctx31.xi ** 3).enc, (ctx31.xi ** 5).enc, 0)]
     rng = random.Random(47)
     for _ in range(200):
-        a = ctx31.from_enc(rng.randrange(ctx31.q))
-        b = ctx31.from_enc(rng.randrange(ctx31.q))
-        if a.is_zero and b.is_zero:
+        a, b = rng.randrange(ctx31.q), rng.randrange(ctx31.q)
+        if a == 0 and b == 0:
             continue
-        h = ctx31.from_exp(rng.randrange(ctx31.order))
-        assert es.corollary1_check(ctx31, pair_of(ctx31, a, b), h)
+        triples.append((a, b, rng.randrange(ctx31.order)))
+    same = es.corollary1_bulk(ctx31, *map(np.array, zip(*triples)))
+    assert same.size == len(triples) and same.all()
 
 
 def test_scaling_sign_insensitive(ctx31):
@@ -540,7 +520,7 @@ def test_corollary_suite_special_value_31(ctx31):
     # p = 3 mod 4, k odd, b = 1: a = nu^2 gives N = (p^k+1)/2 = 2
     nu = ctx31.subfield(2).generator
     pair = pair_of(ctx31, nu ** 2, ctx31.one)
-    assert es.classify(ctx31, pair) is es.CaseTag.JACOBSTHAL
+    assert es.case_detail(ctx31, pair).tag is es.CaseTag.JACOBSTHAL
     assert es.N_count(ctx31, pair)[0] == 2
     assert es.corollary_suite(ctx31, pair)["vi"] is True
 
@@ -745,7 +725,7 @@ def test_N_table_and_case_tags_property(pk, data):
     a = ctx.zero if i == 0 else ctx.from_exp(i - 1)
     n, _ = es.N_table(ctx, b)
     assert n[a.enc] == es.N_count(ctx, pair_of(ctx, a, b))[0]
-    assert es.CASE_TAGS[es.case_tags(ctx, b)[i]] is es.classify(ctx, pair_of(ctx, a, b))
+    assert es.CASE_TAGS[es.case_tags(ctx, b)[i]] is es.case_detail(ctx, pair_of(ctx, a, b)).tag
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)

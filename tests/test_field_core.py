@@ -390,6 +390,9 @@ def test_parse_and_format(ctx31):
     assert ctx31.parse_element("1,2,0,1") == ctx31.elem([1, 2, 0, 1])
     assert ctx31.parse_element("2") == ctx31.elem([2])      # short vectors pad
     assert ctx31.parse_element("0") == ctx31.zero
+    for text in ("3", "5", "1,-1", "0,0,0,3"):  # base-p digits lie in 0..p-1
+        with pytest.raises(ValueError, match="0..2"):
+            ctx31.parse_element(text)
     assert ctx31.format_element(ctx31.zero) == "0"
     for e in (0, 1, 17, 79):
         assert ctx31.parse_element(ctx31.format_element(ctx31.from_exp(e))) == ctx31.from_exp(e)
