@@ -17,9 +17,10 @@ Coefficient pairs split into three cases:
 In the first two cases N(a,b) <= 2, so S_f(0) is one of -p^2k, p^2k,
 3 p^2k (and zeros of L coincide with those of a companion polynomial
 F when the norms differ).  L and F are p^k-linearized, so their zeros
-are the kernels of m x m matrices over GF(p): prop1_kernel_check builds
-them from dlogs and traces for a batch of pairs (form_matrices) and
-compares the kernels by one batched row reduction mod p (rref_mod_p).
+are the kernels of 4 x 4 matrices over GF(p^k): prop1_kernel_check
+builds them from dlogs and traces for a batch of pairs (form_matrices)
+and compares the kernels by one batched row reduction over GF(p^k)
+(rref_keyed), on the subfield's keys and their tables.
 
 In the JACOBSTHAL case N(a,b) is computed three independent ways: the
 direct zero count, a nonsquare count over GF(p^k) through an auxiliary
@@ -85,7 +86,7 @@ from .errors import (
     WrongCase,
     ZeroB,
 )
-from .field_core import Elem, FieldCtx
+from .field_core import Elem, FieldCtx, KeyArithmetic
 
 
 @dataclass(frozen=True)
@@ -282,17 +283,16 @@ def _L_monomials(ctx: FieldCtx):
     return ((1, 0, pk ** 2, 1), (1, 1, 0, pk), (1, 0, 1, pk ** 2), (1, pk ** 2, 0, pk ** 3))
 
 
-def _monomial_terms(ctx: FieldCtx, monomials, la, lb):
-    # the terms of a monomial list at every pair (a, b) = (xi^la, xi^lb) at
-    # once, as FieldCtx.sum_enc_bulk takes them: (dlogs of sign a^s b^r, e),
-    # -1 where a coefficient is zero (la or lb is -1 for a zero a or b)
+def _monomial_logs(ctx: FieldCtx, monomials, la, lb):
+    # the dlogs (pairs, monomials) of the coefficients sign a^s b^r of a
+    # monomial list at every pair (a, b) = (xi^la, xi^lb) at once, -1 where
+    # a coefficient is zero (la or lb is -1 for a zero a or b)
     order = ctx.order
-    out = []
-    for sign, s, r, e in monomials:
-        live = ((s == 0) | (la >= 0)) & ((r == 0) | (lb >= 0))
-        logs = ((s % order) * la + (r % order) * lb + (sign < 0) * (order // 2)) % order
-        out.append((np.where(live, logs, -1), e))
-    return out
+    sign, s, r = (np.array([t[i] for t in monomials], dtype=np.int64) for i in range(3))
+    la, lb = la[:, None], lb[:, None]
+    live = ((s == 0) | (la >= 0)) & ((r == 0) | (lb >= 0))
+    logs = ((s % order) * la + (r % order) * lb + (sign < 0) * (order // 2)) % order
+    return np.where(live, logs, -1)
 
 
 def _L_terms(ctx: FieldCtx, pair: CoeffPair):
@@ -314,9 +314,10 @@ def N_count_bulk(ctx: FieldCtx, a_encs, b_encs):
     if ((a_encs == 0) & (b_encs == 0)).any():
         raise BothCoefficientsZero("(a, b) = (0, 0) is not admissible")
     u_logs, monomials = U_logs(ctx), _L_monomials(ctx)
-    zeros = _in_blocks(lambda a, b: ctx.sum_enc_bulk(
-        _monomial_terms(ctx, monomials, _dlogs(ctx, a), _dlogs(ctx, b)), u_logs) == 0,
-        u_logs.size, a_encs, b_encs)
+    exponents = [e for *_, e in monomials]
+    zeros = _in_blocks(lambda a, b: ctx.sum_enc_bulk(list(zip(
+        _monomial_logs(ctx, monomials, _dlogs(ctx, a), _dlogs(ctx, b)).T, exponents)),
+        u_logs) == 0, u_logs.size, a_encs, b_encs)
     twice = zeros.sum(axis=1)
     odd = np.flatnonzero(twice % 2)
     if odd.size:
@@ -417,37 +418,49 @@ def _F_monomials(ctx: FieldCtx):
             (1, pk ** 2 * (pk + 1), 0, 1), (-1, 0, pk * (pk + 1), 1))
 
 
-def form_matrices(ctx: FieldCtx, monomials):
-    """The matrices over GF(p) of a linearized polynomial P, as a function
-    of the pairs (a, b).
+def form_matrices(ctx: FieldCtx):
+    """The 4 x 4 matrices over GF(p^k) of L and F, as a function of the
+    pairs (a, b).
 
-    P is the sum of sign a^s b^r X^e over monomials, (sign, s, r, e) terms
-    as in _L_monomials.  Returns matrices(la, lb): for pairs with dlogs la
-    and lb (-1 for a zero coefficient), the float32 array (n, m, m) of
-    Tr(e_i P(e_j)) mod p, e_j the element encoded as p^j.
+    With T = Tr_{4k/k}, the matrix of P = L or F at a pair is
+    z_ij = T(X^i P(X^j)), i, j < 4: {X^i} is a basis of GF(p^n) over
+    GF(p^k), as xi = X has degree 4 over it, P is GF(p^k)-linear and T is
+    nondegenerate, so ker P is the kernel of z.  Each entry is given by its
+    key (field_core.KeyArithmetic), whose digit s is
+    Tr_{k/1}(eta^s z_ij) = Tr(eta^s X^i P(X^j)), eta = xi^step the
+    generator of GF(p^k).  Returns matrices(la, lb): for n pairs with dlogs
+    la and lb (-1 for a zero coefficient), the int16 keys (2, n, 4, 4) of
+    L's matrices, then F's.
 
-    With c the coefficient of a monomial and y = e_i e_j^e,
-    Tr(c y) = sum_d Tr(c e_d) y_d over the digits y_d of y.  So each pair
-    costs m traces Tr(c e_d) per monomial, and one float32 product with
-    the digits gives every entry: exact, as each is a sum of fewer than
-    2^24 / p^2 integers below p^2.  The product is an einsum: numpy's own
-    loop, which unlike a threaded BLAS is fast at these sizes.  No field
-    addition is needed."""
-    p, m, order = ctx.p, ctx.m, ctx.order
+    With c the coefficient of a monomial and y = eta^s X^i X^(j e),
+    Tr(c y) = sum_d Tr(c e_d) y_d over the digits y_d of y, e_d the element
+    encoded as p^d.  So each pair costs m traces Tr(c e_d) per monomial, all
+    ten monomials of L and F in one exp and trace pass, and one float32
+    product with the digits per polynomial gives every key digit: exact, as
+    each is a sum of fewer than 2^24 / p^2 integers below p^2.  The products
+    are einsums: numpy's own loop, which unlike a threaded BLAS is fast at
+    these sizes.  No field addition is needed."""
+    p, m, k, order = ctx.p, ctx.m, ctx.params.k, ctx.order
+    L_monomials = _L_monomials(ctx)
+    monomials = L_monomials + _F_monomials(ctx)
     basis = ctx.log_enc_bulk(p ** np.arange(m, dtype=np.int64))
-    # row (t, d), column i m + j: digit d of e_i e_j^e for monomial t
-    digits = np.concatenate([
-        np.array([ctx.decode(int(y)) for y in ctx.exp_enc_bulk(
-            (basis[:, None] + (e % order) * basis % order).ravel())]).T
-        for _, _, _, e in monomials]).astype(np.float32)
+    # the dlogs s step + i of eta^s X^i, then + j e per monomial: columns (s, i, j)
+    left = (ctx.subfield(k).step * np.arange(k)[:, None] + np.arange(4)).ravel()
+    ys = np.stack([ctx.exp_enc_bulk((left[:, None] + (e % order) * np.arange(4)).ravel())
+                   for _, _, _, e in monomials])
+    # row (t, d), column (s, i, j): digit d of y for monomial t
+    digits = (ys[:, None] // p ** np.arange(m)[:, None] % p).astype(np.float32)
+    parts = slice(None, len(L_monomials)), slice(len(L_monomials), None)
+    key_weights = p ** np.arange(k, dtype=np.float32)
 
     def matrices(la, lb):
-        coords = []
-        for c, _ in _monomial_terms(ctx, monomials, la, lb):
-            traces = ctx.trace_enc_bulk(ctx.exp_enc_bulk(c[:, None] + basis))
-            coords.append((c >= 0)[:, None] * traces)
-        out = np.einsum("nk,km->nm", np.concatenate(coords, axis=1).astype(np.float32), digits)
-        return _mod_p(out, p).reshape(-1, m, m)
+        c = _monomial_logs(ctx, monomials, la, lb)
+        coords = np.where((c >= 0)[..., None], ctx.trace_enc_bulk(
+            ctx.exp_enc_bulk(c[..., None] + basis)), 0).astype(np.float32)
+        key_digits = _mod_p(np.stack([np.einsum("ntd,tdc->nc", coords[:, part], digits[part])
+                                      for part in parts]), p)
+        keys = np.einsum("Pnsc,s->Pnc", key_digits.reshape(2, len(c), k, 16), key_weights)
+        return keys.astype(np.int16).reshape(2, -1, 4, 4)
     return matrices
 
 
@@ -460,19 +473,20 @@ def _mod_p(x, p: int):
     return x
 
 
-def rref_mod_p(mats, p: int):
-    """Reduced row echelon forms mod p of a stack of matrices (n, r, c)
-    with entries in 0..p-1, as float32, and their ranks (int64, n).
-
-    The float32 arithmetic is exact: every value stays within (p - 1)^2
-    of 0..p-1, and _mod_p reduces it exactly."""
-    mats = mats.astype(np.float32)
-    inverse = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.float32)
+def rref_keyed(mats, arith: KeyArithmetic):
+    """Reduced row echelon forms over GF(Q) of a stack of matrices (n, r, c)
+    of keys (0..Q-1, see field_core.KeyArithmetic), as int16, and their
+    ranks (int64, n): every field operation is one gather from arith's
+    tables, and the indexes into them fit in int16."""
+    q, mul, axpy = arith.q, arith.mul, arith.axpy
+    mats = np.array(mats, dtype=np.int16)
     rank = np.zeros(len(mats), dtype=np.int64)
     rows = np.arange(mats.shape[1])
     for col in range(mats.shape[2]):
         candidates = (mats[:, :, col] != 0) & (rows >= rank[:, None])
         found = np.flatnonzero(candidates.any(axis=1))
+        if not found.size:
+            continue
         # the columns before col are zero in every row from rank on; when
         # every matrix has a pivot, work on a view and skip the copy back
         every = found.size == len(mats)
@@ -480,10 +494,13 @@ def rref_mod_p(mats, p: int):
         at = np.arange(found.size)
         top, pivot = rank[found], candidates[found].argmax(axis=1)
         pivot_row = sub[at, pivot]
-        pivot_row = _mod_p(pivot_row * inverse[pivot_row[:, 0].astype(np.intp)][:, None], p)
+        pivot_row = mul.take(arith.inv.take(pivot_row[:, :1]) * q + pivot_row)
         sub[at, pivot] = sub[at, top]
-        sub -= sub[:, :, :1] * pivot_row[:, None, :]
-        _mod_p(sub, p)
+        index = sub * q
+        index += sub[:, :, :1]
+        index *= q
+        index += pivot_row[:, None, :]
+        axpy.take(index, out=sub)
         sub[at, top] = pivot_row
         if not every:
             mats[found, :, col:] = sub
@@ -491,14 +508,15 @@ def rref_mod_p(mats, p: int):
     return mats, rank
 
 
-def kernel_mismatches(L_mats, F_mats, p: int, max_dim: int):
+def kernel_mismatches(L_mats, F_mats, arith: KeyArithmetic):
     """Indexes of the pairs whose matrices have different kernels, or an F
-    kernel of dimension above max_dim, with the kernel dimensions of both
-    stacks: kernels agree iff the reduced row echelon forms do."""
+    kernel of dimension above 2 (F has degree p^2k), with the kernel
+    dimensions of both stacks: kernels agree iff the reduced row echelon
+    forms do."""
     n, m = len(L_mats), L_mats.shape[2]
-    reduced, rank = rref_mod_p(np.concatenate((L_mats, F_mats)), p)
+    reduced, rank = rref_keyed(np.concatenate((L_mats, F_mats)), arith)
     dim_L, dim_F = m - rank[:n], m - rank[n:]
-    bad = np.flatnonzero((reduced[:n] != reduced[n:]).any(axis=(1, 2)) | (dim_F > max_dim))
+    bad = np.flatnonzero((reduced[:n] != reduced[n:]).any(axis=(1, 2)) | (dim_F > 2))
     return bad, dim_L, dim_F
 
 
@@ -535,26 +553,23 @@ def prop1_kernel_check(ctx: FieldCtx, a_encs, b_encs) -> int:
     GF(p^n), at most p^2k of them.
 
     L and F are p^k-linearized, so their zeros are the kernels of their
-    form_matrices (the trace form is nondegenerate), and F has degree
-    p^2k, so its kernel has dimension at most 2k; see kernel_mismatches.
-    Runs in blocks of PROP1_BLOCK pairs; KernelMismatch at the first pair
-    that fails.  Returns the number of pairs compared."""
+    4 x 4 form_matrices over GF(p^k), and F has degree p^2k, so its kernel
+    has dimension at most 2 over GF(p^k); see kernel_mismatches.  Runs in
+    blocks of PROP1_BLOCK pairs; KernelMismatch at the first pair that
+    fails.  Returns the number of pairs compared."""
     a_encs, b_encs = np.asarray(a_encs, dtype=np.int64), np.asarray(b_encs, dtype=np.int64)
     if ((a_encs == 0) & (b_encs == 0)).any():
         raise BothCoefficientsZero("(a, b) = (0, 0) is not admissible")
-    L_form, F_form = form_matrices(ctx, _L_monomials(ctx)), form_matrices(ctx, _F_monomials(ctx))
+    forms, arith = form_matrices(ctx), ctx.subfield(ctx.params.k).key_arithmetic()
     compared = 0
     for start in range(0, a_encs.size, PROP1_BLOCK):
         a, b = a_encs[start:start + PROP1_BLOCK], b_encs[start:start + PROP1_BLOCK]
-        la, lb = _dlogs(ctx, a), _dlogs(ctx, b)
-        bad, dim_L, dim_F = kernel_mismatches(L_form(la, lb), F_form(la, lb),
-                                              ctx.p, 2 * ctx.params.k)
+        bad, dim_L, dim_F = kernel_mismatches(*forms(_dlogs(ctx, a), _dlogs(ctx, b)), arith)
         if bad.size:
             i = bad[0]
             raise KernelMismatch(
-                f"zeros of L and F span dimensions {dim_L[i]} and {dim_F[i]} over GF({ctx.p}), "
-                f"not one common space of dimension <= {2 * ctx.params.k}, "
-                f"at {_where(ctx, a[i], b[i])}")
+                f"zeros of L and F span dimensions {dim_L[i]} and {dim_F[i]} over GF({arith.q}), "
+                f"not one common space of dimension <= 2, at {_where(ctx, a[i], b[i])}")
         compared += a.size
     return compared
 

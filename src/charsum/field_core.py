@@ -9,7 +9,8 @@ The whole package runs on four primitives defined here:
 * Elem          -- an immutable field element (coefficient vector mod p).
 * SubfieldView  -- GF(p^m') inside the ambient field, selected by the
                    Frobenius-fixed predicate x^(p^m') = x, with the
-                   induced generator xi^((p^m - 1)/(p^m' - 1)).
+                   induced generator xi^((p^m - 1)/(p^m' - 1)); for a
+                   small subfield, its arithmetic on keys (KeyArithmetic).
 
 The modulus is deterministic: the first monic primitive polynomial of
 the requested degree in ascending base-p encoding order (constant term
@@ -17,8 +18,9 @@ is the least significant digit).  Every run of the tool therefore sees
 the same field element behind any given "g^e" label.
 
 When p^m <= 2^20 (p^(m+1) for odd m) the context carries lookup tables
-(plain numpy arrays): exp, log, trace and negation over all encodings,
-and one addition table over half-width encodings.  With s = p^ceil(m/2), every encoding splits
+(plain numpy arrays): exp (built by doubling, see _exp_by_doubling), log,
+trace and negation over all encodings, and one addition table over
+half-width encodings.  With s = p^ceil(m/2), every encoding splits
 as u = (u // s) s + u % s into two digit halves below s, and addition is
 digitwise, so
 
@@ -56,6 +58,7 @@ from .errors import (
 )
 
 TABLE_LIMIT = 1 << 20  # lookup tables are built only up to this many entries
+KEY_LIMIT = 1 << 15  # entries of a KeyArithmetic table, all indexes in int16
 
 
 def size_guard(p: int, m: int) -> None:
@@ -121,18 +124,6 @@ def _poly_mul_mod(u, v, mod, p):
                 if mod[j]:
                     prod[deg - m + j] = (prod[deg - m + j] - c * mod[j]) % p
     return tuple(prod[:m])
-
-
-def _poly_mul_by_x(t, mod, p):
-    # X * t, reduced; one step of the exp-table recurrence
-    m = len(t)
-    lead = t[-1]
-    out = [0] + list(t[:-1])
-    if lead:
-        for j in range(m):
-            if mod[j]:
-                out[j] = (out[j] - lead * mod[j]) % p
-    return tuple(out)
 
 
 def _poly_pow(base, e, mod, p):
@@ -346,16 +337,7 @@ class FieldCtx:
         # int64 exponent products in the bulk paths stay below order^2
         if order * order >= 2 ** 62:
             raise GuardExceeded(f"GF({p}^{m}) is too large for int64 exponent math")
-        mod = self.modulus
-        # exp table by repeated multiplication with X
-        exp = np.empty(order, dtype=np.int64)
-        t = (1,) + (0,) * (m - 1)
-        for e in range(order):
-            exp[e] = self.encode(t)
-            t = _poly_mul_by_x(t, mod, p)
-        if self.encode(t) != 1:
-            raise InvariantViolation(f"modulus {mod} is not primitive")
-        self.exp_enc = exp
+        exp = self.exp_enc = _exp_by_doubling(p, m, self.modulus)
         log = np.full(q, -1, dtype=np.int64)
         log[exp] = np.arange(order, dtype=np.int64)
         if log[0] != -1 or (log[1:] < 0).any():
@@ -376,17 +358,13 @@ class FieldCtx:
         # digit halves, and trace and negation as sums of one half table each
         h = -(-m // 2)
         s = p ** h
-        digits = np.empty((s, h), dtype=np.int64)
-        codes = np.arange(s, dtype=np.int64)
-        for i in range(h):
-            digits[:, i] = codes % p
-            codes //= p
+        digits = _base_p_digits(p, h)
         self.add_side = s
         self.add_table = _digitwise_sums(digits, p)
         hi, lo = np.divmod(np.arange(q, dtype=np.int64), s)
         tr_lo, tr_hi = digits @ tr_basis[:h], digits[:, :m - h] @ tr_basis[h:]
         self.trace_enc = ((tr_hi[hi] + tr_lo[lo]) % p).astype(np.int32)
-        neg = ((p - digits) % p) @ np.array(self._pow[:h], dtype=np.int64)
+        neg = _negations(digits, p)
         self.neg_enc = neg[hi] * s + neg[lo]
         # self-check: 0 is neutral in the table, and x + (-x) = 0 at every x
         if (self.add_table[::s] != np.arange(s)).any() or (
@@ -613,6 +591,39 @@ class FieldCtx:
         return f"FieldCtx(GF({self.p}^{self.m}), modulus=[{mod}])"
 
 
+def _exp_by_doubling(p: int, m: int, mod) -> np.ndarray:
+    """The encodings of X^0..X^(p^m - 2) modulo mod, by doubling: the digits
+    of X t are those of t times the companion matrix C (row vectors), so
+    with the digits of X^0..X^(n-1) as rows, those of X^n..X^(2n-1) are the
+    same rows times C^n.  InvariantViolation unless X^(p^m - 1) = 1.  The
+    int32 products are exact: under the table rule, m p^2 < 2^31."""
+    order = p ** m - 1
+    companion = np.zeros((m, m), dtype=np.int32)
+    companion[np.arange(m - 1), np.arange(1, m)] = 1
+    companion[m - 1] = [(-c) % p for c in mod[:m]]
+    digits = np.zeros((order, m), dtype=np.min_scalar_type(p - 1))
+    digits[0, 0] = 1
+    n, power = 1, companion
+    while n < order:
+        take = min(n, order - n)
+        digits[n:n + take] = digits[:take] @ power % p
+        n, power = n + take, power @ power % p
+    if ((digits[-1] @ companion % p) != np.eye(1, m, dtype=np.int32)).any():
+        raise InvariantViolation(f"modulus {mod} is not primitive")
+    return digits @ p ** np.arange(m, dtype=np.int64)
+
+
+def _base_p_digits(p: int, h: int):
+    """The (p^h, h) int64 array of the base-p digits of 0..p^h - 1, least
+    significant first."""
+    return np.arange(p ** h, dtype=np.int64)[:, None] // p ** np.arange(h) % p
+
+
+def _negations(digits, p: int):
+    """The encodings of -x, from the (s, h) digits of every x below s = p^h."""
+    return (p - digits) % p @ p ** np.arange(digits.shape[1], dtype=np.int64)
+
+
 def _digitwise_sums(digits, p: int):
     """The addition table over encodings below s = p^h, flat: entry x s + y
     is the encoding of the digitwise sum mod p of x and y, from the (s, h)
@@ -649,6 +660,31 @@ def _bsgs(g: Elem, x: Elem, n: int) -> int:
     raise ZeroArgument("element not in the subgroup")
 
 
+@dataclass(frozen=True)
+class KeyArithmetic:
+    """GF(Q), Q = p^degree, on keys: the key of z is the integer
+
+        K(z) = sum_{s < degree} Tr(eta^s z) p^s   in 0..Q-1,
+
+    with Tr the absolute trace of GF(Q) and eta its generator.  K is
+    GF(p)-linear and one to one (the trace form is nondegenerate), so keys
+    add digitwise mod p, and three flat int16 tables give the rest by
+    gathers from int16 arrays of keys x, f, v:
+
+        mul[x Q + v]          = K(x v)
+        inv[x]                = K(1 / x)    (0 at x = 0)
+        axpy[(x Q + f) Q + v] = K(x - f v)
+
+    Every index is below Q^3 <= KEY_LIMIT = 2^15, so int16 holds it: the
+    prime powers Q = p^k of the table sizes (p^4k <= TABLE_LIMIT) are at
+    most 31."""
+
+    q: int
+    mul: np.ndarray
+    inv: np.ndarray
+    axpy: np.ndarray
+
+
 # --------------------------------------------------------------------------
 # subfield views
 # --------------------------------------------------------------------------
@@ -670,6 +706,7 @@ class SubfieldView:
         self.order = self.q - 1
         self.step = ctx.order // self.order if ctx.order else 1
         self.generator = ctx.from_exp(self.step)
+        self._keys = None
 
     def contains(self, x: Elem) -> bool:
         if x.is_zero:
@@ -726,6 +763,45 @@ class SubfieldView:
         if (logs % self.step).any():
             raise NotInSubfield(f"an encoding is not in GF({self.ctx.p}^{self.degree})")
         return np.where(nonzero, 1 - 2 * (logs // self.step % 2), 0)
+
+    def key_arithmetic(self) -> KeyArithmetic:
+        """This subfield's arithmetic on keys (see KeyArithmetic), built once.
+
+        Digit s of the key of eta^j (eta the induced generator) is
+        Tr(eta^(j+s)) of this subfield, that is r^(-1) Tr(eta^(j+s)) of the
+        ambient field of degree r degree (DegreeUnsupported when p divides r),
+        from exp_enc_bulk and trace_enc_bulk; products and inverses follow
+        from the dlogs j.  GuardExceeded when Q^3 > KEY_LIMIT.  Self-checked:
+        InvariantViolation unless the keys of the nonzero elements are
+        1..Q-1, each once, and the key of x + y (add_enc_bulk) is the
+        digitwise sum of the keys at every pair."""
+        if self._keys is None:
+            ctx, p, q, order = self.ctx, self.ctx.p, self.q, self.order
+            if q ** 3 > KEY_LIMIT:
+                raise GuardExceeded(f"GF({p}^{self.degree}) is too large for key tables")
+            ratio = ctx.m // self.degree
+            if ratio % p == 0:
+                raise DegreeUnsupported(f"no keys for GF({p}^{self.degree}) in GF({p}^{ctx.m})")
+            dlogs = np.arange(order, dtype=np.int64)
+            digits = ctx.trace_enc_bulk(ctx.exp_enc_bulk(
+                self.step * (dlogs[:, None] + np.arange(self.degree)))) * pow(ratio, -1, p) % p
+            keys = digits @ p ** np.arange(self.degree, dtype=np.int64)
+            if (np.bincount(keys, minlength=q) != (np.arange(q) > 0)).any():
+                raise InvariantViolation(f"the keys of GF({p}^{self.degree}) are not one to one")
+            encs, key_log = np.zeros(q, dtype=np.int64), np.zeros(q, dtype=np.int64)
+            encs[keys], key_log[keys] = ctx.exp_enc_bulk(self.step * dlogs), dlogs
+            key_digits = _base_p_digits(p, self.degree)
+            add = _digitwise_sums(key_digits, p)
+            if (ctx.add_enc_bulk(encs[:, None], encs[None, :]).ravel() != encs[add]).any():
+                raise InvariantViolation(f"the keys of GF({p}^{self.degree}) are not additive")
+            x, v = np.divmod(np.arange(q * q, dtype=np.int64), q)
+            mul = np.where((x == 0) | (v == 0), 0, keys[(key_log[x] + key_log[v]) % order])
+            neg = _negations(key_digits, p)
+            inv = keys[-key_log % order]
+            inv[0] = 0
+            self._keys = KeyArithmetic(q, *(t.astype(np.int16) for t in (
+                mul, inv, add.reshape(q, q)[:, neg[mul]].ravel())))
+        return self._keys
 
     def abs_trace(self, x: Elem) -> int:
         """Absolute trace of this subfield GF(p^degree) -> GF(p)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from charsum import context
@@ -21,3 +22,19 @@ def ctx71():
 @pytest.fixture(scope="session")
 def ctx32():
     return context(3, 2)
+
+
+@pytest.fixture(scope="session")
+def key_encodings():
+    """encs(view)[K]: the encoding of the element of the subfield view whose
+    key (field_core.KeyArithmetic) is K, from the definition of the key,
+    K(z) = sum_s Tr(eta^s z) p^s with Tr the subfield's own absolute trace
+    and eta its generator."""
+    def encs(view):
+        p, out = view.ctx.p, {}
+        for z in view.elements():
+            key = sum(view.abs_trace(view.generator ** s * z) * p ** s for s in range(view.degree))
+            out[key] = z.enc
+        assert sorted(out) == list(range(view.q))  # one to one
+        return np.array([out[key] for key in range(view.q)], dtype=np.int64)
+    return encs

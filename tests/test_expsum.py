@@ -243,36 +243,69 @@ def test_F_degenerates_exactly_on_matching_norms(ctx31):
 # Proposition 1 by linear algebra
 # --------------------------------------------------------------------------
 
-def _kernels_match_zero_sets(ctx, a_encs, b_encs):
-    # each matrix's kernel is the zero set found by reference._zero_set: every zero,
-    # as its digit vector, is in the kernel, and the kernel has as many
-    # elements as the zero set
+def _matvec(ctx, encs, mat, vectors):
+    # mat @ vectors over GF(p^k) in the ambient field's own arithmetic, for
+    # keys mat (r, c) and vectors (c, N), encs the encodings by key: the
+    # encodings (r, N) of the products
+    out = np.zeros((mat.shape[0], vectors.shape[1]), dtype=np.int64)
+    for j in range(mat.shape[1]):
+        u, v = encs[mat[:, j, None]], encs[vectors[None, j]]
+        live = (u != 0) & (v != 0)
+        logs = ctx.log_enc_bulk(np.where(u == 0, 1, u)) + ctx.log_enc_bulk(np.where(v == 0, 1, v))
+        out = ctx.add_enc_bulk(out, np.where(live, ctx.exp_enc_bulk(logs), 0))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _coordinates(ctx, encs):
+    # the coordinates over GF(p^k) of every element z = sum_j c_j X^j of
+    # GF(p^n), as keys: row z.enc holds the keys of c_0..c_3
+    encs = np.array(encs)
+    keys = np.indices((len(encs),) * 4).reshape(4, -1)
+    z = np.zeros(keys.shape[1], dtype=np.int64)
+    for j in range(4):
+        c = encs[keys[j]]
+        x_j = np.where(c == 0, 0, ctx.exp_enc_bulk(ctx.log_enc_bulk(np.where(c == 0, 1, c)) + j))
+        z = ctx.add_enc_bulk(z, x_j)
+    coords = np.full((ctx.q, 4), -1, dtype=np.int64)
+    coords[z] = keys.T
+    assert (coords >= 0).all()  # {X^j} is a basis over GF(p^k)
+    return coords
+
+
+def _kernels_match_zero_sets(ctx, a_encs, b_encs, key_encodings):
+    # each matrix's kernel is the zero set found by reference._zero_set: every
+    # zero, through its coordinates over GF(p^k), is in both kernels, and the
+    # kernels have as many elements as the zero set
+    encs = key_encodings(ctx.subfield(ctx.params.k))
+    coords = _coordinates(ctx, tuple(encs))
     la, lb = es._dlogs(ctx, np.asarray(a_encs)), es._dlogs(ctx, np.asarray(b_encs))
-    L = es.form_matrices(ctx, es._L_monomials(ctx))(la, lb)
-    F = es.form_matrices(ctx, es._F_monomials(ctx))(la, lb)
-    bad, dim_L, dim_F = es.kernel_mismatches(L, F, ctx.p, 2 * ctx.params.k)
+    L, F = es.form_matrices(ctx)(la, lb)
+    arith = ctx.subfield(ctx.params.k).key_arithmetic()
+    bad, dim_L, dim_F = es.kernel_mismatches(L, F, arith)
     assert bad.size == 0
+    pk = ctx.p ** ctx.params.k
     for i, (a, b) in enumerate(zip(a_encs, b_encs)):
         pair = pair_of(ctx, ctx.from_enc(int(a)), ctx.from_enc(int(b)))
         zeros = ref.L_zeros_field(ctx, pair)
         assert zeros == ref.prop1_F_zeros(ctx, pair)
-        assert len(zeros) == ctx.p ** dim_L[i] == ctx.p ** dim_F[i]
-        digits = np.array([z.coeffs for z in zeros]).T
-        assert not (L[i].astype(np.int64) @ digits % ctx.p).any()
-        assert not (F[i].astype(np.int64) @ digits % ctx.p).any()
+        assert len(zeros) == pk ** dim_L[i] == pk ** dim_F[i]
+        vectors = coords[[z.enc for z in zeros]].T
+        assert not _matvec(ctx, encs, L[i], vectors).any()
+        assert not _matvec(ctx, encs, F[i], vectors).any()
     assert es.prop1_kernel_check(ctx, a_encs, b_encs) == len(a_encs)
 
 
 @pytest.mark.parametrize("fixture", ["ctx31", "ctx51"])
-def test_kernel_route_matches_zero_sets(fixture, request):
+def test_kernel_route_matches_zero_sets(fixture, request, key_encodings):
     # every a with differing norms, for b in {1, xi}
     ctx = request.getfixturevalue(fixture)
     for b in (ctx.one, ctx.xi):
         a_encs = es.sweep_order(ctx)[~es.norms_match(ctx, b)]
-        _kernels_match_zero_sets(ctx, a_encs, np.full(a_encs.size, b.enc))
+        _kernels_match_zero_sets(ctx, a_encs, np.full(a_encs.size, b.enc), key_encodings)
 
 
-def test_kernel_route_matches_zero_sets_seeded_32(ctx32):
+def test_kernel_route_matches_zero_sets_seeded_32(ctx32, key_encodings):
     # seeded pairs with differing norms, among them a = 0 and b = 0
     rng = random.Random(32)
     pairs = [(0, ctx32.xi.enc), (ctx32.xi.enc, 0)]
@@ -281,66 +314,83 @@ def test_kernel_route_matches_zero_sets_seeded_32(ctx32):
         if (a.is_zero and b.is_zero) or es.case_detail(ctx32, pair_of(ctx32, a, b)).norms_match:
             continue
         pairs.append((a.enc, b.enc))
-    _kernels_match_zero_sets(ctx32, *zip(*pairs))
+    _kernels_match_zero_sets(ctx32, *zip(*pairs), key_encodings)
 
 
-def test_form_matrices_match_slow_context(ctx31):
-    # the table path against the per-element fallback of the bulk primitives
-    slow = build_context(FieldParams(3, 1), 4, use_tables=False)
-    a_encs = es.sweep_order(ctx31)[~es.norms_match(ctx31, ctx31.xi)][::7]
-    la, lb = es._dlogs(ctx31, a_encs), np.full(a_encs.size, ctx31.dlog(ctx31.xi))
-    for monomials in (es._L_monomials(ctx31), es._F_monomials(ctx31)):
-        fast = es.form_matrices(ctx31, monomials)(la, lb)
-        assert fast.tolist() == es.form_matrices(slow, monomials)(la, lb).tolist()
-    assert es.prop1_kernel_check(slow, a_encs, np.full(a_encs.size, ctx31.xi.enc)) == a_encs.size
+def test_form_matrices_match_slow_context(ctx31, ctx32):
+    # the table path against the per-element fallback of the bulk primitives,
+    # at every seventh norms-differ a at (3,1) and at three a at (3,2)
+    for ctx, pairs in ((ctx31, slice(None, None, 7)), (ctx32, slice(3))):
+        slow = build_context(ctx.params, ctx.m, use_tables=False)
+        a_encs = es.sweep_order(ctx)[~es.norms_match(ctx, ctx.xi)][pairs]
+        la, lb = es._dlogs(ctx, a_encs), np.full(a_encs.size, ctx.dlog(ctx.xi))
+        fast, plain = es.form_matrices(ctx)(la, lb), es.form_matrices(slow)(la, lb)
+        assert [m.tolist() for m in fast] == [m.tolist() for m in plain]
+        b_encs = np.full(a_encs.size, ctx.xi.enc)
+        assert es.prop1_kernel_check(slow, a_encs, b_encs) == a_encs.size
 
 
 def test_kernel_check_catches_perturbed_F(ctx31):
     a, b = ctx31.xi ** 5, ctx31.xi
+    arith = ctx31.subfield(1).key_arithmetic()
     la, lb = es._dlogs(ctx31, np.array([a.enc])), es._dlogs(ctx31, np.array([b.enc]))
-    L = es.form_matrices(ctx31, es._L_monomials(ctx31))(la, lb)
-    F = es.form_matrices(ctx31, es._F_monomials(ctx31))(la, lb)
-    assert es.kernel_mismatches(L, F, 3, 2)[0].tolist() == []
-    # one entry of F's first row off at a digit where a common zero is nonzero
+    L, F = es.form_matrices(ctx31)(la, lb)
+    assert es.kernel_mismatches(L, F, arith)[0].tolist() == []
+    # one entry of F's first row off at a coordinate where a common zero is
+    # nonzero (over GF(3) the key of c is c, and so are the coordinates)
     zero = ref.L_zeros_field(ctx31, pair_of(ctx31, a, b))[1]
     j = next(i for i, c in enumerate(zero.coeffs) if c)
     off = F.copy()
     off[0, 0, j] = (off[0, 0, j] + 1) % 3
-    assert es.kernel_mismatches(L, off, 3, 2)[0].tolist() == [0]
-    # the same kernel as L, but of dimension above 2k, is refused too
+    assert es.kernel_mismatches(L, off, arith)[0].tolist() == [0]
+    # the same kernel as L, but of dimension above 2, is refused too
     zero_maps = np.zeros_like(F)
-    assert es.kernel_mismatches(zero_maps, zero_maps, 3, 2)[0].tolist() == [0]
+    assert es.kernel_mismatches(zero_maps, zero_maps, arith)[0].tolist() == [0]
 
 
-def test_kernel_check_raises_on_wrong_F(ctx31, monkeypatch):
-    # F with the sign of its first term flipped no longer shares L's zeros
-    real = es._F_monomials
-    monkeypatch.setattr(es, "_F_monomials", lambda ctx: (
-        ((-real(ctx)[0][0],) + real(ctx)[0][1:],) + real(ctx)[1:]))
-    a_encs = es.sweep_order(ctx31)[~es.norms_match(ctx31, ctx31.one)]
+@pytest.mark.parametrize("term", range(6))
+@pytest.mark.parametrize("fixture", ["ctx31", "ctx32"])
+def test_kernel_check_raises_on_wrong_F(fixture, term, request, monkeypatch):
+    # F with the sign of one term flipped no longer shares L's zeros
+    ctx = request.getfixturevalue(fixture)
+    real = es._F_monomials(ctx)
+    flipped = real[:term] + ((-real[term][0],) + real[term][1:],) + real[term + 1:]
+    monkeypatch.setattr(es, "_F_monomials", lambda ctx: flipped)
+    a_encs = es.sweep_order(ctx)[~es.norms_match(ctx, ctx.one)]
     with pytest.raises(KernelMismatch, match="a=.*, b=g\\^0"):
-        es.prop1_kernel_check(ctx31, a_encs, np.full(a_encs.size, ctx31.one.enc))
+        es.prop1_kernel_check(ctx, a_encs, np.full(a_encs.size, ctx.one.enc))
     with pytest.raises(BothCoefficientsZero):
-        es.prop1_kernel_check(ctx31, [0], [0])
+        es.prop1_kernel_check(ctx, [0], [0])
 
 
-@settings(derandomize=True, deadline=None, max_examples=40)
-@given(p=st.sampled_from([3, 5, 7]), data=st.data())
-def test_rref_mod_p_kernel_sizes(p, data):
-    # the rank from rref_mod_p against a count of the kernel over all of GF(p)^c
-    r, c = data.draw(st.integers(1, 4), label="rows"), data.draw(st.integers(1, 4), label="cols")
-    rows = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=c, max_size=c),
+def _subfield(q):
+    # GF(q) as a subfield view of a small ambient field: context(p, k, m), degree
+    p, k, m, degree = {3: (3, 1, 4, 1), 5: (5, 1, 4, 1), 9: (3, 1, 4, 2),
+                       25: (5, 1, 4, 2), 27: (3, 3, 6, 3)}[q]
+    return context(p, k, m).subfield(degree)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(q=st.sampled_from([3, 5, 9, 25, 27]), data=st.data())
+def test_rref_keyed_kernel_sizes(q, data, key_encodings):
+    # the rank from rref_keyed against a count of the kernel over all of
+    # GF(q)^c, in the ambient field's own arithmetic
+    view = _subfield(q)
+    c_max = max(c for c in range(1, 5) if q ** c <= 20_000)
+    r, c = data.draw(st.integers(1, 4), label="rows"), data.draw(st.integers(1, c_max), label="cols")
+    rows = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=c, max_size=c),
                               min_size=r, max_size=r), label="matrix")
-    mat = np.array(rows, dtype=np.int16)
-    reduced, rank = es.rref_mod_p(mat[None], p)
-    vectors = np.indices((p,) * c).reshape(c, -1)
+    mat = np.array(rows, dtype=np.int64)
+    arith, encs = view.key_arithmetic(), key_encodings(view)
+    reduced, rank = es.rref_keyed(mat[None], arith)
+    vectors = np.indices((q,) * c).reshape(c, -1)
 
     def in_kernel(m):
-        return ~(m.astype(np.int64) @ vectors % p).any(axis=0)
+        return ~_matvec(view.ctx, encs, m, vectors).any(axis=0)
 
-    assert np.count_nonzero(in_kernel(mat)) == p ** (c - rank[0])
+    assert np.count_nonzero(in_kernel(mat)) == q ** (c - rank[0])
     assert (in_kernel(reduced[0]) == in_kernel(mat)).all()
-    assert es.rref_mod_p(reduced, p)[0].tolist() == reduced.tolist()  # reduced is a fixed point
+    assert es.rref_keyed(reduced, arith)[0].tolist() == reduced.tolist()  # reduced is a fixed point
 
 
 def test_norms_match_matches_case_detail(ctx31, ctx51):

@@ -339,6 +339,64 @@ def test_addition_table_self_check(monkeypatch):
             build_context(FieldParams(3, 1), 4)
 
 
+@pytest.mark.parametrize("modulus, message", [
+    ((0, 0, 0, 0, 1), "not primitive"),  # X^4: X is not a unit, so X^80 != 1
+    ((1, 1, 1, 1, 1), "collisions"),  # irreducible, but X^5 = 1: the exp table repeats
+], ids=["X-not-a-unit", "X-of-order-5"])
+def test_table_build_refuses_a_non_primitive_modulus(modulus, message):
+    with pytest.raises(InvariantViolation, match=message):
+        FieldCtx(FieldParams(3, 1), 4, modulus)
+
+
+def test_exp_table_matches_powers_of_xi(ctx32):
+    # the doubled exp table against polynomial powers of xi, at every exponent
+    slow = build_context(FieldParams(3, 2), 8, use_tables=False)
+    assert ctx32.exp_enc.tolist() == [slow.pow_enc(slow.xi.enc, e) for e in range(slow.order)]
+
+
+@pytest.mark.parametrize("which", ["ctx31", "ctx32", "slow32"])
+def test_key_tables_match_field_arithmetic(which, request, key_encodings):
+    # mul, inv and axpy of the keys of GF(p^k) against mul_enc, add_enc and
+    # inv_enc of the ambient field, at all Q^2 and Q^3 inputs
+    ctx = (build_context(FieldParams(3, 2), 8, use_tables=False) if which == "slow32"
+           else request.getfixturevalue(which))
+    view = ctx.subfield(ctx.params.k)
+    arith, encs = view.key_arithmetic(), [int(e) for e in key_encodings(view)]
+    q, key = arith.q, {e: K for K, e in enumerate(encs)}
+    assert q == view.q and arith.inv[0] == 0
+    minus_one = ctx.p - 1
+    for x in range(q):
+        if x:
+            assert key[ctx.inv_enc(encs[x])] == arith.inv[x]
+        for v in range(q):
+            assert key[ctx.mul_enc(encs[x], encs[v])] == arith.mul[x * q + v]
+            for f in range(q):
+                fv = ctx.mul_enc(minus_one, ctx.mul_enc(encs[f], encs[v]))
+                assert key[ctx.add_enc(encs[x], fv)] == arith.axpy[(x * q + f) * q + v]
+
+
+def test_key_arithmetic_self_check(monkeypatch):
+    # the keys are checked when their tables are built: one to one onto
+    # 1..Q-1, and the key of a sum the digitwise sum of the keys
+    with pytest.raises(DegreeUnsupported):  # GF(3) in GF(3^3): its trace is not 3^(-1) Tr
+        context(3, 3, 3).subfield(1).key_arithmetic()
+    ctx = build_context(FieldParams(3, 2), 8)
+    monkeypatch.setattr(ctx, "trace_enc_bulk", lambda u: np.zeros(np.shape(u), dtype=np.int64))
+    with pytest.raises(InvariantViolation, match="not one to one"):
+        ctx.subfield(2).key_arithmetic()
+    monkeypatch.undo()
+    real = field_core._digitwise_sums
+
+    def corrupt(digits, p):
+        table = real(digits, p).copy()
+        table[len(digits) + 2] = 3  # the keys 1 and 2 add digitwise to 0 at p = 3
+        return table
+
+    monkeypatch.setattr(field_core, "_digitwise_sums", corrupt)
+    with pytest.raises(InvariantViolation, match="not additive"):
+        ctx.subfield(2).key_arithmetic()
+
+
 def test_odd_degree_tables_fit_the_limit():
     # at odd m the addition table has p q entries, and tables are built only
     # when it fits: 1021^2 <= 2^20 < 1031^2
