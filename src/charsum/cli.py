@@ -3,7 +3,7 @@
 Subcommands
     cyclotomy-table      full cyclotomic-number table (--format json or csv)
     pt-sums              per-class character sums P_t
-    jacobsthal-scan      JSON lines of H/I/curve records over GF(p^2k)
+    jacobsthal-scan      JSON lines of H/I/curve records over GF(p^2k), one per a
     expsum               one record for a given pair (a, b)
     expsum-sweep         all a for a fixed b, with the distribution report
     walsh-spectrum       full Walsh spectrum of a pair
@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import random
 import sys
 import time
@@ -104,8 +105,11 @@ def _cmd_jacobsthal_scan(args) -> int:
     view = ctx.subfield(ctx.m)
     _emit(_header("jacobsthal-scan", args, ctx))
     report = jacobsthal.theorem2_scan(view)
-    for rec in report.records:
-        _emit(rec.to_json_dict(view))
+    pk = report.pk
+    for log, H, I, I2, curve_N in zip(*(x.tolist() for x in (
+            report.logs, report.H, report.I, report.I2, report.curve_N))):
+        _emit({"a": f"g^{log}", "H": H, "I": I, "I2": I2, "curve_N": curve_N,
+               "bound_ratio": abs(H) / (2 * math.sqrt(pk) * (pk + 1))})
     _emit({"max_abs_H": report.max_abs_H, "argmax": f"g^{report.argmax_log}",
            "max_ratio": report.max_ratio, "bound_attained": report.attained})
     return 0
@@ -116,7 +120,7 @@ def _cmd_expsum(args) -> int:
     pair = expsum.CoeffPair(ctx.parse_element(args.a), ctx.parse_element(args.b))
     rec = expsum.expsum_record(ctx, pair)
     _emit(_header("expsum", args, ctx))
-    _emit(rec.to_json_dict(ctx))
+    _emit(rec)
     return 0
 
 
@@ -126,7 +130,7 @@ def _cmd_expsum_sweep(args) -> int:
     if b.is_zero:
         raise ZeroB("distribution sweep needs b != 0")
     _emit(_header("expsum-sweep", args, ctx))
-    report = expsum.distribution_sweep(ctx, b, lambda rec: _emit(rec.to_json_dict(ctx)))
+    report = expsum.distribution_sweep(ctx, b, _emit)
     _emit(report.to_json_dict(ctx))
     return 0
 
@@ -136,12 +140,13 @@ def _cmd_walsh_spectrum(args) -> int:
     pair = expsum.CoeffPair(ctx.parse_element(args.a), ctx.parse_element(args.b))
     spectrum = walsh.full_spectrum(ctx, pair)
     _emit(_header("walsh-spectrum", args, ctx))
+    # |S|^2 is a rational integer on every bent spectrum and at p = 3
+    rendered = {row: {"coeff": list(c.c),
+                      "norm2": n.as_int() if n.is_rational_integer else list(n.c)}
+                for row, (c, n) in spectrum.values.items()}
     labels = ["0"] + [f"g^{e}" for e in range(ctx.order)]
     for label, row in zip(labels, map(tuple, spectrum.counts)):
-        c, n = spectrum.values[row]
-        # |S|^2 is a rational integer on every bent spectrum and at p = 3
-        _emit({"y": label, "coeff": list(c.c),
-               "norm2": n.as_int() if n.is_rational_integer else list(n.c)})
+        _emit({"y": label, **rendered[row]})
     _emit({"summary": dict(sorted(spectrum.summary.items())),
            "parseval": spectrum.parseval,
            "bent": spectrum.bent,
@@ -193,12 +198,9 @@ def _run_verify_all(args) -> int:
     print(f"charsum verify-all  p={args.p} k={args.k} seed={args.seed} "
           f"b={[ctx.format_element(b) for b in b_values]}")
 
-    sweeps = {}
-
+    @functools.cache
     def sweep(b):
-        if b.enc not in sweeps:
-            sweeps[b.enc] = expsum.distribution_sweep(ctx, b)  # raises on any defect
-        return sweeps[b.enc]
+        return expsum.distribution_sweep(ctx, b)  # raises on any defect
 
     @functools.cache
     def bound_scan():
@@ -214,23 +216,24 @@ def _run_verify_all(args) -> int:
         return len(pt.values) == pk + 1, f"values {[v.as_int() for v in pt.values]}"
 
     def check_eq1():
-        records = bound_scan().records
-        eta = view.eta_bulk(np.array([rec.a.enc for rec in records], dtype=np.int64))
-        for rec, eta_a in zip(records, eta.tolist()):
-            if rec.I != jacobsthal.eq1_value(pk, eta_a):
-                return False, f"a = {ctx.format_element(rec.a)} gives {rec.I}"
-        return True, f"{len(records)} elements"
+        rep = bound_scan()
+        eta = view.eta_bulk(ctx.exp_enc_bulk(view.step * rep.logs))
+        off = np.flatnonzero(rep.I != jacobsthal.eq1_value(pk, eta))
+        if off.size:
+            return False, f"a = g^{view.step * rep.logs[off[0]]} gives {rep.I[off[0]]}"
+        return True, f"{rep.logs.size} elements"
 
     def check_theorem2():
         rep = bound_scan()
-        return len(rep.records) == pk * pk - pk, (
-            f"{len(rep.records)} elements, max |H| = {rep.max_abs_H}, "
+        return rep.logs.size == pk * pk - pk, (
+            f"{rep.logs.size} elements, max |H| = {rep.max_abs_H}, "
             f"ratio {rep.max_ratio:.4f}")
 
     def check_curve():
-        for rec in bound_scan().records:
-            if rec.H != (pk + 1) * (rec.curve_N - pk):
-                return False, f"mismatch at a = {ctx.format_element(rec.a)}"
+        rep = bound_scan()
+        off = np.flatnonzero(rep.H != (pk + 1) * (rep.curve_N - pk))
+        if off.size:
+            return False, f"mismatch at a = g^{view.step * rep.logs[off[0]]}"
         return True, "H/(p^k+1) = N - p^k throughout"
 
     def check_theorem3():
@@ -248,15 +251,16 @@ def _run_verify_all(args) -> int:
         expected = sum(map(len, a_encs)) + args.samples
         samples = 0
         while samples < args.samples:
-            a = ctx.from_enc(rng.randrange(ctx.q))
-            b = ctx.from_enc(rng.randrange(ctx.q))
-            if a.is_zero and b.is_zero:
-                continue
-            if expsum.case_detail(ctx, expsum.CoeffPair(a, b)).norms_match:
-                continue
-            a_encs.append([a.enc])
-            b_encs.append([b.enc])
-            samples += 1
+            # only as many draws as pairs are missing, so that the stream
+            # stops where a one-pair-at-a-time loop would stop
+            a, b = np.array([(rng.randrange(ctx.q), rng.randrange(ctx.q))
+                             for _ in range(args.samples - samples)]).T
+            la, lb = expsum._dlogs(ctx, a), expsum._dlogs(ctx, b)
+            # a zero a or b has a zero norm and the other does not; (0, 0) is skipped
+            keep = ((a > 0) | (b > 0)) & ((lb < 0) | ~expsum._norms_match(ctx, la, lb))
+            a_encs.append(a[keep])
+            b_encs.append(b[keep])
+            samples += int(keep.sum())
         compared = expsum.prop1_kernel_check(ctx, np.concatenate(a_encs), np.concatenate(b_encs))
         if compared != expected:
             return False, f"ker L = ker F at {compared} pairs, expected {expected}"
@@ -267,9 +271,7 @@ def _run_verify_all(args) -> int:
         n_pairs = 0
         for b in b_values:
             # the sweep has checked its N table against the direct count on this slice
-            slice_ = sweep(b).jacobsthal
-            a_encs = np.array([a.enc for a in slice_], dtype=np.int64)
-            n1 = np.array(list(slice_.values()), dtype=np.int64)
+            a_encs, n1 = sweep(b).jacobsthal
             n2 = expsum.N_via_nonsquares_bulk(ctx, b, a_encs)
             n3 = expsum.N_via_jacobsthal_bulk(ctx, b, a_encs)
             if not n1.size == n2.size == n3.size:
@@ -310,18 +312,19 @@ def _run_verify_all(args) -> int:
             if total != expected:
                 return False, (f"property vii: sum of N = {total}, expected {expected} "
                                f"at b = {ctx.format_element(b)}")
-            a_list = list(rep.jacobsthal)
-            results = expsum.corollary_properties(ctx, b, [a.enc for a in a_list])
+            a_encs, _ = rep.jacobsthal
+            results = expsum.corollary_properties(ctx, b, a_encs)
             checked = {key: ok for key, ok in results.items() if ok is not None}
             sizes = sorted({ok.size for ok in checked.values()})
-            if sizes != [len(a_list)]:
-                return False, f"{sizes} pairs evaluated, expected {len(a_list)}"
+            if sizes != [a_encs.size]:
+                return False, f"{sizes} pairs evaluated, expected {a_encs.size}"
             failed = np.flatnonzero(~np.logical_and.reduce(list(checked.values())))
             if failed.size:
                 i = failed[0]
                 bad = [key for key, ok in checked.items() if not ok[i]]
-                return False, f"properties {bad} failed at a = {ctx.format_element(a_list[i])}"
-            n_pairs += len(a_list)
+                a = ctx.from_enc(int(a_encs[i]))
+                return False, f"properties {bad} failed at a = {ctx.format_element(a)}"
+            n_pairs += a_encs.size
         return True, f"{n_pairs} pairs x 7 properties"
 
     def check_rst():

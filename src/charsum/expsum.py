@@ -53,9 +53,10 @@ cross-check both tables inside every sweep.
 
 distribution_sweep fixes b and covers every a in array work: it checks
 each closed form against the transform's defining sum, streams each
-pair's record (case, N and witnesses) to its caller if asked, and
-tallies how often S_f(0) hits each of the three values (r, s, t),
-verifying
+pair's JSON record (case, N and witnesses, built from its arrays and
+dlog labels) to its caller if asked, keeps the JACOBSTHAL slice as two
+arrays, and tallies how often S_f(0) hits each of the three values
+(r, s, t), verifying
 
     r + s + t  = p^n - p^k + chi(b),
     -r + s + 3t = chi(b) p^k,
@@ -115,14 +116,13 @@ class CaseDetail:
 
 
 def case_detail(ctx: FieldCtx, pair: CoeffPair) -> CaseDetail:
-    """The case of (a, b) and the conditions behind it, by exact powers."""
+    """The case of (a, b) and the conditions behind it, by exact powers of
+    the encodings."""
     pair.require_admissible()
-    p, k, d = ctx.p, ctx.params.k, ctx.params.d
-    a, b = pair.a, pair.b
-    pk = p ** k
-    norms_match = a ** (pk * (pk + 1)) == b ** (pk + 1)
-    square_match = (not b.is_zero) and a * a == b ** d
-    b_square = (not b.is_zero) and b ** (ctx.order // 2) == ctx.one
+    pk, a, b = ctx.p ** ctx.params.k, pair.a.enc, pair.b.enc
+    norms_match = ctx.pow_enc(a, pk * (pk + 1)) == ctx.pow_enc(b, pk + 1)
+    square_match = b != 0 and ctx.mul_enc(a, a) == ctx.pow_enc(b, ctx.params.d)
+    b_square = b != 0 and ctx.pow_enc(b, ctx.order // 2) == ctx.one.enc
     if square_match:
         tag = CaseTag.SQUARE_MATCH
     elif not norms_match:
@@ -136,8 +136,9 @@ def case_detail(ctx: FieldCtx, pair: CoeffPair) -> CaseDetail:
 CASE_TAGS = (CaseTag.NORM_DIFFER, CaseTag.SQUARE_MATCH, CaseTag.JACOBSTHAL)
 
 
-def _norms_match(ctx: FieldCtx, la, lb: int):
-    # a^(p^k(p^k+1)) = b^(p^k+1) at a = xi^la (la = -1 for a = 0), b = xi^lb:
+def _norms_match(ctx: FieldCtx, la, lb):
+    # a^(p^k(p^k+1)) = b^(p^k+1) at a = xi^la (la = -1 for a = 0), b = xi^lb
+    # (ints, or arrays):
     # iff (p^k + 1)(p^k la - lb) = 0 modulo q - 1; a = 0 does not match
     pk, order = ctx.p ** ctx.params.k, ctx.order
     return (la >= 0) & ((pk + 1) * ((pk * la - lb) % order) % order == 0)
@@ -380,19 +381,14 @@ def N_table(ctx: FieldCtx, b: Elem):
     return twice // 2, incidence
 
 
-def _witnesses(ctx: FieldCtx, incidence, a_encs):
-    """For each encoding in a_encs, in turn, the encodings of the zeros of L
-    on U at that a, in dlog order, read from N_table's incidence array."""
+def _zeros_by_a(ctx: FieldCtx, n, incidence):
+    """The zeros of L on U grouped by a, from N_table's (n, incidence):
+    (logs, bounds), int64 arrays with logs[bounds[e]:bounds[e + 1]] the
+    dlogs of the zeros at the a encoded e, in increasing order."""
     Q = ctx.p ** (2 * ctx.params.k)
-    pos = np.flatnonzero(np.isin(incidence, a_encs))
     # the incidence runs over u in dlog order, and a stable sort keeps that order within each a
-    pos = pos[np.argsort(incidence[pos], kind="stable")]
-    found = incidence[pos]
-    u_encs = ctx.exp_enc_bulk(U_logs(ctx)[pos // Q])
-    lo = np.searchsorted(found, a_encs, "left")
-    hi = np.searchsorted(found, a_encs, "right")
-    for i, j in zip(lo, hi):
-        yield u_encs[i:j]
+    logs = U_logs(ctx)[np.argsort(incidence, kind="stable") // Q]
+    return logs, np.concatenate(([0], np.cumsum(2 * n)))
 
 
 # --------------------------------------------------------------------------
@@ -703,7 +699,7 @@ def corollary_eq9_check(ctx: FieldCtx, report):
     """sum of N over the JACOBSTHAL slice of b vs (p^k+1)(p^k - chi(b))/2,
     from the N table of report, the distribution_sweep at b."""
     pk = ctx.p ** ctx.params.k
-    return sum(report.jacobsthal.values()), (pk + 1) * (pk - report.chi_b) // 2
+    return int(report.jacobsthal[1].sum()), (pk + 1) * (pk - report.chi_b) // 2
 
 
 def _properties(pk: int, b_square: bool, N, N_inv, N_nega, N_negb) -> dict:
@@ -794,40 +790,30 @@ def corollary_properties(ctx: FieldCtx, b: Elem, a_encs) -> dict:
 # per-pair records and the full distribution sweep
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExpSumRecord:
-    pair: CoeffPair
-    tag: CaseTag
-    N: int
-    S0: int
-    witnesses: tuple
-
-    def to_json_dict(self, ctx: FieldCtx) -> dict:
-        return {
-            "a": ctx.format_element(self.pair.a),
-            "b": ctx.format_element(self.pair.b),
-            "tag": self.tag.value,
-            "N": self.N,
-            "S0": self.S0,
-            "witnesses": [ctx.format_element(w) for w in self.witnesses],
-        }
+def _record(a: str, b: str, tag: CaseTag, n: int, s0: int, witness_logs) -> dict:
+    """The JSON record of one pair (a, b), both given as labels "0" or
+    "g^e": its case, N, S_f(0) and the zeros of L on U, as "g^e" from
+    their dlogs."""
+    return {"a": a, "b": b, "tag": tag.value, "N": n, "S0": s0,
+            "witnesses": [f"g^{e}" for e in witness_logs]}
 
 
-def expsum_record(ctx: FieldCtx, pair: CoeffPair) -> ExpSumRecord:
-    """Classify, count zeros, and confirm the closed form against the
-    brute-force sum (OracleMismatch on any defect)."""
+def expsum_record(ctx: FieldCtx, pair: CoeffPair) -> dict:
+    """The record of one pair: classify, count zeros, and confirm the
+    closed form against the brute-force sum (OracleMismatch on any
+    defect)."""
     defining = S0_bruteforce(ctx, pair)
     tag = case_detail(ctx, pair).tag
-    n, witnesses = N_count(ctx, pair)
-    s0 = ctx.p ** (2 * ctx.params.k) * (2 * n - 1)
+    n, zeros = N_count_bulk(ctx, [pair.a.enc], [pair.b.enc])
+    s0 = ctx.p ** (2 * ctx.params.k) * (2 * int(n[0]) - 1)
     if defining != s0:
-        raise _oracle_mismatch(ctx, pair, s0, defining)
-    return ExpSumRecord(pair=pair, tag=tag, N=n, S0=s0, witnesses=tuple(witnesses))
+        raise _oracle_mismatch(ctx, pair.a.enc, pair.b.enc, s0, defining)
+    return _record(ctx.format_element(pair.a), ctx.format_element(pair.b), tag, int(n[0]), s0,
+                  U_logs(ctx)[zeros[0]].tolist())
 
 
-def _oracle_mismatch(ctx: FieldCtx, pair: CoeffPair, s0: int, defining: CycInt):
-    return OracleMismatch(f"closed {s0} != defining sum {defining} at "
-                          f"a={ctx.format_element(pair.a)}, b={ctx.format_element(pair.b)}")
+def _oracle_mismatch(ctx: FieldCtx, a_enc, b_enc, s0: int, defining: CycInt):
+    return OracleMismatch(f"closed {s0} != defining sum {defining} at {_where(ctx, a_enc, b_enc)}")
 
 
 @dataclass(frozen=True)
@@ -836,9 +822,10 @@ class DistributionReport:
 
     r, s, t count S_f(0) = -p^2k, p^2k, 3 p^2k over the NORM_DIFFER and
     SQUARE_MATCH cases; jac_histogram maps N to its frequency over the
-    JACOBSTHAL case and jacobsthal maps each a of that slice, in sweep
-    order, to its N (not part of the JSON record).  residuals are the
-    three identity defects and must all be zero."""
+    JACOBSTHAL case and jacobsthal is that slice as two int64 arrays in
+    sweep order, the encodings of its a and their N (not part of the JSON
+    record).  residuals are the three identity defects and must all be
+    zero."""
 
     b: Elem
     chi_b: int
@@ -848,7 +835,7 @@ class DistributionReport:
     jac_histogram: dict
     s0_total: int
     residuals: tuple
-    jacobsthal: dict
+    jacobsthal: tuple
 
     def to_json_dict(self, ctx: FieldCtx) -> dict:
         return {
@@ -871,9 +858,9 @@ def distribution_sweep(ctx: FieldCtx, b: Elem, on_record=None) -> DistributionRe
     character_counts transform, N > 2 outside the JACOBSTHAL case raises
     RangeViolation, and the direct zero count (N_count_bulk) and
     case_detail cross-check both tables on the JACOBSTHAL slice and on at
-    most 32 evenly strided a (a = 0 among them).  Only then, if on_record is given, is each pair's
-    record, as expsum_record gives it but read from the tables, passed
-    to it in sweep order; records are not kept."""
+    most 32 evenly strided a (a = 0 among them).  Only then, if on_record
+    is given, is each pair's record, as expsum_record gives it but read
+    from the arrays, passed to it in sweep order; records are not kept."""
     if b.is_zero:
         raise ZeroB("distribution sweep needs b != 0")
     p, pk, Q = ctx.p, ctx.p ** ctx.params.k, ctx.p ** (2 * ctx.params.k)
@@ -890,17 +877,17 @@ def distribution_sweep(ctx: FieldCtx, b: Elem, on_record=None) -> DistributionRe
                            & (counts[:, 0] - counts[:, 1] == s0)))
     if off.size:
         i = off[0]
-        raise _oracle_mismatch(ctx, CoeffPair(ctx.from_enc(int(a_encs[i])), b), int(s0[i]),
-                               CycInt.from_counts(p, counts[i]))
+        raise _oracle_mismatch(ctx, a_encs[i], b.enc, int(s0[i]), CycInt.from_counts(p, counts[i]))
     jac = tags == CASE_TAGS.index(CaseTag.JACOBSTHAL)
     over = np.flatnonzero(~jac & (n > 2))
     if over.size:
         i = over[0]
         raise RangeViolation(f"{CASE_TAGS[tags[i]].value} pair has N = {n[i]} > 2 "
-                             f"at a={ctx.format_element(ctx.from_enc(int(a_encs[i])))}")
+                             f"at {_where(ctx, a_encs[i], b.enc)}")
     # at most 32 evenly strided sweep positions, a = 0 first
     strided = np.arange(ctx.q) % -(-ctx.q // 32) == 0
-    _cross_check(ctx, b, a_encs, n, tags, incidence, np.flatnonzero(jac | strided))
+    witnesses = _zeros_by_a(ctx, n_by_enc, incidence)
+    _cross_check(ctx, b, a_encs, n, tags, witnesses, np.flatnonzero(jac | strided))
 
     r, s, t = (int(c) for c in np.bincount(n[~jac], minlength=3))
     jac_hist = {v: int(c) for v, c in enumerate(np.bincount(n[jac])) if c}
@@ -913,30 +900,30 @@ def distribution_sweep(ctx: FieldCtx, b: Elem, on_record=None) -> DistributionRe
     if any(residuals):
         raise OracleMismatch(f"distribution identities violated: {residuals}")
     if on_record is not None:
-        witnesses = _witnesses(ctx, incidence, a_encs)
-        for i, (a_enc, w) in enumerate(zip(a_encs, witnesses)):
-            on_record(ExpSumRecord(pair=CoeffPair(ctx.from_enc(int(a_enc)), b),
-                                   tag=CASE_TAGS[tags[i]], N=int(n[i]), S0=int(s0[i]),
-                                   witnesses=tuple(ctx.from_enc(int(e)) for e in w)))
+        # sweep position i is a = 0 at i = 0 and a = xi^(i-1) after
+        logs, bounds = (x.tolist() for x in witnesses)
+        b_label = ctx.format_element(b)
+        for i, (e, tag, n_i, s0_i) in enumerate(zip(*(x.tolist() for x in (a_encs, tags, n, s0)))):
+            on_record(_record(f"g^{i - 1}" if i else "0", b_label, CASE_TAGS[tag], n_i, s0_i,
+                             logs[bounds[e]:bounds[e + 1]]))
     return DistributionReport(b=b, chi_b=sign, r=r, s=s, t=t,
                               jac_histogram=jac_hist, s0_total=s0_total, residuals=residuals,
-                              jacobsthal={ctx.from_enc(int(e)): int(v)
-                                          for e, v in zip(a_encs[jac], n[jac])})
+                              jacobsthal=(a_encs[jac], n[jac]))
 
 
-def _cross_check(ctx: FieldCtx, b: Elem, a_encs, n, tags, incidence, sample):
+def _cross_check(ctx: FieldCtx, b: Elem, a_encs, n, tags, witnesses, sample):
     # the direct zero count (one N_count_bulk call) and case_detail at the
-    # sweep positions in sample against the N table, its witnesses and the
-    # bulk case split
+    # sweep positions in sample against the N table, its _zeros_by_a
+    # witnesses and the bulk case split
+    logs, bounds = witnesses
     n_direct, zeros = N_count_bulk(ctx, a_encs[sample], np.full(sample.size, b.enc))
-    u_encs = ctx.exp_enc_bulk(U_logs(ctx))
-    table_witnesses = _witnesses(ctx, incidence, a_encs[sample])
-    for i, n_i, zeros_i, witnesses in zip(sample, n_direct, zeros, table_witnesses):
-        where = _where(ctx, a_encs[i], b.enc)
-        if n_i != n[i] or u_encs[zeros_i].tolist() != witnesses.tolist():
+    u_logs = U_logs(ctx)
+    for i, n_i, zeros_i in zip(sample, n_direct, zeros):
+        e = a_encs[i]
+        if n_i != n[i] or u_logs[zeros_i].tolist() != logs[bounds[e]:bounds[e + 1]].tolist():
             raise OracleMismatch(f"direct zero count N = {n_i} != N table {n[i]}, "
-                                 f"or other witnesses, at {where}")
-        tag = case_detail(ctx, CoeffPair(ctx.from_enc(int(a_encs[i])), b)).tag
+                                 f"or other witnesses, at {_where(ctx, e, b.enc)}")
+        tag = case_detail(ctx, CoeffPair(ctx.from_enc(int(e)), b)).tag
         if tag is not CASE_TAGS[tags[i]]:
             raise CaseViolation(f"case_detail gives {tag.value}, the bulk case split "
-                                f"{CASE_TAGS[tags[i]].value} at {where}")
+                                f"{CASE_TAGS[tags[i]].value} at {_where(ctx, e, b.enc)}")

@@ -2,8 +2,9 @@
 one element at a time.  No command imports this module; each public
 function cross-checks a batched route in the tests: the zero sets of L
 and F against expsum.prop1_kernel_check, find_g against expsum._g_logs,
-the per-a Jacobsthal sums and curve counts against jacobsthal.scan_table,
-the Walsh coefficient and the (1, 1) closed form at one y against
+the per-a Jacobsthal sums and curve counts (a JacobsthalRecord) against
+jacobsthal.scan_table and the rows of jacobsthal-scan, the Walsh
+coefficient and the (1, 1) closed form at one y against
 walsh.full_spectrum and theorem1_root_scan, and the cyclotomic numbers
 against cyclotomy.full_table.
 """
@@ -22,7 +23,7 @@ from .errors import (CaseViolation, IndexOutOfRange, InvariantViolation, NoSolut
 from .expsum import (CoeffPair, _coefficient_logs, _L_terms, _require_jacobsthal, f_values,
                      trace_values)
 from .field_core import Elem, FieldCtx, SubfieldView
-from .jacobsthal import H_sums, JacobsthalRecord
+from .jacobsthal import H_sums
 
 
 # --------------------------------------------------------------------------
@@ -146,6 +147,17 @@ def curve_point_count(kview: SubfieldView, A: Elem, C: Elem) -> int:
         w = z * z * z - A * z * z + C * z
         count += 1 + kview.eta(w)
     return count
+
+
+@dataclass(frozen=True)
+class JacobsthalRecord:
+    a: Elem
+    order_n: int          # p^k + 1
+    H: int
+    I: int
+    I2: int               # I at order 2(p^k+1); equals I + H
+    curve_N: int | None   # affine point count, when a is outside GF(p^k)
+    bound_ratio: float | None
 
 
 def jacobsthal_record(view: SubfieldView, a: Elem) -> JacobsthalRecord:

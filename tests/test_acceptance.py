@@ -72,10 +72,9 @@ def test_c04_jacobsthal_bound_and_curve_identity(sizes):
         view = view2k(ctx)
         pk = p ** k
         report = jacobsthal.theorem2_scan(view)  # BoundViolation on defect
-        assert len(report.records) == p ** (2 * k) - pk
-        for rec in report.records:
-            assert rec.H ** 2 <= report.bound_sq
-            assert rec.H == (pk + 1) * (rec.curve_N - pk)
+        assert report.logs.size == p ** (2 * k) - pk
+        assert (report.H ** 2 <= report.bound_sq).all()
+        assert (report.H == (pk + 1) * (report.curve_N - pk)).all()
     _passed("criterion 4: |H| bound holds and H/(p^k+1) = curve_N - p^k, dual-path")
 
 

@@ -1,6 +1,8 @@
 import ast
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from charsum import expsum, jacobsthal, reference
-from charsum.cli import run
+from charsum.cli import DEFAULT_SEED, run
+from charsum.field_core import Elem, context
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -53,6 +56,73 @@ def test_expsum_record(capsys):
     assert header["context"]["modulus"] == "2,1,0,0,1"
     assert record == {"a": "g^0", "b": "g^0", "tag": "SQUARE_MATCH",
                       "N": 0, "S0": -9, "witnesses": []}
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["expsum-sweep", "--p", "3", "--k", "1", "--b", "g^1"],
+     "8cb3cf22178c3ac01a81b967b50691fca2812f1864ad0cd871a938a6f977cc86"),
+    (["expsum", "--p", "3", "--k", "1", "--a", "g^1", "--b", "g^0"],
+     "30a3dc9023d43fedbd4854fa9e23a1255ed0faced8b7e612b14921b0cb480a14"),
+    (["jacobsthal-scan", "--p", "5", "--k", "1"],
+     "f09c2bc60bc68cf2a8b8c634c007a0c5912303e01b881945d07e34b2a9132eb2"),
+    (["walsh-spectrum", "--p", "3", "--k", "1", "--a", "g^0", "--b", "g^0"],
+     "e0d2d17817ece0d24af97be55d324e0b1144c07b36d0d22e7bc9b18339f2b692"),
+])
+def test_export_output_pinned(capsys, argv, digest):
+    # the whole stdout of four small exports, byte for byte, by SHA-256
+    assert run(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, most", [
+    (["expsum-sweep", "--p", "3", "--k", "2", "--b", "g^1"], 100),
+    (["jacobsthal-scan", "--p", "31", "--k", "1"], 20),
+])
+def test_exports_build_no_element_per_row(capsys, monkeypatch, argv, most):
+    # the rows go from the layers' arrays to JSON: 6,563 and 932 lines here,
+    # from at most a few dozen field element objects
+    built = []
+    real = Elem.__init__
+
+    def counted(self, ctx, enc):
+        built.append(enc)
+        real(self, ctx, enc)
+
+    monkeypatch.setattr(Elem, "__init__", counted)
+    assert run(argv) == 0
+    assert len(_lines(capsys)) > 10 * most
+    assert len(built) <= most
+
+
+def test_prop1_samples_match_case_detail(capsys, monkeypatch):
+    # the --samples pairs that prop1 draws and keeps by the dlog rule are
+    # those a case_detail-based selection keeps, one draw at a time, from
+    # the same seeded stream, and corollary1 draws its triples from the
+    # rest of that stream
+    seen = {}
+
+    def recording(name, real):
+        def recorded(ctx, *arrays):
+            seen[name] = arrays
+            return real(ctx, *arrays)
+        return recorded
+
+    for name in ("prop1_kernel_check", "corollary1_bulk"):
+        monkeypatch.setattr(expsum, name, recording(name, getattr(expsum, name)))
+    assert run(["verify-all", "--p", "3", "--k", "1", "--samples", "200"]) == 0
+    assert capsys.readouterr().out.count("[ok  ]") == 12
+    ctx, rng, want = context(3, 1), random.Random(DEFAULT_SEED), []
+    while len(want) < 200:
+        a, b = ctx.from_enc(rng.randrange(ctx.q)), ctx.from_enc(rng.randrange(ctx.q))
+        if not (a.is_zero and b.is_zero) and not expsum.case_detail(
+                ctx, expsum.CoeffPair(a, b)).norms_match:
+            want.append((a.enc, b.enc))
+    a_encs, b_encs = seen["prop1_kernel_check"]
+    assert list(zip(a_encs[-200:].tolist(), b_encs[-200:].tolist())) == want
+    assert any(0 in pair for pair in want)  # a zero a or b is among the draws
+    a, b, _ = seen["corollary1_bulk"]
+    first = (rng.randrange(ctx.q), rng.randrange(ctx.q))
+    assert first != (0, 0) and (a[0], b[0]) == first
 
 
 def test_cyclotomy_table_csv(capsys):

@@ -465,14 +465,13 @@ def test_bulk_routes_match_pair_routes(fixture, request, monkeypatch):
     # pair per block
     ctx = request.getfixturevalue(fixture)
     for b in (ctx.one, ctx.xi):
-        slice_ = es.distribution_sweep(ctx, b).jacobsthal
-        a_encs = np.array([a.enc for a in slice_])
-        pairs = [pair_of(ctx, a, b) for a in slice_]
+        a_encs, n1 = es.distribution_sweep(ctx, b).jacobsthal
+        pairs = [pair_of(ctx, ctx.from_enc(int(a)), b) for a in a_encs]
         assert es._g_logs(ctx, b, a_encs).tolist() == [
             ctx.dlog(ref.find_g(ctx, pair)) for pair in pairs]
         n2 = es.N_via_nonsquares_bulk(ctx, b, a_encs)
         n3 = es.N_via_jacobsthal_bulk(ctx, b, a_encs)
-        assert n2.tolist() == n3.tolist() == list(slice_.values())
+        assert n2.tolist() == n3.tolist() == n1.tolist()
         monkeypatch.setattr(es, "BLOCK_ENTRIES", 1)  # one pair per block
         assert es.N_via_nonsquares_bulk(ctx, b, a_encs).tolist() == n2.tolist()
         assert es.N_via_jacobsthal_bulk(ctx, b, a_encs).tolist() == n3.tolist()
@@ -585,15 +584,18 @@ def test_eq9_sums(ctx31, ctx51):
 
 @pytest.mark.parametrize("fixture", ["ctx31", "ctx51"])
 def test_sweep_jacobsthal_slice(fixture, request):
-    # the sweep's slice is jacobsthal_pairs in the same order, and (vii)
-    # sums the same N from the N table as N_count gives over that walk
+    # the sweep's slice is jacobsthal_pairs in the same order, with the N
+    # that N_count gives over that walk, and (vii) sums those N
     ctx = request.getfixturevalue(fixture)
     for b in (ctx.one, ctx.xi):
         rep = es.distribution_sweep(ctx, b)
+        a_encs, n = rep.jacobsthal
+        assert a_encs.dtype == n.dtype == np.int64
         pairs = es.jacobsthal_pairs(ctx, b)
-        assert list(rep.jacobsthal) == pairs
+        assert a_encs.tolist() == [a.enc for a in pairs]
+        assert n.tolist() == [es.N_count(ctx, pair_of(ctx, a, b))[0] for a in pairs]
         total, _ = es.corollary_eq9_check(ctx, rep)
-        assert total == sum(es.N_count(ctx, pair_of(ctx, a, b))[0] for a in pairs)
+        assert total == sum(n.tolist())
 
 
 def test_eq9_sum_all_b_31(ctx31):
@@ -682,16 +684,15 @@ def test_sweep_matches_slow_context(ctx31):
     # and from plain field arithmetic, at b = 1 and b = xi
     slow = build_context(FieldParams(3, 1), 4, use_tables=False)
     for e in (0, 1):
-        fast_recs, slow_recs = [], []
-        fast = es.distribution_sweep(ctx31, ctx31.from_exp(e), fast_recs.append)
-        ref = es.distribution_sweep(slow, slow.from_exp(e), slow_recs.append)
+        fast_rows, slow_rows = [], []
+        fast = es.distribution_sweep(ctx31, ctx31.from_exp(e), fast_rows.append)
+        ref = es.distribution_sweep(slow, slow.from_exp(e), slow_rows.append)
         assert (ref.r, ref.s, ref.t) == (fast.r, fast.s, fast.t)
         assert ref.jac_histogram == fast.jac_histogram
-        assert [a.enc for a in ref.jacobsthal] == [a.enc for a in fast.jacobsthal]
-        assert len(fast_recs) == len(slow_recs) == 81
-        for f, s in zip(fast_recs, slow_recs):
-            assert (f.pair.a.enc, f.tag, f.N, f.S0) == (s.pair.a.enc, s.tag, s.N, s.S0)
-            assert [w.enc for w in f.witnesses] == [w.enc for w in s.witnesses]
+        for x, y in zip(ref.jacobsthal, fast.jacobsthal, strict=True):
+            assert x.tolist() == y.tolist()
+        assert len(fast_rows) == 81
+        assert fast_rows == slow_rows
 
 
 def test_sweep_range_check_raises(ctx31, monkeypatch):
@@ -748,22 +749,25 @@ def test_sweep_cross_check_catches_case_split(ctx31, monkeypatch):
 
 @pytest.mark.parametrize("fixture", ["ctx31", "ctx51", "ctx32"])
 def test_sweep_tables_match_direct_count(fixture, request):
-    # every a: the N table's N and witnesses equal N_count's, and the bulk
-    # case split equals case_detail
+    # every a, in sweep order: the row's N, S0 and witnesses equal
+    # N_count's, its tag equals case_detail's, and the JACOBSTHAL slice
+    # holds the rows of that tag
     ctx = request.getfixturevalue(fixture)
+    Q = ctx.p ** (2 * ctx.params.k)
     for b in (ctx.one, ctx.xi):
-        recs = []
-        rep = es.distribution_sweep(ctx, b, recs.append)
-        assert [rec.pair.a for rec in recs] == [ctx.zero] + list(ctx.powers())
-        for rec in recs:
-            n, witnesses = es.N_count(ctx, rec.pair)
-            assert rec.N == n
-            assert [w.enc for w in rec.witnesses] == [w.enc for w in witnesses]
-            assert rec.tag is es.case_detail(ctx, rec.pair).tag
-        assert list(rep.jacobsthal) == [rec.pair.a for rec in recs
-                                        if rec.tag is es.CaseTag.JACOBSTHAL]
-        for a, n in rep.jacobsthal.items():
-            assert n == es.N_count(ctx, pair_of(ctx, a, b))[0]
+        rows = []
+        rep = es.distribution_sweep(ctx, b, rows.append)
+        a_all = [ctx.zero] + list(ctx.powers())
+        for a, row in zip(a_all, rows, strict=True):
+            pair = pair_of(ctx, a, b)
+            n, witnesses = es.N_count(ctx, pair)
+            assert row == {"a": ctx.format_element(a), "b": ctx.format_element(b),
+                           "tag": es.case_detail(ctx, pair).tag.value, "N": n,
+                           "S0": Q * (2 * n - 1),
+                           "witnesses": [ctx.format_element(w) for w in witnesses]}
+        a_encs, n = rep.jacobsthal
+        jac = [(a.enc, row["N"]) for a, row in zip(a_all, rows) if row["tag"] == "JACOBSTHAL"]
+        assert list(zip(a_encs.tolist(), n.tolist())) == jac
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -815,7 +819,8 @@ def test_N_count_bulk_property(pk, data):
         assert zeros_i.sum() == 2 * n_i
         if b:
             table, incidence = es.N_table(ctx, ctx.from_enc(int(b)))
-            witnesses, = es._witnesses(ctx, incidence, a_encs[a_encs == a][:1])
+            logs, bounds = es._zeros_by_a(ctx, table, incidence)
+            witnesses = ctx.exp_enc_bulk(logs[bounds[a]:bounds[a + 1]])
             assert n_i == table[a] and u_encs[zeros_i].tolist() == witnesses.tolist()
 
 
@@ -852,10 +857,15 @@ def test_sweep_rejects_zero_b(ctx31):
 
 
 def test_record_json(ctx31):
-    rec = es.expsum_record(ctx31, pair_of(ctx31, ctx31.one, ctx31.one))
-    out = rec.to_json_dict(ctx31)
+    out = es.expsum_record(ctx31, pair_of(ctx31, ctx31.one, ctx31.one))
     assert out == {"a": "g^0", "b": "g^0", "tag": "SQUARE_MATCH",
                    "N": 0, "S0": -9, "witnesses": []}
+    # a JACOBSTHAL pair: its witnesses are N_count's, by dlog
+    a = es.jacobsthal_pairs(ctx31, ctx31.xi)[0]
+    n, witnesses = es.N_count(ctx31, pair_of(ctx31, a, ctx31.xi))
+    assert es.expsum_record(ctx31, pair_of(ctx31, a, ctx31.xi)) == {
+        "a": ctx31.format_element(a), "b": "g^1", "tag": "JACOBSTHAL", "N": n,
+        "S0": 9 * (2 * n - 1), "witnesses": [ctx31.format_element(w) for w in witnesses]}
     rep = es.distribution_sweep(ctx31, ctx31.one).to_json_dict(ctx31)
     assert rep["residuals"] == [0, 0, 0]
     assert set(rep) == {"b", "chi_b", "r", "s", "t", "jac_histogram",

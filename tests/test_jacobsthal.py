@@ -1,13 +1,16 @@
 import functools
+import json
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charsum import jacobsthal as jac
 from charsum import reference as ref
+from charsum.cli import run
 from charsum.errors import BoundViolation, ZeroArgument, ZeroC
 from charsum.field_core import FieldParams, build_context
 
@@ -190,11 +193,20 @@ def test_curve_identity_dual_path(fixture, request):
 # the exhaustive bound scan
 # --------------------------------------------------------------------------
 
+def _scan_rows(report):
+    # (H, I, I2, curve_N) per a of a bound scan report, in its order
+    return list(zip(*(x.tolist() for x in (report.H, report.I, report.I2, report.curve_N))))
+
+
+def _record_row(rec):
+    return rec.H, rec.I, rec.I2, rec.curve_N
+
+
 @pytest.mark.parametrize("fixture,count", [("ctx31", 6), ("ctx51", 20), ("ctx32", 72)])
 def test_bound_scan(fixture, count, request):
     ctx = request.getfixturevalue(fixture)
     report = jac.theorem2_scan(view2k(ctx))
-    assert len(report.records) == count
+    assert report.logs.size == count
     assert report.max_abs_H ** 2 <= report.bound_sq
     assert 0 <= report.max_ratio <= 1
     # the k-even case has an integer bound; record whether it is attained
@@ -203,15 +215,15 @@ def test_bound_scan(fixture, count, request):
 
 @pytest.mark.parametrize("fixture", ["ctx31", "ctx32"])
 def test_scan_table_matches_records(fixture, request):
-    # every a off GF(p^k), in dlog order: the eta-table record equals the
+    # every a off GF(p^k), in dlog order: the scan's arrays equal the
     # per-a jacobsthal_record (H_sums, I_sum and curve_point_count)
     ctx = request.getfixturevalue(fixture)
     view = view2k(ctx)
     kview = ctx.subfield(ctx.params.k)
-    records = jac.theorem2_scan(view).records
-    assert [rec.a for rec in records] == [a for a in view.nonzero_elements()
-                                          if not kview.contains(a)]
-    assert list(records) == [ref.jacobsthal_record(view, rec.a) for rec in records]
+    report = jac.theorem2_scan(view)
+    a_all = [view.generator ** e for e in report.logs.tolist()]
+    assert a_all == [a for a in view.nonzero_elements() if not kview.contains(a)]
+    assert _scan_rows(report) == [_record_row(ref.jacobsthal_record(view, a)) for a in a_all]
 
 
 @pytest.mark.parametrize("p,k", [(5, 2), (13, 1)])
@@ -219,10 +231,12 @@ def test_scan_table_matches_records_seeded(p, k):
     # standalone GF(p^2k), 15 seeded a off GF(p^k) against jacobsthal_record
     ctx = build_context(FieldParams(p, k), 2 * k)
     view = ctx.subfield(2 * k)
-    records = jac.theorem2_scan(view).records
-    assert len(records) == p ** (2 * k) - p ** k
-    for rec in random.Random(p * 100 + k).sample(records, 15):
-        assert rec == ref.jacobsthal_record(view, rec.a)
+    report = jac.theorem2_scan(view)
+    rows = _scan_rows(report)
+    assert len(rows) == p ** (2 * k) - p ** k
+    for i in random.Random(p * 100 + k).sample(range(len(rows)), 15):
+        a = view.generator ** int(report.logs[i])
+        assert rows[i] == _record_row(ref.jacobsthal_record(view, a))
 
 
 @functools.cache
@@ -266,8 +280,8 @@ def test_scan_on_slow_context_agrees(ctx31):
     # the per-element fallback of the bulk primitives gives the same scan
     slow = build_context(FieldParams(3, 1), 2, use_tables=False)
     fast = build_context(FieldParams(3, 1), 2)
-    strip = lambda rep: [(r.a.enc, r.H, r.I, r.I2, r.curve_N) for r in rep.records]
-    assert strip(jac.theorem2_scan(slow.subfield(2))) == strip(jac.theorem2_scan(fast.subfield(2)))
+    assert _scan_rows(jac.theorem2_scan(slow.subfield(2))) == _scan_rows(
+        jac.theorem2_scan(fast.subfield(2)))
 
 
 def test_scan_bound_violation_raises(ctx31, monkeypatch):
@@ -286,8 +300,8 @@ def test_integrality_tightening_31(ctx31):
     # |H| <= (p^k+1) * floor(2 sqrt(p^k)) = 12 at p=3, k=1
     view = view2k(ctx31)
     cap = 4 * math.isqrt(4 * 3)
-    for rec in jac.theorem2_scan(view).records:
-        assert abs(rec.H) <= cap == 12
+    H = jac.theorem2_scan(view).H
+    assert H.size == 6 and (np.abs(H) <= cap).all() and cap == 12
 
 
 def test_standalone_context_agrees(ctx31):
@@ -301,9 +315,16 @@ def test_standalone_context_agrees(ctx31):
     assert multiset == big
 
 
-def test_record_json_fields(ctx31):
-    view = view2k(ctx31)
-    a = view.generator
-    rec = ref.jacobsthal_record(view, a).to_json_dict(view)
-    assert set(rec) == {"a", "H", "I", "I2", "curve_N", "bound_ratio"}
-    assert rec["a"] == "g^1"
+def test_record_json_fields(capsys):
+    # every JSON line of jacobsthal-scan against jacobsthal_record at its a,
+    # the bound ratio included
+    assert run(["jacobsthal-scan", "--p", "3", "--k", "1"]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()[1:-1]]
+    view = build_context(FieldParams(3, 1), 2).subfield(2)
+    kview = view.ctx.subfield(1)
+    a_all = [a for a in view.nonzero_elements() if not kview.contains(a)]
+    assert [row["a"] for row in rows] == [f"g^{view.discrete_log(a)}" for a in a_all]
+    for a, row in zip(a_all, rows, strict=True):
+        rec = ref.jacobsthal_record(view, a)
+        assert row == {"a": row["a"], "H": rec.H, "I": rec.I, "I2": rec.I2,
+                       "curve_N": rec.curve_N, "bound_ratio": rec.bound_ratio}
