@@ -141,12 +141,10 @@ def _cmd_walsh_spectrum(args) -> int:
     spectrum = walsh.full_spectrum(ctx, pair)
     _emit(_header("walsh-spectrum", args, ctx))
     # |S|^2 is a rational integer on every bent spectrum and at p = 3
-    rendered = {row: {"coeff": list(c.c),
-                      "norm2": n.as_int() if n.is_rational_integer else list(n.c)}
-                for row, (c, n) in spectrum.values.items()}
-    labels = ["0"] + [f"g^{e}" for e in range(ctx.order)]
-    for label, row in zip(labels, map(tuple, spectrum.counts)):
-        _emit({"y": label, **rendered[row]})
+    rendered = [{"coeff": list(c.c), "norm2": n.as_int() if n.is_rational_integer else list(n.c)}
+                for c, n in spectrum.values]
+    for i, v in enumerate(spectrum.index.tolist()):
+        _emit({"y": f"g^{i - 1}" if i else "0", **rendered[v]})
     _emit({"summary": dict(sorted(spectrum.summary.items())),
            "parseval": spectrum.parseval,
            "bent": spectrum.bent,
@@ -167,15 +165,17 @@ def _cmd_theorem1_verify(args) -> int:
 
 def _cmd_sequences_crosscorr(args) -> int:
     ctx = context(args.p, args.k)
-    table = sequences.correlation_table(ctx)
+    values, index = sequences.correlation_table(ctx)
     if args.format == "csv":
+        rendered = [str(c) for c in values]
         print("tau,value")
-        for tau, c in enumerate(table):
-            print(f"{tau},{c}")
+        for tau, v in enumerate(index.tolist()):
+            print(f"{tau},{rendered[v]}")
     else:
+        rendered = [list(c.c) for c in values]
         _emit(_header("sequences-crosscorr", args, ctx))
-        for tau, c in enumerate(table):
-            _emit({"tau": tau, "coeff": list(c.c)})
+        for tau, v in enumerate(index.tolist()):
+            _emit({"tau": tau, "coeff": rendered[v]})
     return 0
 
 
@@ -330,9 +330,7 @@ def _run_verify_all(args) -> int:
     def check_rst():
         lines = []
         for b in b_values:
-            rep = sweep(b)
-            if any(rep.residuals):
-                return False, f"residuals {rep.residuals} at b = {ctx.format_element(b)}"
+            rep = sweep(b)  # OracleMismatch unless the identities hold
             lines.append(f"b={ctx.format_element(b)}: (r,s,t)=({rep.r},{rep.s},{rep.t})")
         return True, "; ".join(lines)
 

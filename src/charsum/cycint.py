@@ -13,6 +13,8 @@ vector is unique and equality of sums is plain tuple equality.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import NotRationalInteger
 
 
@@ -69,6 +71,32 @@ class CycInt:
         if len(counts) != p:
             raise ValueError(f"need {p} counts")
         return cls(p, _canonical(p, [int(v) for v in counts]))
+
+    @staticmethod
+    def group_rows(counts, order):
+        """The distinct rows of a 2-D integer array of count vectors, such as
+        the (q, p) array of expsum.character_counts, at the row numbers in
+        the int array order.
+
+        Returns (rows, index): rows holds the distinct rows in order of
+        first occurrence along order, and index the int64 array with
+        rows[index[i]] equal to counts[order[i]].  Rows are compared
+        exactly, as whole byte strings, by sorting the rows of counts once,
+        without a copy of counts[order]; so one CycInt per distinct row
+        gives every sum of the table."""
+        counts = np.ascontiguousarray(counts)
+        keys = counts.view(np.dtype((np.void, counts.itemsize * counts.shape[1]))).ravel()
+        # one argsort and one sorted copy: np.unique would copy the keys once more first
+        perm = np.argsort(keys)
+        ordered = keys[perm]
+        row_group = np.empty(len(keys), dtype=np.int64)
+        row_group[perm] = np.cumsum(np.concatenate(([False], ordered[1:] != ordered[:-1])))
+        groups = row_group[order]
+        # relabel the groups met along order 0, 1, 2, ... by their first position
+        met, first = np.unique(groups, return_index=True)
+        label = np.empty(met[-1] + 1, dtype=np.int64)
+        label[met[np.argsort(first)]] = np.arange(met.size)
+        return counts[order[np.sort(first)]], label[groups]
 
     # --- ring operations ----------------------------------------------------
 

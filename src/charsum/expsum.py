@@ -868,16 +868,16 @@ def distribution_sweep(ctx: FieldCtx, b: Elem, on_record=None) -> DistributionRe
     a_encs = sweep_order(ctx)
     n_by_enc, incidence = N_table(ctx, b)
     n = n_by_enc[a_encs]
-    s0 = Q * (2 * n - 1)
     tags = case_tags(ctx, b)
 
     # sum_j c_j w^j is the integer s exactly when c_1 = ... = c_(p-1) and c_0 - c_1 = s
-    counts = character_counts(ctx, ((ctx.one, ctx.params.d),), ((b, 2),))[a_encs]
+    counts = character_counts(ctx, ((ctx.one, ctx.params.d),), ((b, 2),))
+    s0_by_enc = Q * (2 * n_by_enc - 1)
     off = np.flatnonzero(~((counts[:, 1:] == counts[:, 1:2]).all(axis=1)
-                           & (counts[:, 0] - counts[:, 1] == s0)))
+                           & (counts[:, 0] - counts[:, 1] == s0_by_enc)))
     if off.size:
-        i = off[0]
-        raise _oracle_mismatch(ctx, a_encs[i], b.enc, int(s0[i]), CycInt.from_counts(p, counts[i]))
+        e = off[0]
+        raise _oracle_mismatch(ctx, e, b.enc, int(s0_by_enc[e]), CycInt.from_counts(p, counts[e]))
     jac = tags == CASE_TAGS.index(CaseTag.JACOBSTHAL)
     over = np.flatnonzero(~jac & (n > 2))
     if over.size:
@@ -891,7 +891,7 @@ def distribution_sweep(ctx: FieldCtx, b: Elem, on_record=None) -> DistributionRe
 
     r, s, t = (int(c) for c in np.bincount(n[~jac], minlength=3))
     jac_hist = {v: int(c) for v, c in enumerate(np.bincount(n[jac])) if c}
-    s0_total = int(s0.sum())
+    s0_total = int(s0_by_enc.sum())
     residuals = (
         (r + s + t) - (ctx.q - pk + sign),
         (-r + s + 3 * t) - sign * pk,
@@ -903,6 +903,7 @@ def distribution_sweep(ctx: FieldCtx, b: Elem, on_record=None) -> DistributionRe
         # sweep position i is a = 0 at i = 0 and a = xi^(i-1) after
         logs, bounds = (x.tolist() for x in witnesses)
         b_label = ctx.format_element(b)
+        s0 = s0_by_enc[a_encs]
         for i, (e, tag, n_i, s0_i) in enumerate(zip(*(x.tolist() for x in (a_encs, tags, n, s0)))):
             on_record(_record(f"g^{i - 1}" if i else "0", b_label, CASE_TAGS[tag], n_i, s0_i,
                              logs[bounds[e]:bounds[e + 1]]))

@@ -24,9 +24,9 @@ even; the x = 0 term contributes the +1.
 
 The two runs have the same value counts, not just the same sum, so the
 counts of Tr(a x^d - x^2) over the field are e_0 + 2 (counts of C(tau)).
-correlation_table reads C(tau) for every tau from one
-expsum.character_counts transform that way; cross_correlation, a loop
-over one period, stays the sequence-side reference of s0_relation_report.
+correlation_table reads every C(tau), as distinct values and an index,
+from one expsum.character_counts transform that way; cross_correlation,
+a loop over one period, is the sequence-side reference of s0_relation_report.
 """
 
 from __future__ import annotations
@@ -90,19 +90,22 @@ def cross_correlation(u: PSequence, v: PSequence, tau: int) -> CycInt:
 
 
 def correlation_table(ctx: FieldCtx) -> tuple:
-    """C(tau) of the decimated pair (decimate(s, d), decimate(s, 2)) for
-    tau = 0 .. P-1, from the value counts of Tr(a x^d - x^2) at every
-    a = xi^(d tau) in one transform.  ParityViolation if a count of the
-    two half-period runs is odd."""
+    """C(tau) = values[index[tau]] of the decimated pair (decimate(s, d),
+    decimate(s, 2)) for tau = 0 .. P-1, values in order of first occurrence,
+    from the value counts of Tr(a x^d - x^2) at every a = xi^(d tau) in one
+    transform.  ParityViolation if a count of the half-period runs is odd."""
     p, d = ctx.p, ctx.params.d
     counts = character_counts(ctx, ((ctx.one, d),), ((-ctx.one, 2),))
     taus = np.arange(ctx.order // 2, dtype=np.int64)
+    rows, index = CycInt.group_rows(counts, ctx.exp_enc_bulk(d * taus))
     # x = 0 gives the value 0
-    runs = counts[ctx.exp_enc_bulk(d * taus)] - np.eye(p, dtype=np.int64)[0]
+    runs = rows - np.eye(p, dtype=np.int64)[0]
     odd = np.flatnonzero((runs % 2).any(axis=1))
     if odd.size:
-        raise ParityViolation(f"odd value counts {runs[odd[0]].tolist()} at tau = {odd[0]}")
-    return tuple(CycInt.from_counts(p, r // 2) for r in runs)
+        # the first odd row in order of first occurrence holds the first odd tau
+        tau = int(np.argmax(index == odd[0]))
+        raise ParityViolation(f"odd value counts {runs[odd[0]].tolist()} at tau = {tau}")
+    return tuple(CycInt.from_counts(p, r // 2) for r in runs), index
 
 
 @dataclass(frozen=True)

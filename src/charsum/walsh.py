@@ -7,9 +7,9 @@ For f mapping GF(p^n) to GF(p), the transform at y is
 
 computed exactly as a cyclotomic integer.  full_spectrum reads every
 coefficient from one expsum.character_counts transform, with
-S_f(y) = sum_x w^(f(x) + Tr(y (-x))), and keeps that (q, p) count array.
-Rows sum to p^n, so equal coefficients have equal rows and one CycInt per
-distinct row suffices.  f is bent when every coefficient satisfies
+S_f(y) = sum_x w^(f(x) + Tr(y (-x))).  Rows sum to p^n, so equal
+coefficients have equal rows: one CycInt per row of CycInt.group_rows and
+an index per y suffice.  f is bent when every coefficient satisfies
 |S_f(y)|^2 = p^n, and weakly regular with unit -1 when additionally every
 coefficient lies in {-p^(n/2) w^j}.
 
@@ -24,8 +24,8 @@ y^2 lies in GF(p^2k) the root is simply -Tr(y^2) relative to GF(p^k).
 theorem1_root_scan checks all of this for every y at once: it steps X
 through GF(p^k) and evaluates the polynomial at all q values of y per
 step with the bulk field operations (FieldCtx.add_enc_bulk and
-pow_enc_bulk), so its temporaries are O(q) encodings, and compares count
-rows.  theorem1_spectrum_check adds the value-multiset against the
+pow_enc_bulk), so its temporaries are O(q) encodings, and compares the
+values.  theorem1_spectrum_check adds the value-multiset against the
 closed-form counts: -p^2k w^i occurs p^(2k-1)(p^2k+1) times for i != 0,
 and -p^2k occurs (p^(2k-1)-1)(p^2k+1) + 1 times.
 
@@ -35,7 +35,6 @@ in charsum.reference, which no command imports.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,46 +48,45 @@ from .field_core import Elem, FieldCtx
 @dataclass(frozen=True)
 class Spectrum:
     """All p^n Walsh coefficients of f(x) = Tr(a x^d + b x^2), (a, b) =
-    pair, as value counts: counts[i, j] = #{x : f(x) - Tr(y x) = j} for
-    y = 0 at i = 0 and y = xi^(i-1) after.  values maps each distinct row (a tuple) to
-    (S_f(y), |S_f(y)|^2); summary counts the coefficients by their
-    canonical rendering, in order of first occurrence."""
+    pair: S_f(y) = values[index[i]][0] for y = 0 at i = 0 and y = xi^(i-1)
+    after.  values holds (S, |S|^2) per distinct coefficient S and summary
+    counts them by canonical rendering, both in order of first occurrence."""
 
     ctx: FieldCtx
     pair: CoeffPair
-    counts: np.ndarray
-    values: dict
+    values: tuple
+    index: np.ndarray
     summary: dict
     parseval: int             # sum of |S|^2, must be p^(2n)
     bent: bool                # every |S|^2 is p^n
     weakly_regular_neg: bool  # every S is in {-p^(n/2) w^j : j = 0..p-1}
 
     def coefficient(self, y: Elem) -> CycInt:
-        row = self.counts[0 if y.is_zero else 1 + self.ctx.dlog(y)]
-        return self.values[tuple(row)][0]
+        return self.values[self.index[0 if y.is_zero else 1 + self.ctx.dlog(y)]][0]
 
 
 def full_spectrum(ctx: FieldCtx, pair: CoeffPair) -> Spectrum:
     """Every coefficient, the value-multiset summary, exact Parseval
     (ParsevalViolation on a defect), bentness and weak regularity."""
     p, q = ctx.p, ctx.q
-    counts = character_counts(ctx, ((-ctx.one, 1),),
-                              ((pair.a, ctx.params.d), (pair.b, 2)))[sweep_order(ctx)]
-    multiplicity = Counter(map(tuple, counts))
-    coeffs = {row: CycInt.from_counts(p, row) for row in multiplicity}
-    values = {row: (c, c.norm_squared()) for row, c in coeffs.items()}
-    total = sum((n * multiplicity[row] for row, (_, n) in values.items()),
+    rows, index = CycInt.group_rows(
+        character_counts(ctx, ((-ctx.one, 1),), ((pair.a, ctx.params.d), (pair.b, 2))),
+        sweep_order(ctx))
+    coeffs = [CycInt.from_counts(p, row) for row in rows]
+    values = tuple((c, c.norm_squared()) for c in coeffs)
+    multiplicity = np.bincount(index).tolist()
+    total = sum((n * m for (_, n), m in zip(values, multiplicity)),
                 CycInt.zero(p)).as_int()  # raises NotRationalInteger on defect
     if total != q ** 2:
         raise ParsevalViolation(f"Parseval defect: {total} != {q ** 2}")
     root = p ** (2 * ctx.params.k)  # p^(n/2), n = 4k
     allowed = {(-root) * CycInt.omega_power(p, j) for j in range(p)}
     return Spectrum(
-        ctx=ctx, pair=pair, counts=counts, values=values,
-        summary={str(c): multiplicity[row] for row, (c, _) in values.items()},
+        ctx=ctx, pair=pair, values=values, index=index,
+        summary={str(c): m for (c, _), m in zip(values, multiplicity)},
         parseval=total,
-        bent=all(n == q for _, n in values.values()),
-        weakly_regular_neg=all(c in allowed for c, _ in values.values()))
+        bent=all(n == q for _, n in values),
+        weakly_regular_neg=all(c in allowed for c, _ in values))
 
 
 # --------------------------------------------------------------------------
@@ -98,7 +96,7 @@ def full_spectrum(ctx: FieldCtx, pair: CoeffPair) -> Spectrum:
 @dataclass(frozen=True)
 class RootScan:
     """The closed form of the (1, 1) spectrum at every y; the arrays are
-    indexed like the rows of Spectrum.counts (y = 0, xi^0, xi^1, ...)."""
+    indexed like Spectrum.index (y = 0, xi^0, xi^1, ...)."""
 
     x0: np.ndarray          # encoding of the unique root in GF(p^k)
     formula_ok: np.ndarray  # -p^2k w^(Tr_k(x0) 4^(-1)) equals S_f(y)
@@ -117,7 +115,7 @@ def _root_polynomial(ctx: FieldCtx, y2, ypow, ypow_k, x: Elem):
 
 
 def theorem1_root_scan(ctx: FieldCtx, spectrum: Spectrum) -> RootScan:
-    """The closed form at every y at once, against the count rows of
+    """The closed form at every y at once, against the values of
     spectrum, the spectrum of the pair (1, 1).
 
     One step per x in GF(p^k) evaluates the root polynomial at all q
@@ -143,9 +141,10 @@ def theorem1_root_scan(ctx: FieldCtx, spectrum: Spectrum) -> RootScan:
         y = ctx.from_enc(int(ys[bad[0]]))
         raise RootCountViolation(
             f"{roots[bad[0]]} roots at y={ctx.format_element(y)}; expected 1")
-    # -p^2k w^j is the row with C - p^2k at j and C = (q + p^2k)/p elsewhere
-    predicted = (ctx.q + p2k) // p - p2k * (np.arange(p) == w_exp[:, None])
-    formula_ok = (spectrum.counts == predicted).all(axis=1)
+    # equals[v, j]: the distinct value v is -p^2k w^j
+    closed = [(-p2k) * CycInt.omega_power(p, j) for j in range(p)]
+    equals = np.array([[c == f for f in closed] for c, _ in spectrum.values])
+    formula_ok = equals[spectrum.index, w_exp]
     special = ctx.pow_enc_bulk(y2, p2k) == y2
     rel_trace = ctx.add_enc_bulk(y2, ctx.pow_enc_bulk(y2, pk))
     return RootScan(x0=x0, formula_ok=formula_ok, special=special,

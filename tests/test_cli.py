@@ -11,6 +11,7 @@ import pytest
 
 from charsum import expsum, jacobsthal, reference
 from charsum.cli import DEFAULT_SEED, run
+from charsum.errors import OracleMismatch
 from charsum.field_core import Elem, context
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -67,9 +68,16 @@ def test_expsum_record(capsys):
      "f09c2bc60bc68cf2a8b8c634c007a0c5912303e01b881945d07e34b2a9132eb2"),
     (["walsh-spectrum", "--p", "3", "--k", "1", "--a", "g^0", "--b", "g^0"],
      "e0d2d17817ece0d24af97be55d324e0b1144c07b36d0d22e7bc9b18339f2b692"),
+    (["sequences-crosscorr", "--p", "3", "--k", "1"],
+     "6f7382f035b0901e09df63c632c2b9656434d7a9f256c5bf9bff1b669dbbf0d7"),
+    (["sequences-crosscorr", "--p", "5", "--k", "1", "--format", "csv"],
+     "83c090150e3f0bec2868a9f3fed9ea8567c7f31004932aacbad95d47d3ed100e"),
+    # not bent: norm2 is printed as coefficient lists
+    (["walsh-spectrum", "--p", "5", "--k", "1", "--a", "g^0", "--b", "g^3"],
+     "55a3d1a0cb3a695c890fb45911ca7e6c5c4ad9adacb14243e5f557b012e23e09"),
 ])
 def test_export_output_pinned(capsys, argv, digest):
-    # the whole stdout of four small exports, byte for byte, by SHA-256
+    # the whole stdout of seven small exports, byte for byte, by SHA-256
     assert run(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
@@ -388,23 +396,39 @@ def test_failed_class_sums_under_optimize():
 
 
 def test_failed_theorem1_under_optimize():
-    # python -O: one spectrum coefficient multiplied by w (its count row
-    # rotated by one place) must fail theorem1's closed form and exit 1 (the
-    # value counts stay the same)
-    code = ("import sys, dataclasses, numpy\n"
+    # python -O: one spectrum coefficient multiplied by w (its index pointed
+    # at a rotated copy of its value) must fail theorem1's closed form and
+    # exit 1 (the summary stays as computed)
+    code = ("import sys, dataclasses\n"
             "from charsum import cli, walsh\n"
             "real = walsh.full_spectrum\n"
             "def off(ctx, pair):\n"
             "    s = real(ctx, pair)\n"
-            "    c = s.counts.copy()\n"
-            "    c[7] = numpy.roll(c[7], 1)\n"
-            "    return dataclasses.replace(s, counts=c)\n"
+            "    c, n = s.values[s.index[7]]\n"
+            "    index = s.index.copy()\n"
+            "    index[7] = len(s.values)\n"
+            "    return dataclasses.replace(s, values=s.values + ((c.omega_shift(1), n),),\n"
+            "                               index=index)\n"
             "walsh.full_spectrum = off\n"
             "sys.exit(cli.run(['verify-all', '--p', '3', '--k', '1']))\n")
     proc = _run_src("-O", "-c", code)
     assert proc.returncode == 1, proc.stderr
     assert any(line.startswith("[FAIL] theorem1 spectrum") for line in proc.stdout.splitlines())
     assert "Traceback" not in proc.stderr
+
+
+def test_failed_distribution_identities(capsys, monkeypatch):
+    # with the sign of chi(b) flipped, the sweep's identity check must raise,
+    # and verify-all must fail theorem3 and r/s/t on it and exit 1
+    real = expsum.chi
+    monkeypatch.setattr(expsum, "chi", lambda ctx, b: -real(ctx, b))
+    ctx = context(3, 1)
+    with pytest.raises(OracleMismatch, match="distribution identities violated"):
+        expsum.distribution_sweep(ctx, ctx.one)
+    assert run(["verify-all", "--p", "3", "--k", "1"]) == 1
+    failed = {line.split(":")[0]: line for line in _lines(capsys) if line.startswith("[FAIL]")}
+    for name in ("theorem3 oracle equivalence", "r/s/t distribution identities"):
+        assert "distribution identities violated" in failed[f"[FAIL] {name}"]
 
 
 def test_module_entry_point():

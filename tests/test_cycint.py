@@ -1,6 +1,9 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charsum.cycint import CycInt
 from charsum.errors import NotRationalInteger
@@ -89,3 +92,24 @@ def test_immutability():
     z = CycInt.integer(3, 1)
     with pytest.raises(AttributeError):
         z.c = (0, 0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(kind=st.sampled_from(["equal", "distinct", "duplicates"]),
+       n=st.integers(1, 40), width=st.integers(1, 7), data=st.data())
+def test_group_rows_property(kind, n, width, data):
+    # rows[index] are the rows at order, pairwise distinct, and met for the
+    # first time in the order 0, 1, 2, ... along order
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "equal":
+        counts = np.tile(rng.integers(-2 ** 40, 2 ** 40, width), (n, 1))
+    elif kind == "distinct":
+        counts = rng.integers(-2 ** 40, 2 ** 40, (n, width))
+        counts[:, 0] = rng.permutation(n)
+    else:
+        counts = rng.integers(0, 2, (n, width))
+    order = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)))
+    rows, index = CycInt.group_rows(counts, order)
+    assert (rows[index] == counts[order]).all()
+    assert len({tuple(r) for r in rows.tolist()}) == len(rows)
+    assert list(dict.fromkeys(index.tolist())) == list(range(len(rows)))

@@ -74,24 +74,26 @@ def test_correlation_table_matches_cross_correlation(fixture, request):
     ctx = request.getfixturevalue(fixture)
     s = seqs.m_sequence(ctx)
     u, v = seqs.decimate(s, ctx.params.d), seqs.decimate(s, 2)
-    table = seqs.correlation_table(ctx)
-    assert len(table) == u.period
-    for tau, c in enumerate(table):
-        assert c.c == seqs.cross_correlation(u, v, tau).c
+    values, index = seqs.correlation_table(ctx)
+    assert len(index) == u.period
+    assert len(set(values)) == len(values)
+    for tau, i in enumerate(index):
+        assert values[i].c == seqs.cross_correlation(u, v, tau).c
 
 
 def test_correlation_table_parity_check(ctx31, monkeypatch):
-    # value counts that the two half-period runs cannot split must raise
+    # value counts that the two half-period runs cannot split must raise,
+    # naming the first odd shift
     real = seqs.character_counts
+    for tau in (0, 5):
+        def odd(ctx, z_terms, v_terms, tau=tau):
+            counts = real(ctx, z_terms, v_terms)
+            counts[ctx.from_exp(ctx.params.d * tau).enc, 1] += 1
+            return counts
 
-    def odd(ctx, z_terms, v_terms):
-        counts = real(ctx, z_terms, v_terms)
-        counts[ctx.one.enc, 1] += 1
-        return counts
-
-    monkeypatch.setattr(seqs, "character_counts", odd)
-    with pytest.raises(ParityViolation, match="tau = 0"):
-        seqs.correlation_table(ctx31)
+        monkeypatch.setattr(seqs, "character_counts", odd)
+        with pytest.raises(ParityViolation, match=f"tau = {tau}$"):
+            seqs.correlation_table(ctx31)
 
 
 def test_relation_values_multiset(ctx31):

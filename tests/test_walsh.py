@@ -10,7 +10,8 @@ from charsum import reference as ref
 from charsum import walsh as wa
 from charsum.cycint import CycInt
 from charsum.errors import RootCountViolation
-from charsum.expsum import CoeffPair, S0_bruteforce
+from charsum.cli import run
+from charsum.expsum import CoeffPair, S0_bruteforce, character_counts, sweep_order
 from charsum.field_core import FieldParams, build_context
 
 
@@ -99,20 +100,26 @@ def test_full_spectrum_matches_slow_context(ctx31):
 @example(pk=(3, 2), a=1, b=1, ys=[0, 9])       # (1, 1): bent
 def test_full_spectrum_matches_walsh_coeff_property(pk, a, b, ys):
     # the transform of full_spectrum against the definitional walsh_coeff at
-    # random y, every distinct value's norm against norm_squared, and bent
-    # against the norms of the distinct rows found by np.unique; a, b and y
-    # are encodings reduced mod q
+    # random y, every distinct value's norm against norm_squared, the
+    # values and the index against the distinct rows of the transform found
+    # by np.unique, and bent against their norms; a, b and y are encodings
+    # reduced mod q
     ctx = context(*pk)
     pair = CoeffPair(ctx.from_enc(a % ctx.q), ctx.from_enc(b % ctx.q))
     spectrum = wa.full_spectrum(ctx, pair)
     for y in ys:
         y = ctx.from_enc(y % ctx.q)
         assert spectrum.coefficient(y) == ref.walsh_coeff(ctx, pair, y)
-    for row, (c, n) in spectrum.values.items():
-        assert c == CycInt.from_counts(ctx.p, row)
+    for c, n in spectrum.values:
         assert n == c.norm_squared()
-    distinct = np.unique(spectrum.counts, axis=0)
+    counts = character_counts(ctx, ((-ctx.one, 1),), ((pair.a, ctx.params.d), (pair.b, 2)))
+    distinct, inverse = np.unique(counts[sweep_order(ctx)], axis=0, return_inverse=True)
     assert len(distinct) == len(spectrum.values)
+    # equal rows have equal indexes and distinct rows distinct ones
+    assert len(set(zip(inverse.tolist(), spectrum.index.tolist()))) == len(distinct)
+    for u, row in enumerate(distinct):
+        c, _ = spectrum.values[spectrum.index[np.argmax(inverse == u)]]
+        assert c == CycInt.from_counts(ctx.p, row)
     norms = [CycInt.from_counts(ctx.p, row).norm_squared() for row in distinct]
     assert spectrum.bent == all(n == ctx.q for n in norms)
 
@@ -151,22 +158,44 @@ def test_bent_and_weakly_regular(ctx31, ctx51):
         spectrum = wa.full_spectrum(ctx, CoeffPair(ctx.one, ctx.one))
         assert spectrum.bent
         assert spectrum.weakly_regular_neg
-        assert len(spectrum.counts) == ctx.q
-        assert all(n == c.norm_squared() for c, n in spectrum.values.values())
+        assert len(spectrum.index) == ctx.q
+        assert len(spectrum.values) == ctx.p
+        assert all(n == c.norm_squared() for c, n in spectrum.values)
 
 
-def test_spectrum_check_builds_one_cycint_per_value(ctx51, monkeypatch):
-    # one CycInt per distinct coefficient (p on the (1, 1) spectrum), not per y
-    calls = {"from_counts": 0}
+@pytest.fixture
+def from_counts_calls(monkeypatch):
+    # the number of CycInt.from_counts calls made so far, in calls[0]
+    calls = [0]
     real = CycInt.from_counts.__func__
 
     def counted(cls, p, counts):
-        calls["from_counts"] += 1
+        calls[0] += 1
         return real(cls, p, counts)
 
     monkeypatch.setattr(CycInt, "from_counts", classmethod(counted))
+    return calls
+
+
+def test_spectrum_check_builds_one_cycint_per_value(ctx51, from_counts_calls):
+    # one CycInt per distinct coefficient (p on the (1, 1) spectrum), not per y
     assert wa.theorem1_spectrum_check(ctx51).ok(ctx51)
-    assert calls["from_counts"] <= ctx51.p
+    assert from_counts_calls[0] <= ctx51.p
+
+
+def test_correlation_table_builds_one_cycint_per_value(capsys, from_counts_calls):
+    # sequences-crosscorr at (3, 2) prints 3,280 shifts of 5 distinct values
+    assert run(["sequences-crosscorr", "--p", "3", "--k", "2"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 3280
+    assert from_counts_calls[0] <= 10
+
+
+def test_theorem1_summary_order():
+    # the summary, which verify-all prints, keeps the order of first
+    # occurrence along the sweep y = 0, xi^0, xi^1, ...; the order of the
+    # encodings differs at (7, 1)
+    assert list(wa.theorem1_spectrum_check(context(7, 1)).summary) == [
+        "-49", "-49w^3", "49+49w+49w^2+49w^3+49w^4+49w^5", "-49w", "-49w^5", "-49w^2", "-49w^4"]
 
 
 def test_root_verification_at_zero(ctx31):
