@@ -160,7 +160,7 @@ def _cmd_theorem1_verify(args) -> int:
            "counts_ok": chk.counts_ok, "bent": chk.bent,
            "weakly_regular_neg": chk.weakly_regular,
            "summary": dict(sorted(chk.summary.items()))})
-    return 0 if chk.ok(ctx) else 1
+    return 0 if chk.ok() else 1
 
 
 def _cmd_sequences_crosscorr(args) -> int:
@@ -336,7 +336,7 @@ def _run_verify_all(args) -> int:
 
     def check_theorem1():
         chk = walsh.theorem1_spectrum_check(ctx)
-        return chk.ok(ctx), f"spectrum counts {chk.summary}"
+        return chk.ok(), f"spectrum counts {chk.summary}"
 
     checks = [
         ("lemma1 cyclotomic table", check_lemma1),

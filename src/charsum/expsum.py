@@ -527,10 +527,9 @@ def _dlogs(ctx: FieldCtx, encs):
     return np.where(encs == 0, -1, ctx.log_enc_bulk(np.where(encs == 0, 1, encs)))
 
 
-PROP1_BLOCK = 512  # pairs per batch of prop1_kernel_check: temporaries of a few 100 KiB
-
-# entries per block of the (pairs, points) arrays of N_count_bulk and the
-# prop2 routes: int64 temporaries of 128 KiB, whatever the field size
+# entries per block of the (pairs, points) arrays of N_count_bulk, the
+# prop2 routes and prop1 (two 4 x 4 key matrices per pair): int64
+# temporaries of 128 KiB, whatever the field size
 BLOCK_ENTRIES = 1 << 14
 
 
@@ -551,23 +550,22 @@ def prop1_kernel_check(ctx: FieldCtx, a_encs, b_encs) -> int:
     L and F are p^k-linearized, so their zeros are the kernels of their
     4 x 4 form_matrices over GF(p^k), and F has degree p^2k, so its kernel
     has dimension at most 2 over GF(p^k); see kernel_mismatches.  Runs in
-    blocks of PROP1_BLOCK pairs; KernelMismatch at the first pair that
+    blocks of pairs (see _in_blocks); KernelMismatch at the first pair that
     fails.  Returns the number of pairs compared."""
     a_encs, b_encs = np.asarray(a_encs, dtype=np.int64), np.asarray(b_encs, dtype=np.int64)
     if ((a_encs == 0) & (b_encs == 0)).any():
         raise BothCoefficientsZero("(a, b) = (0, 0) is not admissible")
     forms, arith = form_matrices(ctx), ctx.subfield(ctx.params.k).key_arithmetic()
-    compared = 0
-    for start in range(0, a_encs.size, PROP1_BLOCK):
-        a, b = a_encs[start:start + PROP1_BLOCK], b_encs[start:start + PROP1_BLOCK]
+
+    def block(a, b):
         bad, dim_L, dim_F = kernel_mismatches(*forms(_dlogs(ctx, a), _dlogs(ctx, b)), arith)
         if bad.size:
             i = bad[0]
             raise KernelMismatch(
                 f"zeros of L and F span dimensions {dim_L[i]} and {dim_F[i]} over GF({arith.q}), "
                 f"not one common space of dimension <= 2, at {_where(ctx, a[i], b[i])}")
-        compared += a.size
-    return compared
+        return a
+    return _in_blocks(block, 32, a_encs, b_encs).size
 
 
 # --------------------------------------------------------------------------

@@ -18,9 +18,9 @@ is the least significant digit).  Every run of the tool therefore sees
 the same field element behind any given "g^e" label.
 
 When p^m <= 2^20 (p^(m+1) for odd m) the context carries lookup tables
-(plain numpy arrays): exp (built by doubling, see _exp_by_doubling), log,
-trace and negation over all encodings, and one addition table over
-half-width encodings.  With s = p^ceil(m/2), every encoding splits
+(plain numpy arrays): exp (built by doubling, see _exp_by_doubling), log
+and trace over all encodings, and one addition table over half-width
+encodings.  With s = p^ceil(m/2), every encoding splits
 as u = (u // s) s + u % s into two digit halves below s, and addition is
 digitwise, so
 
@@ -30,12 +30,15 @@ with T the s x s table of digitwise sums mod p: two gathers from a table
 of q entries (p q for odd m), in place of a (q, m) digit array.  Above
 the bound all operations fall back to polynomial arithmetic and
 baby-step giant-step logs, exact but slow.  Only this module knows which
-kind a context is (size_guard is the one rule): other modules do bulk
-work through the FieldCtx bulk primitives (exp_enc_bulk, log_enc_bulk,
-trace_enc_bulk, add_enc_bulk, pow_enc_bulk, SubfieldView.eta_bulk, and
-sum_enc_bulk, the one evaluator of monomial sums sum_i c_i x^(e_i)), the
-only consumers of the tables besides the scalar operations, which make
-one scalar call per element without them.
+kind a context is (size_guard is the one rule), and only ten methods ask:
+the scalar add_enc, mul_enc, pow_enc, dlog and abs_trace, and the five
+bulk primitives exp_enc_bulk, log_enc_bulk, trace_enc_bulk, add_enc_bulk
+and pow_enc_bulk, which make one scalar call per element without tables.
+Everything else has one body built on those: subtraction and inversion
+(u^(q-2)), negation by digits, subfield membership (x^Q = x) and subfield
+logs (from dlog).  Other modules do bulk work through the bulk primitives,
+SubfieldView.eta_bulk and sum_enc_bulk, the one evaluator of monomial
+sums sum_i c_i x^(e_i).
 """
 
 from __future__ import annotations
@@ -355,7 +358,7 @@ class FieldCtx:
                 raise InvariantViolation(f"Tr(X^{i}) left the prime field")
             tr_basis[i] = acc[0]
         # the half-width split u = hi s + lo: the addition table over the
-        # digit halves, and trace and negation as sums of one half table each
+        # digit halves, and the trace as a sum over the two halves
         h = -(-m // 2)
         s = p ** h
         digits = _base_p_digits(p, h)
@@ -364,11 +367,11 @@ class FieldCtx:
         hi, lo = np.divmod(np.arange(q, dtype=np.int64), s)
         tr_lo, tr_hi = digits @ tr_basis[:h], digits[:, :m - h] @ tr_basis[h:]
         self.trace_enc = ((tr_hi[hi] + tr_lo[lo]) % p).astype(np.int32)
+        # self-check: 0 is neutral in the table, and x + (-x) = 0 at every x,
+        # with -x from the negations of the digit halves
         neg = _negations(digits, p)
-        self.neg_enc = neg[hi] * s + neg[lo]
-        # self-check: 0 is neutral in the table, and x + (-x) = 0 at every x
         if (self.add_table[::s] != np.arange(s)).any() or (
-                self.add_enc_bulk(np.arange(q, dtype=np.int64), self.neg_enc) != 0).any():
+                self.add_enc_bulk(np.arange(q, dtype=np.int64), neg[hi] * s + neg[lo]) != 0).any():
             raise InvariantViolation(f"the addition table of GF({p}^{m}) fails its self-check")
 
     # --- scalar arithmetic on encodings ---------------------------------------
@@ -382,15 +385,10 @@ class FieldCtx:
         return self.encode(tuple((x + y) % self.p for x, y in zip(a, b)))
 
     def sub_enc(self, u, v):
-        if self.has_tables:
-            return self.add_enc(u, int(self.neg_enc[v]))
-        a, b = self.decode(u), self.decode(v)
-        return self.encode(tuple((x - y) % self.p for x, y in zip(a, b)))
+        return self.add_enc(u, self.neg_enc_one(v))
 
     def neg_enc_one(self, u):
-        if self.has_tables:
-            return int(self.neg_enc[u])
-        return self.encode(tuple((-x) % self.p for x in self.decode(u)))
+        return self.encode(tuple(-x for x in self.decode(u)))
 
     def mul_enc(self, u, v):
         if u == 0 or v == 0:
@@ -403,8 +401,6 @@ class FieldCtx:
     def inv_enc(self, u):
         if u == 0:
             raise DivisionByZero("inverse of zero")
-        if self.has_tables:
-            return int(self.exp_enc[(-int(self.log_enc[u])) % self.order])
         return self.pow_enc(u, self.order - 1)
 
     def pow_enc(self, u, e):
@@ -709,11 +705,7 @@ class SubfieldView:
         self._keys = None
 
     def contains(self, x: Elem) -> bool:
-        if x.is_zero:
-            return True
-        if self.ctx.has_tables:
-            return int(self.ctx.log_enc[x.enc]) % self.step == 0
-        return x ** self.q == x
+        return x.is_zero or x ** self.q == x
 
     def elements(self):
         """Zero, then powers of the induced generator."""
@@ -728,16 +720,10 @@ class SubfieldView:
 
     def discrete_log(self, x: Elem) -> int:
         """e with generator^e = x, 0 <= e < p^degree - 1."""
-        if x.is_zero:
-            raise ZeroArgument("discrete log of zero")
-        if self.ctx.has_tables:
-            e = int(self.ctx.log_enc[x.enc])
-            if e % self.step:
-                raise NotInSubfield(f"{x!r} not in GF({self.ctx.p}^{self.degree})")
-            return e // self.step
-        if not self.contains(x):
+        e = self.ctx.dlog(x)  # ZeroArgument at zero
+        if e % self.step:
             raise NotInSubfield(f"{x!r} not in GF({self.ctx.p}^{self.degree})")
-        return _bsgs(self.generator, x, self.order)
+        return e // self.step
 
     def eta(self, x: Elem) -> int:
         """Quadratic character of this subfield: 0 at zero, else +-1 by

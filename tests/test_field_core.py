@@ -254,6 +254,43 @@ def test_bulk_ops_match_scalar(use_tables):
     assert ctx.trace_enc_bulk(u).tolist() == [ctx.abs_trace(ctx.from_enc(a)) for a in range(81)]
     for bulk in (ctx.exp_enc_bulk(logs), ctx.log_enc_bulk(u[1:]), ctx.trace_enc_bulk(u)):
         assert bulk.dtype == np.int64
+    # the scalar operations with one body for both kinds of context, against
+    # digit arithmetic mod p and the powers of each subfield's generator
+
+    def digitwise(a, b, sign):
+        return ctx.encode([x + sign * y for x, y in zip(ctx.decode(a), ctx.decode(b))])
+
+    for a in range(ctx.q):
+        assert [ctx.sub_enc(a, b) for b in range(ctx.q)] == [
+            digitwise(a, b, -1) for b in range(ctx.q)]
+        assert ctx.neg_enc_one(a) == digitwise(0, a, -1)
+        if a:
+            assert ctx.mul_enc(a, ctx.inv_enc(a)) == 1
+    with pytest.raises(DivisionByZero):
+        ctx.inv_enc(0)
+    for degree in (1, 2, 4):
+        view = ctx.subfield(degree)
+        members = [x.enc for x in view.nonzero_elements()]
+        assert len(set(members)) == ctx.p ** degree - 1
+        assert [a for a in range(ctx.q) if view.contains(ctx.from_enc(a))] == sorted([0] + members)
+        assert [view.discrete_log(ctx.from_enc(a)) for a in members] == list(range(len(members)))
+        for a in set(range(1, ctx.q)) - set(members):
+            with pytest.raises(NotInSubfield):
+                view.discrete_log(ctx.from_enc(a))
+        with pytest.raises(ZeroArgument):
+            view.discrete_log(ctx.zero)
+
+
+def test_table_context_holds_four_arrays():
+    # a table context holds the exp, log and trace tables and the half-width
+    # addition table, and nothing else as an array; a context without tables
+    # holds none
+    def arrays(ctx):
+        return {name for name, value in vars(ctx).items() if isinstance(value, np.ndarray)}
+
+    assert arrays(build_context(FieldParams(3, 1), 4)) == {
+        "exp_enc", "log_enc", "trace_enc", "add_table"}
+    assert arrays(build_context(FieldParams(3, 1), 4, use_tables=False)) == set()
 
 
 @functools.cache
