@@ -204,7 +204,7 @@ def _run_verify_all(args) -> int:
 
     @functools.cache
     def bound_scan():
-        # eq1, theorem2 and curve read the same scan; BoundViolation on defect
+        # eq1, theorem2, curve and prop2 read the same scan; BoundViolation on defect
         return jacobsthal.theorem2_scan(view)
 
     def check_lemma1():
@@ -249,31 +249,29 @@ def _run_verify_all(args) -> int:
         a_encs = [expsum.sweep_order(ctx)[~expsum.norms_match(ctx, b)] for b in b_values]
         b_encs = [np.full(len(a), b.enc) for a, b in zip(a_encs, b_values)]
         expected = sum(map(len, a_encs)) + args.samples
-        samples = 0
-        while samples < args.samples:
-            # only as many draws as pairs are missing, so that the stream
-            # stops where a one-pair-at-a-time loop would stop
-            a, b = np.array([(rng.randrange(ctx.q), rng.randrange(ctx.q))
-                             for _ in range(args.samples - samples)]).T
-            la, lb = expsum._dlogs(ctx, a), expsum._dlogs(ctx, b)
+        drawn = []
+        while len(drawn) < args.samples:
+            a, b = rng.randrange(ctx.q), rng.randrange(ctx.q)
+            la, lb = expsum._dlogs(ctx, np.array((a, b)))
             # a zero a or b has a zero norm and the other does not; (0, 0) is skipped
-            keep = ((a > 0) | (b > 0)) & ((lb < 0) | ~expsum._norms_match(ctx, la, lb))
-            a_encs.append(a[keep])
-            b_encs.append(b[keep])
-            samples += int(keep.sum())
-        compared = expsum.prop1_kernel_check(ctx, np.concatenate(a_encs), np.concatenate(b_encs))
+            if (a or b) and (lb < 0 or not expsum._norms_match(ctx, la, lb)):
+                drawn.append((a, b))
+        a, b = np.array(drawn, dtype=np.int64).T
+        compared = expsum.prop1_kernel_check(ctx, np.concatenate(a_encs + [a]),
+                                             np.concatenate(b_encs + [b]))
         if compared != expected:
             return False, f"ker L = ker F at {compared} pairs, expected {expected}"
         return True, (f"N <= 2 at {ranged} three-valued pairs + ker L = ker F at {compared} "
-                      f"norms-differ pairs ({samples} sampled)")
+                      f"norms-differ pairs ({len(drawn)} sampled)")
 
     def check_prop2():
         n_pairs = 0
         for b in b_values:
             # the sweep has checked its N table against the direct count on this slice
             a_encs, n1 = sweep(b).jacobsthal
-            n2 = expsum.N_via_nonsquares_bulk(ctx, b, a_encs)
-            n3 = expsum.N_via_jacobsthal_bulk(ctx, b, a_encs)
+            g_logs = expsum._g_logs(ctx, b, a_encs)
+            n2 = expsum.N_via_nonsquares_bulk(ctx, b, a_encs, g_logs)
+            n3 = expsum.N_via_jacobsthal_bulk(ctx, b, a_encs, g_logs, bound_scan())
             if not n1.size == n2.size == n3.size:
                 return False, f"paths evaluated {n1.size}/{n2.size}/{n3.size} pairs"
             off = np.flatnonzero((n1 != n2) | (n1 != n3))
@@ -313,7 +311,7 @@ def _run_verify_all(args) -> int:
                 return False, (f"property vii: sum of N = {total}, expected {expected} "
                                f"at b = {ctx.format_element(b)}")
             a_encs, _ = rep.jacobsthal
-            results = expsum.corollary_properties(ctx, b, a_encs)
+            results = expsum.corollary_properties(ctx, rep)
             checked = {key: ok for key, ok in results.items() if ok is not None}
             sizes = sorted({ok.size for ok in checked.values()})
             if sizes != [a_encs.size]:

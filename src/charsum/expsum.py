@@ -31,10 +31,12 @@ g with g^(p^k-1) = -b^(p^3k)/a, and a Jacobsthal sum of order p^k + 1:
 Each route runs on an array of pairs at once.  N_count_bulk is the
 direct count: one FieldCtx.sum_enc_bulk evaluation of L at every u in U
 with per-pair coefficient dlogs, with the parity check per pair.
-N_via_nonsquares_bulk and N_via_jacobsthal_bulk solve for g in dlogs
-and evaluate their sums as (pairs, p^k) and (pairs, p^2k - 1) arrays of
-eta.  corollary1_bulk and corollary_properties make one direct count
-over all the pairs they compare.  The per-pair references (the zero
+N_via_nonsquares_bulk and N_via_jacobsthal_bulk share one dlog solve
+for g (_g_logs); the first evaluates its sums as a (pairs, p^k) array
+of eta, the second reads H from the Jacobsthal bound scan.
+corollary1_bulk makes one direct count over all its pairs;
+corollary_properties reads N from the sweep's table and counts only
+(a, -b) and (1/a, 1/b) directly.  The per-pair references (the zero
 sets over the whole field, find_g) are in charsum.reference, which no
 command imports; corollary_suite, the pair-by-pair reference of
 corollary_properties, and L_eval stay here, as perfbench names them.
@@ -54,9 +56,9 @@ cross-check both tables inside every sweep.
 distribution_sweep fixes b and covers every a in array work: it checks
 each closed form against the transform's defining sum, streams each
 pair's JSON record (case, N and witnesses, built from its arrays and
-dlog labels) to its caller if asked, keeps the JACOBSTHAL slice as two
-arrays, and tallies how often S_f(0) hits each of the three values
-(r, s, t), verifying
+dlog labels) to its caller if asked, keeps the N table and the
+JACOBSTHAL slice as arrays, and tallies how often S_f(0) hits each of
+the three values (r, s, t), verifying
 
     r + s + t  = p^n - p^k + chi(b),
     -r + s + 3t = chi(b) p^k,
@@ -72,7 +74,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jacobsthal
 from .cycint import CycInt
 from .errors import (
     BothCoefficientsZero,
@@ -528,7 +529,7 @@ def _dlogs(ctx: FieldCtx, encs):
 
 
 # entries per block of the (pairs, points) arrays of N_count_bulk, the
-# prop2 routes and prop1 (two 4 x 4 key matrices per pair): int64
+# nonsquare route and prop1 (two 4 x 4 key matrices per pair): int64
 # temporaries of 128 KiB, whatever the field size
 BLOCK_ENTRIES = 1 << 14
 
@@ -601,36 +602,26 @@ def _g_logs(ctx: FieldCtx, b: Elem, a_encs):
     return g
 
 
-def _nonsquare_counts(ctx: FieldCtx, b: Elem, a_encs, g_logs):
-    # the nonsquare count at every pair (a, b) with its g = xi^g_logs, from
-    # one (pairs, p^k) array of eta((c g)^2 - b^(p^2k+1)), c in GF(p^k)
-    k = ctx.params.k
-    view = ctx.subfield(2 * k)
-    c_logs = ctx.subfield(k).step * np.arange(ctx.p ** k - 1, dtype=np.int64)
-    g_logs = np.asarray(g_logs, dtype=np.int64)
-    squares = np.zeros((g_logs.size, c_logs.size + 1), dtype=np.int64)  # c = 0 first
-    squares[:, 1:] = ctx.exp_enc_bulk(2 * (c_logs + g_logs[:, None]))
-    eta = view.eta_bulk(ctx.add_enc_bulk(squares, (-(b ** (ctx.p ** (2 * k) + 1))).enc))
-    vanished = np.flatnonzero((eta == 0).any(axis=1))
-    if vanished.size:
-        raise CaseViolation("(cg)^2 - b^(p^2k+1) vanished at "
-                            f"{_where(ctx, a_encs[vanished[0]], b.enc)}")
-    return (eta == -1).sum(axis=1)
-
-
-def N_via_nonsquares_bulk(ctx: FieldCtx, b: Elem, a_encs):
+def N_via_nonsquares_bulk(ctx: FieldCtx, b: Elem, a_encs, g_logs):
     """#{c in GF(p^k) : (cg)^2 - b^(p^2k+1) is a nonsquare in GF(p^2k)} at
-    every pair (a, b), a in a_encs, at once: one array pass per block of
-    pairs.  Returns int64."""
-    return _in_blocks(lambda a: _nonsquare_counts(ctx, b, a, _g_logs(ctx, b, a)),
-                      ctx.p ** ctx.params.k, np.asarray(a_encs, dtype=np.int64))
+    every pair (a, b), a in a_encs, with its g = xi^g_logs from _g_logs:
+    one (pairs, p^k) array of eta((cg)^2 - b^(p^2k+1)) per block of pairs.
+    Returns int64."""
+    k = ctx.params.k
+    view, minus_norm = ctx.subfield(2 * k), (-(b ** (ctx.p ** (2 * k) + 1))).enc
+    c_logs = ctx.subfield(k).step * np.arange(ctx.p ** k - 1, dtype=np.int64)
 
-
-def _jacobsthal_args(ctx: FieldCtx, b: Elem, g_logs):
-    # the encodings of -b^(p^2k+1)/g^2, where the N route evaluates H
-    Q = ctx.p ** (2 * ctx.params.k)
-    lb = ctx.dlog(b)
-    return ctx.exp_enc_bulk(ctx.order // 2 + (Q + 1) * lb - 2 * np.asarray(g_logs, dtype=np.int64))
+    def block(a, g):
+        squares = np.zeros((g.size, c_logs.size + 1), dtype=np.int64)  # c = 0 first
+        squares[:, 1:] = ctx.exp_enc_bulk(2 * (c_logs + g[:, None]))
+        eta = view.eta_bulk(ctx.add_enc_bulk(squares, minus_norm))
+        vanished = np.flatnonzero((eta == 0).any(axis=1))
+        if vanished.size:
+            raise CaseViolation("(cg)^2 - b^(p^2k+1) vanished at "
+                                f"{_where(ctx, a[vanished[0]], b.enc)}")
+        return (eta == -1).sum(axis=1)
+    return _in_blocks(block, ctx.p ** k, np.asarray(a_encs, dtype=np.int64),
+                      np.asarray(g_logs, dtype=np.int64))
 
 
 def _N_from_H(ctx: FieldCtx, b: Elem, a_encs, H):
@@ -650,17 +641,22 @@ def _N_from_H(ctx: FieldCtx, b: Elem, a_encs, H):
     return num // 2
 
 
-def N_via_jacobsthal_bulk(ctx: FieldCtx, b: Elem, a_encs):
+def N_via_jacobsthal_bulk(ctx: FieldCtx, b: Elem, a_encs, g_logs, scan):
     """N from 2N = p^k - H_{p^k+1}(-b^(p^2k+1)/g^2)/(p^k+1) + 1 at every
-    pair (a, b), a in a_encs, at once: each block of pairs takes one
-    jacobsthal.H_sums call, an array of eta over GF(p^2k)* per pair.
-    Returns int64."""
-    view, pk = ctx.subfield(2 * ctx.params.k), ctx.p ** ctx.params.k
-
-    def block(a):
-        H = jacobsthal.H_sums(view, pk + 1, _jacobsthal_args(ctx, b, _g_logs(ctx, b, a)))
-        return _N_from_H(ctx, b, a, H)
-    return _in_blocks(block, view.order, np.asarray(a_encs, dtype=np.int64))
+    pair (a, b), a in a_encs, with its g = xi^g_logs from _g_logs, and H
+    read from scan, the jacobsthal.theorem2_scan of the 2k-view, at the
+    argument nu^l (nu = xi^(p^2k+1)): position l - l // (p^k+1) - 1, as the
+    scan skips the multiples of p^k + 1, GF(p^k).  The argument's
+    (p^k-1)-th power is a^2/b^d, so it lies there only in the SQUARE_MATCH
+    case (CaseViolation).  Returns int64."""
+    a_encs, g_logs = (np.asarray(x, dtype=np.int64) for x in (a_encs, g_logs))
+    pk, step = ctx.p ** ctx.params.k, ctx.subfield(2 * ctx.params.k).step
+    l = (ctx.order // 2 + step * ctx.dlog(b) - 2 * g_logs) % ctx.order // step
+    inside = np.flatnonzero(l % (pk + 1) == 0)
+    if inside.size:
+        raise CaseViolation(f"-b^(p^2k+1)/g^2 lies in GF(p^k) at "
+                            f"{_where(ctx, a_encs[inside[0]], b.enc)}")
+    return _N_from_H(ctx, b, a_encs, scan.H[l - l // (pk + 1) - 1])
 
 
 # --------------------------------------------------------------------------
@@ -716,12 +712,12 @@ def _properties(pk: int, b_square: bool, N, N_inv, N_nega, N_negb) -> dict:
     return out
 
 
-def _special_a(ctx: FieldCtx, b: Elem) -> tuple:
+def _special_a(ctx: FieldCtx, b: Elem, b_square: bool) -> tuple:
     # the a of the two special pairs (a, b) of property (vi),
     # +-nu^((p^2k-1)/4) b^(d/2), or () where its hypotheses (p = 3 mod 4,
     # k odd, b square) do not apply
     p, k = ctx.p, ctx.params.k
-    if p % 4 != 3 or k % 2 == 0 or chi(ctx, b) != 1:
+    if p % 4 != 3 or k % 2 == 0 or not b_square:
         return ()
     root = ctx.subfield(2 * k).generator ** ((p ** (2 * k) - 1) // 4)
     return tuple(sign * root * b ** (ctx.params.d // 2) for sign in (1, -1))
@@ -745,7 +741,7 @@ def corollary_suite(ctx: FieldCtx, pair: CoeffPair) -> dict:
     N = [N_count(ctx, other)[0] for other in
          (pair, CoeffPair(a.inverse(), b.inverse()), CoeffPair(-a, b), CoeffPair(a, -b))]
     out = _properties(pk, case_detail(ctx, pair).b_square, *N)
-    specials = [CoeffPair(s, b) for s in _special_a(ctx, b)]
+    specials = [CoeffPair(s, b) for s in _special_a(ctx, b, chi(ctx, b) == 1)]
     for special in specials:
         if case_detail(ctx, special).tag is not CaseTag.JACOBSTHAL:
             raise _special_pair_violation(ctx, special.a, b)
@@ -755,32 +751,32 @@ def corollary_suite(ctx: FieldCtx, pair: CoeffPair) -> dict:
     return out
 
 
-def corollary_properties(ctx: FieldCtx, b: Elem, a_encs) -> dict:
-    """Properties (i)-(vi) of N at every JACOBSTHAL pair (a, b), a in a_encs.
+def corollary_properties(ctx: FieldCtx, report) -> dict:
+    """Properties (i)-(vi) of N at every pair (a, b) of the JACOBSTHAL
+    slice of report, the distribution_sweep at b.
 
-    Returns {"i": bool array, ..., "vi": bool array} over a_encs; "vi" is
-    None when its hypotheses (p = 3 mod 4, k odd, b square) do not apply.
-    One N_count_bulk call covers (a, b), (a, -b), (1/a, 1/b) and (-a, b)
-    at every a, and the two special pairs of (vi), which depend on b
-    alone.  WrongCase unless every pair is JACOBSTHAL; CaseViolation
-    unless the special pairs are."""
-    a_encs = np.asarray(a_encs, dtype=np.int64)
+    Returns {"i": bool array, ..., "vi": bool array} over the slice; "vi"
+    is None when its hypotheses (p = 3 mod 4, k odd, b square) do not
+    apply.  N at (a, b) and (-a, b), at the two special pairs of (vi) and
+    chi(b) come from the report's N table; one N_count_bulk call counts
+    (a, -b) and (1/a, 1/b) at every a.  WrongCase unless every pair is
+    JACOBSTHAL; CaseViolation unless the special pairs are."""
+    b, (a_encs, N) = report.b, report.jacobsthal
     la = _dlogs(ctx, a_encs)
     _require_jacobsthal_bulk(ctx, b, la)
     pk, n, minus = ctx.p ** ctx.params.k, a_encs.size, ctx.order // 2  # xi^minus = -1
-    specials = _special_a(ctx, b)
+    b_square = report.chi_b == 1
+    specials = _special_a(ctx, b, b_square)
     special_encs = np.array([s.enc for s in specials], dtype=np.int64)
     for s, tag in zip(specials, _tags(ctx, _dlogs(ctx, special_encs), ctx.dlog(b))):
         if CASE_TAGS[tag] is not CaseTag.JACOBSTHAL:
             raise _special_pair_violation(ctx, s, b)
-    pair_a = np.concatenate((a_encs, a_encs, ctx.exp_enc_bulk(-la), ctx.exp_enc_bulk(la + minus),
-                             special_encs))
-    pair_b = np.repeat([b.enc, (-b).enc, b.inverse().enc, b.enc, b.enc],
-                       [n, n, n, n, special_encs.size])
-    N, N_negb, N_inv, N_nega, N_special = np.split(N_count_bulk(ctx, pair_a, pair_b)[0],
-                                                   [n, 2 * n, 3 * n, 4 * n])
-    out = _properties(pk, chi(ctx, b) == 1, N, N_inv, N_nega, N_negb)
-    out["vi"] = np.full(n, (N_special == (pk + 1) // 2).all()) if specials else None
+    N_negb, N_inv = np.split(N_count_bulk(
+        ctx, np.concatenate((a_encs, ctx.exp_enc_bulk(-la))),
+        np.repeat([(-b).enc, b.inverse().enc], n))[0], [n])
+    N_nega = report.N[ctx.exp_enc_bulk(la + minus)]
+    out = _properties(pk, b_square, N, N_inv, N_nega, N_negb)
+    out["vi"] = np.full(n, (report.N[special_encs] == (pk + 1) // 2).all()) if specials else None
     return out
 
 
@@ -821,9 +817,9 @@ class DistributionReport:
     r, s, t count S_f(0) = -p^2k, p^2k, 3 p^2k over the NORM_DIFFER and
     SQUARE_MATCH cases; jac_histogram maps N to its frequency over the
     JACOBSTHAL case and jacobsthal is that slice as two int64 arrays in
-    sweep order, the encodings of its a and their N (not part of the JSON
-    record).  residuals are the three identity defects and must all be
-    zero."""
+    sweep order, the encodings of its a and their N; N is the whole table
+    (neither is part of the JSON record).  residuals are the three
+    identity defects and must all be zero."""
 
     b: Elem
     chi_b: int
@@ -834,6 +830,7 @@ class DistributionReport:
     s0_total: int
     residuals: tuple
     jacobsthal: tuple
+    N: np.ndarray             # N(a, b) by encoding of a, from N_table
 
     def to_json_dict(self, ctx: FieldCtx) -> dict:
         return {
@@ -907,7 +904,7 @@ def distribution_sweep(ctx: FieldCtx, b: Elem, on_record=None) -> DistributionRe
                              logs[bounds[e]:bounds[e + 1]]))
     return DistributionReport(b=b, chi_b=sign, r=r, s=s, t=t,
                               jac_histogram=jac_hist, s0_total=s0_total, residuals=residuals,
-                              jacobsthal=(a_encs[jac], n[jac]))
+                              jacobsthal=(a_encs[jac], n[jac]), N=n_by_enc)
 
 
 def _cross_check(ctx: FieldCtx, b: Elem, a_encs, n, tags, witnesses, sample):

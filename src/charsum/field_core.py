@@ -141,34 +141,43 @@ def _poly_pow(base, e, mod, p):
     return acc
 
 
-def _x_is_primitive(mod, p, m, factors):
-    """Does the class of X generate the full multiplicative group?"""
-    if mod[0] == 0:
-        return False  # X divides the modulus, X is not even a unit
-    q1 = p ** m - 1
-    x = ((0, 1) + (0,) * (m - 2)) if m > 1 else ((-mod[0]) % p,)
-    one = (1,) + (0,) * (m - 1)
-    if _poly_pow(x, q1, mod, p) != one:
-        return False
-    for r in factors:
-        if _poly_pow(x, q1 // r, mod, p) == one:
-            return False
-    return True
+def _companions(p: int, m: int, low):
+    """The companion matrices (n, m, m) mod p of the monic polynomials of
+    degree m with lower coefficients low (n, m), constant term first: the
+    digits of X t are those of t times the matrix, so X^e has its e-th power."""
+    out = np.zeros((len(low), m, m), dtype=np.int64)
+    out[:, np.arange(m - 1), np.arange(1, m)] = 1
+    out[:, m - 1] = -np.asarray(low, dtype=np.int64) % p
+    return out
+
+
+def _matrix_power(mats, e: int, p: int):
+    """mats^e mod p for a stack of int64 matrices with entries in 0..p-1."""
+    acc = np.eye(mats.shape[-1], dtype=np.int64) + np.zeros_like(mats)
+    while e:
+        if e & 1:
+            acc = acc @ mats % p
+        mats = mats @ mats % p
+        e >>= 1
+    return acc
 
 
 def first_primitive_modulus(p: int, m: int) -> tuple:
     """First monic degree-m primitive polynomial over Z/p in ascending
     base-p encoding order.  Returned as a coefficient tuple of length
-    m+1 (constant term first, leading 1 last)."""
+    m+1 (constant term first, leading 1 last).  X is primitive when
+    X^(q-1) = 1 and X^((q-1)/r) != 1 for each prime r | q - 1, tested by
+    powers of the companion matrices of 64 candidates at a time."""
     q = p ** m
-    factors = prime_factors(q - 1)
-    for code in range(q):
-        cand, c = [], code
-        for _ in range(m):
-            c, rem = divmod(c, p)
-            cand.append(rem)
-        if _x_is_primitive(tuple(cand) + (1,), p, m, factors):
-            return tuple(cand) + (1,)
+    eye = np.eye(m, dtype=np.int64)
+    for start in range(0, q, 64):
+        low = np.arange(start, min(q, start + 64))[:, None] // p ** np.arange(m) % p
+        mats = _companions(p, m, low)
+        live = np.flatnonzero((_matrix_power(mats, q - 1, p) == eye).all(axis=(1, 2)))
+        for r in prime_factors(q - 1):
+            live = live[(_matrix_power(mats[live], (q - 1) // r, p) != eye).any(axis=(1, 2))]
+        if live.size:
+            return tuple(low[live[0]].tolist()) + (1,)
     raise AssertionError(f"no primitive polynomial of degree {m} over GF({p})")
 
 
@@ -346,17 +355,11 @@ class FieldCtx:
         if log[0] != -1 or (log[1:] < 0).any():
             raise InvariantViolation("exp table has collisions")
         self.log_enc = log
-        # trace by linearity: Tr(sum c_i X^i) = sum c_i Tr(X^i)
-        tr_basis = np.empty(m, dtype=np.int64)
-        for i in range(m):
-            acc = [0] * m
-            e = i
-            for j in range(m):
-                conj = self.decode(int(exp[(e * p ** j) % order])) if order else (1,)
-                acc = [(a + b) % p for a, b in zip(acc, conj)]
-            if any(acc[1:]):
-                raise InvariantViolation(f"Tr(X^{i}) left the prime field")
-            tr_basis[i] = acc[0]
+        # trace by linearity: Tr(sum c_i X^i) = sum c_i Tr(X^i), and Tr(X^i)
+        # is the trace of the matrix of multiplication by X^i, C^i
+        companion = _companions(p, m, [self.modulus[:m]])
+        tr_basis = np.array([np.trace(_matrix_power(companion, i, p)[0]) % p
+                             for i in range(m)])
         # the half-width split u = hi s + lo: the addition table over the
         # digit halves, and the trace as a sum over the two halves
         h = -(-m // 2)
@@ -440,11 +443,14 @@ class FieldCtx:
         """Accepts "g^e" (a power of xi) or "c0,c1,...,c_{m-1}" base-p
         digits, each in 0..p-1 (ValueError otherwise)."""
         text = text.strip()
-        if text.startswith("g^"):
-            return self.from_exp(int(text[2:]))
         if text == "g":
             return self.xi
-        digits = [int(v) for v in text.split(",")]
+        try:
+            if text.startswith("g^"):
+                return self.from_exp(int(text[2:]))
+            digits = [int(v) for v in text.split(",")]
+        except ValueError:
+            raise ValueError(f"element {text!r} is neither g^e nor digits c0,c1,...") from None
         if not all(0 <= v < self.p for v in digits):
             raise ValueError(f"digits of {text!r} must lie in 0..{self.p - 1}")
         return self.elem(digits)
@@ -594,9 +600,7 @@ def _exp_by_doubling(p: int, m: int, mod) -> np.ndarray:
     same rows times C^n.  InvariantViolation unless X^(p^m - 1) = 1.  The
     int32 products are exact: under the table rule, m p^2 < 2^31."""
     order = p ** m - 1
-    companion = np.zeros((m, m), dtype=np.int32)
-    companion[np.arange(m - 1), np.arange(1, m)] = 1
-    companion[m - 1] = [(-c) % p for c in mod[:m]]
+    companion = _companions(p, m, [mod[:m]])[0].astype(np.int32)
     digits = np.zeros((order, m), dtype=np.min_scalar_type(p - 1))
     digits[0, 0] = 1
     n, power = 1, companion

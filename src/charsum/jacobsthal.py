@@ -23,16 +23,16 @@ GF(p^k), A = a0, C = mu a1^2.  The Hasse bound on N yields
 which theorem2_scan checks exhaustively (in exact integer arithmetic,
 comparing H^2 against 4 p^k (p^k+1)^2).
 
-H_sums evaluates H by definition at an array of a, one row of eta
-values per a.  The scan reads every a from scan_table instead:
-x^(p^k+1) is the norm of x, so each sum is a weighted sum over GF(p^k)*
-of one table of eta(t + a), and each curve count is one bulk pass over
-GF(p^k).  Every polynomial in those arrays (x^(n+1) + a x, t + a and the
-curve's cubic) is one FieldCtx.sum_enc_bulk call.  theorem2_scan keeps
-scan_table's results as arrays in its report, with no object per a.
-The per-a references (I_sum, the half-basis decomposition,
-curve_point_count and jacobsthal_record) are in charsum.reference, which
-no command imports.
+The scan reads every a from scan_table: x^(p^k+1) is the norm of x, so
+each sum is a weighted sum over GF(p^k)* of one table of eta(t + a), and
+each curve count is one bulk pass over GF(p^k).  Both polynomials in
+those arrays (t + a and the curve's cubic) are one FieldCtx.sum_enc_bulk
+call each.  theorem2_scan keeps scan_table's results as arrays in its
+report, with no object per a; prop2 reads H at its arguments from the
+same report (expsum.N_via_jacobsthal_bulk), so H has one route.  The
+per-a references (H_sums, H by definition at an array of a, I_sum, the
+half-basis decomposition, curve_point_count and jacobsthal_record) are
+in charsum.reference, which no command imports.
 
 All functions take a SubfieldView of even degree 2k, so they run both
 on the 2k-view of the big context and on a standalone GF(p^2k) context.
@@ -45,24 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundViolation, NotInSubfield, ZeroArgument
+from .errors import BoundViolation
 from .field_core import SubfieldView
-
-
-def H_sums(view: SubfieldView, n: int, a_encs):
-    """Jacobsthal sums of order n at an array of nonzero encodings of the
-    scan field, by definition: one (len(a_encs), p^2k - 1) array of
-    eta(x^(n+1) + a x) over x in GF(p^2k)* (the x = 0 term is eta(0) = 0),
-    summed per row.  Returns int64."""
-    ctx = view.ctx
-    a_encs = np.asarray(a_encs, dtype=np.int64)
-    if (a_encs == 0).any():
-        raise ZeroArgument("a must be nonzero")
-    la = ctx.log_enc_bulk(a_encs)
-    if (la % view.step).any():
-        raise NotInSubfield("an a is not in the scan field")
-    x_logs = view.step * np.arange(view.order, dtype=np.int64)
-    return view.eta_bulk(ctx.sum_enc_bulk(((0, n + 1), (la, 1)), x_logs)).sum(axis=1)
 
 
 def eq1_value(pk: int, eta_a):

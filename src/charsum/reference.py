@@ -2,9 +2,10 @@
 one element at a time.  No command imports this module; each public
 function cross-checks a batched route in the tests: the zero sets of L
 and F against expsum.prop1_kernel_check, find_g against expsum._g_logs,
-the per-a Jacobsthal sums and curve counts (a JacobsthalRecord) against
-jacobsthal.scan_table and the rows of jacobsthal-scan, the Walsh
-coefficient and the (1, 1) closed form at one y against
+H_sums (H by definition at an array of a) against jacobsthal.scan_table,
+where prop2 reads H too, the per-a Jacobsthal sums and curve counts (a
+JacobsthalRecord) against scan_table and the rows of jacobsthal-scan,
+the Walsh coefficient and the (1, 1) closed form at one y against
 walsh.full_spectrum and theorem1_root_scan, and the cyclotomic numbers
 against cyclotomy.full_table.
 """
@@ -23,7 +24,6 @@ from .errors import (CaseViolation, IndexOutOfRange, InvariantViolation, NoSolut
 from .expsum import (CoeffPair, _coefficient_logs, _L_terms, _require_jacobsthal, f_values,
                      trace_values)
 from .field_core import Elem, FieldCtx, SubfieldView
-from .jacobsthal import H_sums
 
 
 # --------------------------------------------------------------------------
@@ -96,6 +96,22 @@ def _check_arg(view: SubfieldView, a: Elem) -> None:
         raise ZeroArgument("a must be nonzero")
     if not view.contains(a):
         raise NotInSubfield(f"{a!r} is not in the scan field")
+
+
+def H_sums(view: SubfieldView, n: int, a_encs):
+    """Jacobsthal sums of order n at an array of nonzero encodings of the
+    scan field, by definition: one (len(a_encs), p^2k - 1) array of
+    eta(x^(n+1) + a x) over x in GF(p^2k)* (the x = 0 term is eta(0) = 0),
+    summed per row.  Returns int64."""
+    ctx = view.ctx
+    a_encs = np.asarray(a_encs, dtype=np.int64)
+    if (a_encs == 0).any():
+        raise ZeroArgument("a must be nonzero")
+    la = ctx.log_enc_bulk(a_encs)
+    if (la % view.step).any():
+        raise NotInSubfield("an a is not in the scan field")
+    x_logs = view.step * np.arange(view.order, dtype=np.int64)
+    return view.eta_bulk(ctx.sum_enc_bulk(((0, n + 1), (la, 1)), x_logs)).sum(axis=1)
 
 
 def I_sum(view: SubfieldView, n: int, a: Elem) -> int:

@@ -25,8 +25,9 @@ y^2 lies in GF(p^2k) the root is simply -Tr(y^2) relative to GF(p^k).
 theorem1_root_scan checks all of this for every y at once: it steps X
 through GF(p^k) and evaluates W + W^(p^k) at all q values of y per
 step with the bulk field operations (FieldCtx.add_enc_bulk and
-pow_enc_bulk), so its temporaries are O(q) encodings, and compares the
-values with closed_form, the p values -p^2k w^j.  theorem1_spectrum_check
+pow_enc_bulk), so its temporaries are O(q) encodings, and compares each
+root's j with Spectrum.closed_j, the one match of each distinct
+coefficient with closed_form (-p^2k w^j).  theorem1_spectrum_check
 adds the value-multiset against the closed-form counts: -p^2k w^i occurs
 p^(2k-1)(p^2k+1) times for i != 0, and -p^2k occurs
 (p^(2k-1)-1)(p^2k+1) + 1 times.
@@ -67,6 +68,7 @@ class Spectrum:
     pair: CoeffPair
     values: tuple
     index: np.ndarray
+    closed_j: np.ndarray      # per S in values, the j with S = -p^(n/2) w^j, or -1
     summary: dict
     parseval: int             # sum of |S|^2, must be p^(2n)
     bent: bool                # every |S|^2 is p^n
@@ -90,12 +92,14 @@ def full_spectrum(ctx: FieldCtx, pair: CoeffPair) -> Spectrum:
                 CycInt.zero(p)).as_int()  # raises NotRationalInteger on defect
     if total != q ** 2:
         raise ParsevalViolation(f"Parseval defect: {total} != {q ** 2}")
+    forms = closed_form(p, ctx.params.k)
+    closed_j = np.array([next((j for j, f in enumerate(forms) if c == f), -1) for c in coeffs])
     return Spectrum(
-        ctx=ctx, pair=pair, values=values, index=index,
+        ctx=ctx, pair=pair, values=values, index=index, closed_j=closed_j,
         summary={str(c): m for (c, _), m in zip(values, multiplicity)},
         parseval=total,
         bent=all(n == q for _, n in values),
-        weakly_regular_neg=all(c in closed_form(p, ctx.params.k) for c, _ in values))
+        weakly_regular_neg=bool((closed_j >= 0).all()))
 
 
 # --------------------------------------------------------------------------
@@ -147,9 +151,7 @@ def theorem1_root_scan(ctx: FieldCtx, spectrum: Spectrum) -> RootScan:
         y = ctx.from_enc(int(ys[bad[0]]))
         raise RootCountViolation(
             f"{roots[bad[0]]} roots at y={ctx.format_element(y)}; expected 1")
-    # equals[v, j]: the distinct value v is -p^2k w^j
-    equals = np.array([[c == f for f in closed_form(p, k)] for c, _ in spectrum.values])
-    formula_ok = equals[spectrum.index, w_exp]
+    formula_ok = spectrum.closed_j[spectrum.index] == w_exp
     special = ctx.pow_enc_bulk(y2, p2k) == y2
     rel_trace = ctx.add_enc_bulk(y2, ctx.pow_enc_bulk(y2, pk))
     return RootScan(x0=x0, formula_ok=formula_ok, special=special,

@@ -1,12 +1,15 @@
 import ast
+import dataclasses
 import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from charsum import expsum, jacobsthal, reference
@@ -30,9 +33,10 @@ def test_verify_all_31(capsys):
 
 
 def test_verify_all_scans_jacobsthal_once(capsys, monkeypatch):
-    # eq1, theorem2 and curve read one Jacobsthal bound scan, which reads
-    # every record from one table of eta and calls no per-a I_sum
-    calls = {"theorem2_scan": 0, "scan_table": 0, "I_sum": 0}
+    # eq1, theorem2, curve and prop2 read one Jacobsthal bound scan, which
+    # reads every record from one table of eta and calls no per-a I_sum;
+    # H by definition (H_sums) is a reference only
+    calls = {"theorem2_scan": 0, "scan_table": 0, "I_sum": 0, "H_sums": 0}
 
     def counting(module, name):
         real = getattr(module, name)
@@ -43,11 +47,95 @@ def test_verify_all_scans_jacobsthal_once(capsys, monkeypatch):
         return counted
 
     for name in calls:
-        module = reference if name == "I_sum" else jacobsthal
+        module = reference if name in ("I_sum", "H_sums") else jacobsthal
         monkeypatch.setattr(module, name, counting(module, name))
     assert run(["verify-all", "--p", "3", "--k", "1"]) == 0
     assert capsys.readouterr().out.count("[ok  ]") == 12
-    assert calls == {"theorem2_scan": 1, "scan_table": 1, "I_sum": 0}
+    assert calls == {"theorem2_scan": 1, "scan_table": 1, "I_sum": 0, "H_sums": 0}
+    modules = [m for name, m in sys.modules.items() if name.startswith("charsum.")]
+    assert [m.__name__ for m in modules if "H_sums" in vars(m)] == ["charsum.reference"]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--p", "3", "--k", "1"], "e9db3a39c87b3e719976c62e0db62880804d74c0ef7850c64b84a9bda5867ad4"),
+    (["--p", "5", "--k", "1"], "2221d6dfcd4c211a986635547b20ad6347e143f78b3c1e1873eaa3d246bf3a2b"),
+    (["--p", "7", "--k", "1"], "62e94ae36e1c85aba904e21ffa1aa4fd91e494716d3105e4cffc544ce3439089"),
+    (["--p", "3", "--k", "2", "--b", "g^1"],
+     "86ea764a86b561d9ce5a477607ac06026de5fd8b8192e3e1d0d41a6db595a619"),
+])
+def test_verify_all_output_pinned(capsys, argv, digest):
+    # the whole stdout of verify-all, every check's detail included, by
+    # SHA-256 once the " (0.01s)" timing of each check line is stripped
+    assert run(["verify-all", *argv]) == 0
+    out = re.sub(r" \([0-9.]+s\)$", "", capsys.readouterr().out, flags=re.M)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_all_computes_g_and_N_once(capsys, monkeypatch):
+    # prop2 solves for g once per b, for both of its routes, and corollary2
+    # directly counts only (a, -b) and (1/a, 1/b), 2 pairs per a of the
+    # slice (2 and 4 a at p = 3, k = 1), reading the rest from the sweep
+    g_sizes, counted, inside = [], [], []
+    real_g, real_count = expsum._g_logs, expsum.N_count_bulk
+    real_properties = expsum.corollary_properties
+
+    def g_logs(ctx, b, a_encs):
+        g_sizes.append(len(a_encs))
+        return real_g(ctx, b, a_encs)
+
+    def count(ctx, a_encs, b_encs):
+        if inside:
+            counted.append(len(a_encs))
+        return real_count(ctx, a_encs, b_encs)
+
+    def properties(ctx, report):
+        inside.append(report)
+        try:
+            return real_properties(ctx, report)
+        finally:
+            inside.pop()
+
+    for name, fn in (("_g_logs", g_logs), ("N_count_bulk", count),
+                     ("corollary_properties", properties)):
+        monkeypatch.setattr(expsum, name, fn)
+    assert run(["verify-all", "--p", "3", "--k", "1"]) == 0
+    assert capsys.readouterr().out.count("[ok  ]") == 12
+    assert g_sizes == [2, 4]
+    assert counted == [4, 8]
+
+
+def test_prop2_reads_H_from_the_bound_scan(capsys, monkeypatch):
+    # one H of the bound scan, at the argument -b^(p^2k+1)/g^2 of the first
+    # pair of the slice of b = g^0, lowered by 2(p^k + 1) (and its curve
+    # count with it): prop2's H route then gives N one higher there, and
+    # prop2 alone fails, naming the three paths
+    ctx = context(3, 1)
+    view, b = ctx.subfield(2), ctx.one
+    a = expsum.jacobsthal_pairs(ctx, b)[0]
+    arg = -(b ** 10) / reference.find_g(ctx, expsum.CoeffPair(a, b)) ** 2
+    n = expsum.N_count(ctx, expsum.CoeffPair(a, b))[0]
+    real = jacobsthal.theorem2_scan
+
+    def corrupted(view):
+        rep = real(view)
+        i = int(np.flatnonzero(rep.logs == view.discrete_log(arg))[0])
+        H, curve_N = rep.H.copy(), rep.curve_N.copy()
+        H[i] -= 8
+        curve_N[i] -= 2
+        return dataclasses.replace(rep, H=H, curve_N=curve_N)
+
+    monkeypatch.setattr(jacobsthal, "theorem2_scan", corrupted)
+    assert run(["verify-all", "--p", "3", "--k", "1"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
+    assert len(failed) == 1 and failed[0].startswith(
+        f"[FAIL] prop2/eq8 triple path: paths {n}/{n}/{n + 1} at a = {ctx.format_element(a)} ")
+
+
+@pytest.mark.parametrize("b, text", [("g^1;", ""), ("g^1;g^x", "g^x"), ("1,,2", "1,,2")])
+def test_malformed_element_is_named(capsys, b, text):
+    assert run(["verify-all", "--p", "3", "--k", "1", "--b", b]) == 2
+    assert capsys.readouterr().err == (
+        f"error: element {text!r} is neither g^e nor digits c0,c1,...\n")
 
 
 def test_expsum_record(capsys):
@@ -305,7 +393,7 @@ def test_failed_prop1_under_optimize():
 
 
 def test_failed_bound_scan_under_optimize():
-    # python -O: an H beyond the Hasse bound must fail the three checks that
+    # python -O: an H beyond the Hasse bound must fail the four checks that
     # read the bound scan and exit 1
     code = ("import sys\n"
             "from charsum import cli, jacobsthal\n"
@@ -319,7 +407,7 @@ def test_failed_bound_scan_under_optimize():
     assert proc.returncode == 1, proc.stderr
     failed = [line.split(":")[0] for line in proc.stdout.splitlines() if line.startswith("[FAIL]")]
     assert failed == ["[FAIL] eq1 companion sum", "[FAIL] theorem2 jacobsthal bound",
-                      "[FAIL] curve count identity"]
+                      "[FAIL] curve count identity", "[FAIL] prop2/eq8 triple path"]
     assert "Traceback" not in proc.stderr
 
 
@@ -397,9 +485,10 @@ def test_failed_class_sums_under_optimize():
 
 def test_failed_theorem1_under_optimize():
     # python -O: one spectrum coefficient multiplied by w (its index pointed
-    # at a rotated copy of its value) must fail theorem1's closed form and
-    # exit 1 (the summary stays as computed)
+    # at a rotated copy of its value, -p^2k w^(j+1) for -p^2k w^j) must fail
+    # theorem1's closed form and exit 1 (the summary stays as computed)
     code = ("import sys, dataclasses\n"
+            "import numpy as np\n"
             "from charsum import cli, walsh\n"
             "real = walsh.full_spectrum\n"
             "def off(ctx, pair):\n"
@@ -407,8 +496,9 @@ def test_failed_theorem1_under_optimize():
             "    c, n = s.values[s.index[7]]\n"
             "    index = s.index.copy()\n"
             "    index[7] = len(s.values)\n"
+            "    j = (s.closed_j[s.index[7]] + 1) % ctx.p\n"
             "    return dataclasses.replace(s, values=s.values + ((c.omega_shift(1), n),),\n"
-            "                               index=index)\n"
+            "                               index=index, closed_j=np.append(s.closed_j, j))\n"
             "walsh.full_spectrum = off\n"
             "sys.exit(cli.run(['verify-all', '--p', '3', '--k', '1']))\n")
     proc = _run_src("-O", "-c", code)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import random
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charsum import expsum as es
+from charsum import jacobsthal
 from charsum import reference as ref
 from charsum.cycint import CycInt
 from charsum.errors import (
@@ -26,6 +28,11 @@ from charsum.field_core import FieldCtx, FieldParams, build_context, context
 
 def pair_of(ctx, a, b):
     return es.CoeffPair(a, b)
+
+
+def _scan(ctx):
+    # the Jacobsthal bound scan of the 2k-view, where prop2 reads H
+    return jacobsthal.theorem2_scan(ctx.subfield(2 * ctx.params.k))
 
 
 def U_elements(ctx):
@@ -450,8 +457,9 @@ def test_three_paths_agree(fixture, request):
         pairs = es.jacobsthal_pairs(ctx, b)
         assert pairs, "case must be populated"
         a_encs = [a.enc for a in pairs]
-        n2 = es.N_via_nonsquares_bulk(ctx, b, a_encs)
-        n3 = es.N_via_jacobsthal_bulk(ctx, b, a_encs)
+        g_logs = es._g_logs(ctx, b, a_encs)
+        n2 = es.N_via_nonsquares_bulk(ctx, b, a_encs, g_logs)
+        n3 = es.N_via_jacobsthal_bulk(ctx, b, a_encs, g_logs, _scan(ctx))
         for a, n2_i, n3_i in zip(pairs, n2.tolist(), n3.tolist(), strict=True):
             pair = pair_of(ctx, a, b)
             n1 = es.N_count(ctx, pair)[0]
@@ -467,40 +475,65 @@ def test_bulk_routes_match_pair_routes(fixture, request, monkeypatch):
     for b in (ctx.one, ctx.xi):
         a_encs, n1 = es.distribution_sweep(ctx, b).jacobsthal
         pairs = [pair_of(ctx, ctx.from_enc(int(a)), b) for a in a_encs]
-        assert es._g_logs(ctx, b, a_encs).tolist() == [
-            ctx.dlog(ref.find_g(ctx, pair)) for pair in pairs]
-        n2 = es.N_via_nonsquares_bulk(ctx, b, a_encs)
-        n3 = es.N_via_jacobsthal_bulk(ctx, b, a_encs)
+        g_logs = es._g_logs(ctx, b, a_encs)
+        assert g_logs.tolist() == [ctx.dlog(ref.find_g(ctx, pair)) for pair in pairs]
+        n2 = es.N_via_nonsquares_bulk(ctx, b, a_encs, g_logs)
+        n3 = es.N_via_jacobsthal_bulk(ctx, b, a_encs, g_logs, _scan(ctx))
         assert n2.tolist() == n3.tolist() == n1.tolist()
         monkeypatch.setattr(es, "BLOCK_ENTRIES", 1)  # one pair per block
-        assert es.N_via_nonsquares_bulk(ctx, b, a_encs).tolist() == n2.tolist()
-        assert es.N_via_jacobsthal_bulk(ctx, b, a_encs).tolist() == n3.tolist()
+        assert es.N_via_nonsquares_bulk(ctx, b, a_encs, g_logs).tolist() == n2.tolist()
         assert es.N_count_bulk(ctx, a_encs, np.full(a_encs.size, b.enc))[0].tolist() == (
             n2.tolist())
         monkeypatch.undo()
 
 
 def test_bulk_routes_refuse_other_cases(ctx31):
+    # both routes take their g from the one dlog solve, which refuses a pair
+    # outside the slice; the H route refuses an argument in GF(p^k)
     b = ctx31.one
     a_encs = np.array([a.enc for a in es.jacobsthal_pairs(ctx31, b)] + [ctx31.one.enc])
-    for route in (es.N_via_nonsquares_bulk, es.N_via_jacobsthal_bulk):
-        with pytest.raises(WrongCase):
-            route(ctx31, b, a_encs)
-        with pytest.raises(ZeroB):
-            route(ctx31, ctx31.zero, a_encs[:1])
+    with pytest.raises(WrongCase):
+        es._g_logs(ctx31, b, a_encs)
+    with pytest.raises(ZeroB):
+        es._g_logs(ctx31, ctx31.zero, a_encs[:1])
+    # with g = 1 the argument is -b^(p^2k+1) = -1, which lies in GF(3)
+    with pytest.raises(CaseViolation, match="lies in GF"):
+        es.N_via_jacobsthal_bulk(ctx31, b, a_encs[:1], [0], _scan(ctx31))
 
 
-def test_bulk_jacobsthal_route_checks_raise(ctx31, monkeypatch):
-    # the batch keeps the divisibility and parity checks of the H-sum route
+def test_bulk_jacobsthal_route_checks_raise(ctx31):
+    # the route keeps the divisibility and parity checks of eq8 on the H it
+    # reads from the scan
     b = ctx31.one
     a_encs = np.array([a.enc for a in es.jacobsthal_pairs(ctx31, b)])
-    real = es.jacobsthal.H_sums
-    monkeypatch.setattr(es.jacobsthal, "H_sums", lambda *args: real(*args) + 1)
-    with pytest.raises(DivisibilityViolation):
-        es.N_via_jacobsthal_bulk(ctx31, b, a_encs)
-    monkeypatch.setattr(es.jacobsthal, "H_sums", lambda *args: real(*args) + 4)
-    with pytest.raises(ParityViolation):
-        es.N_via_jacobsthal_bulk(ctx31, b, a_encs)
+    g_logs, scan = es._g_logs(ctx31, b, a_encs), _scan(ctx31)
+    for shift, error in ((1, DivisibilityViolation), (4, ParityViolation)):
+        with pytest.raises(error):
+            es.N_via_jacobsthal_bulk(ctx31, b, a_encs, g_logs,
+                                     dataclasses.replace(scan, H=scan.H + shift))
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (3, 2), (13, 1)])
+def test_scan_H_matches_H_sums_at_prop2_arguments(p, k):
+    # the H that prop2 reads from the bound scan at each argument
+    # -b^(p^2k+1)/g^2, against H by definition (reference.H_sums) with the
+    # reference g, at every pair of the slice for b = g^0..g^5
+    ctx = context(p, k)
+    view, pk, Q = ctx.subfield(2 * k), p ** k, p ** (2 * k)
+    scan = _scan(ctx)
+    jac = es.CASE_TAGS.index(es.CaseTag.JACOBSTHAL)
+    for e in range(6):
+        b = ctx.from_exp(e)
+        a_encs = es.sweep_order(ctx)[es.case_tags(ctx, b) == jac]
+        args = [-(b ** (Q + 1)) / ref.find_g(ctx, pair_of(ctx, ctx.from_enc(int(a)), b)) ** 2
+                for a in a_encs]
+        H = ref.H_sums(view, pk + 1, [x.enc for x in args])
+        logs = [view.discrete_log(x) for x in args]
+        position = np.searchsorted(scan.logs, logs)
+        assert scan.logs[position].tolist() == logs
+        assert scan.H[position].tolist() == H.tolist()
+        n = es.N_via_jacobsthal_bulk(ctx, b, a_encs, es._g_logs(ctx, b, a_encs), scan)
+        assert a_encs.size and (2 * n).tolist() == (pk - H // (pk + 1) + 1).tolist()
 
 
 def test_jacobsthal_case_parity_and_bound(ctx31, ctx51):
@@ -609,16 +642,21 @@ def test_corollary_suite_wrong_case(ctx31):
         es.corollary_suite(ctx31, pair_of(ctx31, ctx31.one, ctx31.one))
 
 
-@pytest.mark.parametrize("fixture", ["ctx31", "ctx51"])
+@pytest.mark.parametrize("fixture", ["ctx31", "ctx51", "ctx32"])
 def test_corollary_properties_match_suite(fixture, request):
-    # the batch over a slice (one N_count_bulk call per b) against the
-    # pair-by-pair reference; (vi) applies at p = 3 and b square only
+    # the batch over a slice (N from the sweep's table, one N_count_bulk
+    # call for the rest) against the pair-by-pair reference, at every
+    # JACOBSTHAL a for b = g^0..g^3; (vi) applies at p = 3, k odd and b
+    # square only
     ctx = request.getfixturevalue(fixture)
-    for b in (ctx.one, ctx.xi):
+    for e in range(4):
+        b = ctx.from_exp(e)
         pairs = es.jacobsthal_pairs(ctx, b)
-        results = es.corollary_properties(ctx, b, [a.enc for a in pairs])
+        rep = es.distribution_sweep(ctx, b)
+        assert rep.jacobsthal[0].tolist() == [a.enc for a in pairs]
+        results = es.corollary_properties(ctx, rep)
         assert list(results) == ["i", "iii", "ii", "iv", "v", "vi"]
-        assert (results["vi"] is None) == (ctx.p == 5 or es.chi(ctx, b) == -1)
+        assert (results["vi"] is None) == (ctx.p == 5 or ctx.params.k == 2 or e % 2 == 1)
         for i, a in enumerate(pairs):
             want = es.corollary_suite(ctx, pair_of(ctx, a, b))
             got = {key: None if ok is None else bool(ok[i]) for key, ok in results.items()}
@@ -626,13 +664,14 @@ def test_corollary_properties_match_suite(fixture, request):
 
 
 def test_corollary_properties_refuse_other_cases(ctx31):
-    b = ctx31.one
-    a_encs = [a.enc for a in es.jacobsthal_pairs(ctx31, b)]
+    rep = es.distribution_sweep(ctx31, ctx31.one)
+    a_encs, n = rep.jacobsthal
     for outside in (0, ctx31.one.enc):  # NORM_DIFFER and SQUARE_MATCH
         with pytest.raises(WrongCase):
-            es.corollary_properties(ctx31, b, a_encs + [outside])
+            es.corollary_properties(ctx31, dataclasses.replace(
+                rep, jacobsthal=(np.append(a_encs, outside), np.append(n, 1))))
     with pytest.raises(ZeroB):
-        es.corollary_properties(ctx31, ctx31.zero, a_encs)
+        es.corollary_properties(ctx31, dataclasses.replace(rep, b=ctx31.zero))
 
 
 def test_corollary1_bulk_scales_each_pair(ctx31, ctx32, monkeypatch):
@@ -848,7 +887,7 @@ def test_g_logs_refuses_other_cases_with_a_typed_error(ctx31, monkeypatch):
     a = es.sweep_order(ctx31)[1:][tags == es.CASE_TAGS.index(es.CaseTag.NORM_DIFFER)][0]
     monkeypatch.setattr(es, "_require_jacobsthal_bulk", lambda ctx, b, la: None)
     with pytest.raises(NotInSubfield):
-        es.N_via_nonsquares_bulk(ctx31, b, [a])
+        es._g_logs(ctx31, b, [a])
 
 
 def test_sweep_rejects_zero_b(ctx31):

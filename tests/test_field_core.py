@@ -72,6 +72,30 @@ def test_modulus_matches_enumeration_oracle():
     assert first_primitive_modulus(7, 2) == _oracle_first_primitive(7, 2)
 
 
+# the modulus at m = k, 2k and 4k of every table size, (p, 1) for p up to
+# 31 and (3, 2), (5, 2), (3, 3): a different one would relabel every
+# "g^e" the commands print
+PINNED_MODULI = {
+    (3, 1): (1, 1), (3, 2): (2, 1, 1), (3, 4): (2, 1, 0, 0, 1),
+    (5, 1): (2, 1), (5, 2): (2, 1, 1), (5, 4): (2, 2, 1, 0, 1),
+    (7, 1): (2, 1), (7, 2): (3, 1, 1), (7, 4): (5, 3, 1, 0, 1),
+    (11, 1): (3, 1), (11, 2): (7, 1, 1), (11, 4): (2, 1, 0, 0, 1),
+    (13, 1): (2, 1), (13, 2): (2, 1, 1), (13, 4): (2, 1, 1, 0, 1),
+    (17, 1): (3, 1), (17, 2): (3, 1, 1), (17, 4): (11, 1, 0, 0, 1),
+    (19, 1): (4, 1), (19, 2): (2, 1, 1), (19, 4): (10, 2, 0, 0, 1),
+    (23, 1): (2, 1), (23, 2): (7, 1, 1), (23, 4): (11, 1, 0, 0, 1),
+    (29, 1): (2, 1), (29, 2): (3, 1, 1), (29, 4): (19, 1, 0, 0, 1),
+    (31, 1): (7, 1), (31, 2): (12, 1, 1), (31, 4): (17, 2, 0, 0, 1),
+    (3, 8): (2, 0, 0, 1, 0, 0, 0, 0, 1), (5, 8): (3, 2, 1, 0, 0, 0, 0, 0, 1),
+    (3, 3): (1, 2, 0, 1), (3, 6): (2, 1, 0, 0, 0, 0, 1),
+    (3, 12): (2, 2, 2, 1, 2, 0, 0, 0, 0, 0, 0, 0, 1),
+}
+
+
+def test_modulus_pinned_at_every_table_size():
+    assert {pm: first_primitive_modulus(*pm) for pm in PINNED_MODULI} == PINNED_MODULI
+
+
 def test_gf3_context_is_z3_with_xi_two():
     ctx = context(3, 1, m=1)
     assert ctx.modulus == (1, 1)
@@ -487,6 +511,9 @@ def test_parse_and_format(ctx31):
     assert ctx31.parse_element("0") == ctx31.zero
     for text in ("3", "5", "1,-1", "0,0,0,3"):  # base-p digits lie in 0..p-1
         with pytest.raises(ValueError, match="0..2"):
+            ctx31.parse_element(text)
+    for text in ("", "g^", "g^x", "1,,2", "h"):  # the error names the element
+        with pytest.raises(ValueError, match=re.escape(f"element {text!r} is neither g^e")):
             ctx31.parse_element(text)
     assert ctx31.format_element(ctx31.zero) == "0"
     for e in (0, 1, 17, 79):

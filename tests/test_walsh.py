@@ -163,6 +163,31 @@ def test_bent_and_weakly_regular(ctx31, ctx51):
         assert all(n == c.norm_squared() for c, n in spectrum.values)
 
 
+def test_spectrum_matches_each_value_with_the_closed_forms_once(ctx51, monkeypatch):
+    # full_spectrum finds which -p^2k w^j each distinct value is (closed_j,
+    # -1 for none) once; weak regularity and the root scan's formula check
+    # read that, so the whole check compares the p distinct values of the
+    # (1, 1) spectrum with the p closed forms at most p^2 times
+    compared = [0]
+    real = CycInt.__eq__
+
+    def counted(self, other):
+        compared[0] += isinstance(other, CycInt)
+        return real(self, other)
+
+    monkeypatch.setattr(CycInt, "__eq__", counted)
+    assert wa.theorem1_spectrum_check(ctx51).ok()
+    assert 0 < compared[0] <= ctx51.p ** 2
+    monkeypatch.undo()
+    forms = wa.closed_form(5, 1)
+    for pair in (CoeffPair(ctx51.one, ctx51.one), CoeffPair(ctx51.one, ctx51.xi ** 3)):
+        spectrum = wa.full_spectrum(ctx51, pair)
+        assert spectrum.closed_j.tolist() == [forms.index(c) if c in forms else -1
+                                              for c, _ in spectrum.values]
+        assert spectrum.weakly_regular_neg == (spectrum.closed_j >= 0).all()
+    assert -1 in spectrum.closed_j.tolist()  # (1, g^3) is not bent
+
+
 @pytest.fixture
 def from_counts_calls(monkeypatch):
     # the number of CycInt.from_counts calls made so far, in calls[0]
