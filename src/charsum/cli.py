@@ -268,7 +268,8 @@ def _run_verify_all(args) -> int:
         n_pairs = 0
         for b in b_values:
             # the sweep has checked its N table against the direct count on this slice
-            a_encs, n1 = sweep(b).jacobsthal
+            rep = sweep(b)
+            a_encs, n1 = rep.jacobsthal, rep.N[rep.jacobsthal]
             g_logs = expsum._g_logs(ctx, b, a_encs)
             n2 = expsum.N_via_nonsquares_bulk(ctx, b, a_encs, g_logs)
             n3 = expsum.N_via_jacobsthal_bulk(ctx, b, a_encs, g_logs, bound_scan())
@@ -306,11 +307,11 @@ def _run_verify_all(args) -> int:
         n_pairs = 0
         for b in b_values:
             rep = sweep(b)
-            total, expected = expsum.corollary_eq9_check(ctx, rep)
+            a_encs = rep.jacobsthal
+            total, expected = expsum.corollary_eq9_check(ctx, b, rep.N[a_encs])
             if total != expected:
                 return False, (f"property vii: sum of N = {total}, expected {expected} "
                                f"at b = {ctx.format_element(b)}")
-            a_encs, _ = rep.jacobsthal
             results = expsum.corollary_properties(ctx, rep)
             checked = {key: ok for key, ok in results.items() if ok is not None}
             sizes = sorted({ok.size for ok in checked.values()})

@@ -40,6 +40,8 @@ corollary_properties reads N from the sweep's table and counts only
 sets over the whole field, find_g) are in charsum.reference, which no
 command imports; corollary_suite, the pair-by-pair reference of
 corollary_properties, and L_eval stay here, as perfbench names them.
+Every case is one CaseTag, an IntEnum whose values are the int8 codes
+of case_tags.
 
 The defining sum for every a at once comes from one exact transform,
 character_counts: Tr(a z) = sum_i a_i Tr(e_i z) over the base-p digits
@@ -48,17 +50,18 @@ a_i of a, so a per-digit butterfly over the joint counts of the vector
 Tr(a x^d + b x^2) for every a, in integers.
 
 N(a, b) for every a at once comes from N_table: on U, L(u) = 0 is a
-linear condition on a, met by p^2k values of a per u, so one count over
-the (p^2k + 1) p^2k incidences gives every 2N(a, b).  case_tags gives
-every case from dlogs.  The direct zero count and case_detail
-cross-check both tables inside every sweep.
+linear condition on a, met by p^2k values of a per u, all from one
+formula, so one count over the (p^2k + 1) p^2k incidences gives every
+2N(a, b), and one stable sort of them the zero sets grouped by a.
+case_tags gives every case from dlogs.  The direct zero count and
+case_detail cross-check both tables inside every sweep.
 
 distribution_sweep fixes b and covers every a in array work: it checks
 each closed form against the transform's defining sum, streams each
 pair's JSON record (case, N and witnesses, built from its arrays and
 dlog labels) to its caller if asked, keeps the N table and the
-JACOBSTHAL slice as arrays, and tallies how often S_f(0) hits each of
-the three values (r, s, t), verifying
+encodings of the JACOBSTHAL slice as arrays, and tallies how often
+S_f(0) hits each of the three values (r, s, t), verifying
 
     r + s + t  = p^n - p^k + chi(b),
     -r + s + 3t = chi(b) p^k,
@@ -103,10 +106,13 @@ class CoeffPair:
             raise BothCoefficientsZero("(a, b) = (0, 0) is not admissible")
 
 
-class CaseTag(enum.Enum):
-    NORM_DIFFER = "NORM_DIFFER"
-    SQUARE_MATCH = "SQUARE_MATCH"
-    JACOBSTHAL = "JACOBSTHAL"
+class CaseTag(enum.IntEnum):
+    """The case of a pair; the values are the int8 codes of case_tags, and
+    the JSON records name a case by its member name."""
+
+    NORM_DIFFER = 0
+    SQUARE_MATCH = 1
+    JACOBSTHAL = 2
 
 
 @dataclass(frozen=True)
@@ -133,10 +139,6 @@ def case_detail(ctx: FieldCtx, pair: CoeffPair) -> CaseDetail:
     return CaseDetail(tag=tag, norms_match=norms_match, b_square=b_square)
 
 
-# the values of case_tags, in this order
-CASE_TAGS = (CaseTag.NORM_DIFFER, CaseTag.SQUARE_MATCH, CaseTag.JACOBSTHAL)
-
-
 def _norms_match(ctx: FieldCtx, la, lb):
     # a^(p^k(p^k+1)) = b^(p^k+1) at a = xi^la (la = -1 for a = 0), b = xi^lb
     # (ints, or arrays):
@@ -146,11 +148,12 @@ def _norms_match(ctx: FieldCtx, la, lb):
 
 
 def _tags(ctx: FieldCtx, la, lb: int):
-    # the CASE_TAGS index of (a, b) at every a = xi^la (la = -1 for a = 0),
+    # the CaseTag code of (a, b) at every a = xi^la (la = -1 for a = 0),
     # b = xi^lb: a^2 = b^d iff 2 la = d lb modulo q - 1
     order = ctx.order
     square_match = (la >= 0) & ((2 * la - ctx.params.d * lb % order) % order == 0)
-    return np.where(square_match, 1, np.where(_norms_match(ctx, la, lb), 2, 0)).astype(np.int8)
+    return np.where(square_match, CaseTag.SQUARE_MATCH, np.where(
+        _norms_match(ctx, la, lb), CaseTag.JACOBSTHAL, CaseTag.NORM_DIFFER)).astype(np.int8)
 
 
 def _sweep_logs(ctx: FieldCtx):
@@ -172,7 +175,7 @@ def case_tags(ctx: FieldCtx, b: Elem):
     """The case of (a, b) for every a at once, from dlogs.
 
     Returns an int8 array over the sweep order a = 0, xi^0, xi^1, ...,
-    holding indexes into CASE_TAGS: the norms as in norms_match, and
+    holding CaseTag codes: the norms as in norms_match, and
     a^2 = b^d iff 2 log a = d log b modulo q - 1.  a = 0 is NORM_DIFFER,
     since b != 0."""
     if b.is_zero:
@@ -184,7 +187,7 @@ def _require_jacobsthal_bulk(ctx: FieldCtx, b: Elem, la):
     # WrongCase unless every (xi^la, b) is a JACOBSTHAL pair
     if b.is_zero:
         raise ZeroB("b must be nonzero")
-    if (_tags(ctx, la, ctx.dlog(b)) != CASE_TAGS.index(CaseTag.JACOBSTHAL)).any():
+    if (_tags(ctx, la, ctx.dlog(b)) != CaseTag.JACOBSTHAL).any():
         raise WrongCase("operation defined only in the JACOBSTHAL case")
 
 
@@ -337,7 +340,7 @@ def N_count(ctx: FieldCtx, pair: CoeffPair):
 
 
 def N_table(ctx: FieldCtx, b: Elem):
-    """N(a, b) for every a at once, from the zeros of L on U.
+    """N(a, b) for every a at once, with the zeros of L on U grouped by a.
 
     On U, u^(p^2k) = u^(-1), so L(u) = T(a u^(p^k)) + T(b^(p^2k) u) with T
     the trace GF(p^n) -> GF(p^2k).  T is zero on theta GF(p^2k), where
@@ -346,50 +349,35 @@ def N_table(ctx: FieldCtx, b: Elem):
 
         a = u^(-p^k) (c_u/2 + theta t),  c_u = -(b^(p^2k) u + b u^(-1)),
 
-    for one of the p^2k elements t of GF(p^2k).  When c_u != 0 that set
-    is u^(-p^k) (c_u/2) W with W = 1 + theta GF(p^2k), the same for every
-    u, so it costs one addition per t and then dlog arithmetic only.
+    for one of the p^2k elements t of GF(p^2k).  Every u takes this one
+    formula: one FieldCtx.sum_enc_bulk call gives the offsets
+    u^(-p^k) c_u/2 = (-b^(p^2k)/2) u^(1-p^k) + (-b/2) u^(-1-p^k), one exp
+    gather the theta t u^(-p^k), and one addition per (u, t) the
+    (p^2k + 1) p^2k incidences (u, a).
 
-    Returns (n, incidence).  incidence is the flat int64 array of these a
-    (encodings): p^2k entries per u, the u in increasing dlog (U_logs
-    order).  n[a.enc] = N(a, b) is half the number of times a occurs.
-    ParityViolation unless the incidences total (p^2k + 1) p^2k and
-    every count is even."""
+    Returns (n, logs, bounds): n[a.enc] = N(a, b), half the number of
+    incidences of a, and int64 arrays with logs[bounds[e]:bounds[e + 1]]
+    the dlogs of the zeros of L on U at the a encoded e, in increasing
+    order.  ParityViolation unless every count is even."""
     if b.is_zero:
         raise ZeroB("the N table needs b != 0")
-    p, k = ctx.p, ctx.params.k
-    pk, Q = p ** k, p ** (2 * k)
+    pk, Q = ctx.p ** ctx.params.k, ctx.p ** (2 * ctx.params.k)
     u_logs = U_logs(ctx)
-    lb = ctx.dlog(b)
-    minus_c = ctx.sum_enc_bulk(((Q * lb, 1), (lb, -1)), u_logs)
-    shift = -pk * u_logs
-    # theta t for t = nu^s, nu = xi^(p^2k+1) the generator of GF(p^2k)*
+    lb, half = ctx.dlog(b), ctx.dlog(-(ctx.one / 2))
+    offsets = ctx.sum_enc_bulk(((half + Q * lb, 1 - pk), (half + lb, -1 - pk)), u_logs)
+    # theta t u^(-p^k) at t = 0, then at t = nu^s, nu = xi^(p^2k+1) the generator of GF(p^2k)*
     theta_logs = (Q + 1) // 2 + (Q + 1) * np.arange(Q - 1, dtype=np.int64)
-    incidence = np.empty((Q + 1, Q), dtype=np.int64)
-    zero = minus_c == 0
-    for j in np.flatnonzero(zero):
-        incidence[j] = np.concatenate(([0], ctx.exp_enc_bulk(theta_logs + shift[j])))
-    w_logs = ctx.log_enc_bulk(ctx.add_enc_bulk(
-        np.concatenate(([0], ctx.exp_enc_bulk(theta_logs))), 1))
-    row_logs = ctx.log_enc_bulk(minus_c[~zero]) + ctx.dlog(-(ctx.one / 2)) + shift[~zero]
-    incidence[~zero] = ctx.exp_enc_bulk((row_logs[:, None] + w_logs).ravel()).reshape(-1, Q)
-    incidence = incidence.ravel()
+    thetas = np.zeros((Q + 1, Q), dtype=np.int64)
+    thetas[:, 1:] = ctx.exp_enc_bulk(theta_logs - pk * u_logs[:, None])
+    incidence = ctx.add_enc_bulk(thetas, offsets[:, None]).ravel()
     twice = np.bincount(incidence, minlength=ctx.q)
     n_odd = int(np.count_nonzero(twice % 2))
-    if twice.sum() != (Q + 1) * Q or n_odd:
-        raise ParityViolation(f"{twice.sum()} zeros of L on U over all a, expected {(Q + 1) * Q}, "
-                              f"odd at {n_odd} a, b={ctx.format_element(b)}")
-    return twice // 2, incidence
-
-
-def _zeros_by_a(ctx: FieldCtx, n, incidence):
-    """The zeros of L on U grouped by a, from N_table's (n, incidence):
-    (logs, bounds), int64 arrays with logs[bounds[e]:bounds[e + 1]] the
-    dlogs of the zeros at the a encoded e, in increasing order."""
-    Q = ctx.p ** (2 * ctx.params.k)
-    # the incidence runs over u in dlog order, and a stable sort keeps that order within each a
-    logs = U_logs(ctx)[np.argsort(incidence, kind="stable") // Q]
-    return logs, np.concatenate(([0], np.cumsum(2 * n)))
+    if n_odd:
+        raise ParityViolation(f"odd number of zeros of L on U at {n_odd} a, "
+                              f"b={ctx.format_element(b)}")
+    # the incidences run over u in dlog order, and a stable sort keeps that order within each a
+    logs = u_logs[np.argsort(incidence, kind="stable") // Q]
+    return twice // 2, logs, np.concatenate(([0], np.cumsum(twice)))
 
 
 # --------------------------------------------------------------------------
@@ -689,11 +677,11 @@ def jacobsthal_pairs(ctx: FieldCtx, b: Elem):
     return out
 
 
-def corollary_eq9_check(ctx: FieldCtx, report):
+def corollary_eq9_check(ctx: FieldCtx, b: Elem, n):
     """sum of N over the JACOBSTHAL slice of b vs (p^k+1)(p^k - chi(b))/2,
-    from the N table of report, the distribution_sweep at b."""
+    with n the N of every a of the slice."""
     pk = ctx.p ** ctx.params.k
-    return int(report.jacobsthal[1].sum()), (pk + 1) * (pk - report.chi_b) // 2
+    return int(np.sum(n)), (pk + 1) * (pk - chi(ctx, b)) // 2
 
 
 def _properties(pk: int, b_square: bool, N, N_inv, N_nega, N_negb) -> dict:
@@ -731,22 +719,26 @@ def _special_pair_violation(ctx: FieldCtx, a: Elem, b: Elem):
 def corollary_suite(ctx: FieldCtx, pair: CoeffPair) -> dict:
     """The seven verified properties of N at one JACOBSTHAL pair, pair by
     pair with N_count: the reference for corollary_properties and, as
-    (vii), corollary_eq9_check of the sweep at its b.
+    (vii), corollary_eq9_check over the slice of b that case_tags gives,
+    with its N from one direct count.
 
     Returns {"i": bool, ..., "vii": bool}; "vi" is None when its
     hypotheses (p = 3 mod 4, k odd, b square) do not apply."""
     _require_jacobsthal(ctx, pair)
     pk = ctx.p ** ctx.params.k
     a, b = pair.a, pair.b
+    b_square = chi(ctx, b) == 1
     N = [N_count(ctx, other)[0] for other in
          (pair, CoeffPair(a.inverse(), b.inverse()), CoeffPair(-a, b), CoeffPair(a, -b))]
-    out = _properties(pk, case_detail(ctx, pair).b_square, *N)
-    specials = [CoeffPair(s, b) for s in _special_a(ctx, b, chi(ctx, b) == 1)]
+    out = _properties(pk, b_square, *N)
+    specials = [CoeffPair(s, b) for s in _special_a(ctx, b, b_square)]
     for special in specials:
         if case_detail(ctx, special).tag is not CaseTag.JACOBSTHAL:
             raise _special_pair_violation(ctx, special.a, b)
     out["vi"] = all(N_count(ctx, s)[0] == (pk + 1) // 2 for s in specials) if specials else None
-    total, expected = corollary_eq9_check(ctx, distribution_sweep(ctx, b))
+    a_encs = sweep_order(ctx)[case_tags(ctx, b) == CaseTag.JACOBSTHAL]
+    total, expected = corollary_eq9_check(
+        ctx, b, N_count_bulk(ctx, a_encs, np.full(a_encs.size, b.enc))[0])
     out["vii"] = total == expected
     return out
 
@@ -761,7 +753,7 @@ def corollary_properties(ctx: FieldCtx, report) -> dict:
     chi(b) come from the report's N table; one N_count_bulk call counts
     (a, -b) and (1/a, 1/b) at every a.  WrongCase unless every pair is
     JACOBSTHAL; CaseViolation unless the special pairs are."""
-    b, (a_encs, N) = report.b, report.jacobsthal
+    b, a_encs = report.b, report.jacobsthal
     la = _dlogs(ctx, a_encs)
     _require_jacobsthal_bulk(ctx, b, la)
     pk, n, minus = ctx.p ** ctx.params.k, a_encs.size, ctx.order // 2  # xi^minus = -1
@@ -769,13 +761,13 @@ def corollary_properties(ctx: FieldCtx, report) -> dict:
     specials = _special_a(ctx, b, b_square)
     special_encs = np.array([s.enc for s in specials], dtype=np.int64)
     for s, tag in zip(specials, _tags(ctx, _dlogs(ctx, special_encs), ctx.dlog(b))):
-        if CASE_TAGS[tag] is not CaseTag.JACOBSTHAL:
+        if tag != CaseTag.JACOBSTHAL:
             raise _special_pair_violation(ctx, s, b)
     N_negb, N_inv = np.split(N_count_bulk(
         ctx, np.concatenate((a_encs, ctx.exp_enc_bulk(-la))),
         np.repeat([(-b).enc, b.inverse().enc], n))[0], [n])
     N_nega = report.N[ctx.exp_enc_bulk(la + minus)]
-    out = _properties(pk, b_square, N, N_inv, N_nega, N_negb)
+    out = _properties(pk, b_square, report.N[a_encs], N_inv, N_nega, N_negb)
     out["vi"] = np.full(n, (report.N[special_encs] == (pk + 1) // 2).all()) if specials else None
     return out
 
@@ -784,11 +776,11 @@ def corollary_properties(ctx: FieldCtx, report) -> dict:
 # per-pair records and the full distribution sweep
 # --------------------------------------------------------------------------
 
-def _record(a: str, b: str, tag: CaseTag, n: int, s0: int, witness_logs) -> dict:
+def _record(a: str, b: str, tag: int, n: int, s0: int, witness_logs) -> dict:
     """The JSON record of one pair (a, b), both given as labels "0" or
-    "g^e": its case, N, S_f(0) and the zeros of L on U, as "g^e" from
-    their dlogs."""
-    return {"a": a, "b": b, "tag": tag.value, "N": n, "S0": s0,
+    "g^e": its case (a CaseTag code), N, S_f(0) and the zeros of L on U,
+    as "g^e" from their dlogs."""
+    return {"a": a, "b": b, "tag": CaseTag(tag).name, "N": n, "S0": s0,
             "witnesses": [f"g^{e}" for e in witness_logs]}
 
 
@@ -816,10 +808,10 @@ class DistributionReport:
 
     r, s, t count S_f(0) = -p^2k, p^2k, 3 p^2k over the NORM_DIFFER and
     SQUARE_MATCH cases; jac_histogram maps N to its frequency over the
-    JACOBSTHAL case and jacobsthal is that slice as two int64 arrays in
-    sweep order, the encodings of its a and their N; N is the whole table
-    (neither is part of the JSON record).  residuals are the three
-    identity defects and must all be zero."""
+    JACOBSTHAL case and jacobsthal is that slice, the int64 encodings of
+    its a in sweep order; N is the whole table, so the slice's N is
+    N[jacobsthal] (neither is part of the JSON record).  residuals are the
+    three identity defects and must all be zero."""
 
     b: Elem
     chi_b: int
@@ -829,7 +821,7 @@ class DistributionReport:
     jac_histogram: dict
     s0_total: int
     residuals: tuple
-    jacobsthal: tuple
+    jacobsthal: np.ndarray    # encodings of the a of the JACOBSTHAL slice
     N: np.ndarray             # N(a, b) by encoding of a, from N_table
 
     def to_json_dict(self, ctx: FieldCtx) -> dict:
@@ -861,7 +853,7 @@ def distribution_sweep(ctx: FieldCtx, b: Elem, on_record=None) -> DistributionRe
     p, pk, Q = ctx.p, ctx.p ** ctx.params.k, ctx.p ** (2 * ctx.params.k)
     sign = chi(ctx, b)
     a_encs = sweep_order(ctx)
-    n_by_enc, incidence = N_table(ctx, b)
+    n_by_enc, logs, bounds = N_table(ctx, b)
     n = n_by_enc[a_encs]
     tags = case_tags(ctx, b)
 
@@ -873,16 +865,15 @@ def distribution_sweep(ctx: FieldCtx, b: Elem, on_record=None) -> DistributionRe
     if off.size:
         e = off[0]
         raise _oracle_mismatch(ctx, e, b.enc, int(s0_by_enc[e]), CycInt.from_counts(p, counts[e]))
-    jac = tags == CASE_TAGS.index(CaseTag.JACOBSTHAL)
+    jac = tags == CaseTag.JACOBSTHAL
     over = np.flatnonzero(~jac & (n > 2))
     if over.size:
         i = over[0]
-        raise RangeViolation(f"{CASE_TAGS[tags[i]].value} pair has N = {n[i]} > 2 "
+        raise RangeViolation(f"{CaseTag(tags[i]).name} pair has N = {n[i]} > 2 "
                              f"at {_where(ctx, a_encs[i], b.enc)}")
     # at most 32 evenly strided sweep positions, a = 0 first
     strided = np.arange(ctx.q) % -(-ctx.q // 32) == 0
-    witnesses = _zeros_by_a(ctx, n_by_enc, incidence)
-    _cross_check(ctx, b, a_encs, n, tags, witnesses, np.flatnonzero(jac | strided))
+    _cross_check(ctx, b, a_encs, n, tags, logs, bounds, np.flatnonzero(jac | strided))
 
     r, s, t = (int(c) for c in np.bincount(n[~jac], minlength=3))
     jac_hist = {v: int(c) for v, c in enumerate(np.bincount(n[jac])) if c}
@@ -896,22 +887,21 @@ def distribution_sweep(ctx: FieldCtx, b: Elem, on_record=None) -> DistributionRe
         raise OracleMismatch(f"distribution identities violated: {residuals}")
     if on_record is not None:
         # sweep position i is a = 0 at i = 0 and a = xi^(i-1) after
-        logs, bounds = (x.tolist() for x in witnesses)
+        logs, bounds = logs.tolist(), bounds.tolist()
         b_label = ctx.format_element(b)
         s0 = s0_by_enc[a_encs]
         for i, (e, tag, n_i, s0_i) in enumerate(zip(*(x.tolist() for x in (a_encs, tags, n, s0)))):
-            on_record(_record(f"g^{i - 1}" if i else "0", b_label, CASE_TAGS[tag], n_i, s0_i,
+            on_record(_record(f"g^{i - 1}" if i else "0", b_label, tag, n_i, s0_i,
                              logs[bounds[e]:bounds[e + 1]]))
     return DistributionReport(b=b, chi_b=sign, r=r, s=s, t=t,
                               jac_histogram=jac_hist, s0_total=s0_total, residuals=residuals,
-                              jacobsthal=(a_encs[jac], n[jac]), N=n_by_enc)
+                              jacobsthal=a_encs[jac], N=n_by_enc)
 
 
-def _cross_check(ctx: FieldCtx, b: Elem, a_encs, n, tags, witnesses, sample):
+def _cross_check(ctx: FieldCtx, b: Elem, a_encs, n, tags, logs, bounds, sample):
     # the direct zero count (one N_count_bulk call) and case_detail at the
-    # sweep positions in sample against the N table, its _zeros_by_a
-    # witnesses and the bulk case split
-    logs, bounds = witnesses
+    # sweep positions in sample against the N table, its zero sets (logs,
+    # bounds) and the bulk case split
     n_direct, zeros = N_count_bulk(ctx, a_encs[sample], np.full(sample.size, b.enc))
     u_logs = U_logs(ctx)
     for i, n_i, zeros_i in zip(sample, n_direct, zeros):
@@ -920,6 +910,6 @@ def _cross_check(ctx: FieldCtx, b: Elem, a_encs, n, tags, witnesses, sample):
             raise OracleMismatch(f"direct zero count N = {n_i} != N table {n[i]}, "
                                  f"or other witnesses, at {_where(ctx, e, b.enc)}")
         tag = case_detail(ctx, CoeffPair(ctx.from_enc(int(e)), b)).tag
-        if tag is not CASE_TAGS[tags[i]]:
-            raise CaseViolation(f"case_detail gives {tag.value}, the bulk case split "
-                                f"{CASE_TAGS[tags[i]].value} at {_where(ctx, e, b.enc)}")
+        if tag != tags[i]:
+            raise CaseViolation(f"case_detail gives {tag.name}, the bulk case split "
+                                f"{CaseTag(tags[i]).name} at {_where(ctx, e, b.enc)}")

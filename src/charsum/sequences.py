@@ -26,13 +26,14 @@ The two runs have the same value counts, not just the same sum, so the
 counts of Tr(a x^d - x^2) over the field are e_0 + 2 (counts of C(tau)).
 correlation_table reads every C(tau), as distinct values and an index,
 from one expsum.character_counts transform that way; cross_correlation,
-a loop over one period, is the sequence-side reference of s0_relation_report.
+one bincount over one period, is the sequence-side reference of
+s0_relation_report.  A sequence is its int64 array of symbols over one
+period, the form the transform's traces already take.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,51 +43,25 @@ from .expsum import CoeffPair, S0_bruteforce, character_counts
 from .field_core import FieldCtx
 
 
-@dataclass(frozen=True)
-class PSequence:
-    """A periodic sequence of residues mod p."""
-
-    p: int
-    symbols: tuple
-    origin: str
-
-    @property
-    def period(self) -> int:
-        return len(self.symbols)
-
-    def __getitem__(self, t: int) -> int:
-        return self.symbols[t % len(self.symbols)]
-
-    def dump(self) -> str:
-        return ",".join(str(v) for v in self.symbols)
+def m_sequence(ctx: FieldCtx):
+    """s(t) = Tr(xi^t) for t = 0 .. p^n - 2, as an int64 array."""
+    return ctx.trace_enc_bulk(ctx.exp_enc_bulk(np.arange(ctx.order, dtype=np.int64)))
 
 
-def m_sequence(ctx: FieldCtx) -> PSequence:
-    """s(t) = Tr(xi^t) for t = 0 .. p^n - 2."""
-    logs = np.arange(ctx.order, dtype=np.int64)
-    symbols = tuple(int(v) for v in ctx.trace_enc_bulk(ctx.exp_enc_bulk(logs)))
-    return PSequence(p=ctx.p, symbols=symbols, origin="trace m-sequence")
-
-
-def decimate(seq: PSequence, e: int) -> PSequence:
-    """u(t) = s(e t); the period drops to period/gcd(e, period)."""
+def decimate(seq, e: int):
+    """u(t) = seq(e t); the period drops to period/gcd(e, period)."""
     if e < 1:
         raise ValueError("decimation index must be >= 1")
-    new_period = seq.period // math.gcd(e, seq.period)
-    symbols = tuple(seq[(e * t) % seq.period] for t in range(new_period))
-    return PSequence(p=seq.p, symbols=symbols,
-                     origin=f"{seq.origin} / decimation {e}")
+    period = seq.size
+    return seq[e * np.arange(period // math.gcd(e, period)) % period]
 
 
-def cross_correlation(u: PSequence, v: PSequence, tau: int) -> CycInt:
-    """sum_t w^(u(t + tau) - v(t)) over one period, exact in Z[w]."""
-    if u.period != v.period:
-        raise PeriodMismatch(f"periods {u.period} != {v.period}")
-    p = u.p
-    counts = [0] * p
-    for t in range(u.period):
-        counts[(u[t + tau] - v[t]) % p] += 1
-    return CycInt.from_counts(p, counts)
+def cross_correlation(u, v, tau: int, p: int) -> CycInt:
+    """sum_t w^(u(t + tau) - v(t)) over one period of two sequences of
+    residues mod p, exact in Z[w]."""
+    if u.size != v.size:
+        raise PeriodMismatch(f"periods {u.size} != {v.size}")
+    return CycInt.from_counts(p, np.bincount((np.roll(u, -tau) - v) % p, minlength=p))
 
 
 def correlation_table(ctx: FieldCtx) -> tuple:
@@ -108,28 +83,21 @@ def correlation_table(ctx: FieldCtx) -> tuple:
     return tuple(CycInt.from_counts(p, r // 2) for r in runs), index
 
 
-@dataclass(frozen=True)
-class RelationReport:
-    """Per-shift record of the pinned S_f(0) = 2 C(tau) + 1 relation."""
+def s0_relation_report(ctx: FieldCtx) -> tuple:
+    """Check the pinned relation at every shift of the decimated pair.
 
-    shifts: tuple        # (tau, correlation CycInt, S0 int) triples
-    ok: bool
-
-
-def s0_relation_report(ctx: FieldCtx) -> RelationReport:
-    """Check the pinned relation at every shift of the decimated pair."""
-    d = ctx.params.d
+    Returns (shifts, ok): shifts holds one (tau, C(tau) as a CycInt,
+    S_f(0) as an int) triple per shift, and ok whether S_f(0) is the
+    rational integer 2 C(tau) + 1 at every one."""
+    p, d = ctx.p, ctx.params.d
     s = m_sequence(ctx)
-    u = decimate(s, d)
-    v = decimate(s, 2)
+    u, v = decimate(s, d), decimate(s, 2)
     minus_one = -ctx.one
-    rows = []
+    shifts = []
     ok = True
-    for tau in range(u.period):
-        c = cross_correlation(u, v, tau)
-        a = ctx.from_exp(d * tau)
-        s0 = S0_bruteforce(ctx, CoeffPair(a, minus_one))
-        match = (2 * c + 1) == s0
-        ok = ok and match and s0.is_rational_integer
-        rows.append((tau, c, s0.as_int()))
-    return RelationReport(shifts=tuple(rows), ok=ok)
+    for tau in range(u.size):
+        c = cross_correlation(u, v, tau, p)
+        s0 = S0_bruteforce(ctx, CoeffPair(ctx.from_exp(d * tau), minus_one))
+        ok = ok and (2 * c + 1) == s0 and s0.is_rational_integer
+        shifts.append((tau, c, s0.as_int()))
+    return tuple(shifts), ok

@@ -39,7 +39,6 @@ in charsum.reference, which no command imports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -49,7 +48,6 @@ from .expsum import CoeffPair, character_counts, sweep_order
 from .field_core import Elem, FieldCtx
 
 
-@cache
 def closed_form(p: int, k: int) -> tuple:
     """The p values -p^2k w^j, j = 0..p-1: the weakly regular
     coefficients with unit -1 of GF(p^4k), and the closed form of the

@@ -160,7 +160,8 @@ def test_c09_jacobsthal_case_properties(sizes):
                 results = expsum.corollary_suite(ctx, CoeffPair(a, b))
                 failed = [name for name, ok in results.items() if ok is False]
                 assert not failed, (key, failed)
-            total, expected = expsum.corollary_eq9_check(ctx, expsum.distribution_sweep(ctx, b))
+            rep = expsum.distribution_sweep(ctx, b)
+            total, expected = expsum.corollary_eq9_check(ctx, b, rep.N[rep.jacobsthal])
             assert total == expected == (pk + 1) * (pk - expsum.chi(ctx, b)) // 2
     ctx31 = sizes[(3, 1)]
     nu = view2k(ctx31).generator
@@ -221,8 +222,8 @@ def test_c12_parseval(sizes):
 
 def test_c13_sequence_relation(sizes):
     for key in ((3, 1), (5, 1)):
-        report = sequences.s0_relation_report(sizes[key])
-        assert report.ok
-        assert len(report.shifts) == (sizes[key].q - 1) // 2
+        shifts, ok = sequences.s0_relation_report(sizes[key])
+        assert ok
+        assert len(shifts) == (sizes[key].q - 1) // 2
     _passed("criterion 13: S_f(0) = 2 C(tau) + 1 relation, pinned at (3,1), "
             "holds at (5,1)")

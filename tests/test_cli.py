@@ -170,6 +170,25 @@ def test_export_output_pinned(capsys, argv, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+def _perfbench_invocations(workload):
+    # (argv, stdout SHA-256) of each invocation of a perfbench workload, read
+    # from the WORKLOADS literal of perfbench/run.py without running it
+    tree = ast.parse((SRC.parent / "perfbench" / "run.py").read_text())
+    workloads = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                     and [ast.unparse(t) for t in node.targets] == ["WORKLOADS"])
+    entry = workloads.values[[ast.literal_eval(key) for key in workloads.keys].index(workload)]
+    invocations = next(kw.value for kw in entry.keywords if kw.arg == "invocations")
+    return [tuple(ast.literal_eval(arg) for arg in call.args) for call in invocations.elts]
+
+
+@pytest.mark.parametrize("argv, digest", _perfbench_invocations("export-3-2"))
+def test_export_matches_benchmark_digest(capsys, argv, digest):
+    # the benchmark checks each export-3-2 stdout against its recorded
+    # digest; the same outputs here, so a change that breaks one fails first
+    assert run(list(argv)) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("argv, most", [
     (["expsum-sweep", "--p", "3", "--k", "2", "--b", "g^1"], 100),
     (["jacobsthal-scan", "--p", "31", "--k", "1"], 20),
@@ -421,18 +440,14 @@ def test_prop1_counts_the_pairs_compared(capsys, monkeypatch):
         capsys.readouterr().out)
 
 
-@pytest.mark.parametrize("drop_parity", [False, True])
-def test_failed_addition_table_under_optimize(drop_parity):
+def test_failed_addition_table_under_optimize():
     # python -O: one wrong entry of the half-width addition table, set after
-    # its build-time self-check, must fail verify-all with exit 1; the
-    # per-pair parity check of the direct count catches it, and without that
-    # check the cross-check against the N table still does
-    code = ("import inspect, sys\n"
-            "from charsum import cli, expsum, field_core\n"
-            f"if {drop_parity}:\n"
-            "    source = inspect.getsource(expsum.N_count_bulk)\n"
-            "    assert 'if odd.size:' in source\n"
-            "    exec(source.replace('if odd.size:', 'if False:'), vars(expsum))\n"
+    # its build-time self-check, must fail verify-all with exit 1.  The N
+    # table adds once per (u, t), and the sweep's transform adds nothing
+    # (z = x^d and v = b x^2 are single monomials), so theorem3's comparison
+    # of the closed form with the defining sum catches it
+    code = ("import sys\n"
+            "from charsum import cli, field_core\n"
             "ctx = field_core.context(3, 2)\n"
             "s = ctx.add_side\n"
             "ctx.add_table[s + 2] = (ctx.add_table[s + 2] + 1) % s\n"
@@ -440,8 +455,8 @@ def test_failed_addition_table_under_optimize(drop_parity):
     proc = _run_src("-O", "-c", code)
     assert proc.returncode == 1, proc.stderr
     theorem3 = next(line for line in proc.stdout.splitlines() if "theorem3" in line)
-    assert theorem3.startswith("[FAIL]")
-    assert ("direct zero count" if drop_parity else "zeros of L on U at") in theorem3
+    assert theorem3.startswith("[FAIL] theorem3")
+    assert "!= defining sum" in theorem3
     assert "Traceback" not in proc.stderr
 
 

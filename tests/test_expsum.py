@@ -473,7 +473,8 @@ def test_bulk_routes_match_pair_routes(fixture, request, monkeypatch):
     # pair per block
     ctx = request.getfixturevalue(fixture)
     for b in (ctx.one, ctx.xi):
-        a_encs, n1 = es.distribution_sweep(ctx, b).jacobsthal
+        rep = es.distribution_sweep(ctx, b)
+        a_encs, n1 = rep.jacobsthal, rep.N[rep.jacobsthal]
         pairs = [pair_of(ctx, ctx.from_enc(int(a)), b) for a in a_encs]
         g_logs = es._g_logs(ctx, b, a_encs)
         assert g_logs.tolist() == [ctx.dlog(ref.find_g(ctx, pair)) for pair in pairs]
@@ -521,10 +522,9 @@ def test_scan_H_matches_H_sums_at_prop2_arguments(p, k):
     ctx = context(p, k)
     view, pk, Q = ctx.subfield(2 * k), p ** k, p ** (2 * k)
     scan = _scan(ctx)
-    jac = es.CASE_TAGS.index(es.CaseTag.JACOBSTHAL)
     for e in range(6):
         b = ctx.from_exp(e)
-        a_encs = es.sweep_order(ctx)[es.case_tags(ctx, b) == jac]
+        a_encs = es.sweep_order(ctx)[es.case_tags(ctx, b) == es.CaseTag.JACOBSTHAL]
         args = [-(b ** (Q + 1)) / ref.find_g(ctx, pair_of(ctx, ctx.from_enc(int(a)), b)) ** 2
                 for a in a_encs]
         H = ref.H_sums(view, pk + 1, [x.enc for x in args])
@@ -611,29 +611,31 @@ def test_eq9_sums(ctx31, ctx51):
     for ctx in (ctx31, ctx51):
         pk = ctx.p ** ctx.params.k
         for b in (ctx.one, ctx.xi):
-            total, expected = es.corollary_eq9_check(ctx, es.distribution_sweep(ctx, b))
+            rep = es.distribution_sweep(ctx, b)
+            total, expected = es.corollary_eq9_check(ctx, b, rep.N[rep.jacobsthal])
             assert total == expected == (pk + 1) * (pk - es.chi(ctx, b)) // 2
 
 
 @pytest.mark.parametrize("fixture", ["ctx31", "ctx51"])
 def test_sweep_jacobsthal_slice(fixture, request):
-    # the sweep's slice is jacobsthal_pairs in the same order, with the N
-    # that N_count gives over that walk, and (vii) sums those N
+    # the sweep's slice is jacobsthal_pairs in the same order, its N table
+    # there is what N_count gives over that walk, and (vii) sums those N
     ctx = request.getfixturevalue(fixture)
     for b in (ctx.one, ctx.xi):
         rep = es.distribution_sweep(ctx, b)
-        a_encs, n = rep.jacobsthal
-        assert a_encs.dtype == n.dtype == np.int64
+        assert rep.jacobsthal.dtype == np.int64
+        n = rep.N[rep.jacobsthal]
         pairs = es.jacobsthal_pairs(ctx, b)
-        assert a_encs.tolist() == [a.enc for a in pairs]
+        assert rep.jacobsthal.tolist() == [a.enc for a in pairs]
         assert n.tolist() == [es.N_count(ctx, pair_of(ctx, a, b))[0] for a in pairs]
-        total, _ = es.corollary_eq9_check(ctx, rep)
+        total, _ = es.corollary_eq9_check(ctx, b, n)
         assert total == sum(n.tolist())
 
 
 def test_eq9_sum_all_b_31(ctx31):
     for b in ctx31.powers():
-        total, expected = es.corollary_eq9_check(ctx31, es.distribution_sweep(ctx31, b))
+        rep = es.distribution_sweep(ctx31, b)
+        total, expected = es.corollary_eq9_check(ctx31, b, rep.N[rep.jacobsthal])
         assert total == expected
 
 
@@ -653,7 +655,7 @@ def test_corollary_properties_match_suite(fixture, request):
         b = ctx.from_exp(e)
         pairs = es.jacobsthal_pairs(ctx, b)
         rep = es.distribution_sweep(ctx, b)
-        assert rep.jacobsthal[0].tolist() == [a.enc for a in pairs]
+        assert rep.jacobsthal.tolist() == [a.enc for a in pairs]
         results = es.corollary_properties(ctx, rep)
         assert list(results) == ["i", "iii", "ii", "iv", "v", "vi"]
         assert (results["vi"] is None) == (ctx.p == 5 or ctx.params.k == 2 or e % 2 == 1)
@@ -665,11 +667,10 @@ def test_corollary_properties_match_suite(fixture, request):
 
 def test_corollary_properties_refuse_other_cases(ctx31):
     rep = es.distribution_sweep(ctx31, ctx31.one)
-    a_encs, n = rep.jacobsthal
     for outside in (0, ctx31.one.enc):  # NORM_DIFFER and SQUARE_MATCH
         with pytest.raises(WrongCase):
             es.corollary_properties(ctx31, dataclasses.replace(
-                rep, jacobsthal=(np.append(a_encs, outside), np.append(n, 1))))
+                rep, jacobsthal=np.append(rep.jacobsthal, outside)))
     with pytest.raises(ZeroB):
         es.corollary_properties(ctx31, dataclasses.replace(rep, b=ctx31.zero))
 
@@ -728,8 +729,8 @@ def test_sweep_matches_slow_context(ctx31):
         ref = es.distribution_sweep(slow, slow.from_exp(e), slow_rows.append)
         assert (ref.r, ref.s, ref.t) == (fast.r, fast.s, fast.t)
         assert ref.jac_histogram == fast.jac_histogram
-        for x, y in zip(ref.jacobsthal, fast.jacobsthal, strict=True):
-            assert x.tolist() == y.tolist()
+        assert ref.jacobsthal.tolist() == fast.jacobsthal.tolist()
+        assert ref.N.tolist() == fast.N.tolist()
         assert len(fast_rows) == 81
         assert fast_rows == slow_rows
 
@@ -747,10 +748,10 @@ def test_sweep_oracle_mismatch_raises(ctx31, monkeypatch):
     bad = ctx31.xi ** 5
 
     def off_by_one(ctx, b):
-        n, incidence = real(ctx, b)
+        n, logs, bounds = real(ctx, b)
         n = n.copy()
         n[bad.enc] += 1
-        return n, incidence
+        return n, logs, bounds
 
     monkeypatch.setattr(es, "N_table", off_by_one)
     with pytest.raises(OracleMismatch, match="defining sum .* a=g\\^5,"):
@@ -778,7 +779,7 @@ def test_sweep_cross_check_catches_case_split(ctx31, monkeypatch):
 
     def flipped(ctx, b):
         tags = real(ctx, b).copy()
-        tags[0] = es.CASE_TAGS.index(es.CaseTag.SQUARE_MATCH)
+        tags[0] = es.CaseTag.SQUARE_MATCH
         return tags
 
     monkeypatch.setattr(es, "case_tags", flipped)
@@ -801,12 +802,11 @@ def test_sweep_tables_match_direct_count(fixture, request):
             pair = pair_of(ctx, a, b)
             n, witnesses = es.N_count(ctx, pair)
             assert row == {"a": ctx.format_element(a), "b": ctx.format_element(b),
-                           "tag": es.case_detail(ctx, pair).tag.value, "N": n,
+                           "tag": es.case_detail(ctx, pair).tag.name, "N": n,
                            "S0": Q * (2 * n - 1),
                            "witnesses": [ctx.format_element(w) for w in witnesses]}
-        a_encs, n = rep.jacobsthal
         jac = [(a.enc, row["N"]) for a, row in zip(a_all, rows) if row["tag"] == "JACOBSTHAL"]
-        assert list(zip(a_encs.tolist(), n.tolist())) == jac
+        assert list(zip(rep.jacobsthal.tolist(), rep.N[rep.jacobsthal].tolist())) == jac
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -816,9 +816,28 @@ def test_N_table_and_case_tags_property(pk, data):
     b = ctx.from_exp(data.draw(st.integers(0, ctx.order - 1), label="log b"))
     i = data.draw(st.integers(0, ctx.order), label="sweep position of a")
     a = ctx.zero if i == 0 else ctx.from_exp(i - 1)
-    n, _ = es.N_table(ctx, b)
+    n, _, _ = es.N_table(ctx, b)
     assert n[a.enc] == es.N_count(ctx, pair_of(ctx, a, b))[0]
-    assert es.CASE_TAGS[es.case_tags(ctx, b)[i]] is es.case_detail(ctx, pair_of(ctx, a, b)).tag
+    assert es.CaseTag(es.case_tags(ctx, b)[i]) is es.case_detail(ctx, pair_of(ctx, a, b)).tag
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_N_table_matches_direct_count_at_every_a(p, k):
+    # the one-formula table against the direct count, N and zero sets at
+    # every a, for b = g^0, g^1 and g^5; at the nonsquare b, two u have
+    # c_u = -(b^(p^2k) u + b u^(-1)) = 0, so a = u^(-p^k) theta t there
+    ctx = context(p, k)
+    Q, u_logs = p ** (2 * k), es.U_logs(ctx)
+    for e in (0, 1, 5):
+        b = ctx.from_exp(e)
+        minus_c = ctx.sum_enc_bulk(((Q * e, 1), (e, -1)), u_logs)
+        assert np.count_nonzero(minus_c == 0) == 2 * (e % 2)
+        n, logs, bounds = es.N_table(ctx, b)
+        n_direct, zeros = es.N_count_bulk(ctx, np.arange(ctx.q), np.full(ctx.q, b.enc))
+        assert n.tolist() == n_direct.tolist()
+        # the zeros row by row, each in increasing dlog
+        assert logs.tolist() == u_logs[np.nonzero(zeros)[1]].tolist()
+        assert bounds.tolist() == [0] + np.cumsum(zeros.sum(axis=1)).tolist()
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -857,8 +876,7 @@ def test_N_count_bulk_property(pk, data):
     for a, b, n_i, zeros_i in zip(a_encs, b_encs, n, zeros):
         assert zeros_i.sum() == 2 * n_i
         if b:
-            table, incidence = es.N_table(ctx, ctx.from_enc(int(b)))
-            logs, bounds = es._zeros_by_a(ctx, table, incidence)
+            table, logs, bounds = es.N_table(ctx, ctx.from_enc(int(b)))
             witnesses = ctx.exp_enc_bulk(logs[bounds[a]:bounds[a + 1]])
             assert n_i == table[a] and u_encs[zeros_i].tolist() == witnesses.tolist()
 
@@ -884,7 +902,7 @@ def test_g_logs_refuses_other_cases_with_a_typed_error(ctx31, monkeypatch):
     # NORM_DIFFER pair with its own check: NotInSubfield, not a NameError
     b = ctx31.xi
     tags = es.case_tags(ctx31, b)[1:]
-    a = es.sweep_order(ctx31)[1:][tags == es.CASE_TAGS.index(es.CaseTag.NORM_DIFFER)][0]
+    a = es.sweep_order(ctx31)[1:][tags == es.CaseTag.NORM_DIFFER][0]
     monkeypatch.setattr(es, "_require_jacobsthal_bulk", lambda ctx, b, la: None)
     with pytest.raises(NotInSubfield):
         es._g_logs(ctx31, b, [a])
