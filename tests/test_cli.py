@@ -440,14 +440,20 @@ def test_prop1_counts_the_pairs_compared(capsys, monkeypatch):
         capsys.readouterr().out)
 
 
-def test_failed_addition_table_under_optimize():
+@pytest.mark.parametrize("drop_parity", [False, True])
+def test_failed_addition_table_under_optimize(drop_parity):
     # python -O: one wrong entry of the half-width addition table, set after
-    # its build-time self-check, must fail verify-all with exit 1.  The N
-    # table adds once per (u, t), and the sweep's transform adds nothing
-    # (z = x^d and v = b x^2 are single monomials), so theorem3's comparison
-    # of the closed form with the defining sum catches it
-    code = ("import sys\n"
-            "from charsum import cli, field_core\n"
+    # its build-time self-check, must fail verify-all with exit 1, with or
+    # without the per-pair parity check of the direct count.  The N table
+    # adds once per (u, t), and the sweep's transform adds nothing (z = x^d
+    # and v = b x^2 are single monomials), so theorem3's comparison of the
+    # closed form with the defining sum catches it before either count check
+    code = ("import inspect, sys\n"
+            "from charsum import cli, expsum, field_core\n"
+            f"if {drop_parity}:\n"
+            "    source = inspect.getsource(expsum.N_count_bulk)\n"
+            "    assert 'if odd.size:' in source\n"
+            "    exec(source.replace('if odd.size:', 'if False:'), vars(expsum))\n"
             "ctx = field_core.context(3, 2)\n"
             "s = ctx.add_side\n"
             "ctx.add_table[s + 2] = (ctx.add_table[s + 2] + 1) % s\n"
