@@ -14,8 +14,8 @@ Subcommands
 Output is JSON lines; only cyclotomy-table and sequences-crosscorr take
 --format, to choose csv instead.  Exit codes: 0 ok, 1 verification
 failure, 2 invalid arguments, 3 desk-scale guard exceeded.  All
-randomness is seeded and the seed is printed; element arguments accept
-"c0,c1,...,c_{m-1}" digits or "g^e".
+randomness is seeded (SAMPLES draws per randomized check) and the seed is
+printed; element arguments accept "c0,c1,...,c_{m-1}" digits or "g^e".
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .field_core import FieldParams, build_context, context, size_guard
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 20260809
+SAMPLES = 200  # seeded draws of prop1 and corollary1
 
 
 def _header(cmd: str, args, ctx) -> dict:
@@ -160,7 +161,7 @@ def _cmd_theorem1_verify(args) -> int:
            "counts_ok": chk.counts_ok, "bent": chk.bent,
            "weakly_regular_neg": chk.weakly_regular,
            "summary": dict(sorted(chk.summary.items()))})
-    return 0 if chk.ok() else 1
+    return 1 if chk.failures() else 0
 
 
 def _cmd_sequences_crosscorr(args) -> int:
@@ -183,6 +184,13 @@ def _cmd_sequences_crosscorr(args) -> int:
 # verify-all
 # --------------------------------------------------------------------------
 
+def _require(holds: bool, detail: str) -> str:
+    # a defect the CLI finds itself: IdentityViolation carrying the detail
+    if not holds:
+        raise IdentityViolation(detail)
+    return detail
+
+
 def _run_verify_all(args) -> int:
     ctx = context(args.p, args.k)
     pk = args.p ** args.k
@@ -192,8 +200,6 @@ def _run_verify_all(args) -> int:
         raise ZeroB("the sweeps need b != 0")
     if len({b.enc for b in b_values}) < len(b_values):
         raise ValueError("repeated b value")
-    if args.samples < 1:
-        raise ValueError("--samples must be at least 1")
     rng = random.Random(args.seed)
     print(f"charsum verify-all  p={args.p} k={args.k} seed={args.seed} "
           f"b={[ctx.format_element(b) for b in b_values]}")
@@ -209,60 +215,57 @@ def _run_verify_all(args) -> int:
 
     def check_lemma1():
         rep = cyclotomy.verify_lemma1(view)
-        return rep.ok, f"total {rep.total}, {len(rep.mismatches)} mismatches"
+        return _require(rep.ok, f"total {rep.total}, {len(rep.mismatches)} mismatches")
 
     def check_pt():
         pt = cyclotomy.pt_sums(view)  # raises on defect
-        return len(pt.values) == pk + 1, f"values {[v.as_int() for v in pt.values]}"
+        return _require(len(pt.values) == pk + 1, f"values {[v.as_int() for v in pt.values]}")
 
     def check_eq1():
         rep = bound_scan()
-        eta = view.eta_bulk(ctx.exp_enc_bulk(view.step * rep.logs))
-        off = np.flatnonzero(rep.I != jacobsthal.eq1_value(pk, eta))
+        # eta(a) = (-1)^log a, as the scan's dlogs are to the generator of GF(p^2k)*
+        off = np.flatnonzero(rep.I != jacobsthal.eq1_value(pk, 1 - 2 * (rep.logs % 2)))
         if off.size:
-            return False, f"a = g^{view.step * rep.logs[off[0]]} gives {rep.I[off[0]]}"
-        return True, f"{rep.logs.size} elements"
+            raise IdentityViolation(f"a = g^{view.step * rep.logs[off[0]]} gives {rep.I[off[0]]}")
+        return f"{rep.logs.size} elements"
 
     def check_theorem2():
         rep = bound_scan()
-        return rep.logs.size == pk * pk - pk, (
-            f"{rep.logs.size} elements, max |H| = {rep.max_abs_H}, "
-            f"ratio {rep.max_ratio:.4f}")
+        return _require(rep.logs.size == pk * pk - pk, f"{rep.logs.size} elements, max |H| = "
+                        f"{rep.max_abs_H}, ratio {rep.max_ratio:.4f}")
 
     def check_curve():
         rep = bound_scan()
         off = np.flatnonzero(rep.H != (pk + 1) * (rep.curve_N - pk))
         if off.size:
-            return False, f"mismatch at a = g^{view.step * rep.logs[off[0]]}"
-        return True, "H/(p^k+1) = N - p^k throughout"
+            raise IdentityViolation(f"mismatch at a = g^{view.step * rep.logs[off[0]]}")
+        return "H/(p^k+1) = N - p^k throughout"
 
     def check_theorem3():
         for b in b_values:
             sweep(b)
-        return True, f"full sweeps at {len(b_values)} b values"
+        return f"full sweeps at {len(b_values)} b values"
 
     def check_prop1():
         # the sweeps raise RangeViolation on N > 2 outside the JACOBSTHAL case
         ranged = sum(rep.r + rep.s + rep.t for rep in map(sweep, b_values))
         # ker L = ker F at every a of each swept b with differing norms, by
-        # the dlog condition, and at --samples drawn pairs
+        # the dlog condition, and at SAMPLES drawn pairs
         a_encs = [expsum.sweep_order(ctx)[~expsum.norms_match(ctx, b)] for b in b_values]
         b_encs = [np.full(len(a), b.enc) for a, b in zip(a_encs, b_values)]
-        expected = sum(map(len, a_encs)) + args.samples
+        expected = sum(map(len, a_encs)) + SAMPLES
         drawn = []
-        while len(drawn) < args.samples:
+        while len(drawn) < SAMPLES:
             a, b = rng.randrange(ctx.q), rng.randrange(ctx.q)
-            la, lb = expsum._dlogs(ctx, np.array((a, b)))
-            # a zero a or b has a zero norm and the other does not; (0, 0) is skipped
-            if (a or b) and (lb < 0 or not expsum._norms_match(ctx, la, lb)):
+            if (a or b) and not expsum.case_detail(  # (0, 0) is skipped
+                    ctx, expsum.CoeffPair(ctx.from_enc(a), ctx.from_enc(b))).norms_match:
                 drawn.append((a, b))
         a, b = np.array(drawn, dtype=np.int64).T
         compared = expsum.prop1_kernel_check(ctx, np.concatenate(a_encs + [a]),
                                              np.concatenate(b_encs + [b]))
-        if compared != expected:
-            return False, f"ker L = ker F at {compared} pairs, expected {expected}"
-        return True, (f"N <= 2 at {ranged} three-valued pairs + ker L = ker F at {compared} "
-                      f"norms-differ pairs ({len(drawn)} sampled)")
+        _require(compared == expected, f"ker L = ker F at {compared} pairs, expected {expected}")
+        return (f"N <= 2 at {ranged} three-valued pairs + ker L = ker F at {compared} "
+                f"norms-differ pairs ({len(drawn)} sampled)")
 
     def check_prop2():
         n_pairs = 0
@@ -270,36 +273,35 @@ def _run_verify_all(args) -> int:
             # the sweep has checked its N table against the direct count on this slice
             rep = sweep(b)
             a_encs, n1 = rep.jacobsthal, rep.N[rep.jacobsthal]
-            g_logs = expsum._g_logs(ctx, b, a_encs)
+            g_logs = expsum.g_logs(ctx, b, a_encs)
             n2 = expsum.N_via_nonsquares_bulk(ctx, b, a_encs, g_logs)
             n3 = expsum.N_via_jacobsthal_bulk(ctx, b, a_encs, g_logs, bound_scan())
-            if not n1.size == n2.size == n3.size:
-                return False, f"paths evaluated {n1.size}/{n2.size}/{n3.size} pairs"
+            _require(n1.size == n2.size == n3.size,
+                     f"paths evaluated {n1.size}/{n2.size}/{n3.size} pairs")
             off = np.flatnonzero((n1 != n2) | (n1 != n3))
             if off.size:
                 i = off[0]
-                return False, (f"paths {n1[i]}/{n2[i]}/{n3[i]} at "
-                               f"a = {ctx.format_element(ctx.from_enc(int(a_encs[i])))}")
+                raise IdentityViolation(f"paths {n1[i]}/{n2[i]}/{n3[i]} at a = "
+                                        f"{ctx.format_element(ctx.from_enc(int(a_encs[i])))}")
             n_pairs += n2.size
-        return True, f"{n_pairs} pairs, three paths each"
+        return f"{n_pairs} pairs, three paths each"
 
     def check_cor1():
         # the seeded triples first, in the order of the rng stream, then one batch
         triples = []
-        while len(triples) < args.samples:
+        while len(triples) < SAMPLES:
             a, b = rng.randrange(ctx.q), rng.randrange(ctx.q)
             if a == 0 and b == 0:
                 continue
             triples.append((a, b, rng.randrange(ctx.order)))
         a_encs, b_encs, h_logs = np.array(triples, dtype=np.int64).T
         same = expsum.corollary1_bulk(ctx, a_encs, b_encs, h_logs)
-        if same.size != args.samples:
-            return False, f"{same.size} triples evaluated, expected {args.samples}"
+        _require(same.size == SAMPLES, f"{same.size} triples evaluated, expected {SAMPLES}")
         off = np.flatnonzero(~same)
         if off.size:
             h = ctx.from_exp(int(h_logs[off[0]]))
-            return False, f"scaling failed at h = {ctx.format_element(h)}"
-        return True, f"{same.size} seeded triples"
+            raise IdentityViolation(f"scaling failed at h = {ctx.format_element(h)}")
+        return f"{same.size} seeded triples"
 
     def check_cor2():
         # (i)-(vi) at every pair of the slice in one batch per b; (vii)
@@ -309,33 +311,34 @@ def _run_verify_all(args) -> int:
             rep = sweep(b)
             a_encs = rep.jacobsthal
             total, expected = expsum.corollary_eq9_check(ctx, b, rep.N[a_encs])
-            if total != expected:
-                return False, (f"property vii: sum of N = {total}, expected {expected} "
-                               f"at b = {ctx.format_element(b)}")
+            _require(total == expected, f"property vii: sum of N = {total}, expected {expected} "
+                                        f"at b = {ctx.format_element(b)}")
             results = expsum.corollary_properties(ctx, rep)
             checked = {key: ok for key, ok in results.items() if ok is not None}
             sizes = sorted({ok.size for ok in checked.values()})
-            if sizes != [a_encs.size]:
-                return False, f"{sizes} pairs evaluated, expected {a_encs.size}"
+            _require(sizes == [a_encs.size], f"{sizes} pairs evaluated, expected {a_encs.size}")
             failed = np.flatnonzero(~np.logical_and.reduce(list(checked.values())))
             if failed.size:
                 i = failed[0]
                 bad = [key for key, ok in checked.items() if not ok[i]]
                 a = ctx.from_enc(int(a_encs[i]))
-                return False, f"properties {bad} failed at a = {ctx.format_element(a)}"
+                raise IdentityViolation(f"properties {bad} failed at a = {ctx.format_element(a)}")
             n_pairs += a_encs.size
-        return True, f"{n_pairs} pairs x 7 properties"
+        return f"{n_pairs} pairs x 7 properties"
 
     def check_rst():
         lines = []
         for b in b_values:
             rep = sweep(b)  # OracleMismatch unless the identities hold
             lines.append(f"b={ctx.format_element(b)}: (r,s,t)=({rep.r},{rep.s},{rep.t})")
-        return True, "; ".join(lines)
+        return "; ".join(lines)
 
     def check_theorem1():
         chk = walsh.theorem1_spectrum_check(ctx)
-        return chk.ok(), f"spectrum counts {chk.summary}"
+        if chk.failures():
+            raise IdentityViolation(
+                f"{', '.join(chk.failures())} failed: spectrum counts {chk.summary}")
+        return f"spectrum counts {chk.summary}"
 
     checks = [
         ("lemma1 cyclotomic table", check_lemma1),
@@ -352,18 +355,16 @@ def _run_verify_all(args) -> int:
         ("theorem1 spectrum", check_theorem1),
     ]
 
+    # the one place a verdict is decided: a check returns its detail or raises
     failures = []
     for name, fn in checks:
         t0 = time.perf_counter()
         try:
-            ok, detail = fn()
+            status, detail = "ok", fn()
         except CharsumError as exc:
-            ok, detail = False, str(exc)
-        dt = time.perf_counter() - t0
-        status = "ok" if ok else "FAIL"
-        print(f"[{status:4}] {name}: {detail} ({dt:.2f}s)")
-        if not ok:
+            status, detail = "FAIL", str(exc)
             failures.append(name)
+        print(f"[{status:4}] {name}: {detail} ({time.perf_counter() - t0:.2f}s)")
     if failures:
         print(f"FAILED: {failures[0]}")
         return 1
@@ -404,8 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     add("verify-all", _run_verify_all, extra=lambda s: (
         s.add_argument("--b", default="g^0;g^1",
                        help="semicolon-separated b values for the sweeps"),
-        s.add_argument("--samples", type=int, default=200,
-                       help="sample count for randomized checks"),
     ))
 
     parser.set_defaults(_handlers=handlers)

@@ -32,7 +32,7 @@ Each route runs on an array of pairs at once.  N_count_bulk is the
 direct count: one FieldCtx.sum_enc_bulk evaluation of L at every u in U
 with per-pair coefficient dlogs, with the parity check per pair.
 N_via_nonsquares_bulk and N_via_jacobsthal_bulk share one dlog solve
-for g (_g_logs); the first evaluates its sums as a (pairs, p^k) array
+for g (g_logs); the first evaluates its sums as a (pairs, p^k) array
 of eta, the second reads H from the Jacobsthal bound scan.
 corollary1_bulk makes one direct count over all its pairs;
 corollary_properties reads N from the sweep's table and counts only
@@ -230,29 +230,27 @@ def f_values(ctx: FieldCtx, pair: CoeffPair):
     return trace_values(ctx, ((pair.a, ctx.params.d), (pair.b, 2)))
 
 
-def character_counts(ctx: FieldCtx, z_terms, v_terms):
-    """The value counts of Tr(a z(x) + v(x)) over x in GF(p^n), for every a
-    at once; z and v are monomial sums given as terms.
+def character_counts(ctx: FieldCtx, e: int, v_terms):
+    """The value counts of Tr(a x^e + v(x)) over x in GF(p^n), for every a
+    at once; v is a monomial sum given as terms.
 
     Returns the int64 array of shape (q, p) with
 
-        counts[a.enc, j] = #{x : Tr(a z(x) + v(x)) = j mod p},
+        counts[a.enc, j] = #{x : Tr(a x^e + v(x)) = j mod p},
 
-    so that sum_x w^Tr(a z(x) + v(x)) is CycInt.from_counts(p, counts[a.enc]).
+    so that sum_x w^Tr(a x^e + v(x)) is CycInt.from_counts(p, counts[a.enc]).
 
     With e_i the element encoded as p^i and a = sum_i a_i e_i, the trace
-    is linear: Tr(a z) = sum_i a_i w_i, w_i = Tr(e_i z), all m of them
-    from one evaluation of z with one row of coefficients per e_i.  The
+    is linear: Tr(a z) = sum_i a_i w_i, w_i = Tr(e_i z) with z = x^e, all
+    m of them from one evaluation of x^e with one row per e_i.  The
     pairs (w, Tr v) over all x are counted into a (p,)*m + (p,) array; one
     butterfly per digit axis, rolling the value axis by a_i w_i, turns
     counts over w into counts over a.  That is about m p^2 q integer
     additions, with temporaries of O(q p) entries and no floats.
     """
-    p, m, q, order = ctx.p, ctx.m, ctx.q, ctx.order
+    p, m, q = ctx.p, ctx.m, ctx.q
     basis = ctx.log_enc_bulk(p ** np.arange(m, dtype=np.int64))
-    rows = tuple((np.where(c < 0, -1, (basis + c) % order), mult)
-                 for c, mult in _coefficient_logs(ctx, z_terms))
-    w = np.concatenate(([0], p ** np.arange(m, dtype=np.int64) @ _traces(ctx, rows)))
+    w = np.concatenate(([0], p ** np.arange(m, dtype=np.int64) @ _traces(ctx, ((basis, e),))))
     counts = np.bincount(w * p + trace_values(ctx, v_terms), minlength=q * p)
     # axis i of the (outer, p, inner, p) view is digit m-1-i of the encoding;
     # the butterfly is the same for every digit
@@ -472,10 +470,8 @@ def rref_keyed(mats, arith: KeyArithmetic):
         found = np.flatnonzero(candidates.any(axis=1))
         if not found.size:
             continue
-        # the columns before col are zero in every row from rank on; when
-        # every matrix has a pivot, work on a view and skip the copy back
-        every = found.size == len(mats)
-        sub = mats[:, :, col:] if every else mats[found, :, col:]
+        # the columns before col are zero in every row from rank on
+        sub = mats[found, :, col:]
         at = np.arange(found.size)
         top, pivot = rank[found], candidates[found].argmax(axis=1)
         pivot_row = sub[at, pivot]
@@ -487,8 +483,7 @@ def rref_keyed(mats, arith: KeyArithmetic):
         index += pivot_row[:, None, :]
         axpy.take(index, out=sub)
         sub[at, top] = pivot_row
-        if not every:
-            mats[found, :, col:] = sub
+        mats[found, :, col:] = sub
         rank[found] += 1
     return mats, rank
 
@@ -566,7 +561,7 @@ def _require_jacobsthal(ctx: FieldCtx, pair: CoeffPair):
         raise WrongCase("operation defined only in the JACOBSTHAL case")
 
 
-def _g_logs(ctx: FieldCtx, b: Elem, a_encs):
+def g_logs(ctx: FieldCtx, b: Elem, a_encs):
     """The dlogs of the canonical g in GF(p^2k)* with g^(p^k-1) =
     -b^(p^3k)/a at every pair (a, b), a in a_encs: t (p^k - 1) =
     log_nu(-b^(p^3k)/a) modulo p^2k - 1, solved in dlog arithmetic, with
@@ -592,7 +587,7 @@ def _g_logs(ctx: FieldCtx, b: Elem, a_encs):
 
 def N_via_nonsquares_bulk(ctx: FieldCtx, b: Elem, a_encs, g_logs):
     """#{c in GF(p^k) : (cg)^2 - b^(p^2k+1) is a nonsquare in GF(p^2k)} at
-    every pair (a, b), a in a_encs, with its g = xi^g_logs from _g_logs:
+    every pair (a, b), a in a_encs, with its g = xi^g_logs (see g_logs):
     one (pairs, p^k) array of eta((cg)^2 - b^(p^2k+1)) per block of pairs.
     Returns int64."""
     k = ctx.params.k
@@ -631,7 +626,7 @@ def _N_from_H(ctx: FieldCtx, b: Elem, a_encs, H):
 
 def N_via_jacobsthal_bulk(ctx: FieldCtx, b: Elem, a_encs, g_logs, scan):
     """N from 2N = p^k - H_{p^k+1}(-b^(p^2k+1)/g^2)/(p^k+1) + 1 at every
-    pair (a, b), a in a_encs, with its g = xi^g_logs from _g_logs, and H
+    pair (a, b), a in a_encs, with its g = xi^g_logs (see g_logs), and H
     read from scan, the jacobsthal.theorem2_scan of the 2k-view, at the
     argument nu^l (nu = xi^(p^2k+1)): position l - l // (p^k+1) - 1, as the
     scan skips the multiples of p^k + 1, GF(p^k).  The argument's
@@ -858,7 +853,7 @@ def distribution_sweep(ctx: FieldCtx, b: Elem, on_record=None) -> DistributionRe
     tags = case_tags(ctx, b)
 
     # sum_j c_j w^j is the integer s exactly when c_1 = ... = c_(p-1) and c_0 - c_1 = s
-    counts = character_counts(ctx, ((ctx.one, ctx.params.d),), ((b, 2),))
+    counts = character_counts(ctx, ctx.params.d, ((b, 2),))
     s0_by_enc = Q * (2 * n_by_enc - 1)
     off = np.flatnonzero(~((counts[:, 1:] == counts[:, 1:2]).all(axis=1)
                            & (counts[:, 0] - counts[:, 1] == s0_by_enc)))

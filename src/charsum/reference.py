@@ -1,7 +1,7 @@
 """Per-pair and per-point references: each quantity by its definition,
 one element at a time.  No command imports this module; each public
 function cross-checks a batched route in the tests: the zero sets of L
-and F against expsum.prop1_kernel_check, find_g against expsum._g_logs,
+and F against expsum.prop1_kernel_check, find_g against expsum.g_logs,
 H_sums (H by definition at an array of a) against jacobsthal.scan_table,
 where prop2 reads H too, the per-a Jacobsthal sums and curve counts (a
 JacobsthalRecord) against scan_table and the rows of jacobsthal-scan,

@@ -7,7 +7,7 @@ For f mapping GF(p^n) to GF(p), the transform at y is
 
 computed exactly as a cyclotomic integer.  full_spectrum reads every
 coefficient from one expsum.character_counts transform, with
-S_f(y) = sum_x w^(f(x) + Tr(y (-x))).  Rows sum to p^n, so equal
+S_f(y) = sum_x w^(f(x) + Tr(a x)) at a = -y.  Rows sum to p^n, so equal
 coefficients have equal rows: one CycInt per row of CycInt.group_rows and
 an index per y suffice.  f is bent when every coefficient satisfies
 |S_f(y)|^2 = p^n, and weakly regular with unit -1 when additionally every
@@ -80,9 +80,10 @@ def full_spectrum(ctx: FieldCtx, pair: CoeffPair) -> Spectrum:
     """Every coefficient, the value-multiset summary, exact Parseval
     (ParsevalViolation on a defect), bentness and weak regularity."""
     p, q = ctx.p, ctx.q
+    # the row of y = xi^j is the row of a = -y, encoded as xi^(j + (q-1)/2)
     rows, index = CycInt.group_rows(
-        character_counts(ctx, ((-ctx.one, 1),), ((pair.a, ctx.params.d), (pair.b, 2))),
-        sweep_order(ctx))
+        character_counts(ctx, 1, ((pair.a, ctx.params.d), (pair.b, 2))),
+        np.concatenate(([0], ctx.exp_enc_bulk(np.arange(ctx.order) + ctx.order // 2))))
     coeffs = [CycInt.from_counts(p, row) for row in rows]
     values = tuple((c, c.norm_squared()) for c in coeffs)
     multiplicity = np.bincount(index).tolist()
@@ -165,9 +166,12 @@ class SpectrumCheck:
     weakly_regular: bool
     summary: dict
 
-    def ok(self) -> bool:
-        return (self.all_formula_ok and self.all_special_ok and self.counts_ok
-                and self.bent and self.weakly_regular)
+    def failures(self) -> list:
+        """The names of the conditions that fail, in the order of the fields."""
+        return [name for name, ok in (
+            ("formula", self.all_formula_ok), ("special case", self.all_special_ok),
+            ("counts", self.counts_ok), ("bent", self.bent),
+            ("weakly regular", self.weakly_regular)) if not ok]
 
 
 def theorem1_spectrum_check(ctx: FieldCtx) -> SpectrumCheck:

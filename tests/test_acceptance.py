@@ -128,7 +128,7 @@ def test_c07_triple_path_agreement(sizes):
             pairs = expsum.jacobsthal_pairs(ctx, b)
             n = [expsum.N_count(ctx, CoeffPair(a, b))[0] for a in pairs]
             a_encs = [a.enc for a in pairs]
-            g_logs = expsum._g_logs(ctx, b, a_encs)
+            g_logs = expsum.g_logs(ctx, b, a_encs)
             scan = jacobsthal.theorem2_scan(view2k(ctx))
             assert expsum.N_via_nonsquares_bulk(ctx, b, a_encs, g_logs).tolist() == n
             assert expsum.N_via_jacobsthal_bulk(ctx, b, a_encs, g_logs, scan).tolist() == n

@@ -142,7 +142,7 @@ def test_character_counts_match_bruteforce(fixture, request):
     # one transform row per a equals the per-pair defining sum, a = 0 included
     ctx = request.getfixturevalue(fixture)
     for b in (ctx.one, ctx.xi):
-        counts = es.character_counts(ctx, ((ctx.one, ctx.params.d),), ((b, 2),))
+        counts = es.character_counts(ctx, ctx.params.d, ((b, 2),))
         assert counts.shape == (ctx.q, ctx.p)
         for a in ctx.elements():
             row = CycInt.from_counts(ctx.p, counts[a.enc])
@@ -457,7 +457,7 @@ def test_three_paths_agree(fixture, request):
         pairs = es.jacobsthal_pairs(ctx, b)
         assert pairs, "case must be populated"
         a_encs = [a.enc for a in pairs]
-        g_logs = es._g_logs(ctx, b, a_encs)
+        g_logs = es.g_logs(ctx, b, a_encs)
         n2 = es.N_via_nonsquares_bulk(ctx, b, a_encs, g_logs)
         n3 = es.N_via_jacobsthal_bulk(ctx, b, a_encs, g_logs, _scan(ctx))
         for a, n2_i, n3_i in zip(pairs, n2.tolist(), n3.tolist(), strict=True):
@@ -476,7 +476,7 @@ def test_bulk_routes_match_pair_routes(fixture, request, monkeypatch):
         rep = es.distribution_sweep(ctx, b)
         a_encs, n1 = rep.jacobsthal, rep.N[rep.jacobsthal]
         pairs = [pair_of(ctx, ctx.from_enc(int(a)), b) for a in a_encs]
-        g_logs = es._g_logs(ctx, b, a_encs)
+        g_logs = es.g_logs(ctx, b, a_encs)
         assert g_logs.tolist() == [ctx.dlog(ref.find_g(ctx, pair)) for pair in pairs]
         n2 = es.N_via_nonsquares_bulk(ctx, b, a_encs, g_logs)
         n3 = es.N_via_jacobsthal_bulk(ctx, b, a_encs, g_logs, _scan(ctx))
@@ -494,9 +494,9 @@ def test_bulk_routes_refuse_other_cases(ctx31):
     b = ctx31.one
     a_encs = np.array([a.enc for a in es.jacobsthal_pairs(ctx31, b)] + [ctx31.one.enc])
     with pytest.raises(WrongCase):
-        es._g_logs(ctx31, b, a_encs)
+        es.g_logs(ctx31, b, a_encs)
     with pytest.raises(ZeroB):
-        es._g_logs(ctx31, ctx31.zero, a_encs[:1])
+        es.g_logs(ctx31, ctx31.zero, a_encs[:1])
     # with g = 1 the argument is -b^(p^2k+1) = -1, which lies in GF(3)
     with pytest.raises(CaseViolation, match="lies in GF"):
         es.N_via_jacobsthal_bulk(ctx31, b, a_encs[:1], [0], _scan(ctx31))
@@ -507,7 +507,7 @@ def test_bulk_jacobsthal_route_checks_raise(ctx31):
     # reads from the scan
     b = ctx31.one
     a_encs = np.array([a.enc for a in es.jacobsthal_pairs(ctx31, b)])
-    g_logs, scan = es._g_logs(ctx31, b, a_encs), _scan(ctx31)
+    g_logs, scan = es.g_logs(ctx31, b, a_encs), _scan(ctx31)
     for shift, error in ((1, DivisibilityViolation), (4, ParityViolation)):
         with pytest.raises(error):
             es.N_via_jacobsthal_bulk(ctx31, b, a_encs, g_logs,
@@ -532,7 +532,7 @@ def test_scan_H_matches_H_sums_at_prop2_arguments(p, k):
         position = np.searchsorted(scan.logs, logs)
         assert scan.logs[position].tolist() == logs
         assert scan.H[position].tolist() == H.tolist()
-        n = es.N_via_jacobsthal_bulk(ctx, b, a_encs, es._g_logs(ctx, b, a_encs), scan)
+        n = es.N_via_jacobsthal_bulk(ctx, b, a_encs, es.g_logs(ctx, b, a_encs), scan)
         assert a_encs.size and (2 * n).tolist() == (pk - H // (pk + 1) + 1).tolist()
 
 
@@ -849,7 +849,7 @@ def test_character_counts_match_bruteforce_property(pk, data):
     lb = data.draw(st.integers(-1, ctx.order - 1), label="log b, -1 for b = 0")
     b = ctx.zero if lb < 0 else ctx.from_exp(lb)
     a = ctx.from_enc(data.draw(st.integers(int(b.is_zero), ctx.q - 1), label="a"))
-    counts = es.character_counts(ctx, ((ctx.one, ctx.params.d),), ((b, 2),))
+    counts = es.character_counts(ctx, ctx.params.d, ((b, 2),))
     assert CycInt.from_counts(ctx.p, counts[a.enc]) == es.S0_bruteforce(ctx, pair_of(ctx, a, b))
 
 
@@ -905,7 +905,7 @@ def test_g_logs_refuses_other_cases_with_a_typed_error(ctx31, monkeypatch):
     a = es.sweep_order(ctx31)[1:][tags == es.CaseTag.NORM_DIFFER][0]
     monkeypatch.setattr(es, "_require_jacobsthal_bulk", lambda ctx, b, la: None)
     with pytest.raises(NotInSubfield):
-        es._g_logs(ctx31, b, [a])
+        es.g_logs(ctx31, b, [a])
 
 
 def test_sweep_rejects_zero_b(ctx31):

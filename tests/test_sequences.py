@@ -85,8 +85,8 @@ def test_correlation_table_parity_check(ctx31, monkeypatch):
     # naming the first odd shift
     real = seqs.character_counts
     for tau in (0, 5):
-        def odd(ctx, z_terms, v_terms, tau=tau):
-            counts = real(ctx, z_terms, v_terms)
+        def odd(ctx, e, v_terms, tau=tau):
+            counts = real(ctx, e, v_terms)
             counts[ctx.from_exp(ctx.params.d * tau).enc, 1] += 1
             return counts
 
