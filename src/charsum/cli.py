@@ -93,9 +93,9 @@ def _cmd_cyclotomy_table(args) -> int:
 def _cmd_pt_sums(args) -> int:
     ctx = context(args.p, args.k)
     view = ctx.subfield(2 * args.k)
-    pt = cyclotomy.pt_sums(view)
+    values = cyclotomy.pt_sums(view)
     _emit(_header("pt-sums", args, ctx))
-    _emit({"order": pt.order, "values": [v.as_int() for v in pt.values]})
+    _emit({"order": len(values), "values": [v.as_int() for v in values]})
     return 0
 
 
@@ -214,19 +214,19 @@ def _run_verify_all(args) -> int:
         return jacobsthal.theorem2_scan(view)
 
     def check_lemma1():
-        rep = cyclotomy.verify_lemma1(view)
-        return _require(rep.ok, f"total {rep.total}, {len(rep.mismatches)} mismatches")
+        table = cyclotomy.verify_lemma1(view)  # CyclotomyViolation on defect
+        return f"total {table.total}, 0 mismatches"
 
     def check_pt():
-        pt = cyclotomy.pt_sums(view)  # raises on defect
-        return _require(len(pt.values) == pk + 1, f"values {[v.as_int() for v in pt.values]}")
+        values = cyclotomy.pt_sums(view)  # raises on defect
+        return _require(len(values) == pk + 1, f"values {[v.as_int() for v in values]}")
 
     def check_eq1():
         rep = bound_scan()
-        # eta(a) = (-1)^log a, as the scan's dlogs are to the generator of GF(p^2k)*
-        off = np.flatnonzero(rep.I != jacobsthal.eq1_value(pk, 1 - 2 * (rep.logs % 2)))
+        eta = view.eta_bulk(ctx.exp_enc_bulk(rep.logs))
+        off = np.flatnonzero(rep.I != jacobsthal.eq1_value(pk, eta))
         if off.size:
-            raise IdentityViolation(f"a = g^{view.step * rep.logs[off[0]]} gives {rep.I[off[0]]}")
+            raise IdentityViolation(f"a = g^{rep.logs[off[0]]} gives {rep.I[off[0]]}")
         return f"{rep.logs.size} elements"
 
     def check_theorem2():
@@ -238,7 +238,7 @@ def _run_verify_all(args) -> int:
         rep = bound_scan()
         off = np.flatnonzero(rep.H != (pk + 1) * (rep.curve_N - pk))
         if off.size:
-            raise IdentityViolation(f"mismatch at a = g^{view.step * rep.logs[off[0]]}")
+            raise IdentityViolation(f"mismatch at a = g^{rep.logs[off[0]]}")
         return "H/(p^k+1) = N - p^k throughout"
 
     def check_theorem3():

@@ -17,9 +17,9 @@ p^k - 1 at t = (p^k+1)/2 and -1 everywhere else.
 All functions take a SubfieldView of even degree 2k (either the 2k-view
 of the big GF(p^4k) context or the full view of a standalone GF(p^2k)
 context); values do not depend on that choice, class indices do, so
-reports record the generator nu in use.  full_table and pt_sums evaluate
-x + 1 and Tr(x) at every x = nu^e with one FieldCtx.sum_enc_bulk call
-each; the scalar references (class_index, cyclotomic_number) are in
+the table records the generator nu in use.  full_table and pt_sums
+evaluate x + 1 and Tr(x) at every x = nu^e with one FieldCtx.sum_enc_bulk
+call each; the scalar references (class_index, cyclotomic_number) are in
 charsum.reference, which no command imports.
 """
 
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycint import CycInt
-from .errors import ClassSumViolation, InvariantViolation
+from .errors import ClassSumViolation, CyclotomyViolation, InvariantViolation
 from .field_core import SubfieldView
 
 
@@ -91,39 +91,26 @@ def full_table(view: SubfieldView) -> CycNumberTable:
     return CycNumberTable(order=order, table=table, nu_log=ctx.dlog(view.generator))
 
 
-@dataclass(frozen=True)
-class Lemma1Report:
-    ok: bool
-    pk: int
-    mismatches: tuple  # ((i, j, got, want), ...)
-    total: int
-
-
-def verify_lemma1(view: SubfieldView) -> Lemma1Report:
-    """Compare the full table against the closed form, entry by entry."""
+def verify_lemma1(view: SubfieldView) -> CycNumberTable:
+    """The full table, compared against the closed form entry by entry:
+    CyclotomyViolation, naming the count of mismatches and the first, on a
+    defect."""
     pk = _pk(view)
     tab = full_table(view)
-    bad = []
-    for i in range(tab.order):
-        for j in range(tab.order):
-            want = closed_form(pk, i, j)
-            if tab.table[i][j] != want:
-                bad.append((i, j, tab.table[i][j], want))
-    return Lemma1Report(ok=not bad, pk=pk, mismatches=tuple(bad), total=tab.total)
+    bad = [(i, j, got, closed_form(pk, i, j)) for i, row in enumerate(tab.table)
+           for j, got in enumerate(row) if got != closed_form(pk, i, j)]
+    if bad:
+        i, j, got, want = bad[0]
+        raise CyclotomyViolation(f"total {tab.total}, {len(bad)} mismatches, "
+                                 f"first ({i}, {j}) = {got}, expected {want}")
+    return tab
 
 
-@dataclass(frozen=True)
-class PtVector:
-    """values[t] = P_t = sum_{x in C_t} w^Tr(x), exact in Z[w]."""
-
-    order: int
-    values: tuple  # of CycInt
-
-
-def pt_sums(view: SubfieldView) -> PtVector:
-    """Per-class additive character sums, checked against their closed form
-    (ClassSumViolation on a defect), from Tr(x) = sum_{i < 2k} x^(p^i) at
-    every x = nu^e (InvariantViolation if a trace is not in GF(p))."""
+def pt_sums(view: SubfieldView) -> tuple:
+    """The per-class additive character sums (P_0, ..., P_{p^k}), exact in
+    Z[w], checked against their closed form (ClassSumViolation on a
+    defect), from Tr(x) = sum_{i < 2k} x^(p^i) at every x = nu^e
+    (InvariantViolation if a trace is not in GF(p))."""
     order = class_count(view)
     pk = _pk(view)
     ctx = view.ctx
@@ -138,4 +125,4 @@ def pt_sums(view: SubfieldView) -> PtVector:
         want = pk - 1 if t == (pk + 1) // 2 else -1
         if v != want:
             raise ClassSumViolation(f"P_{t} = {v}, expected {want}")
-    return PtVector(order=order, values=values)
+    return values

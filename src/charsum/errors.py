@@ -114,6 +114,10 @@ class CaseViolation(IdentityViolation):
     special pairs of property (vi)."""
 
 
+class CyclotomyViolation(IdentityViolation):
+    """A cyclotomic number (i, j) differs from its closed form (Lemma 1)."""
+
+
 class ClassSumViolation(IdentityViolation):
     """A cyclotomic class sum P_t differs from its closed form."""
 

@@ -119,7 +119,6 @@ class CaseTag(enum.IntEnum):
 class CaseDetail:
     tag: CaseTag
     norms_match: bool   # a^(p^k(p^k+1)) == b^(p^k+1)
-    b_square: bool      # b != 0 and b^((p^n-1)/2) == 1
 
 
 def case_detail(ctx: FieldCtx, pair: CoeffPair) -> CaseDetail:
@@ -129,14 +128,13 @@ def case_detail(ctx: FieldCtx, pair: CoeffPair) -> CaseDetail:
     pk, a, b = ctx.p ** ctx.params.k, pair.a.enc, pair.b.enc
     norms_match = ctx.pow_enc(a, pk * (pk + 1)) == ctx.pow_enc(b, pk + 1)
     square_match = b != 0 and ctx.mul_enc(a, a) == ctx.pow_enc(b, ctx.params.d)
-    b_square = b != 0 and ctx.pow_enc(b, ctx.order // 2) == ctx.one.enc
     if square_match:
         tag = CaseTag.SQUARE_MATCH
     elif not norms_match:
         tag = CaseTag.NORM_DIFFER
     else:
         tag = CaseTag.JACOBSTHAL
-    return CaseDetail(tag=tag, norms_match=norms_match, b_square=b_square)
+    return CaseDetail(tag=tag, norms_match=norms_match)
 
 
 def _norms_match(ctx: FieldCtx, la, lb):
@@ -458,11 +456,11 @@ def _mod_p(x, p: int):
 
 def rref_keyed(mats, arith: KeyArithmetic):
     """Reduced row echelon forms over GF(Q) of a stack of matrices (n, r, c)
-    of keys (0..Q-1, see field_core.KeyArithmetic), as int16, and their
-    ranks (int64, n): every field operation is one gather from arith's
-    tables, and the indexes into them fit in int16."""
+    of keys (0..Q-1, see field_core.KeyArithmetic), in the dtype of arith's
+    tables, and their ranks (int64, n): every field operation is one
+    gather from those tables, and the indexes into them fit in that dtype."""
     q, mul, axpy = arith.q, arith.mul, arith.axpy
-    mats = np.array(mats, dtype=np.int16)
+    mats = np.array(mats, dtype=mul.dtype)
     rank = np.zeros(len(mats), dtype=np.int64)
     rows = np.arange(mats.shape[1])
     for col in range(mats.shape[2]):
@@ -628,18 +626,18 @@ def N_via_jacobsthal_bulk(ctx: FieldCtx, b: Elem, a_encs, g_logs, scan):
     """N from 2N = p^k - H_{p^k+1}(-b^(p^2k+1)/g^2)/(p^k+1) + 1 at every
     pair (a, b), a in a_encs, with its g = xi^g_logs (see g_logs), and H
     read from scan, the jacobsthal.theorem2_scan of the 2k-view, at the
-    argument nu^l (nu = xi^(p^2k+1)): position l - l // (p^k+1) - 1, as the
-    scan skips the multiples of p^k + 1, GF(p^k).  The argument's
-    (p^k-1)-th power is a^2/b^d, so it lies there only in the SQUARE_MATCH
-    case (CaseViolation).  Returns int64."""
+    position of the argument's dlog among scan.logs.  The scan holds the a
+    off GF(p^k), and the argument's (p^k-1)-th power is a^2/b^d, so it is
+    absent only in the SQUARE_MATCH case (CaseViolation).  Returns int64."""
     a_encs, g_logs = (np.asarray(x, dtype=np.int64) for x in (a_encs, g_logs))
-    pk, step = ctx.p ** ctx.params.k, ctx.subfield(2 * ctx.params.k).step
-    l = (ctx.order // 2 + step * ctx.dlog(b) - 2 * g_logs) % ctx.order // step
-    inside = np.flatnonzero(l % (pk + 1) == 0)
-    if inside.size:
+    step = ctx.subfield(2 * ctx.params.k).step
+    l = (ctx.order // 2 + step * ctx.dlog(b) - 2 * g_logs) % ctx.order
+    i = np.searchsorted(scan.logs, l)
+    absent = np.flatnonzero(scan.logs.take(i, mode="clip") != l)
+    if absent.size:
         raise CaseViolation(f"-b^(p^2k+1)/g^2 lies in GF(p^k) at "
-                            f"{_where(ctx, a_encs[inside[0]], b.enc)}")
-    return _N_from_H(ctx, b, a_encs, scan.H[l - l // (pk + 1) - 1])
+                            f"{_where(ctx, a_encs[absent[0]], b.enc)}")
+    return _N_from_H(ctx, b, a_encs, scan.H[i])
 
 
 # --------------------------------------------------------------------------
@@ -679,28 +677,28 @@ def corollary_eq9_check(ctx: FieldCtx, b: Elem, n):
     return int(np.sum(n)), (pk + 1) * (pk - chi(ctx, b)) // 2
 
 
-def _properties(pk: int, b_square: bool, N, N_inv, N_nega, N_negb) -> dict:
-    # properties (i)-(v) from N at (a, b), (1/a, 1/b), (-a, b) and (a, -b):
-    # ints, or arrays over a
+def _properties(pk: int, chi_b: int, N, N_inv, N_nega, N_negb) -> dict:
+    # properties (i)-(v) from chi(b) and N at (a, b), (1/a, 1/b), (-a, b)
+    # and (a, -b): ints, or arrays over a
     out = {}
-    if b_square:
+    if chi_b == 1:
         out["i"] = N == N_inv
         out["iii"] = N_nega == pk + 1 - N_inv
     else:
         out["i"] = N == pk + 1 - N_inv
         out["iii"] = N_nega == N_inv
     out["ii"] = (N + N_nega == pk + 1) & (N + N_negb == pk + 1)
-    out["iv"] = (N % 2 == 0) == b_square
+    out["iv"] = (N % 2 == 0) == (chi_b == 1)
     out["v"] = ((2 * N - (pk + 1)) ** 2 <= 4 * pk) & (N >= 1)
     return out
 
 
-def _special_a(ctx: FieldCtx, b: Elem, b_square: bool) -> tuple:
+def _special_a(ctx: FieldCtx, b: Elem, chi_b: int) -> tuple:
     # the a of the two special pairs (a, b) of property (vi),
     # +-nu^((p^2k-1)/4) b^(d/2), or () where its hypotheses (p = 3 mod 4,
     # k odd, b square) do not apply
     p, k = ctx.p, ctx.params.k
-    if p % 4 != 3 or k % 2 == 0 or not b_square:
+    if p % 4 != 3 or k % 2 == 0 or chi_b != 1:
         return ()
     root = ctx.subfield(2 * k).generator ** ((p ** (2 * k) - 1) // 4)
     return tuple(sign * root * b ** (ctx.params.d // 2) for sign in (1, -1))
@@ -722,11 +720,11 @@ def corollary_suite(ctx: FieldCtx, pair: CoeffPair) -> dict:
     _require_jacobsthal(ctx, pair)
     pk = ctx.p ** ctx.params.k
     a, b = pair.a, pair.b
-    b_square = chi(ctx, b) == 1
+    chi_b = chi(ctx, b)
     N = [N_count(ctx, other)[0] for other in
          (pair, CoeffPair(a.inverse(), b.inverse()), CoeffPair(-a, b), CoeffPair(a, -b))]
-    out = _properties(pk, b_square, *N)
-    specials = [CoeffPair(s, b) for s in _special_a(ctx, b, b_square)]
+    out = _properties(pk, chi_b, *N)
+    specials = [CoeffPair(s, b) for s in _special_a(ctx, b, chi_b)]
     for special in specials:
         if case_detail(ctx, special).tag is not CaseTag.JACOBSTHAL:
             raise _special_pair_violation(ctx, special.a, b)
@@ -752,8 +750,7 @@ def corollary_properties(ctx: FieldCtx, report) -> dict:
     la = _dlogs(ctx, a_encs)
     _require_jacobsthal_bulk(ctx, b, la)
     pk, n, minus = ctx.p ** ctx.params.k, a_encs.size, ctx.order // 2  # xi^minus = -1
-    b_square = report.chi_b == 1
-    specials = _special_a(ctx, b, b_square)
+    specials = _special_a(ctx, b, report.chi_b)
     special_encs = np.array([s.enc for s in specials], dtype=np.int64)
     for s, tag in zip(specials, _tags(ctx, _dlogs(ctx, special_encs), ctx.dlog(b))):
         if tag != CaseTag.JACOBSTHAL:
@@ -762,7 +759,7 @@ def corollary_properties(ctx: FieldCtx, report) -> dict:
         ctx, np.concatenate((a_encs, ctx.exp_enc_bulk(-la))),
         np.repeat([(-b).enc, b.inverse().enc], n))[0], [n])
     N_nega = report.N[ctx.exp_enc_bulk(la + minus)]
-    out = _properties(pk, b_square, report.N[a_encs], N_inv, N_nega, N_negb)
+    out = _properties(pk, report.chi_b, report.N[a_encs], N_inv, N_nega, N_negb)
     out["vi"] = np.full(n, (report.N[special_encs] == (pk + 1) // 2).all()) if specials else None
     return out
 

@@ -61,7 +61,6 @@ from .errors import (
 )
 
 TABLE_LIMIT = 1 << 20  # lookup tables are built only up to this many entries
-KEY_LIMIT = 1 << 15  # entries of a KeyArithmetic table, all indexes in int16
 
 
 def size_guard(p: int, m: int) -> None:
@@ -668,16 +667,16 @@ class KeyArithmetic:
 
     with Tr the absolute trace of GF(Q) and eta its generator.  K is
     GF(p)-linear and one to one (the trace form is nondegenerate), so keys
-    add digitwise mod p, and three flat int16 tables give the rest by
-    gathers from int16 arrays of keys x, f, v:
+    add digitwise mod p, and three flat tables give the rest by gathers
+    from arrays of keys x, f, v:
 
         mul[x Q + v]          = K(x v)
         inv[x]                = K(1 / x)    (0 at x = 0)
         axpy[(x Q + f) Q + v] = K(x - f v)
 
-    Every index is below Q^3 <= KEY_LIMIT = 2^15, so int16 holds it: the
-    prime powers Q = p^k of the table sizes (p^4k <= TABLE_LIMIT) are at
-    most 31."""
+    The tables are int16 when every index, below Q^3, fits (Q^3 <= 2^15:
+    every Q = p^k of the table sizes, p^4k <= TABLE_LIMIT, is at most 31),
+    and int32 above that."""
 
     q: int
     mul: np.ndarray
@@ -706,7 +705,6 @@ class SubfieldView:
         self.order = self.q - 1
         self.step = ctx.order // self.order if ctx.order else 1
         self.generator = ctx.from_exp(self.step)
-        self._keys = None
 
     def contains(self, x: Elem) -> bool:
         return x.is_zero or x ** self.q == x
@@ -755,43 +753,40 @@ class SubfieldView:
         return np.where(nonzero, 1 - 2 * (logs // self.step % 2), 0)
 
     def key_arithmetic(self) -> KeyArithmetic:
-        """This subfield's arithmetic on keys (see KeyArithmetic), built once.
+        """This subfield's arithmetic on keys (see KeyArithmetic).
 
         Digit s of the key of eta^j (eta the induced generator) is
         Tr(eta^(j+s)) of this subfield, that is r^(-1) Tr(eta^(j+s)) of the
         ambient field of degree r degree (DegreeUnsupported when p divides r),
         from exp_enc_bulk and trace_enc_bulk; products and inverses follow
-        from the dlogs j.  GuardExceeded when Q^3 > KEY_LIMIT.  Self-checked:
-        InvariantViolation unless the keys of the nonzero elements are
-        1..Q-1, each once, and the key of x + y (add_enc_bulk) is the
-        digitwise sum of the keys at every pair."""
-        if self._keys is None:
-            ctx, p, q, order = self.ctx, self.ctx.p, self.q, self.order
-            if q ** 3 > KEY_LIMIT:
-                raise GuardExceeded(f"GF({p}^{self.degree}) is too large for key tables")
-            ratio = ctx.m // self.degree
-            if ratio % p == 0:
-                raise DegreeUnsupported(f"no keys for GF({p}^{self.degree}) in GF({p}^{ctx.m})")
-            dlogs = np.arange(order, dtype=np.int64)
-            digits = ctx.trace_enc_bulk(ctx.exp_enc_bulk(
-                self.step * (dlogs[:, None] + np.arange(self.degree)))) * pow(ratio, -1, p) % p
-            keys = digits @ p ** np.arange(self.degree, dtype=np.int64)
-            if (np.bincount(keys, minlength=q) != (np.arange(q) > 0)).any():
-                raise InvariantViolation(f"the keys of GF({p}^{self.degree}) are not one to one")
-            encs, key_log = np.zeros(q, dtype=np.int64), np.zeros(q, dtype=np.int64)
-            encs[keys], key_log[keys] = ctx.exp_enc_bulk(self.step * dlogs), dlogs
-            key_digits = _base_p_digits(p, self.degree)
-            add = _digitwise_sums(key_digits, p)
-            if (ctx.add_enc_bulk(encs[:, None], encs[None, :]).ravel() != encs[add]).any():
-                raise InvariantViolation(f"the keys of GF({p}^{self.degree}) are not additive")
-            x, v = np.divmod(np.arange(q * q, dtype=np.int64), q)
-            mul = np.where((x == 0) | (v == 0), 0, keys[(key_log[x] + key_log[v]) % order])
-            neg = _negations(key_digits, p)
-            inv = keys[-key_log % order]
-            inv[0] = 0
-            self._keys = KeyArithmetic(q, *(t.astype(np.int16) for t in (
-                mul, inv, add.reshape(q, q)[:, neg[mul]].ravel())))
-        return self._keys
+        from the dlogs j.  The tables are int16 when Q^3 <= 2^15, else
+        int32.  Self-checked: InvariantViolation unless the keys of the
+        nonzero elements are 1..Q-1, each once, and the key of x + y
+        (add_enc_bulk) is the digitwise sum of the keys at every pair."""
+        ctx, p, q, order = self.ctx, self.ctx.p, self.q, self.order
+        ratio = ctx.m // self.degree
+        if ratio % p == 0:
+            raise DegreeUnsupported(f"no keys for GF({p}^{self.degree}) in GF({p}^{ctx.m})")
+        dlogs = np.arange(order, dtype=np.int64)
+        digits = ctx.trace_enc_bulk(ctx.exp_enc_bulk(
+            self.step * (dlogs[:, None] + np.arange(self.degree)))) * pow(ratio, -1, p) % p
+        keys = digits @ p ** np.arange(self.degree, dtype=np.int64)
+        if (np.bincount(keys, minlength=q) != (np.arange(q) > 0)).any():
+            raise InvariantViolation(f"the keys of GF({p}^{self.degree}) are not one to one")
+        encs, key_log = np.zeros(q, dtype=np.int64), np.zeros(q, dtype=np.int64)
+        encs[keys], key_log[keys] = ctx.exp_enc_bulk(self.step * dlogs), dlogs
+        key_digits = _base_p_digits(p, self.degree)
+        add = _digitwise_sums(key_digits, p)
+        if (ctx.add_enc_bulk(encs[:, None], encs[None, :]).ravel() != encs[add]).any():
+            raise InvariantViolation(f"the keys of GF({p}^{self.degree}) are not additive")
+        x, v = np.divmod(np.arange(q * q, dtype=np.int64), q)
+        mul = np.where((x == 0) | (v == 0), 0, keys[(key_log[x] + key_log[v]) % order])
+        neg = _negations(key_digits, p)
+        inv = keys[-key_log % order]
+        inv[0] = 0
+        dtype = np.int16 if q ** 3 <= 1 << 15 else np.int32
+        return KeyArithmetic(q, *(t.astype(dtype) for t in (
+            mul, inv, add.reshape(q, q)[:, neg[mul]].ravel())))
 
     def abs_trace(self, x: Elem) -> int:
         """Absolute trace of this subfield GF(p^degree) -> GF(p)

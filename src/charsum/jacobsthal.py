@@ -28,11 +28,12 @@ each sum is a weighted sum over GF(p^k)* of one table of eta(t + a), and
 each curve count is one bulk pass over GF(p^k).  Both polynomials in
 those arrays (t + a and the curve's cubic) are one FieldCtx.sum_enc_bulk
 call each.  theorem2_scan keeps scan_table's results as arrays in its
-report, with no object per a; prop2 reads H at its arguments from the
-same report (expsum.N_via_jacobsthal_bulk), so H has one route.  The
-per-a references (H_sums, H by definition at an array of a, I_sum, the
-half-basis decomposition, curve_point_count and jacobsthal_record) are
-in charsum.reference, which no command imports.
+report, with no object per a, and names each a by its dlog in the field
+the scan runs in, as every "g^e" label does; prop2 reads H at its
+arguments from the same report (expsum.N_via_jacobsthal_bulk), so H has
+one route.  The per-a references (H_sums, H by definition at an array of
+a, I_sum, the half-basis decomposition, curve_point_count and
+jacobsthal_record) are in charsum.reference, which no command imports.
 
 All functions take a SubfieldView of even degree 2k, so they run both
 on the 2k-view of the big context and on a standalone GF(p^2k) context.
@@ -65,13 +66,13 @@ class BoundScanReport:
     curve_N the affine point count), and the bound."""
 
     pk: int
-    logs: np.ndarray          # dlogs of the a to the generator of the view, increasing
+    logs: np.ndarray          # a = xi^log, xi the generator of the scan's field; increasing
     H: np.ndarray
     I: np.ndarray
     I2: np.ndarray
     curve_N: np.ndarray
     max_abs_H: int
-    argmax_log: int           # discrete log of a maximizing |H|
+    argmax_log: int           # the log of an a maximizing |H|
     bound_sq: int             # 4 p^k (p^k+1)^2
     attained: bool            # H^2 == bound_sq for some a (k even only)
 
@@ -99,14 +100,14 @@ def scan_table(view: SubfieldView):
     zeta the quadratic character of GF(p^k).
 
     Returns the int64 arrays (logs, H, I, I2, curve_N) over the a off
-    GF(p^k), in increasing logs, their dlogs to the generator of view."""
+    GF(p^k), in increasing logs, the dlogs of the a in the scan's field:
+    a = xi^log, with xi the generator of view.ctx."""
     ctx = view.ctx
     pk = ctx.p ** (view.degree // 2)
     n = pk + 1
     kstep = n * view.step  # the dlog step of GF(p^k)* in the ambient field
     logs = np.arange(view.order, dtype=np.int64)
-    logs = logs[logs % n != 0]
-    la = view.step * logs
+    la = view.step * logs[logs % n != 0]
     u = np.arange(pk - 1, dtype=np.int64)
     # row u: t_u x^0 + x at x = a
     table = view.eta_bulk(ctx.sum_enc_bulk(((kstep * u, 0), (0, 1)), la))
@@ -121,7 +122,7 @@ def scan_table(view: SubfieldView):
         (ctx.one, 0, 3), (-half, 1, 2), (-half, pk, 2), (sixteenth, 2, 1),
         (-2 * sixteenth, pk + 1, 1), (sixteenth, 2 * pk, 1))), kstep * u)
     curve_N = pk + ctx.subfield(view.degree // 2).eta_bulk(w).sum(axis=1)
-    return logs, H, I, I2, curve_N
+    return la, H, I, I2, curve_N
 
 
 def theorem2_scan(view: SubfieldView) -> BoundScanReport:

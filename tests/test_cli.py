@@ -110,7 +110,7 @@ def test_prop2_reads_H_from_the_bound_scan(capsys, monkeypatch):
     # count with it): prop2's H route then gives N one higher there, and
     # prop2 alone fails, naming the three paths
     ctx = context(3, 1)
-    view, b = ctx.subfield(2), ctx.one
+    b = ctx.one
     a = expsum.jacobsthal_pairs(ctx, b)[0]
     arg = -(b ** 10) / reference.find_g(ctx, expsum.CoeffPair(a, b)) ** 2
     n = expsum.N_count(ctx, expsum.CoeffPair(a, b))[0]
@@ -118,7 +118,7 @@ def test_prop2_reads_H_from_the_bound_scan(capsys, monkeypatch):
 
     def corrupted(view):
         rep = real(view)
-        i = int(np.flatnonzero(rep.logs == view.discrete_log(arg))[0])
+        i = int(np.flatnonzero(rep.logs == ctx.dlog(arg))[0])
         H, curve_N = rep.H.copy(), rep.curve_N.copy()
         H[i] -= 8
         curve_N[i] -= 2
@@ -443,7 +443,8 @@ def inflated(view):
 jacobsthal.scan_table = inflated
 """, ["--p", "3", "--k", "1"],
         ["theorem2 jacobsthal bound", "eq1 companion sum", "curve count identity",
-         "prop2/eq8 triple path"], "exceeds the bound", id="theorem2-H_beyond_bound"),
+         "prop2/eq8 triple path"], "|H(g^10)| = 800 exceeds the bound",
+        id="theorem2-H_beyond_bound"),
     # with H untouched, only the curve identity reads curve_N
     pytest.param(_SCAN_ENTRY_OFF.format("curve_N"), ["--p", "3", "--k", "1"],
                  ["curve count identity"], "mismatch at a = g^", id="curve-one_count_off"),
@@ -524,6 +525,9 @@ walsh.full_spectrum = off
 ]
 
 
+_HALF_FIELD_CHECKS = {"eq1 companion sum", "theorem2 jacobsthal bound", "curve count identity"}
+
+
 @pytest.mark.parametrize("snippet, argv, failed, detail", FAULTS)
 def test_failed_under_optimize(snippet, argv, failed, detail):
     code = (f"import sys\nfrom charsum import cli\n{snippet}\n"
@@ -535,6 +539,14 @@ def test_failed_under_optimize(snippet, argv, failed, detail):
     assert set(lines) == set(failed) and len(failed) == len(set(failed))
     assert detail in lines[failed[0]]
     assert "Traceback" not in proc.stderr
+    if failed[0] in _HALF_FIELD_CHECKS:
+        # each g^e names an a of GF(p^2k) off GF(p^k): e a multiple of
+        # p^2k + 1, the dlog step of GF(p^2k)* in GF(p^4k), and not of
+        # (p^2k + 1)(p^k + 1), that of GF(p^k)*
+        p, k = int(argv[argv.index("--p") + 1]), int(argv[argv.index("--k") + 1])
+        step = p ** (2 * k) + 1
+        logs = [int(e) for e in re.findall(r"g\^(\d+)", lines[failed[0]])]
+        assert logs and all(e % step == 0 and e % (step * (p ** k + 1)) for e in logs), logs
 
 
 def test_every_check_has_a_fault(capsys):

@@ -1,9 +1,11 @@
+import dataclasses
+
 import pytest
 
 from charsum import cyclotomy as cy
 from charsum import reference as ref
 from charsum.cycint import CycInt
-from charsum.errors import IndexOutOfRange, InvariantViolation, ZeroArgument
+from charsum.errors import CyclotomyViolation, IndexOutOfRange, InvariantViolation, ZeroArgument
 from charsum.field_core import FieldCtx, context
 
 
@@ -64,9 +66,26 @@ def test_full_table_32(ctx32):
 @pytest.mark.parametrize("fixture", ["ctx31", "ctx51", "ctx71", "ctx32"])
 def test_lemma1_all_sizes(fixture, request):
     ctx = request.getfixturevalue(fixture)
-    report = cy.verify_lemma1(view2k(ctx))
-    assert report.ok, report.mismatches
-    assert report.total == ctx.p ** (2 * ctx.params.k) - 2
+    table = cy.verify_lemma1(view2k(ctx))  # raises on a mismatch
+    assert table == cy.full_table(view2k(ctx))
+    assert table.total == ctx.p ** (2 * ctx.params.k) - 2
+
+
+def test_lemma1_names_the_first_mismatch(ctx31, monkeypatch):
+    # two numbers off: the count of mismatches and the first (i, j) in row order
+    real = cy.full_table
+
+    def off(view):
+        table = real(view)
+        rows = [list(row) for row in table.table]
+        rows[2][1] += 1
+        rows[1][3] -= 1
+        return dataclasses.replace(table, table=tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(cy, "full_table", off)
+    with pytest.raises(CyclotomyViolation,
+                       match=r"^total 7, 2 mismatches, first \(1, 3\) = 0, expected 1$"):
+        cy.verify_lemma1(view2k(ctx31))
 
 
 def test_row_sums(ctx31, ctx51):
@@ -97,8 +116,9 @@ def test_minus_one_symmetry(ctx31, ctx51):
     ("ctx31", 2, 2), ("ctx51", 3, 4), ("ctx32", 5, 8)])
 def test_pt_values(fixture, special, value, request):
     ctx = request.getfixturevalue(fixture)
-    pt = cy.pt_sums(view2k(ctx))
-    for t, v in enumerate(pt.values):
+    values = cy.pt_sums(view2k(ctx))
+    assert len(values) == cy.class_count(view2k(ctx))
+    for t, v in enumerate(values):
         assert v == (value if t == special else -1)
         assert v.is_rational_integer
 
@@ -106,9 +126,8 @@ def test_pt_values(fixture, special, value, request):
 def test_pt_total_is_minus_one(ctx31, ctx51):
     # summing over every class = full character sum over GF(p^2k)* = -1
     for ctx in (ctx31, ctx51):
-        pt = cy.pt_sums(view2k(ctx))
         total = CycInt.zero(ctx.p)
-        for v in pt.values:
+        for v in cy.pt_sums(view2k(ctx)):
             total = total + v
         assert total == -1
 
@@ -142,7 +161,7 @@ def test_pt_sums_match_scalar_recount(pk):
     counts = [[0] * p for _ in range(order)]
     for e, x in enumerate(view.nonzero_elements()):
         counts[e % order][view.abs_trace(x)] += 1
-    assert cy.pt_sums(view).values == tuple(CycInt.from_counts(p, c) for c in counts)
+    assert cy.pt_sums(view) == tuple(CycInt.from_counts(p, c) for c in counts)
 
 
 def test_pt_sums_refuse_a_trace_outside_the_prime_field(ctx31, monkeypatch):

@@ -415,16 +415,18 @@ def test_exp_table_matches_powers_of_xi(ctx32):
     assert ctx32.exp_enc.tolist() == [slow.pow_enc(slow.xi.enc, e) for e in range(slow.order)]
 
 
-@pytest.mark.parametrize("which", ["ctx31", "ctx32", "slow32"])
+@pytest.mark.parametrize("which", ["ctx31", "ctx32", "slow32", "gf37"])
 def test_key_tables_match_field_arithmetic(which, request, key_encodings):
     # mul, inv and axpy of the keys of GF(p^k) against mul_enc, add_enc and
-    # inv_enc of the ambient field, at all Q^2 and Q^3 inputs
+    # inv_enc of the ambient field, at all Q^2 and Q^3 inputs; GF(37) in
+    # GF(37^2) has Q^3 = 50,653 > 2^15, so its tables are int32
     ctx = (build_context(FieldParams(3, 2), 8, use_tables=False) if which == "slow32"
-           else request.getfixturevalue(which))
+           else context(37, 1, 2) if which == "gf37" else request.getfixturevalue(which))
     view = ctx.subfield(ctx.params.k)
     arith, encs = view.key_arithmetic(), [int(e) for e in key_encodings(view)]
     q, key = arith.q, {e: K for K, e in enumerate(encs)}
     assert q == view.q and arith.inv[0] == 0
+    assert arith.mul.dtype == arith.axpy.dtype == (np.int16 if q ** 3 <= 1 << 15 else np.int32)
     minus_one = ctx.p - 1
     for x in range(q):
         if x:

@@ -205,8 +205,13 @@ def _record_row(rec):
 @pytest.mark.parametrize("fixture,count", [("ctx31", 6), ("ctx51", 20), ("ctx32", 72)])
 def test_bound_scan(fixture, count, request):
     ctx = request.getfixturevalue(fixture)
-    report = jac.theorem2_scan(view2k(ctx))
+    view = view2k(ctx)
+    report = jac.theorem2_scan(view)
     assert report.logs.size == count
+    # each a = xi^log lies in GF(p^2k) and off GF(p^k)
+    pk = ctx.p ** ctx.params.k
+    assert (report.logs % view.step == 0).all()
+    assert (report.logs % (view.step * (pk + 1)) != 0).all()
     assert report.max_abs_H ** 2 <= report.bound_sq
     assert 0 <= report.max_ratio <= 1
     # the k-even case has an integer bound; record whether it is attained
@@ -221,7 +226,7 @@ def test_scan_table_matches_records(fixture, request):
     view = view2k(ctx)
     kview = ctx.subfield(ctx.params.k)
     report = jac.theorem2_scan(view)
-    a_all = [view.generator ** e for e in report.logs.tolist()]
+    a_all = [ctx.from_exp(e) for e in report.logs.tolist()]
     assert a_all == [a for a in view.nonzero_elements() if not kview.contains(a)]
     assert _scan_rows(report) == [_record_row(ref.jacobsthal_record(view, a)) for a in a_all]
 
