@@ -12,10 +12,11 @@ Subcommands
     verify-all           the complete identity suite; exit 0 iff all pass
 
 Output is JSON lines; only cyclotomy-table and sequences-crosscorr take
---format, to choose csv instead.  Exit codes: 0 ok, 1 verification
-failure, 2 invalid arguments, 3 desk-scale guard exceeded.  All
-randomness is seeded (SAMPLES draws per randomized check) and the seed is
-printed; element arguments accept "c0,c1,...,c_{m-1}" digits or "g^e".
+--format, to choose csv instead, and verify-all's timings go to stderr.
+Exit codes: 0 ok, 1 verification failure, 2 invalid arguments, 3 desk-scale
+guard exceeded.  All randomness is seeded (SAMPLES draws per randomized
+check) and the seed is printed; element arguments accept "c0,c1,...,c_{m-1}"
+digits or "g^e".
 """
 
 from __future__ import annotations
@@ -184,11 +185,10 @@ def _cmd_sequences_crosscorr(args) -> int:
 # verify-all
 # --------------------------------------------------------------------------
 
-def _require(holds: bool, detail: str) -> str:
+def _require(holds: bool, detail: str) -> None:
     # a defect the CLI finds itself: IdentityViolation carrying the detail
     if not holds:
         raise IdentityViolation(detail)
-    return detail
 
 
 def _run_verify_all(args) -> int:
@@ -218,8 +218,8 @@ def _run_verify_all(args) -> int:
         return f"total {table.total}, 0 mismatches"
 
     def check_pt():
-        values = cyclotomy.pt_sums(view)  # raises on defect
-        return _require(len(values) == pk + 1, f"values {[v.as_int() for v in values]}")
+        values = cyclotomy.pt_sums(view)  # ClassSumViolation on defect
+        return f"values {[v.as_int() for v in values]}"
 
     def check_eq1():
         rep = bound_scan()
@@ -231,8 +231,9 @@ def _run_verify_all(args) -> int:
 
     def check_theorem2():
         rep = bound_scan()
-        return _require(rep.logs.size == pk * pk - pk, f"{rep.logs.size} elements, max |H| = "
-                        f"{rep.max_abs_H}, ratio {rep.max_ratio:.4f}")
+        expected = pk * pk - pk
+        _require(rep.logs.size == expected, f"{rep.logs.size} elements, expected {expected}")
+        return f"{rep.logs.size} elements, max |H| = {rep.max_abs_H}, ratio {rep.max_ratio:.4f}"
 
     def check_curve():
         rep = bound_scan()
@@ -364,7 +365,8 @@ def _run_verify_all(args) -> int:
         except CharsumError as exc:
             status, detail = "FAIL", str(exc)
             failures.append(name)
-        print(f"[{status:4}] {name}: {detail} ({time.perf_counter() - t0:.2f}s)")
+        print(f"[{status:4}] {name}: {detail}")
+        print(f"[time] {name}: {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     if failures:
         print(f"FAILED: {failures[0]}")
         return 1

@@ -625,12 +625,15 @@ def _N_from_H(ctx: FieldCtx, b: Elem, a_encs, H):
 def N_via_jacobsthal_bulk(ctx: FieldCtx, b: Elem, a_encs, g_logs, scan):
     """N from 2N = p^k - H_{p^k+1}(-b^(p^2k+1)/g^2)/(p^k+1) + 1 at every
     pair (a, b), a in a_encs, with its g = xi^g_logs (see g_logs), and H
-    read from scan, the jacobsthal.theorem2_scan of the 2k-view, at the
+    read from scan, the jacobsthal.theorem2_scan of the 2k-view of ctx (else
+    NotInSubfield: its dlogs are multiples of the view's step), at the
     position of the argument's dlog among scan.logs.  The scan holds the a
     off GF(p^k), and the argument's (p^k-1)-th power is a^2/b^d, so it is
     absent only in the SQUARE_MATCH case (CaseViolation).  Returns int64."""
     a_encs, g_logs = (np.asarray(x, dtype=np.int64) for x in (a_encs, g_logs))
     step = ctx.subfield(2 * ctx.params.k).step
+    if (scan.logs % step).any():
+        raise NotInSubfield(f"scan dlogs not all multiples of {step}: a scan of another GF(p^2k)")
     l = (ctx.order // 2 + step * ctx.dlog(b) - 2 * g_logs) % ctx.order
     i = np.searchsorted(scan.logs, l)
     absent = np.flatnonzero(scan.logs.take(i, mode="clip") != l)

@@ -315,7 +315,6 @@ class FieldCtx:
         self.xi = Elem(self, self.encode(xi_t))
         self.zero = Elem(self, 0)
         self.one = Elem(self, 1)
-        self._views = {}
 
     # --- encoding -----------------------------------------------------------
 
@@ -421,8 +420,6 @@ class FieldCtx:
 
     def elem(self, coeffs) -> Elem:
         """Element from a coefficient iterable (short vectors are zero-padded)."""
-        if isinstance(coeffs, int):
-            return Elem(self, coeffs % self.p)
         cs = list(coeffs)
         if len(cs) > self.m:
             raise ValueError(f"at most {self.m} coefficients expected")
@@ -508,9 +505,7 @@ class FieldCtx:
     # --- subfields -----------------------------------------------------------------
 
     def subfield(self, degree: int) -> "SubfieldView":
-        if degree not in self._views:
-            self._views[degree] = SubfieldView(self, degree)
-        return self._views[degree]
+        return SubfieldView(self, degree)
 
     # --- bulk helpers (numpy; table-backed, else one scalar op per element) --------
 
@@ -703,7 +698,7 @@ class SubfieldView:
         self.degree = degree
         self.q = ctx.p ** degree
         self.order = self.q - 1
-        self.step = ctx.order // self.order if ctx.order else 1
+        self.step = ctx.order // self.order
         self.generator = ctx.from_exp(self.step)
 
     def contains(self, x: Elem) -> bool:

@@ -24,10 +24,10 @@ which theorem2_scan checks exhaustively (in exact integer arithmetic,
 comparing H^2 against 4 p^k (p^k+1)^2).
 
 The scan reads every a from scan_table: x^(p^k+1) is the norm of x, so
-each sum is a weighted sum over GF(p^k)* of one table of eta(t + a), and
-each curve count is one bulk pass over GF(p^k).  Both polynomials in
-those arrays (t + a and the curve's cubic) are one FieldCtx.sum_enc_bulk
-call each.  theorem2_scan keeps scan_table's results as arrays in its
+each sum is a weighted sum over GF(p^k)* of one table of eta(t + a)
+(I_2n = I_n + H_n too), and each curve count is one bulk pass over
+GF(p^k).  Both polynomials in those arrays (t + a and the curve's cubic)
+are one FieldCtx.sum_enc_bulk call each.  theorem2_scan keeps scan_table's results as arrays in its
 report, with no object per a, and names each a by its dlog in the field
 the scan runs in, as every "g^e" label does; prop2 reads H at its
 arguments from the same report (expsum.N_via_jacobsthal_bulk), so H has
@@ -91,13 +91,13 @@ def scan_table(view: SubfieldView):
     eta(x^(n+1) + a x) = eta(x) eta(x^n + a), with T(u, a) = eta(t_u + a):
 
         H(a) = n sum_u (-1)^u T(u, a),   I(a) = n sum_u T(u, a),
-        I_2n(a) = n sum_u T(2u mod p^k - 1, a),
 
-    so one (p^k - 1) x (p^2k - p^k) table of eta gives all three.  The
-    curve of a has A = a0 = (a + a^(p^k))/2 and C = mu a1^2 =
-    (a - a^(p^k))^2 / 16 (see reference.decompose_half_basis), and its affine count
-    is p^k + sum_z zeta(z^3 - A z^2 + C z) over z = t_u in GF(p^k)*, with
-    zeta the quadratic character of GF(p^k).
+    so one (p^k - 1) x (p^2k - p^k) table of eta gives both, and I_2n(a) =
+    n sum_u T(2u mod p^k - 1, a) = I(a) + H(a), as 2u meets each even u
+    twice mod p^k - 1.  The curve of a has A = a0 = (a + a^(p^k))/2 and
+    C = mu a1^2 = (a - a^(p^k))^2 / 16 (see reference.decompose_half_basis),
+    and its affine count is p^k + sum_z zeta(z^3 - A z^2 + C z) over
+    z = t_u in GF(p^k)*, with zeta the quadratic character of GF(p^k).
 
     Returns the int64 arrays (logs, H, I, I2, curve_N) over the a off
     GF(p^k), in increasing logs, the dlogs of the a in the scan's field:
@@ -113,7 +113,6 @@ def scan_table(view: SubfieldView):
     table = view.eta_bulk(ctx.sum_enc_bulk(((kstep * u, 0), (0, 1)), la))
     H = n * ((1 - 2 * (u % 2)) @ table)
     I = n * table.sum(axis=0)
-    I2 = n * table[2 * u % (pk - 1)].sum(axis=0)
 
     # the curve of each a (rows) at each z = t_u (columns): z^3 - A z^2 + C z
     # as a sum of terms c a^s z^e, with A and C expanded
@@ -122,7 +121,7 @@ def scan_table(view: SubfieldView):
         (ctx.one, 0, 3), (-half, 1, 2), (-half, pk, 2), (sixteenth, 2, 1),
         (-2 * sixteenth, pk + 1, 1), (sixteenth, 2 * pk, 1))), kstep * u)
     curve_N = pk + ctx.subfield(view.degree // 2).eta_bulk(w).sum(axis=1)
-    return la, H, I, I2, curve_N
+    return la, H, I, I + H, curve_N
 
 
 def theorem2_scan(view: SubfieldView) -> BoundScanReport:

@@ -65,10 +65,22 @@ def test_verify_all_scans_jacobsthal_once(capsys, monkeypatch):
 ])
 def test_verify_all_output_pinned(capsys, argv, digest):
     # the whole stdout of verify-all, every check's detail included, by
-    # SHA-256 once the " (0.01s)" timing of each check line is stripped
+    # SHA-256; the timings go to stderr, so stdout is hashed as printed
     assert run(["verify-all", *argv]) == 0
-    out = re.sub(r" \([0-9.]+s\)$", "", capsys.readouterr().out, flags=re.M)
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_verify_all_times_each_check_on_stderr(capsys):
+    # stdout carries the verdicts alone; stderr carries one "[time]" line
+    # per check as it ends, in the order of the checks, and nothing else
+    assert run(["verify-all", "--p", "3", "--k", "2", "--b", "g^1"]) == 0
+    out, err = capsys.readouterr()
+    checks = [line.split(":")[0][len("[ok  ] "):] for line in out.splitlines()
+              if line.startswith("[ok  ]")]
+    assert len(checks) == 12
+    assert not any(re.search(r"\([0-9.]+s\)$", line) for line in out.splitlines())
+    timed = [re.fullmatch(r"\[time\] (.+): [0-9]+\.[0-9]{2}s", line) for line in err.splitlines()]
+    assert all(timed) and [m.group(1) for m in timed] == checks
 
 
 def test_verify_all_computes_g_and_N_once(capsys, monkeypatch):
@@ -127,8 +139,8 @@ def test_prop2_reads_H_from_the_bound_scan(capsys, monkeypatch):
     monkeypatch.setattr(jacobsthal, "theorem2_scan", corrupted)
     assert run(["verify-all", "--p", "3", "--k", "1"]) == 1
     failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
-    assert len(failed) == 1 and failed[0].startswith(
-        f"[FAIL] prop2/eq8 triple path: paths {n}/{n}/{n + 1} at a = {ctx.format_element(a)} ")
+    assert failed == [
+        f"[FAIL] prop2/eq8 triple path: paths {n}/{n}/{n + 1} at a = {ctx.format_element(a)}"]
 
 
 @pytest.mark.parametrize("b, text", [("g^1;", ""), ("g^1;g^x", "g^x"), ("1,,2", "1,,2")])
@@ -181,10 +193,12 @@ def _perfbench_invocations(workload):
     return [tuple(ast.literal_eval(arg) for arg in call.args) for call in invocations.elts]
 
 
-@pytest.mark.parametrize("argv, digest", _perfbench_invocations("export-3-2"))
+@pytest.mark.parametrize("argv, digest", _perfbench_invocations("export-3-2")
+                         + _perfbench_invocations("scan-31-1"))
 def test_export_matches_benchmark_digest(capsys, argv, digest):
-    # the benchmark checks each export-3-2 stdout against its recorded
-    # digest; the same outputs here, so a change that breaks one fails first
+    # the benchmark checks each export-3-2 and scan-31-1 stdout against its
+    # recorded digest; the same outputs here, so a change that breaks one
+    # fails first
     assert run(list(argv)) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
@@ -325,9 +339,8 @@ def test_byte_identical_reruns(capsys):
     first = capsys.readouterr().out
     assert run(args) == 0
     second = capsys.readouterr().out
-    # the only nondeterminism would be timing; strip the per-check timings
-    strip = lambda text: [line.split(" (")[0] for line in text.splitlines()]
-    assert strip(first) == strip(second)
+    # the per-check timings go to stderr: stdout is compared as printed
+    assert first == second
 
 
 def test_guard_exit_code(capsys):
@@ -445,6 +458,16 @@ jacobsthal.scan_table = inflated
         ["theorem2 jacobsthal bound", "eq1 companion sum", "curve count identity",
          "prop2/eq8 triple path"], "|H(g^10)| = 800 exceeds the bound",
         id="theorem2-H_beyond_bound"),
+    # one a dropped from every array of the scan: the records stay
+    # consistent, so only theorem2's count of the a off GF(p^k) and prop2,
+    # whose argument -b^(p^2k+1)/g^2 is then missing, see it
+    pytest.param("""
+import numpy as np
+from charsum import jacobsthal
+real = jacobsthal.scan_table
+jacobsthal.scan_table = lambda view: tuple(np.delete(x, 3) for x in real(view))
+""", ["--p", "3", "--k", "1"], ["theorem2 jacobsthal bound", "prop2/eq8 triple path"],
+        "5 elements, expected 6", id="theorem2-one_a_dropped"),
     # with H untouched, only the curve identity reads curve_N
     pytest.param(_SCAN_ENTRY_OFF.format("curve_N"), ["--p", "3", "--k", "1"],
                  ["curve count identity"], "mismatch at a = g^", id="curve-one_count_off"),
@@ -546,7 +569,9 @@ def test_failed_under_optimize(snippet, argv, failed, detail):
         p, k = int(argv[argv.index("--p") + 1]), int(argv[argv.index("--k") + 1])
         step = p ** (2 * k) + 1
         logs = [int(e) for e in re.findall(r"g\^(\d+)", lines[failed[0]])]
-        assert logs and all(e % step == 0 and e % (step * (p ** k + 1)) for e in logs), logs
+        assert all(e % step == 0 and e % (step * (p ** k + 1)) for e in logs), logs
+        # only a failed count of the a names none
+        assert logs or re.fullmatch(r"\d+ elements, expected \d+", detail), lines[failed[0]]
 
 
 def test_every_check_has_a_fault(capsys):

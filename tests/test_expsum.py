@@ -502,6 +502,18 @@ def test_bulk_routes_refuse_other_cases(ctx31):
         es.N_via_jacobsthal_bulk(ctx31, b, a_encs[:1], [0], _scan(ctx31))
 
 
+def test_jacobsthal_route_refuses_a_scan_of_another_field(ctx31):
+    # the scan of a standalone GF(p^2k), as jacobsthal-scan builds it, has
+    # dlogs to another generator, each below p^2k - 1 and so no multiple
+    # of the 2k-view's step p^2k + 1
+    b = ctx31.one
+    a_encs = es.sweep_order(ctx31)[es.case_tags(ctx31, b) == es.CaseTag.JACOBSTHAL]
+    standalone = jacobsthal.theorem2_scan(context(3, 1, 2).subfield(2))
+    assert standalone.logs.tolist() == [1, 2, 3, 5, 6, 7]
+    with pytest.raises(NotInSubfield, match="not all multiples of 10: a scan of another GF"):
+        es.N_via_jacobsthal_bulk(ctx31, b, a_encs, es.g_logs(ctx31, b, a_encs), standalone)
+
+
 def test_bulk_jacobsthal_route_checks_raise(ctx31):
     # the route keeps the divisibility and parity checks of eq8 on the H it
     # reads from the scan
