@@ -13,10 +13,11 @@ Subcommands
 
 Output is JSON lines; only cyclotomy-table and sequences-crosscorr take
 --format, to choose csv instead, and verify-all's timings go to stderr.
-Exit codes: 0 ok, 1 verification failure, 2 invalid arguments, 3 desk-scale
-guard exceeded.  All randomness is seeded (SAMPLES draws per randomized
-check) and the seed is printed; element arguments accept "c0,c1,...,c_{m-1}"
-digits or "g^e".
+Exit codes: 0 ok, 1 verification failure, 2 invalid arguments, 3 the field
+(GF(p^4k), GF(p^2k) for jacobsthal-scan) is beyond the lookup tables;
+--force builds it without tables, in pure-Python arithmetic at any size.
+All randomness is seeded (SAMPLES draws per randomized check) and the seed
+is printed; element arguments accept "c0,c1,...,c_{m-1}" digits or "g^e".
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import __version__, cyclotomy, expsum, jacobsthal, sequences, walsh
 from .errors import CharsumError, GuardExceeded, IdentityViolation, ZeroB
-from .field_core import FieldParams, build_context, context, size_guard
+from .field_core import FieldParams, build_context, context
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 20260809
@@ -64,8 +65,8 @@ def _parse_common(sub, element_args=()):
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED,
                      help="seed for randomized checks (printed in the header)")
     sub.add_argument("--force", action="store_true",
-                     help="run even if the field (p^4k elements, p^2k for jacobsthal-scan) "
-                          "is beyond the lookup tables, in pure-Python arithmetic")
+                     help="build the field (p^4k elements, p^2k for jacobsthal-scan) without "
+                          "lookup tables and run in pure-Python arithmetic, at any size")
     for name, help_text in element_args:
         sub.add_argument(name, required=True, help=help_text)
 
@@ -74,12 +75,19 @@ def _format_arg(sub):
     sub.add_argument("--format", choices=("json", "csv"), default="json")
 
 
+def _field(args, m=None):
+    # GF(p^4k) unless m is given; with --force, without tables at any size
+    if args.force:
+        return build_context(FieldParams(args.p, args.k), m or 4 * args.k, use_tables=False)
+    return context(args.p, args.k) if m is None else context(args.p, args.k, m)
+
+
 # --------------------------------------------------------------------------
 # subcommand handlers
 # --------------------------------------------------------------------------
 
 def _cmd_cyclotomy_table(args) -> int:
-    ctx = context(args.p, args.k)
+    ctx = _field(args)
     view = ctx.subfield(2 * args.k)
     table = cyclotomy.full_table(view)
     if args.format == "csv":
@@ -92,7 +100,7 @@ def _cmd_cyclotomy_table(args) -> int:
 
 
 def _cmd_pt_sums(args) -> int:
-    ctx = context(args.p, args.k)
+    ctx = _field(args)
     view = ctx.subfield(2 * args.k)
     values = cyclotomy.pt_sums(view)
     _emit(_header("pt-sums", args, ctx))
@@ -102,8 +110,7 @@ def _cmd_pt_sums(args) -> int:
 
 def _cmd_jacobsthal_scan(args) -> int:
     # standalone GF(p^2k) context: the scan does not need the big field
-    params = FieldParams(args.p, args.k)
-    ctx = build_context(params, 2 * args.k)
+    ctx = _field(args, 2 * args.k)
     view = ctx.subfield(ctx.m)
     _emit(_header("jacobsthal-scan", args, ctx))
     report = jacobsthal.theorem2_scan(view)
@@ -118,7 +125,7 @@ def _cmd_jacobsthal_scan(args) -> int:
 
 
 def _cmd_expsum(args) -> int:
-    ctx = context(args.p, args.k)
+    ctx = _field(args)
     pair = expsum.CoeffPair(ctx.parse_element(args.a), ctx.parse_element(args.b))
     rec = expsum.expsum_record(ctx, pair)
     _emit(_header("expsum", args, ctx))
@@ -127,7 +134,7 @@ def _cmd_expsum(args) -> int:
 
 
 def _cmd_expsum_sweep(args) -> int:
-    ctx = context(args.p, args.k)
+    ctx = _field(args)
     b = ctx.parse_element(args.b)
     if b.is_zero:
         raise ZeroB("distribution sweep needs b != 0")
@@ -138,7 +145,7 @@ def _cmd_expsum_sweep(args) -> int:
 
 
 def _cmd_walsh_spectrum(args) -> int:
-    ctx = context(args.p, args.k)
+    ctx = _field(args)
     pair = expsum.CoeffPair(ctx.parse_element(args.a), ctx.parse_element(args.b))
     spectrum = walsh.full_spectrum(ctx, pair)
     _emit(_header("walsh-spectrum", args, ctx))
@@ -155,7 +162,7 @@ def _cmd_walsh_spectrum(args) -> int:
 
 
 def _cmd_theorem1_verify(args) -> int:
-    ctx = context(args.p, args.k)
+    ctx = _field(args)
     chk = walsh.theorem1_spectrum_check(ctx)
     _emit(_header("theorem1-verify", args, ctx))
     _emit({"formula_ok": chk.all_formula_ok, "special_case_ok": chk.all_special_ok,
@@ -166,7 +173,7 @@ def _cmd_theorem1_verify(args) -> int:
 
 
 def _cmd_sequences_crosscorr(args) -> int:
-    ctx = context(args.p, args.k)
+    ctx = _field(args)
     values, index = sequences.correlation_table(ctx)
     if args.format == "csv":
         rendered = [str(c) for c in values]
@@ -192,7 +199,7 @@ def _require(holds: bool, detail: str) -> None:
 
 
 def _run_verify_all(args) -> int:
-    ctx = context(args.p, args.k)
+    ctx = _field(args)
     pk = args.p ** args.k
     view = ctx.subfield(2 * args.k)
     b_values = [ctx.parse_element(s.strip()) for s in args.b.split(";")]
@@ -251,10 +258,11 @@ def _run_verify_all(args) -> int:
         # the sweeps raise RangeViolation on N > 2 outside the JACOBSTHAL case
         ranged = sum(rep.r + rep.s + rep.t for rep in map(sweep, b_values))
         # ker L = ker F at every a of each swept b with differing norms, by
-        # the dlog condition, and at SAMPLES drawn pairs
+        # the dlog condition, and at SAMPLES drawn pairs; a -> a^(p^k(p^k+1))
+        # is (p^k + 1)-to-one, so the norms match at p^k + 1 nonzero a
         a_encs = [expsum.sweep_order(ctx)[~expsum.norms_match(ctx, b)] for b in b_values]
         b_encs = [np.full(len(a), b.enc) for a, b in zip(a_encs, b_values)]
-        expected = sum(map(len, a_encs)) + SAMPLES
+        expected = len(b_values) * (ctx.q - pk - 1) + SAMPLES
         drawn = []
         while len(drawn) < SAMPLES:
             a, b = rng.randrange(ctx.q), rng.randrange(ctx.q)
@@ -274,6 +282,8 @@ def _run_verify_all(args) -> int:
             # the sweep has checked its N table against the direct count on this slice
             rep = sweep(b)
             a_encs, n1 = rep.jacobsthal, rep.N[rep.jacobsthal]
+            _require(a_encs.size == pk - rep.chi_b,
+                     f"{a_encs.size} slice pairs, expected {pk - rep.chi_b}")
             g_logs = expsum.g_logs(ctx, b, a_encs)
             n2 = expsum.N_via_nonsquares_bulk(ctx, b, a_encs, g_logs)
             n3 = expsum.N_via_jacobsthal_bulk(ctx, b, a_encs, g_logs, bound_scan())
@@ -311,6 +321,8 @@ def _run_verify_all(args) -> int:
         for b in b_values:
             rep = sweep(b)
             a_encs = rep.jacobsthal
+            _require(a_encs.size == pk - rep.chi_b,
+                     f"{a_encs.size} slice pairs, expected {pk - rep.chi_b}")
             total, expected = expsum.corollary_eq9_check(ctx, b, rep.N[a_encs])
             _require(total == expected, f"property vii: sum of N = {total}, expected {expected} "
                                         f"at b = {ctx.format_element(b)}")
@@ -420,10 +432,6 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        # the field the command builds, GF(p^2k) for jacobsthal-scan and
-        # GF(p^4k) for every other command, must have lookup tables
-        if not args.force:
-            size_guard(args.p, (2 if args.cmd == "jacobsthal-scan" else 4) * args.k)
         return args._handlers[args.cmd](args)
     except GuardExceeded as exc:
         print(f"error: {exc}; pass --force to override", file=sys.stderr)

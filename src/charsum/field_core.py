@@ -17,28 +17,29 @@ the requested degree in ascending base-p encoding order (constant term
 is the least significant digit).  Every run of the tool therefore sees
 the same field element behind any given "g^e" label.
 
-When p^m <= 2^20 (p^(m+1) for odd m) the context carries lookup tables
-(plain numpy arrays): exp (built by doubling, see _exp_by_doubling), log
-and trace over all encodings, and one addition table over half-width
-encodings.  With s = p^ceil(m/2), every encoding splits
-as u = (u // s) s + u % s into two digit halves below s, and addition is
-digitwise, so
+A context built with tables carries lookup tables (plain numpy arrays):
+exp (built by doubling, see _exp_by_doubling), log and trace over all
+encodings, and one addition table over half-width encodings.  With
+s = p^ceil(m/2), every encoding splits as u = (u // s) s + u % s into two
+digit halves below s, and addition is digitwise, so
 
     u + v = T[u // s, v // s] s + T[u % s, v % s]
 
 with T the s x s table of digitwise sums mod p: two gathers from a table
-of q entries (p q for odd m), in place of a (q, m) digit array.  Above
-the bound all operations fall back to polynomial arithmetic and
-baby-step giant-step logs, exact but slow.  Only this module knows which
-kind a context is (size_guard is the one rule), and only ten methods ask:
-the scalar add_enc, mul_enc, pow_enc, dlog and abs_trace, and the five
-bulk primitives exp_enc_bulk, log_enc_bulk, trace_enc_bulk, add_enc_bulk
-and pow_enc_bulk, which make one scalar call per element without tables.
+of q entries (p q for odd m), in place of a (q, m) digit array.  The
+table rule (size_guard) allows p^m <= 2^20 (p^(m+1) for odd m), and
+build_context refuses a larger field before the modulus search unless
+use_tables=False, which builds one without tables at any size:
+polynomial arithmetic and baby-step giant-step logs, exact but slow.
+Only ten methods ask which kind a context is: the scalar add_enc,
+mul_enc, pow_enc, dlog and abs_trace, and the five bulk primitives
+exp_enc_bulk, log_enc_bulk, trace_enc_bulk, add_enc_bulk and
+pow_enc_bulk, which make one scalar call per element without tables.
 Everything else has one body built on those: subtraction and inversion
-(u^(q-2)), negation by digits, subfield membership (x^Q = x) and subfield
-logs (from dlog).  Other modules do bulk work through the bulk primitives,
-SubfieldView.eta_bulk and sum_enc_bulk, the one evaluator of monomial
-sums sum_i c_i x^(e_i).
+(u^(q-2)), negation by digits, subfield membership (x^Q = x) and
+subfield logs (from dlog).  Other modules do bulk work through the bulk
+primitives, SubfieldView.eta_bulk and sum_enc_bulk, the one evaluator of
+monomial sums sum_i c_i x^(e_i).
 """
 
 from __future__ import annotations
@@ -291,10 +292,9 @@ class Elem:
 # --------------------------------------------------------------------------
 
 class FieldCtx:
-    """A concrete GF(p^m).  Immutable after construction; safe to share.
-
-    Use build_context()/context() instead of calling this directly.
-    """
+    """A concrete GF(p^m), with lookup tables exactly when use_tables is
+    set.  Immutable after construction; safe to share.  Build it with
+    build_context()/context(), which apply the table rule first."""
 
     def __init__(self, params: FieldParams, m: int, modulus: tuple, use_tables=True):
         self.params = params
@@ -304,12 +304,8 @@ class FieldCtx:
         self.order = self.q - 1
         self.modulus = modulus
         self._pow = [self.p ** i for i in range(m + 1)]
-        try:
-            size_guard(self.p, m)
-            self.has_tables = use_tables
-        except GuardExceeded:
-            self.has_tables = False
-        if self.has_tables:
+        self.has_tables = use_tables
+        if use_tables:
             self._build_tables()
         xi_t = ((0, 1) + (0,) * (m - 2)) if m > 1 else ((-modulus[0]) % self.p,)
         self.xi = Elem(self, self.encode(xi_t))
@@ -344,9 +340,6 @@ class FieldCtx:
 
     def _build_tables(self):
         p, m, q, order = self.p, self.m, self.q, self.order
-        # int64 exponent products in the bulk paths stay below order^2
-        if order * order >= 2 ** 62:
-            raise GuardExceeded(f"GF({p}^{m}) is too large for int64 exponent math")
         exp = self.exp_enc = _exp_by_doubling(p, m, self.modulus)
         log = np.full(q, -1, dtype=np.int64)
         log[exp] = np.arange(order, dtype=np.int64)
@@ -510,7 +503,7 @@ class FieldCtx:
     # --- bulk helpers (numpy; table-backed, else one scalar op per element) --------
 
     def _per_element(self, fn, *arrays):
-        # the fallback of the bulk primitives: one scalar call per element,
+        # the no-table path of the bulk primitives: one scalar call per element,
         # for arrays of any (broadcast) shape
         arrays = np.broadcast_arrays(*(np.asarray(x, dtype=np.int64) for x in arrays))
         out = [fn(*map(int, xs)) for xs in zip(*(x.ravel() for x in arrays))]
@@ -797,9 +790,13 @@ class SubfieldView:
 # --------------------------------------------------------------------------
 
 def build_context(params: FieldParams, m: int, use_tables=True) -> FieldCtx:
-    """Build GF(p^m) for m in {k, 2k, 4k} with the deterministic modulus."""
+    """Build GF(p^m) for m in {k, 2k, 4k} with the deterministic modulus:
+    with lookup tables, GuardExceeded before the modulus search beyond the
+    table rule; with use_tables=False, without tables at any size."""
     if m not in (params.k, 2 * params.k, 4 * params.k):
         raise DegreeUnsupported(f"m={m} not in {{k, 2k, 4k}} for k={params.k}")
+    if use_tables:
+        size_guard(params.p, m)
     modulus = first_primitive_modulus(params.p, m)
     return FieldCtx(params, m, modulus, use_tables=use_tables)
 

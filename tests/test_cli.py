@@ -56,8 +56,11 @@ def test_verify_all_scans_jacobsthal_once(capsys, monkeypatch):
     assert [m.__name__ for m in modules if "H_sums" in vars(m)] == ["charsum.reference"]
 
 
+_VERIFY_ALL_31 = "e9db3a39c87b3e719976c62e0db62880804d74c0ef7850c64b84a9bda5867ad4"
+
+
 @pytest.mark.parametrize("argv, digest", [
-    (["--p", "3", "--k", "1"], "e9db3a39c87b3e719976c62e0db62880804d74c0ef7850c64b84a9bda5867ad4"),
+    (["--p", "3", "--k", "1"], _VERIFY_ALL_31),
     (["--p", "5", "--k", "1"], "2221d6dfcd4c211a986635547b20ad6347e143f78b3c1e1873eaa3d246bf3a2b"),
     (["--p", "7", "--k", "1"], "62e94ae36e1c85aba904e21ffa1aa4fd91e494716d3105e4cffc544ce3439089"),
     (["--p", "3", "--k", "2", "--b", "g^1"],
@@ -388,6 +391,34 @@ def test_force_overrides_guard(capsys):
     assert values == {"order": 38, "values": [36 if t == 19 else -1 for t in range(38)]}
 
 
+@pytest.mark.parametrize("argv", [
+    ["cyclotomy-table"], ["pt-sums"], ["jacobsthal-scan"], ["expsum", "--a", "g^1", "--b", "g^0"],
+    ["expsum-sweep", "--b", "g^1"], ["walsh-spectrum", "--a", "g^0", "--b", "g^0"],
+    ["theorem1-verify"], ["sequences-crosscorr"], ["verify-all"],
+], ids=lambda argv: argv[0])
+def test_force_is_the_pure_python_path(capsys, monkeypatch, argv):
+    # --force builds the command's field without tables, inside the table
+    # rule too, and prints the table-backed run's bytes
+    built = []
+    real = cli.build_context
+
+    def recording(params, m, use_tables=True):
+        built.append(real(params, m, use_tables))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_context", recording)
+    argv = [*argv, "--p", "3", "--k", "1"]
+    digest = lambda: hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    if argv[0] == "verify-all":
+        expected = _VERIFY_ALL_31
+    else:
+        assert run(argv) == 0
+        expected = digest()
+    assert run([*argv, "--force"]) == 0
+    assert digest() == expected
+    assert len(built) == 1 and not built[0].has_tables
+
+
 def _run_src(*args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
@@ -491,6 +522,31 @@ exec(source.replace("if odd.size:", "if False:"), vars(expsum))
 """ + _ADDITION_TABLE_OFF, ["--p", "3", "--k", "2"],
         [*_EVERY_SWEEP_USER, "pt class sums", "corollary1 scaling", "theorem1 spectrum"],
         "!= defining sum", id="theorem3-addition_table_without_parity"),
+    # a = g^0 counted as a norms-match a of both b; the norms match at
+    # p^k + 1 nonzero a, so prop1 compares one pair fewer than its closed form
+    pytest.param("""
+from charsum import expsum
+real = expsum.norms_match
+def off(ctx, b):
+    match = real(ctx, b)
+    match[1] = True
+    return match
+expsum.norms_match = off
+""", ["--p", "3", "--k", "1"], ["prop1 three-valued range"],
+        "ker L = ker F at 353 pairs, expected 354", id="prop1-norms_match_off"),
+    # the sweep's report loses its first slice a: the three paths and the
+    # seven properties agree on the rest, and only the slice size p^k - chi(b)
+    # is short
+    pytest.param("""
+import dataclasses
+from charsum import expsum
+real = expsum.distribution_sweep
+def off(ctx, b):
+    rep = real(ctx, b)
+    return dataclasses.replace(rep, jacobsthal=rep.jacobsthal[1:])
+expsum.distribution_sweep = off
+""", ["--p", "3", "--k", "1"], ["prop2/eq8 triple path", "corollary2 suite"],
+        "1 slice pairs, expected 2", id="prop2-slice_a_dropped"),
     # the sign of one term of F flipped
     pytest.param("""
 from charsum import expsum

@@ -1,9 +1,12 @@
 import ast
 import builtins
 import functools
+import os
 import random
 import re
+import subprocess
 import symtable
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +20,7 @@ from charsum.errors import (
     DegreeUnsupported,
     DivisionByZero,
     EvenCharacteristic,
+    GuardExceeded,
     InvariantViolation,
     NonPrimeP,
     NotInSubfield,
@@ -462,10 +466,29 @@ def test_key_arithmetic_self_check(monkeypatch):
 
 def test_odd_degree_tables_fit_the_limit():
     # at odd m the addition table has p q entries, and tables are built only
-    # when it fits: 1021^2 <= 2^20 < 1031^2
+    # when it fits: 1021^2 <= 2^20 < 1031^2; beyond the rule a field is
+    # refused, unless it is asked for without tables
     assert build_context(FieldParams(1021, 1), 1).has_tables
-    assert not build_context(FieldParams(1031, 1), 1).has_tables
+    with pytest.raises(GuardExceeded, match=r"GF\(1031\^1\) is beyond the lookup tables"):
+        build_context(FieldParams(1031, 1), 1)
+    assert not build_context(FieldParams(1031, 1), 1, use_tables=False).has_tables
     assert context(3, 3, 3).has_tables and context(5, 1, 1).has_tables
+
+
+def test_guard_refuses_before_the_modulus_search():
+    # GF(3^80) is refused at once: the rule is applied before the search for
+    # a primitive modulus of degree 80, which would not finish
+    code = ("from charsum.errors import GuardExceeded\n"
+            "from charsum.field_core import FieldParams, build_context\n"
+            "try:\n    build_context(FieldParams(3, 20), 80)\n"
+            "except GuardExceeded as exc:\n    print(exc)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(charsum.__file__).resolve().parent.parent),
+                      os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "GF(3^80) is beyond the lookup tables of 1048576 entries\n"
 
 
 def test_eta_bulk_refuses_outside_the_subfield(ctx31):
