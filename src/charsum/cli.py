@@ -79,7 +79,7 @@ def _field(args, m=None):
     # GF(p^4k) unless m is given; with --force, without tables at any size
     if args.force:
         return build_context(FieldParams(args.p, args.k), m or 4 * args.k, use_tables=False)
-    return context(args.p, args.k) if m is None else context(args.p, args.k, m)
+    return context(args.p, args.k, m)
 
 
 # --------------------------------------------------------------------------
@@ -254,24 +254,29 @@ def _run_verify_all(args) -> int:
             sweep(b)
         return f"full sweeps at {len(b_values)} b values"
 
+    def draw():
+        # one seeded coefficient, as a dlog: -1 for 0, else a = xi^l
+        return rng.randrange(ctx.q) - 1
+
     def check_prop1():
         # the sweeps raise RangeViolation on N > 2 outside the JACOBSTHAL case
         ranged = sum(rep.r + rep.s + rep.t for rep in map(sweep, b_values))
         # ker L = ker F at every a of each swept b with differing norms, by
         # the dlog condition, and at SAMPLES drawn pairs; a -> a^(p^k(p^k+1))
         # is (p^k + 1)-to-one, so the norms match at p^k + 1 nonzero a
-        a_encs = [expsum.sweep_order(ctx)[~expsum.norms_match(ctx, b)] for b in b_values]
-        b_encs = [np.full(len(a), b.enc) for a, b in zip(a_encs, b_values)]
+        la = np.arange(-1, ctx.order, dtype=np.int64)
+        lb = [ctx.dlog(b) for b in b_values]
+        a_logs = [la[~expsum.norms_match(ctx, la, l)] for l in lb]
+        b_logs = [np.full(len(a), l) for a, l in zip(a_logs, lb)]
         expected = len(b_values) * (ctx.q - pk - 1) + SAMPLES
         drawn = []
         while len(drawn) < SAMPLES:
-            a, b = rng.randrange(ctx.q), rng.randrange(ctx.q)
-            if (a or b) and not expsum.case_detail(  # (0, 0) is skipped
-                    ctx, expsum.CoeffPair(ctx.from_enc(a), ctx.from_enc(b))).norms_match:
+            a, b = draw(), draw()
+            if (a >= 0 or b >= 0) and not expsum.norms_match(ctx, a, b):  # (0, 0) is skipped
                 drawn.append((a, b))
         a, b = np.array(drawn, dtype=np.int64).T
-        compared = expsum.prop1_kernel_check(ctx, np.concatenate(a_encs + [a]),
-                                             np.concatenate(b_encs + [b]))
+        compared = expsum.prop1_kernel_check(ctx, np.concatenate(a_logs + [a]),
+                                             np.concatenate(b_logs + [b]))
         _require(compared == expected, f"ker L = ker F at {compared} pairs, expected {expected}")
         return (f"N <= 2 at {ranged} three-valued pairs + ker L = ker F at {compared} "
                 f"norms-differ pairs ({len(drawn)} sampled)")
@@ -281,19 +286,17 @@ def _run_verify_all(args) -> int:
         for b in b_values:
             # the sweep has checked its N table against the direct count on this slice
             rep = sweep(b)
-            a_encs, n1 = rep.jacobsthal, rep.N[rep.jacobsthal]
-            _require(a_encs.size == pk - rep.chi_b,
-                     f"{a_encs.size} slice pairs, expected {pk - rep.chi_b}")
-            g_logs = expsum.g_logs(ctx, b, a_encs)
-            n2 = expsum.N_via_nonsquares_bulk(ctx, b, a_encs, g_logs)
-            n3 = expsum.N_via_jacobsthal_bulk(ctx, b, a_encs, g_logs, bound_scan())
+            la, n1 = rep.jacobsthal, rep.N[rep.jacobsthal + 1]
+            _require(la.size == pk - rep.chi_b, f"{la.size} slice pairs, expected {pk - rep.chi_b}")
+            g_logs = expsum.g_logs(ctx, b, la)
+            n2 = expsum.N_via_nonsquares_bulk(ctx, b, la, g_logs)
+            n3 = expsum.N_via_jacobsthal_bulk(ctx, b, la, g_logs, bound_scan())
             _require(n1.size == n2.size == n3.size,
                      f"paths evaluated {n1.size}/{n2.size}/{n3.size} pairs")
             off = np.flatnonzero((n1 != n2) | (n1 != n3))
             if off.size:
                 i = off[0]
-                raise IdentityViolation(f"paths {n1[i]}/{n2[i]}/{n3[i]} at a = "
-                                        f"{ctx.format_element(ctx.from_enc(int(a_encs[i])))}")
+                raise IdentityViolation(f"paths {n1[i]}/{n2[i]}/{n3[i]} at a = g^{la[i]}")
             n_pairs += n2.size
         return f"{n_pairs} pairs, three paths each"
 
@@ -301,17 +304,16 @@ def _run_verify_all(args) -> int:
         # the seeded triples first, in the order of the rng stream, then one batch
         triples = []
         while len(triples) < SAMPLES:
-            a, b = rng.randrange(ctx.q), rng.randrange(ctx.q)
-            if a == 0 and b == 0:
+            a, b = draw(), draw()
+            if a < 0 and b < 0:
                 continue
             triples.append((a, b, rng.randrange(ctx.order)))
-        a_encs, b_encs, h_logs = np.array(triples, dtype=np.int64).T
-        same = expsum.corollary1_bulk(ctx, a_encs, b_encs, h_logs)
+        la, lb, h_logs = np.array(triples, dtype=np.int64).T
+        same = expsum.corollary1_bulk(ctx, la, lb, h_logs)
         _require(same.size == SAMPLES, f"{same.size} triples evaluated, expected {SAMPLES}")
         off = np.flatnonzero(~same)
         if off.size:
-            h = ctx.from_exp(int(h_logs[off[0]]))
-            raise IdentityViolation(f"scaling failed at h = {ctx.format_element(h)}")
+            raise IdentityViolation(f"scaling failed at h = g^{h_logs[off[0]]}")
         return f"{same.size} seeded triples"
 
     def check_cor2():
@@ -320,23 +322,21 @@ def _run_verify_all(args) -> int:
         n_pairs = 0
         for b in b_values:
             rep = sweep(b)
-            a_encs = rep.jacobsthal
-            _require(a_encs.size == pk - rep.chi_b,
-                     f"{a_encs.size} slice pairs, expected {pk - rep.chi_b}")
-            total, expected = expsum.corollary_eq9_check(ctx, b, rep.N[a_encs])
+            la = rep.jacobsthal
+            _require(la.size == pk - rep.chi_b, f"{la.size} slice pairs, expected {pk - rep.chi_b}")
+            total, expected = expsum.corollary_eq9_check(ctx, b, rep.N[la + 1])
             _require(total == expected, f"property vii: sum of N = {total}, expected {expected} "
                                         f"at b = {ctx.format_element(b)}")
             results = expsum.corollary_properties(ctx, rep)
             checked = {key: ok for key, ok in results.items() if ok is not None}
             sizes = sorted({ok.size for ok in checked.values()})
-            _require(sizes == [a_encs.size], f"{sizes} pairs evaluated, expected {a_encs.size}")
+            _require(sizes == [la.size], f"{sizes} pairs evaluated, expected {la.size}")
             failed = np.flatnonzero(~np.logical_and.reduce(list(checked.values())))
             if failed.size:
                 i = failed[0]
                 bad = [key for key, ok in checked.items() if not ok[i]]
-                a = ctx.from_enc(int(a_encs[i]))
-                raise IdentityViolation(f"properties {bad} failed at a = {ctx.format_element(a)}")
-            n_pairs += a_encs.size
+                raise IdentityViolation(f"properties {bad} failed at a = g^{la[i]}")
+            n_pairs += la.size
         return f"{n_pairs} pairs x 7 properties"
 
     def check_rst():

@@ -93,10 +93,14 @@ def full_table(view: SubfieldView) -> CycNumberTable:
 
 def verify_lemma1(view: SubfieldView) -> CycNumberTable:
     """The full table, compared against the closed form entry by entry:
-    CyclotomyViolation, naming the count of mismatches and the first, on a
-    defect."""
-    pk = _pk(view)
+    CyclotomyViolation unless it has (p^k+1)^2 entries, all matching (the
+    error names the count of mismatches and the first).  Its total is
+    then the closed form's, p^2k - 2: the x with x and x + 1 nonzero."""
+    pk, order = _pk(view), class_count(view)
     tab = full_table(view)
+    lengths = [len(row) for row in tab.table]
+    if lengths != [order] * order:
+        raise CyclotomyViolation(f"rows of {lengths} entries, expected {order} rows of {order}")
     bad = [(i, j, got, closed_form(pk, i, j)) for i, row in enumerate(tab.table)
            for j, got in enumerate(row) if got != closed_form(pk, i, j)]
     if bad:

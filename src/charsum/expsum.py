@@ -28,8 +28,12 @@ g with g^(p^k-1) = -b^(p^3k)/a, and a Jacobsthal sum of order p^k + 1:
 
     2 N(a,b) = p^k - H_{p^k+1}(-b^(p^2k+1)/g^2) / (p^k + 1) + 1.
 
-Each route runs on an array of pairs at once.  N_count_bulk is the
-direct count: one FieldCtx.sum_enc_bulk evaluation of L at every u in U
+Each route runs on an array of pairs at once, and every bulk function
+over pairs names a and b by their dlogs: int64 la and lb with a = xi^la,
+-1 for a = 0, as ints or arrays; a fixed b stays an Elem.  The case
+split, Corollary 1's scaling (a h^d, b h^2) and Corollary 2's pairs
+(1/a, 1/b), (-a, b) and (a, -b) are then sums of dlogs.  N_count_bulk is
+the direct count: one FieldCtx.sum_enc_bulk evaluation of L at every u in U
 with per-pair coefficient dlogs, with the parity check per pair.
 N_via_nonsquares_bulk and N_via_jacobsthal_bulk share one dlog solve
 for g (g_logs); the first evaluates its sums as a (pairs, p^k) array
@@ -41,7 +45,7 @@ sets over the whole field, find_g) are in charsum.reference, which no
 command imports; corollary_suite, the pair-by-pair reference of
 corollary_properties, and L_eval stay here, as perfbench names them.
 Every case is one CaseTag, an IntEnum whose values are the int8 codes
-of case_tags.
+of case_tags; case_detail is the per-pair cross-check by exact powers.
 
 The defining sum for every a at once comes from one exact transform,
 character_counts: Tr(a z) = sum_i a_i Tr(e_i z) over the base-p digits
@@ -59,8 +63,8 @@ case_detail cross-check both tables inside every sweep.
 distribution_sweep fixes b and covers every a in array work: it checks
 each closed form against the transform's defining sum, streams each
 pair's JSON record (case, N and witnesses, built from its arrays and
-dlog labels) to its caller if asked, keeps the N table and the
-encodings of the JACOBSTHAL slice as arrays, and tallies how often
+dlog labels) to its caller if asked, keeps the N table in sweep order
+and the dlogs of the JACOBSTHAL slice as arrays, and tallies how often
 S_f(0) hits each of the three values (r, s, t), verifying
 
     r + s + t  = p^n - p^k + chi(b),
@@ -115,77 +119,63 @@ class CaseTag(enum.IntEnum):
     JACOBSTHAL = 2
 
 
-@dataclass(frozen=True)
-class CaseDetail:
-    tag: CaseTag
-    norms_match: bool   # a^(p^k(p^k+1)) == b^(p^k+1)
-
-
-def case_detail(ctx: FieldCtx, pair: CoeffPair) -> CaseDetail:
-    """The case of (a, b) and the conditions behind it, by exact powers of
-    the encodings."""
+def case_detail(ctx: FieldCtx, pair: CoeffPair) -> CaseTag:
+    """The case of (a, b) by exact powers of the encodings: the per-pair
+    cross-check of case_tags."""
     pair.require_admissible()
     pk, a, b = ctx.p ** ctx.params.k, pair.a.enc, pair.b.enc
-    norms_match = ctx.pow_enc(a, pk * (pk + 1)) == ctx.pow_enc(b, pk + 1)
-    square_match = b != 0 and ctx.mul_enc(a, a) == ctx.pow_enc(b, ctx.params.d)
-    if square_match:
-        tag = CaseTag.SQUARE_MATCH
-    elif not norms_match:
-        tag = CaseTag.NORM_DIFFER
-    else:
-        tag = CaseTag.JACOBSTHAL
-    return CaseDetail(tag=tag, norms_match=norms_match)
+    if b != 0 and ctx.mul_enc(a, a) == ctx.pow_enc(b, ctx.params.d):
+        return CaseTag.SQUARE_MATCH
+    if ctx.pow_enc(a, pk * (pk + 1)) != ctx.pow_enc(b, pk + 1):
+        return CaseTag.NORM_DIFFER
+    return CaseTag.JACOBSTHAL
 
 
-def _norms_match(ctx: FieldCtx, la, lb):
-    # a^(p^k(p^k+1)) = b^(p^k+1) at a = xi^la (la = -1 for a = 0), b = xi^lb
-    # (ints, or arrays):
-    # iff (p^k + 1)(p^k la - lb) = 0 modulo q - 1; a = 0 does not match
+def _log(ctx: FieldCtx, x: Elem) -> int:
+    # the dlog of x, -1 for zero: how the bulk functions name an element
+    return -1 if x.is_zero else ctx.dlog(x)
+
+
+def _label(l) -> str:
+    # xi^l as records and errors name it, "0" for l = -1
+    return "0" if l < 0 else f"g^{l}"
+
+
+def _where(la, lb) -> str:
+    # the pair (xi^la, xi^lb), as error messages name it
+    return f"a={_label(la)}, b={_label(lb)}"
+
+
+def _require_admissible(la, lb):
+    if np.any((np.asarray(la) < 0) & (np.asarray(lb) < 0)):
+        raise BothCoefficientsZero("(a, b) = (0, 0) is not admissible")
+
+
+def norms_match(ctx: FieldCtx, la, lb):
+    """Whether a^(p^k(p^k+1)) = b^(p^k+1) at a = xi^la, b = xi^lb (dlogs,
+    -1 for zero; ints or arrays): iff (p^k + 1)(p^k la - lb) = 0 modulo
+    q - 1.  A zero a or b does not match, as the other is nonzero
+    (BothCoefficientsZero at (0, 0))."""
+    _require_admissible(la, lb)
     pk, order = ctx.p ** ctx.params.k, ctx.order
-    return (la >= 0) & ((pk + 1) * ((pk * la - lb) % order) % order == 0)
+    return (la >= 0) & (lb >= 0) & ((pk + 1) * ((pk * la - lb) % order) % order == 0)
 
 
-def _tags(ctx: FieldCtx, la, lb: int):
-    # the CaseTag code of (a, b) at every a = xi^la (la = -1 for a = 0),
-    # b = xi^lb: a^2 = b^d iff 2 la = d lb modulo q - 1
+def case_tags(ctx: FieldCtx, la, lb):
+    """The case of (a, b) at a = xi^la, b = xi^lb (dlogs as in
+    norms_match), as int8 CaseTag codes: the norms as in norms_match, and
+    a^2 = b^d with b != 0 iff 2 la = d lb modulo q - 1."""
     order = ctx.order
-    square_match = (la >= 0) & ((2 * la - ctx.params.d * lb % order) % order == 0)
+    square_match = (la >= 0) & (lb >= 0) & ((2 * la - ctx.params.d % order * lb) % order == 0)
     return np.where(square_match, CaseTag.SQUARE_MATCH, np.where(
-        _norms_match(ctx, la, lb), CaseTag.JACOBSTHAL, CaseTag.NORM_DIFFER)).astype(np.int8)
-
-
-def _sweep_logs(ctx: FieldCtx):
-    # the dlogs of the sweep order a = 0, xi^0, xi^1, ..., -1 for a = 0
-    return np.arange(-1, ctx.order, dtype=np.int64)
-
-
-def norms_match(ctx: FieldCtx, b: Elem):
-    """Whether a^(p^k(p^k+1)) = b^(p^k+1), for every a at once, from dlogs:
-    a bool array over the sweep order a = 0, xi^0, xi^1, ...  With la =
-    log a and lb = log b, the norms match iff (p^k + 1)(p^k la - lb) = 0
-    modulo q - 1.  a = 0 does not match, since b != 0."""
-    if b.is_zero:
-        raise ZeroB("the bulk case split needs b != 0")
-    return _norms_match(ctx, _sweep_logs(ctx), ctx.dlog(b))
-
-
-def case_tags(ctx: FieldCtx, b: Elem):
-    """The case of (a, b) for every a at once, from dlogs.
-
-    Returns an int8 array over the sweep order a = 0, xi^0, xi^1, ...,
-    holding CaseTag codes: the norms as in norms_match, and
-    a^2 = b^d iff 2 log a = d log b modulo q - 1.  a = 0 is NORM_DIFFER,
-    since b != 0."""
-    if b.is_zero:
-        raise ZeroB("the bulk case split needs b != 0")
-    return _tags(ctx, _sweep_logs(ctx), ctx.dlog(b))
+        norms_match(ctx, la, lb), CaseTag.JACOBSTHAL, CaseTag.NORM_DIFFER)).astype(np.int8)
 
 
 def _require_jacobsthal_bulk(ctx: FieldCtx, b: Elem, la):
     # WrongCase unless every (xi^la, b) is a JACOBSTHAL pair
     if b.is_zero:
         raise ZeroB("b must be nonzero")
-    if (_tags(ctx, la, ctx.dlog(b)) != CaseTag.JACOBSTHAL).any():
+    if (case_tags(ctx, la, ctx.dlog(b)) != CaseTag.JACOBSTHAL).any():
         raise WrongCase("operation defined only in the JACOBSTHAL case")
 
 
@@ -202,7 +192,7 @@ def chi(ctx: FieldCtx, b: Elem) -> int:
 
 def _coefficient_logs(ctx: FieldCtx, terms):
     # (Elem c, mult) terms as FieldCtx.sum_enc_bulk takes them
-    return tuple((-1 if c.is_zero else ctx.dlog(c), mult) for c, mult in terms)
+    return tuple((_log(ctx, c), mult) for c, mult in terms)
 
 
 def sweep_order(ctx: FieldCtx):
@@ -301,9 +291,10 @@ def _L_terms(ctx: FieldCtx, pair: CoeffPair):
     return tuple((sign * pair.a ** s * pair.b ** r, e) for sign, s, r, e in _L_monomials(ctx))
 
 
-def N_count_bulk(ctx: FieldCtx, a_encs, b_encs):
-    """The direct count of the zeros of L on U at every pair (a_encs[i],
-    b_encs[i]) of encodings at once.
+def N_count_bulk(ctx: FieldCtx, la, lb):
+    """The direct count of the zeros of L on U at every pair (xi^la[i],
+    xi^lb[i]) at once, la and lb dlogs in 0..q-2, -1 for a zero
+    coefficient.
 
     One FieldCtx.sum_enc_bulk call per block of pairs (see _in_blocks)
     evaluates L, with each pair's own coefficients, at every u in U.  Returns
@@ -311,27 +302,24 @@ def N_count_bulk(ctx: FieldCtx, a_encs, b_encs):
     (pairs, p^2k + 1) that marks the zeros of L among the elements of U in
     U_logs order, that is by dlog.  The raw zero count of a pair is always
     even: ParityViolation at the first pair where it is odd."""
-    a_encs, b_encs = np.asarray(a_encs, dtype=np.int64), np.asarray(b_encs, dtype=np.int64)
-    if ((a_encs == 0) & (b_encs == 0)).any():
-        raise BothCoefficientsZero("(a, b) = (0, 0) is not admissible")
+    la, lb = np.asarray(la, dtype=np.int64), np.asarray(lb, dtype=np.int64)
+    _require_admissible(la, lb)
     u_logs, monomials = U_logs(ctx), _L_monomials(ctx)
     exponents = [e for *_, e in monomials]
     zeros = _in_blocks(lambda a, b: ctx.sum_enc_bulk(list(zip(
-        _monomial_logs(ctx, monomials, _dlogs(ctx, a), _dlogs(ctx, b)).T, exponents)),
-        u_logs) == 0, u_logs.size, a_encs, b_encs)
+        _monomial_logs(ctx, monomials, a, b).T, exponents)), u_logs) == 0, u_logs.size, la, lb)
     twice = zeros.sum(axis=1)
     odd = np.flatnonzero(twice % 2)
     if odd.size:
         i = odd[0]
-        raise ParityViolation(f"{twice[i]} zeros of L on U at "
-                              f"{_where(ctx, a_encs[i], b_encs[i])}")
+        raise ParityViolation(f"{twice[i]} zeros of L on U at {_where(la[i], lb[i])}")
     return twice // 2, zeros
 
 
 def N_count(ctx: FieldCtx, pair: CoeffPair):
     """Zeros of L on U at one pair, the one-pair call of N_count_bulk:
     returns (N, witnesses), witnesses sorted by dlog."""
-    n, zeros = N_count_bulk(ctx, [pair.a.enc], [pair.b.enc])
+    n, zeros = N_count_bulk(ctx, [_log(ctx, pair.a)], [_log(ctx, pair.b)])
     return int(n[0]), [ctx.from_enc(int(e)) for e in ctx.exp_enc_bulk(U_logs(ctx)[zeros[0]])]
 
 
@@ -498,17 +486,6 @@ def kernel_mismatches(L_mats, F_mats, arith: KeyArithmetic):
     return bad, dim_L, dim_F
 
 
-def _where(ctx: FieldCtx, a_enc, b_enc) -> str:
-    # the pair of encodings a_enc, b_enc, as error messages name it
-    return (f"a={ctx.format_element(ctx.from_enc(int(a_enc)))}, "
-            f"b={ctx.format_element(ctx.from_enc(int(b_enc)))}")
-
-
-def _dlogs(ctx: FieldCtx, encs):
-    # the dlogs of an int64 encoding array, -1 at zero: form_matrices' la and lb
-    return np.where(encs == 0, -1, ctx.log_enc_bulk(np.where(encs == 0, 1, encs)))
-
-
 # entries per block of the (pairs, points) arrays of N_count_bulk, the
 # nonsquare route and prop1 (two 4 x 4 key matrices per pair): int64
 # temporaries of 128 KiB, whatever the field size
@@ -524,30 +501,29 @@ def _in_blocks(fn, width: int, *arrays):
                            for i in range(0, max(n, 1), size)])
 
 
-def prop1_kernel_check(ctx: FieldCtx, a_encs, b_encs) -> int:
-    """Proposition 1 by linear algebra at every pair (a_encs[i], b_encs[i])
-    of encodings, whose norms must differ: L and F have the same zeros in
-    GF(p^n), at most p^2k of them.
+def prop1_kernel_check(ctx: FieldCtx, la, lb) -> int:
+    """Proposition 1 by linear algebra at every pair (xi^la[i], xi^lb[i])
+    (dlogs as in N_count_bulk), whose norms must differ: L and F have the
+    same zeros in GF(p^n), at most p^2k of them.
 
     L and F are p^k-linearized, so their zeros are the kernels of their
     4 x 4 form_matrices over GF(p^k), and F has degree p^2k, so its kernel
     has dimension at most 2 over GF(p^k); see kernel_mismatches.  Runs in
     blocks of pairs (see _in_blocks); KernelMismatch at the first pair that
     fails.  Returns the number of pairs compared."""
-    a_encs, b_encs = np.asarray(a_encs, dtype=np.int64), np.asarray(b_encs, dtype=np.int64)
-    if ((a_encs == 0) & (b_encs == 0)).any():
-        raise BothCoefficientsZero("(a, b) = (0, 0) is not admissible")
+    la, lb = np.asarray(la, dtype=np.int64), np.asarray(lb, dtype=np.int64)
+    _require_admissible(la, lb)
     forms, arith = form_matrices(ctx), ctx.subfield(ctx.params.k).key_arithmetic()
 
     def block(a, b):
-        bad, dim_L, dim_F = kernel_mismatches(*forms(_dlogs(ctx, a), _dlogs(ctx, b)), arith)
+        bad, dim_L, dim_F = kernel_mismatches(*forms(a, b), arith)
         if bad.size:
             i = bad[0]
             raise KernelMismatch(
                 f"zeros of L and F span dimensions {dim_L[i]} and {dim_F[i]} over GF({arith.q}), "
-                f"not one common space of dimension <= 2, at {_where(ctx, a[i], b[i])}")
+                f"not one common space of dimension <= 2, at {_where(a[i], b[i])}")
         return a
-    return _in_blocks(block, 32, a_encs, b_encs).size
+    return _in_blocks(block, 32, la, lb).size
 
 
 # --------------------------------------------------------------------------
@@ -555,22 +531,22 @@ def prop1_kernel_check(ctx: FieldCtx, a_encs, b_encs) -> int:
 # --------------------------------------------------------------------------
 
 def _require_jacobsthal(ctx: FieldCtx, pair: CoeffPair):
-    if case_detail(ctx, pair).tag is not CaseTag.JACOBSTHAL:
+    if case_detail(ctx, pair) is not CaseTag.JACOBSTHAL:
         raise WrongCase("operation defined only in the JACOBSTHAL case")
 
 
-def g_logs(ctx: FieldCtx, b: Elem, a_encs):
+def g_logs(ctx: FieldCtx, b: Elem, la):
     """The dlogs of the canonical g in GF(p^2k)* with g^(p^k-1) =
-    -b^(p^3k)/a at every pair (a, b), a in a_encs: t (p^k - 1) =
+    -b^(p^3k)/a at every pair (a, b), a = xi^la: t (p^k - 1) =
     log_nu(-b^(p^3k)/a) modulo p^2k - 1, solved in dlog arithmetic, with
     the smallest nonnegative t, and g = nu^t."""
     k, order = ctx.params.k, ctx.order
     pk, step = ctx.p ** k, ctx.subfield(2 * k).step
-    a_encs = np.asarray(a_encs, dtype=np.int64)
-    la = _dlogs(ctx, a_encs)
+    la = np.asarray(la, dtype=np.int64)
     _require_jacobsthal_bulk(ctx, b, la)
+    lb = ctx.dlog(b)
     # -1 = xi^((q-1)/2)
-    target = (order // 2 + ctx.p ** (3 * k) % order * ctx.dlog(b) - la) % order
+    target = (order // 2 + ctx.p ** (3 * k) % order * lb - la) % order
     if (target % step).any():
         raise NotInSubfield("-b^(p^3k)/a is not in GF(p^2k)")
     e = target // step
@@ -579,13 +555,13 @@ def g_logs(ctx: FieldCtx, b: Elem, a_encs):
     g = step * (e // (pk - 1) % (pk + 1))
     bad = np.flatnonzero(g * (pk - 1) % order != target)
     if bad.size:
-        raise CaseViolation(f"g^(p^k-1) != -b^(p^3k)/a at {_where(ctx, a_encs[bad[0]], b.enc)}")
+        raise CaseViolation(f"g^(p^k-1) != -b^(p^3k)/a at {_where(la[bad[0]], lb)}")
     return g
 
 
-def N_via_nonsquares_bulk(ctx: FieldCtx, b: Elem, a_encs, g_logs):
+def N_via_nonsquares_bulk(ctx: FieldCtx, b: Elem, la, g_logs):
     """#{c in GF(p^k) : (cg)^2 - b^(p^2k+1) is a nonsquare in GF(p^2k)} at
-    every pair (a, b), a in a_encs, with its g = xi^g_logs (see g_logs):
+    every pair (a, b), a = xi^la, with its g = xi^g_logs (see g_logs):
     one (pairs, p^k) array of eta((cg)^2 - b^(p^2k+1)) per block of pairs.
     Returns int64."""
     k = ctx.params.k
@@ -599,66 +575,64 @@ def N_via_nonsquares_bulk(ctx: FieldCtx, b: Elem, a_encs, g_logs):
         vanished = np.flatnonzero((eta == 0).any(axis=1))
         if vanished.size:
             raise CaseViolation("(cg)^2 - b^(p^2k+1) vanished at "
-                                f"{_where(ctx, a[vanished[0]], b.enc)}")
+                                f"{_where(a[vanished[0]], ctx.dlog(b))}")
         return (eta == -1).sum(axis=1)
-    return _in_blocks(block, ctx.p ** k, np.asarray(a_encs, dtype=np.int64),
+    return _in_blocks(block, ctx.p ** k, np.asarray(la, dtype=np.int64),
                       np.asarray(g_logs, dtype=np.int64))
 
 
-def _N_from_H(ctx: FieldCtx, b: Elem, a_encs, H):
-    # 2N = p^k - H/(p^k+1) + 1 at every pair (a, b), checking that H is
-    # divisible by p^k + 1 and that 2N is even
+def _N_from_H(ctx: FieldCtx, la, lb: int, H):
+    # 2N = p^k - H/(p^k+1) + 1 at every pair (xi^la, xi^lb), checking that
+    # H is divisible by p^k + 1 and that 2N is even
     pk = ctx.p ** ctx.params.k
     bad = np.flatnonzero(H % (pk + 1))
     if bad.size:
         i = bad[0]
         raise DivisibilityViolation(f"H = {H[i]} is not divisible by {pk + 1} at "
-                                    f"{_where(ctx, a_encs[i], b.enc)}")
+                                    f"{_where(la[i], lb)}")
     num = pk - H // (pk + 1) + 1
     odd = np.flatnonzero(num % 2)
     if odd.size:
         i = odd[0]
-        raise ParityViolation(f"2N = {num[i]} is odd at {_where(ctx, a_encs[i], b.enc)}")
+        raise ParityViolation(f"2N = {num[i]} is odd at {_where(la[i], lb)}")
     return num // 2
 
 
-def N_via_jacobsthal_bulk(ctx: FieldCtx, b: Elem, a_encs, g_logs, scan):
+def N_via_jacobsthal_bulk(ctx: FieldCtx, b: Elem, la, g_logs, scan):
     """N from 2N = p^k - H_{p^k+1}(-b^(p^2k+1)/g^2)/(p^k+1) + 1 at every
-    pair (a, b), a in a_encs, with its g = xi^g_logs (see g_logs), and H
+    pair (a, b), a = xi^la, with its g = xi^g_logs (see g_logs), and H
     read from scan, the jacobsthal.theorem2_scan of the 2k-view of ctx (else
     NotInSubfield: its dlogs are multiples of the view's step), at the
     position of the argument's dlog among scan.logs.  The scan holds the a
     off GF(p^k), and the argument's (p^k-1)-th power is a^2/b^d, so it is
     absent only in the SQUARE_MATCH case (CaseViolation).  Returns int64."""
-    a_encs, g_logs = (np.asarray(x, dtype=np.int64) for x in (a_encs, g_logs))
-    step = ctx.subfield(2 * ctx.params.k).step
+    la, g_logs = (np.asarray(x, dtype=np.int64) for x in (la, g_logs))
+    step, lb = ctx.subfield(2 * ctx.params.k).step, ctx.dlog(b)
     if (scan.logs % step).any():
         raise NotInSubfield(f"scan dlogs not all multiples of {step}: a scan of another GF(p^2k)")
-    l = (ctx.order // 2 + step * ctx.dlog(b) - 2 * g_logs) % ctx.order
+    l = (ctx.order // 2 + step * lb - 2 * g_logs) % ctx.order
     i = np.searchsorted(scan.logs, l)
     absent = np.flatnonzero(scan.logs.take(i, mode="clip") != l)
     if absent.size:
-        raise CaseViolation(f"-b^(p^2k+1)/g^2 lies in GF(p^k) at "
-                            f"{_where(ctx, a_encs[absent[0]], b.enc)}")
-    return _N_from_H(ctx, b, a_encs, scan.H[i])
+        raise CaseViolation(f"-b^(p^2k+1)/g^2 lies in GF(p^k) at {_where(la[absent[0]], lb)}")
+    return _N_from_H(ctx, la, lb, scan.H[i])
 
 
 # --------------------------------------------------------------------------
 # scaling invariance and the Jacobsthal-case corollaries
 # --------------------------------------------------------------------------
 
-def corollary1_bulk(ctx: FieldCtx, a_encs, b_encs, h_logs):
-    """N(a, b) == N(a h^d, b h^2) at every triple (a_encs[i], b_encs[i],
-    h = xi^h_logs[i]) at once, from one N_count_bulk call over the pairs
-    and their scalings: a bool array."""
-    a, b, h = (np.asarray(x, dtype=np.int64) for x in (a_encs, b_encs, h_logs))
-
-    def scaled(encs, e):
-        # encs times h^e, in dlogs; zero stays zero
-        return np.where(encs == 0, 0, ctx.exp_enc_bulk(_dlogs(ctx, encs) + e % ctx.order * h))
-    n, _ = N_count_bulk(ctx, np.concatenate((a, scaled(a, ctx.params.d))),
-                        np.concatenate((b, scaled(b, 2))))
-    return n[:a.size] == n[a.size:]
+def corollary1_bulk(ctx: FieldCtx, la, lb, h_logs):
+    """N(a, b) == N(a h^d, b h^2) at every triple (a, b, h) = (xi^la[i],
+    xi^lb[i], xi^h_logs[i]) at once (dlogs as in N_count_bulk), from one
+    N_count_bulk call over the pairs and their scalings, whose dlogs are
+    la + d h and lb + 2 h: a bool array."""
+    la, lb, h = (np.asarray(x, dtype=np.int64) for x in (la, lb, h_logs))
+    order = ctx.order
+    n, _ = N_count_bulk(
+        ctx, np.concatenate((la, np.where(la < 0, -1, (la + ctx.params.d % order * h) % order))),
+        np.concatenate((lb, np.where(lb < 0, -1, (lb + 2 * h) % order))))
+    return n[:la.size] == n[la.size:]
 
 
 def jacobsthal_pairs(ctx: FieldCtx, b: Elem):
@@ -668,7 +642,7 @@ def jacobsthal_pairs(ctx: FieldCtx, b: Elem):
     out = []
     for a in ctx.powers():
         pair = CoeffPair(a, b)
-        if case_detail(ctx, pair).tag is CaseTag.JACOBSTHAL:
+        if case_detail(ctx, pair) is CaseTag.JACOBSTHAL:
             out.append(a)
     return out
 
@@ -707,9 +681,8 @@ def _special_a(ctx: FieldCtx, b: Elem, chi_b: int) -> tuple:
     return tuple(sign * root * b ** (ctx.params.d // 2) for sign in (1, -1))
 
 
-def _special_pair_violation(ctx: FieldCtx, a: Elem, b: Elem):
-    return CaseViolation(f"special pair a={ctx.format_element(a)}, "
-                         f"b={ctx.format_element(b)} is not JACOBSTHAL")
+def _special_pair_violation(la, lb):
+    return CaseViolation(f"special pair {_where(la, lb)} is not JACOBSTHAL")
 
 
 def corollary_suite(ctx: FieldCtx, pair: CoeffPair) -> dict:
@@ -729,12 +702,12 @@ def corollary_suite(ctx: FieldCtx, pair: CoeffPair) -> dict:
     out = _properties(pk, chi_b, *N)
     specials = [CoeffPair(s, b) for s in _special_a(ctx, b, chi_b)]
     for special in specials:
-        if case_detail(ctx, special).tag is not CaseTag.JACOBSTHAL:
-            raise _special_pair_violation(ctx, special.a, b)
+        if case_detail(ctx, special) is not CaseTag.JACOBSTHAL:
+            raise _special_pair_violation(ctx.dlog(special.a), ctx.dlog(b))
     out["vi"] = all(N_count(ctx, s)[0] == (pk + 1) // 2 for s in specials) if specials else None
-    a_encs = sweep_order(ctx)[case_tags(ctx, b) == CaseTag.JACOBSTHAL]
-    total, expected = corollary_eq9_check(
-        ctx, b, N_count_bulk(ctx, a_encs, np.full(a_encs.size, b.enc))[0])
+    la, lb = np.arange(-1, ctx.order, dtype=np.int64), ctx.dlog(b)
+    la = la[case_tags(ctx, la, lb) == CaseTag.JACOBSTHAL]
+    total, expected = corollary_eq9_check(ctx, b, N_count_bulk(ctx, la, np.full(la.size, lb))[0])
     out["vii"] = total == expected
     return out
 
@@ -747,23 +720,23 @@ def corollary_properties(ctx: FieldCtx, report) -> dict:
     is None when its hypotheses (p = 3 mod 4, k odd, b square) do not
     apply.  N at (a, b) and (-a, b), at the two special pairs of (vi) and
     chi(b) come from the report's N table; one N_count_bulk call counts
-    (a, -b) and (1/a, 1/b) at every a.  WrongCase unless every pair is
-    JACOBSTHAL; CaseViolation unless the special pairs are."""
-    b, a_encs = report.b, report.jacobsthal
-    la = _dlogs(ctx, a_encs)
+    (a, -b) and (1/a, 1/b) at every a.  All of them are dlog sums:
+    -1 = xi^((q-1)/2) and 1/a = xi^(-log a).  WrongCase unless every pair
+    is JACOBSTHAL; CaseViolation unless the special pairs are."""
+    b, la = report.b, report.jacobsthal
     _require_jacobsthal_bulk(ctx, b, la)
-    pk, n, minus = ctx.p ** ctx.params.k, a_encs.size, ctx.order // 2  # xi^minus = -1
-    specials = _special_a(ctx, b, report.chi_b)
-    special_encs = np.array([s.enc for s in specials], dtype=np.int64)
-    for s, tag in zip(specials, _tags(ctx, _dlogs(ctx, special_encs), ctx.dlog(b))):
+    pk, n, order, lb = ctx.p ** ctx.params.k, la.size, ctx.order, ctx.dlog(b)
+    minus = order // 2
+    specials = np.array([ctx.dlog(s) for s in _special_a(ctx, b, report.chi_b)], dtype=np.int64)
+    for ls, tag in zip(specials, case_tags(ctx, specials, lb)):
         if tag != CaseTag.JACOBSTHAL:
-            raise _special_pair_violation(ctx, s, b)
+            raise _special_pair_violation(ls, lb)
     N_negb, N_inv = np.split(N_count_bulk(
-        ctx, np.concatenate((a_encs, ctx.exp_enc_bulk(-la))),
-        np.repeat([(-b).enc, b.inverse().enc], n))[0], [n])
-    N_nega = report.N[ctx.exp_enc_bulk(la + minus)]
-    out = _properties(pk, report.chi_b, report.N[a_encs], N_inv, N_nega, N_negb)
-    out["vi"] = np.full(n, (report.N[special_encs] == (pk + 1) // 2).all()) if specials else None
+        ctx, np.concatenate((la, -la % order)),
+        np.repeat([(lb + minus) % order, -lb % order], n))[0], [n])
+    N = report.N  # N[l + 1] at a = xi^l
+    out = _properties(pk, report.chi_b, N[la + 1], N_inv, N[(la + minus) % order + 1], N_negb)
+    out["vi"] = np.full(n, (N[specials + 1] == (pk + 1) // 2).all()) if specials.size else None
     return out
 
 
@@ -784,17 +757,17 @@ def expsum_record(ctx: FieldCtx, pair: CoeffPair) -> dict:
     closed form against the brute-force sum (OracleMismatch on any
     defect)."""
     defining = S0_bruteforce(ctx, pair)
-    tag = case_detail(ctx, pair).tag
-    n, zeros = N_count_bulk(ctx, [pair.a.enc], [pair.b.enc])
+    tag = case_detail(ctx, pair)
+    la, lb = _log(ctx, pair.a), _log(ctx, pair.b)
+    n, zeros = N_count_bulk(ctx, [la], [lb])
     s0 = ctx.p ** (2 * ctx.params.k) * (2 * int(n[0]) - 1)
     if defining != s0:
-        raise _oracle_mismatch(ctx, pair.a.enc, pair.b.enc, s0, defining)
-    return _record(ctx.format_element(pair.a), ctx.format_element(pair.b), tag, int(n[0]), s0,
-                  U_logs(ctx)[zeros[0]].tolist())
+        raise _oracle_mismatch(la, lb, s0, defining)
+    return _record(_label(la), _label(lb), tag, int(n[0]), s0, U_logs(ctx)[zeros[0]].tolist())
 
 
-def _oracle_mismatch(ctx: FieldCtx, a_enc, b_enc, s0: int, defining: CycInt):
-    return OracleMismatch(f"closed {s0} != defining sum {defining} at {_where(ctx, a_enc, b_enc)}")
+def _oracle_mismatch(la, lb, s0: int, defining: CycInt):
+    return OracleMismatch(f"closed {s0} != defining sum {defining} at {_where(la, lb)}")
 
 
 @dataclass(frozen=True)
@@ -803,10 +776,11 @@ class DistributionReport:
 
     r, s, t count S_f(0) = -p^2k, p^2k, 3 p^2k over the NORM_DIFFER and
     SQUARE_MATCH cases; jac_histogram maps N to its frequency over the
-    JACOBSTHAL case and jacobsthal is that slice, the int64 encodings of
-    its a in sweep order; N is the whole table, so the slice's N is
-    N[jacobsthal] (neither is part of the JSON record).  residuals are the
-    three identity defects and must all be zero."""
+    JACOBSTHAL case and jacobsthal is that slice, the int64 dlogs of its a
+    in sweep order; N is the whole table in sweep order, N[l + 1] at
+    a = xi^l, so the slice's N is N[jacobsthal + 1] (neither is part of
+    the JSON record).  residuals are the three identity defects and must
+    all be zero."""
 
     b: Elem
     chi_b: int
@@ -816,8 +790,8 @@ class DistributionReport:
     jac_histogram: dict
     s0_total: int
     residuals: tuple
-    jacobsthal: np.ndarray    # encodings of the a of the JACOBSTHAL slice
-    N: np.ndarray             # N(a, b) by encoding of a, from N_table
+    jacobsthal: np.ndarray    # dlogs of the a of the JACOBSTHAL slice
+    N: np.ndarray             # N(a, b) in sweep order, from N_table
 
     def to_json_dict(self, ctx: FieldCtx) -> dict:
         return {
@@ -835,7 +809,9 @@ class DistributionReport:
 def distribution_sweep(ctx: FieldCtx, b: Elem, on_record=None) -> DistributionReport:
     """Every a in GF(p^n), in sweep_order, for the fixed b != 0.
 
-    N comes from N_table and the case from case_tags, for all a at once.
+    N comes from N_table and the case from case_tags, for all a at once;
+    N_table and the transform index a by its encoding, and the sweep
+    reindexes them once, by sweep_order.
     Each closed form is checked against the defining sum from one
     character_counts transform, N > 2 outside the JACOBSTHAL case raises
     RangeViolation, and the direct zero count (N_count_bulk) and
@@ -846,26 +822,27 @@ def distribution_sweep(ctx: FieldCtx, b: Elem, on_record=None) -> DistributionRe
     if b.is_zero:
         raise ZeroB("distribution sweep needs b != 0")
     p, pk, Q = ctx.p, ctx.p ** ctx.params.k, ctx.p ** (2 * ctx.params.k)
-    sign = chi(ctx, b)
-    a_encs = sweep_order(ctx)
+    sign, lb = chi(ctx, b), ctx.dlog(b)
+    # sweep position i is a = xi^(i - 1), a = 0 at i = 0
+    la, a_encs = np.arange(-1, ctx.order, dtype=np.int64), sweep_order(ctx)
     n_by_enc, logs, bounds = N_table(ctx, b)
     n = n_by_enc[a_encs]
-    tags = case_tags(ctx, b)
+    tags = case_tags(ctx, la, lb)
 
     # sum_j c_j w^j is the integer s exactly when c_1 = ... = c_(p-1) and c_0 - c_1 = s
     counts = character_counts(ctx, ctx.params.d, ((b, 2),))
     s0_by_enc = Q * (2 * n_by_enc - 1)
     off = np.flatnonzero(~((counts[:, 1:] == counts[:, 1:2]).all(axis=1)
-                           & (counts[:, 0] - counts[:, 1] == s0_by_enc)))
+                           & (counts[:, 0] - counts[:, 1] == s0_by_enc))[a_encs])
     if off.size:
-        e = off[0]
-        raise _oracle_mismatch(ctx, e, b.enc, int(s0_by_enc[e]), CycInt.from_counts(p, counts[e]))
+        i, e = off[0], a_encs[off[0]]
+        raise _oracle_mismatch(la[i], lb, int(s0_by_enc[e]), CycInt.from_counts(p, counts[e]))
     jac = tags == CaseTag.JACOBSTHAL
     over = np.flatnonzero(~jac & (n > 2))
     if over.size:
         i = over[0]
         raise RangeViolation(f"{CaseTag(tags[i]).name} pair has N = {n[i]} > 2 "
-                             f"at {_where(ctx, a_encs[i], b.enc)}")
+                             f"at {_where(la[i], lb)}")
     # at most 32 evenly strided sweep positions, a = 0 first
     strided = np.arange(ctx.q) % -(-ctx.q // 32) == 0
     _cross_check(ctx, b, a_encs, n, tags, logs, bounds, np.flatnonzero(jac | strided))
@@ -881,30 +858,29 @@ def distribution_sweep(ctx: FieldCtx, b: Elem, on_record=None) -> DistributionRe
     if any(residuals):
         raise OracleMismatch(f"distribution identities violated: {residuals}")
     if on_record is not None:
-        # sweep position i is a = 0 at i = 0 and a = xi^(i-1) after
         logs, bounds = logs.tolist(), bounds.tolist()
-        b_label = ctx.format_element(b)
-        s0 = s0_by_enc[a_encs]
-        for i, (e, tag, n_i, s0_i) in enumerate(zip(*(x.tolist() for x in (a_encs, tags, n, s0)))):
-            on_record(_record(f"g^{i - 1}" if i else "0", b_label, tag, n_i, s0_i,
-                             logs[bounds[e]:bounds[e + 1]]))
+        b_label = _label(lb)
+        s0 = Q * (2 * n - 1)
+        for l, e, tag, n_i, s0_i in zip(*(x.tolist() for x in (la, a_encs, tags, n, s0))):
+            on_record(_record(_label(l), b_label, tag, n_i, s0_i, logs[bounds[e]:bounds[e + 1]]))
     return DistributionReport(b=b, chi_b=sign, r=r, s=s, t=t,
                               jac_histogram=jac_hist, s0_total=s0_total, residuals=residuals,
-                              jacobsthal=a_encs[jac], N=n_by_enc)
+                              jacobsthal=la[jac], N=n)
 
 
 def _cross_check(ctx: FieldCtx, b: Elem, a_encs, n, tags, logs, bounds, sample):
     # the direct zero count (one N_count_bulk call) and case_detail at the
     # sweep positions in sample against the N table, its zero sets (logs,
     # bounds) and the bulk case split
-    n_direct, zeros = N_count_bulk(ctx, a_encs[sample], np.full(sample.size, b.enc))
+    lb = ctx.dlog(b)
+    n_direct, zeros = N_count_bulk(ctx, sample - 1, np.full(sample.size, lb))
     u_logs = U_logs(ctx)
     for i, n_i, zeros_i in zip(sample, n_direct, zeros):
         e = a_encs[i]
         if n_i != n[i] or u_logs[zeros_i].tolist() != logs[bounds[e]:bounds[e + 1]].tolist():
             raise OracleMismatch(f"direct zero count N = {n_i} != N table {n[i]}, "
-                                 f"or other witnesses, at {_where(ctx, e, b.enc)}")
-        tag = case_detail(ctx, CoeffPair(ctx.from_enc(int(e)), b)).tag
+                                 f"or other witnesses, at {_where(i - 1, lb)}")
+        tag = case_detail(ctx, CoeffPair(ctx.from_enc(int(e)), b))
         if tag != tags[i]:
             raise CaseViolation(f"case_detail gives {tag.name}, the bulk case split "
-                                f"{CaseTag(tags[i]).name} at {_where(ctx, e, b.enc)}")
+                                f"{CaseTag(tags[i]).name} at {_where(i - 1, lb)}")

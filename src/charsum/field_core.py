@@ -559,15 +559,24 @@ class FieldCtx:
         one) and e any integer exponent: c is an int, or an int64 array (n,)
         that gives each of n rows its own coefficients, so that one call
         evaluates n sums.  Returns the int64 value encodings, of shape
-        (len(logs),) or (n, len(logs))."""
+        (len(logs),) or (n, len(logs)).
+
+        The exponents c + e logs are formed in int64 while (q - 1)^2 <
+        2^63, and beyond that, which only a field without tables reaches,
+        in Python ints, reduced modulo q - 1 before the gather."""
         shape = np.broadcast_shapes(*(np.shape(c) for c, _ in terms)) + np.shape(logs)
+        wide = self.order ** 2 >= 1 << 63
         total = None
         for c, e in terms:
             c = np.asarray(c, dtype=np.int64)[..., None]
             live = c >= 0
             if not live.any():
                 continue
-            enc = self.exp_enc_bulk(c + (e % self.order) * logs)
+            if wide:
+                exps = c.astype(object) + e % self.order * np.asarray(logs, dtype=object)
+                enc = self.exp_enc_bulk((exps % self.order).astype(np.int64))
+            else:
+                enc = self.exp_enc_bulk(c + (e % self.order) * logs)
             if not live.all():
                 enc = np.where(live, enc, 0)
             total = enc if total is None else self.add_enc_bulk(total, enc)
@@ -801,8 +810,13 @@ def build_context(params: FieldParams, m: int, use_tables=True) -> FieldCtx:
     return FieldCtx(params, m, modulus, use_tables=use_tables)
 
 
-@lru_cache(maxsize=None)
 def context(p: int, k: int, m: int | None = None) -> FieldCtx:
-    """Cached build_context; m defaults to the big field degree 4k."""
-    params = FieldParams(p, k)
-    return build_context(params, 4 * k if m is None else m)
+    """Cached build_context; m defaults to the big field degree 4k, so
+    context(p, k) is context(p, k, 4k), one context with one set of
+    tables."""
+    return _context(p, k, 4 * k if m is None else m)
+
+
+@lru_cache(maxsize=None)
+def _context(p: int, k: int, m: int) -> FieldCtx:
+    return build_context(FieldParams(p, k), m)

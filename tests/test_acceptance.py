@@ -100,7 +100,7 @@ def test_c06_three_valued_range(sizes):
         for b in (ctx.one, ctx.xi):
             for a in [ctx.zero] + list(ctx.powers()):
                 pair = CoeffPair(a, b)
-                if expsum.case_detail(ctx, pair).tag is CaseTag.JACOBSTHAL:
+                if expsum.case_detail(ctx, pair) is CaseTag.JACOBSTHAL:
                     continue
                 n = expsum.N_count(ctx, pair)[0]
                 assert n <= 2
@@ -126,11 +126,11 @@ def test_c07_triple_path_agreement(sizes):
         for b in (ctx.one, ctx.xi):
             pairs = expsum.jacobsthal_pairs(ctx, b)
             n = [expsum.N_count(ctx, CoeffPair(a, b))[0] for a in pairs]
-            a_encs = [a.enc for a in pairs]
-            g_logs = expsum.g_logs(ctx, b, a_encs)
+            la = [ctx.dlog(a) for a in pairs]
+            g_logs = expsum.g_logs(ctx, b, la)
             scan = jacobsthal.theorem2_scan(view2k(ctx))
-            assert expsum.N_via_nonsquares_bulk(ctx, b, a_encs, g_logs).tolist() == n
-            assert expsum.N_via_jacobsthal_bulk(ctx, b, a_encs, g_logs, scan).tolist() == n
+            assert expsum.N_via_nonsquares_bulk(ctx, b, la, g_logs).tolist() == n
+            assert expsum.N_via_jacobsthal_bulk(ctx, b, la, g_logs, scan).tolist() == n
     _passed("criterion 7: zero count = nonsquare count = Jacobsthal route, "
             "every JACOBSTHAL pair at (3,1) and (5,1)")
 
@@ -144,7 +144,8 @@ def test_c08_scaling_invariance(sizes):
             a, b = rng.randrange(ctx.q), rng.randrange(ctx.q)
             if a == 0 and b == 0:
                 continue
-            triples.append((a, b, rng.randrange(ctx.order)))
+            # the dlogs of the encodings a and b, -1 for zero
+            triples.append((ctx.log_enc[a], ctx.log_enc[b], rng.randrange(ctx.order)))
         same = expsum.corollary1_bulk(ctx, *map(np.array, zip(*triples)))
         assert same.size == len(triples) and same.all()
     _passed("criterion 8: N(a,b) = N(a h^d, b h^2) on 200 seeded triples per size")
@@ -160,7 +161,7 @@ def test_c09_jacobsthal_case_properties(sizes):
                 failed = [name for name, ok in results.items() if ok is False]
                 assert not failed, (key, failed)
             rep = expsum.distribution_sweep(ctx, b)
-            total, expected = expsum.corollary_eq9_check(ctx, b, rep.N[rep.jacobsthal])
+            total, expected = expsum.corollary_eq9_check(ctx, b, rep.N[rep.jacobsthal + 1])
             assert total == expected == (pk + 1) * (pk - expsum.chi(ctx, b)) // 2
     ctx31 = sizes[(3, 1)]
     nu = view2k(ctx31).generator

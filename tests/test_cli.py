@@ -15,7 +15,7 @@ import pytest
 from charsum import cli, expsum, jacobsthal, reference
 from charsum.cli import DEFAULT_SEED, run
 from charsum.errors import OracleMismatch
-from charsum.field_core import Elem, context
+from charsum.field_core import Elem, FieldCtx, context
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -94,14 +94,14 @@ def test_verify_all_computes_g_and_N_once(capsys, monkeypatch):
     real_g, real_count = expsum.g_logs, expsum.N_count_bulk
     real_properties = expsum.corollary_properties
 
-    def g_logs(ctx, b, a_encs):
-        g_sizes.append(len(a_encs))
-        return real_g(ctx, b, a_encs)
+    def g_logs(ctx, b, la):
+        g_sizes.append(len(la))
+        return real_g(ctx, b, la)
 
-    def count(ctx, a_encs, b_encs):
+    def count(ctx, la, lb):
         if inside:
-            counted.append(len(a_encs))
-        return real_count(ctx, a_encs, b_encs)
+            counted.append(len(la))
+        return real_count(ctx, la, lb)
 
     def properties(ctx, report):
         inside.append(report)
@@ -117,6 +117,22 @@ def test_verify_all_computes_g_and_N_once(capsys, monkeypatch):
     assert capsys.readouterr().out.count("[ok  ]") == 12
     assert g_sizes == [2, 4]
     assert counted == [4, 8]
+
+
+def test_verify_all_names_pairs_by_dlog(capsys, monkeypatch):
+    # the pair layer takes dlogs, so few elements go back from encodings to
+    # dlogs: at (3,2) fewer than q/2 = 3,280 over the whole run
+    logged = []
+    real = FieldCtx.log_enc_bulk
+
+    def counting(ctx, u):
+        logged.append(np.size(u))
+        return real(ctx, u)
+
+    monkeypatch.setattr(FieldCtx, "log_enc_bulk", counting)
+    assert run(["verify-all", "--p", "3", "--k", "2", "--b", "g^1"]) == 0
+    assert capsys.readouterr().out.count("[ok  ]") == 12
+    assert sum(logged) < 3280, (len(logged), sum(logged))
 
 
 def test_prop2_reads_H_from_the_bound_scan(capsys, monkeypatch):
@@ -227,8 +243,9 @@ def test_exports_build_no_element_per_row(capsys, monkeypatch, argv, most):
 
 
 def test_prop1_samples_match_case_detail(capsys, monkeypatch):
-    # the SAMPLES pairs that prop1 draws and keeps by case_detail are those
-    # the dlog rule of the sweeps keeps, one draw at a time, from the same
+    # the SAMPLES pairs that prop1 draws, each coefficient as a dlog
+    # (randrange(q) - 1, -1 for zero), and keeps by the dlog rule are those
+    # whose norms differ by exact powers, one draw at a time, from the same
     # seeded stream, and corollary1 draws its triples from the rest of that
     # stream
     seen = {}
@@ -244,18 +261,19 @@ def test_prop1_samples_match_case_detail(capsys, monkeypatch):
     assert run(["verify-all", "--p", "3", "--k", "1"]) == 0
     assert capsys.readouterr().out.count("[ok  ]") == 12
     ctx, rng, want = context(3, 1), random.Random(DEFAULT_SEED), []
+    pk = ctx.p ** ctx.params.k
+    element = lambda l: ctx.zero if l < 0 else ctx.from_exp(l)
     while len(want) < cli.SAMPLES:
-        a, b = rng.randrange(ctx.q), rng.randrange(ctx.q)
-        la, lb = expsum._dlogs(ctx, np.array((a, b)))
-        # a zero a or b has a zero norm and the other does not
-        if (a or b) and (lb < 0 or not expsum._norms_match(ctx, la, lb)):
-            want.append((a, b))
-    a_encs, b_encs = seen["prop1_kernel_check"]
-    assert list(zip(a_encs[-cli.SAMPLES:].tolist(), b_encs[-cli.SAMPLES:].tolist())) == want
-    assert any(0 in pair for pair in want)  # a zero a or b is among the draws
-    a, b, _ = seen["corollary1_bulk"]
-    first = (rng.randrange(ctx.q), rng.randrange(ctx.q))
-    assert first != (0, 0) and (a[0], b[0]) == first
+        la, lb = rng.randrange(ctx.q) - 1, rng.randrange(ctx.q) - 1
+        a, b = element(la), element(lb)
+        if (la >= 0 or lb >= 0) and a ** (pk * (pk + 1)) != b ** (pk + 1):
+            want.append((la, lb))
+    la, lb = seen["prop1_kernel_check"]
+    assert list(zip(la[-cli.SAMPLES:].tolist(), lb[-cli.SAMPLES:].tolist())) == want
+    assert any(-1 in pair for pair in want)  # a zero a or b is among the draws
+    la, lb, _ = seen["corollary1_bulk"]
+    first = (rng.randrange(ctx.q) - 1, rng.randrange(ctx.q) - 1)
+    assert first != (-1, -1) and (la[0], lb[0]) == first
 
 
 def test_cyclotomy_table_csv(capsys):
@@ -432,13 +450,27 @@ def _run_src(*args):
 # first of them is the check the fault is aimed at, and its [FAIL] line
 # must contain the detail.
 _SCAN_ENTRY_OFF = """
+import math
 from charsum import jacobsthal
 real = jacobsthal.scan_table
 def off(view):
     logs, H, I, I2, curve_N = (x.copy() for x in real(view))
-    {}[3] += 1
+    pk = view.ctx.p ** (view.degree // 2)
+    {}
     return logs, H, I, I2, curve_N
 jacobsthal.scan_table = off
+"""
+# one row of the cyclotomic table changed
+_CYCLOTOMY_ROW_OFF = """
+from charsum import cyclotomy
+import dataclasses
+real = cyclotomy.full_table
+def off(view):
+    table = real(view)
+    rows = [list(row) for row in table.table]
+    {}
+    return dataclasses.replace(table, table=tuple(map(tuple, rows)))
+cyclotomy.full_table = off
 """
 # one wrong entry of the half-width addition table, set after its
 # build-time self-check; the N table adds once per (u, t) and the sweep's
@@ -455,18 +487,12 @@ _EVERY_SWEEP_USER = ["theorem3 oracle equivalence", "prop1 three-valued range",
                      "prop2/eq8 triple path", "corollary2 suite",
                      "r/s/t distribution identities"]
 FAULTS = [
-    pytest.param("""
-from charsum import cyclotomy
-import dataclasses
-real = cyclotomy.full_table
-def off(view):
-    table = real(view)
-    rows = [list(row) for row in table.table]
-    rows[1][2] += 1
-    return dataclasses.replace(table, table=tuple(map(tuple, rows)))
-cyclotomy.full_table = off
-""", ["--p", "3", "--k", "1"], ["lemma1 cyclotomic table"], ", 1 mismatches",
-        id="lemma1-one_number_off"),
+    pytest.param(_CYCLOTOMY_ROW_OFF.format("rows[1][2] += 1"), ["--p", "3", "--k", "1"],
+                 ["lemma1 cyclotomic table"], ", 1 mismatches", id="lemma1-one_number_off"),
+    # an entry dropped: the entries left all match the closed form
+    pytest.param(_CYCLOTOMY_ROW_OFF.format("del rows[1][-1]"), ["--p", "3", "--k", "1"],
+                 ["lemma1 cyclotomic table"], "rows of [4, 3, 4, 4] entries, expected 4 rows of 4",
+                 id="lemma1-one_entry_dropped"),
     # a class sum P_0 off by one
     pytest.param("""
 from charsum import cyclotomy
@@ -475,7 +501,7 @@ cyclotomy.CycInt = type("Off", (real,), {"from_counts": classmethod(
     lambda cls, p, c: real.from_counts(p, [c[0] + 1] + list(c[1:])))})
 """, ["--p", "3", "--k", "1"], ["pt class sums"], "P_0 = 0, expected -1",
         id="pt-class_sum_off"),
-    pytest.param(_SCAN_ENTRY_OFF.format("I"), ["--p", "3", "--k", "1"],
+    pytest.param(_SCAN_ENTRY_OFF.format("I[3] += 1"), ["--p", "3", "--k", "1"],
                  ["eq1 companion sum"], " gives ", id="eq1-one_I_off"),
     # an H beyond the Hasse bound fails the four checks that read the scan
     pytest.param("""
@@ -489,6 +515,12 @@ jacobsthal.scan_table = inflated
         ["theorem2 jacobsthal bound", "eq1 companion sum", "curve count identity",
          "prop2/eq8 triple path"], "|H(g^10)| = 800 exceeds the bound",
         id="theorem2-H_beyond_bound"),
+    # the first H just beyond the bound: H^2 = 196 > 4 p^k (p^k+1)^2 = 192
+    pytest.param(_SCAN_ENTRY_OFF.format("H[0] = math.isqrt(4 * pk * (pk + 1) ** 2) + 1"),
+                 ["--p", "3", "--k", "1"],
+                 ["theorem2 jacobsthal bound", "eq1 companion sum", "curve count identity",
+                  "prop2/eq8 triple path"], "|H(g^10)| = 14 exceeds the bound",
+                 id="theorem2-H_at_bound_plus_one"),
     # one a dropped from every array of the scan: the records stay
     # consistent, so only theorem2's count of the a off GF(p^k) and prop2,
     # whose argument -b^(p^2k+1)/g^2 is then missing, see it
@@ -500,13 +532,13 @@ jacobsthal.scan_table = lambda view: tuple(np.delete(x, 3) for x in real(view))
 """, ["--p", "3", "--k", "1"], ["theorem2 jacobsthal bound", "prop2/eq8 triple path"],
         "5 elements, expected 6", id="theorem2-one_a_dropped"),
     # with H untouched, only the curve identity reads curve_N
-    pytest.param(_SCAN_ENTRY_OFF.format("curve_N"), ["--p", "3", "--k", "1"],
+    pytest.param(_SCAN_ENTRY_OFF.format("curve_N[3] += 1"), ["--p", "3", "--k", "1"],
                  ["curve count identity"], "mismatch at a = g^", id="curve-one_count_off"),
     # every pair tallied as three-valued: the sweep's N <= 2 check
     pytest.param("""
 import numpy
 from charsum import expsum
-expsum.case_tags = lambda ctx, b: numpy.zeros(ctx.q, dtype=numpy.int8)
+expsum.case_tags = lambda ctx, la, lb: numpy.zeros(numpy.shape(la), dtype=numpy.int8)
 """, ["--p", "3", "--k", "1", "--b", "g^1"], _EVERY_SWEEP_USER, "N = 3 > 2",
         id="theorem3-range_check"),
     pytest.param(_ADDITION_TABLE_OFF, ["--p", "3", "--k", "2"],
@@ -522,16 +554,19 @@ exec(source.replace("if odd.size:", "if False:"), vars(expsum))
 """ + _ADDITION_TABLE_OFF, ["--p", "3", "--k", "2"],
         [*_EVERY_SWEEP_USER, "pt class sums", "corollary1 scaling", "theorem1 spectrum"],
         "!= defining sum", id="theorem3-addition_table_without_parity"),
-    # a = g^0 counted as a norms-match a of both b; the norms match at
-    # p^k + 1 nonzero a, so prop1 compares one pair fewer than its closed form
+    # a = g^0 counted as a norms-match a of both b, in the CLI's view of
+    # expsum only, so that the sweeps' case split stays right; the norms
+    # match at p^k + 1 nonzero a, so prop1 compares one pair fewer than its
+    # closed form
     pytest.param("""
-from charsum import expsum
-real = expsum.norms_match
-def off(ctx, b):
-    match = real(ctx, b)
-    match[1] = True
+import types
+from charsum import cli, expsum
+def off(ctx, la, lb):
+    match = expsum.norms_match(ctx, la, lb)
+    if getattr(match, "size", 1) == ctx.q:
+        match[1] = True
     return match
-expsum.norms_match = off
+cli.expsum = types.SimpleNamespace(**{**vars(expsum), "norms_match": off})
 """, ["--p", "3", "--k", "1"], ["prop1 three-valued range"],
         "ker L = ker F at 353 pairs, expected 354", id="prop1-norms_match_off"),
     # the sweep's report loses its first slice a: the three paths and the
@@ -554,6 +589,23 @@ real = expsum._F_monomials
 expsum._F_monomials = lambda ctx: ((-real(ctx)[0][0],) + real(ctx)[0][1:],) + real(ctx)[1:]
 """, ["--p", "3", "--k", "1", "--b", "g^1"], ["prop1 three-valued range"],
         "zeros of L and F span", id="prop1-F_term_sign"),
+    # pair 0 of each block given one rank-1 matrix for both L and F: the
+    # kernels agree, and only F's bound of dimension 2 sees them
+    pytest.param("""
+from charsum import expsum
+real = expsum.form_matrices
+def off(ctx):
+    forms = real(ctx)
+    def matrices(la, lb):
+        keys = forms(la, lb)
+        keys[:, 0] = 0
+        keys[:, 0, 0, 0] = 1
+        return keys
+    return matrices
+expsum.form_matrices = off
+""", ["--p", "3", "--k", "1", "--b", "g^1"], ["prop1 three-valued range"],
+        "dimensions 3 and 3 over GF(3), not one common space of dimension <= 2, at a=0, b=g^1",
+        id="prop1-F_kernel_dimension"),
     pytest.param("""
 from charsum import expsum
 real = expsum.corollary1_bulk

@@ -30,6 +30,26 @@ def pair_of(ctx, a, b):
     return es.CoeffPair(a, b)
 
 
+def sweep_logs(ctx):
+    # the dlogs of the sweep order a = 0, xi^0, xi^1, ..., -1 for a = 0
+    return np.arange(-1, ctx.order, dtype=np.int64)
+
+
+def log_of(ctx, x):
+    # the dlog of an element, -1 for zero, as the bulk functions take it
+    return -1 if x.is_zero else ctx.dlog(x)
+
+
+def element(ctx, l):
+    return ctx.zero if l < 0 else ctx.from_exp(int(l))
+
+
+def norms_agree(ctx, a, b):
+    # a^(p^k(p^k+1)) = b^(p^k+1) by Elem powers
+    pk = ctx.p ** ctx.params.k
+    return a ** (pk * (pk + 1)) == b ** (pk + 1)
+
+
 def _scan(ctx):
     # the Jacobsthal bound scan of the 2k-view, where prop2 reads H
     return jacobsthal.theorem2_scan(ctx.subfield(2 * ctx.params.k))
@@ -166,12 +186,12 @@ def test_S0_bruteforce_matches_slow_loop(ctx31):
 
 def test_classify_examples(ctx31):
     one = ctx31.one
-    assert es.case_detail(ctx31, pair_of(ctx31, one, one)).tag is es.CaseTag.SQUARE_MATCH
-    assert es.case_detail(ctx31, pair_of(ctx31, one, one)).norms_match
+    assert es.case_detail(ctx31, pair_of(ctx31, one, one)) is es.CaseTag.SQUARE_MATCH
+    assert norms_agree(ctx31, one, one) and es.norms_match(ctx31, 0, 0)
     assert es.chi(ctx31, one) == 1
-    assert es.case_detail(ctx31, pair_of(ctx31, ctx31.zero, one)).tag is es.CaseTag.NORM_DIFFER
+    assert es.case_detail(ctx31, pair_of(ctx31, ctx31.zero, one)) is es.CaseTag.NORM_DIFFER
     nu = ctx31.subfield(2).generator
-    assert es.case_detail(ctx31, pair_of(ctx31, nu ** 2, one)).tag is es.CaseTag.JACOBSTHAL
+    assert es.case_detail(ctx31, pair_of(ctx31, nu ** 2, one)) is es.CaseTag.JACOBSTHAL
     with pytest.raises(BothCoefficientsZero):
         es.case_detail(ctx31, pair_of(ctx31, ctx31.zero, ctx31.zero))
 
@@ -182,7 +202,7 @@ def test_tags_partition_everything(ctx31):
         for a in ctx31.elements():
             if a.is_zero and b.is_zero:
                 continue
-            tags[es.case_detail(ctx31, pair_of(ctx31, a, b)).tag] += 1
+            tags[es.case_detail(ctx31, pair_of(ctx31, a, b))] += 1
     assert sum(tags.values()) == 6560
     assert all(v > 0 for v in tags.values())
 
@@ -193,9 +213,9 @@ def test_square_match_norms_iff_b_square(ctx31):
     for b in ctx31.powers():
         for sign in (1, -1):
             a = sign * b ** (d // 2)
-            detail = es.case_detail(ctx31, pair_of(ctx31, a, b))
-            assert detail.tag is es.CaseTag.SQUARE_MATCH
-            assert detail.norms_match == (es.chi(ctx31, b) == 1)
+            assert es.case_detail(ctx31, pair_of(ctx31, a, b)) is es.CaseTag.SQUARE_MATCH
+            assert norms_agree(ctx31, a, b) == (es.chi(ctx31, b) == 1)
+            assert es.norms_match(ctx31, ctx31.dlog(a), ctx31.dlog(b)) == (es.chi(ctx31, b) == 1)
 
 
 # --------------------------------------------------------------------------
@@ -229,7 +249,7 @@ def test_three_valued_cases_have_small_N(ctx31, ctx51):
         for b in (ctx.one, ctx.xi):
             for a in [ctx.zero] + list(ctx.powers()):
                 pair = pair_of(ctx, a, b)
-                if es.case_detail(ctx, pair).tag is es.CaseTag.JACOBSTHAL:
+                if es.case_detail(ctx, pair) is es.CaseTag.JACOBSTHAL:
                     continue
                 assert es.N_count(ctx, pair)[0] <= 2
 
@@ -280,47 +300,47 @@ def _coordinates(ctx, encs):
     return coords
 
 
-def _kernels_match_zero_sets(ctx, a_encs, b_encs, key_encodings):
+def _kernels_match_zero_sets(ctx, la, lb, key_encodings):
     # each matrix's kernel is the zero set found by reference._zero_set: every
     # zero, through its coordinates over GF(p^k), is in both kernels, and the
     # kernels have as many elements as the zero set
     encs = key_encodings(ctx.subfield(ctx.params.k))
     coords = _coordinates(ctx, tuple(encs))
-    la, lb = es._dlogs(ctx, np.asarray(a_encs)), es._dlogs(ctx, np.asarray(b_encs))
+    la, lb = np.asarray(la, dtype=np.int64), np.asarray(lb, dtype=np.int64)
     L, F = es.form_matrices(ctx)(la, lb)
     arith = ctx.subfield(ctx.params.k).key_arithmetic()
     bad, dim_L, dim_F = es.kernel_mismatches(L, F, arith)
     assert bad.size == 0
     pk = ctx.p ** ctx.params.k
-    for i, (a, b) in enumerate(zip(a_encs, b_encs)):
-        pair = pair_of(ctx, ctx.from_enc(int(a)), ctx.from_enc(int(b)))
+    for i, (a, b) in enumerate(zip(la, lb)):
+        pair = pair_of(ctx, element(ctx, a), element(ctx, b))
         zeros = ref.L_zeros_field(ctx, pair)
         assert zeros == ref.prop1_F_zeros(ctx, pair)
         assert len(zeros) == pk ** dim_L[i] == pk ** dim_F[i]
         vectors = coords[[z.enc for z in zeros]].T
         assert not _matvec(ctx, encs, L[i], vectors).any()
         assert not _matvec(ctx, encs, F[i], vectors).any()
-    assert es.prop1_kernel_check(ctx, a_encs, b_encs) == len(a_encs)
+    assert es.prop1_kernel_check(ctx, la, lb) == len(la)
 
 
 @pytest.mark.parametrize("fixture", ["ctx31", "ctx51"])
 def test_kernel_route_matches_zero_sets(fixture, request, key_encodings):
     # every a with differing norms, for b in {1, xi}
     ctx = request.getfixturevalue(fixture)
-    for b in (ctx.one, ctx.xi):
-        a_encs = es.sweep_order(ctx)[~es.norms_match(ctx, b)]
-        _kernels_match_zero_sets(ctx, a_encs, np.full(a_encs.size, b.enc), key_encodings)
+    for lb in (0, 1):
+        la = sweep_logs(ctx)[~es.norms_match(ctx, sweep_logs(ctx), lb)]
+        _kernels_match_zero_sets(ctx, la, np.full(la.size, lb), key_encodings)
 
 
 def test_kernel_route_matches_zero_sets_seeded_32(ctx32, key_encodings):
     # seeded pairs with differing norms, among them a = 0 and b = 0
     rng = random.Random(32)
-    pairs = [(0, ctx32.xi.enc), (ctx32.xi.enc, 0)]
+    pairs = [(-1, 1), (1, -1)]
     while len(pairs) < 12:
         a, b = ctx32.from_enc(rng.randrange(ctx32.q)), ctx32.from_enc(rng.randrange(ctx32.q))
-        if (a.is_zero and b.is_zero) or es.case_detail(ctx32, pair_of(ctx32, a, b)).norms_match:
+        if (a.is_zero and b.is_zero) or norms_agree(ctx32, a, b):
             continue
-        pairs.append((a.enc, b.enc))
+        pairs.append((log_of(ctx32, a), log_of(ctx32, b)))
     _kernels_match_zero_sets(ctx32, *zip(*pairs), key_encodings)
 
 
@@ -329,19 +349,17 @@ def test_form_matrices_match_slow_context(ctx31, ctx32):
     # at every seventh norms-differ a at (3,1) and at three a at (3,2)
     for ctx, pairs in ((ctx31, slice(None, None, 7)), (ctx32, slice(3))):
         slow = build_context(ctx.params, ctx.m, use_tables=False)
-        a_encs = es.sweep_order(ctx)[~es.norms_match(ctx, ctx.xi)][pairs]
-        la, lb = es._dlogs(ctx, a_encs), np.full(a_encs.size, ctx.dlog(ctx.xi))
+        la = sweep_logs(ctx)[~es.norms_match(ctx, sweep_logs(ctx), 1)][pairs]
+        lb = np.full(la.size, 1)
         fast, plain = es.form_matrices(ctx)(la, lb), es.form_matrices(slow)(la, lb)
         assert [m.tolist() for m in fast] == [m.tolist() for m in plain]
-        b_encs = np.full(a_encs.size, ctx.xi.enc)
-        assert es.prop1_kernel_check(slow, a_encs, b_encs) == a_encs.size
+        assert es.prop1_kernel_check(slow, la, lb) == la.size
 
 
 def test_kernel_check_catches_perturbed_F(ctx31):
     a, b = ctx31.xi ** 5, ctx31.xi
     arith = ctx31.subfield(1).key_arithmetic()
-    la, lb = es._dlogs(ctx31, np.array([a.enc])), es._dlogs(ctx31, np.array([b.enc]))
-    L, F = es.form_matrices(ctx31)(la, lb)
+    L, F = es.form_matrices(ctx31)(np.array([5]), np.array([1]))
     assert es.kernel_mismatches(L, F, arith)[0].tolist() == []
     # one entry of F's first row off at a coordinate where a common zero is
     # nonzero (over GF(3) the key of c is c, and so are the coordinates)
@@ -363,11 +381,11 @@ def test_kernel_check_raises_on_wrong_F(fixture, term, request, monkeypatch):
     real = es._F_monomials(ctx)
     flipped = real[:term] + ((-real[term][0],) + real[term][1:],) + real[term + 1:]
     monkeypatch.setattr(es, "_F_monomials", lambda ctx: flipped)
-    a_encs = es.sweep_order(ctx)[~es.norms_match(ctx, ctx.one)]
+    la = sweep_logs(ctx)[~es.norms_match(ctx, sweep_logs(ctx), 0)]
     with pytest.raises(KernelMismatch, match="a=.*, b=g\\^0"):
-        es.prop1_kernel_check(ctx, a_encs, np.full(a_encs.size, ctx.one.enc))
+        es.prop1_kernel_check(ctx, la, np.zeros(la.size, dtype=np.int64))
     with pytest.raises(BothCoefficientsZero):
-        es.prop1_kernel_check(ctx, [0], [0])
+        es.prop1_kernel_check(ctx, [-1], [-1])
 
 
 def _subfield(q):
@@ -401,13 +419,19 @@ def test_rref_keyed_kernel_sizes(q, data, key_encodings):
 
 
 def test_norms_match_matches_case_detail(ctx31, ctx51):
+    # the dlog rule against the norms by exact powers, as case_detail takes
+    # them, at every a, and at b = 0 (a zero b matches no nonzero a)
     for ctx in (ctx31, ctx51):
         pk = ctx.p ** ctx.params.k
-        for b in (ctx.one, ctx.xi):
-            matched = es.norms_match(ctx, b)
-            pairs = [pair_of(ctx, ctx.from_enc(int(a)), b) for a in es.sweep_order(ctx)]
-            assert matched.tolist() == [es.case_detail(ctx, pair).norms_match for pair in pairs]
+        for lb in (0, 1):
+            matched = es.norms_match(ctx, sweep_logs(ctx), lb)
+            b = ctx.from_exp(lb)
+            assert matched.tolist() == [norms_agree(ctx, element(ctx, l), b)
+                                        for l in sweep_logs(ctx)]
             assert np.count_nonzero(matched) == pk + 1  # the fibre of the norm map
+        assert not es.norms_match(ctx, sweep_logs(ctx)[1:], -1).any()
+        with pytest.raises(BothCoefficientsZero):
+            es.norms_match(ctx, -1, -1)
 
 
 # --------------------------------------------------------------------------
@@ -456,10 +480,10 @@ def test_three_paths_agree(fixture, request):
     for b in (ctx.one, ctx.xi):
         pairs = es.jacobsthal_pairs(ctx, b)
         assert pairs, "case must be populated"
-        a_encs = [a.enc for a in pairs]
-        g_logs = es.g_logs(ctx, b, a_encs)
-        n2 = es.N_via_nonsquares_bulk(ctx, b, a_encs, g_logs)
-        n3 = es.N_via_jacobsthal_bulk(ctx, b, a_encs, g_logs, _scan(ctx))
+        la = [ctx.dlog(a) for a in pairs]
+        g_logs = es.g_logs(ctx, b, la)
+        n2 = es.N_via_nonsquares_bulk(ctx, b, la, g_logs)
+        n3 = es.N_via_jacobsthal_bulk(ctx, b, la, g_logs, _scan(ctx))
         for a, n2_i, n3_i in zip(pairs, n2.tolist(), n3.tolist(), strict=True):
             pair = pair_of(ctx, a, b)
             n1 = es.N_count(ctx, pair)[0]
@@ -474,16 +498,16 @@ def test_bulk_routes_match_pair_routes(fixture, request, monkeypatch):
     ctx = request.getfixturevalue(fixture)
     for b in (ctx.one, ctx.xi):
         rep = es.distribution_sweep(ctx, b)
-        a_encs, n1 = rep.jacobsthal, rep.N[rep.jacobsthal]
-        pairs = [pair_of(ctx, ctx.from_enc(int(a)), b) for a in a_encs]
-        g_logs = es.g_logs(ctx, b, a_encs)
+        la, n1 = rep.jacobsthal, rep.N[rep.jacobsthal + 1]
+        pairs = [pair_of(ctx, ctx.from_exp(int(l)), b) for l in la]
+        g_logs = es.g_logs(ctx, b, la)
         assert g_logs.tolist() == [ctx.dlog(ref.find_g(ctx, pair)) for pair in pairs]
-        n2 = es.N_via_nonsquares_bulk(ctx, b, a_encs, g_logs)
-        n3 = es.N_via_jacobsthal_bulk(ctx, b, a_encs, g_logs, _scan(ctx))
+        n2 = es.N_via_nonsquares_bulk(ctx, b, la, g_logs)
+        n3 = es.N_via_jacobsthal_bulk(ctx, b, la, g_logs, _scan(ctx))
         assert n2.tolist() == n3.tolist() == n1.tolist()
         monkeypatch.setattr(es, "BLOCK_ENTRIES", 1)  # one pair per block
-        assert es.N_via_nonsquares_bulk(ctx, b, a_encs, g_logs).tolist() == n2.tolist()
-        assert es.N_count_bulk(ctx, a_encs, np.full(a_encs.size, b.enc))[0].tolist() == (
+        assert es.N_via_nonsquares_bulk(ctx, b, la, g_logs).tolist() == n2.tolist()
+        assert es.N_count_bulk(ctx, la, np.full(la.size, ctx.dlog(b)))[0].tolist() == (
             n2.tolist())
         monkeypatch.undo()
 
@@ -492,14 +516,14 @@ def test_bulk_routes_refuse_other_cases(ctx31):
     # both routes take their g from the one dlog solve, which refuses a pair
     # outside the slice; the H route refuses an argument in GF(p^k)
     b = ctx31.one
-    a_encs = np.array([a.enc for a in es.jacobsthal_pairs(ctx31, b)] + [ctx31.one.enc])
+    la = np.array([ctx31.dlog(a) for a in es.jacobsthal_pairs(ctx31, b)] + [0])  # (1, 1) last
     with pytest.raises(WrongCase):
-        es.g_logs(ctx31, b, a_encs)
+        es.g_logs(ctx31, b, la)
     with pytest.raises(ZeroB):
-        es.g_logs(ctx31, ctx31.zero, a_encs[:1])
+        es.g_logs(ctx31, ctx31.zero, la[:1])
     # with g = 1 the argument is -b^(p^2k+1) = -1, which lies in GF(3)
     with pytest.raises(CaseViolation, match="lies in GF"):
-        es.N_via_jacobsthal_bulk(ctx31, b, a_encs[:1], [0], _scan(ctx31))
+        es.N_via_jacobsthal_bulk(ctx31, b, la[:1], [0], _scan(ctx31))
 
 
 def test_jacobsthal_route_refuses_a_scan_of_another_field(ctx31):
@@ -507,22 +531,22 @@ def test_jacobsthal_route_refuses_a_scan_of_another_field(ctx31):
     # dlogs to another generator, each below p^2k - 1 and so no multiple
     # of the 2k-view's step p^2k + 1
     b = ctx31.one
-    a_encs = es.sweep_order(ctx31)[es.case_tags(ctx31, b) == es.CaseTag.JACOBSTHAL]
+    la = sweep_logs(ctx31)[es.case_tags(ctx31, sweep_logs(ctx31), 0) == es.CaseTag.JACOBSTHAL]
     standalone = jacobsthal.theorem2_scan(context(3, 1, 2).subfield(2))
     assert standalone.logs.tolist() == [1, 2, 3, 5, 6, 7]
     with pytest.raises(NotInSubfield, match="not all multiples of 10: a scan of another GF"):
-        es.N_via_jacobsthal_bulk(ctx31, b, a_encs, es.g_logs(ctx31, b, a_encs), standalone)
+        es.N_via_jacobsthal_bulk(ctx31, b, la, es.g_logs(ctx31, b, la), standalone)
 
 
 def test_bulk_jacobsthal_route_checks_raise(ctx31):
     # the route keeps the divisibility and parity checks of eq8 on the H it
     # reads from the scan
     b = ctx31.one
-    a_encs = np.array([a.enc for a in es.jacobsthal_pairs(ctx31, b)])
-    g_logs, scan = es.g_logs(ctx31, b, a_encs), _scan(ctx31)
+    la = np.array([ctx31.dlog(a) for a in es.jacobsthal_pairs(ctx31, b)])
+    g_logs, scan = es.g_logs(ctx31, b, la), _scan(ctx31)
     for shift, error in ((1, DivisibilityViolation), (4, ParityViolation)):
         with pytest.raises(error):
-            es.N_via_jacobsthal_bulk(ctx31, b, a_encs, g_logs,
+            es.N_via_jacobsthal_bulk(ctx31, b, la, g_logs,
                                      dataclasses.replace(scan, H=scan.H + shift))
 
 
@@ -536,16 +560,16 @@ def test_scan_H_matches_H_sums_at_prop2_arguments(p, k):
     scan = _scan(ctx)
     for e in range(6):
         b = ctx.from_exp(e)
-        a_encs = es.sweep_order(ctx)[es.case_tags(ctx, b) == es.CaseTag.JACOBSTHAL]
-        args = [-(b ** (Q + 1)) / ref.find_g(ctx, pair_of(ctx, ctx.from_enc(int(a)), b)) ** 2
-                for a in a_encs]
+        la = sweep_logs(ctx)[es.case_tags(ctx, sweep_logs(ctx), e) == es.CaseTag.JACOBSTHAL]
+        args = [-(b ** (Q + 1)) / ref.find_g(ctx, pair_of(ctx, ctx.from_exp(int(l)), b)) ** 2
+                for l in la]
         H = ref.H_sums(view, pk + 1, [x.enc for x in args])
         logs = [ctx.dlog(x) for x in args]
         position = np.searchsorted(scan.logs, logs)
         assert scan.logs[position].tolist() == logs
         assert scan.H[position].tolist() == H.tolist()
-        n = es.N_via_jacobsthal_bulk(ctx, b, a_encs, es.g_logs(ctx, b, a_encs), scan)
-        assert a_encs.size and (2 * n).tolist() == (pk - H // (pk + 1) + 1).tolist()
+        n = es.N_via_jacobsthal_bulk(ctx, b, la, es.g_logs(ctx, b, la), scan)
+        assert la.size and (2 * n).tolist() == (pk - H // (pk + 1) + 1).tolist()
 
 
 def test_jacobsthal_case_parity_and_bound(ctx31, ctx51):
@@ -583,13 +607,13 @@ def test_jacobsthal_N_observed_minimum_32(ctx32):
 
 def test_scaling_invariance(ctx31):
     # (xi^3, xi^5) at h = 1, then the seeded triples, in one batch
-    triples = [((ctx31.xi ** 3).enc, (ctx31.xi ** 5).enc, 0)]
+    triples = [(3, 5, 0)]
     rng = random.Random(47)
     for _ in range(200):
-        a, b = rng.randrange(ctx31.q), rng.randrange(ctx31.q)
-        if a == 0 and b == 0:
+        a, b = (ctx31.from_enc(rng.randrange(ctx31.q)) for _ in range(2))
+        if a.is_zero and b.is_zero:
             continue
-        triples.append((a, b, rng.randrange(ctx31.order)))
+        triples.append((log_of(ctx31, a), log_of(ctx31, b), rng.randrange(ctx31.order)))
     same = es.corollary1_bulk(ctx31, *map(np.array, zip(*triples)))
     assert same.size == len(triples) and same.all()
 
@@ -614,7 +638,7 @@ def test_corollary_suite_special_value_31(ctx31):
     # p = 3 mod 4, k odd, b = 1: a = nu^2 gives N = (p^k+1)/2 = 2
     nu = ctx31.subfield(2).generator
     pair = pair_of(ctx31, nu ** 2, ctx31.one)
-    assert es.case_detail(ctx31, pair).tag is es.CaseTag.JACOBSTHAL
+    assert es.case_detail(ctx31, pair) is es.CaseTag.JACOBSTHAL
     assert es.N_count(ctx31, pair)[0] == 2
     assert es.corollary_suite(ctx31, pair)["vi"] is True
 
@@ -624,7 +648,7 @@ def test_eq9_sums(ctx31, ctx51):
         pk = ctx.p ** ctx.params.k
         for b in (ctx.one, ctx.xi):
             rep = es.distribution_sweep(ctx, b)
-            total, expected = es.corollary_eq9_check(ctx, b, rep.N[rep.jacobsthal])
+            total, expected = es.corollary_eq9_check(ctx, b, rep.N[rep.jacobsthal + 1])
             assert total == expected == (pk + 1) * (pk - es.chi(ctx, b)) // 2
 
 
@@ -636,9 +660,9 @@ def test_sweep_jacobsthal_slice(fixture, request):
     for b in (ctx.one, ctx.xi):
         rep = es.distribution_sweep(ctx, b)
         assert rep.jacobsthal.dtype == np.int64
-        n = rep.N[rep.jacobsthal]
+        n = rep.N[rep.jacobsthal + 1]
         pairs = es.jacobsthal_pairs(ctx, b)
-        assert rep.jacobsthal.tolist() == [a.enc for a in pairs]
+        assert rep.jacobsthal.tolist() == [ctx.dlog(a) for a in pairs]
         assert n.tolist() == [es.N_count(ctx, pair_of(ctx, a, b))[0] for a in pairs]
         total, _ = es.corollary_eq9_check(ctx, b, n)
         assert total == sum(n.tolist())
@@ -647,7 +671,7 @@ def test_sweep_jacobsthal_slice(fixture, request):
 def test_eq9_sum_all_b_31(ctx31):
     for b in ctx31.powers():
         rep = es.distribution_sweep(ctx31, b)
-        total, expected = es.corollary_eq9_check(ctx31, b, rep.N[rep.jacobsthal])
+        total, expected = es.corollary_eq9_check(ctx31, b, rep.N[rep.jacobsthal + 1])
         assert total == expected
 
 
@@ -667,7 +691,7 @@ def test_corollary_properties_match_suite(fixture, request):
         b = ctx.from_exp(e)
         pairs = es.jacobsthal_pairs(ctx, b)
         rep = es.distribution_sweep(ctx, b)
-        assert rep.jacobsthal.tolist() == [a.enc for a in pairs]
+        assert rep.jacobsthal.tolist() == [ctx.dlog(a) for a in pairs]
         results = es.corollary_properties(ctx, rep)
         assert list(results) == ["i", "iii", "ii", "iv", "v", "vi"]
         assert (results["vi"] is None) == (ctx.p == 5 or ctx.params.k == 2 or e % 2 == 1)
@@ -679,7 +703,7 @@ def test_corollary_properties_match_suite(fixture, request):
 
 def test_corollary_properties_refuse_other_cases(ctx31):
     rep = es.distribution_sweep(ctx31, ctx31.one)
-    for outside in (0, ctx31.one.enc):  # NORM_DIFFER and SQUARE_MATCH
+    for outside in (-1, 0):  # a = 0 and a = 1: NORM_DIFFER and SQUARE_MATCH
         with pytest.raises(WrongCase):
             es.corollary_properties(ctx31, dataclasses.replace(
                 rep, jacobsthal=np.append(rep.jacobsthal, outside)))
@@ -699,13 +723,15 @@ def test_corollary1_bulk_scales_each_pair(ctx31, ctx32, monkeypatch):
         triples = [(0, 1 + rng.randrange(ctx.q - 1), 5), (7, 0, 3)] + [
             (1 + rng.randrange(ctx.q - 1), rng.randrange(ctx.q), rng.randrange(ctx.order))
             for _ in range(30)]
+        a_encs, b_encs, h_logs = map(np.array, zip(*triples))
         seen.clear()
-        assert es.corollary1_bulk(ctx, *map(np.array, zip(*triples))).all()
+        assert es.corollary1_bulk(ctx, ctx.log_enc[a_encs], ctx.log_enc[b_encs], h_logs).all()
         (a_all, b_all), = seen
         scaled = [(ctx.from_enc(a) * ctx.from_exp(h) ** ctx.params.d,
                    ctx.from_enc(b) * ctx.from_exp(h) ** 2) for a, b, h in triples]
-        assert a_all.tolist() == [a for a, _, _ in triples] + [x.enc for x, _ in scaled]
-        assert b_all.tolist() == [b for _, b, _ in triples] + [y.enc for _, y in scaled]
+        pairs = [(ctx.from_enc(a), ctx.from_enc(b)) for a, b, _ in triples] + scaled
+        assert a_all.tolist() == [log_of(ctx, x) for x, _ in pairs]
+        assert b_all.tolist() == [log_of(ctx, y) for _, y in pairs]
 
 
 # --------------------------------------------------------------------------
@@ -749,7 +775,8 @@ def test_sweep_matches_slow_context(ctx31):
 
 def test_sweep_range_check_raises(ctx31, monkeypatch):
     # tallied as three-valued, the JACOBSTHAL pairs with N = 3 must be caught
-    monkeypatch.setattr(es, "case_tags", lambda ctx, b: np.zeros(ctx.q, dtype=np.int8))
+    monkeypatch.setattr(es, "case_tags",
+                        lambda ctx, la, lb: np.zeros(np.shape(la), dtype=np.int8))
     with pytest.raises(RangeViolation):
         es.distribution_sweep(ctx31, ctx31.xi)
 
@@ -775,9 +802,9 @@ def test_sweep_cross_check_catches_N_count(ctx31, monkeypatch):
     # disagree (the sweep makes the direct count for its sample in one batch)
     real = es.N_count_bulk
 
-    def off_by_one(ctx, a_encs, b_encs):
-        n, zeros = real(ctx, a_encs, b_encs)
-        return n + (np.asarray(a_encs) == 0), zeros
+    def off_by_one(ctx, la, lb):
+        n, zeros = real(ctx, la, lb)
+        return n + (np.asarray(la) < 0), zeros
 
     monkeypatch.setattr(es, "N_count_bulk", off_by_one)
     with pytest.raises(OracleMismatch, match="a=0,"):
@@ -789,8 +816,8 @@ def test_sweep_cross_check_catches_case_split(ctx31, monkeypatch):
     # range check; only the cross-check against case_detail sees it
     real = es.case_tags
 
-    def flipped(ctx, b):
-        tags = real(ctx, b).copy()
+    def flipped(ctx, la, lb):
+        tags = real(ctx, la, lb).copy()
         tags[0] = es.CaseTag.SQUARE_MATCH
         return tags
 
@@ -814,11 +841,13 @@ def test_sweep_tables_match_direct_count(fixture, request):
             pair = pair_of(ctx, a, b)
             n, witnesses = es.N_count(ctx, pair)
             assert row == {"a": ctx.format_element(a), "b": ctx.format_element(b),
-                           "tag": es.case_detail(ctx, pair).tag.name, "N": n,
+                           "tag": es.case_detail(ctx, pair).name, "N": n,
                            "S0": Q * (2 * n - 1),
                            "witnesses": [ctx.format_element(w) for w in witnesses]}
-        jac = [(a.enc, row["N"]) for a, row in zip(a_all, rows) if row["tag"] == "JACOBSTHAL"]
-        assert list(zip(rep.jacobsthal.tolist(), rep.N[rep.jacobsthal].tolist())) == jac
+        jac = [(ctx.dlog(a), row["N"]) for a, row in zip(a_all, rows)
+               if row["tag"] == "JACOBSTHAL"]
+        assert list(zip(rep.jacobsthal.tolist(), rep.N[rep.jacobsthal + 1].tolist())) == jac
+        assert rep.N.tolist() == [row["N"] for row in rows]
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -830,7 +859,8 @@ def test_N_table_and_case_tags_property(pk, data):
     a = ctx.zero if i == 0 else ctx.from_exp(i - 1)
     n, _, _ = es.N_table(ctx, b)
     assert n[a.enc] == es.N_count(ctx, pair_of(ctx, a, b))[0]
-    assert es.CaseTag(es.case_tags(ctx, b)[i]) is es.case_detail(ctx, pair_of(ctx, a, b)).tag
+    assert es.CaseTag(es.case_tags(ctx, i - 1, ctx.dlog(b))) is es.case_detail(
+        ctx, pair_of(ctx, a, b))
 
 
 @pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (3, 2)])
@@ -845,7 +875,8 @@ def test_N_table_matches_direct_count_at_every_a(p, k):
         minus_c = ctx.sum_enc_bulk(((Q * e, 1), (e, -1)), u_logs)
         assert np.count_nonzero(minus_c == 0) == 2 * (e % 2)
         n, logs, bounds = es.N_table(ctx, b)
-        n_direct, zeros = es.N_count_bulk(ctx, np.arange(ctx.q), np.full(ctx.q, b.enc))
+        # every a in encoding order, by its dlog (log_enc[0] = -1 for a = 0)
+        n_direct, zeros = es.N_count_bulk(ctx, ctx.log_enc, np.full(ctx.q, e))
         assert n.tolist() == n_direct.tolist()
         # the zeros row by row, each in increasing dlog
         assert logs.tolist() == u_logs[np.nonzero(zeros)[1]].tolist()
@@ -881,8 +912,9 @@ def test_N_count_bulk_property(pk, data):
     pairs = data.draw(st.lists(st.tuples(element, element).filter(any), min_size=1, max_size=3),
                       label="pairs")
     a_encs, b_encs = (np.array(x, dtype=np.int64) for x in zip(*pairs))
-    n, zeros = es.N_count_bulk(ctx, a_encs, b_encs)
-    n_slow, zeros_slow = es.N_count_bulk(slow, a_encs, b_encs)
+    la, lb = ctx.log_enc[a_encs], ctx.log_enc[b_encs]
+    n, zeros = es.N_count_bulk(ctx, la, lb)
+    n_slow, zeros_slow = es.N_count_bulk(slow, la, lb)
     assert n.tolist() == n_slow.tolist() and zeros.tolist() == zeros_slow.tolist()
     u_encs = ctx.exp_enc_bulk(es.U_logs(ctx))
     for a, b, n_i, zeros_i in zip(a_encs, b_encs, n, zeros):
@@ -895,7 +927,7 @@ def test_N_count_bulk_property(pk, data):
 
 def test_N_count_bulk_parity_and_admissibility(ctx31, monkeypatch):
     with pytest.raises(BothCoefficientsZero):
-        es.N_count_bulk(ctx31, [1, 0], [1, 0])
+        es.N_count_bulk(ctx31, [0, -1], [0, -1])
     # one zero of L on U too many at the second pair must raise there
     real = FieldCtx.sum_enc_bulk
 
@@ -906,15 +938,15 @@ def test_N_count_bulk_parity_and_admissibility(ctx31, monkeypatch):
 
     monkeypatch.setattr(FieldCtx, "sum_enc_bulk", extra_zero)
     with pytest.raises(ParityViolation, match="zeros of L on U at a=g\\^3, b=g\\^5"):
-        es.N_count_bulk(ctx31, [1, ctx31.from_exp(3).enc], [1, ctx31.from_exp(5).enc])
+        es.N_count_bulk(ctx31, [0, 3], [0, 5])
 
 
 def test_g_logs_refuses_other_cases_with_a_typed_error(ctx31, monkeypatch):
     # with the case split bypassed, the dlog solve for g must still refuse a
     # NORM_DIFFER pair with its own check: NotInSubfield, not a NameError
     b = ctx31.xi
-    tags = es.case_tags(ctx31, b)[1:]
-    a = es.sweep_order(ctx31)[1:][tags == es.CaseTag.NORM_DIFFER][0]
+    la = sweep_logs(ctx31)
+    a = la[es.case_tags(ctx31, la, 1) == es.CaseTag.NORM_DIFFER][1]  # la[0] = -1 is a = 0
     monkeypatch.setattr(es, "_require_jacobsthal_bulk", lambda ctx, b, la: None)
     with pytest.raises(NotInSubfield):
         es.g_logs(ctx31, b, [a])

@@ -475,6 +475,22 @@ def test_odd_degree_tables_fit_the_limit():
     assert context(3, 3, 3).has_tables and context(5, 1, 1).has_tables
 
 
+def test_sum_enc_bulk_is_exact_past_int64_without_tables():
+    # GF(3^20) without tables has (q - 1)^2 >= 2^63: the exponent
+    # 0 + (q - 3)(q - 2) is 2 modulo q - 1, where an int64 product wraps
+    ctx = build_context(FieldParams(3, 5), 20, use_tables=False)
+    order = ctx.order
+    assert order ** 2 >= 1 << 63
+    got = ctx.sum_enc_bulk([(0, order - 2)], np.array([order - 1]))
+    assert got.tolist() == [ctx.pow_enc(ctx.xi.enc, 2)] == [9]
+
+
+def test_context_defaults_to_the_big_field_once():
+    # context(p, k) and context(p, k, 4k) are one context, with one set of tables
+    assert context(3, 1) is context(3, 1, 4) is context(3, 1, None)
+    assert context(3, 1, 2) is not context(3, 1)
+
+
 def test_guard_refuses_before_the_modulus_search():
     # GF(3^80) is refused at once: the rule is applied before the search for
     # a primitive modulus of degree 80, which would not finish
