@@ -163,13 +163,12 @@ def _cmd_walsh_spectrum(args) -> int:
 
 def _cmd_theorem1_verify(args) -> int:
     ctx = _field(args)
-    chk = walsh.theorem1_spectrum_check(ctx)
+    spectrum = walsh.theorem1_spectrum_check(ctx)  # raises on the first failed condition
     _emit(_header("theorem1-verify", args, ctx))
-    _emit({"formula_ok": chk.all_formula_ok, "special_case_ok": chk.all_special_ok,
-           "counts_ok": chk.counts_ok, "bent": chk.bent,
-           "weakly_regular_neg": chk.weakly_regular,
-           "summary": dict(sorted(chk.summary.items()))})
-    return 1 if chk.failures() else 0
+    _emit({"formula_ok": True, "special_case_ok": True, "counts_ok": True,
+           "bent": spectrum.bent, "weakly_regular_neg": spectrum.weakly_regular_neg,
+           "summary": dict(sorted(spectrum.summary.items()))})
+    return 0
 
 
 def _cmd_sequences_crosscorr(args) -> int:
@@ -347,11 +346,7 @@ def _run_verify_all(args) -> int:
         return "; ".join(lines)
 
     def check_theorem1():
-        chk = walsh.theorem1_spectrum_check(ctx)
-        if chk.failures():
-            raise IdentityViolation(
-                f"{', '.join(chk.failures())} failed: spectrum counts {chk.summary}")
-        return f"spectrum counts {chk.summary}"
+        return f"spectrum counts {walsh.theorem1_spectrum_check(ctx).summary}"
 
     checks = [
         ("lemma1 cyclotomic table", check_lemma1),

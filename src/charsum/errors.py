@@ -94,6 +94,12 @@ class RootCountViolation(IdentityViolation):
     """The spectrum root polynomial did not have exactly one root."""
 
 
+class SpectrumViolation(IdentityViolation):
+    """The (1, 1) Walsh spectrum departs from Theorem 1 (formula, special
+    case, value counts, bent or weakly regular); the message starts with
+    the failed condition and names the y or the count."""
+
+
 class RangeViolation(IdentityViolation):
     """A three-valued case (NORM_DIFFER or SQUARE_MATCH) produced N > 2."""
 

@@ -22,15 +22,15 @@ For the pair (1, 1) the spectrum has a closed form: S_f(y) equals
 with W = y^(p^2k+1) + (y^2 + X)^((p^2k+1)/2) (Frobenius is additive),
 the division by 4 meaning multiplication by 4^(-1) mod p.  When
 y^2 lies in GF(p^2k) the root is simply -Tr(y^2) relative to GF(p^k).
-theorem1_root_scan checks all of this for every y at once: it steps X
-through GF(p^k) and evaluates W + W^(p^k) at all q values of y per
-step with the bulk field operations (FieldCtx.add_enc_bulk and
-pow_enc_bulk), so its temporaries are O(q) encodings, and compares each
-root's j with Spectrum.closed_j, the one match of each distinct
-coefficient with closed_form (-p^2k w^j).  theorem1_spectrum_check
-adds the value-multiset against the closed-form counts: -p^2k w^i occurs
-p^(2k-1)(p^2k+1) times for i != 0, and -p^2k occurs
-(p^(2k-1)-1)(p^2k+1) + 1 times.
+theorem1_root_scan finds x0 at every y at once: it names y = xi^l by its
+dlog l and steps X through GF(p^k), evaluating W + W^(p^k) at all q
+values of y per step with the bulk field operations, so its temporaries
+are O(q) encodings.  theorem1_spectrum_check returns the (1, 1) spectrum
+or raises at the first failed condition: the root count, each root's j
+against Spectrum.closed_j (the one match of each distinct coefficient
+with closed_form, -p^2k w^j), the special case, the integer counts of
+closed_j (-p^2k w^i occurs p^(2k-1)(p^2k+1) times for i != 0, and -p^2k
+(p^(2k-1)-1)(p^2k+1) + 1 times), bentness and weak regularity.
 
 The per-point references (f_value, walsh_coeff and theorem1_verify) are
 in charsum.reference, which no command imports.
@@ -43,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycint import CycInt
-from .errors import ParsevalViolation, RootCountViolation
-from .expsum import CoeffPair, character_counts, sweep_order
+from .errors import ParsevalViolation, RootCountViolation, SpectrumViolation
+from .expsum import CoeffPair, character_counts
 from .field_core import Elem, FieldCtx
 
 
@@ -57,13 +57,13 @@ def closed_form(p: int, k: int) -> tuple:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """All p^n Walsh coefficients of f(x) = Tr(a x^d + b x^2), (a, b) =
-    pair: S_f(y) = values[index[i]][0] for y = 0 at i = 0 and y = xi^(i-1)
-    after.  values holds (S, |S|^2) per distinct coefficient S and summary
-    counts them by canonical rendering, both in order of first occurrence."""
+    """All p^n Walsh coefficients of f(x) = Tr(a x^d + b x^2) for one pair
+    (a, b): S_f(y) = values[index[i]][0] for y = 0 at i = 0 and y =
+    xi^(i-1) after.  values holds (S, |S|^2) per distinct coefficient S,
+    and summary, for display only, counts them by canonical rendering,
+    both in order of first occurrence."""
 
     ctx: FieldCtx
-    pair: CoeffPair
     values: tuple
     index: np.ndarray
     closed_j: np.ndarray      # per S in values, the j with S = -p^(n/2) w^j, or -1
@@ -94,7 +94,7 @@ def full_spectrum(ctx: FieldCtx, pair: CoeffPair) -> Spectrum:
     forms = closed_form(p, ctx.params.k)
     closed_j = np.array([next((j for j, f in enumerate(forms) if c == f), -1) for c in coeffs])
     return Spectrum(
-        ctx=ctx, pair=pair, values=values, index=index, closed_j=closed_j,
+        ctx=ctx, values=values, index=index, closed_j=closed_j,
         summary={str(c): m for (c, _), m in zip(values, multiplicity)},
         parseval=total,
         bent=all(n == q for _, n in values),
@@ -105,15 +105,9 @@ def full_spectrum(ctx: FieldCtx, pair: CoeffPair) -> Spectrum:
 # the closed-form spectrum of the pair (1, 1)
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RootScan:
-    """The closed form of the (1, 1) spectrum at every y; the arrays are
-    indexed like Spectrum.index (y = 0, xi^0, xi^1, ...)."""
-
-    x0: np.ndarray          # encoding of the unique root in GF(p^k)
-    formula_ok: np.ndarray  # -p^2k w^(Tr_k(x0) 4^(-1)) equals S_f(y)
-    special: np.ndarray     # y^2 lies in GF(p^2k)
-    special_ok: np.ndarray  # x0 = -Tr(y^2) to GF(p^k); meaningful where special
+def _y(i) -> str:
+    # the label of position i of the order y = 0, xi^0, xi^1, ...
+    return f"g^{i - 1}" if i else "0"
 
 
 def _root_polynomial(ctx: FieldCtx, y2, ypow, x: Elem):
@@ -124,72 +118,71 @@ def _root_polynomial(ctx: FieldCtx, y2, ypow, x: Elem):
     return ctx.add_enc_bulk(w, ctx.pow_enc_bulk(w, ctx.p ** ctx.params.k))
 
 
-def theorem1_root_scan(ctx: FieldCtx, spectrum: Spectrum) -> RootScan:
-    """The closed form at every y at once, against the values of
-    spectrum, the spectrum of the pair (1, 1).
+def theorem1_root_scan(ctx: FieldCtx) -> np.ndarray:
+    """The encoding of the unique root x0 in GF(p^k) at every y, indexed
+    like Spectrum.index (y = 0, xi^0, xi^1, ...).
 
-    One step per x in GF(p^k) evaluates the root polynomial at all q
-    values of y; RootCountViolation unless every y has exactly one root."""
-    p, k = ctx.p, ctx.params.k
-    pk, p2k = p ** k, p ** (2 * k)
-    kview = ctx.subfield(k)
-    inv4 = pow(4, -1, p)
-    ys = sweep_order(ctx)
-    y2 = ctx.pow_enc_bulk(ys, 2)
-    ypow = ctx.pow_enc_bulk(ys, p2k + 1)
-    roots = np.zeros(len(ys), dtype=np.int64)
-    x0 = np.zeros(len(ys), dtype=np.int64)
-    w_exp = np.zeros(len(ys), dtype=np.int64)  # Tr_k(x0) 4^(-1) mod p
-    for x in kview.elements():
+    y = xi^l is named by its dlog l, so y^2 and y^(p^2k+1) are exp
+    gathers; one step per x in GF(p^k) evaluates the root polynomial at
+    all q values of y.  RootCountViolation unless every y has exactly one
+    root."""
+    l = np.arange(ctx.order, dtype=np.int64)
+    y2, ypow = (np.concatenate(([0], ctx.exp_enc_bulk(e * l)))
+                for e in (2, ctx.p ** (2 * ctx.params.k) + 1))
+    roots = np.zeros(ctx.q, dtype=np.int64)
+    x0 = np.zeros(ctx.q, dtype=np.int64)
+    for x in ctx.subfield(ctx.params.k).elements():
         hit = _root_polynomial(ctx, y2, ypow, x) == 0
         roots += hit
         x0[hit] = x.enc
-        w_exp[hit] = kview.abs_trace(x) * inv4 % p
     bad = np.flatnonzero(roots != 1)
-    if len(bad):
-        y = ctx.from_enc(int(ys[bad[0]]))
-        raise RootCountViolation(
-            f"{roots[bad[0]]} roots at y={ctx.format_element(y)}; expected 1")
-    formula_ok = spectrum.closed_j[spectrum.index] == w_exp
-    special = ctx.pow_enc_bulk(y2, p2k) == y2
-    rel_trace = ctx.add_enc_bulk(y2, ctx.pow_enc_bulk(y2, pk))
-    return RootScan(x0=x0, formula_ok=formula_ok, special=special,
-                    special_ok=ctx.add_enc_bulk(x0, rel_trace) == 0)
+    if bad.size:
+        raise RootCountViolation(f"{roots[bad[0]]} roots at y={_y(bad[0])}; expected 1")
+    return x0
 
 
-@dataclass(frozen=True)
-class SpectrumCheck:
-    all_formula_ok: bool
-    all_special_ok: bool
-    counts_ok: bool
-    bent: bool
-    weakly_regular: bool
-    summary: dict
+def theorem1_spectrum_check(ctx: FieldCtx) -> Spectrum:
+    """The spectrum of the pair (1, 1), once Theorem 1 holds at every y.
 
-    def failures(self) -> list:
-        """The names of the conditions that fail, in the order of the fields."""
-        return [name for name, ok in (
-            ("formula", self.all_formula_ok), ("special case", self.all_special_ok),
-            ("counts", self.counts_ok), ("bent", self.bent),
-            ("weakly regular", self.weakly_regular)) if not ok]
-
-
-def theorem1_spectrum_check(ctx: FieldCtx) -> SpectrumCheck:
-    """Verify the whole (1, 1) spectrum: per-y roots and formula (one
-    theorem1_root_scan), the closed-form value counts, bentness, and weak
-    regularity."""
+    Raises at the first failed condition, in this order: one root x0 per
+    y (RootCountViolation, from theorem1_root_scan); then, through
+    SpectrumViolation, the formula S_f(y) = -p^2k w^(Tr_k(x0)/4), the
+    special case x0 = -Tr(y^2) to GF(p^k) where y^2 lies in GF(p^2k), the
+    value counts, bentness and weak regularity."""
     p, k = ctx.p, ctx.params.k
     p2k = p ** (2 * k)
     spectrum = full_spectrum(ctx, CoeffPair(ctx.one, ctx.one))
-    scan = theorem1_root_scan(ctx, spectrum)
-    # -p^2k occurs p^2k times fewer than each -p^2k w^j, j != 0
-    want = {str(c): p ** (2 * k - 1) * (p2k + 1) - (j == 0) * p2k
-            for j, c in enumerate(closed_form(p, k))}
-    return SpectrumCheck(
-        all_formula_ok=bool(scan.formula_ok.all()),
-        all_special_ok=bool(scan.special_ok[scan.special].all()),
-        counts_ok=spectrum.summary == want,
-        bent=spectrum.bent,
-        weakly_regular=spectrum.weakly_regular_neg,
-        summary=spectrum.summary,
-    )
+    x0 = theorem1_root_scan(ctx)
+    j = spectrum.closed_j[spectrum.index]  # per y: S_f(y) = -p^2k w^j, or -1
+
+    def fail(name, i, detail):
+        return SpectrumViolation(f"{name} failed at y={_y(i)}: S_f(y) = "
+                                 f"{spectrum.values[spectrum.index[i]][0]}, {detail}")
+
+    # Tr_k(x0)/4 = Tr(x0)/16, since Tr = 4 Tr_k on GF(p^k)
+    want = ctx.trace_enc_bulk(x0) * pow(16, -1, p) % p
+    bad = np.flatnonzero(j != want)
+    if bad.size:
+        raise fail("formula", bad[0], f"closed form {closed_form(p, k)[want[bad[0]]]}")
+    # y = 0, and y = xi^l with y^2 in GF(p^2k), i.e. (p^2k + 1) | 2l
+    l = np.flatnonzero(2 * np.arange(ctx.order) % (p2k + 1) == 0)
+    at = np.concatenate(([0], l + 1))
+    rel_trace = np.concatenate(([0], ctx.sum_enc_bulk(((0, 2), (0, 2 * p ** k)), l)))
+    bad = at[ctx.add_enc_bulk(x0[at], rel_trace) != 0]
+    if bad.size:
+        x = ctx.format_element(ctx.from_enc(int(x0[bad[0]])))
+        raise fail("special case", bad[0], f"x0 = {x} is not -Tr(y^2)")
+    # -p^2k occurs p^2k times fewer than each -p^2k w^i, i != 0
+    counts = np.bincount(j, minlength=p)
+    expected = p ** (2 * k - 1) * (p2k + 1) - p2k * (np.arange(p) == 0)
+    bad = np.flatnonzero(counts != expected)
+    if bad.size:
+        i = bad[0]
+        raise SpectrumViolation(f"counts failed: -p^2k w^{i} occurs {counts[i]} times, "
+                                f"expected {expected[i]}")
+    norms_ok = np.array([n == ctx.q for _, n in spectrum.values])
+    for name, ok in (("bent", norms_ok), ("weakly regular", spectrum.closed_j >= 0)):
+        bad = np.flatnonzero(~ok[spectrum.index])
+        if bad.size:
+            raise fail(name, bad[0], f"|S_f(y)|^2 = {spectrum.values[spectrum.index[bad[0]]][1]}")
+    return spectrum

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from charsum import cli, expsum, jacobsthal, reference
+from charsum import cli, expsum, jacobsthal, reference, walsh
 from charsum.cli import DEFAULT_SEED, run
 from charsum.errors import OracleMismatch
 from charsum.field_core import Elem, FieldCtx, context
@@ -653,6 +653,24 @@ def off(ctx, pair):
 walsh.full_spectrum = off
 """, ["--p", "3", "--k", "1"], ["theorem1 spectrum"], "formula failed",
         id="theorem1-coefficient_rotated"),
+    # the root of y = g^41 (position 42 of the scan), whose square g^82 lies
+    # in GF(81) and whose root is not 0, moved to another x of GF(9) with the
+    # same absolute trace: the formula and the counts still hold
+    pytest.param("""
+from charsum import walsh
+real = walsh._root_polynomial
+def off(ctx, y2, ypow, x):
+    vals = real(ctx, y2, ypow, x)
+    kview = ctx.subfield(ctx.params.k)
+    root = next(z for z in kview.elements() if real(ctx, y2[42:43], ypow[42:43], z)[0] == 0)
+    moved = next(z for z in kview.elements()
+                 if z != root and kview.abs_trace(z) == kview.abs_trace(root))
+    if x == root or x == moved:
+        vals[42] = 0 if x == moved else 1
+    return vals
+walsh._root_polynomial = off
+""", ["--p", "3", "--k", "2"], ["theorem1 spectrum"], "special case failed at y=g^41",
+        id="theorem1-special_case_root_moved"),
 ]
 
 
@@ -680,6 +698,18 @@ def test_failed_under_optimize(snippet, argv, failed, detail):
         assert all(e % step == 0 and e % (step * (p ** k + 1)) for e in logs), logs
         # only a failed count of the a names none
         assert logs or re.fullmatch(r"\d+ elements, expected \d+", detail), lines[failed[0]]
+
+
+def test_theorem1_verify_fails_through_identity_violation(capsys, monkeypatch):
+    # the rotated coefficient in process: theorem1-verify exits 1 through the
+    # runner's IdentityViolation path, with nothing on stdout
+    snippet = next(f.values[0] for f in FAULTS if f.id == "theorem1-coefficient_rotated")
+    monkeypatch.setattr(walsh, "full_spectrum", walsh.full_spectrum)  # restored after the test
+    exec(snippet, {})
+    assert run(["theorem1-verify", "--p", "3", "--k", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("verification failure: formula failed")
 
 
 def test_every_check_has_a_fault(capsys):

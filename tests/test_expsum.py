@@ -643,6 +643,26 @@ def test_corollary_suite_special_value_31(ctx31):
     assert es.corollary_suite(ctx31, pair)["vi"] is True
 
 
+@pytest.mark.parametrize("fixture", ["ctx31", "ctx71"])
+def test_corollary_special_value_at_a_square_b(fixture, request):
+    # (vi) at b = g^2, where b^(d/2) != 1, so that the exponent of b in the
+    # special a is exercised: both routes evaluate it and it holds
+    ctx = request.getfixturevalue(fixture)
+    b = ctx.from_exp(2)
+    rep = es.distribution_sweep(ctx, b)
+    vi = es.corollary_properties(ctx, rep)["vi"]
+    assert vi is not None and vi.size == rep.jacobsthal.size and vi.all()
+    pair = pair_of(ctx, element(ctx, rep.jacobsthal[0]), b)
+    assert es.corollary_suite(ctx, pair)["vi"] is True
+
+
+def test_corollary_bound_attained():
+    # (v) holds at equality, (2N - (p^k+1))^2 = 4p^k: p^k = 9 and N = 2 or 8
+    n = np.array([2, 8])
+    for chi_b in (1, -1):
+        assert es._properties(9, chi_b, n, n, n, n)["v"].tolist() == [True, True]
+
+
 def test_eq9_sums(ctx31, ctx51):
     for ctx in (ctx31, ctx51):
         pk = ctx.p ** ctx.params.k

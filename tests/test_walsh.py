@@ -168,9 +168,9 @@ def test_bent_and_weakly_regular(ctx31, ctx51):
 
 def test_spectrum_matches_each_value_with_the_closed_forms_once(ctx51, monkeypatch):
     # full_spectrum finds which -p^2k w^j each distinct value is (closed_j,
-    # -1 for none) once; weak regularity and the root scan's formula check
-    # read that, so the whole check compares the p distinct values of the
-    # (1, 1) spectrum with the p closed forms at most p^2 times
+    # -1 for none) once; weak regularity and theorem1's formula and count
+    # checks read that, so the whole check compares the p distinct values of
+    # the (1, 1) spectrum with the p closed forms at most p^2 times
     compared = [0]
     real = CycInt.__eq__
 
@@ -179,7 +179,7 @@ def test_spectrum_matches_each_value_with_the_closed_forms_once(ctx51, monkeypat
         return real(self, other)
 
     monkeypatch.setattr(CycInt, "__eq__", counted)
-    assert wa.theorem1_spectrum_check(ctx51).failures() == []
+    wa.theorem1_spectrum_check(ctx51)
     assert 0 < compared[0] <= ctx51.p ** 2
     monkeypatch.undo()
     forms = wa.closed_form(5, 1)
@@ -207,7 +207,7 @@ def from_counts_calls(monkeypatch):
 
 def test_spectrum_check_builds_one_cycint_per_value(ctx51, from_counts_calls):
     # one CycInt per distinct coefficient (p on the (1, 1) spectrum), not per y
-    assert wa.theorem1_spectrum_check(ctx51).failures() == []
+    wa.theorem1_spectrum_check(ctx51)
     assert from_counts_calls[0] <= ctx51.p
 
 
@@ -248,28 +248,36 @@ def test_root_verification_everywhere(fixture, request):
 
 
 def test_full_spectrum_check(ctx31):
-    chk = wa.theorem1_spectrum_check(ctx31)
-    assert chk.all_formula_ok and chk.all_special_ok and chk.counts_ok
-    assert chk.bent and chk.weakly_regular
-    assert chk.failures() == []
+    # the check raises on any failed condition and returns the (1, 1) spectrum
+    spectrum = wa.theorem1_spectrum_check(ctx31)
+    assert spectrum.bent and spectrum.weakly_regular_neg
+    counts = np.bincount(spectrum.closed_j[spectrum.index], minlength=3)
+    assert counts.tolist() == [21, 30, 30]
 
 
 @pytest.mark.parametrize("fixture", ["ctx31", "ctx51"])
 def test_root_scan_matches_per_point(fixture, request):
-    # the bulk scan against the scalar theorem1_verify at every y
+    # the bulk scan's x0 against the scalar theorem1_verify at every y, where
+    # the formula and, for y^2 in GF(p^2k), the special case hold as the
+    # spectrum check requires
     ctx = request.getfixturevalue(fixture)
-    spectrum = wa.full_spectrum(ctx, CoeffPair(ctx.one, ctx.one))
-    scan = wa.theorem1_root_scan(ctx, spectrum)
+    spectrum = wa.theorem1_spectrum_check(ctx)
+    x0 = wa.theorem1_root_scan(ctx)
+    view2k = ctx.subfield(2 * ctx.params.k)
     for i, y in enumerate([ctx.zero] + list(ctx.powers())):
         report = ref.theorem1_verify(ctx, y, spectrum.coefficient(y))
-        assert report.x0.enc == scan.x0[i]
-        assert report.formula_ok == scan.formula_ok[i]
-        assert report.special_ok == (bool(scan.special_ok[i]) if scan.special[i] else None)
+        assert report.x0.enc == x0[i]
+        assert report.formula_ok is True
+        assert report.special_ok is (True if view2k.contains(y * y) else None)
 
 
 def test_spectrum_check_matches_slow_context(ctx31):
     slow = build_context(FieldParams(3, 1), 4, use_tables=False)
-    assert wa.theorem1_spectrum_check(slow) == wa.theorem1_spectrum_check(ctx31)
+    plain, fast = wa.theorem1_spectrum_check(slow), wa.theorem1_spectrum_check(ctx31)
+    assert plain.summary == fast.summary
+    assert np.array_equal(plain.index, fast.index)
+    assert np.array_equal(plain.closed_j, fast.closed_j)
+    assert np.array_equal(wa.theorem1_root_scan(slow), wa.theorem1_root_scan(ctx31))
 
 
 def test_root_scan_second_root_raises(ctx31, monkeypatch):
