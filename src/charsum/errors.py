@@ -96,7 +96,7 @@ class RootCountViolation(IdentityViolation):
 
 class SpectrumViolation(IdentityViolation):
     """The (1, 1) Walsh spectrum departs from Theorem 1 (formula, special
-    case, value counts, bent or weakly regular); the message starts with
+    case, value counts or bent); the message starts with
     the failed condition and names the y or the count."""
 
 

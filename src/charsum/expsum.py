@@ -17,10 +17,10 @@ Coefficient pairs split into three cases:
 In the first two cases N(a,b) <= 2, so S_f(0) is one of -p^2k, p^2k,
 3 p^2k (and zeros of L coincide with those of a companion polynomial
 F when the norms differ).  L and F are p^k-linearized, so their zeros
-are the kernels of 4 x 4 matrices over GF(p^k): prop1_kernel_check
-builds them from dlogs and traces for a batch of pairs (form_matrices)
-and compares the kernels by one batched row reduction over GF(p^k)
-(rref_keyed), on the subfield's keys and their tables.
+are the kernels of 4 x 4 matrices over GF(p^k), whose keys are one
+GF(p)-linear map of five field elements per pair (form_matrices);
+prop1_kernel_check compares the kernels by one batched row reduction
+over GF(p^k) (rref_keyed), on the subfield's keys and their tables.
 
 In the JACOBSTHAL case N(a,b) is computed three independent ways: the
 direct zero count, a nonsquare count over GF(p^k) through an auxiliary
@@ -269,26 +269,25 @@ def L_eval(ctx: FieldCtx, x: Elem, pair: CoeffPair) -> Elem:
 
 
 def _L_monomials(ctx: FieldCtx):
-    # L as (sign, s, r, e) terms, each the monomial sign a^s b^r X^e
+    # L as (s, r, e) terms, each the monomial a^s b^r X^e
     pk = ctx.p ** ctx.params.k
-    return ((1, 0, pk ** 2, 1), (1, 1, 0, pk), (1, 0, 1, pk ** 2), (1, pk ** 2, 0, pk ** 3))
+    return ((0, pk ** 2, 1), (1, 0, pk), (0, 1, pk ** 2), (pk ** 2, 0, pk ** 3))
 
 
 def _monomial_logs(ctx: FieldCtx, monomials, la, lb):
-    # the dlogs (pairs, monomials) of the coefficients sign a^s b^r of a
-    # monomial list at every pair (a, b) = (xi^la, xi^lb) at once, -1 where
-    # a coefficient is zero (la or lb is -1 for a zero a or b)
+    # the dlogs (pairs, monomials) of the coefficients a^s b^r of a monomial
+    # list at every pair (xi^la, xi^lb) at once, -1 where one is zero
     order = ctx.order
-    sign, s, r = (np.array([t[i] for t in monomials], dtype=np.int64) for i in range(3))
+    s, r = (np.array([t[i] for t in monomials], dtype=np.int64) for i in range(2))
     la, lb = la[:, None], lb[:, None]
     live = ((s == 0) | (la >= 0)) & ((r == 0) | (lb >= 0))
-    logs = ((s % order) * la + (r % order) * lb + (sign < 0) * (order // 2)) % order
+    logs = ((s % order) * la + (r % order) * lb) % order
     return np.where(live, logs, -1)
 
 
 def _L_terms(ctx: FieldCtx, pair: CoeffPair):
     # the (coefficient, exponent) terms of L at one pair
-    return tuple((sign * pair.a ** s * pair.b ** r, e) for sign, s, r, e in _L_monomials(ctx))
+    return tuple((pair.a ** s * pair.b ** r, e) for s, r, e in _L_monomials(ctx))
 
 
 def N_count_bulk(ctx: FieldCtx, la, lb):
@@ -378,13 +377,13 @@ def S0_bruteforce(ctx: FieldCtx, pair: CoeffPair) -> CycInt:
 # the companion polynomial F (norms-differ case)
 # --------------------------------------------------------------------------
 
-def _F_monomials(ctx: FieldCtx):
-    # F as (sign, s, r, e) terms like _L_monomials: A and B expanded, and
-    # A^(p^k) = a^(p^2k (p^k+1)) - b^(p^k (p^k+1)), as Frobenius is additive
+def _key_terms(ctx: FieldCtx):
+    # L (polynomial 0) and F (1) as (polynomial, u, t, sign, e): sign u^(p^(t k)) X^e, u indexing
+    # a, b, c, v, w of form_matrices; A = c - v, B = w^(p^2k) - w, A^(p^k) = c^(p^k) - v^(p^k)
     pk = ctx.p ** ctx.params.k
-    return ((1, pk * (pk + 1), 0, pk ** 2), (-1, 0, pk + 1, pk ** 2),
-            (1, pk ** 2, pk ** 3, pk), (-1, 1, pk, pk),
-            (1, pk ** 2 * (pk + 1), 0, 1), (-1, 0, pk * (pk + 1), 1))
+    return ((0, 1, 2, 1, 1), (0, 0, 0, 1, pk), (0, 1, 0, 1, pk ** 2), (0, 0, 2, 1, pk ** 3),
+            (1, 2, 0, 1, pk ** 2), (1, 3, 0, -1, pk ** 2), (1, 4, 2, 1, pk),
+            (1, 4, 0, -1, pk), (1, 2, 1, 1, 1), (1, 3, 1, -1, 1))
 
 
 def form_matrices(ctx: FieldCtx):
@@ -401,34 +400,33 @@ def form_matrices(ctx: FieldCtx):
     la and lb (-1 for a zero coefficient), the int16 keys (2, n, 4, 4) of
     L's matrices, then F's.
 
-    With c the coefficient of a monomial and y = eta^s X^i X^(j e),
-    Tr(c y) = sum_d Tr(c e_d) y_d over the digits y_d of y, e_d the element
-    encoded as p^d.  So each pair costs m traces Tr(c e_d) per monomial, all
-    ten monomials of L and F in one exp and trace pass, and one float32
-    product with the digits per polynomial gives every key digit: exact, as
-    each is a sum of fewer than 2^24 / p^2 integers below p^2.  The products
-    are einsums: numpy's own loop, which unlike a threaded BLAS is fast at
-    these sizes.  No field addition is needed."""
-    p, m, k, order = ctx.p, ctx.m, ctx.params.k, ctx.order
-    L_monomials = _L_monomials(ctx)
-    monomials = L_monomials + _F_monomials(ctx)
+    Each coefficient is u^(p^t) for u one of a, b, c = a^(p^k(p^k+1)),
+    v = b^(p^k+1) and w = a b^(p^k) (_key_terms), and Tr(u^(p^t) y) =
+    sum_d u_d Tr(e_d y^(p^(n-t))) over the base-p digits u_d of u, e_d
+    encoded as p^d.  So one constant (5m, 32k) matrix M maps the digits of
+    the five elements to the 32k key digits at every pair: five exp gathers
+    and one float32 einsum per block, exact as each digit is a sum of fewer
+    than 2^24 / p^2 integers below p^2 (numpy's own loop, which unlike a
+    threaded BLAS is fast at these sizes)."""
+    p, m, k, pk, order = ctx.p, ctx.m, ctx.params.k, ctx.p ** ctx.params.k, ctx.order
     basis = ctx.log_enc_bulk(p ** np.arange(m, dtype=np.int64))
-    # the dlogs s step + i of eta^s X^i, then + j e per monomial: columns (s, i, j)
     left = (ctx.subfield(k).step * np.arange(k)[:, None] + np.arange(4)).ravel()
-    ys = np.stack([ctx.exp_enc_bulk((left[:, None] + (e % order) * np.arange(4)).ravel())
-                   for _, _, _, e in monomials])
-    # row (t, d), column (s, i, j): digit d of y for monomial t
-    digits = (ys[:, None] // p ** np.arange(m)[:, None] % p).astype(np.float32)
-    parts = slice(None, len(L_monomials)), slice(len(L_monomials), None)
-    key_weights = p ** np.arange(k, dtype=np.float32)
+    # M[(u, d), (P, s, i, j)]: Tr(e_d y^(p^(n-t))) over P's terms in u, y = eta^s X^(i+je)
+    M = np.zeros((5, m, 2, left.size, 4), dtype=np.int64)
+    for poly, u, t, sign, e in _key_terms(ctx):
+        y = (left[:, None] + (e % order) * np.arange(4)) % order * (p ** (m - t * k) % order)
+        M[u, :, poly] += sign * ctx.trace_enc_bulk(ctx.exp_enc_bulk(basis[:, None, None] + y))
+    M = (M.reshape(5 * m, -1) % p).astype(np.float32)
 
     def matrices(la, lb):
-        c = _monomial_logs(ctx, monomials, la, lb)
-        coords = np.where((c >= 0)[..., None], ctx.trace_enc_bulk(
-            ctx.exp_enc_bulk(c[..., None] + basis)), 0).astype(np.float32)
-        key_digits = _mod_p(np.stack([np.einsum("ntd,tdc->nc", coords[:, part], digits[part])
-                                      for part in parts]), p)
-        keys = np.einsum("Pnsc,s->Pnc", key_digits.reshape(2, len(c), k, 16), key_weights)
+        # the five elements: zero where a (for a, c, w) or b (for b, v, w) is
+        logs = np.stack((la, lb, pk * (pk + 1) * la, (pk + 1) * lb, la + pk * lb))
+        live = np.stack((la >= 0, lb >= 0, la >= 0, lb >= 0, (la >= 0) & (lb >= 0)))
+        encs = np.where(live, ctx.exp_enc_bulk(logs), 0).T
+        digits = (encs[..., None] // p ** np.arange(m) % p).reshape(len(la), 5 * m)
+        key_digits = _mod_p(np.einsum("nd,dc->nc", digits.astype(np.float32), M), p)
+        keys = np.einsum("nPsc,s->Pnc", key_digits.reshape(len(la), 2, k, 16),
+                         p ** np.arange(k, dtype=np.float32))
         return keys.astype(np.int16).reshape(2, -1, 4, 4)
     return matrices
 

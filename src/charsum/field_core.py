@@ -18,7 +18,7 @@ is the least significant digit).  Every run of the tool therefore sees
 the same field element behind any given "g^e" label.
 
 A context built with tables carries lookup tables (plain numpy arrays):
-exp (built by doubling, see _exp_by_doubling), log and trace over all
+exp (built by doubling on xi, see _exp_by_doubling), log and trace over all
 encodings, and one addition table over half-width encodings.  With
 s = p^ceil(m/2), every encoding splits as u = (u // s) s + u % s into two
 digit halves below s, and addition is digitwise, so
@@ -309,6 +309,8 @@ class FieldCtx:
             self._build_tables()
         xi_t = ((0, 1) + (0,) * (m - 2)) if m > 1 else ((-modulus[0]) % self.p,)
         self.xi = Elem(self, self.encode(xi_t))
+        if use_tables and self.exp_enc[1] != self.xi.enc:
+            raise InvariantViolation(f"xi = {self.xi!r} is not the generator of the exp table")
         self.zero = Elem(self, 0)
         self.one = Elem(self, 1)
 

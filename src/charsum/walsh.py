@@ -30,7 +30,7 @@ or raises at the first failed condition: the root count, each root's j
 against Spectrum.closed_j (the one match of each distinct coefficient
 with closed_form, -p^2k w^j), the special case, the integer counts of
 closed_j (-p^2k w^i occurs p^(2k-1)(p^2k+1) times for i != 0, and -p^2k
-(p^(2k-1)-1)(p^2k+1) + 1 times), bentness and weak regularity.
+(p^(2k-1)-1)(p^2k+1) + 1 times) and bentness.
 
 The per-point references (f_value, walsh_coeff and theorem1_verify) are
 in charsum.reference, which no command imports.
@@ -148,7 +148,7 @@ def theorem1_spectrum_check(ctx: FieldCtx) -> Spectrum:
     y (RootCountViolation, from theorem1_root_scan); then, through
     SpectrumViolation, the formula S_f(y) = -p^2k w^(Tr_k(x0)/4), the
     special case x0 = -Tr(y^2) to GF(p^k) where y^2 lies in GF(p^2k), the
-    value counts, bentness and weak regularity."""
+    value counts and bentness (CycInt.norm_squared of each value)."""
     p, k = ctx.p, ctx.params.k
     p2k = p ** (2 * k)
     spectrum = full_spectrum(ctx, CoeffPair(ctx.one, ctx.one))
@@ -180,9 +180,8 @@ def theorem1_spectrum_check(ctx: FieldCtx) -> Spectrum:
         i = bad[0]
         raise SpectrumViolation(f"counts failed: -p^2k w^{i} occurs {counts[i]} times, "
                                 f"expected {expected[i]}")
-    norms_ok = np.array([n == ctx.q for _, n in spectrum.values])
-    for name, ok in (("bent", norms_ok), ("weakly regular", spectrum.closed_j >= 0)):
-        bad = np.flatnonzero(~ok[spectrum.index])
-        if bad.size:
-            raise fail(name, bad[0], f"|S_f(y)|^2 = {spectrum.values[spectrum.index[bad[0]]][1]}")
+    # the formula puts every S_f(y) among the -p^2k w^j, so it is weakly regular
+    bad = np.flatnonzero(np.array([n != ctx.q for _, n in spectrum.values])[spectrum.index])
+    if bad.size:
+        raise fail("bent", bad[0], f"|S_f(y)|^2 = {spectrum.values[spectrum.index[bad[0]]][1]}")
     return spectrum

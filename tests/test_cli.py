@@ -14,8 +14,8 @@ import pytest
 
 from charsum import cli, expsum, jacobsthal, reference, walsh
 from charsum.cli import DEFAULT_SEED, run
-from charsum.errors import OracleMismatch
-from charsum.field_core import Elem, FieldCtx, context
+from charsum.errors import InvariantViolation, OracleMismatch
+from charsum.field_core import Elem, FieldCtx, FieldParams, build_context, context
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -582,11 +582,16 @@ def off(ctx, b):
 expsum.distribution_sweep = off
 """, ["--p", "3", "--k", "1"], ["prop2/eq8 triple path", "corollary2 suite"],
         "1 slice pairs, expected 2", id="prop2-slice_a_dropped"),
-    # the sign of one term of F flipped
+    # the sign of F's first term, c X^(p^2k), flipped in form_matrices' map
     pytest.param("""
 from charsum import expsum
-real = expsum._F_monomials
-expsum._F_monomials = lambda ctx: ((-real(ctx)[0][0],) + real(ctx)[0][1:],) + real(ctx)[1:]
+real = expsum._key_terms
+def off(ctx):
+    terms = list(real(ctx))
+    poly, u, t, sign, e = terms[4]
+    terms[4] = (poly, u, t, -sign, e)
+    return tuple(terms)
+expsum._key_terms = off
 """, ["--p", "3", "--k", "1", "--b", "g^1"], ["prop1 three-valued range"],
         "zeros of L and F span", id="prop1-F_term_sign"),
     # pair 0 of each block given one rank-1 matrix for both L and F: the
@@ -710,6 +715,34 @@ def test_theorem1_verify_fails_through_identity_violation(capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("verification failure: formula failed")
+
+
+# xi = 1 + X over tables built on X: without the build's check, verify-all
+# stays green at (3,1) with other labels
+_XI_OFF_THE_TABLE = """
+import inspect, textwrap
+from charsum import field_core
+source = textwrap.dedent(inspect.getsource(field_core.FieldCtx.__init__))
+mutant = source.replace("((0, 1) + (0,) * (m - 2))", "((1, 1) + (0,) * (m - 2))")
+if mutant == source:
+    raise RuntimeError("FieldCtx.__init__ sets xi some other way")
+namespace = dict(vars(field_core))
+exec(mutant, namespace)
+field_core.FieldCtx.__init__ = namespace["__init__"]
+"""
+
+
+def test_generator_off_the_exp_table_fails_the_build(monkeypatch):
+    # the build refuses the context, so verify-all exits 1 before its first line
+    monkeypatch.setattr(FieldCtx, "__init__", FieldCtx.__init__)  # restored after the test
+    exec(_XI_OFF_THE_TABLE, {})
+    with pytest.raises(InvariantViolation, match="is not the generator of the exp table"):
+        build_context(FieldParams(3, 1), 4)
+    monkeypatch.undo()
+    proc = _run_src("-c", f"import sys\nfrom charsum import cli\n{_XI_OFF_THE_TABLE}\n"
+                          "sys.exit(cli.run(['verify-all', '--p', '3', '--k', '1']))\n")
+    assert proc.returncode == 1 and proc.stdout == "", proc.stdout
+    assert proc.stderr.startswith("verification failure: xi = "), proc.stderr
 
 
 def test_every_check_has_a_fault(capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import random
 
 import numpy as np
@@ -332,8 +333,8 @@ def test_kernel_route_matches_zero_sets(fixture, request, key_encodings):
         _kernels_match_zero_sets(ctx, la, np.full(la.size, lb), key_encodings)
 
 
-def test_kernel_route_matches_zero_sets_seeded_32(ctx32, key_encodings):
-    # seeded pairs with differing norms, among them a = 0 and b = 0
+def _seeded_pairs_32(ctx32):
+    # 12 seeded pairs with differing norms, among them a = 0 and b = 0, as dlogs
     rng = random.Random(32)
     pairs = [(-1, 1), (1, -1)]
     while len(pairs) < 12:
@@ -341,7 +342,42 @@ def test_kernel_route_matches_zero_sets_seeded_32(ctx32, key_encodings):
         if (a.is_zero and b.is_zero) or norms_agree(ctx32, a, b):
             continue
         pairs.append((log_of(ctx32, a), log_of(ctx32, b)))
-    _kernels_match_zero_sets(ctx32, *zip(*pairs), key_encodings)
+    return [np.array(x, dtype=np.int64) for x in zip(*pairs)]
+
+
+def test_kernel_route_matches_zero_sets_seeded_32(ctx32, key_encodings):
+    _kernels_match_zero_sets(ctx32, *_seeded_pairs_32(ctx32), key_encodings)
+
+
+def _entry_keys(ctx, la, lb):
+    # the keys sum_s Tr_k(eta^s z) p^s of z = T(X^i P(X^j)), T = Tr_{4k/k},
+    # with P = L from reference._L_terms, then F from the A and B of
+    # reference._F_terms, entry by entry in Elem arithmetic: (2, n, 4, 4)
+    k, pk = ctx.params.k, ctx.p ** ctx.params.k
+    view = ctx.subfield(k)
+    keys = np.zeros((2, len(la), 4, 4), dtype=np.int64)
+    for n, (a, b) in enumerate(zip(la, lb)):
+        pair = pair_of(ctx, element(ctx, a), element(ctx, b))
+        A, B = ref._F_terms(ctx, pair)
+        polys = ref._L_terms(ctx, pair), ((A, pk ** 2), (B, pk), (A ** pk, 1))
+        for P, terms in enumerate(polys):
+            for i, j in itertools.product(range(4), repeat=2):
+                x = ctx.xi ** j
+                z = ctx.rel_trace(ctx.xi ** i * sum((c * x ** e for c, e in terms), ctx.zero), k)
+                keys[P, n, i, j] = sum(view.abs_trace(view.generator ** s * z) * ctx.p ** s
+                                       for s in range(k))
+    return keys
+
+
+def test_form_matrices_entries(ctx31, ctx32):
+    # every entry of both matrices, not only their kernels: each
+    # norms-differ a of b = g^0 and g^1 at (3,1), and the seeded pairs at (3,2)
+    cases = [(ctx32, *_seeded_pairs_32(ctx32))]
+    for lb in (0, 1):
+        la = sweep_logs(ctx31)[~es.norms_match(ctx31, sweep_logs(ctx31), lb)]
+        cases.append((ctx31, la, np.full(la.size, lb)))
+    for ctx, la, lb in cases:
+        assert es.form_matrices(ctx)(la, lb).tolist() == _entry_keys(ctx, la, lb).tolist()
 
 
 def test_form_matrices_match_slow_context(ctx31, ctx32):
@@ -373,14 +409,16 @@ def test_kernel_check_catches_perturbed_F(ctx31):
     assert es.kernel_mismatches(zero_maps, zero_maps, arith)[0].tolist() == [0]
 
 
-@pytest.mark.parametrize("term", range(6))
+@pytest.mark.parametrize("term", range(10))
 @pytest.mark.parametrize("fixture", ["ctx31", "ctx32"])
 def test_kernel_check_raises_on_wrong_F(fixture, term, request, monkeypatch):
-    # F with the sign of one term flipped no longer shares L's zeros
+    # the sign of one of the ten terms of L (0-3) and F (4-9) flipped in
+    # form_matrices' map: L and F no longer share their zeros
     ctx = request.getfixturevalue(fixture)
-    real = es._F_monomials(ctx)
-    flipped = real[:term] + ((-real[term][0],) + real[term][1:],) + real[term + 1:]
-    monkeypatch.setattr(es, "_F_monomials", lambda ctx: flipped)
+    real = es._key_terms(ctx)
+    poly, u, t, sign, e = real[term]
+    flipped = real[:term] + ((poly, u, t, -sign, e),) + real[term + 1:]
+    monkeypatch.setattr(es, "_key_terms", lambda ctx: flipped)
     la = sweep_logs(ctx)[~es.norms_match(ctx, sweep_logs(ctx), 0)]
     with pytest.raises(KernelMismatch, match="a=.*, b=g\\^0"):
         es.prop1_kernel_check(ctx, la, np.zeros(la.size, dtype=np.int64))
