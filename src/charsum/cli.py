@@ -15,7 +15,8 @@ Output is JSON lines; only cyclotomy-table and sequences-crosscorr take
 --format, to choose csv instead, and verify-all's timings go to stderr.
 Exit codes: 0 ok, 1 verification failure, 2 invalid arguments, 3 the field
 (GF(p^4k), GF(p^2k) for jacobsthal-scan) is beyond the lookup tables;
---force builds it without tables, in pure-Python arithmetic at any size.
+--force builds it without tables, in pure-Python arithmetic at any size;
+141 (128 + SIGPIPE) the reader of stdout closed it before the end.
 All randomness is seeded (SAMPLES draws per randomized check) and the seed
 is printed; element arguments accept "c0,c1,...,c_{m-1}" digits or "g^e".
 """
@@ -26,6 +27,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -327,6 +329,12 @@ def _run_verify_all(args) -> int:
             _require(total == expected, f"property vii: sum of N = {total}, expected {expected} "
                                         f"at b = {ctx.format_element(b)}")
             results = expsum.corollary_properties(ctx, rep)
+            # (vi) is evaluated exactly where its hypotheses hold
+            special = args.p % 4 == 3 and args.k % 2 == 1 and rep.chi_b == 1
+            _require((results["vi"] is not None) == special,
+                     f"property vi {'skipped' if special else 'evaluated'} at b = "
+                     f"{ctx.format_element(b)}, where p = 3 mod 4, k is odd and chi(b) = 1"
+                     f"{'' if special else ' do not all hold'}")
             checked = {key: ok for key, ok in results.items() if ok is not None}
             sizes = sorted({ok.size for ok in checked.values()})
             _require(sizes == [la.size], f"{sizes} pairs evaluated, expected {la.size}")
@@ -440,7 +448,16 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early: stdout goes to devnull, so that the
+        # interpreter's final flush cannot raise again, and the exit code is
+        # the one a shell reports for a writer killed by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

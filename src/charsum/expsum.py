@@ -397,7 +397,7 @@ def form_matrices(ctx: FieldCtx):
     key (field_core.KeyArithmetic), whose digit s is
     Tr_{k/1}(eta^s z_ij) = Tr(eta^s X^i P(X^j)), eta = xi^step the
     generator of GF(p^k).  Returns matrices(la, lb): for n pairs with dlogs
-    la and lb (-1 for a zero coefficient), the int16 keys (2, n, 4, 4) of
+    la and lb (-1 for a zero coefficient), the int64 keys (2, n, 4, 4) of
     L's matrices, then F's.
 
     Each coefficient is u^(p^t) for u one of a, b, c = a^(p^k(p^k+1)),
@@ -427,7 +427,7 @@ def form_matrices(ctx: FieldCtx):
         key_digits = _mod_p(np.einsum("nd,dc->nc", digits.astype(np.float32), M), p)
         keys = np.einsum("nPsc,s->Pnc", key_digits.reshape(len(la), 2, k, 16),
                          p ** np.arange(k, dtype=np.float32))
-        return keys.astype(np.int16).reshape(2, -1, 4, 4)
+        return keys.astype(np.int64).reshape(2, -1, 4, 4)
     return matrices
 
 
@@ -442,11 +442,10 @@ def _mod_p(x, p: int):
 
 def rref_keyed(mats, arith: KeyArithmetic):
     """Reduced row echelon forms over GF(Q) of a stack of matrices (n, r, c)
-    of keys (0..Q-1, see field_core.KeyArithmetic), in the dtype of arith's
-    tables, and their ranks (int64, n): every field operation is one
-    gather from those tables, and the indexes into them fit in that dtype."""
+    of keys (0..Q-1, see field_core.KeyArithmetic), and their ranks, all
+    int64: every field operation is one gather from arith's tables."""
     q, mul, axpy = arith.q, arith.mul, arith.axpy
-    mats = np.array(mats, dtype=mul.dtype)
+    mats = np.array(mats, dtype=np.int64)
     rank = np.zeros(len(mats), dtype=np.int64)
     rows = np.arange(mats.shape[1])
     for col in range(mats.shape[2]):

@@ -31,15 +31,21 @@ table rule (size_guard) allows p^m <= 2^20 (p^(m+1) for odd m), and
 build_context refuses a larger field before the modulus search unless
 use_tables=False, which builds one without tables at any size:
 polynomial arithmetic and baby-step giant-step logs, exact but slow.
-Only ten methods ask which kind a context is: the scalar add_enc,
-mul_enc, pow_enc, dlog and abs_trace, and the five bulk primitives
-exp_enc_bulk, log_enc_bulk, trace_enc_bulk, add_enc_bulk and
-pow_enc_bulk, which make one scalar call per element without tables.
-Everything else has one body built on those: subtraction and inversion
-(u^(q-2)), negation by digits, subfield membership (x^Q = x) and
-subfield logs (from dlog).  Other modules do bulk work through the bulk
-primitives, SubfieldView.eta_bulk and sum_enc_bulk, the one evaluator of
-monomial sums sum_i c_i x^(e_i).
+Every lookup table, those of KeyArithmetic included, is int64.
+
+Only eight methods ask which kind a context is, each of them one that
+some command calls on a table context: the scalar mul_enc, pow_enc and
+dlog, and the five bulk primitives exp_enc_bulk, log_enc_bulk,
+trace_enc_bulk, add_enc_bulk and pow_enc_bulk, which make one scalar
+call per element without tables.  Everything else has one body built on
+those.  Scalar addition works by digits and the scalar absolute trace is
+the Frobenius sum (rel_trace); no command calls them on a table context,
+where they are the independent references of add_enc_bulk and
+trace_enc_bulk.  Subtraction is u + (-v), inversion u^(q-2), negation
+works by digits, subfield membership is x^Q = x and subfield logs come
+from dlog.  Other modules do bulk work through the bulk primitives,
+SubfieldView.eta_bulk and sum_enc_bulk, the one evaluator of monomial
+sums sum_i c_i x^(e_i).
 """
 
 from __future__ import annotations
@@ -362,7 +368,7 @@ class FieldCtx:
         self.add_table = _digitwise_sums(digits, p)
         hi, lo = np.divmod(np.arange(q, dtype=np.int64), s)
         tr_lo, tr_hi = digits @ tr_basis[:h], digits[:, :m - h] @ tr_basis[h:]
-        self.trace_enc = ((tr_hi[hi] + tr_lo[lo]) % p).astype(np.int32)
+        self.trace_enc = (tr_hi[hi] + tr_lo[lo]) % p
         # self-check: 0 is neutral in the table, and x + (-x) = 0 at every x,
         # with -x from the negations of the digit halves
         neg = _negations(digits, p)
@@ -373,10 +379,6 @@ class FieldCtx:
     # --- scalar arithmetic on encodings ---------------------------------------
 
     def add_enc(self, u, v):
-        if self.has_tables:
-            s, t = self.add_side, self.add_table
-            (uh, ul), (vh, vl) = divmod(u, s), divmod(v, s)
-            return int(t[uh * s + vh]) * s + int(t[ul * s + vl])
         a, b = self.decode(u), self.decode(v)
         return self.encode(tuple((x + y) % self.p for x, y in zip(a, b)))
 
@@ -478,8 +480,6 @@ class FieldCtx:
 
     def abs_trace(self, x: Elem) -> int:
         """Absolute trace GF(p^m) -> GF(p), as an integer in 0..p-1."""
-        if self.has_tables:
-            return int(self.trace_enc[x.enc])
         return _prime_field_value(self.rel_trace(x, 1))
 
     def rel_trace(self, x: Elem, to_degree: int, from_degree: int | None = None) -> Elem:
@@ -530,7 +530,7 @@ class FieldCtx:
     def trace_enc_bulk(self, u):
         """Absolute traces (0..p-1) of an int64 array of encodings, as int64."""
         if self.has_tables:
-            return self.trace_enc[u].astype(np.int64)
+            return self.trace_enc[u]
         return self._per_element(lambda a: self.abs_trace(Elem(self, a)), u)
 
     def add_enc_bulk(self, u, v):
@@ -671,11 +671,7 @@ class KeyArithmetic:
 
         mul[x Q + v]          = K(x v)
         inv[x]                = K(1 / x)    (0 at x = 0)
-        axpy[(x Q + f) Q + v] = K(x - f v)
-
-    The tables are int16 when every index, below Q^3, fits (Q^3 <= 2^15:
-    every Q = p^k of the table sizes, p^4k <= TABLE_LIMIT, is at most 31),
-    and int32 above that."""
+        axpy[(x Q + f) Q + v] = K(x - f v)"""
 
     q: int
     mul: np.ndarray
@@ -758,9 +754,8 @@ class SubfieldView:
         Tr(eta^(j+s)) of this subfield, that is r^(-1) Tr(eta^(j+s)) of the
         ambient field of degree r degree (DegreeUnsupported when p divides r),
         from exp_enc_bulk and trace_enc_bulk; products and inverses follow
-        from the dlogs j.  The tables are int16 when Q^3 <= 2^15, else
-        int32.  Self-checked: InvariantViolation unless the keys of the
-        nonzero elements are 1..Q-1, each once, and the key of x + y
+        from the dlogs j.  Self-checked: InvariantViolation unless the keys
+        of the nonzero elements are 1..Q-1, each once, and the key of x + y
         (add_enc_bulk) is the digitwise sum of the keys at every pair."""
         ctx, p, q, order = self.ctx, self.ctx.p, self.q, self.order
         ratio = ctx.m // self.degree
@@ -783,9 +778,7 @@ class SubfieldView:
         neg = _negations(key_digits, p)
         inv = keys[-key_log % order]
         inv[0] = 0
-        dtype = np.int16 if q ** 3 <= 1 << 15 else np.int32
-        return KeyArithmetic(q, *(t.astype(dtype) for t in (
-            mul, inv, add.reshape(q, q)[:, neg[mul]].ravel())))
+        return KeyArithmetic(q, mul, inv, add.reshape(q, q)[:, neg[mul]].ravel())
 
     def abs_trace(self, x: Elem) -> int:
         """Absolute trace of this subfield GF(p^degree) -> GF(p)

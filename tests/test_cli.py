@@ -437,11 +437,14 @@ def test_force_is_the_pure_python_path(capsys, monkeypatch, argv):
     assert len(built) == 1 and not built[0].has_tables
 
 
-def _run_src(*args):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def _src_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+
+
+def _run_src(*args):
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env, timeout=300)
+                          text=True, env=_src_env(), timeout=300)
 
 
 # python -O strips asserts, so every check must fail through a raised
@@ -631,6 +634,14 @@ def off(ctx, report):
 expsum.corollary_properties = off
 """, ["--p", "3", "--k", "1"], ["corollary2 suite"], "properties ['iii'] failed at a = ",
         id="corollary2-one_property_flipped"),
+    # (vi) switched off where its hypotheses hold: p = 3 mod 4, k odd and
+    # b = g^0 a square; the other six properties still hold
+    pytest.param("""
+from charsum import expsum
+expsum._special_a = lambda ctx, b, chi_b: ()
+""", ["--p", "3", "--k", "1"], ["corollary2 suite"],
+        "property vi skipped at b = g^0, where p = 3 mod 4, k is odd and chi(b) = 1",
+        id="corollary2-special_value_skipped"),
     # the sign of chi(b) flipped; r/s/t has no route of its own yet, so the
     # sweep's identity check fails every check that reads a sweep
     pytest.param("""
@@ -780,6 +791,22 @@ def test_prop1_counts_the_pairs_compared(capsys, monkeypatch):
         capsys.readouterr().out)
 
 
+def test_corollary2_refuses_property_vi_off_its_hypotheses(capsys, monkeypatch):
+    # b = g^1 is a nonsquare, so (vi) does not apply: a result for it fails
+    # corollary2 even where every pair passes
+    real = expsum.corollary_properties
+
+    def off(ctx, report):
+        out = real(ctx, report)
+        out["vi"] = np.ones_like(out["i"]) if out["vi"] is None else out["vi"]
+        return out
+
+    monkeypatch.setattr(expsum, "corollary_properties", off)
+    assert run(["verify-all", "--p", "3", "--k", "1", "--b", "g^1"]) == 1
+    assert ("[FAIL] corollary2 suite: property vi evaluated at b = g^1, where p = 3 mod 4, "
+            "k is odd and chi(b) = 1 do not all hold") in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("name, failed", [
     ("N_via_nonsquares_bulk", "[FAIL] prop2/eq8 triple path: paths evaluated"),
     ("N_via_jacobsthal_bulk", "[FAIL] prop2/eq8 triple path: paths evaluated"),
@@ -846,6 +873,61 @@ print("charsum.reference" in sys.modules)
     proc = _run_src("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def _table_branches():
+    # the FieldCtx methods whose bodies read self.has_tables
+    tree = ast.parse((SRC / "charsum" / "field_core.py").read_text())
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "FieldCtx")
+    return [fn.name for fn in cls.body if isinstance(fn, ast.FunctionDef)
+            and any(isinstance(node, ast.Attribute) and node.attr == "has_tables"
+                    and isinstance(node.ctx, ast.Load) for node in ast.walk(fn))]
+
+
+def test_every_table_branch_is_on_a_command_path(capsys, monkeypatch):
+    # a FieldCtx method asks which kind a context is only where some command
+    # calls it on a table context; every other method has one body, which on
+    # a table context is the reference of a bulk primitive (scalar add and
+    # trace) or is built on the methods that branch
+    branches = _table_branches()
+    calls = dict.fromkeys(branches, 0)
+
+    def counting(name):
+        real = getattr(FieldCtx, name)
+
+        def counted(self, *args, **kwargs):
+            calls[name] += self.has_tables
+            return real(self, *args, **kwargs)
+        return counted
+
+    for name in branches:
+        monkeypatch.setattr(FieldCtx, name, counting(name))
+    extra = {"expsum": ["--a", "g^0", "--b", "g^0"], "expsum-sweep": ["--b", "g^1"],
+             "walsh-spectrum": ["--a", "g^0", "--b", "g^0"]}
+    commands = sorted(cli.build_parser().get_default("_handlers"))
+    for cmd in commands:
+        assert run([cmd, "--p", "3", "--k", "1", *extra.get(cmd, [])]) == 0, cmd
+    capsys.readouterr()
+    assert len(commands) == 9 and "mul_enc" in branches
+    assert [name for name, n in calls.items() if not n] == []
+
+
+def test_export_stops_quietly_when_its_reader_does():
+    # a reader that takes one line and closes the pipe: the export exits 141,
+    # as a writer killed by SIGPIPE does, with nothing on stderr
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "charsum", "expsum-sweep", "--p", "3", "--k", "2", "--b", "g^1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env())
+    try:
+        assert proc.stdout.readline().startswith(b'{"context"')
+        proc.stdout.close()
+        assert proc.wait(timeout=300) == 141
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
 
 
 def test_every_reference_is_called_by_a_test():

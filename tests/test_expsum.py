@@ -377,7 +377,8 @@ def test_form_matrices_entries(ctx31, ctx32):
         la = sweep_logs(ctx31)[~es.norms_match(ctx31, sweep_logs(ctx31), lb)]
         cases.append((ctx31, la, np.full(la.size, lb)))
     for ctx, la, lb in cases:
-        assert es.form_matrices(ctx)(la, lb).tolist() == _entry_keys(ctx, la, lb).tolist()
+        keys = es.form_matrices(ctx)(la, lb)
+        assert keys.dtype == np.int64 and keys.tolist() == _entry_keys(ctx, la, lb).tolist()
 
 
 def test_form_matrices_match_slow_context(ctx31, ctx32):

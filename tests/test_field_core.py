@@ -251,9 +251,11 @@ def test_slow_path_matches_tables(ctx31):
         x, y = slow.from_exp(e1), slow.from_exp(e2)
         xt, yt = ctx31.from_exp(e1), ctx31.from_exp(e2)
         assert (x * y).enc == (xt * yt).enc
-        assert (x + y).enc == (xt + yt).enc
+        # addition and the absolute trace have one scalar body, so the
+        # table context answers through its bulk primitives
+        assert (x + y).enc == ctx31.add_enc_bulk(xt.enc, yt.enc)
         assert (x ** 7).enc == (xt ** 7).enc
-        assert slow.abs_trace(x) == ctx31.abs_trace(xt)
+        assert slow.abs_trace(x) == ctx31.trace_enc_bulk(xt.enc)
         assert slow.dlog(x) == e1  # baby-step giant-step route
     sub = slow.subfield(2)
     for e, x in enumerate(sub.nonzero_elements()):
@@ -311,14 +313,36 @@ def test_bulk_ops_match_scalar(use_tables):
 
 def test_table_context_holds_four_arrays():
     # a table context holds the exp, log and trace tables and the half-width
-    # addition table, and nothing else as an array; a context without tables
-    # holds none
+    # addition table, all int64, and nothing else as an array; a context
+    # without tables holds none
     def arrays(ctx):
-        return {name for name, value in vars(ctx).items() if isinstance(value, np.ndarray)}
+        return {name: value.dtype for name, value in vars(ctx).items()
+                if isinstance(value, np.ndarray)}
 
-    assert arrays(build_context(FieldParams(3, 1), 4)) == {
-        "exp_enc", "log_enc", "trace_enc", "add_table"}
-    assert arrays(build_context(FieldParams(3, 1), 4, use_tables=False)) == set()
+    assert arrays(build_context(FieldParams(3, 1), 4)) == dict.fromkeys(
+        ("exp_enc", "log_enc", "trace_enc", "add_table"), np.int64)
+    assert arrays(build_context(FieldParams(3, 1), 4, use_tables=False)) == {}
+
+
+def test_scalar_add_and_trace_do_not_read_the_tables():
+    # scalar addition and the absolute trace have one body, digit sums and
+    # the Frobenius sum, so on a table context they are references of
+    # add_enc_bulk and trace_enc_bulk: with one entry of the addition table
+    # and one of the trace table corrupted after the build, the bulk
+    # primitives disagree with them exactly where those entries are read
+    ctx = build_context(FieldParams(3, 1), 4)
+    s, x, y, bad = ctx.add_side, 4, 7, 50
+    ctx.add_table[x * s + y] = (ctx.add_table[x * s + y] + 1) % s
+    ctx.trace_enc[bad] = (ctx.trace_enc[bad] + 1) % ctx.p
+    u, v = (a.ravel() for a in np.meshgrid(np.arange(ctx.q), np.arange(ctx.q), indexing="ij"))
+    scalar = np.array([ctx.add_enc(int(a), int(b)) for a, b in zip(u, v)])
+    # s^2 pairs read the entry through their high halves, s^2 through their
+    # low halves, and one pair through both
+    served = ((u // s == x) & (v // s == y)) | ((u % s == x) & (v % s == y))
+    assert served.sum() == 2 * s * s - 1
+    assert ((ctx.add_enc_bulk(u, v) != scalar) == served).all()
+    traces = [ctx.abs_trace(ctx.from_enc(a)) for a in range(ctx.q)]
+    assert np.flatnonzero(ctx.trace_enc_bulk(np.arange(ctx.q)) != traces).tolist() == [bad]
 
 
 @functools.cache
@@ -423,14 +447,14 @@ def test_exp_table_matches_powers_of_xi(ctx32):
 def test_key_tables_match_field_arithmetic(which, request, key_encodings):
     # mul, inv and axpy of the keys of GF(p^k) against mul_enc, add_enc and
     # inv_enc of the ambient field, at all Q^2 and Q^3 inputs; GF(37) in
-    # GF(37^2) has Q^3 = 50,653 > 2^15, so its tables are int32
+    # GF(37^2) has Q^3 = 50,653 > 2^15 axpy entries
     ctx = (build_context(FieldParams(3, 2), 8, use_tables=False) if which == "slow32"
            else context(37, 1, 2) if which == "gf37" else request.getfixturevalue(which))
     view = ctx.subfield(ctx.params.k)
     arith, encs = view.key_arithmetic(), [int(e) for e in key_encodings(view)]
     q, key = arith.q, {e: K for K, e in enumerate(encs)}
     assert q == view.q and arith.inv[0] == 0
-    assert arith.mul.dtype == arith.axpy.dtype == (np.int16 if q ** 3 <= 1 << 15 else np.int32)
+    assert arith.mul.dtype == arith.inv.dtype == arith.axpy.dtype == np.int64
     minus_one = ctx.p - 1
     for x in range(q):
         if x:
