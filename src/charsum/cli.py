@@ -35,8 +35,8 @@ import time
 import numpy as np
 
 from . import __version__, cyclotomy, expsum, jacobsthal, sequences, walsh
-from .errors import CharsumError, GuardExceeded, IdentityViolation, ZeroB
-from .field_core import FieldParams, build_context, context
+from .errors import CharsumError, GuardExceeded, IdentityViolation, OracleMismatch, ZeroB
+from .field_core import FieldParams, build_context, context, label
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 20260809
@@ -57,8 +57,11 @@ def _header(cmd: str, args, ctx) -> dict:
     }
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True))
+    print(_ENCODER.encode(obj))
 
 
 def _parse_common(sub, element_args=()):
@@ -93,11 +96,13 @@ def _cmd_cyclotomy_table(args) -> int:
     view = ctx.subfield(2 * args.k)
     table = cyclotomy.full_table(view)
     if args.format == "csv":
-        print(table.to_csv())
+        print("i\\j," + ",".join(map(str, range(len(table)))))
+        for i, row in enumerate(table.tolist()):
+            print(f"{i}," + ",".join(map(str, row)))
     else:
         _emit(_header("cyclotomy-table", args, ctx))
-        _emit({"order": table.order, "nu": f"g^{table.nu_log}",
-               "table": [list(r) for r in table.table], "total": table.total})
+        _emit({"order": len(table), "nu": label(view.step),
+               "table": table.tolist(), "total": int(table.sum())})
     return 0
 
 
@@ -119,9 +124,9 @@ def _cmd_jacobsthal_scan(args) -> int:
     pk = report.pk
     for log, H, I, I2, curve_N in zip(*(x.tolist() for x in (
             report.logs, report.H, report.I, report.I2, report.curve_N))):
-        _emit({"a": f"g^{log}", "H": H, "I": I, "I2": I2, "curve_N": curve_N,
+        _emit({"a": label(log), "H": H, "I": I, "I2": I2, "curve_N": curve_N,
                "bound_ratio": abs(H) / (2 * math.sqrt(pk) * (pk + 1))})
-    _emit({"max_abs_H": report.max_abs_H, "argmax": f"g^{report.argmax_log}",
+    _emit({"max_abs_H": report.max_abs_H, "argmax": label(report.argmax_log),
            "max_ratio": report.max_ratio, "bound_attained": report.attained})
     return 0
 
@@ -155,7 +160,7 @@ def _cmd_walsh_spectrum(args) -> int:
     rendered = [{"coeff": list(c.c), "norm2": n.as_int() if n.is_rational_integer else list(n.c)}
                 for c, n in spectrum.values]
     for i, v in enumerate(spectrum.index.tolist()):
-        _emit({"y": f"g^{i - 1}" if i else "0", **rendered[v]})
+        _emit({"y": label(i - 1), **rendered[v]})
     _emit({"summary": dict(sorted(spectrum.summary.items())),
            "parseval": spectrum.parseval,
            "bent": spectrum.bent,
@@ -218,12 +223,21 @@ def _run_verify_all(args) -> int:
 
     @functools.cache
     def bound_scan():
-        # eq1, theorem2, curve and prop2 read the same scan; BoundViolation on defect
+        # eq1, theorem2, curve, prop2 and r/s/t read the same scan; BoundViolation on defect
         return jacobsthal.theorem2_scan(view)
+
+    @functools.cache
+    def jacobsthal_route(b):
+        # g and N from H on the slice of b, which prop2 and r/s/t read
+        rep = sweep(b)
+        la = rep.jacobsthal
+        _require(la.size == pk - rep.chi_b, f"{la.size} slice pairs, expected {pk - rep.chi_b}")
+        g_logs = expsum.g_logs(ctx, b, la)
+        return g_logs, expsum.N_via_jacobsthal_bulk(ctx, b, la, g_logs, bound_scan())
 
     def check_lemma1():
         table = cyclotomy.verify_lemma1(view)  # CyclotomyViolation on defect
-        return f"total {table.total}, 0 mismatches"
+        return f"total {table.sum()}, 0 mismatches"
 
     def check_pt():
         values = cyclotomy.pt_sums(view)  # ClassSumViolation on defect
@@ -234,7 +248,7 @@ def _run_verify_all(args) -> int:
         eta = view.eta_bulk(ctx.exp_enc_bulk(rep.logs))
         off = np.flatnonzero(rep.I != jacobsthal.eq1_value(pk, eta))
         if off.size:
-            raise IdentityViolation(f"a = g^{rep.logs[off[0]]} gives {rep.I[off[0]]}")
+            raise IdentityViolation(f"a = {label(rep.logs[off[0]])} gives {rep.I[off[0]]}")
         return f"{rep.logs.size} elements"
 
     def check_theorem2():
@@ -247,7 +261,7 @@ def _run_verify_all(args) -> int:
         rep = bound_scan()
         off = np.flatnonzero(rep.H != (pk + 1) * (rep.curve_N - pk))
         if off.size:
-            raise IdentityViolation(f"mismatch at a = g^{rep.logs[off[0]]}")
+            raise IdentityViolation(f"mismatch at a = {label(rep.logs[off[0]])}")
         return "H/(p^k+1) = N - p^k throughout"
 
     def check_theorem3():
@@ -288,16 +302,14 @@ def _run_verify_all(args) -> int:
             # the sweep has checked its N table against the direct count on this slice
             rep = sweep(b)
             la, n1 = rep.jacobsthal, rep.N[rep.jacobsthal + 1]
-            _require(la.size == pk - rep.chi_b, f"{la.size} slice pairs, expected {pk - rep.chi_b}")
-            g_logs = expsum.g_logs(ctx, b, la)
+            g_logs, n3 = jacobsthal_route(b)
             n2 = expsum.N_via_nonsquares_bulk(ctx, b, la, g_logs)
-            n3 = expsum.N_via_jacobsthal_bulk(ctx, b, la, g_logs, bound_scan())
             _require(n1.size == n2.size == n3.size,
                      f"paths evaluated {n1.size}/{n2.size}/{n3.size} pairs")
             off = np.flatnonzero((n1 != n2) | (n1 != n3))
             if off.size:
                 i = off[0]
-                raise IdentityViolation(f"paths {n1[i]}/{n2[i]}/{n3[i]} at a = g^{la[i]}")
+                raise IdentityViolation(f"paths {n1[i]}/{n2[i]}/{n3[i]} at a = {label(la[i])}")
             n_pairs += n2.size
         return f"{n_pairs} pairs, three paths each"
 
@@ -314,7 +326,7 @@ def _run_verify_all(args) -> int:
         _require(same.size == SAMPLES, f"{same.size} triples evaluated, expected {SAMPLES}")
         off = np.flatnonzero(~same)
         if off.size:
-            raise IdentityViolation(f"scaling failed at h = g^{h_logs[off[0]]}")
+            raise IdentityViolation(f"scaling failed at h = {label(h_logs[off[0]])}")
         return f"{same.size} seeded triples"
 
     def check_cor2():
@@ -342,15 +354,28 @@ def _run_verify_all(args) -> int:
             if failed.size:
                 i = failed[0]
                 bad = [key for key, ok in checked.items() if not ok[i]]
-                raise IdentityViolation(f"properties {bad} failed at a = g^{la[i]}")
+                raise IdentityViolation(f"properties {bad} failed at a = {label(la[i])}")
             n_pairs += la.size
         return f"{n_pairs} pairs x 7 properties"
 
     def check_rst():
+        # the sweep's tallies against their closed forms in J2, the sum of
+        # (2N - 1)^2 over the slice with N from H: 8t = q + p^k - 1 - chi - J2,
+        # 2s = q - p^k + chi (p^k + 1) - 4t and 2r = q - p^k + chi (1 - p^k) + 2t
         lines = []
         for b in b_values:
             rep = sweep(b)  # OracleMismatch unless the identities hold
-            lines.append(f"b={ctx.format_element(b)}: (r,s,t)=({rep.r},{rep.s},{rep.t})")
+            chi, j2 = rep.chi_b, int(((2 * jacobsthal_route(b)[1] - 1) ** 2).sum())
+            t8 = ctx.q + pk - 1 - chi - j2
+            # q - p^k and p^k +- 1 are even, so r and s are integers once t is
+            t = t8 // 8
+            closed = ((ctx.q - pk + chi * (1 - pk)) // 2 + t,
+                      (ctx.q - pk + chi * (pk + 1)) // 2 - 2 * t, t)
+            where = f"b={ctx.format_element(b)}: (r,s,t)=({rep.r},{rep.s},{rep.t})"
+            if t8 % 8 or (rep.r, rep.s, rep.t) != closed:
+                raise OracleMismatch(f"{where}, closed forms ({','.join(map(str, closed))}) "
+                                     f"from J2 = {j2}, 8t = {t8}")
+            lines.append(where)
         return "; ".join(lines)
 
     def check_theorem1():

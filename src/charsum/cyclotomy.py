@@ -16,16 +16,14 @@ p^k - 1 at t = (p^k+1)/2 and -1 everywhere else.
 
 All functions take a SubfieldView of even degree 2k (either the 2k-view
 of the big GF(p^4k) context or the full view of a standalone GF(p^2k)
-context); values do not depend on that choice, class indices do, so
-the table records the generator nu in use.  full_table and pt_sums
-evaluate x + 1 and Tr(x) at every x = nu^e with one FieldCtx.sum_enc_bulk
-call each; the scalar references (class_index, cyclotomic_number) are in
-charsum.reference, which no command imports.
+context); values do not depend on that choice, class indices do: they
+are taken to nu = xi^view.step, the "nu" that cyclotomy-table prints.
+full_table and pt_sums evaluate x + 1 and Tr(x) at every x = nu^e with
+one FieldCtx.sum_enc_bulk call each; the scalar references (class_index,
+cyclotomic_number) are in charsum.reference, which no command imports.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,36 +43,17 @@ def class_count(view: SubfieldView) -> int:
     return _pk(view) + 1
 
 
-def closed_form(pk: int, i: int, j: int) -> int:
-    """The verified value of (i, j) for class order p^k + 1."""
-    if i == 0 and j == 0:
-        return pk - 2
-    if i != j and i != 0 and j != 0:
-        return 1
-    return 0
+def closed_form(pk: int) -> np.ndarray:
+    """The verified int64 matrix of (i, j) for class order p^k + 1."""
+    table = 1 - np.eye(pk + 1, dtype=np.int64)
+    table[0] = table[:, 0] = 0
+    table[0, 0] = pk - 2
+    return table
 
 
-@dataclass(frozen=True)
-class CycNumberTable:
-    """Full matrix of cyclotomic numbers; table[i][j] = (i, j)."""
-
-    order: int              # p^k + 1
-    table: tuple            # (order x order) tuple of tuples
-    nu_log: int             # ambient dlog of the generator nu in use
-
-    @property
-    def total(self) -> int:
-        return sum(sum(row) for row in self.table)
-
-    def to_csv(self) -> str:
-        lines = ["i\\j," + ",".join(str(j) for j in range(self.order))]
-        for i, row in enumerate(self.table):
-            lines.append(f"{i}," + ",".join(str(v) for v in row))
-        return "\n".join(lines)
-
-
-def full_table(view: SubfieldView) -> CycNumberTable:
-    """All cyclotomic numbers in one pass over GF(p^2k)*."""
+def full_table(view: SubfieldView) -> np.ndarray:
+    """All cyclotomic numbers in one pass over GF(p^2k)*: the int64
+    (p^k+1) x (p^k+1) matrix of (i, j)."""
     order = class_count(view)
     ctx = view.ctx
     e = np.arange(view.order, dtype=np.int64)  # x = nu^e
@@ -85,29 +64,22 @@ def full_table(view: SubfieldView) -> CycNumberTable:
         raise InvariantViolation("x + 1 left GF(p^2k)")
     i_idx = e[mask] % order
     j_idx = logs // view.step % order
-    flat = np.bincount(i_idx * order + j_idx, minlength=order * order)
-    table = tuple(tuple(int(v) for v in flat[r * order:(r + 1) * order])
-                  for r in range(order))
-    return CycNumberTable(order=order, table=table, nu_log=ctx.dlog(view.generator))
+    return np.bincount(i_idx * order + j_idx, minlength=order * order).reshape(order, order)
 
 
-def verify_lemma1(view: SubfieldView) -> CycNumberTable:
-    """The full table, compared against the closed form entry by entry:
-    CyclotomyViolation unless it has (p^k+1)^2 entries, all matching (the
-    error names the count of mismatches and the first).  Its total is
-    then the closed form's, p^2k - 2: the x with x and x + 1 nonzero."""
-    pk, order = _pk(view), class_count(view)
-    tab = full_table(view)
-    lengths = [len(row) for row in tab.table]
-    if lengths != [order] * order:
-        raise CyclotomyViolation(f"rows of {lengths} entries, expected {order} rows of {order}")
-    bad = [(i, j, got, closed_form(pk, i, j)) for i, row in enumerate(tab.table)
-           for j, got in enumerate(row) if got != closed_form(pk, i, j)]
-    if bad:
-        i, j, got, want = bad[0]
-        raise CyclotomyViolation(f"total {tab.total}, {len(bad)} mismatches, "
-                                 f"first ({i}, {j}) = {got}, expected {want}")
-    return tab
+def verify_lemma1(view: SubfieldView) -> np.ndarray:
+    """The full table, once it equals the closed form: CyclotomyViolation
+    on another shape, or naming the count of mismatches and the first in
+    row order.  Its total is then p^2k - 2: the x with x and x + 1 nonzero."""
+    table, want = full_table(view), closed_form(_pk(view))
+    if table.shape != want.shape:
+        raise CyclotomyViolation(f"a {table.shape} table, expected {want.shape}")
+    bad = np.argwhere(table != want)
+    if bad.size:
+        i, j = bad[0]
+        raise CyclotomyViolation(f"total {table.sum()}, {len(bad)} mismatches, "
+                                 f"first ({i}, {j}) = {table[i, j]}, expected {want[i, j]}")
+    return table
 
 
 def pt_sums(view: SubfieldView) -> tuple:

@@ -95,7 +95,7 @@ from .errors import (
     WrongCase,
     ZeroB,
 )
-from .field_core import Elem, FieldCtx, KeyArithmetic
+from .field_core import Elem, FieldCtx, KeyArithmetic, label
 
 
 @dataclass(frozen=True)
@@ -136,14 +136,9 @@ def _log(ctx: FieldCtx, x: Elem) -> int:
     return -1 if x.is_zero else ctx.dlog(x)
 
 
-def _label(l) -> str:
-    # xi^l as records and errors name it, "0" for l = -1
-    return "0" if l < 0 else f"g^{l}"
-
-
 def _where(la, lb) -> str:
     # the pair (xi^la, xi^lb), as error messages name it
-    return f"a={_label(la)}, b={_label(lb)}"
+    return f"a={label(la)}, b={label(lb)}"
 
 
 def _require_admissible(la, lb):
@@ -746,7 +741,7 @@ def _record(a: str, b: str, tag: int, n: int, s0: int, witness_logs) -> dict:
     "g^e": its case (a CaseTag code), N, S_f(0) and the zeros of L on U,
     as "g^e" from their dlogs."""
     return {"a": a, "b": b, "tag": CaseTag(tag).name, "N": n, "S0": s0,
-            "witnesses": [f"g^{e}" for e in witness_logs]}
+            "witnesses": [label(e) for e in witness_logs]}
 
 
 def expsum_record(ctx: FieldCtx, pair: CoeffPair) -> dict:
@@ -760,7 +755,7 @@ def expsum_record(ctx: FieldCtx, pair: CoeffPair) -> dict:
     s0 = ctx.p ** (2 * ctx.params.k) * (2 * int(n[0]) - 1)
     if defining != s0:
         raise _oracle_mismatch(la, lb, s0, defining)
-    return _record(_label(la), _label(lb), tag, int(n[0]), s0, U_logs(ctx)[zeros[0]].tolist())
+    return _record(label(la), label(lb), tag, int(n[0]), s0, U_logs(ctx)[zeros[0]].tolist())
 
 
 def _oracle_mismatch(la, lb, s0: int, defining: CycInt):
@@ -856,10 +851,10 @@ def distribution_sweep(ctx: FieldCtx, b: Elem, on_record=None) -> DistributionRe
         raise OracleMismatch(f"distribution identities violated: {residuals}")
     if on_record is not None:
         logs, bounds = logs.tolist(), bounds.tolist()
-        b_label = _label(lb)
+        b_label = label(lb)
         s0 = Q * (2 * n - 1)
         for l, e, tag, n_i, s0_i in zip(*(x.tolist() for x in (la, a_encs, tags, n, s0))):
-            on_record(_record(_label(l), b_label, tag, n_i, s0_i, logs[bounds[e]:bounds[e + 1]]))
+            on_record(_record(label(l), b_label, tag, n_i, s0_i, logs[bounds[e]:bounds[e + 1]]))
     return DistributionReport(b=b, chi_b=sign, r=r, s=s, t=t,
                               jac_histogram=jac_hist, s0_total=s0_total, residuals=residuals,
                               jacobsthal=la[jac], N=n)

@@ -297,6 +297,12 @@ class Elem:
 # the field context
 # --------------------------------------------------------------------------
 
+def label(l) -> str:
+    """The name of xi^l, "g^l", or "0" for l = -1: the names that
+    FieldCtx.parse_element reads, and every command and error prints."""
+    return "0" if l < 0 else f"g^{l}"
+
+
 class FieldCtx:
     """A concrete GF(p^m), with lookup tables exactly when use_tables is
     set.  Immutable after construction; safe to share.  Build it with
@@ -450,9 +456,7 @@ class FieldCtx:
 
     def format_element(self, x: Elem) -> str:
         """Render as "g^e", or "0" for the zero element."""
-        if x.is_zero:
-            return "0"
-        return f"g^{self.dlog(x)}"
+        return label(-1 if x.is_zero else self.dlog(x))
 
     # --- iteration ----------------------------------------------------------------
 

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundViolation
-from .field_core import SubfieldView
+from .field_core import SubfieldView, label
 
 
 def eq1_value(pk: int, eta_a):
@@ -136,7 +136,7 @@ def theorem2_scan(view: SubfieldView) -> BoundScanReport:
     over = np.flatnonzero(H * H > bound_sq)
     if over.size:
         i = over[0]
-        raise BoundViolation(f"|H(g^{logs[i]})| = {abs(H[i])} exceeds the bound")
+        raise BoundViolation(f"|H({label(logs[i])})| = {abs(H[i])} exceeds the bound")
     best = int(np.argmax(np.abs(H)))
     return BoundScanReport(
         pk=pk, logs=logs, H=H, I=I, I2=I2, curve_N=curve_N,

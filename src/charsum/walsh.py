@@ -45,7 +45,7 @@ import numpy as np
 from .cycint import CycInt
 from .errors import ParsevalViolation, RootCountViolation, SpectrumViolation
 from .expsum import CoeffPair, character_counts
-from .field_core import Elem, FieldCtx
+from .field_core import Elem, FieldCtx, label
 
 
 def closed_form(p: int, k: int) -> tuple:
@@ -105,11 +105,6 @@ def full_spectrum(ctx: FieldCtx, pair: CoeffPair) -> Spectrum:
 # the closed-form spectrum of the pair (1, 1)
 # --------------------------------------------------------------------------
 
-def _y(i) -> str:
-    # the label of position i of the order y = 0, xi^0, xi^1, ...
-    return f"g^{i - 1}" if i else "0"
-
-
 def _root_polynomial(ctx: FieldCtx, y2, ypow, x: Elem):
     """The quartic-trace polynomial W + W^(p^k) at X = x for every y, from
     the encoding arrays y2 = y^2 and ypow = y^(p^2k+1)."""
@@ -137,7 +132,7 @@ def theorem1_root_scan(ctx: FieldCtx) -> np.ndarray:
         x0[hit] = x.enc
     bad = np.flatnonzero(roots != 1)
     if bad.size:
-        raise RootCountViolation(f"{roots[bad[0]]} roots at y={_y(bad[0])}; expected 1")
+        raise RootCountViolation(f"{roots[bad[0]]} roots at y={label(bad[0] - 1)}; expected 1")
     return x0
 
 
@@ -156,7 +151,7 @@ def theorem1_spectrum_check(ctx: FieldCtx) -> Spectrum:
     j = spectrum.closed_j[spectrum.index]  # per y: S_f(y) = -p^2k w^j, or -1
 
     def fail(name, i, detail):
-        return SpectrumViolation(f"{name} failed at y={_y(i)}: S_f(y) = "
+        return SpectrumViolation(f"{name} failed at y={label(i - 1)}: S_f(y) = "
                                  f"{spectrum.values[spectrum.index[i]][0]}, {detail}")
 
     # Tr_k(x0)/4 = Tr(x0)/16, since Tr = 4 Tr_k on GF(p^k)

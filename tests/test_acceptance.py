@@ -35,7 +35,7 @@ def test_c01_cyclotomic_tables(sizes):
         t0 = time.perf_counter()
         table = cyclotomy.verify_lemma1(view2k(ctx))  # raises on a mismatch
         elapsed = time.perf_counter() - t0
-        assert table.total == p ** (2 * k) - 2
+        assert table.shape == (p ** k + 1, p ** k + 1) and table.sum() == p ** (2 * k) - 2
         assert elapsed < 1.0, f"({p},{k}) table took {elapsed:.2f}s"
     _passed("criterion 1: cyclotomic tables match the closed form at "
             "(3,1),(5,1),(7,1),(3,2), each under 1s")

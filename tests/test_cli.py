@@ -138,8 +138,9 @@ def test_verify_all_names_pairs_by_dlog(capsys, monkeypatch):
 def test_prop2_reads_H_from_the_bound_scan(capsys, monkeypatch):
     # one H of the bound scan, at the argument -b^(p^2k+1)/g^2 of the first
     # pair of the slice of b = g^0, lowered by 2(p^k + 1) (and its curve
-    # count with it): prop2's H route then gives N one higher there, and
-    # prop2 alone fails, naming the three paths
+    # count with it): prop2's H route then gives N one higher there, so
+    # prop2 fails, naming the three paths, and so does r/s/t: J2 rises by
+    # (2n + 1)^2 - (2n - 1)^2 = 8n, and its closed t = 8 - n
     ctx = context(3, 1)
     b = ctx.one
     a = expsum.jacobsthal_pairs(ctx, b)[0]
@@ -158,8 +159,11 @@ def test_prop2_reads_H_from_the_bound_scan(capsys, monkeypatch):
     monkeypatch.setattr(jacobsthal, "theorem2_scan", corrupted)
     assert run(["verify-all", "--p", "3", "--k", "1"]) == 1
     failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
+    t = 8 - n
     assert failed == [
-        f"[FAIL] prop2/eq8 triple path: paths {n}/{n}/{n + 1} at a = {ctx.format_element(a)}"]
+        f"[FAIL] prop2/eq8 triple path: paths {n}/{n}/{n + 1} at a = {ctx.format_element(a)}",
+        f"[FAIL] r/s/t distribution identities: b=g^0: (r,s,t)=(46,25,8), "
+        f"closed forms ({38 + t},{41 - 2 * t},{t}) from J2 = {18 + 8 * n}, 8t = {8 * t}"]
 
 
 @pytest.mark.parametrize("b, text", [("g^1;", ""), ("g^1;g^x", "g^x"), ("1,,2", "1,,2")])
@@ -194,9 +198,19 @@ def test_expsum_record(capsys):
     # not bent: norm2 is printed as coefficient lists
     (["walsh-spectrum", "--p", "5", "--k", "1", "--a", "g^0", "--b", "g^3"],
      "55a3d1a0cb3a695c890fb45911ca7e6c5c4ad9adacb14243e5f557b012e23e09"),
+    (["cyclotomy-table", "--p", "3", "--k", "1"],
+     "420521a056df91fc101c5636ddaa2c067b091eaa89b0d31f901c129b5eece1d2"),
+    (["cyclotomy-table", "--p", "3", "--k", "1", "--format", "csv"],
+     "3cf47291e220828a3cbd9c1df1d94ecb517b30c853902edbaf1e09f3209db2e3"),
+    (["cyclotomy-table", "--p", "5", "--k", "1", "--format", "csv"],
+     "25e6b88330b23852b59963f3c5000975ddbb613e0382e007299516de658c1653"),
+    (["pt-sums", "--p", "3", "--k", "1"],
+     "21ec4cec14bae6dbf4cee873a1a71616ead927a4fb25003f06de91d636d5af58"),
+    (["theorem1-verify", "--p", "3", "--k", "1"],
+     "19700b79f79afa5353242b4eb27f99d3c1e55b8760a7501fe20ec2ecffcac12d"),
 ])
 def test_export_output_pinned(capsys, argv, digest):
-    # the whole stdout of seven small exports, byte for byte, by SHA-256
+    # the whole stdout of twelve small exports, byte for byte, by SHA-256
     assert run(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
@@ -463,16 +477,14 @@ def off(view):
     return logs, H, I, I2, curve_N
 jacobsthal.scan_table = off
 """
-# one row of the cyclotomic table changed
-_CYCLOTOMY_ROW_OFF = """
+# the cyclotomic table changed
+_CYCLOTOMY_TABLE_OFF = """
 from charsum import cyclotomy
-import dataclasses
 real = cyclotomy.full_table
 def off(view):
     table = real(view)
-    rows = [list(row) for row in table.table]
     {}
-    return dataclasses.replace(table, table=tuple(map(tuple, rows)))
+    return table
 cyclotomy.full_table = off
 """
 # one wrong entry of the half-width addition table, set after its
@@ -490,11 +502,11 @@ _EVERY_SWEEP_USER = ["theorem3 oracle equivalence", "prop1 three-valued range",
                      "prop2/eq8 triple path", "corollary2 suite",
                      "r/s/t distribution identities"]
 FAULTS = [
-    pytest.param(_CYCLOTOMY_ROW_OFF.format("rows[1][2] += 1"), ["--p", "3", "--k", "1"],
+    pytest.param(_CYCLOTOMY_TABLE_OFF.format("table[1, 2] += 1"), ["--p", "3", "--k", "1"],
                  ["lemma1 cyclotomic table"], ", 1 mismatches", id="lemma1-one_number_off"),
-    # an entry dropped: the entries left all match the closed form
-    pytest.param(_CYCLOTOMY_ROW_OFF.format("del rows[1][-1]"), ["--p", "3", "--k", "1"],
-                 ["lemma1 cyclotomic table"], "rows of [4, 3, 4, 4] entries, expected 4 rows of 4",
+    # the last column dropped: the entries left all match the closed form
+    pytest.param(_CYCLOTOMY_TABLE_OFF.format("table = table[:, :-1]"), ["--p", "3", "--k", "1"],
+                 ["lemma1 cyclotomic table"], "a (4, 3) table, expected (4, 4)",
                  id="lemma1-one_entry_dropped"),
     # a class sum P_0 off by one
     pytest.param("""
@@ -506,7 +518,7 @@ cyclotomy.CycInt = type("Off", (real,), {"from_counts": classmethod(
         id="pt-class_sum_off"),
     pytest.param(_SCAN_ENTRY_OFF.format("I[3] += 1"), ["--p", "3", "--k", "1"],
                  ["eq1 companion sum"], " gives ", id="eq1-one_I_off"),
-    # an H beyond the Hasse bound fails the four checks that read the scan
+    # an H beyond the Hasse bound fails the five checks that read the scan
     pytest.param("""
 from charsum import jacobsthal
 real = jacobsthal.scan_table
@@ -516,23 +528,27 @@ def inflated(view):
 jacobsthal.scan_table = inflated
 """, ["--p", "3", "--k", "1"],
         ["theorem2 jacobsthal bound", "eq1 companion sum", "curve count identity",
-         "prop2/eq8 triple path"], "|H(g^10)| = 800 exceeds the bound",
+         "prop2/eq8 triple path", "r/s/t distribution identities"],
+        "|H(g^10)| = 800 exceeds the bound",
         id="theorem2-H_beyond_bound"),
     # the first H just beyond the bound: H^2 = 196 > 4 p^k (p^k+1)^2 = 192
     pytest.param(_SCAN_ENTRY_OFF.format("H[0] = math.isqrt(4 * pk * (pk + 1) ** 2) + 1"),
                  ["--p", "3", "--k", "1"],
                  ["theorem2 jacobsthal bound", "eq1 companion sum", "curve count identity",
-                  "prop2/eq8 triple path"], "|H(g^10)| = 14 exceeds the bound",
+                  "prop2/eq8 triple path", "r/s/t distribution identities"],
+                 "|H(g^10)| = 14 exceeds the bound",
                  id="theorem2-H_at_bound_plus_one"),
     # one a dropped from every array of the scan: the records stay
-    # consistent, so only theorem2's count of the a off GF(p^k) and prop2,
-    # whose argument -b^(p^2k+1)/g^2 is then missing, see it
+    # consistent, so only theorem2's count of the a off GF(p^k) and the
+    # Jacobsthal route of prop2 and r/s/t, whose argument -b^(p^2k+1)/g^2 is
+    # then missing, see it
     pytest.param("""
 import numpy as np
 from charsum import jacobsthal
 real = jacobsthal.scan_table
 jacobsthal.scan_table = lambda view: tuple(np.delete(x, 3) for x in real(view))
-""", ["--p", "3", "--k", "1"], ["theorem2 jacobsthal bound", "prop2/eq8 triple path"],
+""", ["--p", "3", "--k", "1"],
+        ["theorem2 jacobsthal bound", "prop2/eq8 triple path", "r/s/t distribution identities"],
         "5 elements, expected 6", id="theorem2-one_a_dropped"),
     # with H untouched, only the curve identity reads curve_N
     pytest.param(_SCAN_ENTRY_OFF.format("curve_N[3] += 1"), ["--p", "3", "--k", "1"],
@@ -573,8 +589,9 @@ cli.expsum = types.SimpleNamespace(**{**vars(expsum), "norms_match": off})
 """, ["--p", "3", "--k", "1"], ["prop1 three-valued range"],
         "ker L = ker F at 353 pairs, expected 354", id="prop1-norms_match_off"),
     # the sweep's report loses its first slice a: the three paths and the
-    # seven properties agree on the rest, and only the slice size p^k - chi(b)
-    # is short
+    # seven properties agree on the rest, and only the slice size p^k - chi(b),
+    # which corollary2 and the Jacobsthal route of prop2 and r/s/t check, is
+    # short
     pytest.param("""
 import dataclasses
 from charsum import expsum
@@ -583,7 +600,8 @@ def off(ctx, b):
     rep = real(ctx, b)
     return dataclasses.replace(rep, jacobsthal=rep.jacobsthal[1:])
 expsum.distribution_sweep = off
-""", ["--p", "3", "--k", "1"], ["prop2/eq8 triple path", "corollary2 suite"],
+""", ["--p", "3", "--k", "1"],
+        ["prop2/eq8 triple path", "corollary2 suite", "r/s/t distribution identities"],
         "1 slice pairs, expected 2", id="prop2-slice_a_dropped"),
     # the sign of F's first term, c X^(p^2k), flipped in form_matrices' map
     pytest.param("""
@@ -642,14 +660,27 @@ expsum._special_a = lambda ctx, b, chi_b: ()
 """, ["--p", "3", "--k", "1"], ["corollary2 suite"],
         "property vi skipped at b = g^0, where p = 3 mod 4, k is odd and chi(b) = 1",
         id="corollary2-special_value_skipped"),
-    # the sign of chi(b) flipped; r/s/t has no route of its own yet, so the
-    # sweep's identity check fails every check that reads a sweep
+    # the sign of chi(b) flipped: the sweep's identity check fails every
+    # check that reads a sweep before r/s/t compares its closed forms
     pytest.param("""
 from charsum import expsum
 real = expsum.chi
 expsum.chi = lambda ctx, b: -real(ctx, b)
 """, ["--p", "3", "--k", "1"], ["r/s/t distribution identities", *_EVERY_SWEEP_USER[:-1]],
         "distribution identities violated", id="rst-chi_flipped"),
+    # the tallies moved after the sweep, r + 1 and s - 1: r + s + t and every
+    # N stay, so only the closed forms from J2 see it
+    pytest.param("""
+import dataclasses
+from charsum import expsum
+real = expsum.distribution_sweep
+def off(ctx, b):
+    rep = real(ctx, b)
+    return dataclasses.replace(rep, r=rep.r + 1, s=rep.s - 1)
+expsum.distribution_sweep = off
+""", ["--p", "3", "--k", "1"], ["r/s/t distribution identities"],
+        "b=g^0: (r,s,t)=(47,24,8), closed forms (46,25,8) from J2 = 18, 8t = 64",
+        id="rst-tallies_shifted"),
     # one spectrum coefficient multiplied by w: its index pointed at a
     # rotated copy of its value, -p^2k w^(j+1) for -p^2k w^j (the summary
     # stays as computed)
@@ -780,6 +811,15 @@ def test_cli_names_no_private_attribute_of_another_module():
     assert len(modules) >= 5 and offenders == []
 
 
+def test_only_field_core_spells_an_element_name():
+    # every "g^e" name is written by field_core.label, next to the parser
+    # that reads it back
+    spelled = {path.name: path.read_text().count("g^{")
+               for path in sorted((SRC / "charsum").glob("*.py"))}
+    assert spelled.pop("field_core.py") == 1 and len(spelled) >= 10
+    assert {name: n for name, n in spelled.items() if n} == {}
+
+
 def test_prop1_counts_the_pairs_compared(capsys, monkeypatch):
     # prop1 fails unless it compared every norms-differ a of the swept b
     # (77 at p = 3, k = 1) plus the SAMPLES pairs
@@ -828,7 +868,10 @@ def test_batched_checks_count_the_pairs(capsys, monkeypatch, name, failed):
     monkeypatch.setattr(cli, "SAMPLES", 5)
     assert run(["verify-all", "--p", "3", "--k", "1", "--b", "g^1"]) == 1
     lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
-    assert len(lines) == 1 and lines[0].startswith(failed), lines
+    # r/s/t reads J2 from the Jacobsthal route's N
+    expected = [failed] + (["[FAIL] r/s/t distribution identities: b=g^1: "]
+                           if name == "N_via_jacobsthal_bulk" else [])
+    assert len(lines) == len(expected) and all(map(str.startswith, lines, expected)), lines
     if name == "corollary_properties":
         assert "pairs evaluated, expected" in lines[0]
 

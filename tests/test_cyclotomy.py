@@ -1,9 +1,9 @@
-import dataclasses
-
+import numpy as np
 import pytest
 
 from charsum import cyclotomy as cy
 from charsum import reference as ref
+from charsum.cli import run
 from charsum.cycint import CycInt
 from charsum.errors import CyclotomyViolation, IndexOutOfRange, InvariantViolation, ZeroArgument
 from charsum.field_core import FieldCtx, context
@@ -35,40 +35,45 @@ def test_entrywise_matches_full_table(ctx31, ctx51):
     for ctx in (ctx31, ctx51):
         view = view2k(ctx)
         table = cy.full_table(view)
-        for i in range(table.order):
-            for j in range(table.order):
-                assert ref.cyclotomic_number(view, i, j) == table.table[i][j]
+        assert table.shape == (cy.class_count(view),) * 2
+        for i in range(len(table)):
+            for j in range(len(table)):
+                assert ref.cyclotomic_number(view, i, j) == table[i, j]
 
 
 def test_full_table_31(ctx31):
     table = cy.full_table(view2k(ctx31))
-    assert table.table == ((1, 0, 0, 0),
-                           (0, 0, 1, 1),
-                           (0, 1, 0, 1),
-                           (0, 1, 1, 0))
-    assert table.total == 7
+    assert table.dtype == np.int64
+    assert table.tolist() == [[1, 0, 0, 0],
+                              [0, 0, 1, 1],
+                              [0, 1, 0, 1],
+                              [0, 1, 1, 0]]
+    assert table.sum() == 7
 
 
 def test_full_table_51(ctx51):
     table = cy.full_table(view2k(ctx51))
-    assert table.table[0][0] == 3
-    ones = sum(v == 1 for row in table.table for v in row)
+    assert table[0, 0] == 3
+    ones = np.count_nonzero(table == 1)
     assert ones == 20  # i != j with both nonzero: 5 * 4 cells
-    assert table.total == 23
+    assert table.sum() == 23
 
 
 def test_full_table_32(ctx32):
     table = cy.full_table(view2k(ctx32))
-    assert table.table[0][0] == 7
-    assert table.total == 79
+    assert table[0, 0] == 7
+    assert table.sum() == 79
 
 
 @pytest.mark.parametrize("fixture", ["ctx31", "ctx51", "ctx71", "ctx32"])
 def test_lemma1_all_sizes(fixture, request):
     ctx = request.getfixturevalue(fixture)
     table = cy.verify_lemma1(view2k(ctx))  # raises on a mismatch
-    assert table == cy.full_table(view2k(ctx))
-    assert table.total == ctx.p ** (2 * ctx.params.k) - 2
+    pk = ctx.p ** ctx.params.k
+    assert table.dtype == np.int64 and table.shape == (pk + 1, pk + 1)
+    assert np.array_equal(table, cy.full_table(view2k(ctx)))
+    assert np.array_equal(table, cy.closed_form(pk))
+    assert table.sum() == ctx.p ** (2 * ctx.params.k) - 2
 
 
 def test_lemma1_names_the_first_mismatch(ctx31, monkeypatch):
@@ -77,10 +82,9 @@ def test_lemma1_names_the_first_mismatch(ctx31, monkeypatch):
 
     def off(view):
         table = real(view)
-        rows = [list(row) for row in table.table]
-        rows[2][1] += 1
-        rows[1][3] -= 1
-        return dataclasses.replace(table, table=tuple(map(tuple, rows)))
+        table[2, 1] += 1
+        table[1, 3] -= 1
+        return table
 
     monkeypatch.setattr(cy, "full_table", off)
     with pytest.raises(CyclotomyViolation,
@@ -93,7 +97,7 @@ def test_row_sums(ctx31, ctx51):
     for ctx in (ctx31, ctx51):
         pk = ctx.p ** ctx.params.k
         table = cy.full_table(view2k(ctx))
-        for i, row in enumerate(table.table):
+        for i, row in enumerate(table):
             assert sum(row) == pk - 1 - (1 if i == 0 else 0)
 
 
@@ -102,14 +106,14 @@ def test_minus_one_symmetry(ctx31, ctx51):
     for ctx in (ctx31, ctx51):
         view = view2k(ctx)
         table = cy.full_table(view)
-        order = table.order
+        order = len(table)
         recount = [[0] * order for _ in range(order)]
         one = ctx.one
         for e, x in enumerate(view.nonzero_elements()):
             y = x - one
             if not y.is_zero:
                 recount[e % order][ref.class_index(view, y)] += 1
-        assert tuple(tuple(r) for r in recount) == table.table
+        assert recount == table.tolist()
 
 
 @pytest.mark.parametrize("fixture,special,value", [
@@ -132,14 +136,16 @@ def test_pt_total_is_minus_one(ctx31, ctx51):
         assert total == -1
 
 
-def test_csv_emitter(ctx31):
-    table = cy.full_table(view2k(ctx31))
-    assert table.to_csv() == (
+def test_csv_emitter(capsys):
+    # cyclotomy-table renders the matrix as CSV: a header of the j, then one
+    # line per i
+    assert run(["cyclotomy-table", "--p", "3", "--k", "1", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == (
         "i\\j,0,1,2,3\n"
         "0,1,0,0,0\n"
         "1,0,0,1,1\n"
         "2,0,1,0,1\n"
-        "3,0,1,1,0"
+        "3,0,1,1,0\n"
     )
 
 
@@ -148,7 +154,7 @@ def test_slow_path_table(ctx31):
     from charsum.field_core import FieldParams, build_context
     slow = build_context(FieldParams(3, 1), 4, use_tables=False)
     table = cy.full_table(slow.subfield(2))
-    assert table.table == cy.full_table(view2k(ctx31)).table
+    assert np.array_equal(table, cy.full_table(view2k(ctx31)))
     assert cy.pt_sums(slow.subfield(2)) == cy.pt_sums(view2k(ctx31))
 
 

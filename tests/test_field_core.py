@@ -580,9 +580,11 @@ def test_parse_and_format(ctx31):
     for text in ("", "g^", "g^x", "1,,2", "h"):  # the error names the element
         with pytest.raises(ValueError, match=re.escape(f"element {text!r} is neither g^e")):
             ctx31.parse_element(text)
-    assert ctx31.format_element(ctx31.zero) == "0"
+    assert ctx31.format_element(ctx31.zero) == field_core.label(-1) == "0"
+    assert ctx31.parse_element(field_core.label(-1)) == ctx31.zero
     for e in (0, 1, 17, 79):
         assert ctx31.parse_element(ctx31.format_element(ctx31.from_exp(e))) == ctx31.from_exp(e)
+        assert ctx31.parse_element(field_core.label(np.int64(e))) == ctx31.from_exp(e)
 
 
 def test_elem_identity(ctx31):
