@@ -87,6 +87,11 @@ def _field(args, m=None):
     return context(args.p, args.k, m)
 
 
+def _log_arg(ctx, text: str) -> int:
+    # an element argument, named by its dlog (-1 for zero) from here on
+    return ctx.log(ctx.parse_element(text))
+
+
 # --------------------------------------------------------------------------
 # subcommand handlers
 # --------------------------------------------------------------------------
@@ -142,19 +147,18 @@ def _cmd_expsum(args) -> int:
 
 def _cmd_expsum_sweep(args) -> int:
     ctx = _field(args)
-    b = ctx.parse_element(args.b)
-    if b.is_zero:
+    lb = _log_arg(ctx, args.b)
+    if lb < 0:
         raise ZeroB("distribution sweep needs b != 0")
     _emit(_header("expsum-sweep", args, ctx))
-    report = expsum.distribution_sweep(ctx, b, _emit)
-    _emit(report.to_json_dict(ctx))
+    report = expsum.distribution_sweep(ctx, lb, _emit)
+    _emit(report.to_json_dict())
     return 0
 
 
 def _cmd_walsh_spectrum(args) -> int:
     ctx = _field(args)
-    pair = expsum.CoeffPair(ctx.parse_element(args.a), ctx.parse_element(args.b))
-    spectrum = walsh.full_spectrum(ctx, pair)
+    spectrum = walsh.full_spectrum(ctx, _log_arg(ctx, args.a), _log_arg(ctx, args.b))
     _emit(_header("walsh-spectrum", args, ctx))
     # |S|^2 is a rational integer on every bent spectrum and at p = 3
     rendered = [{"coeff": list(c.c), "norm2": n.as_int() if n.is_rational_integer else list(n.c)}
@@ -208,18 +212,18 @@ def _run_verify_all(args) -> int:
     ctx = _field(args)
     pk = args.p ** args.k
     view = ctx.subfield(2 * args.k)
-    b_values = [ctx.parse_element(s.strip()) for s in args.b.split(";")]
-    if any(b.is_zero for b in b_values):
+    b_values = [_log_arg(ctx, s) for s in args.b.split(";")]  # the dlogs of the b
+    if min(b_values) < 0:
         raise ZeroB("the sweeps need b != 0")
-    if len({b.enc for b in b_values}) < len(b_values):
+    if len(set(b_values)) < len(b_values):
         raise ValueError("repeated b value")
     rng = random.Random(args.seed)
     print(f"charsum verify-all  p={args.p} k={args.k} seed={args.seed} "
-          f"b={[ctx.format_element(b) for b in b_values]}")
+          f"b={[label(lb) for lb in b_values]}")
 
     @functools.cache
-    def sweep(b):
-        return expsum.distribution_sweep(ctx, b)  # raises on any defect
+    def sweep(lb):
+        return expsum.distribution_sweep(ctx, lb)  # raises on any defect
 
     @functools.cache
     def bound_scan():
@@ -227,13 +231,13 @@ def _run_verify_all(args) -> int:
         return jacobsthal.theorem2_scan(view)
 
     @functools.cache
-    def jacobsthal_route(b):
+    def jacobsthal_route(lb):
         # g and N from H on the slice of b, which prop2 and r/s/t read
-        rep = sweep(b)
+        rep = sweep(lb)
         la = rep.jacobsthal
         _require(la.size == pk - rep.chi_b, f"{la.size} slice pairs, expected {pk - rep.chi_b}")
-        g_logs = expsum.g_logs(ctx, b, la)
-        return g_logs, expsum.N_via_jacobsthal_bulk(ctx, b, la, g_logs, bound_scan())
+        g_logs = expsum.g_logs(ctx, la, lb)
+        return g_logs, expsum.N_via_jacobsthal_bulk(ctx, la, lb, g_logs, bound_scan())
 
     def check_lemma1():
         table = cyclotomy.verify_lemma1(view)  # CyclotomyViolation on defect
@@ -265,8 +269,8 @@ def _run_verify_all(args) -> int:
         return "H/(p^k+1) = N - p^k throughout"
 
     def check_theorem3():
-        for b in b_values:
-            sweep(b)
+        for lb in b_values:
+            sweep(lb)
         return f"full sweeps at {len(b_values)} b values"
 
     def draw():
@@ -280,9 +284,8 @@ def _run_verify_all(args) -> int:
         # the dlog condition, and at SAMPLES drawn pairs; a -> a^(p^k(p^k+1))
         # is (p^k + 1)-to-one, so the norms match at p^k + 1 nonzero a
         la = np.arange(-1, ctx.order, dtype=np.int64)
-        lb = [ctx.dlog(b) for b in b_values]
-        a_logs = [la[~expsum.norms_match(ctx, la, l)] for l in lb]
-        b_logs = [np.full(len(a), l) for a, l in zip(a_logs, lb)]
+        a_logs = [la[~expsum.norms_match(ctx, la, lb)] for lb in b_values]
+        b_logs = [np.full(len(a), lb) for a, lb in zip(a_logs, b_values)]
         expected = len(b_values) * (ctx.q - pk - 1) + SAMPLES
         drawn = []
         while len(drawn) < SAMPLES:
@@ -298,12 +301,12 @@ def _run_verify_all(args) -> int:
 
     def check_prop2():
         n_pairs = 0
-        for b in b_values:
+        for lb in b_values:
             # the sweep has checked its N table against the direct count on this slice
-            rep = sweep(b)
+            rep = sweep(lb)
             la, n1 = rep.jacobsthal, rep.N[rep.jacobsthal + 1]
-            g_logs, n3 = jacobsthal_route(b)
-            n2 = expsum.N_via_nonsquares_bulk(ctx, b, la, g_logs)
+            g_logs, n3 = jacobsthal_route(lb)
+            n2 = expsum.N_via_nonsquares_bulk(ctx, la, lb, g_logs)
             _require(n1.size == n2.size == n3.size,
                      f"paths evaluated {n1.size}/{n2.size}/{n3.size} pairs")
             off = np.flatnonzero((n1 != n2) | (n1 != n3))
@@ -331,21 +334,23 @@ def _run_verify_all(args) -> int:
 
     def check_cor2():
         # (i)-(vi) at every pair of the slice in one batch per b; (vii)
-        # depends on b alone, so once per b
-        n_pairs = 0
-        for b in b_values:
-            rep = sweep(b)
+        # depends on b alone, so once per b; the detail counts the pairs of
+        # the arrays compared, the sums of (vii) and the b where (vi) ran
+        n_pairs, sums, with_vi = 0, 0, 0
+        for lb in b_values:
+            rep = sweep(lb)
             la = rep.jacobsthal
             _require(la.size == pk - rep.chi_b, f"{la.size} slice pairs, expected {pk - rep.chi_b}")
-            total, expected = expsum.corollary_eq9_check(ctx, b, rep.N[la + 1])
+            total, expected = expsum.corollary_eq9_check(ctx, lb, rep.N[la + 1])
             _require(total == expected, f"property vii: sum of N = {total}, expected {expected} "
-                                        f"at b = {ctx.format_element(b)}")
+                                        f"at b = {label(lb)}")
+            sums += 1
             results = expsum.corollary_properties(ctx, rep)
             # (vi) is evaluated exactly where its hypotheses hold
             special = args.p % 4 == 3 and args.k % 2 == 1 and rep.chi_b == 1
             _require((results["vi"] is not None) == special,
                      f"property vi {'skipped' if special else 'evaluated'} at b = "
-                     f"{ctx.format_element(b)}, where p = 3 mod 4, k is odd and chi(b) = 1"
+                     f"{label(lb)}, where p = 3 mod 4, k is odd and chi(b) = 1"
                      f"{'' if special else ' do not all hold'}")
             checked = {key: ok for key, ok in results.items() if ok is not None}
             sizes = sorted({ok.size for ok in checked.values()})
@@ -355,23 +360,25 @@ def _run_verify_all(args) -> int:
                 i = failed[0]
                 bad = [key for key, ok in checked.items() if not ok[i]]
                 raise IdentityViolation(f"properties {bad} failed at a = {label(la[i])}")
-            n_pairs += la.size
-        return f"{n_pairs} pairs x 7 properties"
+            n_pairs += sizes[0]
+            with_vi += "vi" in checked
+        vi = f"vi at {with_vi} and " if with_vi else ""
+        return f"{n_pairs} pairs x i-v, {vi}vii at {sums} b values"
 
     def check_rst():
         # the sweep's tallies against their closed forms in J2, the sum of
         # (2N - 1)^2 over the slice with N from H: 8t = q + p^k - 1 - chi - J2,
         # 2s = q - p^k + chi (p^k + 1) - 4t and 2r = q - p^k + chi (1 - p^k) + 2t
         lines = []
-        for b in b_values:
-            rep = sweep(b)  # OracleMismatch unless the identities hold
-            chi, j2 = rep.chi_b, int(((2 * jacobsthal_route(b)[1] - 1) ** 2).sum())
+        for lb in b_values:
+            rep = sweep(lb)  # OracleMismatch unless the identities hold
+            chi, j2 = rep.chi_b, int(((2 * jacobsthal_route(lb)[1] - 1) ** 2).sum())
             t8 = ctx.q + pk - 1 - chi - j2
             # q - p^k and p^k +- 1 are even, so r and s are integers once t is
             t = t8 // 8
             closed = ((ctx.q - pk + chi * (1 - pk)) // 2 + t,
                       (ctx.q - pk + chi * (pk + 1)) // 2 - 2 * t, t)
-            where = f"b={ctx.format_element(b)}: (r,s,t)=({rep.r},{rep.s},{rep.t})"
+            where = f"b={label(lb)}: (r,s,t)=({rep.r},{rep.s},{rep.t})"
             if t8 % 8 or (rep.r, rep.s, rep.t) != closed:
                 raise OracleMismatch(f"{where}, closed forms ({','.join(map(str, closed))}) "
                                      f"from J2 = {j2}, 8t = {t8}")

@@ -29,8 +29,8 @@ class CycInt:
     """An element of Z[w] in canonical reduced form.
 
     Immutable.  Supports +, -, unary -, * (by CycInt or int), == against
-    CycInt or plain int, and the character-sum helpers omega_shift, conj
-    and norm_squared.
+    CycInt or plain int, and the character-sum helpers conj and
+    norm_squared.
     """
 
     __slots__ = ("p", "c")
@@ -130,15 +130,6 @@ class CycInt:
         return CycInt(p, _canonical(p, dense))
 
     __rmul__ = __mul__
-
-    def omega_shift(self, j):
-        """w^j * self, exponent arithmetic only (no convolution)."""
-        p = self.p
-        j %= p
-        dense = [0] * p
-        for i, ci in enumerate(self.c):
-            dense[(i + j) % p] += ci
-        return CycInt(p, _canonical(p, dense))
 
     def conj(self):
         """Complex conjugation, i.e. the automorphism w -> w^(-1)."""

@@ -28,13 +28,15 @@ g with g^(p^k-1) = -b^(p^3k)/a, and a Jacobsthal sum of order p^k + 1:
 
     2 N(a,b) = p^k - H_{p^k+1}(-b^(p^2k+1)/g^2) / (p^k + 1) + 1.
 
-Each route runs on an array of pairs at once, and every bulk function
-over pairs names a and b by their dlogs: int64 la and lb with a = xi^la,
--1 for a = 0, as ints or arrays; a fixed b stays an Elem.  The case
-split, Corollary 1's scaling (a h^d, b h^2) and Corollary 2's pairs
-(1/a, 1/b), (-a, b) and (a, -b) are then sums of dlogs.  N_count_bulk is
-the direct count: one FieldCtx.sum_enc_bulk evaluation of L at every u in U
-with per-pair coefficient dlogs, with the parity check per pair.
+Each route runs on an array of pairs at once.  Below the per-pair layer
+(CoeffPair and the functions that take one) every function names an
+element by its int dlog (FieldCtx.log): la and lb with a = xi^la and
+b = xi^lb, -1 for zero, as ints or int64 arrays, a fixed b as one int.
+The case split, chi(b) = (-1)^lb, Corollary 1's scaling (a h^d, b h^2)
+and Corollary 2's pairs (1/a, 1/b), (-a, b) and (a, -b) are then sums
+of dlogs.  N_count_bulk is the direct count: one FieldCtx.sum_enc_bulk
+evaluation of L at every u in U with per-pair coefficient dlogs, with
+the parity check per pair.
 N_via_nonsquares_bulk and N_via_jacobsthal_bulk share one dlog solve
 for g (g_logs); the first evaluates its sums as a (pairs, p^k) array
 of eta, the second reads H from the Jacobsthal bound scan.
@@ -131,11 +133,6 @@ def case_detail(ctx: FieldCtx, pair: CoeffPair) -> CaseTag:
     return CaseTag.JACOBSTHAL
 
 
-def _log(ctx: FieldCtx, x: Elem) -> int:
-    # the dlog of x, -1 for zero: how the bulk functions name an element
-    return -1 if x.is_zero else ctx.dlog(x)
-
-
 def _where(la, lb) -> str:
     # the pair (xi^la, xi^lb), as error messages name it
     return f"a={label(la)}, b={label(lb)}"
@@ -166,29 +163,26 @@ def case_tags(ctx: FieldCtx, la, lb):
         norms_match(ctx, la, lb), CaseTag.JACOBSTHAL, CaseTag.NORM_DIFFER)).astype(np.int8)
 
 
-def _require_jacobsthal_bulk(ctx: FieldCtx, b: Elem, la):
-    # WrongCase unless every (xi^la, b) is a JACOBSTHAL pair
-    if b.is_zero:
+def _require_jacobsthal_bulk(ctx: FieldCtx, la, lb: int):
+    # WrongCase unless every (xi^la, xi^lb) is a JACOBSTHAL pair
+    if lb < 0:
         raise ZeroB("b must be nonzero")
-    if (case_tags(ctx, la, ctx.dlog(b)) != CaseTag.JACOBSTHAL).any():
+    if (case_tags(ctx, la, lb) != CaseTag.JACOBSTHAL).any():
         raise WrongCase("operation defined only in the JACOBSTHAL case")
 
 
-def chi(ctx: FieldCtx, b: Elem) -> int:
-    """b^((p^n-1)/2) as +-1 (the quadratic-character sign of b != 0)."""
-    if b.is_zero:
+def chi(lb: int) -> int:
+    """b^((p^n-1)/2) as +-1 at b = xi^lb != 0, that is (-1)^lb, since
+    xi^((p^n-1)/2) = -1."""
+    if lb < 0:
         raise ZeroB("chi needs b != 0")
-    return 1 if b ** (ctx.order // 2) == ctx.one else -1
+    return -1 if lb % 2 else 1
 
 
 # --------------------------------------------------------------------------
-# monomial sums sum_i c_i x^(m_i), terms given as (Elem c_i, integer m_i >= 1)
+# monomial sums sum_i c_i x^(m_i), terms given as FieldCtx.sum_enc_bulk
+# takes them: (dlog of c_i, integer m_i >= 1)
 # --------------------------------------------------------------------------
-
-def _coefficient_logs(ctx: FieldCtx, terms):
-    # (Elem c, mult) terms as FieldCtx.sum_enc_bulk takes them
-    return tuple((_log(ctx, c), mult) for c, mult in terms)
-
 
 def sweep_order(ctx: FieldCtx):
     """The encodings of 0, xi^0, xi^1, ..., xi^(q-2), as an int64 array:
@@ -199,18 +193,13 @@ def sweep_order(ctx: FieldCtx):
 def trace_values(ctx: FieldCtx, terms):
     """Tr(sum_i c_i x^(m_i)) at x = 0, xi^0, xi^1, ..., xi^(q-2), as an
     int64 array (the value at x = 0 is 0)."""
-    return np.concatenate(([0], _traces(ctx, _coefficient_logs(ctx, terms))))
-
-
-def _traces(ctx: FieldCtx, terms):
-    # the traces at x = xi^0, xi^1, ... for terms as FieldCtx.sum_enc_bulk
-    # takes them, one row per row of coefficients
-    return ctx.trace_enc_bulk(ctx.sum_enc_bulk(terms, np.arange(ctx.order, dtype=np.int64)))
+    logs = np.arange(ctx.order, dtype=np.int64)
+    return np.concatenate(([0], ctx.trace_enc_bulk(ctx.sum_enc_bulk(terms, logs))))
 
 
 def f_values(ctx: FieldCtx, pair: CoeffPair):
     """f(x) = Tr(a x^d + b x^2) at x = 0, xi^0, xi^1, ..., as trace_values."""
-    return trace_values(ctx, ((pair.a, ctx.params.d), (pair.b, 2)))
+    return trace_values(ctx, ((ctx.log(pair.a), ctx.params.d), (ctx.log(pair.b), 2)))
 
 
 def character_counts(ctx: FieldCtx, e: int, v_terms):
@@ -233,7 +222,9 @@ def character_counts(ctx: FieldCtx, e: int, v_terms):
     """
     p, m, q = ctx.p, ctx.m, ctx.q
     basis = ctx.log_enc_bulk(p ** np.arange(m, dtype=np.int64))
-    w = np.concatenate(([0], p ** np.arange(m, dtype=np.int64) @ _traces(ctx, ((basis, e),))))
+    x_logs = np.arange(ctx.order, dtype=np.int64)
+    traces = ctx.trace_enc_bulk(ctx.sum_enc_bulk(((basis, e),), x_logs))
+    w = np.concatenate(([0], p ** np.arange(m, dtype=np.int64) @ traces))  # w = 0 at x = 0
     counts = np.bincount(w * p + trace_values(ctx, v_terms), minlength=q * p)
     # axis i of the (outer, p, inner, p) view is digit m-1-i of the encoding;
     # the butterfly is the same for every digit
@@ -313,12 +304,13 @@ def N_count_bulk(ctx: FieldCtx, la, lb):
 def N_count(ctx: FieldCtx, pair: CoeffPair):
     """Zeros of L on U at one pair, the one-pair call of N_count_bulk:
     returns (N, witnesses), witnesses sorted by dlog."""
-    n, zeros = N_count_bulk(ctx, [_log(ctx, pair.a)], [_log(ctx, pair.b)])
+    n, zeros = N_count_bulk(ctx, [ctx.log(pair.a)], [ctx.log(pair.b)])
     return int(n[0]), [ctx.from_enc(int(e)) for e in ctx.exp_enc_bulk(U_logs(ctx)[zeros[0]])]
 
 
-def N_table(ctx: FieldCtx, b: Elem):
-    """N(a, b) for every a at once, with the zeros of L on U grouped by a.
+def N_table(ctx: FieldCtx, lb: int):
+    """N(a, b) for every a at once at b = xi^lb, with the zeros of L on U
+    grouped by a.
 
     On U, u^(p^2k) = u^(-1), so L(u) = T(a u^(p^k)) + T(b^(p^2k) u) with T
     the trace GF(p^n) -> GF(p^2k).  T is zero on theta GF(p^2k), where
@@ -337,11 +329,11 @@ def N_table(ctx: FieldCtx, b: Elem):
     incidences of a, and int64 arrays with logs[bounds[e]:bounds[e + 1]]
     the dlogs of the zeros of L on U at the a encoded e, in increasing
     order.  ParityViolation unless every count is even."""
-    if b.is_zero:
+    if lb < 0:
         raise ZeroB("the N table needs b != 0")
     pk, Q = ctx.p ** ctx.params.k, ctx.p ** (2 * ctx.params.k)
     u_logs = U_logs(ctx)
-    lb, half = ctx.dlog(b), ctx.dlog(-(ctx.one / 2))
+    half = int(ctx.log_enc_bulk((ctx.p - 1) // 2))  # -1/2, encoded as (p - 1)/2
     offsets = ctx.sum_enc_bulk(((half + Q * lb, 1 - pk), (half + lb, -1 - pk)), u_logs)
     # theta t u^(-p^k) at t = 0, then at t = nu^s, nu = xi^(p^2k+1) the generator of GF(p^2k)*
     theta_logs = (Q + 1) // 2 + (Q + 1) * np.arange(Q - 1, dtype=np.int64)
@@ -351,8 +343,7 @@ def N_table(ctx: FieldCtx, b: Elem):
     twice = np.bincount(incidence, minlength=ctx.q)
     n_odd = int(np.count_nonzero(twice % 2))
     if n_odd:
-        raise ParityViolation(f"odd number of zeros of L on U at {n_odd} a, "
-                              f"b={ctx.format_element(b)}")
+        raise ParityViolation(f"odd number of zeros of L on U at {n_odd} a, b={label(lb)}")
     # the incidences run over u in dlog order, and a stable sort keeps that order within each a
     logs = u_logs[np.argsort(incidence, kind="stable") // Q]
     return twice // 2, logs, np.concatenate(([0], np.cumsum(twice)))
@@ -527,16 +518,15 @@ def _require_jacobsthal(ctx: FieldCtx, pair: CoeffPair):
         raise WrongCase("operation defined only in the JACOBSTHAL case")
 
 
-def g_logs(ctx: FieldCtx, b: Elem, la):
+def g_logs(ctx: FieldCtx, la, lb: int):
     """The dlogs of the canonical g in GF(p^2k)* with g^(p^k-1) =
-    -b^(p^3k)/a at every pair (a, b), a = xi^la: t (p^k - 1) =
+    -b^(p^3k)/a at every pair (a, b) = (xi^la, xi^lb): t (p^k - 1) =
     log_nu(-b^(p^3k)/a) modulo p^2k - 1, solved in dlog arithmetic, with
     the smallest nonnegative t, and g = nu^t."""
     k, order = ctx.params.k, ctx.order
     pk, step = ctx.p ** k, ctx.subfield(2 * k).step
     la = np.asarray(la, dtype=np.int64)
-    _require_jacobsthal_bulk(ctx, b, la)
-    lb = ctx.dlog(b)
+    _require_jacobsthal_bulk(ctx, la, lb)
     # -1 = xi^((q-1)/2)
     target = (order // 2 + ctx.p ** (3 * k) % order * lb - la) % order
     if (target % step).any():
@@ -551,13 +541,15 @@ def g_logs(ctx: FieldCtx, b: Elem, la):
     return g
 
 
-def N_via_nonsquares_bulk(ctx: FieldCtx, b: Elem, la, g_logs):
+def N_via_nonsquares_bulk(ctx: FieldCtx, la, lb: int, g_logs):
     """#{c in GF(p^k) : (cg)^2 - b^(p^2k+1) is a nonsquare in GF(p^2k)} at
-    every pair (a, b), a = xi^la, with its g = xi^g_logs (see g_logs):
-    one (pairs, p^k) array of eta((cg)^2 - b^(p^2k+1)) per block of pairs.
-    Returns int64."""
+    every pair (a, b) = (xi^la, xi^lb), with its g = xi^g_logs (see
+    g_logs): one (pairs, p^k) array of eta((cg)^2 - b^(p^2k+1)) per block
+    of pairs, with -b^(p^2k+1) = xi^((q-1)/2 + (p^2k+1) lb).  Returns
+    int64."""
     k = ctx.params.k
-    view, minus_norm = ctx.subfield(2 * k), (-(b ** (ctx.p ** (2 * k) + 1))).enc
+    view = ctx.subfield(2 * k)
+    minus_norm = ctx.exp_enc_bulk(ctx.order // 2 + (ctx.p ** (2 * k) + 1) * lb)
     c_logs = ctx.subfield(k).step * np.arange(ctx.p ** k - 1, dtype=np.int64)
 
     def block(a, g):
@@ -567,7 +559,7 @@ def N_via_nonsquares_bulk(ctx: FieldCtx, b: Elem, la, g_logs):
         vanished = np.flatnonzero((eta == 0).any(axis=1))
         if vanished.size:
             raise CaseViolation("(cg)^2 - b^(p^2k+1) vanished at "
-                                f"{_where(a[vanished[0]], ctx.dlog(b))}")
+                                f"{_where(a[vanished[0]], lb)}")
         return (eta == -1).sum(axis=1)
     return _in_blocks(block, ctx.p ** k, np.asarray(la, dtype=np.int64),
                       np.asarray(g_logs, dtype=np.int64))
@@ -590,16 +582,16 @@ def _N_from_H(ctx: FieldCtx, la, lb: int, H):
     return num // 2
 
 
-def N_via_jacobsthal_bulk(ctx: FieldCtx, b: Elem, la, g_logs, scan):
+def N_via_jacobsthal_bulk(ctx: FieldCtx, la, lb: int, g_logs, scan):
     """N from 2N = p^k - H_{p^k+1}(-b^(p^2k+1)/g^2)/(p^k+1) + 1 at every
-    pair (a, b), a = xi^la, with its g = xi^g_logs (see g_logs), and H
+    pair (a, b) = (xi^la, xi^lb), with its g = xi^g_logs (see g_logs), and H
     read from scan, the jacobsthal.theorem2_scan of the 2k-view of ctx (else
     NotInSubfield: its dlogs are multiples of the view's step), at the
     position of the argument's dlog among scan.logs.  The scan holds the a
     off GF(p^k), and the argument's (p^k-1)-th power is a^2/b^d, so it is
     absent only in the SQUARE_MATCH case (CaseViolation).  Returns int64."""
     la, g_logs = (np.asarray(x, dtype=np.int64) for x in (la, g_logs))
-    step, lb = ctx.subfield(2 * ctx.params.k).step, ctx.dlog(b)
+    step = ctx.subfield(2 * ctx.params.k).step
     if (scan.logs % step).any():
         raise NotInSubfield(f"scan dlogs not all multiples of {step}: a scan of another GF(p^2k)")
     l = (ctx.order // 2 + step * lb - 2 * g_logs) % ctx.order
@@ -639,11 +631,11 @@ def jacobsthal_pairs(ctx: FieldCtx, b: Elem):
     return out
 
 
-def corollary_eq9_check(ctx: FieldCtx, b: Elem, n):
-    """sum of N over the JACOBSTHAL slice of b vs (p^k+1)(p^k - chi(b))/2,
-    with n the N of every a of the slice."""
+def corollary_eq9_check(ctx: FieldCtx, lb: int, n):
+    """sum of N over the JACOBSTHAL slice of b = xi^lb vs
+    (p^k+1)(p^k - chi(b))/2, with n the N of every a of the slice."""
     pk = ctx.p ** ctx.params.k
-    return int(np.sum(n)), (pk + 1) * (pk - chi(ctx, b)) // 2
+    return int(np.sum(n)), (pk + 1) * (pk - chi(lb)) // 2
 
 
 def _properties(pk: int, chi_b: int, N, N_inv, N_nega, N_negb) -> dict:
@@ -662,15 +654,15 @@ def _properties(pk: int, chi_b: int, N, N_inv, N_nega, N_negb) -> dict:
     return out
 
 
-def _special_a(ctx: FieldCtx, b: Elem, chi_b: int) -> tuple:
-    # the a of the two special pairs (a, b) of property (vi),
-    # +-nu^((p^2k-1)/4) b^(d/2), or () where its hypotheses (p = 3 mod 4,
-    # k odd, b square) do not apply
-    p, k = ctx.p, ctx.params.k
+def _special_a(ctx: FieldCtx, lb: int, chi_b: int) -> tuple:
+    # the dlogs of the a of the two special pairs (a, b) of property (vi),
+    # +-nu^((p^2k-1)/4) b^(d/2) with nu^((p^2k-1)/4) = xi^((q-1)/4) and
+    # -1 = xi^((q-1)/2), or () where its hypotheses (p = 3 mod 4, k odd,
+    # b square) do not apply
+    p, k, order = ctx.p, ctx.params.k, ctx.order
     if p % 4 != 3 or k % 2 == 0 or chi_b != 1:
         return ()
-    root = ctx.subfield(2 * k).generator ** ((p ** (2 * k) - 1) // 4)
-    return tuple(sign * root * b ** (ctx.params.d // 2) for sign in (1, -1))
+    return tuple((quarter * (order // 4) + ctx.params.d // 2 * lb) % order for quarter in (1, 3))
 
 
 def _special_pair_violation(la, lb):
@@ -687,19 +679,19 @@ def corollary_suite(ctx: FieldCtx, pair: CoeffPair) -> dict:
     hypotheses (p = 3 mod 4, k odd, b square) do not apply."""
     _require_jacobsthal(ctx, pair)
     pk = ctx.p ** ctx.params.k
-    a, b = pair.a, pair.b
-    chi_b = chi(ctx, b)
+    a, b, lb = pair.a, pair.b, ctx.dlog(pair.b)
+    chi_b = chi(lb)
     N = [N_count(ctx, other)[0] for other in
          (pair, CoeffPair(a.inverse(), b.inverse()), CoeffPair(-a, b), CoeffPair(a, -b))]
     out = _properties(pk, chi_b, *N)
-    specials = [CoeffPair(s, b) for s in _special_a(ctx, b, chi_b)]
+    specials = [CoeffPair(ctx.from_exp(ls), b) for ls in _special_a(ctx, lb, chi_b)]
     for special in specials:
         if case_detail(ctx, special) is not CaseTag.JACOBSTHAL:
-            raise _special_pair_violation(ctx.dlog(special.a), ctx.dlog(b))
+            raise _special_pair_violation(ctx.dlog(special.a), lb)
     out["vi"] = all(N_count(ctx, s)[0] == (pk + 1) // 2 for s in specials) if specials else None
-    la, lb = np.arange(-1, ctx.order, dtype=np.int64), ctx.dlog(b)
+    la = np.arange(-1, ctx.order, dtype=np.int64)
     la = la[case_tags(ctx, la, lb) == CaseTag.JACOBSTHAL]
-    total, expected = corollary_eq9_check(ctx, b, N_count_bulk(ctx, la, np.full(la.size, lb))[0])
+    total, expected = corollary_eq9_check(ctx, lb, N_count_bulk(ctx, la, np.full(la.size, lb))[0])
     out["vii"] = total == expected
     return out
 
@@ -715,11 +707,11 @@ def corollary_properties(ctx: FieldCtx, report) -> dict:
     (a, -b) and (1/a, 1/b) at every a.  All of them are dlog sums:
     -1 = xi^((q-1)/2) and 1/a = xi^(-log a).  WrongCase unless every pair
     is JACOBSTHAL; CaseViolation unless the special pairs are."""
-    b, la = report.b, report.jacobsthal
-    _require_jacobsthal_bulk(ctx, b, la)
-    pk, n, order, lb = ctx.p ** ctx.params.k, la.size, ctx.order, ctx.dlog(b)
+    lb, la = report.lb, report.jacobsthal
+    _require_jacobsthal_bulk(ctx, la, lb)
+    pk, n, order = ctx.p ** ctx.params.k, la.size, ctx.order
     minus = order // 2
-    specials = np.array([ctx.dlog(s) for s in _special_a(ctx, b, report.chi_b)], dtype=np.int64)
+    specials = np.array(_special_a(ctx, lb, report.chi_b), dtype=np.int64)
     for ls, tag in zip(specials, case_tags(ctx, specials, lb)):
         if tag != CaseTag.JACOBSTHAL:
             raise _special_pair_violation(ls, lb)
@@ -750,7 +742,7 @@ def expsum_record(ctx: FieldCtx, pair: CoeffPair) -> dict:
     defect)."""
     defining = S0_bruteforce(ctx, pair)
     tag = case_detail(ctx, pair)
-    la, lb = _log(ctx, pair.a), _log(ctx, pair.b)
+    la, lb = ctx.log(pair.a), ctx.log(pair.b)
     n, zeros = N_count_bulk(ctx, [la], [lb])
     s0 = ctx.p ** (2 * ctx.params.k) * (2 * int(n[0]) - 1)
     if defining != s0:
@@ -774,7 +766,7 @@ class DistributionReport:
     the JSON record).  residuals are the three identity defects and must
     all be zero."""
 
-    b: Elem
+    lb: int                   # b = xi^lb
     chi_b: int
     r: int
     s: int
@@ -785,9 +777,9 @@ class DistributionReport:
     jacobsthal: np.ndarray    # dlogs of the a of the JACOBSTHAL slice
     N: np.ndarray             # N(a, b) in sweep order, from N_table
 
-    def to_json_dict(self, ctx: FieldCtx) -> dict:
+    def to_json_dict(self) -> dict:
         return {
-            "b": ctx.format_element(self.b),
+            "b": label(self.lb),
             "chi_b": self.chi_b,
             "r": self.r,
             "s": self.s,
@@ -798,8 +790,8 @@ class DistributionReport:
         }
 
 
-def distribution_sweep(ctx: FieldCtx, b: Elem, on_record=None) -> DistributionReport:
-    """Every a in GF(p^n), in sweep_order, for the fixed b != 0.
+def distribution_sweep(ctx: FieldCtx, lb: int, on_record=None) -> DistributionReport:
+    """Every a in GF(p^n), in sweep_order, for the fixed b = xi^lb != 0.
 
     N comes from N_table and the case from case_tags, for all a at once;
     N_table and the transform index a by its encoding, and the sweep
@@ -811,18 +803,18 @@ def distribution_sweep(ctx: FieldCtx, b: Elem, on_record=None) -> DistributionRe
     most 32 evenly strided a (a = 0 among them).  Only then, if on_record
     is given, is each pair's record, as expsum_record gives it but read
     from the arrays, passed to it in sweep order; records are not kept."""
-    if b.is_zero:
+    if lb < 0:
         raise ZeroB("distribution sweep needs b != 0")
     p, pk, Q = ctx.p, ctx.p ** ctx.params.k, ctx.p ** (2 * ctx.params.k)
-    sign, lb = chi(ctx, b), ctx.dlog(b)
+    sign = chi(lb)
     # sweep position i is a = xi^(i - 1), a = 0 at i = 0
     la, a_encs = np.arange(-1, ctx.order, dtype=np.int64), sweep_order(ctx)
-    n_by_enc, logs, bounds = N_table(ctx, b)
+    n_by_enc, logs, bounds = N_table(ctx, lb)
     n = n_by_enc[a_encs]
     tags = case_tags(ctx, la, lb)
 
     # sum_j c_j w^j is the integer s exactly when c_1 = ... = c_(p-1) and c_0 - c_1 = s
-    counts = character_counts(ctx, ctx.params.d, ((b, 2),))
+    counts = character_counts(ctx, ctx.params.d, ((lb, 2),))
     s0_by_enc = Q * (2 * n_by_enc - 1)
     off = np.flatnonzero(~((counts[:, 1:] == counts[:, 1:2]).all(axis=1)
                            & (counts[:, 0] - counts[:, 1] == s0_by_enc))[a_encs])
@@ -837,7 +829,7 @@ def distribution_sweep(ctx: FieldCtx, b: Elem, on_record=None) -> DistributionRe
                              f"at {_where(la[i], lb)}")
     # at most 32 evenly strided sweep positions, a = 0 first
     strided = np.arange(ctx.q) % -(-ctx.q // 32) == 0
-    _cross_check(ctx, b, a_encs, n, tags, logs, bounds, np.flatnonzero(jac | strided))
+    _cross_check(ctx, lb, a_encs, n, tags, logs, bounds, np.flatnonzero(jac | strided))
 
     r, s, t = (int(c) for c in np.bincount(n[~jac], minlength=3))
     jac_hist = {v: int(c) for v, c in enumerate(np.bincount(n[jac])) if c}
@@ -855,16 +847,16 @@ def distribution_sweep(ctx: FieldCtx, b: Elem, on_record=None) -> DistributionRe
         s0 = Q * (2 * n - 1)
         for l, e, tag, n_i, s0_i in zip(*(x.tolist() for x in (la, a_encs, tags, n, s0))):
             on_record(_record(label(l), b_label, tag, n_i, s0_i, logs[bounds[e]:bounds[e + 1]]))
-    return DistributionReport(b=b, chi_b=sign, r=r, s=s, t=t,
+    return DistributionReport(lb=lb, chi_b=sign, r=r, s=s, t=t,
                               jac_histogram=jac_hist, s0_total=s0_total, residuals=residuals,
                               jacobsthal=la[jac], N=n)
 
 
-def _cross_check(ctx: FieldCtx, b: Elem, a_encs, n, tags, logs, bounds, sample):
+def _cross_check(ctx: FieldCtx, lb: int, a_encs, n, tags, logs, bounds, sample):
     # the direct zero count (one N_count_bulk call) and case_detail at the
     # sweep positions in sample against the N table, its zero sets (logs,
     # bounds) and the bulk case split
-    lb = ctx.dlog(b)
+    b = ctx.from_exp(lb)
     n_direct, zeros = N_count_bulk(ctx, sample - 1, np.full(sample.size, lb))
     u_logs = U_logs(ctx)
     for i, n_i, zeros_i in zip(sample, n_direct, zeros):

@@ -456,7 +456,7 @@ class FieldCtx:
 
     def format_element(self, x: Elem) -> str:
         """Render as "g^e", or "0" for the zero element."""
-        return label(-1 if x.is_zero else self.dlog(x))
+        return label(self.log(x))
 
     # --- iteration ----------------------------------------------------------------
 
@@ -481,6 +481,11 @@ class FieldCtx:
         if self.has_tables:
             return int(self.log_enc[x.enc])
         return _bsgs(self.xi, x, self.order)
+
+    def log(self, x: Elem) -> int:
+        """The dlog of x, -1 for zero: how every function below the
+        per-pair layer names an element."""
+        return -1 if x.is_zero else self.dlog(x)
 
     def abs_trace(self, x: Elem) -> int:
         """Absolute trace GF(p^m) -> GF(p), as an integer in 0..p-1."""

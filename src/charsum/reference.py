@@ -21,8 +21,7 @@ from .cycint import CycInt
 from .cyclotomy import _pk, class_count
 from .errors import (CaseViolation, IndexOutOfRange, InvariantViolation, NoSolution,
                      NotInSubfield, RootCountViolation, WrongCase, ZeroArgument, ZeroC)
-from .expsum import (CoeffPair, _coefficient_logs, _L_terms, _require_jacobsthal, f_values,
-                     trace_values)
+from .expsum import CoeffPair, _L_terms, _require_jacobsthal, f_values, trace_values
 from .field_core import Elem, FieldCtx, SubfieldView
 
 
@@ -33,7 +32,7 @@ from .field_core import Elem, FieldCtx, SubfieldView
 def _zero_set(ctx: FieldCtx, terms) -> list:
     """Zeros of the sum in GF(p^n): 0 first, then the rest by dlog."""
     logs = np.arange(ctx.order, dtype=np.int64)
-    zero_logs = logs[ctx.sum_enc_bulk(_coefficient_logs(ctx, terms), logs) == 0]
+    zero_logs = logs[ctx.sum_enc_bulk([(ctx.log(c), e) for c, e in terms], logs) == 0]
     return [ctx.zero] + [ctx.from_enc(int(e)) for e in ctx.exp_enc_bulk(zero_logs)]
 
 
@@ -207,8 +206,7 @@ def f_value(ctx: FieldCtx, pair: CoeffPair, x: Elem) -> int:
 
 def walsh_coeff(ctx: FieldCtx, pair: CoeffPair, y: Elem) -> CycInt:
     """S_f(y), exact in Z[w], from its definition at this one point."""
-    fvals = f_values(ctx, pair)
-    shifted = fvals if y.is_zero else (fvals - trace_values(ctx, ((y, 1),))) % ctx.p
+    shifted = (f_values(ctx, pair) - trace_values(ctx, ((ctx.log(y), 1),))) % ctx.p
     return CycInt.from_counts(ctx.p, np.bincount(shifted, minlength=ctx.p))
 
 

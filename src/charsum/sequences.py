@@ -70,7 +70,7 @@ def correlation_table(ctx: FieldCtx) -> tuple:
     from the value counts of Tr(a x^d - x^2) at every a = xi^(d tau) in one
     transform.  ParityViolation if a count of the half-period runs is odd."""
     p, d = ctx.p, ctx.params.d
-    counts = character_counts(ctx, d, ((-ctx.one, 2),))
+    counts = character_counts(ctx, d, ((ctx.order // 2, 2),))  # v(x) = -x^2, -1 = xi^((q-1)/2)
     taus = np.arange(ctx.order // 2, dtype=np.int64)
     rows, index = CycInt.group_rows(counts, ctx.exp_enc_bulk(d * taus))
     # x = 0 gives the value 0

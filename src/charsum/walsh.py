@@ -5,7 +5,8 @@ For f mapping GF(p^n) to GF(p), the transform at y is
 
     S_f(y) = sum_x w^(f(x) - Tr(y x)),
 
-computed exactly as a cyclotomic integer.  full_spectrum reads every
+computed exactly as a cyclotomic integer.  full_spectrum takes the pair
+(a, b) = (xi^la, xi^lb) by its dlogs (-1 for zero) and reads every
 coefficient from one expsum.character_counts transform, with
 S_f(y) = sum_x w^(f(x) + Tr(a x)) at a = -y.  Rows sum to p^n, so equal
 coefficients have equal rows: one CycInt per row of CycInt.group_rows and
@@ -23,12 +24,13 @@ with W = y^(p^2k+1) + (y^2 + X)^((p^2k+1)/2) (Frobenius is additive),
 the division by 4 meaning multiplication by 4^(-1) mod p.  When
 y^2 lies in GF(p^2k) the root is simply -Tr(y^2) relative to GF(p^k).
 theorem1_root_scan finds x0 at every y at once: it names y = xi^l by its
-dlog l and steps X through GF(p^k), evaluating W + W^(p^k) at all q
-values of y per step with the bulk field operations, so its temporaries
-are O(q) encodings.  theorem1_spectrum_check returns the (1, 1) spectrum
-or raises at the first failed condition: the root count, each root's j
-against Spectrum.closed_j (the one match of each distinct coefficient
-with closed_form, -p^2k w^j), the special case, the integer counts of
+dlog l and steps X through the encodings of GF(p^k), evaluating
+W + W^(p^k) at all q values of y per step with the bulk field
+operations, so its temporaries are O(q) encodings.
+theorem1_spectrum_check returns the (1, 1) spectrum or raises at the
+first failed condition: the root count, each root's j against
+Spectrum.closed_j (the one match of each distinct coefficient with
+closed_form, -p^2k w^j), the special case, the integer counts of
 closed_j (-p^2k w^i occurs p^(2k-1)(p^2k+1) times for i != 0, and -p^2k
 (p^(2k-1)-1)(p^2k+1) + 1 times) and bentness.
 
@@ -44,8 +46,8 @@ import numpy as np
 
 from .cycint import CycInt
 from .errors import ParsevalViolation, RootCountViolation, SpectrumViolation
-from .expsum import CoeffPair, character_counts
-from .field_core import Elem, FieldCtx, label
+from .expsum import character_counts
+from .field_core import FieldCtx, label
 
 
 def closed_form(p: int, k: int) -> tuple:
@@ -63,7 +65,6 @@ class Spectrum:
     and summary, for display only, counts them by canonical rendering,
     both in order of first occurrence."""
 
-    ctx: FieldCtx
     values: tuple
     index: np.ndarray
     closed_j: np.ndarray      # per S in values, the j with S = -p^(n/2) w^j, or -1
@@ -72,17 +73,15 @@ class Spectrum:
     bent: bool                # every |S|^2 is p^n
     weakly_regular_neg: bool  # every S is in {-p^(n/2) w^j : j = 0..p-1}
 
-    def coefficient(self, y: Elem) -> CycInt:
-        return self.values[self.index[0 if y.is_zero else 1 + self.ctx.dlog(y)]][0]
 
-
-def full_spectrum(ctx: FieldCtx, pair: CoeffPair) -> Spectrum:
-    """Every coefficient, the value-multiset summary, exact Parseval
-    (ParsevalViolation on a defect), bentness and weak regularity."""
+def full_spectrum(ctx: FieldCtx, la: int, lb: int) -> Spectrum:
+    """Every coefficient at (a, b) = (xi^la, xi^lb), the value-multiset
+    summary, exact Parseval (ParsevalViolation on a defect), bentness and
+    weak regularity."""
     p, q = ctx.p, ctx.q
     # the row of y = xi^j is the row of a = -y, encoded as xi^(j + (q-1)/2)
     rows, index = CycInt.group_rows(
-        character_counts(ctx, 1, ((pair.a, ctx.params.d), (pair.b, 2))),
+        character_counts(ctx, 1, ((la, ctx.params.d), (lb, 2))),
         np.concatenate(([0], ctx.exp_enc_bulk(np.arange(ctx.order) + ctx.order // 2))))
     coeffs = [CycInt.from_counts(p, row) for row in rows]
     values = tuple((c, c.norm_squared()) for c in coeffs)
@@ -94,7 +93,7 @@ def full_spectrum(ctx: FieldCtx, pair: CoeffPair) -> Spectrum:
     forms = closed_form(p, ctx.params.k)
     closed_j = np.array([next((j for j, f in enumerate(forms) if c == f), -1) for c in coeffs])
     return Spectrum(
-        ctx=ctx, values=values, index=index, closed_j=closed_j,
+        values=values, index=index, closed_j=closed_j,
         summary={str(c): m for (c, _), m in zip(values, multiplicity)},
         parseval=total,
         bent=all(n == q for _, n in values),
@@ -105,11 +104,11 @@ def full_spectrum(ctx: FieldCtx, pair: CoeffPair) -> Spectrum:
 # the closed-form spectrum of the pair (1, 1)
 # --------------------------------------------------------------------------
 
-def _root_polynomial(ctx: FieldCtx, y2, ypow, x: Elem):
-    """The quartic-trace polynomial W + W^(p^k) at X = x for every y, from
-    the encoding arrays y2 = y^2 and ypow = y^(p^2k+1)."""
+def _root_polynomial(ctx: FieldCtx, y2, ypow, x: int):
+    """The quartic-trace polynomial W + W^(p^k) at X = x (an encoding) for
+    every y, from the encoding arrays y2 = y^2 and ypow = y^(p^2k+1)."""
     p2k1 = ctx.p ** (2 * ctx.params.k) + 1
-    w = ctx.add_enc_bulk(ypow, ctx.pow_enc_bulk(ctx.add_enc_bulk(y2, x.enc), p2k1 // 2))
+    w = ctx.add_enc_bulk(ypow, ctx.pow_enc_bulk(ctx.add_enc_bulk(y2, x), p2k1 // 2))
     return ctx.add_enc_bulk(w, ctx.pow_enc_bulk(w, ctx.p ** ctx.params.k))
 
 
@@ -118,18 +117,19 @@ def theorem1_root_scan(ctx: FieldCtx) -> np.ndarray:
     like Spectrum.index (y = 0, xi^0, xi^1, ...).
 
     y = xi^l is named by its dlog l, so y^2 and y^(p^2k+1) are exp
-    gathers; one step per x in GF(p^k) evaluates the root polynomial at
-    all q values of y.  RootCountViolation unless every y has exactly one
-    root."""
+    gathers; one step per x in GF(p^k), 0 and then xi^(j step), evaluates
+    the root polynomial at all q values of y.  RootCountViolation unless
+    every y has exactly one root."""
     l = np.arange(ctx.order, dtype=np.int64)
     y2, ypow = (np.concatenate(([0], ctx.exp_enc_bulk(e * l)))
                 for e in (2, ctx.p ** (2 * ctx.params.k) + 1))
     roots = np.zeros(ctx.q, dtype=np.int64)
     x0 = np.zeros(ctx.q, dtype=np.int64)
-    for x in ctx.subfield(ctx.params.k).elements():
+    kview = ctx.subfield(ctx.params.k)
+    for x in [0] + ctx.exp_enc_bulk(kview.step * np.arange(kview.order)).tolist():
         hit = _root_polynomial(ctx, y2, ypow, x) == 0
         roots += hit
-        x0[hit] = x.enc
+        x0[hit] = x
     bad = np.flatnonzero(roots != 1)
     if bad.size:
         raise RootCountViolation(f"{roots[bad[0]]} roots at y={label(bad[0] - 1)}; expected 1")
@@ -146,7 +146,7 @@ def theorem1_spectrum_check(ctx: FieldCtx) -> Spectrum:
     value counts and bentness (CycInt.norm_squared of each value)."""
     p, k = ctx.p, ctx.params.k
     p2k = p ** (2 * k)
-    spectrum = full_spectrum(ctx, CoeffPair(ctx.one, ctx.one))
+    spectrum = full_spectrum(ctx, 0, 0)
     x0 = theorem1_root_scan(ctx)
     j = spectrum.closed_j[spectrum.index]  # per y: S_f(y) = -p^2k w^j, or -1
 

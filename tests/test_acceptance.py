@@ -15,6 +15,7 @@ import pytest
 from charsum import cyclotomy, expsum, jacobsthal, reference, sequences, walsh
 from charsum.cycint import CycInt
 from charsum.expsum import CaseTag, CoeffPair
+from charsum.field_core import label
 
 
 def _passed(text):
@@ -79,14 +80,14 @@ def test_c04_jacobsthal_bound_and_curve_identity(sizes):
 
 def test_c05_exponential_sum_oracle_equivalence(sizes):
     t0 = time.perf_counter()
-    for b in (sizes[(3, 1)].one, sizes[(3, 1)].xi):
-        expsum.distribution_sweep(sizes[(3, 1)], b)  # OracleMismatch on defect
+    for lb in (0, 1):
+        expsum.distribution_sweep(sizes[(3, 1)], lb)  # OracleMismatch on defect
     small = time.perf_counter() - t0
     assert small < 5.0, f"(3,1) sweep took {small:.2f}s"
-    for b in (sizes[(5, 1)].one, sizes[(5, 1)].xi):
-        expsum.distribution_sweep(sizes[(5, 1)], b)
+    for lb in (0, 1):
+        expsum.distribution_sweep(sizes[(5, 1)], lb)
     t0 = time.perf_counter()
-    expsum.distribution_sweep(sizes[(3, 2)], sizes[(3, 2)].one)
+    expsum.distribution_sweep(sizes[(3, 2)], 0)
     big = time.perf_counter() - t0
     assert big < 600.0, f"(3,2) sweep took {big:.2f}s"
     _passed(f"criterion 5: brute force equals p^2k(2N-1) on full sweeps "
@@ -127,10 +128,11 @@ def test_c07_triple_path_agreement(sizes):
             pairs = expsum.jacobsthal_pairs(ctx, b)
             n = [expsum.N_count(ctx, CoeffPair(a, b))[0] for a in pairs]
             la = [ctx.dlog(a) for a in pairs]
-            g_logs = expsum.g_logs(ctx, b, la)
+            lb = ctx.dlog(b)
+            g_logs = expsum.g_logs(ctx, la, lb)
             scan = jacobsthal.theorem2_scan(view2k(ctx))
-            assert expsum.N_via_nonsquares_bulk(ctx, b, la, g_logs).tolist() == n
-            assert expsum.N_via_jacobsthal_bulk(ctx, b, la, g_logs, scan).tolist() == n
+            assert expsum.N_via_nonsquares_bulk(ctx, la, lb, g_logs).tolist() == n
+            assert expsum.N_via_jacobsthal_bulk(ctx, la, lb, g_logs, scan).tolist() == n
     _passed("criterion 7: zero count = nonsquare count = Jacobsthal route, "
             "every JACOBSTHAL pair at (3,1) and (5,1)")
 
@@ -160,9 +162,9 @@ def test_c09_jacobsthal_case_properties(sizes):
                 results = expsum.corollary_suite(ctx, CoeffPair(a, b))
                 failed = [name for name, ok in results.items() if ok is False]
                 assert not failed, (key, failed)
-            rep = expsum.distribution_sweep(ctx, b)
-            total, expected = expsum.corollary_eq9_check(ctx, b, rep.N[rep.jacobsthal + 1])
-            assert total == expected == (pk + 1) * (pk - expsum.chi(ctx, b)) // 2
+            rep = expsum.distribution_sweep(ctx, ctx.dlog(b))
+            total, expected = expsum.corollary_eq9_check(ctx, rep.lb, rep.N[rep.jacobsthal + 1])
+            assert total == expected == (pk + 1) * (pk - expsum.chi(rep.lb)) // 2
     ctx31 = sizes[(3, 1)]
     nu = view2k(ctx31).generator
     special = CoeffPair(nu ** 2, ctx31.one)
@@ -175,13 +177,13 @@ def test_c10_distribution_identities(sizes):
     for key in ((3, 1), (5, 1)):
         ctx = sizes[key]
         pk = ctx.p ** ctx.params.k
-        for b in (ctx.one, ctx.xi):
-            rep = expsum.distribution_sweep(ctx, b)
+        for lb in (0, 1):
+            rep = expsum.distribution_sweep(ctx, lb)
             sign = rep.chi_b
             assert rep.r + rep.s + rep.t == ctx.q - pk + sign
             assert -rep.r + rep.s + 3 * rep.t == sign * pk
             assert rep.s0_total == ctx.q
-            recorded.append(f"{key} b={ctx.format_element(b)}: "
+            recorded.append(f"{key} b={label(lb)}: "
                             f"(r,s,t)=({rep.r},{rep.s},{rep.t})")
     _passed("criterion 10: distribution identities hold; observed data " +
             "; ".join(recorded))
@@ -210,13 +212,13 @@ def test_c11_closed_form_spectrum(sizes):
 def test_c12_parseval(sizes):
     for key in ((3, 1), (5, 1)):
         ctx = sizes[key]
-        assert walsh.full_spectrum(ctx, CoeffPair(ctx.one, ctx.one)).parseval == ctx.q ** 2
+        assert walsh.full_spectrum(ctx, 0, 0).parseval == ctx.q ** 2
     ctx = sizes[(3, 1)]
     rng = random.Random(1200)
     for _ in range(10):
-        pair = CoeffPair(ctx.from_enc(rng.randrange(ctx.q)),
-                         ctx.from_enc(rng.randrange(ctx.q)))
-        assert walsh.full_spectrum(ctx, pair).parseval == ctx.q ** 2
+        # the dlogs of two random encodings, -1 for zero
+        la, lb = (int(ctx.log_enc[rng.randrange(ctx.q)]) for _ in range(2))
+        assert walsh.full_spectrum(ctx, la, lb).parseval == ctx.q ** 2
     _passed("criterion 12: Parseval exact for every computed spectrum")
 
 

@@ -56,15 +56,15 @@ def test_verify_all_scans_jacobsthal_once(capsys, monkeypatch):
     assert [m.__name__ for m in modules if "H_sums" in vars(m)] == ["charsum.reference"]
 
 
-_VERIFY_ALL_31 = "e9db3a39c87b3e719976c62e0db62880804d74c0ef7850c64b84a9bda5867ad4"
+_VERIFY_ALL_31 = "485fc3ff99c220c5e5af525a008158008ab5f1c26e44d18ded13b51010f8c67a"
 
 
 @pytest.mark.parametrize("argv, digest", [
     (["--p", "3", "--k", "1"], _VERIFY_ALL_31),
-    (["--p", "5", "--k", "1"], "2221d6dfcd4c211a986635547b20ad6347e143f78b3c1e1873eaa3d246bf3a2b"),
-    (["--p", "7", "--k", "1"], "62e94ae36e1c85aba904e21ffa1aa4fd91e494716d3105e4cffc544ce3439089"),
+    (["--p", "5", "--k", "1"], "6e245c05cffdcd57565260de9a39e36ab633a5915cf3ab22a2f600ab6c674344"),
+    (["--p", "7", "--k", "1"], "0821c962d71ab424728c984f2f69be14b9a6cfd78495be04e8bc917d2215f6a0"),
     (["--p", "3", "--k", "2", "--b", "g^1"],
-     "86ea764a86b561d9ce5a477607ac06026de5fd8b8192e3e1d0d41a6db595a619"),
+     "5ce523821bc8e5ff06de2181909a3bddbf5bd22b2af5eaae370cec746899ddb1"),
 ])
 def test_verify_all_output_pinned(capsys, argv, digest):
     # the whole stdout of verify-all, every check's detail included, by
@@ -94,9 +94,9 @@ def test_verify_all_computes_g_and_N_once(capsys, monkeypatch):
     real_g, real_count = expsum.g_logs, expsum.N_count_bulk
     real_properties = expsum.corollary_properties
 
-    def g_logs(ctx, b, la):
+    def g_logs(ctx, la, lb):
         g_sizes.append(len(la))
-        return real_g(ctx, b, la)
+        return real_g(ctx, la, lb)
 
     def count(ctx, la, lb):
         if inside:
@@ -133,6 +133,29 @@ def test_verify_all_names_pairs_by_dlog(capsys, monkeypatch):
     assert run(["verify-all", "--p", "3", "--k", "2", "--b", "g^1"]) == 0
     assert capsys.readouterr().out.count("[ok  ]") == 12
     assert sum(logged) < 3280, (len(logged), sum(logged))
+
+
+def test_verify_all_names_b_by_dlog(capsys, monkeypatch):
+    # each --b becomes a dlog once, in the CLI: 7 scalar dlogs over the whole
+    # run at (3,2), one for b = g^1 and six for the constants of scan_table's
+    # curve terms
+    calls = []
+    real = FieldCtx.dlog
+    monkeypatch.setattr(FieldCtx, "dlog", lambda ctx, x: calls.append(x) or real(ctx, x))
+    assert run(["verify-all", "--p", "3", "--k", "2", "--b", "g^1"]) == 0
+    assert capsys.readouterr().out.count("[ok  ]") == 12
+    assert len(calls) <= 7, len(calls)
+
+
+def test_corollary2_names_the_properties_it_evaluated(capsys):
+    # b = g^1 is a nonsquare, so (vi) is not evaluated and not claimed; at
+    # the default b = g^0;g^1 it ran at the square b alone
+    assert run(["verify-all", "--p", "3", "--k", "1", "--b", "g^1"]) == 0
+    line, = [s for s in _lines(capsys) if s.startswith("[ok  ] corollary2 suite:")]
+    assert line == "[ok  ] corollary2 suite: 4 pairs x i-v, vii at 1 b values"
+    assert run(["verify-all", "--p", "3", "--k", "1"]) == 0
+    assert "[ok  ] corollary2 suite: 6 pairs x i-v, vi at 1 and vii at 2 b values" in (
+        _lines(capsys))
 
 
 def test_prop2_reads_H_from_the_bound_scan(capsys, monkeypatch):
@@ -596,8 +619,8 @@ cli.expsum = types.SimpleNamespace(**{**vars(expsum), "norms_match": off})
 import dataclasses
 from charsum import expsum
 real = expsum.distribution_sweep
-def off(ctx, b):
-    rep = real(ctx, b)
+def off(ctx, lb):
+    rep = real(ctx, lb)
     return dataclasses.replace(rep, jacobsthal=rep.jacobsthal[1:])
 expsum.distribution_sweep = off
 """, ["--p", "3", "--k", "1"],
@@ -656,7 +679,7 @@ expsum.corollary_properties = off
     # b = g^0 a square; the other six properties still hold
     pytest.param("""
 from charsum import expsum
-expsum._special_a = lambda ctx, b, chi_b: ()
+expsum._special_a = lambda ctx, lb, chi_b: ()
 """, ["--p", "3", "--k", "1"], ["corollary2 suite"],
         "property vi skipped at b = g^0, where p = 3 mod 4, k is odd and chi(b) = 1",
         id="corollary2-special_value_skipped"),
@@ -665,7 +688,7 @@ expsum._special_a = lambda ctx, b, chi_b: ()
     pytest.param("""
 from charsum import expsum
 real = expsum.chi
-expsum.chi = lambda ctx, b: -real(ctx, b)
+expsum.chi = lambda lb: -real(lb)
 """, ["--p", "3", "--k", "1"], ["r/s/t distribution identities", *_EVERY_SWEEP_USER[:-1]],
         "distribution identities violated", id="rst-chi_flipped"),
     # the tallies moved after the sweep, r + 1 and s - 1: r + s + t and every
@@ -674,8 +697,8 @@ expsum.chi = lambda ctx, b: -real(ctx, b)
 import dataclasses
 from charsum import expsum
 real = expsum.distribution_sweep
-def off(ctx, b):
-    rep = real(ctx, b)
+def off(ctx, lb):
+    rep = real(ctx, lb)
     return dataclasses.replace(rep, r=rep.r + 1, s=rep.s - 1)
 expsum.distribution_sweep = off
 """, ["--p", "3", "--k", "1"], ["r/s/t distribution identities"],
@@ -688,14 +711,15 @@ expsum.distribution_sweep = off
 import dataclasses
 import numpy as np
 from charsum import walsh
+from charsum.cycint import CycInt
 real = walsh.full_spectrum
-def off(ctx, pair):
-    s = real(ctx, pair)
+def off(ctx, la, lb):
+    s = real(ctx, la, lb)
     c, n = s.values[s.index[7]]
     index = s.index.copy()
     index[7] = len(s.values)
     j = (s.closed_j[s.index[7]] + 1) % ctx.p
-    return dataclasses.replace(s, values=s.values + ((c.omega_shift(1), n),),
+    return dataclasses.replace(s, values=s.values + ((c * CycInt.omega_power(ctx.p, 1), n),),
                                index=index, closed_j=np.append(s.closed_j, j))
 walsh.full_spectrum = off
 """, ["--p", "3", "--k", "1"], ["theorem1 spectrum"], "formula failed",
@@ -709,11 +733,11 @@ real = walsh._root_polynomial
 def off(ctx, y2, ypow, x):
     vals = real(ctx, y2, ypow, x)
     kview = ctx.subfield(ctx.params.k)
-    root = next(z for z in kview.elements() if real(ctx, y2[42:43], ypow[42:43], z)[0] == 0)
+    root = next(z for z in kview.elements() if real(ctx, y2[42:43], ypow[42:43], z.enc)[0] == 0)
     moved = next(z for z in kview.elements()
                  if z != root and kview.abs_trace(z) == kview.abs_trace(root))
-    if x == root or x == moved:
-        vals[42] = 0 if x == moved else 1
+    if x in (root.enc, moved.enc):
+        vals[42] = 0 if x == moved.enc else 1
     return vals
 walsh._root_polynomial = off
 """, ["--p", "3", "--k", "2"], ["theorem1 spectrum"], "special case failed at y=g^41",
@@ -880,10 +904,9 @@ def test_failed_distribution_identities(capsys, monkeypatch):
     # with the sign of chi(b) flipped, the sweep's identity check must raise,
     # and verify-all must fail theorem3 and r/s/t on it and exit 1
     real = expsum.chi
-    monkeypatch.setattr(expsum, "chi", lambda ctx, b: -real(ctx, b))
-    ctx = context(3, 1)
+    monkeypatch.setattr(expsum, "chi", lambda lb: -real(lb))
     with pytest.raises(OracleMismatch, match="distribution identities violated"):
-        expsum.distribution_sweep(ctx, ctx.one)
+        expsum.distribution_sweep(context(3, 1), 0)
     assert run(["verify-all", "--p", "3", "--k", "1"]) == 1
     failed = {line.split(":")[0]: line for line in _lines(capsys) if line.startswith("[FAIL]")}
     for name in ("theorem3 oracle equivalence", "r/s/t distribution identities"):
@@ -916,6 +939,86 @@ print("charsum.reference" in sys.modules)
     proc = _run_src("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+# why a package function that no command enters stays
+_PINNED = "perfbench-pinned reference"  # perfbench/ wraps, probes or calls it
+_TEST_ONLY = "test-only helper"         # tests and charsum.reference call it
+_ERROR = "error path"                   # runs only to build or raise an error
+_UNREACHED = {
+    "cycint": {"CycInt.__setattr__": _ERROR, "CycInt.integer": _TEST_ONLY,
+               "CycInt.__sub__": _TEST_ONLY, "CycInt.__rsub__": _TEST_ONLY,
+               "CycInt.__neg__": _TEST_ONLY, "CycInt.__hash__": _TEST_ONLY,
+               "CycInt.__repr__": _TEST_ONLY},
+    "expsum": {"_where": _ERROR, "L_eval": _PINNED, "_L_terms": _PINNED, "N_count": _PINNED,
+               "_require_jacobsthal": _PINNED, "jacobsthal_pairs": _PINNED,
+               "_special_pair_violation": _ERROR, "corollary_suite": _PINNED,
+               "_oracle_mismatch": _ERROR},
+    "field_core": {"Elem.__setattr__": _ERROR, "Elem.coeffs": _ERROR, "Elem.__sub__": _TEST_ONLY,
+                   "Elem.__rsub__": _TEST_ONLY, "Elem.inverse": _PINNED,
+                   "Elem.__eq__": _TEST_ONLY, "Elem.__hash__": _TEST_ONLY, "Elem.__str__": _ERROR,
+                   "Elem.__repr__": _ERROR, "FieldCtx.sub_enc": _TEST_ONLY,
+                   "FieldCtx.format_element": _ERROR, "FieldCtx.elements": _TEST_ONLY,
+                   "FieldCtx.powers": _PINNED, "FieldCtx.__repr__": _TEST_ONLY,
+                   "SubfieldView.contains": _TEST_ONLY, "SubfieldView.elements": _TEST_ONLY,
+                   "SubfieldView.nonzero_elements": _TEST_ONLY,
+                   "SubfieldView.discrete_log": _TEST_ONLY, "SubfieldView.eta": _TEST_ONLY,
+                   "SubfieldView.abs_trace": _TEST_ONLY, "SubfieldView.__repr__": _TEST_ONLY},
+    "sequences": {"m_sequence": _TEST_ONLY, "decimate": _TEST_ONLY,
+                  "cross_correlation": _PINNED, "s0_relation_report": _TEST_ONLY},
+}
+
+
+def test_reach_census():
+    # every subcommand at (3, 1) in one process under sys.setprofile, with
+    # both element syntaxes and both --format values, and expsum --force
+    # through cli.main: the top-level functions and methods of the package
+    # that none of them enters are the listed ones; charsum.reference, which
+    # no command imports, is left out
+    code = """
+import ast, json, os, sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+import charsum
+from charsum import cli
+package = str(Path(charsum.__file__).resolve().parent)
+entered = set()
+def profile(frame, event, arg):
+    if event == "call" and frame.f_code.co_filename.startswith(package):
+        entered.add((Path(frame.f_code.co_filename).stem, frame.f_code.co_qualname))
+runs = [["cyclotomy-table"], ["cyclotomy-table", "--format", "csv"], ["pt-sums"],
+        ["jacobsthal-scan"], ["expsum", "--a", "g^1", "--b", "1,0,0,0"],
+        ["expsum-sweep", "--b", "0,1"], ["walsh-spectrum", "--a", "0,1", "--b", "g^0"],
+        ["theorem1-verify"], ["sequences-crosscorr"], ["sequences-crosscorr", "--format", "csv"],
+        ["verify-all"]]
+assert len({argv[0] for argv in runs}) == len(cli.build_parser().get_default("_handlers"))
+sys.argv = ["charsum", "expsum", "--a", "g^1", "--b", "1,0,0,0", "--p", "3", "--k", "1", "--force"]
+with open(os.devnull, "w") as null, redirect_stdout(null), redirect_stderr(null):
+    sys.setprofile(profile)
+    codes = [cli.run([*argv, "--p", "3", "--k", "1"]) for argv in runs]
+    try:
+        cli.main()
+    except SystemExit as exc:
+        codes.append(exc.code)
+    sys.setprofile(None)
+assert codes == [0] * (len(runs) + 1), codes
+missed = {}
+for path in sorted(Path(package).glob("*.py")):
+    if path.stem == "reference":
+        continue
+    body = ast.parse(path.read_text()).body
+    names = [node.name for node in body if isinstance(node, ast.FunctionDef)]
+    names += [f"{node.name}.{f.name}" for node in body if isinstance(node, ast.ClassDef)
+              for f in node.body if isinstance(f, ast.FunctionDef)]
+    names = [name for name in names if (path.stem, name) not in entered]
+    if names:
+        missed[path.stem] = sorted(names)
+print(json.dumps(missed))
+"""
+    proc = _run_src("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {module: sorted(names)
+                                       for module, names in _UNREACHED.items()}
 
 
 def _table_branches():

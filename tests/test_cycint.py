@@ -37,12 +37,16 @@ def test_omega_exponent_wraps():
 
 
 def test_shift_is_multiplication_by_omega():
+    # w^j z moves the coefficient of w^i to w^(i+j), then reduces
     rng = random.Random(3)
     for _ in range(30):
         z = CycInt(5, [rng.randrange(-9, 10) for _ in range(4)])
         j = rng.randrange(11)
-        assert z.omega_shift(j) == z * CycInt.omega_power(5, j)
-    assert z.omega_shift(5) == z
+        dense = [0] * 5
+        for i, ci in enumerate(z.c):
+            dense[(i + j) % 5] += ci
+        assert z * CycInt.omega_power(5, j) == CycInt.from_counts(5, dense)
+    assert z * CycInt.omega_power(5, 5) == z
 
 
 def test_conj_involution_and_mul_compatibility():

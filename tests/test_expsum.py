@@ -36,11 +36,6 @@ def sweep_logs(ctx):
     return np.arange(-1, ctx.order, dtype=np.int64)
 
 
-def log_of(ctx, x):
-    # the dlog of an element, -1 for zero, as the bulk functions take it
-    return -1 if x.is_zero else ctx.dlog(x)
-
-
 def element(ctx, l):
     return ctx.zero if l < 0 else ctx.from_exp(int(l))
 
@@ -151,8 +146,8 @@ def test_S0_oracle_equivalence_full_grid(ctx31):
 def test_S0_oracle_equivalence_full_grid_51(ctx51):
     # the whole (a, b) grid of GF(625)^2: per-b sweeps cover every b != 0,
     # plus the b = 0 column pair by pair
-    for b in ctx51.powers():
-        es.distribution_sweep(ctx51, b)  # raises OracleMismatch on any defect
+    for lb in range(ctx51.order):
+        es.distribution_sweep(ctx51, lb)  # raises OracleMismatch on any defect
     for a in ctx51.powers():
         pair = pair_of(ctx51, a, ctx51.zero)
         assert es.S0_bruteforce(ctx51, pair) == _S0_closed(ctx51, pair)
@@ -163,7 +158,7 @@ def test_character_counts_match_bruteforce(fixture, request):
     # one transform row per a equals the per-pair defining sum, a = 0 included
     ctx = request.getfixturevalue(fixture)
     for b in (ctx.one, ctx.xi):
-        counts = es.character_counts(ctx, ctx.params.d, ((b, 2),))
+        counts = es.character_counts(ctx, ctx.params.d, ((ctx.dlog(b), 2),))
         assert counts.shape == (ctx.q, ctx.p)
         for a in ctx.elements():
             row = CycInt.from_counts(ctx.p, counts[a.enc])
@@ -189,7 +184,7 @@ def test_classify_examples(ctx31):
     one = ctx31.one
     assert es.case_detail(ctx31, pair_of(ctx31, one, one)) is es.CaseTag.SQUARE_MATCH
     assert norms_agree(ctx31, one, one) and es.norms_match(ctx31, 0, 0)
-    assert es.chi(ctx31, one) == 1
+    assert es.chi(0) == 1
     assert es.case_detail(ctx31, pair_of(ctx31, ctx31.zero, one)) is es.CaseTag.NORM_DIFFER
     nu = ctx31.subfield(2).generator
     assert es.case_detail(ctx31, pair_of(ctx31, nu ** 2, one)) is es.CaseTag.JACOBSTHAL
@@ -215,8 +210,9 @@ def test_square_match_norms_iff_b_square(ctx31):
         for sign in (1, -1):
             a = sign * b ** (d // 2)
             assert es.case_detail(ctx31, pair_of(ctx31, a, b)) is es.CaseTag.SQUARE_MATCH
-            assert norms_agree(ctx31, a, b) == (es.chi(ctx31, b) == 1)
-            assert es.norms_match(ctx31, ctx31.dlog(a), ctx31.dlog(b)) == (es.chi(ctx31, b) == 1)
+            square = es.chi(ctx31.dlog(b)) == 1
+            assert norms_agree(ctx31, a, b) == square
+            assert es.norms_match(ctx31, ctx31.dlog(a), ctx31.dlog(b)) == square
 
 
 # --------------------------------------------------------------------------
@@ -341,7 +337,7 @@ def _seeded_pairs_32(ctx32):
         a, b = ctx32.from_enc(rng.randrange(ctx32.q)), ctx32.from_enc(rng.randrange(ctx32.q))
         if (a.is_zero and b.is_zero) or norms_agree(ctx32, a, b):
             continue
-        pairs.append((log_of(ctx32, a), log_of(ctx32, b)))
+        pairs.append((ctx32.log(a), ctx32.log(b)))
     return [np.array(x, dtype=np.int64) for x in zip(*pairs)]
 
 
@@ -519,10 +515,10 @@ def test_three_paths_agree(fixture, request):
     for b in (ctx.one, ctx.xi):
         pairs = es.jacobsthal_pairs(ctx, b)
         assert pairs, "case must be populated"
-        la = [ctx.dlog(a) for a in pairs]
-        g_logs = es.g_logs(ctx, b, la)
-        n2 = es.N_via_nonsquares_bulk(ctx, b, la, g_logs)
-        n3 = es.N_via_jacobsthal_bulk(ctx, b, la, g_logs, _scan(ctx))
+        la, lb = [ctx.dlog(a) for a in pairs], ctx.dlog(b)
+        g_logs = es.g_logs(ctx, la, lb)
+        n2 = es.N_via_nonsquares_bulk(ctx, la, lb, g_logs)
+        n3 = es.N_via_jacobsthal_bulk(ctx, la, lb, g_logs, _scan(ctx))
         for a, n2_i, n3_i in zip(pairs, n2.tolist(), n3.tolist(), strict=True):
             pair = pair_of(ctx, a, b)
             n1 = es.N_count(ctx, pair)[0]
@@ -536,18 +532,18 @@ def test_bulk_routes_match_pair_routes(fixture, request, monkeypatch):
     # pair per block
     ctx = request.getfixturevalue(fixture)
     for b in (ctx.one, ctx.xi):
-        rep = es.distribution_sweep(ctx, b)
+        lb = ctx.dlog(b)
+        rep = es.distribution_sweep(ctx, lb)
         la, n1 = rep.jacobsthal, rep.N[rep.jacobsthal + 1]
         pairs = [pair_of(ctx, ctx.from_exp(int(l)), b) for l in la]
-        g_logs = es.g_logs(ctx, b, la)
+        g_logs = es.g_logs(ctx, la, lb)
         assert g_logs.tolist() == [ctx.dlog(ref.find_g(ctx, pair)) for pair in pairs]
-        n2 = es.N_via_nonsquares_bulk(ctx, b, la, g_logs)
-        n3 = es.N_via_jacobsthal_bulk(ctx, b, la, g_logs, _scan(ctx))
+        n2 = es.N_via_nonsquares_bulk(ctx, la, lb, g_logs)
+        n3 = es.N_via_jacobsthal_bulk(ctx, la, lb, g_logs, _scan(ctx))
         assert n2.tolist() == n3.tolist() == n1.tolist()
         monkeypatch.setattr(es, "BLOCK_ENTRIES", 1)  # one pair per block
-        assert es.N_via_nonsquares_bulk(ctx, b, la, g_logs).tolist() == n2.tolist()
-        assert es.N_count_bulk(ctx, la, np.full(la.size, ctx.dlog(b)))[0].tolist() == (
-            n2.tolist())
+        assert es.N_via_nonsquares_bulk(ctx, la, lb, g_logs).tolist() == n2.tolist()
+        assert es.N_count_bulk(ctx, la, np.full(la.size, lb))[0].tolist() == n2.tolist()
         monkeypatch.undo()
 
 
@@ -557,24 +553,23 @@ def test_bulk_routes_refuse_other_cases(ctx31):
     b = ctx31.one
     la = np.array([ctx31.dlog(a) for a in es.jacobsthal_pairs(ctx31, b)] + [0])  # (1, 1) last
     with pytest.raises(WrongCase):
-        es.g_logs(ctx31, b, la)
+        es.g_logs(ctx31, la, 0)
     with pytest.raises(ZeroB):
-        es.g_logs(ctx31, ctx31.zero, la[:1])
+        es.g_logs(ctx31, la[:1], -1)
     # with g = 1 the argument is -b^(p^2k+1) = -1, which lies in GF(3)
     with pytest.raises(CaseViolation, match="lies in GF"):
-        es.N_via_jacobsthal_bulk(ctx31, b, la[:1], [0], _scan(ctx31))
+        es.N_via_jacobsthal_bulk(ctx31, la[:1], 0, [0], _scan(ctx31))
 
 
 def test_jacobsthal_route_refuses_a_scan_of_another_field(ctx31):
     # the scan of a standalone GF(p^2k), as jacobsthal-scan builds it, has
     # dlogs to another generator, each below p^2k - 1 and so no multiple
     # of the 2k-view's step p^2k + 1
-    b = ctx31.one
     la = sweep_logs(ctx31)[es.case_tags(ctx31, sweep_logs(ctx31), 0) == es.CaseTag.JACOBSTHAL]
     standalone = jacobsthal.theorem2_scan(context(3, 1, 2).subfield(2))
     assert standalone.logs.tolist() == [1, 2, 3, 5, 6, 7]
     with pytest.raises(NotInSubfield, match="not all multiples of 10: a scan of another GF"):
-        es.N_via_jacobsthal_bulk(ctx31, b, la, es.g_logs(ctx31, b, la), standalone)
+        es.N_via_jacobsthal_bulk(ctx31, la, 0, es.g_logs(ctx31, la, 0), standalone)
 
 
 def test_bulk_jacobsthal_route_checks_raise(ctx31):
@@ -582,10 +577,10 @@ def test_bulk_jacobsthal_route_checks_raise(ctx31):
     # reads from the scan
     b = ctx31.one
     la = np.array([ctx31.dlog(a) for a in es.jacobsthal_pairs(ctx31, b)])
-    g_logs, scan = es.g_logs(ctx31, b, la), _scan(ctx31)
+    g_logs, scan = es.g_logs(ctx31, la, 0), _scan(ctx31)
     for shift, error in ((1, DivisibilityViolation), (4, ParityViolation)):
         with pytest.raises(error):
-            es.N_via_jacobsthal_bulk(ctx31, b, la, g_logs,
+            es.N_via_jacobsthal_bulk(ctx31, la, 0, g_logs,
                                      dataclasses.replace(scan, H=scan.H + shift))
 
 
@@ -607,7 +602,7 @@ def test_scan_H_matches_H_sums_at_prop2_arguments(p, k):
         position = np.searchsorted(scan.logs, logs)
         assert scan.logs[position].tolist() == logs
         assert scan.H[position].tolist() == H.tolist()
-        n = es.N_via_jacobsthal_bulk(ctx, b, la, es.g_logs(ctx, b, la), scan)
+        n = es.N_via_jacobsthal_bulk(ctx, la, e, es.g_logs(ctx, la, e), scan)
         assert la.size and (2 * n).tolist() == (pk - H // (pk + 1) + 1).tolist()
 
 
@@ -615,7 +610,7 @@ def test_jacobsthal_case_parity_and_bound(ctx31, ctx51):
     for ctx in (ctx31, ctx51):
         pk = ctx.p ** ctx.params.k
         for b in (ctx.one, ctx.xi):
-            even = es.chi(ctx, b) == 1
+            even = es.chi(ctx.dlog(b)) == 1
             for a in es.jacobsthal_pairs(ctx, b):
                 n = es.N_count(ctx, pair_of(ctx, a, b))[0]
                 assert (n % 2 == 0) == even
@@ -652,7 +647,7 @@ def test_scaling_invariance(ctx31):
         a, b = (ctx31.from_enc(rng.randrange(ctx31.q)) for _ in range(2))
         if a.is_zero and b.is_zero:
             continue
-        triples.append((log_of(ctx31, a), log_of(ctx31, b), rng.randrange(ctx31.order)))
+        triples.append((ctx31.log(a), ctx31.log(b), rng.randrange(ctx31.order)))
     same = es.corollary1_bulk(ctx31, *map(np.array, zip(*triples)))
     assert same.size == len(triples) and same.all()
 
@@ -688,7 +683,7 @@ def test_corollary_special_value_at_a_square_b(fixture, request):
     # special a is exercised: both routes evaluate it and it holds
     ctx = request.getfixturevalue(fixture)
     b = ctx.from_exp(2)
-    rep = es.distribution_sweep(ctx, b)
+    rep = es.distribution_sweep(ctx, 2)
     vi = es.corollary_properties(ctx, rep)["vi"]
     assert vi is not None and vi.size == rep.jacobsthal.size and vi.all()
     pair = pair_of(ctx, element(ctx, rep.jacobsthal[0]), b)
@@ -705,10 +700,10 @@ def test_corollary_bound_attained():
 def test_eq9_sums(ctx31, ctx51):
     for ctx in (ctx31, ctx51):
         pk = ctx.p ** ctx.params.k
-        for b in (ctx.one, ctx.xi):
-            rep = es.distribution_sweep(ctx, b)
-            total, expected = es.corollary_eq9_check(ctx, b, rep.N[rep.jacobsthal + 1])
-            assert total == expected == (pk + 1) * (pk - es.chi(ctx, b)) // 2
+        for lb in (0, 1):
+            rep = es.distribution_sweep(ctx, lb)
+            total, expected = es.corollary_eq9_check(ctx, lb, rep.N[rep.jacobsthal + 1])
+            assert total == expected == (pk + 1) * (pk - es.chi(lb)) // 2
 
 
 @pytest.mark.parametrize("fixture", ["ctx31", "ctx51"])
@@ -717,20 +712,20 @@ def test_sweep_jacobsthal_slice(fixture, request):
     # there is what N_count gives over that walk, and (vii) sums those N
     ctx = request.getfixturevalue(fixture)
     for b in (ctx.one, ctx.xi):
-        rep = es.distribution_sweep(ctx, b)
+        rep = es.distribution_sweep(ctx, ctx.dlog(b))
         assert rep.jacobsthal.dtype == np.int64
         n = rep.N[rep.jacobsthal + 1]
         pairs = es.jacobsthal_pairs(ctx, b)
         assert rep.jacobsthal.tolist() == [ctx.dlog(a) for a in pairs]
         assert n.tolist() == [es.N_count(ctx, pair_of(ctx, a, b))[0] for a in pairs]
-        total, _ = es.corollary_eq9_check(ctx, b, n)
+        total, _ = es.corollary_eq9_check(ctx, rep.lb, n)
         assert total == sum(n.tolist())
 
 
 def test_eq9_sum_all_b_31(ctx31):
-    for b in ctx31.powers():
-        rep = es.distribution_sweep(ctx31, b)
-        total, expected = es.corollary_eq9_check(ctx31, b, rep.N[rep.jacobsthal + 1])
+    for lb in range(ctx31.order):
+        rep = es.distribution_sweep(ctx31, lb)
+        total, expected = es.corollary_eq9_check(ctx31, lb, rep.N[rep.jacobsthal + 1])
         assert total == expected
 
 
@@ -749,7 +744,7 @@ def test_corollary_properties_match_suite(fixture, request):
     for e in range(4):
         b = ctx.from_exp(e)
         pairs = es.jacobsthal_pairs(ctx, b)
-        rep = es.distribution_sweep(ctx, b)
+        rep = es.distribution_sweep(ctx, e)
         assert rep.jacobsthal.tolist() == [ctx.dlog(a) for a in pairs]
         results = es.corollary_properties(ctx, rep)
         assert list(results) == ["i", "iii", "ii", "iv", "v", "vi"]
@@ -761,13 +756,13 @@ def test_corollary_properties_match_suite(fixture, request):
 
 
 def test_corollary_properties_refuse_other_cases(ctx31):
-    rep = es.distribution_sweep(ctx31, ctx31.one)
+    rep = es.distribution_sweep(ctx31, 0)
     for outside in (-1, 0):  # a = 0 and a = 1: NORM_DIFFER and SQUARE_MATCH
         with pytest.raises(WrongCase):
             es.corollary_properties(ctx31, dataclasses.replace(
                 rep, jacobsthal=np.append(rep.jacobsthal, outside)))
     with pytest.raises(ZeroB):
-        es.corollary_properties(ctx31, dataclasses.replace(rep, b=ctx31.zero))
+        es.corollary_properties(ctx31, dataclasses.replace(rep, lb=-1))
 
 
 def test_corollary1_bulk_scales_each_pair(ctx31, ctx32, monkeypatch):
@@ -789,8 +784,8 @@ def test_corollary1_bulk_scales_each_pair(ctx31, ctx32, monkeypatch):
         scaled = [(ctx.from_enc(a) * ctx.from_exp(h) ** ctx.params.d,
                    ctx.from_enc(b) * ctx.from_exp(h) ** 2) for a, b, h in triples]
         pairs = [(ctx.from_enc(a), ctx.from_enc(b)) for a, b, _ in triples] + scaled
-        assert a_all.tolist() == [log_of(ctx, x) for x, _ in pairs]
-        assert b_all.tolist() == [log_of(ctx, y) for _, y in pairs]
+        assert a_all.tolist() == [ctx.log(x) for x, _ in pairs]
+        assert b_all.tolist() == [ctx.log(y) for _, y in pairs]
 
 
 # --------------------------------------------------------------------------
@@ -798,9 +793,9 @@ def test_corollary1_bulk_scales_each_pair(ctx31, ctx32, monkeypatch):
 # --------------------------------------------------------------------------
 
 def test_sweep_identities_31(ctx31):
-    rep1 = es.distribution_sweep(ctx31, ctx31.one)
+    rep1 = es.distribution_sweep(ctx31, 0)
     assert (rep1.r + rep1.s + rep1.t, -rep1.r + rep1.s + 3 * rep1.t) == (79, 3)
-    repx = es.distribution_sweep(ctx31, ctx31.xi)
+    repx = es.distribution_sweep(ctx31, 1)
     assert (repx.r + repx.s + repx.t, -repx.r + repx.s + 3 * repx.t) == (77, -3)
     for rep in (rep1, repx):
         assert rep.s0_total == 81
@@ -810,8 +805,8 @@ def test_sweep_identities_31(ctx31):
 
 
 def test_sweep_identities_51(ctx51):
-    for b in (ctx51.one, ctx51.xi):
-        rep = es.distribution_sweep(ctx51, b)
+    for lb in (0, 1):
+        rep = es.distribution_sweep(ctx51, lb)
         assert rep.residuals == (0, 0, 0)
         assert rep.s0_total == 625
 
@@ -822,8 +817,8 @@ def test_sweep_matches_slow_context(ctx31):
     slow = build_context(FieldParams(3, 1), 4, use_tables=False)
     for e in (0, 1):
         fast_rows, slow_rows = [], []
-        fast = es.distribution_sweep(ctx31, ctx31.from_exp(e), fast_rows.append)
-        ref = es.distribution_sweep(slow, slow.from_exp(e), slow_rows.append)
+        fast = es.distribution_sweep(ctx31, e, fast_rows.append)
+        ref = es.distribution_sweep(slow, e, slow_rows.append)
         assert (ref.r, ref.s, ref.t) == (fast.r, fast.s, fast.t)
         assert ref.jac_histogram == fast.jac_histogram
         assert ref.jacobsthal.tolist() == fast.jacobsthal.tolist()
@@ -837,7 +832,7 @@ def test_sweep_range_check_raises(ctx31, monkeypatch):
     monkeypatch.setattr(es, "case_tags",
                         lambda ctx, la, lb: np.zeros(np.shape(la), dtype=np.int8))
     with pytest.raises(RangeViolation):
-        es.distribution_sweep(ctx31, ctx31.xi)
+        es.distribution_sweep(ctx31, 1)
 
 
 def test_sweep_oracle_mismatch_raises(ctx31, monkeypatch):
@@ -845,15 +840,15 @@ def test_sweep_oracle_mismatch_raises(ctx31, monkeypatch):
     real = es.N_table
     bad = ctx31.xi ** 5
 
-    def off_by_one(ctx, b):
-        n, logs, bounds = real(ctx, b)
+    def off_by_one(ctx, lb):
+        n, logs, bounds = real(ctx, lb)
         n = n.copy()
         n[bad.enc] += 1
         return n, logs, bounds
 
     monkeypatch.setattr(es, "N_table", off_by_one)
     with pytest.raises(OracleMismatch, match="defining sum .* a=g\\^5,"):
-        es.distribution_sweep(ctx31, ctx31.one)
+        es.distribution_sweep(ctx31, 0)
 
 
 def test_sweep_cross_check_catches_N_count(ctx31, monkeypatch):
@@ -867,7 +862,7 @@ def test_sweep_cross_check_catches_N_count(ctx31, monkeypatch):
 
     monkeypatch.setattr(es, "N_count_bulk", off_by_one)
     with pytest.raises(OracleMismatch, match="a=0,"):
-        es.distribution_sweep(ctx31, ctx31.one)
+        es.distribution_sweep(ctx31, 0)
 
 
 def test_sweep_cross_check_catches_case_split(ctx31, monkeypatch):
@@ -882,7 +877,7 @@ def test_sweep_cross_check_catches_case_split(ctx31, monkeypatch):
 
     monkeypatch.setattr(es, "case_tags", flipped)
     with pytest.raises(CaseViolation, match="a=0,"):
-        es.distribution_sweep(ctx31, ctx31.one)
+        es.distribution_sweep(ctx31, 0)
 
 
 @pytest.mark.parametrize("fixture", ["ctx31", "ctx51", "ctx32"])
@@ -894,7 +889,7 @@ def test_sweep_tables_match_direct_count(fixture, request):
     Q = ctx.p ** (2 * ctx.params.k)
     for b in (ctx.one, ctx.xi):
         rows = []
-        rep = es.distribution_sweep(ctx, b, rows.append)
+        rep = es.distribution_sweep(ctx, ctx.dlog(b), rows.append)
         a_all = [ctx.zero] + list(ctx.powers())
         for a, row in zip(a_all, rows, strict=True):
             pair = pair_of(ctx, a, b)
@@ -916,7 +911,7 @@ def test_N_table_and_case_tags_property(pk, data):
     b = ctx.from_exp(data.draw(st.integers(0, ctx.order - 1), label="log b"))
     i = data.draw(st.integers(0, ctx.order), label="sweep position of a")
     a = ctx.zero if i == 0 else ctx.from_exp(i - 1)
-    n, _, _ = es.N_table(ctx, b)
+    n, _, _ = es.N_table(ctx, ctx.dlog(b))
     assert n[a.enc] == es.N_count(ctx, pair_of(ctx, a, b))[0]
     assert es.CaseTag(es.case_tags(ctx, i - 1, ctx.dlog(b))) is es.case_detail(
         ctx, pair_of(ctx, a, b))
@@ -930,10 +925,9 @@ def test_N_table_matches_direct_count_at_every_a(p, k):
     ctx = context(p, k)
     Q, u_logs = p ** (2 * k), es.U_logs(ctx)
     for e in (0, 1, 5):
-        b = ctx.from_exp(e)
         minus_c = ctx.sum_enc_bulk(((Q * e, 1), (e, -1)), u_logs)
         assert np.count_nonzero(minus_c == 0) == 2 * (e % 2)
-        n, logs, bounds = es.N_table(ctx, b)
+        n, logs, bounds = es.N_table(ctx, e)
         # every a in encoding order, by its dlog (log_enc[0] = -1 for a = 0)
         n_direct, zeros = es.N_count_bulk(ctx, ctx.log_enc, np.full(ctx.q, e))
         assert n.tolist() == n_direct.tolist()
@@ -951,7 +945,7 @@ def test_character_counts_match_bruteforce_property(pk, data):
     lb = data.draw(st.integers(-1, ctx.order - 1), label="log b, -1 for b = 0")
     b = ctx.zero if lb < 0 else ctx.from_exp(lb)
     a = ctx.from_enc(data.draw(st.integers(int(b.is_zero), ctx.q - 1), label="a"))
-    counts = es.character_counts(ctx, ctx.params.d, ((b, 2),))
+    counts = es.character_counts(ctx, ctx.params.d, ((lb, 2),))
     assert CycInt.from_counts(ctx.p, counts[a.enc]) == es.S0_bruteforce(ctx, pair_of(ctx, a, b))
 
 
@@ -979,7 +973,7 @@ def test_N_count_bulk_property(pk, data):
     for a, b, n_i, zeros_i in zip(a_encs, b_encs, n, zeros):
         assert zeros_i.sum() == 2 * n_i
         if b:
-            table, logs, bounds = es.N_table(ctx, ctx.from_enc(int(b)))
+            table, logs, bounds = es.N_table(ctx, int(ctx.log_enc[b]))
             witnesses = ctx.exp_enc_bulk(logs[bounds[a]:bounds[a + 1]])
             assert n_i == table[a] and u_encs[zeros_i].tolist() == witnesses.tolist()
 
@@ -1003,17 +997,16 @@ def test_N_count_bulk_parity_and_admissibility(ctx31, monkeypatch):
 def test_g_logs_refuses_other_cases_with_a_typed_error(ctx31, monkeypatch):
     # with the case split bypassed, the dlog solve for g must still refuse a
     # NORM_DIFFER pair with its own check: NotInSubfield, not a NameError
-    b = ctx31.xi
     la = sweep_logs(ctx31)
     a = la[es.case_tags(ctx31, la, 1) == es.CaseTag.NORM_DIFFER][1]  # la[0] = -1 is a = 0
-    monkeypatch.setattr(es, "_require_jacobsthal_bulk", lambda ctx, b, la: None)
+    monkeypatch.setattr(es, "_require_jacobsthal_bulk", lambda ctx, la, lb: None)
     with pytest.raises(NotInSubfield):
-        es.g_logs(ctx31, b, [a])
+        es.g_logs(ctx31, [a], 1)
 
 
 def test_sweep_rejects_zero_b(ctx31):
     with pytest.raises(ZeroB):
-        es.distribution_sweep(ctx31, ctx31.zero)
+        es.distribution_sweep(ctx31, -1)
 
 
 def test_record_json(ctx31):
@@ -1026,7 +1019,7 @@ def test_record_json(ctx31):
     assert es.expsum_record(ctx31, pair_of(ctx31, a, ctx31.xi)) == {
         "a": ctx31.format_element(a), "b": "g^1", "tag": "JACOBSTHAL", "N": n,
         "S0": 9 * (2 * n - 1), "witnesses": [ctx31.format_element(w) for w in witnesses]}
-    rep = es.distribution_sweep(ctx31, ctx31.one).to_json_dict(ctx31)
+    rep = es.distribution_sweep(ctx31, 0).to_json_dict()
     assert rep["residuals"] == [0, 0, 0]
     assert set(rep) == {"b", "chi_b", "r", "s", "t", "jac_histogram",
                         "s0_total", "residuals"}

@@ -15,6 +15,16 @@ from charsum.expsum import CoeffPair, S0_bruteforce, character_counts, sweep_ord
 from charsum.field_core import FieldParams, build_context
 
 
+def _spectrum(ctx, pair):
+    # full_spectrum of a pair of elements, named by their dlogs
+    return wa.full_spectrum(ctx, ctx.log(pair.a), ctx.log(pair.b))
+
+
+def _coefficient(ctx, spectrum, y):
+    # S_f(y): y = 0 at index 0, y = xi^l at index l + 1
+    return spectrum.values[spectrum.index[1 + ctx.log(y)]][0]
+
+
 def test_function_symmetry(ctx31):
     # both exponents even: f(0) = 0 and f(-x) = f(x)
     pair = CoeffPair(ctx31.xi ** 3, ctx31.xi ** 7)
@@ -26,7 +36,7 @@ def test_function_symmetry(ctx31):
 def test_walsh_coeff_degenerate_pair(ctx31):
     pair = CoeffPair(ctx31.zero, ctx31.zero)
     assert ref.walsh_coeff(ctx31, pair, ctx31.zero) == 81
-    assert not wa.full_spectrum(ctx31, pair).bent
+    assert not _spectrum(ctx31, pair).bent
 
 
 def test_walsh_coeff_11(ctx31):
@@ -42,9 +52,9 @@ def test_walsh_coeff_matches_plain_sum(ctx31):
     # definitional recount without any tables or caching, and the one-pass
     # transform of full_spectrum against the per-point walsh_coeff at every y
     pair = CoeffPair(ctx31.xi ** 2, ctx31.xi ** 11)
-    spectrum = wa.full_spectrum(ctx31, pair)
+    spectrum = _spectrum(ctx31, pair)
     for y in ctx31.elements():
-        assert spectrum.coefficient(y) == ref.walsh_coeff(ctx31, pair, y)
+        assert _coefficient(ctx31, spectrum, y) == ref.walsh_coeff(ctx31, pair, y)
     rng = random.Random(10)
     for _ in range(5):
         y = ctx31.from_enc(rng.randrange(ctx31.q))
@@ -65,13 +75,13 @@ def test_coefficient_at_zero_is_exponential_sum(ctx31):
 
 
 def test_spectrum_even_symmetry(ctx31):
-    spectrum = wa.full_spectrum(ctx31, CoeffPair(ctx31.one, ctx31.one))
+    spectrum = wa.full_spectrum(ctx31, 0, 0)
     for y in ctx31.elements():
-        assert spectrum.coefficient(y) == spectrum.coefficient(-y)
+        assert _coefficient(ctx31, spectrum, y) == _coefficient(ctx31, spectrum, -y)
 
 
 def test_spectrum_counts_31(ctx31):
-    spectrum = wa.full_spectrum(ctx31, CoeffPair(ctx31.one, ctx31.one))
+    spectrum = wa.full_spectrum(ctx31, 0, 0)
     want = {
         str(CycInt.integer(3, -9)): 21,
         str(-9 * CycInt.omega_power(3, 1)): 30,
@@ -83,10 +93,9 @@ def test_spectrum_counts_31(ctx31):
 
 def test_full_spectrum_matches_slow_context(ctx31):
     slow = build_context(FieldParams(3, 1), 4, use_tables=False)
-    fast = wa.full_spectrum(ctx31, CoeffPair(ctx31.xi ** 5, ctx31.xi ** 11))
-    plain = wa.full_spectrum(slow, CoeffPair(slow.xi ** 5, slow.xi ** 11))
-    assert ([fast.coefficient(y).c for y in ctx31.elements()]
-            == [plain.coefficient(y).c for y in slow.elements()])
+    fast, plain = wa.full_spectrum(ctx31, 5, 11), wa.full_spectrum(slow, 5, 11)
+    assert ([_coefficient(ctx31, fast, y).c for y in ctx31.elements()]
+            == [_coefficient(slow, plain, y).c for y in slow.elements()])
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -106,16 +115,16 @@ def test_full_spectrum_matches_walsh_coeff_property(pk, a, b, ys):
     # reduced mod q
     ctx = context(*pk)
     pair = CoeffPair(ctx.from_enc(a % ctx.q), ctx.from_enc(b % ctx.q))
-    spectrum = wa.full_spectrum(ctx, pair)
+    spectrum = _spectrum(ctx, pair)
     for y in ys:
         y = ctx.from_enc(y % ctx.q)
-        assert spectrum.coefficient(y) == ref.walsh_coeff(ctx, pair, y)
+        assert _coefficient(ctx, spectrum, y) == ref.walsh_coeff(ctx, pair, y)
     for c, n in spectrum.values:
         assert n == c.norm_squared()
     # the row of y is the row of a = -y, negated digit by digit
     weights = ctx.p ** np.arange(ctx.m)
     minus_y = -(sweep_order(ctx)[:, None] // weights % ctx.p) % ctx.p @ weights
-    counts = character_counts(ctx, 1, ((pair.a, ctx.params.d), (pair.b, 2)))
+    counts = character_counts(ctx, 1, ((ctx.log(pair.a), ctx.params.d), (ctx.log(pair.b), 2)))
     distinct, inverse = np.unique(counts[minus_y], axis=0, return_inverse=True)
     assert len(distinct) == len(spectrum.values)
     # equal rows have equal indexes and distinct rows distinct ones
@@ -128,7 +137,7 @@ def test_full_spectrum_matches_walsh_coeff_property(pk, a, b, ys):
 
 
 def test_spectrum_counts_51(ctx51):
-    spectrum = wa.full_spectrum(ctx51, CoeffPair(ctx51.one, ctx51.one))
+    spectrum = wa.full_spectrum(ctx51, 0, 0)
     want = {str(CycInt.integer(5, -25)): 105}
     for i in range(1, 5):
         want[str(-25 * CycInt.omega_power(5, i))] = 130
@@ -141,24 +150,25 @@ def test_parseval_random_pairs(ctx31):
     for _ in range(10):
         a = ctx31.from_enc(rng.randrange(ctx31.q))
         b = ctx31.from_enc(rng.randrange(ctx31.q))
-        spectrum = wa.full_spectrum(ctx31, CoeffPair(a, b))
+        spectrum = _spectrum(ctx31, CoeffPair(a, b))
         assert spectrum.parseval == 81 ** 2  # asserted inside, rechecked here
 
 
 def test_inverse_transform_round_trip(ctx31):
     # sum_y S_f(y) w^Tr(yx) = p^n w^f(x), spot-checked at every x
     pair = CoeffPair(ctx31.one, ctx31.one)
-    spectrum = wa.full_spectrum(ctx31, pair)
+    spectrum = wa.full_spectrum(ctx31, 0, 0)
     for x in ctx31.elements():
         acc = CycInt.zero(3)
         for y in ctx31.elements():
-            acc = acc + spectrum.coefficient(y).omega_shift(ctx31.abs_trace(y * x))
+            acc = acc + (_coefficient(ctx31, spectrum, y)
+                         * CycInt.omega_power(3, ctx31.abs_trace(y * x)))
         assert acc == 81 * CycInt.omega_power(3, ref.f_value(ctx31, pair, x))
 
 
 def test_bent_and_weakly_regular(ctx31, ctx51):
     for ctx in (ctx31, ctx51):
-        spectrum = wa.full_spectrum(ctx, CoeffPair(ctx.one, ctx.one))
+        spectrum = wa.full_spectrum(ctx, 0, 0)
         assert spectrum.bent
         assert spectrum.weakly_regular_neg
         assert len(spectrum.index) == ctx.q
@@ -183,8 +193,8 @@ def test_spectrum_matches_each_value_with_the_closed_forms_once(ctx51, monkeypat
     assert 0 < compared[0] <= ctx51.p ** 2
     monkeypatch.undo()
     forms = wa.closed_form(5, 1)
-    for pair in (CoeffPair(ctx51.one, ctx51.one), CoeffPair(ctx51.one, ctx51.xi ** 3)):
-        spectrum = wa.full_spectrum(ctx51, pair)
+    for lb in (0, 3):  # (1, 1) and (1, g^3)
+        spectrum = wa.full_spectrum(ctx51, 0, lb)
         assert spectrum.closed_j.tolist() == [forms.index(c) if c in forms else -1
                                               for c, _ in spectrum.values]
         assert spectrum.weakly_regular_neg == (spectrum.closed_j >= 0).all()
@@ -265,7 +275,7 @@ def test_root_scan_matches_per_point(fixture, request):
     x0 = wa.theorem1_root_scan(ctx)
     view2k = ctx.subfield(2 * ctx.params.k)
     for i, y in enumerate([ctx.zero] + list(ctx.powers())):
-        report = ref.theorem1_verify(ctx, y, spectrum.coefficient(y))
+        report = ref.theorem1_verify(ctx, y, _coefficient(ctx, spectrum, y))
         assert report.x0.enc == x0[i]
         assert report.formula_ok is True
         assert report.special_ok is (True if view2k.contains(y * y) else None)
@@ -286,7 +296,7 @@ def test_root_scan_second_root_raises(ctx31, monkeypatch):
 
     def extra_root(ctx, y2, ypow, x):
         vals = real(ctx, y2, ypow, x)
-        if x == ctx.one:
+        if x == ctx.one.enc:
             vals[0] = 0
         return vals
 
