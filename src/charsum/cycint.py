@@ -28,9 +28,9 @@ def _canonical(p, dense):
 class CycInt:
     """An element of Z[w] in canonical reduced form.
 
-    Immutable.  Supports +, -, unary -, * (by CycInt or int), == against
-    CycInt or plain int, and the character-sum helpers conj and
-    norm_squared.
+    Immutable and unhashable (a set of sums is a set of their coefficient
+    tuples c).  Supports + and * (by CycInt or int), == against CycInt or
+    plain int, and the character-sum helpers conj and norm_squared.
     """
 
     __slots__ = ("p", "c")
@@ -106,16 +106,6 @@ class CycInt:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return CycInt(self.p, tuple(x - y for x, y in zip(self.c, other.c)))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __neg__(self):
-        return CycInt(self.p, tuple(-x for x in self.c))
-
     def __mul__(self, other):
         if isinstance(other, int):
             return CycInt(self.p, tuple(other * x for x in self.c))
@@ -174,11 +164,6 @@ class CycInt:
         if isinstance(other, CycInt):
             return self.p == other.p and self.c == other.c
         return NotImplemented
-
-    def __hash__(self):
-        if self.is_rational_integer:
-            return hash(self.c[0])
-        return hash((self.p, self.c))
 
     def __bool__(self):
         return any(self.c)

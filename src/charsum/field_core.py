@@ -7,10 +7,10 @@ The whole package runs on four primitives defined here:
 * FieldCtx      -- one concrete realization of GF(p^m) with a fixed
                    primitive modulus and generator xi (the class of X).
 * Elem          -- an immutable field element (coefficient vector mod p).
-* SubfieldView  -- GF(p^m') inside the ambient field, selected by the
-                   Frobenius-fixed predicate x^(p^m') = x, with the
-                   induced generator xi^((p^m - 1)/(p^m' - 1)); for a
-                   small subfield, its arithmetic on keys (KeyArithmetic).
+* SubfieldView  -- GF(p^m') inside the ambient field, with the induced
+                   generator xi^((p^m - 1)/(p^m' - 1)): its quadratic
+                   character on encoding arrays and, for a small
+                   subfield, its arithmetic on keys (KeyArithmetic).
 
 The modulus is deterministic: the first monic primitive polynomial of
 the requested degree in ascending base-p encoding order (constant term
@@ -41,11 +41,12 @@ call per element without tables.  Everything else has one body built on
 those.  Scalar addition works by digits and the scalar absolute trace is
 the Frobenius sum (rel_trace); no command calls them on a table context,
 where they are the independent references of add_enc_bulk and
-trace_enc_bulk.  Subtraction is u + (-v), inversion u^(q-2), negation
-works by digits, subfield membership is x^Q = x and subfield logs come
-from dlog.  Other modules do bulk work through the bulk primitives,
-SubfieldView.eta_bulk and sum_enc_bulk, the one evaluator of monomial
-sums sum_i c_i x^(e_i).
+trace_enc_bulk.  Subtraction is u + (-v), inversion is u^(q-2), and
+negation works by digits.  Other modules do bulk work through the bulk
+primitives, SubfieldView.eta_bulk and sum_enc_bulk, the one evaluator of
+monomial sums sum_i c_i x^(e_i).  A subfield's elements one at a time
+(membership x^Q = x, logs from dlog, eta and the trace) are
+charsum.reference's.
 """
 
 from __future__ import annotations
@@ -228,7 +229,8 @@ class FieldParams:
 
 class Elem:
     """An element of a fixed FieldCtx, stored as the base-p integer
-    encoding of its coefficient vector.  Immutable, hashable."""
+    encoding of its coefficient vector.  Immutable and unhashable: a set
+    of elements is a set of their encodings."""
 
     __slots__ = ("ctx", "enc")
 
@@ -255,9 +257,6 @@ class Elem:
     def __sub__(self, other):
         return Elem(self.ctx, self.ctx.sub_enc(self.enc, self.ctx._enc_of(other)))
 
-    def __rsub__(self, other):
-        return Elem(self.ctx, self.ctx.sub_enc(self.ctx._enc_of(other), self.enc))
-
     def __neg__(self):
         return Elem(self.ctx, self.ctx.neg_enc_one(self.enc))
 
@@ -282,9 +281,6 @@ class Elem:
         if isinstance(other, int):
             return self.ctx._enc_of(other) == self.enc
         return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.ctx), self.enc))
 
     def __str__(self):
         return ",".join(str(c) for c in self.coeffs)
@@ -460,11 +456,6 @@ class FieldCtx:
 
     # --- iteration ----------------------------------------------------------------
 
-    def elements(self):
-        """All field elements in encoding order (zero first)."""
-        for enc in range(self.q):
-            yield Elem(self, enc)
-
     def powers(self):
         """xi^0, xi^1, ..., xi^(q-2)."""
         x = self.one
@@ -496,7 +487,7 @@ class FieldCtx:
         src = self.m if from_degree is None else from_degree
         if src % to_degree != 0 or self.m % src != 0:
             raise DegreeUnsupported(f"no trace from degree {src} to {to_degree}")
-        if src != self.m and not self.subfield(src).contains(x):
+        if src != self.m and x ** self.p ** src != x:
             raise NotInSubfield(f"{x!r} is not in GF({self.p}^{src})")
         acc = self.zero
         step = self.p ** to_degree
@@ -693,11 +684,14 @@ class KeyArithmetic:
 # --------------------------------------------------------------------------
 
 class SubfieldView:
-    """GF(p^degree) inside an ambient FieldCtx.
+    """GF(p^degree) inside an ambient FieldCtx, as bulk work sees it.
 
-    Membership is the Frobenius predicate x^(p^degree) = x; the induced
-    generator is xi^step with step = (p^m - 1)/(p^degree - 1).  Carries
-    the subfield's own absolute trace and quadratic character.
+    The induced generator is xi^step with step = (p^m - 1)/(p^degree - 1),
+    so a nonzero element lies in the subfield exactly when step divides
+    its dlog.  Carries the subfield's quadratic character on encoding
+    arrays (eta_bulk) and, for a small subfield, its arithmetic on keys.
+    The Elem-level side (generator, membership, iteration, logs, eta and
+    the absolute trace, one element at a time) is in charsum.reference.
     """
 
     def __init__(self, ctx: FieldCtx, degree: int):
@@ -708,43 +702,6 @@ class SubfieldView:
         self.q = ctx.p ** degree
         self.order = self.q - 1
         self.step = ctx.order // self.order
-        self.generator = ctx.from_exp(self.step)
-
-    def contains(self, x: Elem) -> bool:
-        return x.is_zero or x ** self.q == x
-
-    def elements(self):
-        """Zero, then powers of the induced generator."""
-        yield self.ctx.zero
-        yield from self.nonzero_elements()
-
-    def nonzero_elements(self):
-        x = self.ctx.one
-        for _ in range(self.order):
-            yield x
-            x = x * self.generator
-
-    def discrete_log(self, x: Elem) -> int:
-        """e with generator^e = x, 0 <= e < p^degree - 1."""
-        e = self.ctx.dlog(x)  # ZeroArgument at zero
-        if e % self.step:
-            raise NotInSubfield(f"{x!r} not in GF({self.ctx.p}^{self.degree})")
-        return e // self.step
-
-    def eta(self, x: Elem) -> int:
-        """Quadratic character of this subfield: 0 at zero, else +-1 by
-        whether x is a square, evaluated as x^((q-1)/2)."""
-        if x.is_zero:
-            return 0
-        if not self.contains(x):
-            raise NotInSubfield(f"{x!r} not in GF({self.ctx.p}^{self.degree})")
-        s = x ** (self.order // 2)
-        if s == self.ctx.one:
-            return 1
-        if s != -self.ctx.one:
-            raise InvariantViolation(
-                f"{x!r}^((q-1)/2) is not +-1 in GF({self.ctx.p}^{self.degree})")
-        return -1
 
     def eta_bulk(self, u):
         """eta at an int64 array of encodings of this subfield, as int64:
@@ -788,11 +745,6 @@ class SubfieldView:
         inv = keys[-key_log % order]
         inv[0] = 0
         return KeyArithmetic(q, mul, inv, add.reshape(q, q)[:, neg[mul]].ravel())
-
-    def abs_trace(self, x: Elem) -> int:
-        """Absolute trace of this subfield GF(p^degree) -> GF(p)
-        (NotInSubfield if x lies outside it)."""
-        return _prime_field_value(self.ctx.rel_trace(x, 1, self.degree))
 
     def __repr__(self):
         return f"SubfieldView(GF({self.ctx.p}^{self.degree}) in GF({self.ctx.p}^{self.ctx.m}))"

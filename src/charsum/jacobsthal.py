@@ -115,11 +115,13 @@ def scan_table(view: SubfieldView):
     I = n * table.sum(axis=0)
 
     # the curve of each a (rows) at each z = t_u (columns): z^3 - A z^2 + C z
-    # as a sum of terms c a^s z^e, with A and C expanded
-    half, sixteenth = ctx.one / 2, ctx.one / 16
-    w = ctx.sum_enc_bulk(tuple((ctx.dlog(c) + s * la, e) for c, s, e in (
-        (ctx.one, 0, 3), (-half, 1, 2), (-half, pk, 2), (sixteenth, 2, 1),
-        (-2 * sixteenth, pk + 1, 1), (sixteenth, 2 * pk, 1))), kstep * u)
+    # as terms c a^s z^e, A and C expanded, each c in GF(p) encoded by its residue
+    half, sixteenth = pow(2, -1, ctx.p), pow(16, -1, ctx.p)
+    terms = ((1, 0, 3), (-half, 1, 2), (-half, pk, 2), (sixteenth, 2, 1),
+             (-2 * sixteenth, pk + 1, 1), (sixteenth, 2 * pk, 1))
+    c_logs = ctx.log_enc_bulk(np.array([c for c, _, _ in terms]) % ctx.p)
+    w = ctx.sum_enc_bulk(tuple((lc + s * la, e) for lc, (_, s, e) in zip(c_logs, terms)),
+                         kstep * u)
     curve_N = pk + ctx.subfield(view.degree // 2).eta_bulk(w).sum(axis=1)
     return la, H, I, I + H, curve_N
 

@@ -1,13 +1,15 @@
-"""Per-pair and per-point references: each quantity by its definition,
-one element at a time.  No command imports this module; each public
-function cross-checks a batched route in the tests: the zero sets of L
-and F against expsum.prop1_kernel_check, find_g against expsum.g_logs,
-H_sums (H by definition at an array of a) against jacobsthal.scan_table,
-where prop2 reads H too, the per-a Jacobsthal sums and curve counts (a
-JacobsthalRecord) against scan_table and the rows of jacobsthal-scan,
-the Walsh coefficient and the (1, 1) closed form at one y against
-walsh.full_spectrum and theorem1_root_scan, and the cyclotomic numbers
-against cyclotomy.full_table.
+"""References: each quantity by its definition, one element at a time.
+No command imports this module; each public function cross-checks a
+batched route in the tests: a subfield's elements, logs, eta and trace
+(a SubfieldView's Elem-level side) against eta_bulk and the bulk
+primitives, the zero sets of L and F against expsum.prop1_kernel_check,
+find_g against expsum.g_logs, H_sums (H by definition at an array of a)
+against jacobsthal.scan_table, where prop2 reads H too, the per-a
+Jacobsthal sums and curve counts (a JacobsthalRecord) against scan_table
+and the rows of jacobsthal-scan, the Walsh coefficient and the (1, 1)
+closed form at one y against walsh.full_spectrum and theorem1_root_scan,
+the decimated m-sequence pair against sequences.correlation_table, and
+the cyclotomic numbers against cyclotomy.full_table.
 """
 
 from __future__ import annotations
@@ -20,9 +22,62 @@ import numpy as np
 from .cycint import CycInt
 from .cyclotomy import _pk, class_count
 from .errors import (CaseViolation, IndexOutOfRange, InvariantViolation, NoSolution,
-                     NotInSubfield, RootCountViolation, WrongCase, ZeroArgument, ZeroC)
-from .expsum import CoeffPair, _L_terms, _require_jacobsthal, f_values, trace_values
-from .field_core import Elem, FieldCtx, SubfieldView
+                     NotInSubfield, PeriodMismatch, RootCountViolation, WrongCase,
+                     ZeroArgument, ZeroC)
+from .expsum import (CoeffPair, S0_bruteforce, _L_terms, _require_jacobsthal, f_values,
+                     trace_values)
+from .field_core import Elem, FieldCtx, SubfieldView, _prime_field_value
+
+
+# --------------------------------------------------------------------------
+# field_core: a subfield's elements, logs, character and trace
+# --------------------------------------------------------------------------
+
+def generator(view: SubfieldView) -> Elem:
+    """nu = xi^step, the induced generator of the subfield."""
+    return view.ctx.from_exp(view.step)
+
+
+def contains(view: SubfieldView, x: Elem) -> bool:
+    """Membership by the Frobenius predicate x^(p^degree) = x."""
+    return x.is_zero or x ** view.q == x
+
+
+def elements(view: SubfieldView) -> list:
+    """Zero, then the powers of the induced generator."""
+    return [view.ctx.zero, *nonzero_elements(view)]
+
+
+def nonzero_elements(view: SubfieldView):
+    """nu^0, nu^1, ..., nu^(p^degree - 2)."""
+    return (view.ctx.from_exp(view.step * e) for e in range(view.order))
+
+
+def discrete_log(view: SubfieldView, x: Elem) -> int:
+    """e with nu^e = x, 0 <= e < p^degree - 1."""
+    e = view.ctx.dlog(x)  # ZeroArgument at zero
+    if e % view.step:
+        raise NotInSubfield(f"{x!r} not in GF({view.ctx.p}^{view.degree})")
+    return e // view.step
+
+
+def eta(view: SubfieldView, x: Elem) -> int:
+    """Quadratic character of the subfield: 0 at zero, else +-1 by
+    whether x is a square, evaluated as x^((Q-1)/2)."""
+    if x.is_zero:
+        return 0
+    if not contains(view, x):
+        raise NotInSubfield(f"{x!r} not in GF({view.ctx.p}^{view.degree})")
+    s = x ** (view.order // 2)
+    if s != 1 and s != -1:
+        raise InvariantViolation(f"{x!r}^((q-1)/2) is not +-1 in GF({view.ctx.p}^{view.degree})")
+    return 1 if s == 1 else -1
+
+
+def abs_trace(view: SubfieldView, x: Elem) -> int:
+    """Absolute trace of the subfield GF(p^degree) -> GF(p), as the
+    integer 0..p-1 (NotInSubfield if x lies outside it)."""
+    return _prime_field_value(view.ctx.rel_trace(x, 1, view.degree))
 
 
 # --------------------------------------------------------------------------
@@ -75,11 +130,11 @@ def find_g(ctx: FieldCtx, pair: CoeffPair) -> Elem:
     pk = p ** k
     view = ctx.subfield(2 * k)
     target = -(pair.b ** (p ** (3 * k))) / pair.a
-    e = view.discrete_log(target)  # raises NotInSubfield if out of case
+    e = discrete_log(view, target)  # raises NotInSubfield if out of case
     if e % (pk - 1):
         raise NoSolution("target is not a (p^k-1)-th power")
     t = (e // (pk - 1)) % (pk + 1)
-    g = view.generator ** t
+    g = generator(view) ** t
     if g ** (pk - 1) != target:
         raise CaseViolation(f"g^(p^k-1) != -b^(p^3k)/a at a={ctx.format_element(pair.a)}, "
                             f"b={ctx.format_element(pair.b)}")
@@ -93,7 +148,7 @@ def find_g(ctx: FieldCtx, pair: CoeffPair) -> Elem:
 def _check_arg(view: SubfieldView, a: Elem) -> None:
     if a.is_zero:
         raise ZeroArgument("a must be nonzero")
-    if not view.contains(a):
+    if not contains(view, a):
         raise NotInSubfield(f"{a!r} is not in the scan field")
 
 
@@ -117,8 +172,8 @@ def I_sum(view: SubfieldView, n: int, a: Elem) -> int:
     """Companion sum of order n at a (exact integer)."""
     _check_arg(view, a)
     total = 0
-    for x in view.nonzero_elements():
-        total += view.eta(x ** n + a)
+    for x in nonzero_elements(view):
+        total += eta(view, x ** n + a)
     return total
 
 
@@ -138,7 +193,7 @@ def decompose_half_basis(view: SubfieldView, a: Elem) -> tuple:
 
     The conjugate over GF(p^k) flips the sign of mu^(1/2), so
     a0 = (a + a^(p^k))/2 and a1 = (a - a^(p^k))/(4 mu^(1/2))."""
-    if not view.contains(a):
+    if not contains(view, a):
         raise NotInSubfield(f"{a!r} is not in the decomposition field")
     ctx = view.ctx
     pk = ctx.p ** (view.degree // 2)
@@ -158,9 +213,9 @@ def curve_point_count(kview: SubfieldView, A: Elem, C: Elem) -> int:
     if C.is_zero:
         raise ZeroC("curve reduction needs C != 0")
     count = 0
-    for z in kview.elements():
+    for z in elements(kview):
         w = z * z * z - A * z * z + C * z
-        count += 1 + kview.eta(w)
+        count += 1 + eta(kview, w)
     return count
 
 
@@ -186,9 +241,9 @@ def jacobsthal_record(view: SubfieldView, a: Elem) -> JacobsthalRecord:
     kview = view.ctx.subfield(view.degree // 2)
     curve_N = None
     ratio = None
-    if not kview.contains(a):
+    if not contains(kview, a):
         a0, a1 = decompose_half_basis(view, a)
-        mu = kview.generator
+        mu = generator(kview)
         curve_N = curve_point_count(kview, a0, mu * a1 * a1)
         ratio = abs(H) / (2 * math.sqrt(pk) * n)
     return JacobsthalRecord(a=a, order_n=n, H=H, I=I, I2=I2,
@@ -234,7 +289,7 @@ def theorem1_verify(ctx: FieldCtx, y: Elem, actual: CycInt | None = None) -> Roo
     ypow = y ** p2k1
     ypow_k = y ** (p ** k * p2k1)
     roots = []
-    for x in kview.elements():
+    for x in elements(kview):
         s = y2 + x
         val = (ypow + s ** (p2k1 // 2)
                + ypow_k + s ** (p ** k * p2k1 // 2))
@@ -245,15 +300,61 @@ def theorem1_verify(ctx: FieldCtx, y: Elem, actual: CycInt | None = None) -> Roo
             f"{len(roots)} roots at y={ctx.format_element(y)}; expected 1")
     x0 = roots[0]
     inv4 = pow(4, -1, p)
-    predicted = (-(p ** (2 * k))) * CycInt.omega_power(p, kview.abs_trace(x0) * inv4)
+    predicted = (-(p ** (2 * k))) * CycInt.omega_power(p, abs_trace(kview, x0) * inv4)
     if actual is None:
         actual = walsh_coeff(ctx, CoeffPair(ctx.one, ctx.one), y)
     special = None
     view2k = ctx.subfield(2 * k)
-    if view2k.contains(y2):
+    if contains(view2k, y2):
         special = x0 == -ctx.rel_trace(y2, k, 2 * k)
     return RootReport(y=y, x0=x0, coeff=actual,
                       formula_ok=predicted == actual, special_ok=special)
+
+
+# --------------------------------------------------------------------------
+# sequences: the m-sequence, decimation and one cross-correlation
+# --------------------------------------------------------------------------
+
+def m_sequence(ctx: FieldCtx):
+    """s(t) = Tr(xi^t) for t = 0 .. p^n - 2, as an int64 array."""
+    return ctx.trace_enc_bulk(ctx.exp_enc_bulk(np.arange(ctx.order, dtype=np.int64)))
+
+
+def decimate(seq, e: int):
+    """u(t) = seq(e t); the period drops to period/gcd(e, period)."""
+    if e < 1:
+        raise ValueError("decimation index must be >= 1")
+    period = seq.size
+    return seq[e * np.arange(period // math.gcd(e, period)) % period]
+
+
+def cross_correlation(u, v, tau: int, p: int) -> CycInt:
+    """sum_t w^(u(t + tau) - v(t)) over one period of two sequences of
+    residues mod p, exact in Z[w]."""
+    if u.size != v.size:
+        raise PeriodMismatch(f"periods {u.size} != {v.size}")
+    return CycInt.from_counts(p, np.bincount((np.roll(u, -tau) - v) % p, minlength=p))
+
+
+def s0_relation_report(ctx: FieldCtx) -> tuple:
+    """Check sequences' pinned relation S_f(0) = 2 C(tau) + 1 at
+    (a, b) = (xi^(d tau), -1), at every shift of the decimated pair.
+
+    Returns (shifts, ok): shifts holds one (tau, C(tau) as a CycInt,
+    S_f(0) as an int) triple per shift, and ok whether S_f(0) is the
+    rational integer 2 C(tau) + 1 at every one."""
+    p, d = ctx.p, ctx.params.d
+    s = m_sequence(ctx)
+    u, v = decimate(s, d), decimate(s, 2)
+    minus_one = -ctx.one
+    shifts = []
+    ok = True
+    for tau in range(u.size):
+        c = cross_correlation(u, v, tau, p)
+        s0 = S0_bruteforce(ctx, CoeffPair(ctx.from_exp(d * tau), minus_one))
+        ok = ok and (2 * c + 1) == s0 and s0.is_rational_integer
+        shifts.append((tau, c, s0.as_int()))
+    return tuple(shifts), ok
 
 
 # --------------------------------------------------------------------------
@@ -264,7 +365,7 @@ def class_index(view: SubfieldView, x: Elem) -> int:
     """t with x in C_t, i.e. log_nu(x) mod (p^k + 1)."""
     if x.is_zero:
         raise ZeroArgument("zero belongs to no cyclotomic class")
-    return view.discrete_log(x) % class_count(view)
+    return discrete_log(view, x) % class_count(view)
 
 
 def cyclotomic_number(view: SubfieldView, i: int, j: int) -> int:
@@ -273,8 +374,9 @@ def cyclotomic_number(view: SubfieldView, i: int, j: int) -> int:
     if not (0 <= i <= order - 1 and 0 <= j <= order - 1):
         raise IndexOutOfRange(f"indices must lie in 0..{order - 1}")
     one = view.ctx.one
-    base = view.generator ** i
-    step = view.generator ** order
+    nu = generator(view)
+    base = nu ** i
+    step = nu ** order
     count = 0
     x = base
     for _ in range(_pk(view) - 1):

@@ -46,7 +46,7 @@ import numpy as np
 
 from .cycint import CycInt
 from .errors import ParsevalViolation, RootCountViolation, SpectrumViolation
-from .expsum import character_counts
+from .expsum import _require_admissible, character_counts
 from .field_core import FieldCtx, label
 
 
@@ -77,7 +77,8 @@ class Spectrum:
 def full_spectrum(ctx: FieldCtx, la: int, lb: int) -> Spectrum:
     """Every coefficient at (a, b) = (xi^la, xi^lb), the value-multiset
     summary, exact Parseval (ParsevalViolation on a defect), bentness and
-    weak regularity."""
+    weak regularity.  BothCoefficientsZero at (0, 0)."""
+    _require_admissible(la, lb)
     p, q = ctx.p, ctx.q
     # the row of y = xi^j is the row of a = -y, encoded as xi^(j + (q-1)/2)
     rows, index = CycInt.group_rows(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from charsum import context
+from charsum import reference as ref
 
 
 @pytest.fixture(scope="session")
@@ -31,9 +32,9 @@ def key_encodings():
     K(z) = sum_s Tr(eta^s z) p^s with Tr the subfield's own absolute trace
     and eta its generator."""
     def encs(view):
-        p, out = view.ctx.p, {}
-        for z in view.elements():
-            key = sum(view.abs_trace(view.generator ** s * z) * p ** s for s in range(view.degree))
+        p, nu, out = view.ctx.p, ref.generator(view), {}
+        for z in ref.elements(view):
+            key = sum(ref.abs_trace(view, nu ** s * z) * p ** s for s in range(view.degree))
             out[key] = z.enc
         assert sorted(out) == list(range(view.q))  # one to one
         return np.array([out[key] for key in range(view.q)], dtype=np.int64)

@@ -136,15 +136,15 @@ def test_verify_all_names_pairs_by_dlog(capsys, monkeypatch):
 
 
 def test_verify_all_names_b_by_dlog(capsys, monkeypatch):
-    # each --b becomes a dlog once, in the CLI: 7 scalar dlogs over the whole
-    # run at (3,2), one for b = g^1 and six for the constants of scan_table's
-    # curve terms
+    # each --b becomes a dlog once, in the CLI: one scalar dlog over the whole
+    # run at (3,2), for b = g^1; scan_table names its GF(p) constants by one
+    # bulk call
     calls = []
     real = FieldCtx.dlog
     monkeypatch.setattr(FieldCtx, "dlog", lambda ctx, x: calls.append(x) or real(ctx, x))
     assert run(["verify-all", "--p", "3", "--k", "2", "--b", "g^1"]) == 0
     assert capsys.readouterr().out.count("[ok  ]") == 12
-    assert len(calls) <= 7, len(calls)
+    assert len(calls) == 1, len(calls)
 
 
 def test_corollary2_names_the_properties_it_evaluated(capsys):
@@ -200,6 +200,7 @@ def test_expsum_record(capsys):
     assert run(["expsum", "--p", "3", "--k", "1", "--a", "g^0", "--b", "g^0"]) == 0
     header, record = (json.loads(s) for s in _lines(capsys))
     assert header["schema"] == "charsum.expsum/1"
+    assert header["seed"] == DEFAULT_SEED == 20260809  # the header field outlives the option
     assert header["context"]["modulus"] == "2,1,0,0,1"
     assert record == {"a": "g^0", "b": "g^0", "tag": "SQUARE_MATCH",
                       "N": 0, "S0": -9, "witnesses": []}
@@ -425,6 +426,8 @@ def test_invalid_arguments_exit_code(capsys):
         ["expsum", "--p", "3", "--k", "1", "--a", "g^0"],  # missing --b
         ["nonsense"],
         ["expsum-sweep", "--p", "3", "--k", "1", "--b", "0"],  # sweeps need b != 0
+        ["expsum", "--p", "3", "--k", "1", "--a", "0", "--b", "0"],  # f = 0 is no pair
+        ["walsh-spectrum", "--p", "3", "--k", "1", "--a", "0", "--b", "0"],
         ["pt-sums", "--p", "3", "--k", "1", "--format", "csv"],  # json only
         ["verify-all", "--p", "3", "--k", "1", "--b", "0"],
         ["verify-all", "--p", "3", "--k", "1", "--b", "g^1;g^1"],  # repeated b
@@ -432,6 +435,22 @@ def test_invalid_arguments_exit_code(capsys):
         ["pt-sums", "--p", "3", "--k", "1", "--guard", "10"],  # --force is the only override
     ):
         assert run(argv) == 2, argv
+        assert capsys.readouterr().out == "", argv
+
+
+_DETERMINISTIC = [
+    ["cyclotomy-table"], ["pt-sums"], ["jacobsthal-scan"], ["expsum", "--a", "g^1", "--b", "g^0"],
+    ["expsum-sweep", "--b", "g^1"], ["walsh-spectrum", "--a", "g^0", "--b", "g^0"],
+    ["theorem1-verify"], ["sequences-crosscorr"]]
+
+
+def test_seed_is_verify_all_only(capsys):
+    # verify-all's samples are the only randomness: the eight other commands
+    # refuse --seed, as the commands without csv refuse --format
+    handlers = cli.build_parser().get_default("_handlers")
+    assert sorted(argv[0] for argv in _DETERMINISTIC) == sorted(set(handlers) - {"verify-all"})
+    for argv in _DETERMINISTIC:
+        assert run([*argv, "--p", "3", "--k", "1", "--seed", "1"]) == 2, argv
         assert capsys.readouterr().out == "", argv
 
 
@@ -446,11 +465,7 @@ def test_force_overrides_guard(capsys):
     assert values == {"order": 38, "values": [36 if t == 19 else -1 for t in range(38)]}
 
 
-@pytest.mark.parametrize("argv", [
-    ["cyclotomy-table"], ["pt-sums"], ["jacobsthal-scan"], ["expsum", "--a", "g^1", "--b", "g^0"],
-    ["expsum-sweep", "--b", "g^1"], ["walsh-spectrum", "--a", "g^0", "--b", "g^0"],
-    ["theorem1-verify"], ["sequences-crosscorr"], ["verify-all"],
-], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", _DETERMINISTIC + [["verify-all"]], ids=lambda argv: argv[0])
 def test_force_is_the_pure_python_path(capsys, monkeypatch, argv):
     # --force builds the command's field without tables, inside the table
     # rule too, and prints the table-backed run's bytes
@@ -728,14 +743,15 @@ walsh.full_spectrum = off
     # in GF(81) and whose root is not 0, moved to another x of GF(9) with the
     # same absolute trace: the formula and the counts still hold
     pytest.param("""
-from charsum import walsh
+from charsum import reference, walsh
 real = walsh._root_polynomial
 def off(ctx, y2, ypow, x):
     vals = real(ctx, y2, ypow, x)
     kview = ctx.subfield(ctx.params.k)
-    root = next(z for z in kview.elements() if real(ctx, y2[42:43], ypow[42:43], z.enc)[0] == 0)
-    moved = next(z for z in kview.elements()
-                 if z != root and kview.abs_trace(z) == kview.abs_trace(root))
+    root = next(z for z in reference.elements(kview)
+                if real(ctx, y2[42:43], ypow[42:43], z.enc)[0] == 0)
+    moved = next(z for z in reference.elements(kview) if z != root
+                 and reference.abs_trace(kview, z) == reference.abs_trace(kview, root))
     if x in (root.enc, moved.enc):
         vals[42] = 0 if x == moved.enc else 1
     return vals
@@ -942,30 +958,24 @@ print("charsum.reference" in sys.modules)
 
 
 # why a package function that no command enters stays
-_PINNED = "perfbench-pinned reference"  # perfbench/ wraps, probes or calls it
-_TEST_ONLY = "test-only helper"         # tests and charsum.reference call it
+_PINNED = "perfbench-pinned reference"  # perfbench/ names it, or a function named there uses it
+_ELEMENT = "element vocabulary"         # charsum.reference computes with it
 _ERROR = "error path"                   # runs only to build or raise an error
+_REPR = "repr"                          # a rendering for the interactive prompt
 _UNREACHED = {
-    "cycint": {"CycInt.__setattr__": _ERROR, "CycInt.integer": _TEST_ONLY,
-               "CycInt.__sub__": _TEST_ONLY, "CycInt.__rsub__": _TEST_ONLY,
-               "CycInt.__neg__": _TEST_ONLY, "CycInt.__hash__": _TEST_ONLY,
-               "CycInt.__repr__": _TEST_ONLY},
+    "cycint": {"CycInt.__setattr__": _ERROR, "CycInt.integer": _ELEMENT,
+               "CycInt.__repr__": _REPR},
     "expsum": {"_where": _ERROR, "L_eval": _PINNED, "_L_terms": _PINNED, "N_count": _PINNED,
                "_require_jacobsthal": _PINNED, "jacobsthal_pairs": _PINNED,
                "_special_pair_violation": _ERROR, "corollary_suite": _PINNED,
                "_oracle_mismatch": _ERROR},
-    "field_core": {"Elem.__setattr__": _ERROR, "Elem.coeffs": _ERROR, "Elem.__sub__": _TEST_ONLY,
-                   "Elem.__rsub__": _TEST_ONLY, "Elem.inverse": _PINNED,
-                   "Elem.__eq__": _TEST_ONLY, "Elem.__hash__": _TEST_ONLY, "Elem.__str__": _ERROR,
-                   "Elem.__repr__": _ERROR, "FieldCtx.sub_enc": _TEST_ONLY,
-                   "FieldCtx.format_element": _ERROR, "FieldCtx.elements": _TEST_ONLY,
-                   "FieldCtx.powers": _PINNED, "FieldCtx.__repr__": _TEST_ONLY,
-                   "SubfieldView.contains": _TEST_ONLY, "SubfieldView.elements": _TEST_ONLY,
-                   "SubfieldView.nonzero_elements": _TEST_ONLY,
-                   "SubfieldView.discrete_log": _TEST_ONLY, "SubfieldView.eta": _TEST_ONLY,
-                   "SubfieldView.abs_trace": _TEST_ONLY, "SubfieldView.__repr__": _TEST_ONLY},
-    "sequences": {"m_sequence": _TEST_ONLY, "decimate": _TEST_ONLY,
-                  "cross_correlation": _PINNED, "s0_relation_report": _TEST_ONLY},
+    "field_core": {"Elem.__setattr__": _ERROR, "Elem.coeffs": _ERROR, "Elem.__sub__": _ELEMENT,
+                   "Elem.__neg__": _ELEMENT, "Elem.__truediv__": _ELEMENT,
+                   "Elem.inverse": _PINNED, "Elem.__eq__": _ELEMENT, "Elem.__str__": _ERROR,
+                   "Elem.__repr__": _ERROR, "FieldCtx.sub_enc": _ELEMENT,
+                   "FieldCtx.neg_enc_one": _ELEMENT, "FieldCtx.inv_enc": _ELEMENT,
+                   "FieldCtx.format_element": _ERROR, "FieldCtx.powers": _PINNED,
+                   "FieldCtx.__repr__": _REPR, "SubfieldView.__repr__": _REPR},
 }
 
 
@@ -1019,6 +1029,49 @@ print(json.dumps(missed))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {module: sorted(names)
                                        for module, names in _UNREACHED.items()}
+
+
+def test_census_tags_hold():
+    # no census entry stays because tests call it: each is an error path, a
+    # __repr__, a name that perfbench pins or an element operation that
+    # charsum.reference computes with, and each of the last two tags holds
+    tagged = [(module, name, tag) for module, entries in _UNREACHED.items()
+              for name, tag in entries.items()]
+    assert {tag for _, _, tag in tagged} == {_PINNED, _ELEMENT, _ERROR, _REPR}
+    assert all(name.endswith(".__repr__") for _, name, tag in tagged if tag == _REPR)
+    # pinned: named in perfbench/, or used in the body of a package function
+    # that perfbench names
+    perfbench = "\n".join(path.read_text() for path in (SRC.parent / "perfbench").glob("*.py"))
+    used = set()
+    for path in (SRC / "charsum").glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(fn, ast.FunctionDef)
+                    and re.search(rf"\b{path.stem}\.{fn.name}\b", perfbench)):
+                used |= {getattr(node, "id", None) or getattr(node, "attr", None)
+                         for node in ast.walk(fn)}
+    unpinned = [name for module, name, tag in tagged if tag == _PINNED
+                and not re.search(rf"\b{module}\.{name}\b", perfbench)
+                and name.rsplit(".", 1)[-1] not in used]
+    assert unpinned == []
+    # element vocabulary: entered by reference routes that take one element
+    # or one pair at a time
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(f"{Path(frame.f_code.co_filename).stem}.{frame.f_code.co_qualname}")
+
+    ctx = context(3, 1)
+    pair = expsum.CoeffPair(expsum.jacobsthal_pairs(ctx, ctx.one)[0], ctx.one)
+    sys.setprofile(profile)
+    try:
+        reference.find_g(ctx, pair)
+        reference.decompose_half_basis(ctx.subfield(2), ctx.xi ** 10)
+        reference.s0_relation_report(ctx)
+    finally:
+        sys.setprofile(None)
+    vocabulary = {f"{module}.{name}" for module, name, tag in tagged if tag == _ELEMENT}
+    assert vocabulary <= entered, sorted(vocabulary - entered)
 
 
 def _table_branches():

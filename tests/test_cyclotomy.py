@@ -17,7 +17,7 @@ def test_class_index_examples(ctx31):
     view = view2k(ctx31)
     assert ref.class_index(view, ctx31.one) == 0
     assert ref.class_index(view, -ctx31.one) == 0      # -1 = nu^4 lands in C_0
-    assert ref.class_index(view, view.generator ** 5) == 1  # nu^(p^k+2)
+    assert ref.class_index(view, ref.generator(view) ** 5) == 1  # nu^(p^k+2)
     with pytest.raises(ZeroArgument):
         ref.class_index(view, ctx31.zero)
 
@@ -109,7 +109,7 @@ def test_minus_one_symmetry(ctx31, ctx51):
         order = len(table)
         recount = [[0] * order for _ in range(order)]
         one = ctx.one
-        for e, x in enumerate(view.nonzero_elements()):
+        for e, x in enumerate(ref.nonzero_elements(view)):
             y = x - one
             if not y.is_zero:
                 recount[e % order][ref.class_index(view, y)] += 1
@@ -165,8 +165,8 @@ def test_pt_sums_match_scalar_recount(pk):
     view = view2k(context(*pk))
     order, p = cy.class_count(view), view.ctx.p
     counts = [[0] * p for _ in range(order)]
-    for e, x in enumerate(view.nonzero_elements()):
-        counts[e % order][view.abs_trace(x)] += 1
+    for e, x in enumerate(ref.nonzero_elements(view)):
+        counts[e % order][ref.abs_trace(view, x)] += 1
     assert cy.pt_sums(view) == tuple(CycInt.from_counts(p, c) for c in counts)
 
 
