@@ -277,8 +277,16 @@ def _run_verify_all(args) -> int:
         return rng.randrange(ctx.q) - 1
 
     def check_prop1():
-        # the sweeps raise RangeViolation on N > 2 outside the JACOBSTHAL case
-        ranged = sum(rep.r + rep.s + rep.t for rep in map(sweep, b_values))
+        # the sweeps raise RangeViolation on N > 2 outside the JACOBSTHAL
+        # case: at every a off the slice, r + s + t = q - p^k + chi(b) of them
+        ranged = 0
+        for lb in b_values:
+            rep = sweep(lb)
+            covered, tallied = rep.N.size - rep.jacobsthal.size, rep.r + rep.s + rep.t
+            _require(covered == tallied == ctx.q - pk + rep.chi_b,
+                     f"N <= 2 at {covered} pairs, r + s + t = {tallied}, expected "
+                     f"{ctx.q - pk + rep.chi_b} at b = {label(lb)}")
+            ranged += covered
         # ker L = ker F at every a of each swept b with differing norms, by
         # the dlog condition, and at SAMPLES drawn pairs; a -> a^(p^k(p^k+1))
         # is (p^k + 1)-to-one, so the norms match at p^k + 1 nonzero a
@@ -313,6 +321,8 @@ def _run_verify_all(args) -> int:
                 i = off[0]
                 raise IdentityViolation(f"paths {n1[i]}/{n2[i]}/{n3[i]} at a = {label(la[i])}")
             n_pairs += n2.size
+        expected = sum(pk - sweep(lb).chi_b for lb in b_values)
+        _require(n_pairs == expected, f"{n_pairs} pairs, expected {expected}")
         return f"{n_pairs} pairs, three paths each"
 
     def check_cor1():
@@ -361,6 +371,8 @@ def _run_verify_all(args) -> int:
                 raise IdentityViolation(f"properties {bad} failed at a = {label(la[i])}")
             n_pairs += sizes[0]
             with_vi += "vi" in checked
+        expected = sum(pk - sweep(lb).chi_b for lb in b_values)
+        _require(n_pairs == expected, f"{n_pairs} pairs x i-v, expected {expected}")
         vi = f"vi at {with_vi} and " if with_vi else ""
         return f"{n_pairs} pairs x i-v, {vi}vii at {sums} b values"
 

@@ -86,8 +86,9 @@ class OracleMismatch(IdentityViolation):
 
 
 class KernelMismatch(IdentityViolation):
-    """L and F of a pair with differing norms have different zeros, or F
-    has more than p^2k of them."""
+    """L and F of a pair with differing norms do not share one space of
+    zeros of dimension 2 over GF(p^k): F does not split, F/A does not
+    right-divide L, or L has more zeros."""
 
 
 class RootCountViolation(IdentityViolation):

@@ -16,11 +16,11 @@ Coefficient pairs split into three cases:
 
 In the first two cases N(a,b) <= 2, so S_f(0) is one of -p^2k, p^2k,
 3 p^2k (and zeros of L coincide with those of a companion polynomial
-F when the norms differ).  L and F are p^k-linearized, so their zeros
-are the kernels of 4 x 4 matrices over GF(p^k), whose keys are one
-GF(p)-linear map of five field elements per pair (form_matrices);
-prop1_kernel_check compares the kernels by one batched row reduction
-over GF(p^k) (rref_keyed), on the subfield's keys and their tables.
+F when the norms differ).  L and F are p^k-linearized, so they are skew
+polynomials in x -> x^(p^k), and prop1_kernel_check decides ker L =
+ker F by symbolic division of L by F (kernel_conditions), about 35
+field operations per pair on the dlogs of their coefficients
+(prop1_coefficients).
 
 In the JACOBSTHAL case N(a,b) is computed three independent ways: the
 direct zero count, a nonsquare count over GF(p^k) through an auxiliary
@@ -43,7 +43,8 @@ of eta, the second reads H from the Jacobsthal bound scan.
 corollary1_bulk makes one direct count over all its pairs;
 corollary_properties reads N from the sweep's table and counts only
 (a, -b) and (1/a, 1/b) directly.  The per-pair references (the zero
-sets over the whole field, find_g) are in charsum.reference, which no
+sets over the whole field, prop1's 4 x 4 matrices over GF(p^k) and
+their row reduction, find_g) are in charsum.reference, which no
 command imports; corollary_suite, the pair-by-pair reference of
 corollary_properties, and L_eval stay here, as perfbench names them.
 Every case is one CaseTag, an IntEnum whose values are the int8 codes
@@ -79,6 +80,7 @@ with chi(b) = b^((p^n - 1)/2) read as +-1.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +99,7 @@ from .errors import (
     WrongCase,
     ZeroB,
 )
-from .field_core import Elem, FieldCtx, KeyArithmetic, label
+from .field_core import Elem, FieldCtx, label
 
 
 @dataclass(frozen=True)
@@ -360,118 +362,12 @@ def S0_bruteforce(ctx: FieldCtx, pair: CoeffPair) -> CycInt:
 
 
 # --------------------------------------------------------------------------
-# the companion polynomial F (norms-differ case)
+# Proposition 1: ker L = ker F by symbolic division
 # --------------------------------------------------------------------------
 
-def _key_terms(ctx: FieldCtx):
-    # L (polynomial 0) and F (1) as (polynomial, u, t, sign, e): sign u^(p^(t k)) X^e, u indexing
-    # a, b, c, v, w of form_matrices; A = c - v, B = w^(p^2k) - w, A^(p^k) = c^(p^k) - v^(p^k)
-    pk = ctx.p ** ctx.params.k
-    return ((0, 1, 2, 1, 1), (0, 0, 0, 1, pk), (0, 1, 0, 1, pk ** 2), (0, 0, 2, 1, pk ** 3),
-            (1, 2, 0, 1, pk ** 2), (1, 3, 0, -1, pk ** 2), (1, 4, 2, 1, pk),
-            (1, 4, 0, -1, pk), (1, 2, 1, 1, 1), (1, 3, 1, -1, 1))
-
-
-def form_matrices(ctx: FieldCtx):
-    """The 4 x 4 matrices over GF(p^k) of L and F, as a function of the
-    pairs (a, b).
-
-    With T = Tr_{4k/k}, the matrix of P = L or F at a pair is
-    z_ij = T(X^i P(X^j)), i, j < 4: {X^i} is a basis of GF(p^n) over
-    GF(p^k), as xi = X has degree 4 over it, P is GF(p^k)-linear and T is
-    nondegenerate, so ker P is the kernel of z.  Each entry is given by its
-    key (field_core.KeyArithmetic), whose digit s is
-    Tr_{k/1}(eta^s z_ij) = Tr(eta^s X^i P(X^j)), eta = xi^step the
-    generator of GF(p^k).  Returns matrices(la, lb): for n pairs with dlogs
-    la and lb (-1 for a zero coefficient), the int64 keys (2, n, 4, 4) of
-    L's matrices, then F's.
-
-    Each coefficient is u^(p^t) for u one of a, b, c = a^(p^k(p^k+1)),
-    v = b^(p^k+1) and w = a b^(p^k) (_key_terms), and Tr(u^(p^t) y) =
-    sum_d u_d Tr(e_d y^(p^(n-t))) over the base-p digits u_d of u, e_d
-    encoded as p^d.  So one constant (5m, 32k) matrix M maps the digits of
-    the five elements to the 32k key digits at every pair: five exp gathers
-    and one float32 einsum per block, exact as each digit is a sum of fewer
-    than 2^24 / p^2 integers below p^2 (numpy's own loop, which unlike a
-    threaded BLAS is fast at these sizes)."""
-    p, m, k, pk, order = ctx.p, ctx.m, ctx.params.k, ctx.p ** ctx.params.k, ctx.order
-    basis = ctx.log_enc_bulk(p ** np.arange(m, dtype=np.int64))
-    left = (ctx.subfield(k).step * np.arange(k)[:, None] + np.arange(4)).ravel()
-    # M[(u, d), (P, s, i, j)]: Tr(e_d y^(p^(n-t))) over P's terms in u, y = eta^s X^(i+je)
-    M = np.zeros((5, m, 2, left.size, 4), dtype=np.int64)
-    for poly, u, t, sign, e in _key_terms(ctx):
-        y = (left[:, None] + (e % order) * np.arange(4)) % order * (p ** (m - t * k) % order)
-        M[u, :, poly] += sign * ctx.trace_enc_bulk(ctx.exp_enc_bulk(basis[:, None, None] + y))
-    M = (M.reshape(5 * m, -1) % p).astype(np.float32)
-
-    def matrices(la, lb):
-        # the five elements: zero where a (for a, c, w) or b (for b, v, w) is
-        logs = np.stack((la, lb, pk * (pk + 1) * la, (pk + 1) * lb, la + pk * lb))
-        live = np.stack((la >= 0, lb >= 0, la >= 0, lb >= 0, (la >= 0) & (lb >= 0)))
-        encs = np.where(live, ctx.exp_enc_bulk(logs), 0).T
-        digits = (encs[..., None] // p ** np.arange(m) % p).reshape(len(la), 5 * m)
-        key_digits = _mod_p(np.einsum("nd,dc->nc", digits.astype(np.float32), M), p)
-        keys = np.einsum("nPsc,s->Pnc", key_digits.reshape(len(la), 2, k, 16),
-                         p ** np.arange(k, dtype=np.float32))
-        return keys.astype(np.int64).reshape(2, -1, 4, 4)
-    return matrices
-
-
-def _mod_p(x, p: int):
-    # x mod p in place, for a float32 array of integers below 2^24 / p in
-    # magnitude: exact, as x / p is correctly rounded and, unless it is an
-    # integer, at least 1/p away from one; about five times faster than %
-    # on integer arrays
-    x -= p * np.floor(x / p)
-    return x
-
-
-def rref_keyed(mats, arith: KeyArithmetic):
-    """Reduced row echelon forms over GF(Q) of a stack of matrices (n, r, c)
-    of keys (0..Q-1, see field_core.KeyArithmetic), and their ranks, all
-    int64: every field operation is one gather from arith's tables."""
-    q, mul, axpy = arith.q, arith.mul, arith.axpy
-    mats = np.array(mats, dtype=np.int64)
-    rank = np.zeros(len(mats), dtype=np.int64)
-    rows = np.arange(mats.shape[1])
-    for col in range(mats.shape[2]):
-        candidates = (mats[:, :, col] != 0) & (rows >= rank[:, None])
-        found = np.flatnonzero(candidates.any(axis=1))
-        if not found.size:
-            continue
-        # the columns before col are zero in every row from rank on
-        sub = mats[found, :, col:]
-        at = np.arange(found.size)
-        top, pivot = rank[found], candidates[found].argmax(axis=1)
-        pivot_row = sub[at, pivot]
-        pivot_row = mul.take(arith.inv.take(pivot_row[:, :1]) * q + pivot_row)
-        sub[at, pivot] = sub[at, top]
-        index = sub * q
-        index += sub[:, :, :1]
-        index *= q
-        index += pivot_row[:, None, :]
-        axpy.take(index, out=sub)
-        sub[at, top] = pivot_row
-        mats[found, :, col:] = sub
-        rank[found] += 1
-    return mats, rank
-
-
-def kernel_mismatches(L_mats, F_mats, arith: KeyArithmetic):
-    """Indexes of the pairs whose matrices have different kernels, or an F
-    kernel of dimension above 2 (F has degree p^2k), with the kernel
-    dimensions of both stacks: kernels agree iff the reduced row echelon
-    forms do."""
-    n, m = len(L_mats), L_mats.shape[2]
-    reduced, rank = rref_keyed(np.concatenate((L_mats, F_mats)), arith)
-    dim_L, dim_F = m - rank[:n], m - rank[n:]
-    bad = np.flatnonzero((reduced[:n] != reduced[n:]).any(axis=(1, 2)) | (dim_F > 2))
-    return bad, dim_L, dim_F
-
-
-# entries per block of the (pairs, points) arrays of N_count_bulk, the
-# nonsquare route and prop1 (two 4 x 4 key matrices per pair): int64
-# temporaries of 128 KiB, whatever the field size
+# entries per block of the (pairs, points) arrays of N_count_bulk and the
+# nonsquare route, and pairs per block of prop1: int64 temporaries of
+# 128 KiB, whatever the field size
 BLOCK_ENTRIES = 1 << 14
 
 
@@ -484,29 +380,144 @@ def _in_blocks(fn, width: int, *arrays):
                            for i in range(0, max(n, 1), size)])
 
 
-def prop1_kernel_check(ctx: FieldCtx, la, lb) -> int:
-    """Proposition 1 by linear algebra at every pair (xi^la[i], xi^lb[i])
-    (dlogs as in N_count_bulk), whose norms must differ: L and F have the
-    same zeros in GF(p^n), at most p^2k of them.
+class _Dlogs:
+    # arithmetic on the elements of the kernel check, int64 arrays of dlogs
+    # (-1 for zero): a product is a sum of dlogs, x^e is e times the dlog,
+    # -x adds that of -1 = xi^((q-1)/2), and a sum is an encoding from
+    # add_enc_bulk, turned back into a dlog only where a product needs it
 
-    L and F are p^k-linearized, so their zeros are the kernels of their
-    4 x 4 form_matrices over GF(p^k), and F has degree p^2k, so its kernel
-    has dimension at most 2 over GF(p^k); see kernel_mismatches.  Runs in
-    blocks of pairs (see _in_blocks); KernelMismatch at the first pair that
+    def __init__(self, ctx: FieldCtx):
+        self.ctx, self.order = ctx, ctx.order
+
+    def mul(self, *logs):
+        zero = np.logical_or.reduce([l < 0 for l in logs])
+        return np.where(zero, -1, sum(logs) % self.order)
+
+    def pow(self, l, e: int):
+        return np.where(l < 0, -1, l * (e % self.order) % self.order)
+
+    def neg(self, l):
+        return np.where(l < 0, -1, (l + self.order // 2) % self.order)
+
+    def inv(self, l):
+        # 1/x, and -1 at x = 0, so that a product with it reads as zero
+        return np.where(l < 0, -1, -l % self.order)
+
+    def vanishes(self, *logs):
+        return self._enc_sum(logs) == 0
+
+    def sum(self, *logs):
+        total = self._enc_sum(logs)
+        return np.where(total == 0, -1, self.ctx.log_enc_bulk(np.where(total == 0, 1, total)))
+
+    def _enc_sum(self, logs):
+        ctx = self.ctx
+        return functools.reduce(ctx.add_enc_bulk, [np.where(l < 0, 0, ctx.exp_enc_bulk(l))
+                                                   for l in logs])
+
+
+def prop1_coefficients(ctx: FieldCtx, la, lb):
+    """The coefficients of L and F at every pair (xi^la[i], xi^lb[i]) (dlogs
+    as in N_count_bulk), as dlogs in int64 arrays (4, n) and (3, n), -1 for
+    zero: l0..l3 = b^(Q^2), a, b, a^(Q^2) with L = sum_i l_i X^(Q^i), and
+    f0, f1, f2 = A^Q, B, A with F = sum_i f_i X^(Q^i), where Q = p^k,
+    A = a^(Q(Q+1)) - b^(Q+1), B = w^(Q^2) - w and w = a b^Q."""
+    Q, d = ctx.p ** ctx.params.k, _Dlogs(ctx)
+    L = _monomial_logs(ctx, _L_monomials(ctx), la, lb).T
+    A = d.sum(d.pow(la, Q * (Q + 1)), d.neg(d.pow(lb, Q + 1)))
+    w = d.mul(la, d.pow(lb, Q))
+    B = d.sum(d.pow(w, Q * Q), d.neg(w))
+    return L, np.stack((d.pow(A, Q), B, A))
+
+
+KERNEL_CONDITIONS = ("F does not split: its zeros span no space of dimension 2 over GF({})",
+                     "P = F/A does not right-divide L: a zero of F is no zero of L",
+                     "the zeros of L span a space of dimension above 2 over GF({})")
+
+
+def kernel_conditions(ctx: FieldCtx, L, F):
+    """Which of the three conditions of Proposition 1 fails first at each
+    pair, for the p^k-linearized L = sum_i l_i X^(Q^i), i < 4, and
+    F = sum_i f_i X^(Q^i), i < 3, given by coefficient dlogs (arrays (4, n)
+    and (3, n), -1 for zero; see prop1_coefficients): int8 codes, 0 where
+    all hold, else the 1-based index into KERNEL_CONDITIONS.
+
+    Write s for x -> x^Q.  The Q-linearized polynomials are the skew
+    polynomials in s, composition is their product with s c = c^Q s, and P
+    divides M on the right (M = G o P) exactly when ker P is inside ker M,
+    for a separable P (Lidl and Niederreiter, Finite Fields, sec. 3.4).
+    With P = F/f2 = s^2 + beta s + gamma and s^3 = s1 s + s0 modulo P,
+    s1 = beta^(Q+1) - gamma^Q and s0 = beta^Q gamma, the conditions are:
+
+    1. F splits: f2 != 0 and s^4 - 1 = 0 modulo P, i.e. both coefficients
+       of (s0^Q - s1^Q beta) s - s1^Q gamma - 1 vanish.  Then P divides
+       X^(Q^4) - X, so its Q^2 zeros (distinct, as gamma != 0) lie in
+       GF(Q^4) and ker F has dimension 2 over GF(Q); conversely, a kernel
+       of dimension 2 in GF(Q^4) holds all Q^2 zeros of F, whose degree is
+       Q^2 (f2 != 0: otherwise F has degree Q at most, or is 0).
+    2. ker F is inside ker L: L = 0 modulo P, i.e. both coefficients of
+       l0 + l1 s + l2 (-beta s - gamma) + l3 (s1 s + s0) vanish.
+    3. dim ker L = 2: with L = G o P, G = l3 s + g0, g0 = l2 - l3 beta^Q,
+       ker L = P^(-1)(ker G meets im P) in GF(Q^4), so this holds exactly
+       when G != 0 and ker G meets im P only in 0.  A nonzero G is
+       injective unless l3 and g0 are both nonzero and c = -g0/l3 is a
+       (Q-1)-th power in GF(Q^4) (its dlog a multiple of Q - 1); then
+       ker G = y0 GF(Q) with y0^(Q-1) = c.  From
+       s^4 - 1 = H o P, H = s^2 - beta^(Q^2) s + beta^(Q^2+Q) - gamma^(Q^2),
+       im P (of dimension 2) is ker H, so y0 must not be a zero of H:
+       H(y0)/y0 = c^(Q+1) - beta^(Q^2) c + beta^(Q^2+Q) - gamma^(Q^2) != 0.
+
+    So all three hold exactly when ker F has dimension 2 and equals ker L.
+    For the L of the paper, L(x)^(Q^2) = L(x) on GF(Q^4): L maps into
+    GF(Q^2), so dim ker L >= 2, and "ker L = ker F, of dimension at most 2"
+    holds exactly when all three do.  A difference of two terms vanishes
+    exactly when their dlogs agree, so condition 1 compares dlogs; the
+    longer sums are add_enc_bulk encodings compared with 0, and only s1 and
+    g0 go back to dlogs (and A and B in prop1_coefficients)."""
+    Q, d = ctx.p ** ctx.params.k, _Dlogs(ctx)
+    mul, pw, neg = d.mul, d.pow, d.neg
+    l0, l1, l2, l3 = L
+    f0, f1, f2 = F
+    over_f2 = d.inv(f2)
+    beta, gamma = mul(f1, over_f2), mul(f0, over_f2)
+    beta_Q = pw(beta, Q)
+    s1, s0 = d.sum(mul(beta_Q, beta), neg(pw(gamma, Q))), mul(beta_Q, gamma)
+    s1_Q = pw(s1, Q)
+    splits = (f2 >= 0) & (pw(s0, Q) == mul(s1_Q, beta)) & (mul(s1_Q, gamma) == ctx.order // 2)
+    divides = (d.vanishes(l0, neg(mul(l2, gamma)), mul(l3, s0))
+               & d.vanishes(l1, neg(mul(l2, beta)), mul(l3, s1)))
+    g0 = d.sum(l2, neg(mul(l3, beta_Q)))
+    c = mul(neg(g0), d.inv(l3))
+    # H(y0) only where G has a kernel, at about one pair in Q - 1
+    at = np.flatnonzero((c >= 0) & (c % (Q - 1) == 0))
+    c, beta_Q2, gamma = c[at], pw(beta_Q[at], Q), gamma[at]
+    meets = np.zeros(l3.shape, dtype=bool)
+    meets[at] = d.vanishes(pw(c, Q + 1), neg(mul(beta_Q2, c)), mul(beta_Q2, beta_Q[at]),
+                           neg(pw(gamma, Q * Q)))
+    small = ((l3 >= 0) | (g0 >= 0)) & ~meets
+    return np.select([~splits, ~divides, ~small], [1, 2, 3], 0).astype(np.int8)
+
+
+def prop1_kernel_check(ctx: FieldCtx, la, lb) -> int:
+    """Proposition 1 at every pair (xi^la[i], xi^lb[i]) (dlogs as in
+    N_count_bulk), whose norms must differ: L and F have the same zeros in
+    GF(p^n), at most p^2k of them.  The three conditions of
+    kernel_conditions on prop1_coefficients, in blocks of BLOCK_ENTRIES
+    pairs; KernelMismatch, naming the condition, at the first pair that
     fails.  Returns the number of pairs compared."""
     la, lb = np.asarray(la, dtype=np.int64), np.asarray(lb, dtype=np.int64)
     _require_admissible(la, lb)
-    forms, arith = form_matrices(ctx), ctx.subfield(ctx.params.k).key_arithmetic()
+    Q = ctx.p ** ctx.params.k
 
     def block(a, b):
-        bad, dim_L, dim_F = kernel_mismatches(*forms(a, b), arith)
+        failed = kernel_conditions(ctx, *prop1_coefficients(ctx, a, b))
+        bad = np.flatnonzero(failed)
         if bad.size:
             i = bad[0]
-            raise KernelMismatch(
-                f"zeros of L and F span dimensions {dim_L[i]} and {dim_F[i]} over GF({arith.q}), "
-                f"not one common space of dimension <= 2, at {_where(a[i], b[i])}")
+            raise KernelMismatch(f"{KERNEL_CONDITIONS[failed[i] - 1].format(Q)} at "
+                                 f"{_where(a[i], b[i])}")
         return a
-    return _in_blocks(block, 32, la, lb).size
+    return _in_blocks(block, 1, la, lb).size
 
 
 # --------------------------------------------------------------------------

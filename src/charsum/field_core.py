@@ -8,9 +8,8 @@ The whole package runs on four primitives defined here:
                    primitive modulus and generator xi (the class of X).
 * Elem          -- an immutable field element (coefficient vector mod p).
 * SubfieldView  -- GF(p^m') inside the ambient field, with the induced
-                   generator xi^((p^m - 1)/(p^m' - 1)): its quadratic
-                   character on encoding arrays and, for a small
-                   subfield, its arithmetic on keys (KeyArithmetic).
+                   generator xi^((p^m - 1)/(p^m' - 1)) and its quadratic
+                   character on encoding arrays.
 
 The modulus is deterministic: the first monic primitive polynomial of
 the requested degree in ascending base-p encoding order (constant term
@@ -31,7 +30,7 @@ table rule (size_guard) allows p^m <= 2^20 (p^(m+1) for odd m), and
 build_context refuses a larger field before the modulus search unless
 use_tables=False, which builds one without tables at any size:
 polynomial arithmetic and baby-step giant-step logs, exact but slow.
-Every lookup table, those of KeyArithmetic included, is int64.
+Every lookup table is int64.
 
 Only eight methods ask which kind a context is, each of them one that
 some command calls on a table context: the scalar mul_enc, pow_enc and
@@ -658,27 +657,6 @@ def _bsgs(g: Elem, x: Elem, n: int) -> int:
     raise ZeroArgument("element not in the subgroup")
 
 
-@dataclass(frozen=True)
-class KeyArithmetic:
-    """GF(Q), Q = p^degree, on keys: the key of z is the integer
-
-        K(z) = sum_{s < degree} Tr(eta^s z) p^s   in 0..Q-1,
-
-    with Tr the absolute trace of GF(Q) and eta its generator.  K is
-    GF(p)-linear and one to one (the trace form is nondegenerate), so keys
-    add digitwise mod p, and three flat tables give the rest by gathers
-    from arrays of keys x, f, v:
-
-        mul[x Q + v]          = K(x v)
-        inv[x]                = K(1 / x)    (0 at x = 0)
-        axpy[(x Q + f) Q + v] = K(x - f v)"""
-
-    q: int
-    mul: np.ndarray
-    inv: np.ndarray
-    axpy: np.ndarray
-
-
 # --------------------------------------------------------------------------
 # subfield views
 # --------------------------------------------------------------------------
@@ -689,9 +667,10 @@ class SubfieldView:
     The induced generator is xi^step with step = (p^m - 1)/(p^degree - 1),
     so a nonzero element lies in the subfield exactly when step divides
     its dlog.  Carries the subfield's quadratic character on encoding
-    arrays (eta_bulk) and, for a small subfield, its arithmetic on keys.
-    The Elem-level side (generator, membership, iteration, logs, eta and
-    the absolute trace, one element at a time) is in charsum.reference.
+    arrays (eta_bulk).  The Elem-level side (generator, membership,
+    iteration, logs, eta and the absolute trace, one element at a time)
+    and the arithmetic of a small subfield on keys are in
+    charsum.reference.
     """
 
     def __init__(self, ctx: FieldCtx, degree: int):
@@ -712,39 +691,6 @@ class SubfieldView:
         if (logs % self.step).any():
             raise NotInSubfield(f"an encoding is not in GF({self.ctx.p}^{self.degree})")
         return np.where(nonzero, 1 - 2 * (logs // self.step % 2), 0)
-
-    def key_arithmetic(self) -> KeyArithmetic:
-        """This subfield's arithmetic on keys (see KeyArithmetic).
-
-        Digit s of the key of eta^j (eta the induced generator) is
-        Tr(eta^(j+s)) of this subfield, that is r^(-1) Tr(eta^(j+s)) of the
-        ambient field of degree r degree (DegreeUnsupported when p divides r),
-        from exp_enc_bulk and trace_enc_bulk; products and inverses follow
-        from the dlogs j.  Self-checked: InvariantViolation unless the keys
-        of the nonzero elements are 1..Q-1, each once, and the key of x + y
-        (add_enc_bulk) is the digitwise sum of the keys at every pair."""
-        ctx, p, q, order = self.ctx, self.ctx.p, self.q, self.order
-        ratio = ctx.m // self.degree
-        if ratio % p == 0:
-            raise DegreeUnsupported(f"no keys for GF({p}^{self.degree}) in GF({p}^{ctx.m})")
-        dlogs = np.arange(order, dtype=np.int64)
-        digits = ctx.trace_enc_bulk(ctx.exp_enc_bulk(
-            self.step * (dlogs[:, None] + np.arange(self.degree)))) * pow(ratio, -1, p) % p
-        keys = digits @ p ** np.arange(self.degree, dtype=np.int64)
-        if (np.bincount(keys, minlength=q) != (np.arange(q) > 0)).any():
-            raise InvariantViolation(f"the keys of GF({p}^{self.degree}) are not one to one")
-        encs, key_log = np.zeros(q, dtype=np.int64), np.zeros(q, dtype=np.int64)
-        encs[keys], key_log[keys] = ctx.exp_enc_bulk(self.step * dlogs), dlogs
-        key_digits = _base_p_digits(p, self.degree)
-        add = _digitwise_sums(key_digits, p)
-        if (ctx.add_enc_bulk(encs[:, None], encs[None, :]).ravel() != encs[add]).any():
-            raise InvariantViolation(f"the keys of GF({p}^{self.degree}) are not additive")
-        x, v = np.divmod(np.arange(q * q, dtype=np.int64), q)
-        mul = np.where((x == 0) | (v == 0), 0, keys[(key_log[x] + key_log[v]) % order])
-        neg = _negations(key_digits, p)
-        inv = keys[-key_log % order]
-        inv[0] = 0
-        return KeyArithmetic(q, mul, inv, add.reshape(q, q)[:, neg[mul]].ravel())
 
     def __repr__(self):
         return f"SubfieldView(GF({self.ctx.p}^{self.degree}) in GF({self.ctx.p}^{self.ctx.m}))"

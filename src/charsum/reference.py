@@ -2,9 +2,11 @@
 No command imports this module; each public function cross-checks a
 batched route in the tests: a subfield's elements, logs, eta and trace
 (a SubfieldView's Elem-level side) against eta_bulk and the bulk
-primitives, the zero sets of L and F against expsum.prop1_kernel_check,
-find_g against expsum.g_logs, H_sums (H by definition at an array of a)
-against jacobsthal.scan_table, where prop2 reads H too, the per-a
+primitives, the zero sets of L and F and their 4 x 4 matrices over
+GF(p^k), row reduced on the subfield's keys (form_matrices, rref_keyed,
+kernel_mismatches), against expsum.kernel_conditions, find_g against
+expsum.g_logs, H_sums (H by definition at an array of a) against
+jacobsthal.scan_table, where prop2 reads H too, the per-a
 Jacobsthal sums and curve counts (a JacobsthalRecord) against scan_table
 and the rows of jacobsthal-scan, the Walsh coefficient and the (1, 1)
 closed form at one y against walsh.full_spectrum and theorem1_root_scan,
@@ -21,12 +23,13 @@ import numpy as np
 
 from .cycint import CycInt
 from .cyclotomy import _pk, class_count
-from .errors import (CaseViolation, IndexOutOfRange, InvariantViolation, NoSolution,
-                     NotInSubfield, PeriodMismatch, RootCountViolation, WrongCase,
+from .errors import (CaseViolation, DegreeUnsupported, IndexOutOfRange, InvariantViolation,
+                     NoSolution, NotInSubfield, PeriodMismatch, RootCountViolation, WrongCase,
                      ZeroArgument, ZeroC)
 from .expsum import (CoeffPair, S0_bruteforce, _L_terms, _require_jacobsthal, f_values,
                      trace_values)
-from .field_core import Elem, FieldCtx, SubfieldView, _prime_field_value
+from .field_core import (Elem, FieldCtx, SubfieldView, _base_p_digits, _digitwise_sums,
+                         _negations, _prime_field_value)
 
 
 # --------------------------------------------------------------------------
@@ -139,6 +142,171 @@ def find_g(ctx: FieldCtx, pair: CoeffPair) -> Elem:
         raise CaseViolation(f"g^(p^k-1) != -b^(p^3k)/a at a={ctx.format_element(pair.a)}, "
                             f"b={ctx.format_element(pair.b)}")
     return g
+
+
+# --------------------------------------------------------------------------
+# expsum: Proposition 1 by linear algebra over GF(p^k)
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class KeyArithmetic:
+    """GF(Q), Q = p^degree, on keys: the key of z is the integer
+
+        K(z) = sum_{s < degree} Tr(eta^s z) p^s   in 0..Q-1,
+
+    with Tr the absolute trace of GF(Q) and eta its generator.  K is
+    GF(p)-linear and one to one (the trace form is nondegenerate), so keys
+    add digitwise mod p, and three flat tables give the rest by gathers
+    from arrays of keys x, f, v:
+
+        mul[x Q + v]          = K(x v)
+        inv[x]                = K(1 / x)    (0 at x = 0)
+        axpy[(x Q + f) Q + v] = K(x - f v)"""
+
+    q: int
+    mul: np.ndarray
+    inv: np.ndarray
+    axpy: np.ndarray
+
+
+def key_arithmetic(view: SubfieldView) -> KeyArithmetic:
+    """The arithmetic of the subfield view on keys (see KeyArithmetic).
+
+    Digit s of the key of eta^j (eta the induced generator) is
+    Tr(eta^(j+s)) of the subfield, that is r^(-1) Tr(eta^(j+s)) of the
+    ambient field of degree r degree (DegreeUnsupported when p divides r),
+    from exp_enc_bulk and trace_enc_bulk; products and inverses follow
+    from the dlogs j.  Self-checked: InvariantViolation unless the keys
+    of the nonzero elements are 1..Q-1, each once, and the key of x + y
+    (add_enc_bulk) is the digitwise sum of the keys at every pair."""
+    ctx, p, q, order = view.ctx, view.ctx.p, view.q, view.order
+    ratio = ctx.m // view.degree
+    if ratio % p == 0:
+        raise DegreeUnsupported(f"no keys for GF({p}^{view.degree}) in GF({p}^{ctx.m})")
+    dlogs = np.arange(order, dtype=np.int64)
+    digits = ctx.trace_enc_bulk(ctx.exp_enc_bulk(
+        view.step * (dlogs[:, None] + np.arange(view.degree)))) * pow(ratio, -1, p) % p
+    keys = digits @ p ** np.arange(view.degree, dtype=np.int64)
+    if (np.bincount(keys, minlength=q) != (np.arange(q) > 0)).any():
+        raise InvariantViolation(f"the keys of GF({p}^{view.degree}) are not one to one")
+    encs, key_log = np.zeros(q, dtype=np.int64), np.zeros(q, dtype=np.int64)
+    encs[keys], key_log[keys] = ctx.exp_enc_bulk(view.step * dlogs), dlogs
+    key_digits = _base_p_digits(p, view.degree)
+    add = _digitwise_sums(key_digits, p)
+    if (ctx.add_enc_bulk(encs[:, None], encs[None, :]).ravel() != encs[add]).any():
+        raise InvariantViolation(f"the keys of GF({p}^{view.degree}) are not additive")
+    x, v = np.divmod(np.arange(q * q, dtype=np.int64), q)
+    mul = np.where((x == 0) | (v == 0), 0, keys[(key_log[x] + key_log[v]) % order])
+    neg = _negations(key_digits, p)
+    inv = keys[-key_log % order]
+    inv[0] = 0
+    return KeyArithmetic(q, mul, inv, add.reshape(q, q)[:, neg[mul]].ravel())
+
+
+def _key_terms(ctx: FieldCtx):
+    # L (polynomial 0) and F (1) as (polynomial, u, t, sign, e): sign u^(p^(t k)) X^e, u indexing
+    # a, b, c, v, w of form_matrices; A = c - v, B = w^(p^2k) - w, A^(p^k) = c^(p^k) - v^(p^k)
+    pk = ctx.p ** ctx.params.k
+    return ((0, 1, 2, 1, 1), (0, 0, 0, 1, pk), (0, 1, 0, 1, pk ** 2), (0, 0, 2, 1, pk ** 3),
+            (1, 2, 0, 1, pk ** 2), (1, 3, 0, -1, pk ** 2), (1, 4, 2, 1, pk),
+            (1, 4, 0, -1, pk), (1, 2, 1, 1, 1), (1, 3, 1, -1, 1))
+
+
+def form_matrices(ctx: FieldCtx):
+    """The 4 x 4 matrices over GF(p^k) of L and F, as a function of the
+    pairs (a, b).
+
+    With T = Tr_{4k/k}, the matrix of P = L or F at a pair is
+    z_ij = T(X^i P(X^j)), i, j < 4: {X^i} is a basis of GF(p^n) over
+    GF(p^k), as xi = X has degree 4 over it, P is GF(p^k)-linear and T is
+    nondegenerate, so ker P is the kernel of z.  Each entry is given by its
+    key (KeyArithmetic), whose digit s is
+    Tr_{k/1}(eta^s z_ij) = Tr(eta^s X^i P(X^j)), eta = xi^step the
+    generator of GF(p^k).  Returns matrices(la, lb): for n pairs with dlogs
+    la and lb (-1 for a zero coefficient), the int64 keys (2, n, 4, 4) of
+    L's matrices, then F's.
+
+    Each coefficient is u^(p^t) for u one of a, b, c = a^(p^k(p^k+1)),
+    v = b^(p^k+1) and w = a b^(p^k) (_key_terms), and Tr(u^(p^t) y) =
+    sum_d u_d Tr(e_d y^(p^(n-t))) over the base-p digits u_d of u, e_d
+    encoded as p^d.  So one constant (5m, 32k) matrix M maps the digits of
+    the five elements to the 32k key digits at every pair: five exp gathers
+    and one float32 einsum per block, exact as each digit is a sum of fewer
+    than 2^24 / p^2 integers below p^2 (numpy's own loop, which unlike a
+    threaded BLAS is fast at these sizes)."""
+    p, m, k, pk, order = ctx.p, ctx.m, ctx.params.k, ctx.p ** ctx.params.k, ctx.order
+    basis = ctx.log_enc_bulk(p ** np.arange(m, dtype=np.int64))
+    left = (ctx.subfield(k).step * np.arange(k)[:, None] + np.arange(4)).ravel()
+    # M[(u, d), (P, s, i, j)]: Tr(e_d y^(p^(n-t))) over P's terms in u, y = eta^s X^(i+je)
+    M = np.zeros((5, m, 2, left.size, 4), dtype=np.int64)
+    for poly, u, t, sign, e in _key_terms(ctx):
+        y = (left[:, None] + (e % order) * np.arange(4)) % order * (p ** (m - t * k) % order)
+        M[u, :, poly] += sign * ctx.trace_enc_bulk(ctx.exp_enc_bulk(basis[:, None, None] + y))
+    M = (M.reshape(5 * m, -1) % p).astype(np.float32)
+
+    def matrices(la, lb):
+        # the five elements: zero where a (for a, c, w) or b (for b, v, w) is
+        logs = np.stack((la, lb, pk * (pk + 1) * la, (pk + 1) * lb, la + pk * lb))
+        live = np.stack((la >= 0, lb >= 0, la >= 0, lb >= 0, (la >= 0) & (lb >= 0)))
+        encs = np.where(live, ctx.exp_enc_bulk(logs), 0).T
+        digits = (encs[..., None] // p ** np.arange(m) % p).reshape(len(la), 5 * m)
+        key_digits = _mod_p(np.einsum("nd,dc->nc", digits.astype(np.float32), M), p)
+        keys = np.einsum("nPsc,s->Pnc", key_digits.reshape(len(la), 2, k, 16),
+                         p ** np.arange(k, dtype=np.float32))
+        return keys.astype(np.int64).reshape(2, -1, 4, 4)
+    return matrices
+
+
+def _mod_p(x, p: int):
+    # x mod p in place, for a float32 array of integers below 2^24 / p in
+    # magnitude: exact, as x / p is correctly rounded and, unless it is an
+    # integer, at least 1/p away from one; about five times faster than %
+    # on integer arrays
+    x -= p * np.floor(x / p)
+    return x
+
+
+def rref_keyed(mats, arith: KeyArithmetic):
+    """Reduced row echelon forms over GF(Q) of a stack of matrices (n, r, c)
+    of keys (0..Q-1, see KeyArithmetic), and their ranks, all
+    int64: every field operation is one gather from arith's tables."""
+    q, mul, axpy = arith.q, arith.mul, arith.axpy
+    mats = np.array(mats, dtype=np.int64)
+    rank = np.zeros(len(mats), dtype=np.int64)
+    rows = np.arange(mats.shape[1])
+    for col in range(mats.shape[2]):
+        candidates = (mats[:, :, col] != 0) & (rows >= rank[:, None])
+        found = np.flatnonzero(candidates.any(axis=1))
+        if not found.size:
+            continue
+        # the columns before col are zero in every row from rank on
+        sub = mats[found, :, col:]
+        at = np.arange(found.size)
+        top, pivot = rank[found], candidates[found].argmax(axis=1)
+        pivot_row = sub[at, pivot]
+        pivot_row = mul.take(arith.inv.take(pivot_row[:, :1]) * q + pivot_row)
+        sub[at, pivot] = sub[at, top]
+        index = sub * q
+        index += sub[:, :, :1]
+        index *= q
+        index += pivot_row[:, None, :]
+        axpy.take(index, out=sub)
+        sub[at, top] = pivot_row
+        mats[found, :, col:] = sub
+        rank[found] += 1
+    return mats, rank
+
+
+def kernel_mismatches(L_mats, F_mats, arith: KeyArithmetic):
+    """Indexes of the pairs whose matrices have different kernels, or an F
+    kernel of dimension above 2 (F has degree p^2k), with the kernel
+    dimensions of both stacks: kernels agree iff the reduced row echelon
+    forms do."""
+    n, m = len(L_mats), L_mats.shape[2]
+    reduced, rank = rref_keyed(np.concatenate((L_mats, F_mats)), arith)
+    dim_L, dim_F = m - rank[:n], m - rank[n:]
+    bad = np.flatnonzero((reduced[:n] != reduced[n:]).any(axis=(1, 2)) | (dim_F > 2))
+    return bad, dim_L, dim_F
 
 
 # --------------------------------------------------------------------------

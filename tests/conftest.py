@@ -28,7 +28,7 @@ def ctx32():
 @pytest.fixture(scope="session")
 def key_encodings():
     """encs(view)[K]: the encoding of the element of the subfield view whose
-    key (field_core.KeyArithmetic) is K, from the definition of the key,
+    key (reference.KeyArithmetic) is K, from the definition of the key,
     K(z) = sum_s Tr(eta^s z) p^s with Tr the subfield's own absolute trace
     and eta its generator."""
     def encs(view):

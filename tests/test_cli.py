@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import random
@@ -121,18 +122,29 @@ def test_verify_all_computes_g_and_N_once(capsys, monkeypatch):
 
 def test_verify_all_names_pairs_by_dlog(capsys, monkeypatch):
     # the pair layer takes dlogs, so few elements go back from encodings to
-    # dlogs: at (3,2) fewer than q/2 = 3,280 over the whole run
-    logged = []
-    real = FieldCtx.log_enc_bulk
+    # dlogs: at (3,2) fewer than q/2 = 3,280 over the whole run, besides the
+    # four sums per pair whose dlogs prop1's division route needs (A, B, s1
+    # and g0), at 6,551 norms-differ a and 200 drawn pairs
+    logged, route, within = [], [], []
+    real, real_check = FieldCtx.log_enc_bulk, expsum.prop1_kernel_check
 
     def counting(ctx, u):
-        logged.append(np.size(u))
+        (route if within else logged).append(np.size(u))
         return real(ctx, u)
 
+    def check(ctx, la, lb):
+        within.append(True)
+        try:
+            return real_check(ctx, la, lb)
+        finally:
+            within.pop()
+
     monkeypatch.setattr(FieldCtx, "log_enc_bulk", counting)
+    monkeypatch.setattr(expsum, "prop1_kernel_check", check)
     assert run(["verify-all", "--p", "3", "--k", "2", "--b", "g^1"]) == 0
     assert capsys.readouterr().out.count("[ok  ]") == 12
     assert sum(logged) < 3280, (len(logged), sum(logged))
+    assert sum(route) == 4 * (6551 + cli.SAMPLES), (len(route), sum(route))
 
 
 def test_verify_all_names_b_by_dlog(capsys, monkeypatch):
@@ -536,6 +548,17 @@ ctx = field_core.context(3, 2)
 s = ctx.add_side
 ctx.add_table[s + 2] = (ctx.add_table[s + 2] + 1) % s
 """
+# the coefficient dlogs of L (rows l0..l3) and F (A^(p^k), B, A) changed
+# before prop1's division route reads them
+_PROP1_COEFFICIENTS_OFF = """
+from charsum import expsum
+real = expsum.prop1_coefficients
+def off(ctx, la, lb):
+    L, F = real(ctx, la, lb)
+    {}
+    return L, F
+expsum.prop1_coefficients = off
+"""
 _EVERY_SWEEP_USER = ["theorem3 oracle equivalence", "prop1 three-valued range",
                      "prop2/eq8 triple path", "corollary2 suite",
                      "r/s/t distribution identities"]
@@ -629,7 +652,8 @@ cli.expsum = types.SimpleNamespace(**{**vars(expsum), "norms_match": off})
     # the sweep's report loses its first slice a: the three paths and the
     # seven properties agree on the rest, and only the slice size p^k - chi(b),
     # which corollary2 and the Jacobsthal route of prop2 and r/s/t check, is
-    # short
+    # short, and prop1's count of the pairs off the slice, N.size minus the
+    # slice, one too many
     pytest.param("""
 import dataclasses
 from charsum import expsum
@@ -639,37 +663,27 @@ def off(ctx, lb):
     return dataclasses.replace(rep, jacobsthal=rep.jacobsthal[1:])
 expsum.distribution_sweep = off
 """, ["--p", "3", "--k", "1"],
-        ["prop2/eq8 triple path", "corollary2 suite", "r/s/t distribution identities"],
+        ["prop2/eq8 triple path", "prop1 three-valued range", "corollary2 suite",
+         "r/s/t distribution identities"],
         "1 slice pairs, expected 2", id="prop2-slice_a_dropped"),
-    # the sign of F's first term, c X^(p^2k), flipped in form_matrices' map
-    pytest.param("""
-from charsum import expsum
-real = expsum._key_terms
-def off(ctx):
-    terms = list(real(ctx))
-    poly, u, t, sign, e = terms[4]
-    terms[4] = (poly, u, t, -sign, e)
-    return tuple(terms)
-expsum._key_terms = off
-""", ["--p", "3", "--k", "1", "--b", "g^1"], ["prop1 three-valued range"],
-        "zeros of L and F span", id="prop1-F_term_sign"),
-    # pair 0 of each block given one rank-1 matrix for both L and F: the
-    # kernels agree, and only F's bound of dimension 2 sees them
-    pytest.param("""
-from charsum import expsum
-real = expsum.form_matrices
-def off(ctx):
-    forms = real(ctx)
-    def matrices(la, lb):
-        keys = forms(la, lb)
-        keys[:, 0] = 0
-        keys[:, 0, 0, 0] = 1
-        return keys
-    return matrices
-expsum.form_matrices = off
-""", ["--p", "3", "--k", "1", "--b", "g^1"], ["prop1 three-valued range"],
-        "dimensions 3 and 3 over GF(3), not one common space of dimension <= 2, at a=0, b=g^1",
-        id="prop1-F_kernel_dimension"),
+    # one condition of the division route failed at every pair, by the
+    # coefficient dlogs it reads: A^(p^k) zeroed, so that F = B X^(p^k) +
+    # A X^(p^2k) has a double zero at 0 and does not split; the sign of
+    # L's term b^(p^2k) X flipped, so that P = F/A no longer divides L; L
+    # zeroed at pair 0 of each block, so that P divides it and every x is a
+    # zero
+    pytest.param(_PROP1_COEFFICIENTS_OFF.format("F[0] = -1"),
+                 ["--p", "3", "--k", "1", "--b", "g^1"], ["prop1 three-valued range"],
+                 "F does not split: its zeros span no space of dimension 2 over GF(3) "
+                 "at a=0, b=g^1", id="prop1-F_kernel_dimension"),
+    pytest.param(_PROP1_COEFFICIENTS_OFF.format("L[0] = (L[0] + ctx.order // 2) % ctx.order"),
+                 ["--p", "3", "--k", "1", "--b", "g^1"], ["prop1 three-valued range"],
+                 "P = F/A does not right-divide L: a zero of F is no zero of L at a=0, b=g^1",
+                 id="prop1-L_term_sign"),
+    pytest.param(_PROP1_COEFFICIENTS_OFF.format("L[:, 0] = -1"),
+                 ["--p", "3", "--k", "1", "--b", "g^1"], ["prop1 three-valued range"],
+                 "the zeros of L span a space of dimension above 2 over GF(3) at a=0, b=g^1",
+                 id="prop1-L_kernel_dimension"),
     pytest.param("""
 from charsum import expsum
 real = expsum.corollary1_bulk
@@ -869,6 +883,36 @@ def test_prop1_counts_the_pairs_compared(capsys, monkeypatch):
     assert run(["verify-all", "--p", "3", "--k", "1", "--b", "g^1"]) == 1
     assert "[FAIL] prop1 three-valued range: ker L = ker F at 81 pairs, expected 82" in (
         capsys.readouterr().out)
+
+
+def test_prop1_range_count_is_compared(capsys, monkeypatch):
+    # the pairs that the sweep's range check covered, N.size minus the
+    # slice, against r + s + t and q - p^k + chi(b): one extra N entry
+    # fails prop1 alone
+    real = expsum.distribution_sweep
+    monkeypatch.setattr(expsum, "distribution_sweep", lambda ctx, lb: dataclasses.replace(
+        real(ctx, lb), N=np.append(real(ctx, lb).N, 0)))
+    assert run(["verify-all", "--p", "3", "--k", "1", "--b", "g^1"]) == 1
+    assert [line for line in _lines(capsys) if line.startswith("[FAIL]")] == [
+        "[FAIL] prop1 three-valued range: N <= 2 at 78 pairs, r + s + t = 77, expected 77 "
+        "at b = g^1"]
+
+
+@pytest.mark.parametrize("start, failed", [
+    ("        n_pairs = 0\n", "[FAIL] prop2/eq8 triple path: 5 pairs, expected 4"),
+    ("        n_pairs, sums, with_vi = 0, 0, 0\n",
+     "[FAIL] corollary2 suite: 5 pairs x i-v, expected 4"),
+], ids=["prop2", "corollary2"])
+def test_pair_counters_are_compared(capsys, monkeypatch, start, failed):
+    # prop2's and corollary2's pair counters against the sum over b of
+    # p^k - chi(b): each counter started at 1 fails its own check alone
+    source = inspect.getsource(cli._run_verify_all)
+    assert source.count(start) == 1
+    namespace = dict(vars(cli))
+    exec(source.replace(start, start.replace("0", "1", 1)), namespace)
+    monkeypatch.setattr(cli, "_run_verify_all", namespace["_run_verify_all"])
+    assert run(["verify-all", "--p", "3", "--k", "1", "--b", "g^1"]) == 1
+    assert [line for line in _lines(capsys) if line.startswith("[FAIL]")] == [failed]
 
 
 def test_corollary2_refuses_property_vi_off_its_hypotheses(capsys, monkeypatch):

@@ -2,10 +2,11 @@ import dataclasses
 import functools
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from charsum import expsum as es
@@ -264,7 +265,7 @@ def test_F_degenerates_exactly_on_matching_norms(ctx31):
 
 
 # --------------------------------------------------------------------------
-# Proposition 1 by linear algebra
+# Proposition 1: symbolic division against zero sets and the matrix route
 # --------------------------------------------------------------------------
 
 def _matvec(ctx, encs, mat, vectors):
@@ -297,23 +298,34 @@ def _coordinates(ctx, encs):
     return coords
 
 
+def _matrix_route(ctx, la, lb):
+    # reference.kernel_mismatches on the form_matrices of the pairs: the
+    # matrices (L, F) and (bad, dim_L, dim_F)
+    mats = ref.form_matrices(ctx)(la, lb)
+    return mats, ref.kernel_mismatches(*mats, ref.key_arithmetic(ctx.subfield(ctx.params.k)))
+
+
+def _verdicts(ctx, la, lb):
+    # the division route's condition codes at the pairs
+    return es.kernel_conditions(ctx, *es.prop1_coefficients(ctx, la, lb))
+
+
 def _kernels_match_zero_sets(ctx, la, lb, key_encodings):
-    # each matrix's kernel is the zero set found by reference._zero_set: every
-    # zero, through its coordinates over GF(p^k), is in both kernels, and the
-    # kernels have as many elements as the zero set
+    # every pair passes the three conditions of the division route; L and F
+    # have one zero set (reference._zero_set) of p^2k elements, and each
+    # matrix of the matrix route has it as its kernel
     encs = key_encodings(ctx.subfield(ctx.params.k))
     coords = _coordinates(ctx, tuple(encs))
     la, lb = np.asarray(la, dtype=np.int64), np.asarray(lb, dtype=np.int64)
-    L, F = es.form_matrices(ctx)(la, lb)
-    arith = ctx.subfield(ctx.params.k).key_arithmetic()
-    bad, dim_L, dim_F = es.kernel_mismatches(L, F, arith)
+    assert _verdicts(ctx, la, lb).tolist() == [0] * la.size
+    (L, F), (bad, dim_L, dim_F) = _matrix_route(ctx, la, lb)
     assert bad.size == 0
     pk = ctx.p ** ctx.params.k
     for i, (a, b) in enumerate(zip(la, lb)):
         pair = pair_of(ctx, element(ctx, a), element(ctx, b))
         zeros = ref.L_zeros_field(ctx, pair)
         assert zeros == ref.prop1_F_zeros(ctx, pair)
-        assert len(zeros) == pk ** dim_L[i] == pk ** dim_F[i]
+        assert len(zeros) == pk ** 2 == pk ** dim_L[i] == pk ** dim_F[i]
         vectors = coords[[z.enc for z in zeros]].T
         assert not _matvec(ctx, encs, L[i], vectors).any()
         assert not _matvec(ctx, encs, F[i], vectors).any()
@@ -345,6 +357,20 @@ def test_kernel_route_matches_zero_sets_seeded_32(ctx32, key_encodings):
     _kernels_match_zero_sets(ctx32, *_seeded_pairs_32(ctx32), key_encodings)
 
 
+@pytest.mark.parametrize("fixture", ["ctx31", "ctx51", "ctx32"])
+def test_division_route_matches_matrix_route(fixture, request):
+    # the verdict of the division route against the row reduction of
+    # charsum.reference at every norms-differ a of b = g^0 and g^1: both
+    # pass every pair, with kernels of dimension 2
+    ctx = request.getfixturevalue(fixture)
+    for lb in (0, 1):
+        la = sweep_logs(ctx)[~es.norms_match(ctx, sweep_logs(ctx), lb)]
+        lb = np.full(la.size, lb)
+        _, (bad, dim_L, dim_F) = _matrix_route(ctx, la, lb)
+        assert bad.tolist() == np.flatnonzero(_verdicts(ctx, la, lb)).tolist() == []
+        assert set(dim_L.tolist()) == set(dim_F.tolist()) == {2}
+
+
 def _entry_keys(ctx, la, lb):
     # the keys sum_s Tr_k(eta^s z) p^s of z = T(X^i P(X^j)), T = Tr_{4k/k},
     # with P = L from reference._L_terms, then F from the A and B of
@@ -367,58 +393,158 @@ def _entry_keys(ctx, la, lb):
 
 
 def test_form_matrices_entries(ctx31, ctx32):
-    # every entry of both matrices, not only their kernels: each
-    # norms-differ a of b = g^0 and g^1 at (3,1), and the seeded pairs at (3,2)
+    # every entry of both matrices of reference.form_matrices, not only
+    # their kernels: each norms-differ a of b = g^0 and g^1 at (3,1), and
+    # the seeded pairs at (3,2)
     cases = [(ctx32, *_seeded_pairs_32(ctx32))]
     for lb in (0, 1):
         la = sweep_logs(ctx31)[~es.norms_match(ctx31, sweep_logs(ctx31), lb)]
         cases.append((ctx31, la, np.full(la.size, lb)))
     for ctx, la, lb in cases:
-        keys = es.form_matrices(ctx)(la, lb)
+        keys = ref.form_matrices(ctx)(la, lb)
         assert keys.dtype == np.int64 and keys.tolist() == _entry_keys(ctx, la, lb).tolist()
 
 
+def _kernel(ctx, logs):
+    # where sum_i c_i X^(Q^i), Q = p^k, vanishes at x = xi^0, xi^1, ...,
+    # for coefficient dlogs c_i, by evaluation at every x
+    Q = ctx.p ** ctx.params.k
+    return ctx.sum_enc_bulk([(int(c), Q ** i) for i, c in enumerate(logs)],
+                            np.arange(ctx.order, dtype=np.int64)) == 0
+
+
+# how test_kernel_conditions_match_bruteforce builds L and F, with the
+# verdict where the construction fixes it
+_BUILDS = {"G_kernel_in_image": 3, "G_bijective": 0, "G_drawn": None, "L_zero": 3,
+           "L_drawn": None, "F_drawn": None, "A_zero": 1}
+
+
+@pytest.mark.parametrize("build", sorted(_BUILDS))
+@pytest.mark.parametrize("size", [(3, 1), (5, 1), (3, 2)], ids=str)
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(data=st.data())
+def test_kernel_conditions_match_bruteforce(size, build, data):
+    # the condition codes of kernel_conditions against the kernels of L and
+    # F over all of GF(p^4k), on coefficients built in Elem arithmetic: F a
+    # multiple of P = (s - c2) o (s - c1), s = X^Q, which vanishes on the
+    # span of v1 and v2, with c1 = v1^(Q-1) and c2 = (v2^Q - c1 v2)^(Q-1);
+    # L = G o P with G = g1 s + g0 of each kind, L = 0, or drawn; a drawn F;
+    # and F with A = 0
+    ctx = context(*size)
+    Q = ctx.p ** ctx.params.k
+
+    def draw(label, nonzero=False):
+        return element(ctx, data.draw(st.integers(0 if nonzero else -1, ctx.order - 1), label=label))
+
+    v1, v2 = draw("v1", True), draw("v2", True)
+    c1 = v1 ** (Q - 1)
+    w = v2 ** Q - c1 * v2
+    assume(not w.is_zero)  # v2 outside GF(Q) v1
+    c2 = w ** (Q - 1)
+    beta, gamma = -(c1 ** Q + c2), c1 * c2
+    f2 = draw("A", True)
+    F = [f2 * gamma, f2 * beta, f2]
+    if build.startswith("G_"):
+        g1 = draw("g1", build != "G_drawn")
+        if build == "G_kernel_in_image":
+            # G vanishes on y = P(x) != 0
+            x = draw("x", True)
+            y = x ** (Q * Q) + beta * x ** Q + gamma * x
+            assume(not y.is_zero)
+            g0 = -g1 * y ** (Q - 1)
+        elif build == "G_bijective":
+            # -g0/g1 is no (Q-1)-th power: its dlog is off the multiples of Q - 1
+            r = data.draw(st.integers(1, Q - 2), label="r")
+            t = data.draw(st.integers(0, ctx.order // (Q - 1) - 1), label="t")
+            g0 = -g1 * ctx.from_exp(r + (Q - 1) * t)
+        else:
+            g0 = draw("g0")
+        L = [g0 * gamma, g1 * gamma ** Q + g0 * beta, g1 * beta ** Q + g0, g1]
+    elif build == "L_zero":
+        L = [ctx.zero] * 4
+    else:
+        L = [draw(f"l{i}") for i in range(4)]
+        if build == "F_drawn":
+            F = [draw(f"f{i}") for i in range(3)]
+        elif build == "A_zero":
+            F = [draw("f0"), draw("f1"), ctx.zero]
+    L_logs, F_logs = (np.array([[ctx.log(c)] for c in cs], dtype=np.int64) for cs in (L, F))
+    code = int(es.kernel_conditions(ctx, L_logs, F_logs)[0])
+    on_L, on_F = _kernel(ctx, L_logs[:, 0]), _kernel(ctx, F_logs[:, 0])
+    want = (1 if np.count_nonzero(on_F) + 1 != Q * Q else 2 if (on_F & ~on_L).any()
+            else 3 if np.count_nonzero(on_L) + 1 != Q * Q else 0)
+    assert code == want
+    assert _BUILDS[build] in (None, code)
+
+
+def _flipped(ctx, coefficients, row):
+    # the (L, F) of prop1_coefficients with the sign of one of l0..l3, A^Q,
+    # B and A (rows 0-6) flipped: -1 = xi^((q-1)/2) added to its dlogs
+    rows = np.concatenate(coefficients)
+    rows[row] = np.where(rows[row] < 0, -1, (rows[row] + ctx.order // 2) % ctx.order)
+    return rows[:4], rows[4:]
+
+
 def test_form_matrices_match_slow_context(ctx31, ctx32):
-    # the table path against the per-element fallback of the bulk primitives,
-    # at every seventh norms-differ a at (3,1) and at three a at (3,2)
+    # the division route on the table path against the per-element fallback
+    # of the bulk primitives, at every seventh norms-differ a at (3,1) and
+    # at three a at (3,2): the same coefficients, the same codes with each
+    # of the seven coefficients' sign flipped, and the same count from
+    # prop1_kernel_check
     for ctx, pairs in ((ctx31, slice(None, None, 7)), (ctx32, slice(3))):
         slow = build_context(ctx.params, ctx.m, use_tables=False)
         la = sweep_logs(ctx)[~es.norms_match(ctx, sweep_logs(ctx), 1)][pairs]
         lb = np.full(la.size, 1)
-        fast, plain = es.form_matrices(ctx)(la, lb), es.form_matrices(slow)(la, lb)
-        assert [m.tolist() for m in fast] == [m.tolist() for m in plain]
+        fast, plain = es.prop1_coefficients(ctx, la, lb), es.prop1_coefficients(slow, la, lb)
+        assert [x.tolist() for x in fast] == [x.tolist() for x in plain]
+        codes = [es.kernel_conditions(c, *_flipped(c, fast, row))
+                 for row in range(7) for c in (ctx, slow)]
+        assert [x.tolist() for x in codes[::2]] == [x.tolist() for x in codes[1::2]]
+        assert all(x.any() for x in codes)
         assert es.prop1_kernel_check(slow, la, lb) == la.size
 
 
 def test_kernel_check_catches_perturbed_F(ctx31):
+    # the matrix route of charsum.reference refuses other kernels
     a, b = ctx31.xi ** 5, ctx31.xi
-    arith = ctx31.subfield(1).key_arithmetic()
-    L, F = es.form_matrices(ctx31)(np.array([5]), np.array([1]))
-    assert es.kernel_mismatches(L, F, arith)[0].tolist() == []
+    arith = ref.key_arithmetic(ctx31.subfield(1))
+    L, F = ref.form_matrices(ctx31)(np.array([5]), np.array([1]))
+    assert ref.kernel_mismatches(L, F, arith)[0].tolist() == []
     # one entry of F's first row off at a coordinate where a common zero is
     # nonzero (over GF(3) the key of c is c, and so are the coordinates)
     zero = ref.L_zeros_field(ctx31, pair_of(ctx31, a, b))[1]
     j = next(i for i, c in enumerate(zero.coeffs) if c)
     off = F.copy()
     off[0, 0, j] = (off[0, 0, j] + 1) % 3
-    assert es.kernel_mismatches(L, off, arith)[0].tolist() == [0]
+    assert ref.kernel_mismatches(L, off, arith)[0].tolist() == [0]
     # the same kernel as L, but of dimension above 2, is refused too
     zero_maps = np.zeros_like(F)
-    assert es.kernel_mismatches(zero_maps, zero_maps, arith)[0].tolist() == [0]
+    assert ref.kernel_mismatches(zero_maps, zero_maps, arith)[0].tolist() == [0]
 
 
 @pytest.mark.parametrize("term", range(10))
 @pytest.mark.parametrize("fixture", ["ctx31", "ctx32"])
 def test_kernel_check_raises_on_wrong_F(fixture, term, request, monkeypatch):
-    # the sign of one of the ten terms of L (0-3) and F (4-9) flipped in
-    # form_matrices' map: L and F no longer share their zeros
+    # prop1_coefficients changed at every norms-differ a of b = g^0: terms
+    # 0-6 flip the sign of one of l0..l3, A^Q, B and A, and L and F no
+    # longer share their zeros; 7-9 each fail one condition: A^Q zeroed
+    # (F = B X^Q + A X^(Q^2) has a double zero at 0 and does not split),
+    # l0 = b^(Q^2) zeroed (P no longer divides L) and L zeroed (its zeros
+    # are all of GF(p^n))
     ctx = request.getfixturevalue(fixture)
-    real = es._key_terms(ctx)
-    poly, u, t, sign, e = real[term]
-    flipped = real[:term] + ((poly, u, t, -sign, e),) + real[term + 1:]
-    monkeypatch.setattr(es, "_key_terms", lambda ctx: flipped)
+    real = es.prop1_coefficients
+
+    def off(ctx, la, lb):
+        L, F = real(ctx, la, lb)
+        if term < 7:
+            return _flipped(ctx, (L, F), term)
+        {7: F[0], 8: L[0], 9: L}[term][...] = -1
+        return L, F
+
+    monkeypatch.setattr(es, "prop1_coefficients", off)
     la = sweep_logs(ctx)[~es.norms_match(ctx, sweep_logs(ctx), 0)]
-    with pytest.raises(KernelMismatch, match="a=.*, b=g\\^0"):
+    condition = es.KERNEL_CONDITIONS[term - 7].format(ctx.p ** ctx.params.k) if term >= 7 else ""
+    with pytest.raises(KernelMismatch, match=re.escape(condition) + " at a=.*, b=g\\^0"):
         es.prop1_kernel_check(ctx, la, np.zeros(la.size, dtype=np.int64))
     with pytest.raises(BothCoefficientsZero):
         es.prop1_kernel_check(ctx, [-1], [-1])
@@ -434,16 +560,16 @@ def _subfield(q):
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(q=st.sampled_from([3, 5, 9, 25, 27, 37]), data=st.data())
 def test_rref_keyed_kernel_sizes(q, data, key_encodings):
-    # the rank from rref_keyed against a count of the kernel over all of
-    # GF(q)^c, in the ambient field's own arithmetic
+    # the rank from reference.rref_keyed against a count of the kernel over
+    # all of GF(q)^c, in the ambient field's own arithmetic
     view = _subfield(q)
     c_max = max(c for c in range(1, 5) if q ** c <= 20_000)
     r, c = data.draw(st.integers(1, 4), label="rows"), data.draw(st.integers(1, c_max), label="cols")
     rows = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=c, max_size=c),
                               min_size=r, max_size=r), label="matrix")
     mat = np.array(rows, dtype=np.int64)
-    arith, encs = view.key_arithmetic(), key_encodings(view)
-    reduced, rank = es.rref_keyed(mat[None], arith)
+    arith, encs = ref.key_arithmetic(view), key_encodings(view)
+    reduced, rank = ref.rref_keyed(mat[None], arith)
     vectors = np.indices((q,) * c).reshape(c, -1)
 
     def in_kernel(m):
@@ -451,7 +577,7 @@ def test_rref_keyed_kernel_sizes(q, data, key_encodings):
 
     assert np.count_nonzero(in_kernel(mat)) == q ** (c - rank[0])
     assert (in_kernel(reduced[0]) == in_kernel(mat)).all()
-    assert es.rref_keyed(reduced, arith)[0].tolist() == reduced.tolist()  # reduced is a fixed point
+    assert ref.rref_keyed(reduced, arith)[0].tolist() == reduced.tolist()  # reduced is a fixed point
 
 
 def test_norms_match_matches_case_detail(ctx31, ctx51):
