@@ -91,6 +91,22 @@ def _log_arg(ctx, text: str) -> int:
     return ctx.log(ctx.parse_element(text))
 
 
+def prop1_samples(ctx, rng) -> tuple:
+    """prop1's SAMPLES seeded pairs, as int64 dlog arrays (a, b): each
+    coefficient drawn as rng.randrange(q) - 1 (-1 for zero), a before b,
+    and a pair kept where the norms differ, (0, 0) skipped; in rounds of
+    the number still missing, one norms_match call each, so the stream
+    gives the pairs, and stops, as drawing one pair at a time would."""
+    a = b = np.empty(0, dtype=np.int64)
+    while a.size < SAMPLES:
+        drawn = np.array([rng.randrange(ctx.q) - 1 for _ in range(2 * (SAMPLES - a.size))])
+        la, lb = drawn.reshape(-1, 2).T
+        keep = (la >= 0) | (lb >= 0)
+        keep[keep] = ~expsum.norms_match(ctx, la[keep], lb[keep])
+        a, b = np.concatenate((a, la[keep])), np.concatenate((b, lb[keep]))
+    return a, b
+
+
 # --------------------------------------------------------------------------
 # subcommand handlers
 # --------------------------------------------------------------------------
@@ -248,8 +264,7 @@ def _run_verify_all(args) -> int:
 
     def check_eq1():
         rep = bound_scan()
-        eta = view.eta_bulk(ctx.exp_enc_bulk(rep.logs))
-        off = np.flatnonzero(rep.I != jacobsthal.eq1_value(pk, eta))
+        off = np.flatnonzero(rep.I != jacobsthal.eq1_value(pk, view.eta_logs(rep.logs)))
         if off.size:
             raise IdentityViolation(f"a = {label(rep.logs[off[0]])} gives {rep.I[off[0]]}")
         return f"{rep.logs.size} elements"
@@ -272,10 +287,6 @@ def _run_verify_all(args) -> int:
             sweep(lb)
         return f"full sweeps at {len(b_values)} b values"
 
-    def draw():
-        # one seeded coefficient, as a dlog: -1 for 0, else a = xi^l
-        return rng.randrange(ctx.q) - 1
-
     def check_prop1():
         # the sweeps raise RangeViolation on N > 2 outside the JACOBSTHAL
         # case: at every a off the slice, r + s + t = q - p^k + chi(b) of them
@@ -294,17 +305,12 @@ def _run_verify_all(args) -> int:
         a_logs = [la[~expsum.norms_match(ctx, la, lb)] for lb in b_values]
         b_logs = [np.full(len(a), lb) for a, lb in zip(a_logs, b_values)]
         expected = len(b_values) * (ctx.q - pk - 1) + SAMPLES
-        drawn = []
-        while len(drawn) < SAMPLES:
-            a, b = draw(), draw()
-            if (a >= 0 or b >= 0) and not expsum.norms_match(ctx, a, b):  # (0, 0) is skipped
-                drawn.append((a, b))
-        a, b = np.array(drawn, dtype=np.int64).T
+        a, b = prop1_samples(ctx, rng)
         compared = expsum.prop1_kernel_check(ctx, np.concatenate(a_logs + [a]),
                                              np.concatenate(b_logs + [b]))
         _require(compared == expected, f"ker L = ker F at {compared} pairs, expected {expected}")
         return (f"N <= 2 at {ranged} three-valued pairs + ker L = ker F at {compared} "
-                f"norms-differ pairs ({len(drawn)} sampled)")
+                f"norms-differ pairs ({a.size} sampled)")
 
     def check_prop2():
         n_pairs = 0
@@ -326,10 +332,11 @@ def _run_verify_all(args) -> int:
         return f"{n_pairs} pairs, three paths each"
 
     def check_cor1():
-        # the seeded triples first, in the order of the rng stream, then one batch
+        # the seeded triples first, in the order of the rng stream, then one
+        # batch; each coefficient a dlog, -1 for 0
         triples = []
         while len(triples) < SAMPLES:
-            a, b = draw(), draw()
+            a, b = rng.randrange(ctx.q) - 1, rng.randrange(ctx.q) - 1
             if a < 0 and b < 0:
                 continue
             triples.append((a, b, rng.randrange(ctx.order)))

@@ -18,9 +18,10 @@ All functions take a SubfieldView of even degree 2k (either the 2k-view
 of the big GF(p^4k) context or the full view of a standalone GF(p^2k)
 context); values do not depend on that choice, class indices do: they
 are taken to nu = xi^view.step, the "nu" that cyclotomy-table prints.
-full_table and pt_sums evaluate x + 1 and Tr(x) at every x = nu^e with
-one FieldCtx.sum_enc_bulk call each; the scalar references (class_index,
-cyclotomic_number) are in charsum.reference, which no command imports.
+full_table and pt_sums read x + 1 and Tr(x) at every x = nu^e from its
+dlog, x + 1 by one Zech sum and Tr(x) from the trace table; the scalar
+references (class_index, cyclotomic_number) are in charsum.reference,
+which no command imports.
 """
 
 from __future__ import annotations
@@ -55,11 +56,10 @@ def full_table(view: SubfieldView) -> np.ndarray:
     """All cyclotomic numbers in one pass over GF(p^2k)*: the int64
     (p^k+1) x (p^k+1) matrix of (i, j)."""
     order = class_count(view)
-    ctx = view.ctx
     e = np.arange(view.order, dtype=np.int64)  # x = nu^e
-    shifted = ctx.sum_enc_bulk(((0, 1), (0, 0)), view.step * e)
-    mask = shifted != 0
-    logs = ctx.log_enc_bulk(shifted[mask])
+    shifted = view.ctx.sum_logs(view.step * e, 0)  # the dlogs of x + 1
+    mask = shifted >= 0
+    logs = shifted[mask]
     if (logs % view.step).any():
         raise InvariantViolation("x + 1 left GF(p^2k)")
     i_idx = e[mask] % order
@@ -85,16 +85,18 @@ def verify_lemma1(view: SubfieldView) -> np.ndarray:
 def pt_sums(view: SubfieldView) -> tuple:
     """The per-class additive character sums (P_0, ..., P_{p^k}), exact in
     Z[w], checked against their closed form (ClassSumViolation on a
-    defect), from Tr(x) = sum_{i < 2k} x^(p^i) at every x = nu^e
-    (InvariantViolation if a trace is not in GF(p))."""
+    defect), from the ambient trace r Tr(x), r = m/2k, by dlog at every
+    x = nu^e (InvariantViolation if one is not an integer 0..p-1, which
+    the count by class and trace would file under another class)."""
     order = class_count(view)
     pk = _pk(view)
     ctx = view.ctx
     p = ctx.p
     e = np.arange(view.order, dtype=np.int64)
-    traces = ctx.sum_enc_bulk(tuple((0, p ** i) for i in range(view.degree)), view.step * e)
-    if (traces >= p).any():
+    traces = ctx.trace_logs(view.step * e)
+    if ((traces < 0) | (traces >= p)).any():
         raise InvariantViolation("a trace of GF(p^2k) left GF(p)")
+    traces = traces * pow(ctx.m // view.degree, -1, p) % p
     counts = np.bincount(e % order * p + traces, minlength=order * p).reshape(order, p)
     values = tuple(CycInt.from_counts(p, c) for c in counts)
     for t, v in enumerate(values):

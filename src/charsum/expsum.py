@@ -34,9 +34,9 @@ element by its int dlog (FieldCtx.log): la and lb with a = xi^la and
 b = xi^lb, -1 for zero, as ints or int64 arrays, a fixed b as one int.
 The case split, chi(b) = (-1)^lb, Corollary 1's scaling (a h^d, b h^2)
 and Corollary 2's pairs (1/a, 1/b), (-a, b) and (a, -b) are then sums
-of dlogs.  N_count_bulk is the direct count: one FieldCtx.sum_enc_bulk
-evaluation of L at every u in U with per-pair coefficient dlogs, with
-the parity check per pair.
+of dlogs.  N_count_bulk is the direct count: one FieldCtx.vanishes
+test of L at every u in U with per-pair coefficient dlogs, with the
+parity check per pair.
 N_via_nonsquares_bulk and N_via_jacobsthal_bulk share one dlog solve
 for g (g_logs); the first evaluates its sums as a (pairs, p^k) array
 of eta, the second reads H from the Jacobsthal bound scan.
@@ -58,8 +58,9 @@ Tr(a x^d + b x^2) for every a, in integers.
 
 N(a, b) for every a at once comes from N_table: on U, L(u) = 0 is a
 linear condition on a, met by p^2k values of a per u, all from one
-formula, so one count over the (p^2k + 1) p^2k incidences gives every
-2N(a, b), and one stable sort of them the zero sets grouped by a.
+formula, so one count over the (p^2k + 1) p^2k incidences, each a Zech
+sum, gives every 2N(a, b) in sweep order, and one stable sort of those
+at the positions a caller reads the zero sets grouped by a.
 case_tags gives every case from dlogs.  The direct zero count and
 case_detail cross-check both tables inside every sweep.
 
@@ -80,7 +81,6 @@ with chi(b) = b^((p^n - 1)/2) read as +-1.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,7 +182,7 @@ def chi(lb: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# monomial sums sum_i c_i x^(m_i), terms given as FieldCtx.sum_enc_bulk
+# monomial sums sum_i c_i x^(m_i), terms given as FieldCtx.monomials
 # takes them: (dlog of c_i, integer m_i >= 1)
 # --------------------------------------------------------------------------
 
@@ -196,7 +196,7 @@ def trace_values(ctx: FieldCtx, terms):
     """Tr(sum_i c_i x^(m_i)) at x = 0, xi^0, xi^1, ..., xi^(q-2), as an
     int64 array (the value at x = 0 is 0)."""
     logs = np.arange(ctx.order, dtype=np.int64)
-    return np.concatenate(([0], ctx.trace_enc_bulk(ctx.sum_enc_bulk(terms, logs))))
+    return np.concatenate(([0], ctx.trace_logs(ctx.sum_logs(*ctx.monomials(terms, logs)))))
 
 
 def f_values(ctx: FieldCtx, pair: CoeffPair):
@@ -225,7 +225,7 @@ def character_counts(ctx: FieldCtx, e: int, v_terms):
     p, m, q = ctx.p, ctx.m, ctx.q
     basis = ctx.log_enc_bulk(p ** np.arange(m, dtype=np.int64))
     x_logs = np.arange(ctx.order, dtype=np.int64)
-    traces = ctx.trace_enc_bulk(ctx.sum_enc_bulk(((basis, e),), x_logs))
+    traces = ctx.trace_logs(ctx.monomials(((basis, e),), x_logs)[0])
     w = np.concatenate(([0], p ** np.arange(m, dtype=np.int64) @ traces))  # w = 0 at x = 0
     counts = np.bincount(w * p + trace_values(ctx, v_terms), minlength=q * p)
     # axis i of the (outer, p, inner, p) view is digit m-1-i of the encoding;
@@ -283,8 +283,8 @@ def N_count_bulk(ctx: FieldCtx, la, lb):
     xi^lb[i]) at once, la and lb dlogs in 0..q-2, -1 for a zero
     coefficient.
 
-    One FieldCtx.sum_enc_bulk call per block of pairs (see _in_blocks)
-    evaluates L, with each pair's own coefficients, at every u in U.  Returns
+    One FieldCtx.vanishes call per block of pairs (see _in_blocks) tests L,
+    with each pair's own coefficients, for zero at every u in U.  Returns
     (n, zeros): the int64 array n[i] = N(a_i, b_i), and the bool array
     (pairs, p^2k + 1) that marks the zeros of L among the elements of U in
     U_logs order, that is by dlog.  The raw zero count of a pair is always
@@ -293,8 +293,8 @@ def N_count_bulk(ctx: FieldCtx, la, lb):
     _require_admissible(la, lb)
     u_logs, monomials = U_logs(ctx), _L_monomials(ctx)
     exponents = [e for *_, e in monomials]
-    zeros = _in_blocks(lambda a, b: ctx.sum_enc_bulk(list(zip(
-        _monomial_logs(ctx, monomials, a, b).T, exponents)), u_logs) == 0, u_logs.size, la, lb)
+    zeros = _in_blocks(lambda a, b: ctx.vanishes(*ctx.monomials(list(zip(
+        _monomial_logs(ctx, monomials, a, b).T, exponents)), u_logs)), u_logs.size, la, lb)
     twice = zeros.sum(axis=1)
     odd = np.flatnonzero(twice % 2)
     if odd.size:
@@ -307,12 +307,12 @@ def N_count(ctx: FieldCtx, pair: CoeffPair):
     """Zeros of L on U at one pair, the one-pair call of N_count_bulk:
     returns (N, witnesses), witnesses sorted by dlog."""
     n, zeros = N_count_bulk(ctx, [ctx.log(pair.a)], [ctx.log(pair.b)])
-    return int(n[0]), [ctx.from_enc(int(e)) for e in ctx.exp_enc_bulk(U_logs(ctx)[zeros[0]])]
+    return int(n[0]), [ctx.from_exp(int(l)) for l in U_logs(ctx)[zeros[0]]]
 
 
-def N_table(ctx: FieldCtx, lb: int):
+def N_table(ctx: FieldCtx, lb: int, at):
     """N(a, b) for every a at once at b = xi^lb, with the zeros of L on U
-    grouped by a.
+    at the a of the sweep positions at.
 
     On U, u^(p^2k) = u^(-1), so L(u) = T(a u^(p^k)) + T(b^(p^2k) u) with T
     the trace GF(p^n) -> GF(p^2k).  T is zero on theta GF(p^2k), where
@@ -322,33 +322,38 @@ def N_table(ctx: FieldCtx, lb: int):
         a = u^(-p^k) (c_u/2 + theta t),  c_u = -(b^(p^2k) u + b u^(-1)),
 
     for one of the p^2k elements t of GF(p^2k).  Every u takes this one
-    formula: one FieldCtx.sum_enc_bulk call gives the offsets
-    u^(-p^k) c_u/2 = (-b^(p^2k)/2) u^(1-p^k) + (-b/2) u^(-1-p^k), one exp
-    gather the theta t u^(-p^k), and one addition per (u, t) the
-    (p^2k + 1) p^2k incidences (u, a).
+    formula: one Zech sum gives the offsets u^(-p^k) c_u/2 =
+    (-b^(p^2k)/2) u^(1-p^k) + (-b/2) u^(-1-p^k), and one per (u, t) the
+    dlog of a at each of the (p^2k + 1) p^2k incidences (u, a).
 
-    Returns (n, logs, bounds): n[a.enc] = N(a, b), half the number of
-    incidences of a, and int64 arrays with logs[bounds[e]:bounds[e + 1]]
-    the dlogs of the zeros of L on U at the a encoded e, in increasing
-    order.  ParityViolation unless every count is even."""
+    Returns (n, logs, bounds): n[l + 1] = N(xi^l, b) and n[0] = N(0, b),
+    in sweep order, and int64 arrays with logs[bounds[j]:bounds[j + 1]]
+    the dlogs of the zeros of L on U, increasing, at the a of sweep
+    position at[j] (at increasing).  ParityViolation unless every count
+    is even."""
     if lb < 0:
         raise ZeroB("the N table needs b != 0")
-    pk, Q = ctx.p ** ctx.params.k, ctx.p ** (2 * ctx.params.k)
+    pk, Q, order = ctx.p ** ctx.params.k, ctx.p ** (2 * ctx.params.k), ctx.order
     u_logs = U_logs(ctx)
-    half = int(ctx.log_enc_bulk((ctx.p - 1) // 2))  # -1/2, encoded as (p - 1)/2
-    offsets = ctx.sum_enc_bulk(((half + Q * lb, 1 - pk), (half + lb, -1 - pk)), u_logs)
+    half = int(ctx.neg_logs(ctx.inv_logs(ctx.sum_logs(0, 0))))  # -1/2, from 2 = 1 + 1
+    offsets = ctx.sum_logs(*ctx.monomials(((half + Q * lb, 1 - pk), (half + lb, -1 - pk)),
+                                          u_logs))
     # theta t u^(-p^k) at t = 0, then at t = nu^s, nu = xi^(p^2k+1) the generator of GF(p^2k)*
     theta_logs = (Q + 1) // 2 + (Q + 1) * np.arange(Q - 1, dtype=np.int64)
-    thetas = np.zeros((Q + 1, Q), dtype=np.int64)
-    thetas[:, 1:] = ctx.exp_enc_bulk(theta_logs - pk * u_logs[:, None])
-    incidence = ctx.add_enc_bulk(thetas, offsets[:, None]).ravel()
-    twice = np.bincount(incidence, minlength=ctx.q)
+    thetas = np.full((Q + 1, Q), -1, dtype=np.int64)
+    thetas[:, 1:] = (theta_logs - pk * u_logs[:, None]) % order
+    positions = ctx.sum_logs(thetas, offsets[:, None]).ravel() + 1
+    twice = np.bincount(positions, minlength=ctx.q)
     n_odd = int(np.count_nonzero(twice % 2))
     if n_odd:
         raise ParityViolation(f"odd number of zeros of L on U at {n_odd} a, b={label(lb)}")
-    # the incidences run over u in dlog order, and a stable sort keeps that order within each a
-    logs = u_logs[np.argsort(incidence, kind="stable") // Q]
-    return twice // 2, logs, np.concatenate(([0], np.cumsum(twice)))
+    # the incidences run over u in dlog order, and a stable sort keeps that
+    # order within each a; only the incidences of the a at are sorted
+    wanted = np.zeros(ctx.q, dtype=bool)
+    wanted[at] = True
+    kept = np.flatnonzero(wanted[positions])
+    kept = kept[np.argsort(positions[kept], kind="stable")]
+    return twice // 2, u_logs[kept // Q], np.concatenate(([0], np.cumsum(twice[at])))
 
 
 # --------------------------------------------------------------------------
@@ -380,54 +385,18 @@ def _in_blocks(fn, width: int, *arrays):
                            for i in range(0, max(n, 1), size)])
 
 
-class _Dlogs:
-    # arithmetic on the elements of the kernel check, int64 arrays of dlogs
-    # (-1 for zero): a product is a sum of dlogs, x^e is e times the dlog,
-    # -x adds that of -1 = xi^((q-1)/2), and a sum is an encoding from
-    # add_enc_bulk, turned back into a dlog only where a product needs it
-
-    def __init__(self, ctx: FieldCtx):
-        self.ctx, self.order = ctx, ctx.order
-
-    def mul(self, *logs):
-        zero = np.logical_or.reduce([l < 0 for l in logs])
-        return np.where(zero, -1, sum(logs) % self.order)
-
-    def pow(self, l, e: int):
-        return np.where(l < 0, -1, l * (e % self.order) % self.order)
-
-    def neg(self, l):
-        return np.where(l < 0, -1, (l + self.order // 2) % self.order)
-
-    def inv(self, l):
-        # 1/x, and -1 at x = 0, so that a product with it reads as zero
-        return np.where(l < 0, -1, -l % self.order)
-
-    def vanishes(self, *logs):
-        return self._enc_sum(logs) == 0
-
-    def sum(self, *logs):
-        total = self._enc_sum(logs)
-        return np.where(total == 0, -1, self.ctx.log_enc_bulk(np.where(total == 0, 1, total)))
-
-    def _enc_sum(self, logs):
-        ctx = self.ctx
-        return functools.reduce(ctx.add_enc_bulk, [np.where(l < 0, 0, ctx.exp_enc_bulk(l))
-                                                   for l in logs])
-
-
 def prop1_coefficients(ctx: FieldCtx, la, lb):
     """The coefficients of L and F at every pair (xi^la[i], xi^lb[i]) (dlogs
     as in N_count_bulk), as dlogs in int64 arrays (4, n) and (3, n), -1 for
     zero: l0..l3 = b^(Q^2), a, b, a^(Q^2) with L = sum_i l_i X^(Q^i), and
     f0, f1, f2 = A^Q, B, A with F = sum_i f_i X^(Q^i), where Q = p^k,
     A = a^(Q(Q+1)) - b^(Q+1), B = w^(Q^2) - w and w = a b^Q."""
-    Q, d = ctx.p ** ctx.params.k, _Dlogs(ctx)
+    Q, pw, neg = ctx.p ** ctx.params.k, ctx.pow_logs, ctx.neg_logs
     L = _monomial_logs(ctx, _L_monomials(ctx), la, lb).T
-    A = d.sum(d.pow(la, Q * (Q + 1)), d.neg(d.pow(lb, Q + 1)))
-    w = d.mul(la, d.pow(lb, Q))
-    B = d.sum(d.pow(w, Q * Q), d.neg(w))
-    return L, np.stack((d.pow(A, Q), B, A))
+    A = ctx.sum_logs(pw(la, Q * (Q + 1)), neg(pw(lb, Q + 1)))
+    w = ctx.mul_logs(la, pw(lb, Q))
+    B = ctx.sum_logs(pw(w, Q * Q), neg(w))
+    return L, np.stack((pw(A, Q), B, A))
 
 
 KERNEL_CONDITIONS = ("F does not split: its zeros span no space of dimension 2 over GF({})",
@@ -472,28 +441,28 @@ def kernel_conditions(ctx: FieldCtx, L, F):
     GF(Q^2), so dim ker L >= 2, and "ker L = ker F, of dimension at most 2"
     holds exactly when all three do.  A difference of two terms vanishes
     exactly when their dlogs agree, so condition 1 compares dlogs; the
-    longer sums are add_enc_bulk encodings compared with 0, and only s1 and
-    g0 go back to dlogs (and A and B in prop1_coefficients)."""
-    Q, d = ctx.p ** ctx.params.k, _Dlogs(ctx)
-    mul, pw, neg = d.mul, d.pow, d.neg
+    longer sums are FieldCtx.vanishes tests, and s1 and g0 (and A and B in
+    prop1_coefficients) are Zech sums."""
+    Q = ctx.p ** ctx.params.k
+    mul, pw, neg = ctx.mul_logs, ctx.pow_logs, ctx.neg_logs
     l0, l1, l2, l3 = L
     f0, f1, f2 = F
-    over_f2 = d.inv(f2)
+    over_f2 = ctx.inv_logs(f2)
     beta, gamma = mul(f1, over_f2), mul(f0, over_f2)
     beta_Q = pw(beta, Q)
-    s1, s0 = d.sum(mul(beta_Q, beta), neg(pw(gamma, Q))), mul(beta_Q, gamma)
+    s1, s0 = ctx.sum_logs(mul(beta_Q, beta), neg(pw(gamma, Q))), mul(beta_Q, gamma)
     s1_Q = pw(s1, Q)
     splits = (f2 >= 0) & (pw(s0, Q) == mul(s1_Q, beta)) & (mul(s1_Q, gamma) == ctx.order // 2)
-    divides = (d.vanishes(l0, neg(mul(l2, gamma)), mul(l3, s0))
-               & d.vanishes(l1, neg(mul(l2, beta)), mul(l3, s1)))
-    g0 = d.sum(l2, neg(mul(l3, beta_Q)))
-    c = mul(neg(g0), d.inv(l3))
+    divides = (ctx.vanishes(l0, neg(mul(l2, gamma)), mul(l3, s0))
+               & ctx.vanishes(l1, neg(mul(l2, beta)), mul(l3, s1)))
+    g0 = ctx.sum_logs(l2, neg(mul(l3, beta_Q)))
+    c = mul(neg(g0), ctx.inv_logs(l3))
     # H(y0) only where G has a kernel, at about one pair in Q - 1
     at = np.flatnonzero((c >= 0) & (c % (Q - 1) == 0))
     c, beta_Q2, gamma = c[at], pw(beta_Q[at], Q), gamma[at]
     meets = np.zeros(l3.shape, dtype=bool)
-    meets[at] = d.vanishes(pw(c, Q + 1), neg(mul(beta_Q2, c)), mul(beta_Q2, beta_Q[at]),
-                           neg(pw(gamma, Q * Q)))
+    meets[at] = ctx.vanishes(pw(c, Q + 1), neg(mul(beta_Q2, c)), mul(beta_Q2, beta_Q[at]),
+                             neg(pw(gamma, Q * Q)))
     small = ((l3 >= 0) | (g0 >= 0)) & ~meets
     return np.select([~splits, ~divides, ~small], [1, 2, 3], 0).astype(np.int8)
 
@@ -556,17 +525,17 @@ def N_via_nonsquares_bulk(ctx: FieldCtx, la, lb: int, g_logs):
     """#{c in GF(p^k) : (cg)^2 - b^(p^2k+1) is a nonsquare in GF(p^2k)} at
     every pair (a, b) = (xi^la, xi^lb), with its g = xi^g_logs (see
     g_logs): one (pairs, p^k) array of eta((cg)^2 - b^(p^2k+1)) per block
-    of pairs, with -b^(p^2k+1) = xi^((q-1)/2 + (p^2k+1) lb).  Returns
-    int64."""
-    k = ctx.params.k
+    of pairs, from one Zech sum of dlogs, with -b^(p^2k+1) =
+    xi^((q-1)/2 + (p^2k+1) lb).  Returns int64."""
+    k, order = ctx.params.k, ctx.order
     view = ctx.subfield(2 * k)
-    minus_norm = ctx.exp_enc_bulk(ctx.order // 2 + (ctx.p ** (2 * k) + 1) * lb)
+    minus_norm = (order // 2 + (ctx.p ** (2 * k) + 1) * lb) % order
     c_logs = ctx.subfield(k).step * np.arange(ctx.p ** k - 1, dtype=np.int64)
 
     def block(a, g):
-        squares = np.zeros((g.size, c_logs.size + 1), dtype=np.int64)  # c = 0 first
-        squares[:, 1:] = ctx.exp_enc_bulk(2 * (c_logs + g[:, None]))
-        eta = view.eta_bulk(ctx.add_enc_bulk(squares, minus_norm))
+        squares = np.full((g.size, c_logs.size + 1), -1, dtype=np.int64)  # c = 0 first
+        squares[:, 1:] = 2 * (c_logs + g[:, None]) % order
+        eta = view.eta_logs(ctx.sum_logs(squares, minus_norm))
         vanished = np.flatnonzero((eta == 0).any(axis=1))
         if vanished.size:
             raise CaseViolation("(cg)^2 - b^(p^2k+1) vanished at "
@@ -804,47 +773,50 @@ class DistributionReport:
 def distribution_sweep(ctx: FieldCtx, lb: int, on_record=None) -> DistributionReport:
     """Every a in GF(p^n), in sweep_order, for the fixed b = xi^lb != 0.
 
-    N comes from N_table and the case from case_tags, for all a at once;
-    N_table and the transform index a by its encoding, and the sweep
-    reindexes them once, by sweep_order.
+    N comes from N_table and the case from case_tags, for all a at once,
+    both in sweep order; the transform indexes a by its encoding, and the
+    sweep reindexes it once, by sweep_order.
     Each closed form is checked against the defining sum from one
     character_counts transform, N > 2 outside the JACOBSTHAL case raises
     RangeViolation, and the direct zero count (N_count_bulk) and
     case_detail cross-check both tables on the JACOBSTHAL slice and on at
-    most 32 evenly strided a (a = 0 among them).  Only then, if on_record
-    is given, is each pair's record, as expsum_record gives it but read
-    from the arrays, passed to it in sweep order; records are not kept."""
+    most 32 evenly strided a (a = 0 among them), the only zero sets the
+    N table groups unless on_record is given.  Only then, if it is, is
+    each pair's record, as expsum_record gives it but read from the
+    arrays, passed to it in sweep order; records are not kept."""
     if lb < 0:
         raise ZeroB("distribution sweep needs b != 0")
     p, pk, Q = ctx.p, ctx.p ** ctx.params.k, ctx.p ** (2 * ctx.params.k)
     sign = chi(lb)
     # sweep position i is a = xi^(i - 1), a = 0 at i = 0
-    la, a_encs = np.arange(-1, ctx.order, dtype=np.int64), sweep_order(ctx)
-    n_by_enc, logs, bounds = N_table(ctx, lb)
-    n = n_by_enc[a_encs]
+    la = np.arange(-1, ctx.order, dtype=np.int64)
     tags = case_tags(ctx, la, lb)
+    jac = tags == CaseTag.JACOBSTHAL
+    # at most 32 evenly strided sweep positions, a = 0 first
+    sample = np.flatnonzero(jac | (np.arange(ctx.q) % -(-ctx.q // 32) == 0))
+    at = sample if on_record is None else np.arange(ctx.q)
+    n, logs, bounds = N_table(ctx, lb, at)
 
     # sum_j c_j w^j is the integer s exactly when c_1 = ... = c_(p-1) and c_0 - c_1 = s
     counts = character_counts(ctx, ctx.params.d, ((lb, 2),))
-    s0_by_enc = Q * (2 * n_by_enc - 1)
-    off = np.flatnonzero(~((counts[:, 1:] == counts[:, 1:2]).all(axis=1)
-                           & (counts[:, 0] - counts[:, 1] == s0_by_enc))[a_encs])
+    a_encs = sweep_order(ctx)
+    s0 = Q * (2 * n - 1)
+    off = np.flatnonzero(~(counts[:, 1:] == counts[:, 1:2]).all(axis=1)[a_encs]
+                         | ((counts[:, 0] - counts[:, 1])[a_encs] != s0))
     if off.size:
-        i, e = off[0], a_encs[off[0]]
-        raise _oracle_mismatch(la[i], lb, int(s0_by_enc[e]), CycInt.from_counts(p, counts[e]))
-    jac = tags == CaseTag.JACOBSTHAL
+        i = off[0]
+        raise _oracle_mismatch(la[i], lb, int(s0[i]), CycInt.from_counts(p, counts[a_encs[i]]))
     over = np.flatnonzero(~jac & (n > 2))
     if over.size:
         i = over[0]
         raise RangeViolation(f"{CaseTag(tags[i]).name} pair has N = {n[i]} > 2 "
                              f"at {_where(la[i], lb)}")
-    # at most 32 evenly strided sweep positions, a = 0 first
-    strided = np.arange(ctx.q) % -(-ctx.q // 32) == 0
-    _cross_check(ctx, lb, a_encs, n, tags, logs, bounds, np.flatnonzero(jac | strided))
+    _cross_check(ctx, lb, n, tags, logs, bounds[np.searchsorted(at, sample)[:, None] + [0, 1]],
+                 sample)
 
     r, s, t = (int(c) for c in np.bincount(n[~jac], minlength=3))
     jac_hist = {v: int(c) for v, c in enumerate(np.bincount(n[jac])) if c}
-    s0_total = int(s0_by_enc.sum())
+    s0_total = int(s0.sum())
     residuals = (
         (r + s + t) - (ctx.q - pk + sign),
         (-r + s + 3 * t) - sign * pk,
@@ -855,27 +827,26 @@ def distribution_sweep(ctx: FieldCtx, lb: int, on_record=None) -> DistributionRe
     if on_record is not None:
         logs, bounds = logs.tolist(), bounds.tolist()
         b_label = label(lb)
-        s0 = Q * (2 * n - 1)
-        for l, e, tag, n_i, s0_i in zip(*(x.tolist() for x in (la, a_encs, tags, n, s0))):
-            on_record(_record(label(l), b_label, tag, n_i, s0_i, logs[bounds[e]:bounds[e + 1]]))
+        for i, (l, tag, n_i, s0_i) in enumerate(zip(*(x.tolist() for x in (la, tags, n, s0)))):
+            on_record(_record(label(l), b_label, tag, n_i, s0_i, logs[bounds[i]:bounds[i + 1]]))
     return DistributionReport(lb=lb, chi_b=sign, r=r, s=s, t=t,
                               jac_histogram=jac_hist, s0_total=s0_total, residuals=residuals,
                               jacobsthal=la[jac], N=n)
 
 
-def _cross_check(ctx: FieldCtx, lb: int, a_encs, n, tags, logs, bounds, sample):
+def _cross_check(ctx: FieldCtx, lb: int, n, tags, logs, spans, sample):
     # the direct zero count (one N_count_bulk call) and case_detail at the
-    # sweep positions in sample against the N table, its zero sets (logs,
-    # bounds) and the bulk case split
+    # sweep positions in sample against the N table, its zero sets
+    # (logs[start:end] for each (start, end) row of spans) and the bulk
+    # case split
     b = ctx.from_exp(lb)
     n_direct, zeros = N_count_bulk(ctx, sample - 1, np.full(sample.size, lb))
     u_logs = U_logs(ctx)
-    for i, n_i, zeros_i in zip(sample, n_direct, zeros):
-        e = a_encs[i]
-        if n_i != n[i] or u_logs[zeros_i].tolist() != logs[bounds[e]:bounds[e + 1]].tolist():
+    for i, (start, end), n_i, zeros_i in zip(sample.tolist(), spans, n_direct, zeros):
+        if n_i != n[i] or u_logs[zeros_i].tolist() != logs[start:end].tolist():
             raise OracleMismatch(f"direct zero count N = {n_i} != N table {n[i]}, "
                                  f"or other witnesses, at {_where(i - 1, lb)}")
-        tag = case_detail(ctx, CoeffPair(ctx.from_enc(int(e)), b))
+        tag = case_detail(ctx, CoeffPair(ctx.from_exp(i - 1) if i else ctx.zero, b))
         if tag != tags[i]:
             raise CaseViolation(f"case_detail gives {tag.name}, the bulk case split "
                                 f"{CaseTag(tags[i]).name} at {_where(i - 1, lb)}")

@@ -9,50 +9,51 @@ The whole package runs on four primitives defined here:
 * Elem          -- an immutable field element (coefficient vector mod p).
 * SubfieldView  -- GF(p^m') inside the ambient field, with the induced
                    generator xi^((p^m - 1)/(p^m' - 1)) and its quadratic
-                   character on encoding arrays.
+                   character on dlog arrays.
 
 The modulus is deterministic: the first monic primitive polynomial of
 the requested degree in ascending base-p encoding order (constant term
 is the least significant digit).  Every run of the tool therefore sees
 the same field element behind any given "g^e" label.
 
-A context built with tables carries lookup tables (plain numpy arrays):
-exp (built by doubling on xi, see _exp_by_doubling), log and trace over all
-encodings, and one addition table over half-width encodings.  With
-s = p^ceil(m/2), every encoding splits as u = (u // s) s + u % s into two
-digit halves below s, and addition is digitwise, so
+A context built with tables carries four int64 lookup tables: exp and
+log between dlogs and encodings (exp built by doubling on xi, see
+_exp_by_doubling), the absolute trace by dlog, and the Zech logarithms
+Z(l) = log(1 + xi^l), -1 at the one l = (q-1)/2 where 1 + xi^l = 0
+(K. Huber, "Some comments on Zech's logarithms", IEEE Trans. Inf. Theory
+36, 1990), so that a field sum is one gather:
 
-    u + v = T[u // s, v // s] s + T[u % s, v % s]
+    xi^u + xi^v = xi^u (1 + xi^(v-u)) = xi^(u + Z(v - u)).
 
-with T the s x s table of digitwise sums mod p: two gathers from a table
-of q entries (p q for odd m), in place of a (q, m) digit array.  The
-table rule (size_guard) allows p^m <= 2^20 (p^(m+1) for odd m), and
-build_context refuses a larger field before the modulus search unless
+Adding 1 changes only the constant digit of an encoding, so Z comes from
+the exp and log tables alone (_zech).  The build checks it in O(q):
+Z(-l) = Z(l) - l, as 1 + xi^(-l) = xi^(-l) (1 + xi^l), and Z takes -1
+once, at (q-1)/2, and every dlog but 0 once.  The table rule
+(size_guard) allows p^m <= 2^20 (p^(m+1) for odd m), and build_context
+refuses a larger field before the modulus search unless
 use_tables=False, which builds one without tables at any size:
 polynomial arithmetic and baby-step giant-step logs, exact but slow.
-Every lookup table is int64.
 
-Only eight methods ask which kind a context is, each of them one that
-some command calls on a table context: the scalar mul_enc, pow_enc and
-dlog, and the five bulk primitives exp_enc_bulk, log_enc_bulk,
-trace_enc_bulk, add_enc_bulk and pow_enc_bulk, which make one scalar
-call per element without tables.  Everything else has one body built on
-those.  Scalar addition works by digits and the scalar absolute trace is
-the Frobenius sum (rel_trace); no command calls them on a table context,
-where they are the independent references of add_enc_bulk and
-trace_enc_bulk.  Subtraction is u + (-v), inversion is u^(q-2), and
-negation works by digits.  Other modules do bulk work through the bulk
-primitives, SubfieldView.eta_bulk and sum_enc_bulk, the one evaluator of
-monomial sums sum_i c_i x^(e_i).  A subfield's elements one at a time
-(membership x^Q = x, logs from dlog, eta and the trace) are
-charsum.reference's.
+Below the parser every element is named by its dlog, -1 for zero, and
+FieldCtx holds the one dlog arithmetic (mul_logs, pow_logs, neg_logs,
+inv_logs, sum_logs, vanishes, trace_logs, monomials and
+SubfieldView.eta_logs).  Only eight methods ask which kind a context
+is, each called by some command on a table context: mul_enc, pow_enc,
+dlog, exp_enc_bulk, log_enc_bulk, sum_logs, vanishes and trace_logs;
+without tables they make one scalar call per element, and vanishes adds
+encodings, with no baby-step giant-step log.  Everything else has one
+body built on those.  Scalar addition works by digits and the scalar
+absolute trace is the Frobenius sum (rel_trace), the references of
+sum_logs and trace_logs on a table context.  Subtraction is u + (-v),
+inversion is u^(q-2), and negation works by digits.  A subfield's
+elements one at a time are charsum.reference's.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -71,9 +72,9 @@ TABLE_LIMIT = 1 << 20  # lookup tables are built only up to this many entries
 
 
 def size_guard(p: int, m: int) -> None:
-    """The table rule, GuardExceeded unless GF(p^m) gets lookup tables: its
-    largest table, the addition table of p^(2 ceil(m/2)) entries (q for
-    even m, p q for odd m), must have at most TABLE_LIMIT entries."""
+    """The table rule, GuardExceeded unless GF(p^m) gets lookup tables:
+    p^(2 ceil(m/2)) must be at most TABLE_LIMIT, that is q for the even
+    degrees of every command's field, and p q for odd m."""
     if p ** (2 * -(-m // 2)) > TABLE_LIMIT:
         raise GuardExceeded(f"GF({p}^{m}) is beyond the lookup tables of {TABLE_LIMIT} entries")
 
@@ -349,33 +350,28 @@ class FieldCtx:
 
     def _build_tables(self):
         p, m, q, order = self.p, self.m, self.q, self.order
-        exp = self.exp_enc = _exp_by_doubling(p, m, self.modulus)
+        digits = _exp_by_doubling(p, m, self.modulus)
+        exp = self.exp_enc = digits @ p ** np.arange(m, dtype=np.int64)
         log = np.full(q, -1, dtype=np.int64)
         log[exp] = np.arange(order, dtype=np.int64)
         if log[0] != -1 or (log[1:] < 0).any():
             raise InvariantViolation("exp table has collisions")
         self.log_enc = log
         # trace by linearity: Tr(sum c_i X^i) = sum c_i Tr(X^i), and Tr(X^i)
-        # is the trace of the matrix of multiplication by X^i, C^i
+        # is the trace of the matrix of multiplication by X^i, C^i; one entry
+        # more, Tr(0) = 0, is read at the dlog -1
         companion = _companions(p, m, [self.modulus[:m]])
         tr_basis = np.array([np.trace(_matrix_power(companion, i, p)[0]) % p
                              for i in range(m)])
-        # the half-width split u = hi s + lo: the addition table over the
-        # digit halves, and the trace as a sum over the two halves
-        h = -(-m // 2)
-        s = p ** h
-        digits = _base_p_digits(p, h)
-        self.add_side = s
-        self.add_table = _digitwise_sums(digits, p)
-        hi, lo = np.divmod(np.arange(q, dtype=np.int64), s)
-        tr_lo, tr_hi = digits @ tr_basis[:h], digits[:, :m - h] @ tr_basis[h:]
-        self.trace_enc = (tr_hi[hi] + tr_lo[lo]) % p
-        # self-check: 0 is neutral in the table, and x + (-x) = 0 at every x,
-        # with -x from the negations of the digit halves
-        neg = _negations(digits, p)
-        if (self.add_table[::s] != np.arange(s)).any() or (
-                self.add_enc_bulk(np.arange(q, dtype=np.int64), neg[hi] * s + neg[lo]) != 0).any():
-            raise InvariantViolation(f"the addition table of GF({p}^{m}) fails its self-check")
+        self.trace_log = np.append(digits @ tr_basis % p, 0)
+        zech = self.zech_log = _zech(exp, log, p)
+        # self-check: Z(-l) = Z(l) - l, which at l = -l = (q-1)/2 leaves only
+        # Z = -1, and Z takes -1 and every dlog but 0 once, which sees a
+        # moved Z(0) that the reflection cannot
+        l = np.arange(order, dtype=np.int64)
+        once = np.bincount(zech + 1, minlength=order + 1) != np.append([1, 0], np.ones(order - 1))
+        if once.any() or (zech[-l % order] != np.where(zech < 0, -1, (zech - l) % order)).any():
+            raise InvariantViolation(f"the Zech logarithms of GF({p}^{m}) fail their self-check")
 
     # --- scalar arithmetic on encodings ---------------------------------------
 
@@ -427,11 +423,6 @@ class FieldCtx:
     def from_exp(self, e: int) -> Elem:
         """xi^e (e taken mod p^m - 1)."""
         return self.xi ** e
-
-    def from_enc(self, enc: int) -> Elem:
-        if not 0 <= enc < self.q:
-            raise ValueError("encoding out of range")
-        return Elem(self, int(enc))
 
     def parse_element(self, text: str) -> Elem:
         """Accepts "g^e" (a power of xi) or "c0,c1,...,c_{m-1}" base-p
@@ -501,10 +492,10 @@ class FieldCtx:
     def subfield(self, degree: int) -> "SubfieldView":
         return SubfieldView(self, degree)
 
-    # --- bulk helpers (numpy; table-backed, else one scalar op per element) --------
+    # --- bulk encodings (numpy; table-backed, else one scalar op per element) -------
 
     def _per_element(self, fn, *arrays):
-        # the no-table path of the bulk primitives: one scalar call per element,
+        # the no-table path of the bulk methods: one scalar call per element,
         # for arrays of any (broadcast) shape
         arrays = np.broadcast_arrays(*(np.asarray(x, dtype=np.int64) for x in arrays))
         out = [fn(*map(int, xs)) for xs in zip(*(x.ravel() for x in arrays))]
@@ -526,64 +517,98 @@ class FieldCtx:
             return self.log_enc[u]
         return self._per_element(lambda a: self.dlog(Elem(self, a)), u)
 
-    def trace_enc_bulk(self, u):
-        """Absolute traces (0..p-1) of an int64 array of encodings, as int64."""
-        if self.has_tables:
-            return self.trace_enc[u]
-        return self._per_element(lambda a: self.abs_trace(Elem(self, a)), u)
-
     def add_enc_bulk(self, u, v):
         """Elementwise field addition of two int64 encoding arrays (either
-        may be a scalar encoding): two gathers from the half-width addition
-        table."""
-        if self.has_tables:
-            s, t = self.add_side, self.add_table
-            uh, vh = u // s, v // s
-            return t[uh * s + vh] * s + t[(u - uh * s) * s + (v - vh * s)]
-        return self._per_element(self.add_enc, u, v)
+        may be a scalar encoding), by the Zech sum of their dlogs."""
+        u, v = (np.asarray(x, dtype=np.int64) for x in (u, v))
+        total = self.sum_logs(*(np.where(x == 0, -1, self.log_enc_bulk(np.where(x == 0, 1, x)))
+                                for x in (u, v)))
+        return np.where(total < 0, 0, self.exp_enc_bulk(total))
 
-    def pow_enc_bulk(self, u, e):
-        """Elementwise u^e of an int64 encoding array, e >= 1 (0^e = 0)."""
+    # --- the dlog arithmetic: int64 arrays of dlogs, -1 for zero ----------------------
+
+    def mul_logs(self, *logs):
+        """The product of the elements xi^l, elementwise over dlog arrays (or
+        ints) of one broadcast shape: the sum of the dlogs."""
+        zero = reduce(np.logical_or, (np.asarray(l) < 0 for l in logs))
+        return np.where(zero, -1, sum(logs) % self.order)
+
+    def pow_logs(self, l, e: int):
+        """x^e at x = xi^l for an integer e >= 1 (0^e = 0): e times the dlog."""
         if e < 1:
-            raise ValueError(f"bulk power needs e >= 1, got {e}")
-        if self.has_tables:
-            # log_enc[0] = -1 indexes a valid entry; the zeros are masked after
-            out = self.exp_enc[(self.log_enc[u] * (e % self.order)) % self.order]
-            return np.where(u == 0, 0, out)
-        return self._per_element(lambda a: self.pow_enc(a, e), u)
+            raise ValueError(f"a power of dlogs needs e >= 1, got {e}")
+        return np.where(l < 0, -1, l * (e % self.order) % self.order)
 
-    def sum_enc_bulk(self, terms, logs):
-        """The monomial sum sum_i c_i x^(e_i) at x = xi^logs (an int64 array
-        of dlogs): the one evaluator of monomial sums.
+    def neg_logs(self, l):
+        """-x at x = xi^l: -1 = xi^((q-1)/2)."""
+        return np.where(l < 0, -1, (l + self.order // 2) % self.order)
+
+    def inv_logs(self, l):
+        """1/x at x = xi^l, and -1 (zero) at x = 0, so that a product with it
+        reads as zero."""
+        return np.where(l < 0, -1, -l % self.order)
+
+    def sum_logs(self, *logs):
+        """The sum of the elements xi^l, elementwise over dlog arrays (or
+        ints) of one broadcast shape, as dlogs: one Zech gather per term
+        after the first."""
+        if self.has_tables:
+            return reduce(self._zech_add, (np.asarray(l, dtype=np.int64) for l in logs))
+        return self._per_element(lambda u: self.log(Elem(self, u)), self._enc_sum(logs))
+
+    def vanishes(self, *logs):
+        """Whether the sum of the elements xi^l is 0, elementwise, as
+        sum_logs adds them; without tables by encodings, with no log."""
+        if self.has_tables:
+            return self.sum_logs(*logs) < 0
+        return self._enc_sum(logs) == 0
+
+    def _zech_add(self, u, v):
+        # xi^u + xi^v = xi^(u + Z(v - u)), and x + 0 = x; u and v lie in
+        # -1..q-2, so the wrapped take and one subtraction reduce modulo q - 1
+        z = self.zech_log.take(v - u, mode="wrap")
+        total = u + z
+        total -= self.order * (total >= self.order)
+        return np.where(u < 0, v, np.where(v < 0, u, np.where(z < 0, -1, total)))
+
+    def _enc_sum(self, logs):
+        # the no-table sum: the encodings of the terms, added one element at a time
+        encs = [np.where(np.asarray(l) < 0, 0, self.exp_enc_bulk(l)) for l in logs]
+        return reduce(lambda u, v: self._per_element(self.add_enc, u, v), encs)
+
+    def trace_logs(self, l):
+        """The absolute traces (0..p-1) of the elements xi^l of an int64
+        dlog array (-1 for zero, 0 <= l < p^m - 1 otherwise), as int64."""
+        if self.has_tables:
+            return self.trace_log[l]
+        return self._per_element(lambda e: 0 if e < 0 else self.abs_trace(self.from_exp(e)), l)
+
+    def monomials(self, terms, logs):
+        """The dlogs of the terms c_i x^(e_i) of a monomial sum at x = xi^logs
+        (an int64 array of exponents of xi): the one evaluator of monomial
+        sums, which sum_logs adds and vanishes tests.
 
         terms are (c, e) pairs, c the dlog of the coefficient (-1 for a zero
         one) and e any integer exponent: c is an int, or an int64 array (n,)
         that gives each of n rows its own coefficients, so that one call
-        evaluates n sums.  Returns the int64 value encodings, of shape
-        (len(logs),) or (n, len(logs)).
+        evaluates n sums.  Returns one int64 dlog array per term, each of
+        shape (len(logs),) or (n, len(logs)).
 
         The exponents c + e logs are formed in int64 while (q - 1)^2 <
         2^63, and beyond that, which only a field without tables reaches,
-        in Python ints, reduced modulo q - 1 before the gather."""
-        shape = np.broadcast_shapes(*(np.shape(c) for c, _ in terms)) + np.shape(logs)
-        wide = self.order ** 2 >= 1 << 63
-        total = None
+        in Python ints, reduced modulo q - 1."""
+        out = []
         for c, e in terms:
             c = np.asarray(c, dtype=np.int64)[..., None]
-            live = c >= 0
-            if not live.any():
-                continue
-            if wide:
+            if self.order ** 2 >= 1 << 63:
                 exps = c.astype(object) + e % self.order * np.asarray(logs, dtype=object)
-                enc = self.exp_enc_bulk((exps % self.order).astype(np.int64))
+                exps = (exps % self.order).astype(np.int64)
             else:
-                enc = self.exp_enc_bulk(c + (e % self.order) * logs)
-            if not live.all():
-                enc = np.where(live, enc, 0)
-            total = enc if total is None else self.add_enc_bulk(total, enc)
-        if total is None:
-            return np.zeros(shape, dtype=np.int64)
-        return total if total.shape == shape else np.broadcast_to(total, shape).copy()
+                exps = c + (e % self.order) * logs
+                exps %= self.order
+            np.copyto(exps, -1, where=c < 0)
+            out.append(exps)
+        return out
 
     def __repr__(self):
         mod = ",".join(str(c) for c in self.modulus)
@@ -591,11 +616,12 @@ class FieldCtx:
 
 
 def _exp_by_doubling(p: int, m: int, mod) -> np.ndarray:
-    """The encodings of X^0..X^(p^m - 2) modulo mod, by doubling: the digits
-    of X t are those of t times the companion matrix C (row vectors), so
-    with the digits of X^0..X^(n-1) as rows, those of X^n..X^(2n-1) are the
-    same rows times C^n.  InvariantViolation unless X^(p^m - 1) = 1.  The
-    int32 products are exact: under the table rule, m p^2 < 2^31."""
+    """The digits (p^m - 1, m), constant first, of X^0..X^(p^m - 2) modulo
+    mod, by doubling: the digits of X t are those of t times the companion
+    matrix C (row vectors), so with the digits of X^0..X^(n-1) as rows,
+    those of X^n..X^(2n-1) are the same rows times C^n.  InvariantViolation
+    unless X^(p^m - 1) = 1.  The int32 products are exact: under the table
+    rule, m p^2 < 2^31."""
     order = p ** m - 1
     companion = _companions(p, m, [mod[:m]])[0].astype(np.int32)
     digits = np.zeros((order, m), dtype=np.min_scalar_type(p - 1))
@@ -607,29 +633,15 @@ def _exp_by_doubling(p: int, m: int, mod) -> np.ndarray:
         n, power = n + take, power @ power % p
     if ((digits[-1] @ companion % p) != np.eye(1, m, dtype=np.int32)).any():
         raise InvariantViolation(f"modulus {mod} is not primitive")
-    return digits @ p ** np.arange(m, dtype=np.int64)
+    return digits
 
 
-def _base_p_digits(p: int, h: int):
-    """The (p^h, h) int64 array of the base-p digits of 0..p^h - 1, least
-    significant first."""
-    return np.arange(p ** h, dtype=np.int64)[:, None] // p ** np.arange(h) % p
-
-
-def _negations(digits, p: int):
-    """The encodings of -x, from the (s, h) digits of every x below s = p^h."""
-    return (p - digits) % p @ p ** np.arange(digits.shape[1], dtype=np.int64)
-
-
-def _digitwise_sums(digits, p: int):
-    """The addition table over encodings below s = p^h, flat: entry x s + y
-    is the encoding of the digitwise sum mod p of x and y, from the (s, h)
-    digits of every x."""
-    s, h = digits.shape
-    table = np.zeros((s, s), dtype=np.int64)
-    for i in range(h):
-        table += (digits[:, i, None] + digits[None, :, i]) % p * p ** i
-    return table.ravel()
+def _zech(exp, log, p: int):
+    """The Zech logarithms Z(l) = log(1 + xi^l), l = 0..q-2, from the exp and
+    log tables: adding 1 changes only the constant digit of the encoding,
+    and log(0) = -1 gives Z = -1 where 1 + xi^l = 0."""
+    low = exp % p
+    return log[exp - low + (low + 1) % p]
 
 
 def _prime_field_value(t: Elem) -> int:
@@ -666,8 +678,8 @@ class SubfieldView:
 
     The induced generator is xi^step with step = (p^m - 1)/(p^degree - 1),
     so a nonzero element lies in the subfield exactly when step divides
-    its dlog.  Carries the subfield's quadratic character on encoding
-    arrays (eta_bulk).  The Elem-level side (generator, membership,
+    its dlog.  Carries the subfield's quadratic character on dlog arrays
+    (eta_logs).  The Elem-level side (generator, membership,
     iteration, logs, eta and the absolute trace, one element at a time)
     and the arithmetic of a small subfield on keys are in
     charsum.reference.
@@ -682,15 +694,15 @@ class SubfieldView:
         self.order = self.q - 1
         self.step = ctx.order // self.order
 
-    def eta_bulk(self, u):
-        """eta at an int64 array of encodings of this subfield, as int64:
-        0 at zero, else (-1)^(log / step), the parity of the dlog to the
-        induced generator (NotInSubfield if an encoding lies outside)."""
-        nonzero = u != 0
-        logs = self.ctx.log_enc_bulk(np.where(nonzero, u, 1))
-        if (logs % self.step).any():
-            raise NotInSubfield(f"an encoding is not in GF({self.ctx.p}^{self.degree})")
-        return np.where(nonzero, 1 - 2 * (logs // self.step % 2), 0)
+    def eta_logs(self, l):
+        """eta at the elements xi^l of this subfield, for an int64 dlog array
+        (-1 for zero), as int64: 0 at zero, else (-1)^(l / step), the parity
+        of the dlog to the induced generator (NotInSubfield if an element
+        lies outside)."""
+        l = np.asarray(l, dtype=np.int64)
+        if ((l >= 0) & (l % self.step != 0)).any():
+            raise NotInSubfield(f"an element is not in GF({self.ctx.p}^{self.degree})")
+        return np.where(l < 0, 0, 1 - 2 * (l // self.step % 2))
 
     def __repr__(self):
         return f"SubfieldView(GF({self.ctx.p}^{self.degree}) in GF({self.ctx.p}^{self.ctx.m}))"

@@ -27,9 +27,10 @@ The scan reads every a from scan_table: x^(p^k+1) is the norm of x, so
 each sum is a weighted sum over GF(p^k)* of one table of eta(t + a)
 (I_2n = I_n + H_n too), and each curve count is one bulk pass over
 GF(p^k).  Both polynomials in those arrays (t + a and the curve's cubic)
-are one FieldCtx.sum_enc_bulk call each.  theorem2_scan keeps scan_table's results as arrays in its
-report, with no object per a, and names each a by its dlog in the field
-the scan runs in, as every "g^e" label does; prop2 reads H at its
+are one Zech sum of dlogs (FieldCtx.sum_logs) each, and eta is read from
+the dlog of the sum.  theorem2_scan keeps scan_table's results as arrays
+in its report, with no object per a, and names each a by its dlog in the
+field the scan runs in, as every "g^e" label does; prop2 reads H at its
 arguments from the same report (expsum.N_via_jacobsthal_bulk), so H has
 one route.  The per-a references (H_sums, H by definition at an array of
 a, I_sum, the half-basis decomposition, curve_point_count and
@@ -109,20 +110,21 @@ def scan_table(view: SubfieldView):
     logs = np.arange(view.order, dtype=np.int64)
     la = view.step * logs[logs % n != 0]
     u = np.arange(pk - 1, dtype=np.int64)
-    # row u: t_u x^0 + x at x = a
-    table = view.eta_bulk(ctx.sum_enc_bulk(((kstep * u, 0), (0, 1)), la))
+    # row u: t_u + a, one Zech sum
+    table = view.eta_logs(ctx.sum_logs(kstep * u[:, None], la))
     H = n * ((1 - 2 * (u % 2)) @ table)
     I = n * table.sum(axis=0)
 
     # the curve of each a (rows) at each z = t_u (columns): z^3 - A z^2 + C z
-    # as terms c a^s z^e, A and C expanded, each c in GF(p) encoded by its residue
-    half, sixteenth = pow(2, -1, ctx.p), pow(16, -1, ctx.p)
-    terms = ((1, 0, 3), (-half, 1, 2), (-half, pk, 2), (sixteenth, 2, 1),
-             (-2 * sixteenth, pk + 1, 1), (sixteenth, 2 * pk, 1))
-    c_logs = ctx.log_enc_bulk(np.array([c for c, _, _ in terms]) % ctx.p)
-    w = ctx.sum_enc_bulk(tuple((lc + s * la, e) for lc, (_, s, e) in zip(c_logs, terms)),
-                         kstep * u)
-    curve_N = pk + ctx.subfield(view.degree // 2).eta_bulk(w).sum(axis=1)
+    # as terms c a^s z^e, A and C expanded, each c in GF(p) by its dlog, from
+    # that of 2 = 1 + 1: 1, -1/2, 1/16 and -2/16
+    two = ctx.sum_logs(0, 0)
+    half, sixteenth = ctx.neg_logs(ctx.inv_logs(two)), ctx.inv_logs(ctx.pow_logs(two, 4))
+    eighth = ctx.neg_logs(ctx.inv_logs(ctx.pow_logs(two, 3)))
+    terms = ((0, 0, 3), (half, 1, 2), (half, pk, 2), (sixteenth, 2, 1),
+             (eighth, pk + 1, 1), (sixteenth, 2 * pk, 1))
+    w = ctx.sum_logs(*ctx.monomials(tuple((lc + s * la, e) for lc, s, e in terms), kstep * u))
+    curve_N = pk + ctx.subfield(view.degree // 2).eta_logs(w).sum(axis=1)
     return la, H, I, I + H, curve_N
 
 

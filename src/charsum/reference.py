@@ -1,8 +1,8 @@
 """References: each quantity by its definition, one element at a time.
 No command imports this module; each public function cross-checks a
 batched route in the tests: a subfield's elements, logs, eta and trace
-(a SubfieldView's Elem-level side) against eta_bulk and the bulk
-primitives, the zero sets of L and F and their 4 x 4 matrices over
+(a SubfieldView's Elem-level side) against eta_logs and the dlog
+arithmetic, the zero sets of L and F and their 4 x 4 matrices over
 GF(p^k), row reduced on the subfield's keys (form_matrices, rref_keyed,
 kernel_mismatches), against expsum.kernel_conditions, find_g against
 expsum.g_logs, H_sums (H by definition at an array of a) against
@@ -28,8 +28,7 @@ from .errors import (CaseViolation, DegreeUnsupported, IndexOutOfRange, Invarian
                      ZeroArgument, ZeroC)
 from .expsum import (CoeffPair, S0_bruteforce, _L_terms, _require_jacobsthal, f_values,
                      trace_values)
-from .field_core import (Elem, FieldCtx, SubfieldView, _base_p_digits, _digitwise_sums,
-                         _negations, _prime_field_value)
+from .field_core import Elem, FieldCtx, SubfieldView, _prime_field_value
 
 
 # --------------------------------------------------------------------------
@@ -90,8 +89,8 @@ def abs_trace(view: SubfieldView, x: Elem) -> int:
 def _zero_set(ctx: FieldCtx, terms) -> list:
     """Zeros of the sum in GF(p^n): 0 first, then the rest by dlog."""
     logs = np.arange(ctx.order, dtype=np.int64)
-    zero_logs = logs[ctx.sum_enc_bulk([(ctx.log(c), e) for c, e in terms], logs) == 0]
-    return [ctx.zero] + [ctx.from_enc(int(e)) for e in ctx.exp_enc_bulk(zero_logs)]
+    zero_logs = logs[ctx.vanishes(*ctx.monomials([(ctx.log(c), e) for c, e in terms], logs))]
+    return [ctx.zero] + [ctx.from_exp(int(l)) for l in zero_logs]
 
 
 def _F_terms(ctx: FieldCtx, pair: CoeffPair):
@@ -148,6 +147,28 @@ def find_g(ctx: FieldCtx, pair: CoeffPair) -> Elem:
 # expsum: Proposition 1 by linear algebra over GF(p^k)
 # --------------------------------------------------------------------------
 
+def _base_p_digits(p: int, h: int):
+    """The (p^h, h) int64 array of the base-p digits of 0..p^h - 1, least
+    significant first."""
+    return np.arange(p ** h, dtype=np.int64)[:, None] // p ** np.arange(h) % p
+
+
+def _negations(digits, p: int):
+    """The encodings of -x, from the (s, h) digits of every x below s = p^h."""
+    return (p - digits) % p @ p ** np.arange(digits.shape[1], dtype=np.int64)
+
+
+def _digitwise_sums(digits, p: int):
+    """The addition table over encodings below s = p^h, flat: entry x s + y
+    is the encoding of the digitwise sum mod p of x and y, from the (s, h)
+    digits of every x."""
+    s, h = digits.shape
+    table = np.zeros((s, s), dtype=np.int64)
+    for i in range(h):
+        table += (digits[:, i, None] + digits[None, :, i]) % p * p ** i
+    return table.ravel()
+
+
 @dataclass(frozen=True)
 class KeyArithmetic:
     """GF(Q), Q = p^degree, on keys: the key of z is the integer
@@ -175,7 +196,7 @@ def key_arithmetic(view: SubfieldView) -> KeyArithmetic:
     Digit s of the key of eta^j (eta the induced generator) is
     Tr(eta^(j+s)) of the subfield, that is r^(-1) Tr(eta^(j+s)) of the
     ambient field of degree r degree (DegreeUnsupported when p divides r),
-    from exp_enc_bulk and trace_enc_bulk; products and inverses follow
+    from trace_logs; products and inverses follow
     from the dlogs j.  Self-checked: InvariantViolation unless the keys
     of the nonzero elements are 1..Q-1, each once, and the key of x + y
     (add_enc_bulk) is the digitwise sum of the keys at every pair."""
@@ -184,8 +205,8 @@ def key_arithmetic(view: SubfieldView) -> KeyArithmetic:
     if ratio % p == 0:
         raise DegreeUnsupported(f"no keys for GF({p}^{view.degree}) in GF({p}^{ctx.m})")
     dlogs = np.arange(order, dtype=np.int64)
-    digits = ctx.trace_enc_bulk(ctx.exp_enc_bulk(
-        view.step * (dlogs[:, None] + np.arange(view.degree)))) * pow(ratio, -1, p) % p
+    digits = ctx.trace_logs(view.step * (dlogs[:, None] + np.arange(view.degree)) % ctx.order
+                            ) * pow(ratio, -1, p) % p
     keys = digits @ p ** np.arange(view.degree, dtype=np.int64)
     if (np.bincount(keys, minlength=q) != (np.arange(q) > 0)).any():
         raise InvariantViolation(f"the keys of GF({p}^{view.degree}) are not one to one")
@@ -241,7 +262,7 @@ def form_matrices(ctx: FieldCtx):
     M = np.zeros((5, m, 2, left.size, 4), dtype=np.int64)
     for poly, u, t, sign, e in _key_terms(ctx):
         y = (left[:, None] + (e % order) * np.arange(4)) % order * (p ** (m - t * k) % order)
-        M[u, :, poly] += sign * ctx.trace_enc_bulk(ctx.exp_enc_bulk(basis[:, None, None] + y))
+        M[u, :, poly] += sign * ctx.trace_logs((basis[:, None, None] + y) % order)
     M = (M.reshape(5 * m, -1) % p).astype(np.float32)
 
     def matrices(la, lb):
@@ -333,7 +354,7 @@ def H_sums(view: SubfieldView, n: int, a_encs):
     if (la % view.step).any():
         raise NotInSubfield("an a is not in the scan field")
     x_logs = view.step * np.arange(view.order, dtype=np.int64)
-    return view.eta_bulk(ctx.sum_enc_bulk(((0, n + 1), (la, 1)), x_logs)).sum(axis=1)
+    return view.eta_logs(ctx.sum_logs(*ctx.monomials(((0, n + 1), (la, 1)), x_logs))).sum(axis=1)
 
 
 def I_sum(view: SubfieldView, n: int, a: Elem) -> int:
@@ -485,7 +506,7 @@ def theorem1_verify(ctx: FieldCtx, y: Elem, actual: CycInt | None = None) -> Roo
 
 def m_sequence(ctx: FieldCtx):
     """s(t) = Tr(xi^t) for t = 0 .. p^n - 2, as an int64 array."""
-    return ctx.trace_enc_bulk(ctx.exp_enc_bulk(np.arange(ctx.order, dtype=np.int64)))
+    return ctx.trace_logs(np.arange(ctx.order, dtype=np.int64))
 
 
 def decimate(seq, e: int):

@@ -23,10 +23,10 @@ For the pair (1, 1) the spectrum has a closed form: S_f(y) equals
 with W = y^(p^2k+1) + (y^2 + X)^((p^2k+1)/2) (Frobenius is additive),
 the division by 4 meaning multiplication by 4^(-1) mod p.  When
 y^2 lies in GF(p^2k) the root is simply -Tr(y^2) relative to GF(p^k).
-theorem1_root_scan finds x0 at every y at once: it names y = xi^l by its
-dlog l and steps X through the encodings of GF(p^k), evaluating
-W + W^(p^k) at all q values of y per step with the bulk field
-operations, so its temporaries are O(q) encodings.
+theorem1_root_scan finds x0 at every y at once: it names y = xi^l and
+X by their dlogs and steps X through GF(p^k), testing W + W^(p^k) for
+zero at all q values of y per step in the dlog arithmetic of FieldCtx
+(two Zech sums and one zero test), so its temporaries are O(q) dlogs.
 theorem1_spectrum_check returns the (1, 1) spectrum or raises at the
 first failed condition: the root count, each root's j against
 Spectrum.closed_j (the one match of each distinct coefficient with
@@ -106,29 +106,31 @@ def full_spectrum(ctx: FieldCtx, la: int, lb: int) -> Spectrum:
 # --------------------------------------------------------------------------
 
 def _root_polynomial(ctx: FieldCtx, y2, ypow, x: int):
-    """The quartic-trace polynomial W + W^(p^k) at X = x (an encoding) for
-    every y, from the encoding arrays y2 = y^2 and ypow = y^(p^2k+1)."""
+    """Whether the quartic-trace polynomial W + W^(p^k) vanishes at X = xi^x
+    (x a dlog, -1 for 0) for every y, from the dlog arrays y2 = y^2 and
+    ypow = y^(p^2k+1): a bool array."""
     p2k1 = ctx.p ** (2 * ctx.params.k) + 1
-    w = ctx.add_enc_bulk(ypow, ctx.pow_enc_bulk(ctx.add_enc_bulk(y2, x), p2k1 // 2))
-    return ctx.add_enc_bulk(w, ctx.pow_enc_bulk(w, ctx.p ** ctx.params.k))
+    w = ctx.sum_logs(ypow, ctx.pow_logs(ctx.sum_logs(y2, x), p2k1 // 2))
+    return ctx.vanishes(w, ctx.pow_logs(w, ctx.p ** ctx.params.k))
 
 
 def theorem1_root_scan(ctx: FieldCtx) -> np.ndarray:
-    """The encoding of the unique root x0 in GF(p^k) at every y, indexed
-    like Spectrum.index (y = 0, xi^0, xi^1, ...).
+    """The dlog (-1 for 0) of the unique root x0 in GF(p^k) at every y,
+    indexed like Spectrum.index (y = 0, xi^0, xi^1, ...).
 
-    y = xi^l is named by its dlog l, so y^2 and y^(p^2k+1) are exp
-    gathers; one step per x in GF(p^k), 0 and then xi^(j step), evaluates
-    the root polynomial at all q values of y.  RootCountViolation unless
-    every y has exactly one root."""
-    l = np.arange(ctx.order, dtype=np.int64)
-    y2, ypow = (np.concatenate(([0], ctx.exp_enc_bulk(e * l)))
+    y = xi^l is named by its dlog l, so y^2 and y^(p^2k+1) are multiples of
+    l; one step per x in GF(p^k), 0 and then xi^(j step), tests the root
+    polynomial at all q values of y.  RootCountViolation unless every y
+    has exactly one root."""
+    order = ctx.order
+    l = np.arange(order, dtype=np.int64)
+    y2, ypow = (np.concatenate(([-1], e * l % order))
                 for e in (2, ctx.p ** (2 * ctx.params.k) + 1))
     roots = np.zeros(ctx.q, dtype=np.int64)
-    x0 = np.zeros(ctx.q, dtype=np.int64)
+    x0 = np.full(ctx.q, -1, dtype=np.int64)
     kview = ctx.subfield(ctx.params.k)
-    for x in [0] + ctx.exp_enc_bulk(kview.step * np.arange(kview.order)).tolist():
-        hit = _root_polynomial(ctx, y2, ypow, x) == 0
+    for x in [-1] + (kview.step * np.arange(kview.order)).tolist():
+        hit = _root_polynomial(ctx, y2, ypow, x)
         roots += hit
         x0[hit] = x
     bad = np.flatnonzero(roots != 1)
@@ -156,18 +158,18 @@ def theorem1_spectrum_check(ctx: FieldCtx) -> Spectrum:
                                  f"{spectrum.values[spectrum.index[i]][0]}, {detail}")
 
     # Tr_k(x0)/4 = Tr(x0)/16, since Tr = 4 Tr_k on GF(p^k)
-    want = ctx.trace_enc_bulk(x0) * pow(16, -1, p) % p
+    want = ctx.trace_logs(x0) * pow(16, -1, p) % p
     bad = np.flatnonzero(j != want)
     if bad.size:
         raise fail("formula", bad[0], f"closed form {closed_form(p, k)[want[bad[0]]]}")
     # y = 0, and y = xi^l with y^2 in GF(p^2k), i.e. (p^2k + 1) | 2l
     l = np.flatnonzero(2 * np.arange(ctx.order) % (p2k + 1) == 0)
     at = np.concatenate(([0], l + 1))
-    rel_trace = np.concatenate(([0], ctx.sum_enc_bulk(((0, 2), (0, 2 * p ** k)), l)))
-    bad = at[ctx.add_enc_bulk(x0[at], rel_trace) != 0]
+    # Tr(y^2) to GF(p^k) = y^2 + y^(2 p^k), and both are 0 at y = 0
+    rel_trace = [np.concatenate(([-1], t)) for t in ctx.monomials(((0, 2), (0, 2 * p ** k)), l)]
+    bad = at[~ctx.vanishes(x0[at], *rel_trace)]
     if bad.size:
-        x = ctx.format_element(ctx.from_enc(int(x0[bad[0]])))
-        raise fail("special case", bad[0], f"x0 = {x} is not -Tr(y^2)")
+        raise fail("special case", bad[0], f"x0 = {label(x0[bad[0]])} is not -Tr(y^2)")
     # -p^2k occurs p^2k times fewer than each -p^2k w^i, i != 0
     counts = np.bincount(j, minlength=p)
     expected = p ** (2 * k - 1) * (p2k + 1) - p2k * (np.arange(p) == 0)

@@ -171,13 +171,13 @@ def test_pt_sums_match_scalar_recount(pk):
 
 
 def test_pt_sums_refuse_a_trace_outside_the_prime_field(ctx31, monkeypatch):
-    real = FieldCtx.sum_enc_bulk
+    real = FieldCtx.trace_logs
 
-    def off(ctx, terms, logs):
-        values = real(ctx, terms, logs).copy()
+    def off(ctx, logs):
+        values = real(ctx, logs).copy()
         values[0] += ctx.p
         return values
 
-    monkeypatch.setattr(FieldCtx, "sum_enc_bulk", off)
+    monkeypatch.setattr(FieldCtx, "trace_logs", off)
     with pytest.raises(InvariantViolation, match="left GF"):
         cy.pt_sums(view2k(ctx31))

@@ -25,7 +25,7 @@ from charsum.errors import (
     WrongCase,
     ZeroB,
 )
-from charsum.field_core import FieldCtx, FieldParams, build_context, context
+from charsum.field_core import Elem, FieldCtx, FieldParams, build_context, context
 
 
 def pair_of(ctx, a, b):
@@ -53,7 +53,7 @@ def _scan(ctx):
 
 
 def U_elements(ctx):
-    return [ctx.from_enc(int(e)) for e in ctx.exp_enc_bulk(es.U_logs(ctx))]
+    return [Elem(ctx, int(e)) for e in ctx.exp_enc_bulk(es.U_logs(ctx))]
 
 
 def _S0_closed(ctx, pair):
@@ -82,7 +82,7 @@ def test_L_basics(ctx31):
     assert es.L_eval(ctx31, ctx31.zero, pair).is_zero
     rng = random.Random(11)
     for _ in range(100):
-        x = ctx31.from_enc(rng.randrange(ctx31.q))
+        x = Elem(ctx31, int(rng.randrange(ctx31.q)))
         assert es.L_eval(ctx31, -x, pair) == -es.L_eval(ctx31, x, pair)
 
 
@@ -226,8 +226,8 @@ def test_F_and_L_zero_sets_agree(ctx31):
     pk = 3
     found = 0
     while found < 200:
-        a = ctx31.from_enc(rng.randrange(ctx31.q))
-        b = ctx31.from_enc(rng.randrange(ctx31.q))
+        a = Elem(ctx31, int(rng.randrange(ctx31.q)))
+        b = Elem(ctx31, int(rng.randrange(ctx31.q)))
         if a.is_zero and b.is_zero:
             continue
         if a ** (pk * (pk + 1)) == b ** (pk + 1):
@@ -236,8 +236,8 @@ def test_F_and_L_zero_sets_agree(ctx31):
         zeros = ref.prop1_F_zeros(ctx31, pair)
         assert zeros == ref.L_zeros_field(ctx31, pair)
         if found < 10:  # the table path against plain field arithmetic
-            plain = ref.L_zeros_field(slow, pair_of(slow, slow.from_enc(a.enc),
-                                                    slow.from_enc(b.enc)))
+            plain = ref.L_zeros_field(slow, pair_of(slow, Elem(slow, int(a.enc)),
+                                                    Elem(slow, int(b.enc))))
             assert [z.enc for z in zeros] == [z.enc for z in plain]
         found += 1
 
@@ -346,7 +346,7 @@ def _seeded_pairs_32(ctx32):
     rng = random.Random(32)
     pairs = [(-1, 1), (1, -1)]
     while len(pairs) < 12:
-        a, b = ctx32.from_enc(rng.randrange(ctx32.q)), ctx32.from_enc(rng.randrange(ctx32.q))
+        a, b = Elem(ctx32, int(rng.randrange(ctx32.q))), Elem(ctx32, int(rng.randrange(ctx32.q)))
         if (a.is_zero and b.is_zero) or norms_agree(ctx32, a, b):
             continue
         pairs.append((ctx32.log(a), ctx32.log(b)))
@@ -409,8 +409,8 @@ def _kernel(ctx, logs):
     # where sum_i c_i X^(Q^i), Q = p^k, vanishes at x = xi^0, xi^1, ...,
     # for coefficient dlogs c_i, by evaluation at every x
     Q = ctx.p ** ctx.params.k
-    return ctx.sum_enc_bulk([(int(c), Q ** i) for i, c in enumerate(logs)],
-                            np.arange(ctx.order, dtype=np.int64)) == 0
+    return ctx.vanishes(*ctx.monomials([(int(c), Q ** i) for i, c in enumerate(logs)],
+                                       np.arange(ctx.order, dtype=np.int64)))
 
 
 # how test_kernel_conditions_match_bruteforce builds L and F, with the
@@ -771,7 +771,7 @@ def test_scaling_invariance(ctx31):
     triples = [(3, 5, 0)]
     rng = random.Random(47)
     for _ in range(200):
-        a, b = (ctx31.from_enc(rng.randrange(ctx31.q)) for _ in range(2))
+        a, b = (Elem(ctx31, int(rng.randrange(ctx31.q))) for _ in range(2))
         if a.is_zero and b.is_zero:
             continue
         triples.append((ctx31.log(a), ctx31.log(b), rng.randrange(ctx31.order)))
@@ -908,9 +908,9 @@ def test_corollary1_bulk_scales_each_pair(ctx31, ctx32, monkeypatch):
         seen.clear()
         assert es.corollary1_bulk(ctx, ctx.log_enc[a_encs], ctx.log_enc[b_encs], h_logs).all()
         (a_all, b_all), = seen
-        scaled = [(ctx.from_enc(a) * ctx.from_exp(h) ** ctx.params.d,
-                   ctx.from_enc(b) * ctx.from_exp(h) ** 2) for a, b, h in triples]
-        pairs = [(ctx.from_enc(a), ctx.from_enc(b)) for a, b, _ in triples] + scaled
+        scaled = [(Elem(ctx, int(a)) * ctx.from_exp(h) ** ctx.params.d,
+                   Elem(ctx, int(b)) * ctx.from_exp(h) ** 2) for a, b, h in triples]
+        pairs = [(Elem(ctx, int(a)), Elem(ctx, int(b))) for a, b, _ in triples] + scaled
         assert a_all.tolist() == [ctx.log(x) for x, _ in pairs]
         assert b_all.tolist() == [ctx.log(y) for _, y in pairs]
 
@@ -965,12 +965,11 @@ def test_sweep_range_check_raises(ctx31, monkeypatch):
 def test_sweep_oracle_mismatch_raises(ctx31, monkeypatch):
     # a closed form off by one at a single a must disagree with the transform
     real = es.N_table
-    bad = ctx31.xi ** 5
 
-    def off_by_one(ctx, lb):
-        n, logs, bounds = real(ctx, lb)
+    def off_by_one(ctx, lb, at):
+        n, logs, bounds = real(ctx, lb, at)
         n = n.copy()
-        n[bad.enc] += 1
+        n[5 + 1] += 1  # sweep position l + 1 is a = xi^l
         return n, logs, bounds
 
     monkeypatch.setattr(es, "N_table", off_by_one)
@@ -1038,8 +1037,10 @@ def test_N_table_and_case_tags_property(pk, data):
     b = ctx.from_exp(data.draw(st.integers(0, ctx.order - 1), label="log b"))
     i = data.draw(st.integers(0, ctx.order), label="sweep position of a")
     a = ctx.zero if i == 0 else ctx.from_exp(i - 1)
-    n, _, _ = es.N_table(ctx, ctx.dlog(b))
-    assert n[a.enc] == es.N_count(ctx, pair_of(ctx, a, b))[0]
+    n, logs, bounds = es.N_table(ctx, ctx.dlog(b), np.array([i]))
+    N, witnesses = es.N_count(ctx, pair_of(ctx, a, b))
+    assert n[i] == N and bounds.tolist() == [0, 2 * N]
+    assert logs.tolist() == [ctx.dlog(w) for w in witnesses]
     assert es.CaseTag(es.case_tags(ctx, i - 1, ctx.dlog(b))) is es.case_detail(
         ctx, pair_of(ctx, a, b))
 
@@ -1051,16 +1052,23 @@ def test_N_table_matches_direct_count_at_every_a(p, k):
     # c_u = -(b^(p^2k) u + b u^(-1)) = 0, so a = u^(-p^k) theta t there
     ctx = context(p, k)
     Q, u_logs = p ** (2 * k), es.U_logs(ctx)
+    sweep = np.arange(ctx.q)
     for e in (0, 1, 5):
-        minus_c = ctx.sum_enc_bulk(((Q * e, 1), (e, -1)), u_logs)
-        assert np.count_nonzero(minus_c == 0) == 2 * (e % 2)
-        n, logs, bounds = es.N_table(ctx, e)
-        # every a in encoding order, by its dlog (log_enc[0] = -1 for a = 0)
-        n_direct, zeros = es.N_count_bulk(ctx, ctx.log_enc, np.full(ctx.q, e))
+        minus_c = ctx.sum_logs(*ctx.monomials(((Q * e, 1), (e, -1)), u_logs))
+        assert np.count_nonzero(minus_c < 0) == 2 * (e % 2)
+        n, logs, bounds = es.N_table(ctx, e, sweep)
+        # every a in sweep order, by its dlog (-1 for a = 0)
+        n_direct, zeros = es.N_count_bulk(ctx, sweep - 1, np.full(ctx.q, e))
         assert n.tolist() == n_direct.tolist()
         # the zeros row by row, each in increasing dlog
         assert logs.tolist() == u_logs[np.nonzero(zeros)[1]].tolist()
         assert bounds.tolist() == [0] + np.cumsum(zeros.sum(axis=1)).tolist()
+        # at some positions only, the same zero sets: a = 0 and four others
+        at = np.array([0, 1, 7, ctx.q // 2, ctx.q - 1])
+        n_at, logs_at, bounds_at = es.N_table(ctx, e, at)
+        assert n_at.tolist() == n.tolist() and bounds_at.tolist() == [0] + np.cumsum(
+            zeros[at].sum(axis=1)).tolist()
+        assert logs_at.tolist() == u_logs[np.nonzero(zeros[at])[1]].tolist()
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -1071,7 +1079,7 @@ def test_character_counts_match_bruteforce_property(pk, data):
     ctx = context(*pk)
     lb = data.draw(st.integers(-1, ctx.order - 1), label="log b, -1 for b = 0")
     b = ctx.zero if lb < 0 else ctx.from_exp(lb)
-    a = ctx.from_enc(data.draw(st.integers(int(b.is_zero), ctx.q - 1), label="a"))
+    a = Elem(ctx, int(data.draw(st.integers(int(b.is_zero), ctx.q - 1), label="a")))
     counts = es.character_counts(ctx, ctx.params.d, ((lb, 2),))
     assert CycInt.from_counts(ctx.p, counts[a.enc]) == es.S0_bruteforce(ctx, pair_of(ctx, a, b))
 
@@ -1096,27 +1104,26 @@ def test_N_count_bulk_property(pk, data):
     n, zeros = es.N_count_bulk(ctx, la, lb)
     n_slow, zeros_slow = es.N_count_bulk(slow, la, lb)
     assert n.tolist() == n_slow.tolist() and zeros.tolist() == zeros_slow.tolist()
-    u_encs = ctx.exp_enc_bulk(es.U_logs(ctx))
-    for a, b, n_i, zeros_i in zip(a_encs, b_encs, n, zeros):
+    u_logs = es.U_logs(ctx)
+    for l, b, n_i, zeros_i in zip(la, lb, n, zeros):
         assert zeros_i.sum() == 2 * n_i
-        if b:
-            table, logs, bounds = es.N_table(ctx, int(ctx.log_enc[b]))
-            witnesses = ctx.exp_enc_bulk(logs[bounds[a]:bounds[a + 1]])
-            assert n_i == table[a] and u_encs[zeros_i].tolist() == witnesses.tolist()
+        if b >= 0:
+            table, witnesses, _ = es.N_table(ctx, int(b), np.array([l + 1]))
+            assert n_i == table[l + 1] and u_logs[zeros_i].tolist() == witnesses.tolist()
 
 
 def test_N_count_bulk_parity_and_admissibility(ctx31, monkeypatch):
     with pytest.raises(BothCoefficientsZero):
         es.N_count_bulk(ctx31, [0, -1], [0, -1])
     # one zero of L on U too many at the second pair must raise there
-    real = FieldCtx.sum_enc_bulk
+    real = FieldCtx.vanishes
 
-    def extra_zero(ctx, terms, logs):
-        values = real(ctx, terms, logs).copy()
-        values[1, np.flatnonzero(values[1])[0]] = 0
-        return values
+    def extra_zero(ctx, *logs):
+        zeros = real(ctx, *logs).copy()
+        zeros[1, np.flatnonzero(~zeros[1])[0]] = True
+        return zeros
 
-    monkeypatch.setattr(FieldCtx, "sum_enc_bulk", extra_zero)
+    monkeypatch.setattr(FieldCtx, "vanishes", extra_zero)
     with pytest.raises(ParityViolation, match="zeros of L on U at a=g\\^3, b=g\\^5"):
         es.N_count_bulk(ctx31, [0, 3], [0, 5])
 

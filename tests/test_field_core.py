@@ -28,6 +28,7 @@ from charsum.errors import (
     ZeroArgument,
 )
 from charsum.field_core import (
+    Elem,
     FieldCtx,
     FieldParams,
     build_context,
@@ -255,8 +256,9 @@ def test_slow_path_matches_tables(ctx31):
         # addition and the absolute trace have one scalar body, so the
         # table context answers through its bulk primitives
         assert (x + y).enc == ctx31.add_enc_bulk(xt.enc, yt.enc)
+        assert slow.log(x + y) == ctx31.sum_logs(e1, e2)
         assert (x ** 7).enc == (xt ** 7).enc
-        assert slow.abs_trace(x) == ctx31.trace_enc_bulk(xt.enc)
+        assert slow.abs_trace(x) == ctx31.trace_logs(e1)
         assert slow.dlog(x) == e1  # baby-step giant-step route
     sub = slow.subfield(2)
     for e, x in enumerate(ref.nonzero_elements(sub)):
@@ -273,17 +275,31 @@ def test_bulk_ops_match_scalar(use_tables):
     v = u[::-1].copy()
     assert ctx.add_enc_bulk(u, v).tolist() == [ctx.add_enc(a, b) for a, b in zip(range(81), v)]
     assert ctx.add_enc_bulk(u, 5).tolist() == [ctx.add_enc(a, 5) for a in range(81)]
+    # the dlog arithmetic, every encoding by its dlog (-1 for zero)
+    named = np.array([ctx.log(Elem(ctx, int(a))) for a in range(81)])
+    assert ctx.sum_logs(named, named[::-1]).tolist() == [
+        ctx.log(Elem(ctx, int(ctx.add_enc(a, b)))) for a, b in zip(range(81), v)]
+    assert ctx.vanishes(named, named[::-1]).tolist() == [
+        ctx.add_enc(a, b) == 0 for a, b in zip(range(81), v)]
     for e in (1, 2, 7, 40, 80, 81, 10 * 80 + 3):
-        assert ctx.pow_enc_bulk(u, e).tolist() == [ctx.pow_enc(a, e) for a in range(81)]
+        assert ctx.pow_logs(named, e).tolist() == [
+            ctx.log(Elem(ctx, int(ctx.pow_enc(a, e)))) for a in range(81)]
     with pytest.raises(ValueError):
-        ctx.pow_enc_bulk(u, 0)
+        ctx.pow_logs(named, 0)
+    assert ctx.mul_logs(named, named[::-1]).tolist() == [
+        ctx.log(Elem(ctx, int(ctx.mul_enc(a, b)))) for a, b in zip(range(81), v)]
+    assert ctx.neg_logs(named).tolist() == [ctx.log(Elem(ctx, int(ctx.neg_enc_one(a))))
+                                            for a in range(81)]
+    assert ctx.inv_logs(named).tolist() == [-1] + [
+        ctx.log(Elem(ctx, int(ctx.inv_enc(a)))) for a in range(1, 81)]
     logs = np.arange(-80, 2 * 80, dtype=np.int64)
     assert ctx.exp_enc_bulk(logs).tolist() == [ctx.pow_enc(ctx.xi.enc, int(e)) for e in logs]
-    assert ctx.log_enc_bulk(u[1:]).tolist() == [ctx.dlog(ctx.from_enc(a)) for a in range(1, 81)]
+    assert ctx.log_enc_bulk(u[1:]).tolist() == [ctx.dlog(Elem(ctx, int(a))) for a in range(1, 81)]
     with pytest.raises(ZeroArgument):
         ctx.log_enc_bulk(u)
-    assert ctx.trace_enc_bulk(u).tolist() == [ctx.abs_trace(ctx.from_enc(a)) for a in range(81)]
-    for bulk in (ctx.exp_enc_bulk(logs), ctx.log_enc_bulk(u[1:]), ctx.trace_enc_bulk(u)):
+    assert ctx.trace_logs(named).tolist() == [ctx.abs_trace(Elem(ctx, int(a))) for a in range(81)]
+    for bulk in (ctx.exp_enc_bulk(logs), ctx.log_enc_bulk(u[1:]), ctx.trace_logs(named),
+                 ctx.sum_logs(named, 5)):
         assert bulk.dtype == np.int64
     # the scalar operations with one body for both kinds of context, against
     # digit arithmetic mod p and the powers of each subfield's generator
@@ -303,49 +319,49 @@ def test_bulk_ops_match_scalar(use_tables):
         view = ctx.subfield(degree)
         members = [x.enc for x in ref.nonzero_elements(view)]
         assert len(set(members)) == ctx.p ** degree - 1
-        inside = [a for a in range(ctx.q) if ref.contains(view, ctx.from_enc(a))]
+        inside = [a for a in range(ctx.q) if ref.contains(view, Elem(ctx, int(a)))]
         assert inside == sorted([0] + members)
-        logs = [ref.discrete_log(view, ctx.from_enc(a)) for a in members]
+        logs = [ref.discrete_log(view, Elem(ctx, int(a))) for a in members]
         assert logs == list(range(len(members)))
         for a in set(range(1, ctx.q)) - set(members):
             with pytest.raises(NotInSubfield):
-                ref.discrete_log(view, ctx.from_enc(a))
+                ref.discrete_log(view, Elem(ctx, int(a)))
         with pytest.raises(ZeroArgument):
             ref.discrete_log(view, ctx.zero)
 
 
 def test_table_context_holds_four_arrays():
-    # a table context holds the exp, log and trace tables and the half-width
-    # addition table, all int64, and nothing else as an array; a context
-    # without tables holds none
+    # a table context holds the exp and log tables, the trace by dlog and
+    # the Zech logarithms, all int64, and nothing else as an array; a
+    # context without tables holds none
     def arrays(ctx):
         return {name: value.dtype for name, value in vars(ctx).items()
                 if isinstance(value, np.ndarray)}
 
     assert arrays(build_context(FieldParams(3, 1), 4)) == dict.fromkeys(
-        ("exp_enc", "log_enc", "trace_enc", "add_table"), np.int64)
+        ("exp_enc", "log_enc", "trace_log", "zech_log"), np.int64)
     assert arrays(build_context(FieldParams(3, 1), 4, use_tables=False)) == {}
 
 
 def test_scalar_add_and_trace_do_not_read_the_tables():
     # scalar addition and the absolute trace have one body, digit sums and
     # the Frobenius sum, so on a table context they are references of
-    # add_enc_bulk and trace_enc_bulk: with one entry of the addition table
-    # and one of the trace table corrupted after the build, the bulk
-    # primitives disagree with them exactly where those entries are read
+    # sum_logs (and add_enc_bulk on it) and trace_logs: with one Zech
+    # logarithm and one entry of the trace table corrupted after the build,
+    # the bulk methods disagree with them exactly where those entries are read
     ctx = build_context(FieldParams(3, 1), 4)
-    s, x, y, bad = ctx.add_side, 4, 7, 50
-    ctx.add_table[x * s + y] = (ctx.add_table[x * s + y] + 1) % s
-    ctx.trace_enc[bad] = (ctx.trace_enc[bad] + 1) % ctx.p
+    z, bad = 7, 50
+    ctx.zech_log[z] = (ctx.zech_log[z] + 1) % ctx.order
+    ctx.trace_log[bad] = (ctx.trace_log[bad] + 1) % ctx.p
     u, v = (a.ravel() for a in np.meshgrid(np.arange(ctx.q), np.arange(ctx.q), indexing="ij"))
     scalar = np.array([ctx.add_enc(int(a), int(b)) for a, b in zip(u, v)])
-    # s^2 pairs read the entry through their high halves, s^2 through their
-    # low halves, and one pair through both
-    served = ((u // s == x) & (v // s == y)) | ((u % s == x) & (v % s == y))
-    assert served.sum() == 2 * s * s - 1
+    # Z(z) is read by the q - 1 pairs of nonzero u and v with log v - log u = z
+    served = (u > 0) & (v > 0) & ((ctx.log_enc[v] - ctx.log_enc[u]) % ctx.order == z)
+    assert served.sum() == ctx.order
     assert ((ctx.add_enc_bulk(u, v) != scalar) == served).all()
-    traces = [ctx.abs_trace(ctx.from_enc(a)) for a in range(ctx.q)]
-    assert np.flatnonzero(ctx.trace_enc_bulk(np.arange(ctx.q)) != traces).tolist() == [bad]
+    assert ((ctx.sum_logs(ctx.log_enc[u], ctx.log_enc[v]) != ctx.log_enc[scalar]) == served).all()
+    traces = [ctx.abs_trace(ctx.from_exp(l)) for l in range(ctx.order)]
+    assert np.flatnonzero(ctx.trace_logs(np.arange(ctx.order)) != traces).tolist() == [bad]
 
 
 @functools.cache
@@ -359,8 +375,7 @@ def _slow_context(p, k, m):
 def test_bulk_primitives_match_slow_context_property(pkm, data):
     # each bulk primitive: the table path against the per-element fallback
     # of a use_tables=False context of the same field, on random encodings
-    # in a random 1-d or 2-d shape; odd degrees split the encodings into
-    # unequal halves for the addition table
+    # and dlogs in a random 1-d or 2-d shape, odd degrees among the fields
     fast, slow = context(*pkm), _slow_context(*pkm)
     assert fast.has_tables and not slow.has_tables and fast.modulus == slow.modulus
     shape = data.draw(st.sampled_from([(5,), (2, 3), (1, 4)]), label="shape")
@@ -374,13 +389,15 @@ def test_bulk_primitives_match_slow_context_property(pkm, data):
     u, v, nonzero = encodings(0, "u"), encodings(0, "v"), encodings(1, "nonzero")
     logs = np.array(data.draw(st.lists(st.integers(-2 * fast.order, 2 * fast.order),
                                        min_size=size, max_size=size), label="logs")).reshape(shape)
-    e = data.draw(st.integers(1, 3 * fast.order), label="e")
+    named = fast.log_enc[u]  # the dlogs of u, -1 for zero
     for name, args in (("exp_enc_bulk", (logs,)), ("log_enc_bulk", (nonzero,)),
-                       ("trace_enc_bulk", (u,)), ("add_enc_bulk", (u, v)),
-                       ("add_enc_bulk", (u, int(v.flat[0]))), ("pow_enc_bulk", (u, e))):
+                       ("trace_logs", (named,)), ("add_enc_bulk", (u, v)),
+                       ("add_enc_bulk", (u, int(v.flat[0]))),
+                       ("sum_logs", (named, fast.log_enc[v], named[::-1]))):
         got, want = getattr(fast, name)(*args), getattr(slow, name)(*args)
         assert got.shape == want.shape == shape and got.dtype == want.dtype == np.int64, name
         assert got.tolist() == want.tolist(), name
+    assert fast.vanishes(named, named).tolist() == slow.vanishes(named, named).tolist()
     # the evaluator, with one coefficient row per sum (a zero coefficient
     # among them) and negative and zero exponents, against the per-element
     # fallback and against scalar arithmetic
@@ -389,9 +406,10 @@ def test_bulk_primitives_match_slow_context_property(pkm, data):
     terms = ((row, data.draw(st.integers(-2 * fast.order, 2 * fast.order), label="e")),
              (data.draw(coefficient, label="c0"), 0),
              (data.draw(coefficient, label="c1"), -data.draw(st.integers(1, fast.order), label="-e")))
-    got, want = fast.sum_enc_bulk(terms, logs.ravel()), slow.sum_enc_bulk(terms, logs.ravel())
+    got, want = (ctx.sum_logs(*ctx.monomials(terms, logs.ravel())) for ctx in (fast, slow))
     assert got.shape == want.shape == (3, size) and got.dtype == want.dtype == np.int64
     assert got.tolist() == want.tolist()
+    assert fast.vanishes(*fast.monomials(terms, logs.ravel())).tolist() == (got < 0).tolist()
 
     def scalar(r, log):
         # row r at x = xi^log: sum of c x^e, each factor by scalar arithmetic
@@ -402,33 +420,65 @@ def test_bulk_primitives_match_slow_context_property(pkm, data):
                 term = fast.mul_enc(fast.pow_enc(fast.xi.enc, c), fast.pow_enc(x, e))
                 total = fast.add_enc(total, term)
         return total
-    assert got.tolist() == [[scalar(r, int(log)) for log in logs.ravel()] for r in range(3)]
+    totals = [[scalar(r, int(log)) for log in logs.ravel()] for r in range(3)]
+    assert np.where(got < 0, 0, fast.exp_enc_bulk(got)).tolist() == totals
     x, y = int(u.flat[0]), int(v.flat[0])
     for name in ("add_enc", "sub_enc"):
         assert getattr(fast, name)(x, y) == getattr(slow, name)(x, y), name
     for degree in (d for d in range(1, fast.m + 1) if fast.m % d == 0):
         sub = fast.subfield(degree)
-        members = fast.exp_enc_bulk(sub.step * logs) * (u % 2)  # some zeros among them
-        want = [ref.eta(sub, fast.from_enc(int(a))) for a in members.ravel()]
+        members = np.where(u % 2, sub.step * logs % fast.order, -1)  # some zeros among them
+        want = [ref.eta(sub, fast.zero if l < 0 else fast.from_exp(int(l)))
+                for l in members.ravel()]
         for ctx in (fast, slow):
-            assert ctx.subfield(degree).eta_bulk(members).ravel().tolist() == want, degree
+            assert ctx.subfield(degree).eta_logs(members).ravel().tolist() == want, degree
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(pkm=st.sampled_from([(3, 1, 4), (5, 1, 4), (3, 2, 8)]), data=st.data())
+def test_zech_sum_matches_slow_context_property(pkm, data):
+    # the Zech sum of dlogs against the use_tables=False context, which adds
+    # encodings by digits and takes the log by baby-step giant-step: at
+    # drawn pairs, zero operands, x + (-x) and x + x, and three terms
+    fast, slow = context(*pkm), _slow_context(*pkm)
+    dlog = st.integers(-1, fast.order - 1)
+    u, v = (np.array(x, dtype=np.int64) for x in zip(*data.draw(
+        st.lists(st.tuples(dlog, dlog), min_size=1, max_size=5), label="pairs")))
+    zero = np.full(u.size, -1)
+    a = np.concatenate((u, u, zero, zero, u, u))
+    b = np.concatenate((v, zero, u, zero, fast.neg_logs(u), u))
+    got = fast.sum_logs(a, b)
+    assert got.dtype == np.int64 and got.tolist() == slow.sum_logs(a, b).tolist()
+    assert fast.vanishes(a, b).tolist() == slow.vanishes(a, b).tolist() == (got < 0).tolist()
+    x_plus_x = got[-u.size:]
+    assert (got[:u.size] == fast.sum_logs(v, u)).all()  # x + y = y + x
+    assert got[u.size:2 * u.size].tolist() == got[2 * u.size:3 * u.size].tolist() == u.tolist()
+    assert (got[3 * u.size:4 * u.size] == -1).all() and (got[4 * u.size:5 * u.size] == -1).all()
+    assert x_plus_x.tolist() == fast.mul_logs(u, fast.sum_logs(0, 0)).tolist()  # x + x = 2x
+    three = fast.sum_logs(u, v, a[:u.size])
+    assert three.tolist() == slow.sum_logs(u, v, u).tolist()
 
 
 def test_addition_table_self_check(monkeypatch):
-    # the half-width addition table is checked when the tables are built:
-    # 0 must be neutral, and x + (-x) = 0 at every encoding
-    real = field_core._digitwise_sums
-    for x, y in ((5, 0), (1, 2)):  # (1, 2): 1 + 2 = 0 digitwise at p = 3
+    # the Zech logarithms, the addition of the tables, are checked when they
+    # are built: Z(-l) = Z(l) - l at every l, which one moved entry breaks
+    # unless it is Z(0) (at l = (q-1)/2 it leaves only Z = -1), and Z takes
+    # -1 and every dlog but 0 once, which catches a moved Z(0)
+    real = field_core._zech
+    moves = ((5, lambda z: (z + 1) % 80), (0, lambda z: (z + 1) % 80), (40, lambda z: 3),
+             (5, lambda z: -1))
+    for l, moved in moves:
 
-        def corrupt(digits, p, x=x, y=y):
-            table = real(digits, p).copy()
-            s = len(digits)
-            table[x * s + y] = (table[x * s + y] + 1) % s
+        def corrupt(exp, log, p, l=l, moved=moved):
+            table = real(exp, log, p).copy()
+            table[l] = moved(table[l])
             return table
 
-        monkeypatch.setattr(field_core, "_digitwise_sums", corrupt)
-        with pytest.raises(InvariantViolation, match="addition table"):
+        monkeypatch.setattr(field_core, "_zech", corrupt)
+        with pytest.raises(InvariantViolation, match="Zech logarithms of GF"):
             build_context(FieldParams(3, 1), 4)
+    monkeypatch.undo()
+    assert build_context(FieldParams(3, 1), 4).zech_log[40] == -1  # 1 + xi^40 = 1 - 1
 
 
 @pytest.mark.parametrize("modulus, message", [
@@ -475,11 +525,11 @@ def test_key_arithmetic_self_check(monkeypatch):
     with pytest.raises(DegreeUnsupported):  # GF(3) in GF(3^3): its trace is not 3^(-1) Tr
         ref.key_arithmetic(context(3, 3, 3).subfield(1))
     ctx = build_context(FieldParams(3, 2), 8)
-    monkeypatch.setattr(ctx, "trace_enc_bulk", lambda u: np.zeros(np.shape(u), dtype=np.int64))
+    monkeypatch.setattr(ctx, "trace_logs", lambda l: np.zeros(np.shape(l), dtype=np.int64))
     with pytest.raises(InvariantViolation, match="not one to one"):
         ref.key_arithmetic(ctx.subfield(2))
     monkeypatch.undo()
-    real = field_core._digitwise_sums
+    real = ref._digitwise_sums
 
     def corrupt(digits, p):
         table = real(digits, p).copy()
@@ -492,9 +542,9 @@ def test_key_arithmetic_self_check(monkeypatch):
 
 
 def test_odd_degree_tables_fit_the_limit():
-    # at odd m the addition table has p q entries, and tables are built only
-    # when it fits: 1021^2 <= 2^20 < 1031^2; beyond the rule a field is
-    # refused, unless it is asked for without tables
+    # at odd m the table rule bounds p q, not q: tables are built only when
+    # 1021^2 <= 2^20 < 1031^2; beyond the rule a field is refused, unless
+    # it is asked for without tables
     assert build_context(FieldParams(1021, 1), 1).has_tables
     with pytest.raises(GuardExceeded, match=r"GF\(1031\^1\) is beyond the lookup tables"):
         build_context(FieldParams(1031, 1), 1)
@@ -508,8 +558,9 @@ def test_sum_enc_bulk_is_exact_past_int64_without_tables():
     ctx = build_context(FieldParams(3, 5), 20, use_tables=False)
     order = ctx.order
     assert order ** 2 >= 1 << 63
-    got = ctx.sum_enc_bulk([(0, order - 2)], np.array([order - 1]))
-    assert got.tolist() == [ctx.pow_enc(ctx.xi.enc, 2)] == [9]
+    got, = ctx.monomials([(0, order - 2)], np.array([order - 1]))
+    assert got.tolist() == [2]
+    assert ctx.exp_enc_bulk(got).tolist() == [ctx.pow_enc(ctx.xi.enc, 2)] == [9]
 
 
 def test_context_defaults_to_the_big_field_once():
@@ -535,8 +586,11 @@ def test_guard_refuses_before_the_modulus_search():
 
 
 def test_eta_bulk_refuses_outside_the_subfield(ctx31):
+    # GF(9)* in GF(81)* is the dlogs divisible by 10
+    view = ctx31.subfield(2)
+    assert view.eta_logs(np.array([-1, 0, 10, 70])).tolist() == [0, 1, -1, -1]
     with pytest.raises(NotInSubfield):
-        ctx31.subfield(2).eta_bulk(np.array([0, 1, ctx31.xi.enc]))
+        view.eta_logs(np.array([-1, 0, 1]))
 
 
 def test_no_assert_statements():
@@ -607,7 +661,8 @@ def test_only_field_core_reads_tables():
     # every other module computes through the FieldCtx bulk primitives and
     # never asks whether a context has tables
     pattern = re.compile(r"has_tables|exp_enc\b|log_enc\b|trace_enc\b|\.digits\b"
-                         r"|neg_enc\b|pow_basis|add_table\b|add_side\b|_tables\(")
+                         r"|neg_enc\b|pow_basis|add_table\b|add_side\b|_tables\("
+                         r"|zech_log\b|trace_log\b|_zech\b")
     package = Path(charsum.__file__).resolve().parent
     offenders = [f"{path.name}:{n}: {line.strip()}"
                  for path in sorted(package.glob("*.py")) if path.name != "field_core.py"
