@@ -52,9 +52,10 @@ of case_tags; case_detail is the per-pair cross-check by exact powers.
 
 The defining sum for every a at once comes from one exact transform,
 character_counts: Tr(a z) = sum_i a_i Tr(e_i z) over the base-p digits
-a_i of a, so a per-digit butterfly over the joint counts of the vector
-(Tr(e_i x^d))_i and of Tr(b x^2) yields the value counts of
-Tr(a x^d + b x^2) for every a, in integers.
+a_i of a, e_i = xi^i, so a per-digit butterfly over the joint counts of
+the vector (Tr(e_i x^d))_i and of Tr(b x^2) yields the value counts of
+Tr(a x^d + b x^2) for every a, in integers, its rows in sweep order,
+which every caller reads by dlog arithmetic.
 
 N(a, b) for every a at once comes from N_table: on U, L(u) = 0 is a
 linear condition on a, met by p^2k values of a per u, all from one
@@ -186,12 +187,6 @@ def chi(lb: int) -> int:
 # takes them: (dlog of c_i, integer m_i >= 1)
 # --------------------------------------------------------------------------
 
-def sweep_order(ctx: FieldCtx):
-    """The encodings of 0, xi^0, xi^1, ..., xi^(q-2), as an int64 array:
-    the order of every sweep over the field."""
-    return np.concatenate(([0], ctx.exp_enc_bulk(np.arange(ctx.order, dtype=np.int64))))
-
-
 def trace_values(ctx: FieldCtx, terms):
     """Tr(sum_i c_i x^(m_i)) at x = 0, xi^0, xi^1, ..., xi^(q-2), as an
     int64 array (the value at x = 0 is 0)."""
@@ -208,25 +203,29 @@ def character_counts(ctx: FieldCtx, e: int, v_terms):
     """The value counts of Tr(a x^e + v(x)) over x in GF(p^n), for every a
     at once; v is a monomial sum given as terms.
 
-    Returns the int64 array of shape (q, p) with
+    Returns the int64 array of shape (q, p) in sweep order, row 0 for
+    a = 0 and row l + 1 for a = xi^l:
 
-        counts[a.enc, j] = #{x : Tr(a x^e + v(x)) = j mod p},
+        counts[l + 1, j] = #{x : Tr(xi^l x^e + v(x)) = j mod p},
 
-    so that sum_x w^Tr(a x^e + v(x)) is CycInt.from_counts(p, counts[a.enc]).
+    so that sum_x w^Tr(a x^e + v(x)) is CycInt.from_counts(p, counts[l + 1]).
 
     With e_i the element encoded as p^i and a = sum_i a_i e_i, the trace
     is linear: Tr(a z) = sum_i a_i w_i, w_i = Tr(e_i z) with z = x^e, all
-    m of them from one evaluation of x^e with one row per e_i.  The
-    pairs (w, Tr v) over all x are counted into a (p,)*m + (p,) array; one
-    butterfly per digit axis, rolling the value axis by a_i w_i, turns
-    counts over w into counts over a.  That is about m p^2 q integer
-    additions, with temporaries of O(q p) entries and no floats.
+    m of them from one evaluation of x^e with one row per e_i.  e_i is
+    X^i, that is xi^i, as xi = X (and e_0 = 1 = xi^0 at m = 1), so the
+    basis dlogs are 0..m-1.  The pairs (w, Tr v) over all x are counted
+    into a (p,)*m + (p,) array; one butterfly per digit axis, rolling the
+    value axis by a_i w_i, turns counts over w into counts over a, indexed
+    by the encoding of a, and one exp gather puts the rows in sweep order.
+    That is about m p^2 q integer additions, with temporaries of O(q p)
+    entries and no floats.
     """
     p, m, q = ctx.p, ctx.m, ctx.q
-    basis = ctx.log_enc_bulk(p ** np.arange(m, dtype=np.int64))
     x_logs = np.arange(ctx.order, dtype=np.int64)
-    traces = ctx.trace_logs(ctx.monomials(((basis, e),), x_logs)[0])
-    w = np.concatenate(([0], p ** np.arange(m, dtype=np.int64) @ traces))  # w = 0 at x = 0
+    # w = 0 at x = 0; the (m, q - 1) traces are not kept through the butterfly
+    w = np.concatenate(([0], p ** np.arange(m, dtype=np.int64) @ ctx.trace_logs(
+        ctx.monomials(((np.arange(m), e),), x_logs)[0])))
     counts = np.bincount(w * p + trace_values(ctx, v_terms), minlength=q * p)
     # axis i of the (outer, p, inner, p) view is digit m-1-i of the encoding;
     # the butterfly is the same for every digit
@@ -237,7 +236,8 @@ def character_counts(ctx: FieldCtx, e: int, v_terms):
             for wi in range(p):
                 out[:, ai] += np.roll(src[:, wi], ai * wi, axis=-1)
         counts = out
-    return counts.reshape(q, p)
+    del src, out  # the last input goes before the gather allocates its output
+    return counts.reshape(q, p)[np.concatenate(([0], ctx.exp_enc_bulk(x_logs)))]
 
 
 # --------------------------------------------------------------------------
@@ -771,11 +771,11 @@ class DistributionReport:
 
 
 def distribution_sweep(ctx: FieldCtx, lb: int, on_record=None) -> DistributionReport:
-    """Every a in GF(p^n), in sweep_order, for the fixed b = xi^lb != 0.
+    """Every a in GF(p^n), in sweep order (a = 0, xi^0, xi^1, ...), for the
+    fixed b = xi^lb != 0.
 
-    N comes from N_table and the case from case_tags, for all a at once,
-    both in sweep order; the transform indexes a by its encoding, and the
-    sweep reindexes it once, by sweep_order.
+    N comes from N_table, the case from case_tags and the defining sum
+    from the rows of the transform, for all a at once, all in sweep order.
     Each closed form is checked against the defining sum from one
     character_counts transform, N > 2 outside the JACOBSTHAL case raises
     RangeViolation, and the direct zero count (N_count_bulk) and
@@ -799,13 +799,12 @@ def distribution_sweep(ctx: FieldCtx, lb: int, on_record=None) -> DistributionRe
 
     # sum_j c_j w^j is the integer s exactly when c_1 = ... = c_(p-1) and c_0 - c_1 = s
     counts = character_counts(ctx, ctx.params.d, ((lb, 2),))
-    a_encs = sweep_order(ctx)
     s0 = Q * (2 * n - 1)
-    off = np.flatnonzero(~(counts[:, 1:] == counts[:, 1:2]).all(axis=1)[a_encs]
-                         | ((counts[:, 0] - counts[:, 1])[a_encs] != s0))
+    off = np.flatnonzero(~(counts[:, 1:] == counts[:, 1:2]).all(axis=1)
+                         | (counts[:, 0] - counts[:, 1] != s0))
     if off.size:
         i = off[0]
-        raise _oracle_mismatch(la[i], lb, int(s0[i]), CycInt.from_counts(p, counts[a_encs[i]]))
+        raise _oracle_mismatch(la[i], lb, int(s0[i]), CycInt.from_counts(p, counts[i]))
     over = np.flatnonzero(~jac & (n > 2))
     if over.size:
         i = over[0]

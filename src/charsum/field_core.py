@@ -29,7 +29,7 @@ Adding 1 changes only the constant digit of an encoding, so Z comes from
 the exp and log tables alone (_zech).  The build checks it in O(q):
 Z(-l) = Z(l) - l, as 1 + xi^(-l) = xi^(-l) (1 + xi^l), and Z takes -1
 once, at (q-1)/2, and every dlog but 0 once.  The table rule
-(size_guard) allows p^m <= 2^20 (p^(m+1) for odd m), and build_context
+(size_guard) allows q = p^m <= 2^20 at every m, and build_context
 refuses a larger field before the modulus search unless
 use_tables=False, which builds one without tables at any size:
 polynomial arithmetic and baby-step giant-step logs, exact but slow.
@@ -37,15 +37,18 @@ polynomial arithmetic and baby-step giant-step logs, exact but slow.
 Below the parser every element is named by its dlog, -1 for zero, and
 FieldCtx holds the one dlog arithmetic (mul_logs, pow_logs, neg_logs,
 inv_logs, sum_logs, vanishes, trace_logs, monomials and
-SubfieldView.eta_logs).  Only eight methods ask which kind a context
+SubfieldView.eta_logs).  Only seven methods ask which kind a context
 is, each called by some command on a table context: mul_enc, pow_enc,
-dlog, exp_enc_bulk, log_enc_bulk, sum_logs, vanishes and trace_logs;
-without tables they make one scalar call per element, and vanishes adds
-encodings, with no baby-step giant-step log.  Everything else has one
-body built on those.  Scalar addition works by digits and the scalar
-absolute trace is the Frobenius sum (rel_trace), the references of
-sum_logs and trace_logs on a table context.  Subtraction is u + (-v),
-inversion is u^(q-2), and negation works by digits.  A subfield's
+dlog, exp_enc_bulk, sum_logs, vanishes and trace_logs; without tables
+they make one scalar call per element, and vanishes adds encodings,
+with no baby-step giant-step log.  Everything else has one body built
+on those.  On the command path only expsum.character_counts turns dlogs
+back into encodings (exp_enc_bulk), as its butterfly indexes a by
+encoding.  Scalar addition works by digits and the scalar absolute
+trace is the Frobenius sum (rel_trace), the references of sum_logs and
+trace_logs on a table context; add_enc_bulk is scalar addition per
+element.  Subtraction is u + (-v), inversion is u^(q-2), and negation
+works by digits.  A subfield's
 elements one at a time are charsum.reference's.
 """
 
@@ -73,9 +76,8 @@ TABLE_LIMIT = 1 << 20  # lookup tables are built only up to this many entries
 
 def size_guard(p: int, m: int) -> None:
     """The table rule, GuardExceeded unless GF(p^m) gets lookup tables:
-    p^(2 ceil(m/2)) must be at most TABLE_LIMIT, that is q for the even
-    degrees of every command's field, and p q for odd m."""
-    if p ** (2 * -(-m // 2)) > TABLE_LIMIT:
+    each of the four tables has q = p^m entries, at most TABLE_LIMIT."""
+    if p ** m > TABLE_LIMIT:
         raise GuardExceeded(f"GF({p}^{m}) is beyond the lookup tables of {TABLE_LIMIT} entries")
 
 
@@ -508,22 +510,11 @@ class FieldCtx:
             return self.exp_enc[logs]
         return self._per_element(lambda e: self.pow_enc(self.xi.enc, e), logs)
 
-    def log_enc_bulk(self, u):
-        """Discrete logs (0 <= e < p^m - 1) of an int64 array of nonzero encodings."""
-        u = np.asarray(u, dtype=np.int64)
-        if (u == 0).any():
-            raise ZeroArgument("discrete log of zero")
-        if self.has_tables:
-            return self.log_enc[u]
-        return self._per_element(lambda a: self.dlog(Elem(self, a)), u)
-
     def add_enc_bulk(self, u, v):
         """Elementwise field addition of two int64 encoding arrays (either
-        may be a scalar encoding), by the Zech sum of their dlogs."""
-        u, v = (np.asarray(x, dtype=np.int64) for x in (u, v))
-        total = self.sum_logs(*(np.where(x == 0, -1, self.log_enc_bulk(np.where(x == 0, 1, x)))
-                                for x in (u, v)))
-        return np.where(total < 0, 0, self.exp_enc_bulk(total))
+        may be a scalar encoding), one add_enc per element: no command adds
+        encodings."""
+        return self._per_element(self.add_enc, u, v)
 
     # --- the dlog arithmetic: int64 arrays of dlogs, -1 for zero ----------------------
 
@@ -620,10 +611,11 @@ def _exp_by_doubling(p: int, m: int, mod) -> np.ndarray:
     mod, by doubling: the digits of X t are those of t times the companion
     matrix C (row vectors), so with the digits of X^0..X^(n-1) as rows,
     those of X^n..X^(2n-1) are the same rows times C^n.  InvariantViolation
-    unless X^(p^m - 1) = 1.  The int32 products are exact: under the table
-    rule, m p^2 < 2^31."""
+    unless X^(p^m - 1) = 1.  The products are int32 where that is exact,
+    m (p-1)^2 < 2^31 (at every m > 1 under the table rule), else int64."""
     order = p ** m - 1
-    companion = _companions(p, m, [mod[:m]])[0].astype(np.int32)
+    exact = np.int32 if m * (p - 1) ** 2 < 1 << 31 else np.int64
+    companion = _companions(p, m, [mod[:m]])[0].astype(exact)
     digits = np.zeros((order, m), dtype=np.min_scalar_type(p - 1))
     digits[0, 0] = 1
     n, power = 1, companion
@@ -631,7 +623,7 @@ def _exp_by_doubling(p: int, m: int, mod) -> np.ndarray:
         take = min(n, order - n)
         digits[n:n + take] = digits[:take] @ power % p
         n, power = n + take, power @ power % p
-    if ((digits[-1] @ companion % p) != np.eye(1, m, dtype=np.int32)).any():
+    if ((digits[-1] @ companion % p) != np.eye(1, m, dtype=exact)).any():
         raise InvariantViolation(f"modulus {mod} is not primitive")
     return digits
 

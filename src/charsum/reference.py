@@ -199,7 +199,7 @@ def key_arithmetic(view: SubfieldView) -> KeyArithmetic:
     from trace_logs; products and inverses follow
     from the dlogs j.  Self-checked: InvariantViolation unless the keys
     of the nonzero elements are 1..Q-1, each once, and the key of x + y
-    (add_enc_bulk) is the digitwise sum of the keys at every pair."""
+    (sum_logs) is the digitwise sum of the keys at every pair."""
     ctx, p, q, order = view.ctx, view.ctx.p, view.q, view.order
     ratio = ctx.m // view.degree
     if ratio % p == 0:
@@ -210,11 +210,12 @@ def key_arithmetic(view: SubfieldView) -> KeyArithmetic:
     keys = digits @ p ** np.arange(view.degree, dtype=np.int64)
     if (np.bincount(keys, minlength=q) != (np.arange(q) > 0)).any():
         raise InvariantViolation(f"the keys of GF({p}^{view.degree}) are not one to one")
-    encs, key_log = np.zeros(q, dtype=np.int64), np.zeros(q, dtype=np.int64)
-    encs[keys], key_log[keys] = ctx.exp_enc_bulk(view.step * dlogs), dlogs
+    # by key: the dlog in the ambient field (-1 for zero) and to eta
+    named, key_log = np.full(q, -1, dtype=np.int64), np.zeros(q, dtype=np.int64)
+    named[keys], key_log[keys] = view.step * dlogs, dlogs
     key_digits = _base_p_digits(p, view.degree)
     add = _digitwise_sums(key_digits, p)
-    if (ctx.add_enc_bulk(encs[:, None], encs[None, :]).ravel() != encs[add]).any():
+    if (ctx.sum_logs(named[:, None], named[None, :]).ravel() != named[add]).any():
         raise InvariantViolation(f"the keys of GF({p}^{view.degree}) are not additive")
     x, v = np.divmod(np.arange(q * q, dtype=np.int64), q)
     mul = np.where((x == 0) | (v == 0), 0, keys[(key_log[x] + key_log[v]) % order])
@@ -250,13 +251,13 @@ def form_matrices(ctx: FieldCtx):
     Each coefficient is u^(p^t) for u one of a, b, c = a^(p^k(p^k+1)),
     v = b^(p^k+1) and w = a b^(p^k) (_key_terms), and Tr(u^(p^t) y) =
     sum_d u_d Tr(e_d y^(p^(n-t))) over the base-p digits u_d of u, e_d
-    encoded as p^d.  So one constant (5m, 32k) matrix M maps the digits of
-    the five elements to the 32k key digits at every pair: five exp gathers
-    and one float32 einsum per block, exact as each digit is a sum of fewer
-    than 2^24 / p^2 integers below p^2 (numpy's own loop, which unlike a
-    threaded BLAS is fast at these sizes)."""
+    encoded as p^d, that is xi^d.  So one constant (5m, 32k) matrix M maps
+    the digits of the five elements to the 32k key digits at every pair:
+    five exp gathers and one float32 einsum per block, exact as each digit
+    is a sum of fewer than 2^24 / p^2 integers below p^2 (numpy's own
+    loop, which unlike a threaded BLAS is fast at these sizes)."""
     p, m, k, pk, order = ctx.p, ctx.m, ctx.params.k, ctx.p ** ctx.params.k, ctx.order
-    basis = ctx.log_enc_bulk(p ** np.arange(m, dtype=np.int64))
+    basis = np.arange(m)  # the dlogs of e_d = xi^d
     left = (ctx.subfield(k).step * np.arange(k)[:, None] + np.arange(4)).ravel()
     # M[(u, d), (P, s, i, j)]: Tr(e_d y^(p^(n-t))) over P's terms in u, y = eta^s X^(i+je)
     M = np.zeros((5, m, 2, left.size, 4), dtype=np.int64)
@@ -341,16 +342,15 @@ def _check_arg(view: SubfieldView, a: Elem) -> None:
         raise NotInSubfield(f"{a!r} is not in the scan field")
 
 
-def H_sums(view: SubfieldView, n: int, a_encs):
-    """Jacobsthal sums of order n at an array of nonzero encodings of the
-    scan field, by definition: one (len(a_encs), p^2k - 1) array of
-    eta(x^(n+1) + a x) over x in GF(p^2k)* (the x = 0 term is eta(0) = 0),
-    summed per row.  Returns int64."""
+def H_sums(view: SubfieldView, n: int, la):
+    """Jacobsthal sums of order n at an array of nonzero a = xi^la of the
+    scan field, la their dlogs, by definition: one (len(la), p^2k - 1)
+    array of eta(x^(n+1) + a x) over x in GF(p^2k)* (the x = 0 term is
+    eta(0) = 0), summed per row.  Returns int64."""
     ctx = view.ctx
-    a_encs = np.asarray(a_encs, dtype=np.int64)
-    if (a_encs == 0).any():
+    la = np.asarray(la, dtype=np.int64)
+    if (la < 0).any():
         raise ZeroArgument("a must be nonzero")
-    la = ctx.log_enc_bulk(a_encs)
     if (la % view.step).any():
         raise NotInSubfield("an a is not in the scan field")
     x_logs = view.step * np.arange(view.order, dtype=np.int64)
@@ -424,7 +424,7 @@ def jacobsthal_record(view: SubfieldView, a: Elem) -> JacobsthalRecord:
     _check_arg(view, a)
     pk = view.ctx.p ** (view.degree // 2)
     n = pk + 1
-    H = int(H_sums(view, n, [a.enc])[0])
+    H = int(H_sums(view, n, [view.ctx.dlog(a)])[0])
     I = I_sum(view, n, a)
     I2 = I_sum(view, 2 * n, a)
     kview = view.ctx.subfield(view.degree // 2)

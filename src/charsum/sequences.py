@@ -24,10 +24,11 @@ even; the x = 0 term contributes the +1.
 The two runs have the same value counts, not just the same sum, so the
 counts of Tr(a x^d - x^2) over the field are e_0 + 2 (counts of C(tau)).
 correlation_table reads every C(tau), as distinct values and an index,
-from one expsum.character_counts transform that way.  The sequence side
-(the m-sequence, decimation, one C(tau) by one bincount over a period,
-and the check of the relation at every shift) is its reference, in
-charsum.reference, which no command imports.
+from one expsum.character_counts transform that way, C(tau) from the
+row of a = xi^(d tau), d tau mod (p^n - 1) + 1 in sweep order.  The
+sequence side (the m-sequence, decimation, one C(tau) by one bincount
+over a period, and the check of the relation at every shift) is its
+reference, in charsum.reference, which no command imports.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ def correlation_table(ctx: FieldCtx) -> tuple:
     p, d = ctx.p, ctx.params.d
     counts = character_counts(ctx, d, ((ctx.order // 2, 2),))  # v(x) = -x^2, -1 = xi^((q-1)/2)
     taus = np.arange(ctx.order // 2, dtype=np.int64)
-    rows, index = CycInt.group_rows(counts, ctx.exp_enc_bulk(d * taus))
+    rows, index = CycInt.group_rows(counts, d * taus % ctx.order + 1)  # a = xi^(d tau)
     # x = 0 gives the value 0
     runs = rows - np.eye(p, dtype=np.int64)[0]
     odd = np.flatnonzero((runs % 2).any(axis=1))

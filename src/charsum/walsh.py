@@ -8,9 +8,10 @@ For f mapping GF(p^n) to GF(p), the transform at y is
 computed exactly as a cyclotomic integer.  full_spectrum takes the pair
 (a, b) = (xi^la, xi^lb) by its dlogs (-1 for zero) and reads every
 coefficient from one expsum.character_counts transform, with
-S_f(y) = sum_x w^(f(x) + Tr(a x)) at a = -y.  Rows sum to p^n, so equal
-coefficients have equal rows: one CycInt per row of CycInt.group_rows and
-an index per y suffice.  f is bent when every coefficient satisfies
+S_f(y) = sum_x w^(f(x) + Tr(a x)) at a = -y, the row of
+xi^(j + (q-1)/2) for y = xi^j.  Rows sum to p^n, so equal coefficients
+have equal rows: one CycInt per row of CycInt.group_rows and an index
+per y suffice.  f is bent when every coefficient satisfies
 |S_f(y)|^2 = p^n, and weakly regular with unit -1 when additionally every
 coefficient lies in {-p^(n/2) w^j}.
 
@@ -77,13 +78,13 @@ class Spectrum:
 def full_spectrum(ctx: FieldCtx, la: int, lb: int) -> Spectrum:
     """Every coefficient at (a, b) = (xi^la, xi^lb), the value-multiset
     summary, exact Parseval (ParsevalViolation on a defect), bentness and
-    weak regularity.  BothCoefficientsZero at (0, 0)."""
+    weak regularity.  BothCoefficientsZero at (0, 0).  The coefficient of
+    y = xi^j is the transform's row (j + (q-1)/2) % (q-1) + 1, that of
+    a = -y, and the coefficient of y = 0 is row 0."""
     _require_admissible(la, lb)
     p, q = ctx.p, ctx.q
-    # the row of y = xi^j is the row of a = -y, encoded as xi^(j + (q-1)/2)
-    rows, index = CycInt.group_rows(
-        character_counts(ctx, 1, ((la, ctx.params.d), (lb, 2))),
-        np.concatenate(([0], ctx.exp_enc_bulk(np.arange(ctx.order) + ctx.order // 2))))
+    rows, index = CycInt.group_rows(character_counts(ctx, 1, ((la, ctx.params.d), (lb, 2))),
+                                    ctx.neg_logs(np.arange(-1, ctx.order)) + 1)
     coeffs = [CycInt.from_counts(p, row) for row in rows]
     values = tuple((c, c.norm_squared()) for c in coeffs)
     multiplicity = np.bincount(index).tolist()

@@ -120,43 +120,21 @@ def test_verify_all_computes_g_and_N_once(capsys, monkeypatch):
     assert counted == [4, 8]
 
 
-def test_verify_all_names_pairs_by_dlog(capsys, monkeypatch):
-    # every layer takes and gives dlogs, and a sum of dlogs is a Zech sum,
-    # so no element goes back from an encoding to its dlog but the m = 8
-    # basis elements of each of the two transforms (the sweep of b = g^1
-    # and the (1, 1) spectrum) at (3,2): none inside prop1's division route,
-    # at 6,551 norms-differ a and 200 drawn pairs
-    logged, route, within = [], [], []
-    real, real_check = FieldCtx.log_enc_bulk, expsum.prop1_kernel_check
-
-    def counting(ctx, u):
-        (route if within else logged).append(np.size(u))
-        return real(ctx, u)
-
-    def check(ctx, la, lb):
-        within.append(True)
-        try:
-            return real_check(ctx, la, lb)
-        finally:
-            within.pop()
-
-    monkeypatch.setattr(FieldCtx, "log_enc_bulk", counting)
-    monkeypatch.setattr(expsum, "prop1_kernel_check", check)
-    assert run(["verify-all", "--p", "3", "--k", "2", "--b", "g^1"]) == 0
-    assert capsys.readouterr().out.count("[ok  ]") == 12
-    assert logged == [8, 8] and route == []
-
-
 def test_verify_all_names_b_by_dlog(capsys, monkeypatch):
-    # each --b becomes a dlog once, in the CLI: one scalar dlog over the whole
-    # run at (3,2), for b = g^1; scan_table names its GF(p) constants by one
-    # bulk call
+    # every layer takes and gives dlogs, and a sum of dlogs is a Zech sum, so
+    # no element goes back from an encoding to its dlog but each --b, once,
+    # in the CLI: one scalar dlog over the whole run at (3,2), for b = g^1,
+    # none inside prop1's division route or the two transforms (the sweep of
+    # b = g^1 and the (1, 1) spectrum), whose basis dlogs are 0..m-1.  dlog
+    # is the one way there: the only other methods that read the log table
+    # are mul_enc and pow_enc, on their way back to an encoding
     calls = []
     real = FieldCtx.dlog
     monkeypatch.setattr(FieldCtx, "dlog", lambda ctx, x: calls.append(x) or real(ctx, x))
     assert run(["verify-all", "--p", "3", "--k", "2", "--b", "g^1"]) == 0
     assert capsys.readouterr().out.count("[ok  ]") == 12
     assert len(calls) == 1, len(calls)
+    assert _methods_reading("log_enc") == ["mul_enc", "pow_enc", "dlog"]
 
 
 def test_corollary2_names_the_properties_it_evaluated(capsys):
@@ -1161,14 +1139,19 @@ def test_census_tags_hold():
     assert vocabulary <= entered, sorted(vocabulary - entered)
 
 
-def _table_branches():
-    # the FieldCtx methods whose bodies read self.has_tables
+def _methods_reading(attr):
+    # the FieldCtx methods whose bodies read the attribute attr
     tree = ast.parse((SRC / "charsum" / "field_core.py").read_text())
     cls = next(node for node in tree.body
                if isinstance(node, ast.ClassDef) and node.name == "FieldCtx")
     return [fn.name for fn in cls.body if isinstance(fn, ast.FunctionDef)
-            and any(isinstance(node, ast.Attribute) and node.attr == "has_tables"
+            and any(isinstance(node, ast.Attribute) and node.attr == attr
                     and isinstance(node.ctx, ast.Load) for node in ast.walk(fn))]
+
+
+def _table_branches():
+    # the FieldCtx methods whose bodies read self.has_tables
+    return _methods_reading("has_tables")
 
 
 def test_every_table_branch_is_on_a_command_path(capsys, monkeypatch):
@@ -1195,7 +1178,8 @@ def test_every_table_branch_is_on_a_command_path(capsys, monkeypatch):
     for cmd in commands:
         assert run([cmd, "--p", "3", "--k", "1", *extra.get(cmd, [])]) == 0, cmd
     capsys.readouterr()
-    assert len(commands) == 9 and "mul_enc" in branches
+    assert len(commands) == 9 and branches == [
+        "mul_enc", "pow_enc", "dlog", "exp_enc_bulk", "sum_logs", "vanishes", "trace_logs"]
     assert [name for name, n in calls.items() if not n] == []
 
 

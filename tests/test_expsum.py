@@ -156,13 +156,15 @@ def test_S0_oracle_equivalence_full_grid_51(ctx51):
 
 @pytest.mark.parametrize("fixture", ["ctx31", "ctx51"])
 def test_character_counts_match_bruteforce(fixture, request):
-    # one transform row per a equals the per-pair defining sum, a = 0 included
+    # one transform row per a equals the per-pair defining sum, a = 0
+    # included, each a at its sweep position: row 0 for a = 0, row l + 1 for
+    # a = xi^l
     ctx = request.getfixturevalue(fixture)
     for b in (ctx.one, ctx.xi):
         counts = es.character_counts(ctx, ctx.params.d, ((ctx.dlog(b), 2),))
         assert counts.shape == (ctx.q, ctx.p)
         for a in ref.elements(ctx.subfield(ctx.m)):
-            row = CycInt.from_counts(ctx.p, counts[a.enc])
+            row = CycInt.from_counts(ctx.p, counts[ctx.log(a) + 1])
             assert row == es.S0_bruteforce(ctx, pair_of(ctx, a, b))
 
 
@@ -272,28 +274,24 @@ def _matvec(ctx, encs, mat, vectors):
     # mat @ vectors over GF(p^k) in the ambient field's own arithmetic, for
     # keys mat (r, c) and vectors (c, N), encs the encodings by key: the
     # encodings (r, N) of the products
-    out = np.zeros((mat.shape[0], vectors.shape[1]), dtype=np.int64)
+    logs = ctx.log_enc[encs]  # the dlogs by key, -1 for zero
+    out = np.full((mat.shape[0], vectors.shape[1]), -1, dtype=np.int64)
     for j in range(mat.shape[1]):
-        u, v = encs[mat[:, j, None]], encs[vectors[None, j]]
-        live = (u != 0) & (v != 0)
-        logs = ctx.log_enc_bulk(np.where(u == 0, 1, u)) + ctx.log_enc_bulk(np.where(v == 0, 1, v))
-        out = ctx.add_enc_bulk(out, np.where(live, ctx.exp_enc_bulk(logs), 0))
-    return out
+        out = ctx.sum_logs(out, ctx.mul_logs(logs[mat[:, j, None]], logs[vectors[None, j]]))
+    return np.where(out < 0, 0, ctx.exp_enc_bulk(out))
 
 
 @functools.lru_cache(maxsize=None)
 def _coordinates(ctx, encs):
     # the coordinates over GF(p^k) of every element z = sum_j c_j X^j of
     # GF(p^n), as keys: row z.enc holds the keys of c_0..c_3
-    encs = np.array(encs)
+    logs = ctx.log_enc[np.array(encs)]  # the dlogs by key, -1 for zero
     keys = np.indices((len(encs),) * 4).reshape(4, -1)
-    z = np.zeros(keys.shape[1], dtype=np.int64)
+    z = np.full(keys.shape[1], -1, dtype=np.int64)
     for j in range(4):
-        c = encs[keys[j]]
-        x_j = np.where(c == 0, 0, ctx.exp_enc_bulk(ctx.log_enc_bulk(np.where(c == 0, 1, c)) + j))
-        z = ctx.add_enc_bulk(z, x_j)
+        z = ctx.sum_logs(z, ctx.mul_logs(logs[keys[j]], j))  # c_j X^j, X = xi^1
     coords = np.full((ctx.q, 4), -1, dtype=np.int64)
-    coords[z] = keys.T
+    coords[np.where(z < 0, 0, ctx.exp_enc_bulk(z))] = keys.T
     assert (coords >= 0).all()  # {X^j} is a basis over GF(p^k)
     return coords
 
@@ -724,8 +722,8 @@ def test_scan_H_matches_H_sums_at_prop2_arguments(p, k):
         la = sweep_logs(ctx)[es.case_tags(ctx, sweep_logs(ctx), e) == es.CaseTag.JACOBSTHAL]
         args = [-(b ** (Q + 1)) / ref.find_g(ctx, pair_of(ctx, ctx.from_exp(int(l)), b)) ** 2
                 for l in la]
-        H = ref.H_sums(view, pk + 1, [x.enc for x in args])
         logs = [ctx.dlog(x) for x in args]
+        H = ref.H_sums(view, pk + 1, logs)
         position = np.searchsorted(scan.logs, logs)
         assert scan.logs[position].tolist() == logs
         assert scan.H[position].tolist() == H.tolist()
@@ -1074,14 +1072,15 @@ def test_N_table_matches_direct_count_at_every_a(p, k):
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(pk=st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1)]), data=st.data())
 def test_character_counts_match_bruteforce_property(pk, data):
-    # a row of the transform against the defining sum at a random pair,
-    # a = 0 or b = 0 among them
+    # a row of the transform, at the sweep position of a, against the
+    # defining sum at a random pair, a = 0 or b = 0 among them
     ctx = context(*pk)
     lb = data.draw(st.integers(-1, ctx.order - 1), label="log b, -1 for b = 0")
     b = ctx.zero if lb < 0 else ctx.from_exp(lb)
     a = Elem(ctx, int(data.draw(st.integers(int(b.is_zero), ctx.q - 1), label="a")))
     counts = es.character_counts(ctx, ctx.params.d, ((lb, 2),))
-    assert CycInt.from_counts(ctx.p, counts[a.enc]) == es.S0_bruteforce(ctx, pair_of(ctx, a, b))
+    assert CycInt.from_counts(ctx.p, counts[ctx.log(a) + 1]) == es.S0_bruteforce(
+        ctx, pair_of(ctx, a, b))
 
 
 @functools.cache

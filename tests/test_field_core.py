@@ -255,7 +255,6 @@ def test_slow_path_matches_tables(ctx31):
         assert (x * y).enc == (xt * yt).enc
         # addition and the absolute trace have one scalar body, so the
         # table context answers through its bulk primitives
-        assert (x + y).enc == ctx31.add_enc_bulk(xt.enc, yt.enc)
         assert slow.log(x + y) == ctx31.sum_logs(e1, e2)
         assert (x ** 7).enc == (xt ** 7).enc
         assert slow.abs_trace(x) == ctx31.trace_logs(e1)
@@ -294,11 +293,8 @@ def test_bulk_ops_match_scalar(use_tables):
         ctx.log(Elem(ctx, int(ctx.inv_enc(a)))) for a in range(1, 81)]
     logs = np.arange(-80, 2 * 80, dtype=np.int64)
     assert ctx.exp_enc_bulk(logs).tolist() == [ctx.pow_enc(ctx.xi.enc, int(e)) for e in logs]
-    assert ctx.log_enc_bulk(u[1:]).tolist() == [ctx.dlog(Elem(ctx, int(a))) for a in range(1, 81)]
-    with pytest.raises(ZeroArgument):
-        ctx.log_enc_bulk(u)
     assert ctx.trace_logs(named).tolist() == [ctx.abs_trace(Elem(ctx, int(a))) for a in range(81)]
-    for bulk in (ctx.exp_enc_bulk(logs), ctx.log_enc_bulk(u[1:]), ctx.trace_logs(named),
+    for bulk in (ctx.exp_enc_bulk(logs), ctx.add_enc_bulk(u, v), ctx.trace_logs(named),
                  ctx.sum_logs(named, 5)):
         assert bulk.dtype == np.int64
     # the scalar operations with one body for both kinds of context, against
@@ -346,9 +342,10 @@ def test_table_context_holds_four_arrays():
 def test_scalar_add_and_trace_do_not_read_the_tables():
     # scalar addition and the absolute trace have one body, digit sums and
     # the Frobenius sum, so on a table context they are references of
-    # sum_logs (and add_enc_bulk on it) and trace_logs: with one Zech
-    # logarithm and one entry of the trace table corrupted after the build,
-    # the bulk methods disagree with them exactly where those entries are read
+    # sum_logs and trace_logs: with one Zech logarithm and one entry of the
+    # trace table corrupted after the build, the bulk methods disagree with
+    # them exactly where those entries are read; add_enc_bulk, scalar
+    # addition per element, reads no table and agrees everywhere
     ctx = build_context(FieldParams(3, 1), 4)
     z, bad = 7, 50
     ctx.zech_log[z] = (ctx.zech_log[z] + 1) % ctx.order
@@ -358,7 +355,7 @@ def test_scalar_add_and_trace_do_not_read_the_tables():
     # Z(z) is read by the q - 1 pairs of nonzero u and v with log v - log u = z
     served = (u > 0) & (v > 0) & ((ctx.log_enc[v] - ctx.log_enc[u]) % ctx.order == z)
     assert served.sum() == ctx.order
-    assert ((ctx.add_enc_bulk(u, v) != scalar) == served).all()
+    assert (ctx.add_enc_bulk(u, v) == scalar).all()
     assert ((ctx.sum_logs(ctx.log_enc[u], ctx.log_enc[v]) != ctx.log_enc[scalar]) == served).all()
     traces = [ctx.abs_trace(ctx.from_exp(l)) for l in range(ctx.order)]
     assert np.flatnonzero(ctx.trace_logs(np.arange(ctx.order)) != traces).tolist() == [bad]
@@ -390,7 +387,10 @@ def test_bulk_primitives_match_slow_context_property(pkm, data):
     logs = np.array(data.draw(st.lists(st.integers(-2 * fast.order, 2 * fast.order),
                                        min_size=size, max_size=size), label="logs")).reshape(shape)
     named = fast.log_enc[u]  # the dlogs of u, -1 for zero
-    for name, args in (("exp_enc_bulk", (logs,)), ("log_enc_bulk", (nonzero,)),
+    # the log table against baby-step giant-step
+    assert fast.log_enc[nonzero].ravel().tolist() == [slow.dlog(Elem(slow, int(a)))
+                                                      for a in nonzero.ravel()]
+    for name, args in (("exp_enc_bulk", (logs,)),
                        ("trace_logs", (named,)), ("add_enc_bulk", (u, v)),
                        ("add_enc_bulk", (u, int(v.flat[0]))),
                        ("sum_logs", (named, fast.log_enc[v], named[::-1]))):
@@ -542,13 +542,23 @@ def test_key_arithmetic_self_check(monkeypatch):
 
 
 def test_odd_degree_tables_fit_the_limit():
-    # at odd m the table rule bounds p q, not q: tables are built only when
-    # 1021^2 <= 2^20 < 1031^2; beyond the rule a field is refused, unless
-    # it is asked for without tables
-    assert build_context(FieldParams(1021, 1), 1).has_tables
-    with pytest.raises(GuardExceeded, match=r"GF\(1031\^1\) is beyond the lookup tables"):
-        build_context(FieldParams(1031, 1), 1)
-    assert not build_context(FieldParams(1031, 1), 1, use_tables=False).has_tables
+    # the table rule bounds q at every m: GF(1031) and GF(65537) get tables,
+    # whose exp table at p = 65537 needs int64 products (m (p-1)^2 >= 2^31),
+    # and they match the context without tables at a few dlogs; GF(103^3),
+    # with 1,092,727 > 2^20 elements, is refused unless asked for without
+    # tables
+    for p in (1031, 65537):
+        fast = build_context(FieldParams(p, 1), 1)
+        slow = build_context(FieldParams(p, 1), 1, use_tables=False)
+        assert fast.has_tables and not slow.has_tables and fast.modulus == slow.modulus
+        logs = np.array([0, 1, 2, p // 3, p - 3, p - 2])
+        for name, args in (("exp_enc_bulk", (logs,)), ("trace_logs", (logs,)),
+                           ("sum_logs", (logs, logs[::-1]))):
+            assert getattr(fast, name)(*args).tolist() == getattr(slow, name)(*args).tolist()
+        assert [fast.dlog(Elem(fast, int(e))) for e in fast.exp_enc_bulk(logs)] == logs.tolist()
+    with pytest.raises(GuardExceeded, match=r"GF\(103\^3\) is beyond the lookup tables"):
+        build_context(FieldParams(103, 3), 3)
+    assert not build_context(FieldParams(103, 3), 3, use_tables=False).has_tables
     assert context(3, 3, 3).has_tables and context(5, 1, 1).has_tables
 
 
@@ -669,3 +679,49 @@ def test_only_field_core_reads_tables():
                  for n, line in enumerate(path.read_text().splitlines(), 1)
                  if pattern.search(line)]
     assert offenders == []
+
+
+def _calls(tree, name):
+    # the calls of a method name (x.name(...)) in an AST
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr == name]
+
+
+def test_only_the_transform_goes_back_to_encodings():
+    # below the parser every element is a dlog; outside field_core only
+    # expsum.character_counts turns dlogs into encodings, with one
+    # exp_enc_bulk gather that puts its butterfly's rows (indexed by the
+    # encoding of a) in sweep order, and of charsum.reference, which no
+    # command imports, only form_matrices, which needs the digits of its
+    # five elements
+    package = Path(charsum.__file__).resolve().parent
+    callers = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "field_core.py":
+            continue
+        tree = ast.parse(path.read_text())
+        functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        functions += [f for node in tree.body if isinstance(node, ast.ClassDef)
+                      for f in node.body if isinstance(f, ast.FunctionDef)]
+        found = [f"{path.stem}.{fn.name}" for fn in functions for _ in _calls(fn, "exp_enc_bulk")]
+        assert len(found) == len(_calls(tree, "exp_enc_bulk")), path.name  # none at module level
+        callers += found
+    assert callers == ["expsum.character_counts", "reference.form_matrices"]
+
+
+# every (p, k, m) whose tables the tests build
+TABLE_SIZES_BUILT = [
+    (3, 1, 1), (3, 1, 2), (3, 1, 4), (3, 2, 8), (3, 3, 3), (3, 3, 6), (5, 1, 1), (5, 1, 2),
+    (5, 1, 4), (7, 1, 2), (7, 1, 4), (11, 1, 2), (11, 1, 4), (13, 1, 2), (13, 1, 4),
+    (31, 1, 2), (31, 1, 4), (37, 1, 2), (1031, 1, 1), (65537, 1, 1),
+]
+
+
+def test_basis_encodings_are_powers_of_xi():
+    # the premise of expsum.character_counts' basis dlogs 0..m-1: the element
+    # encoded as p^i is xi^i for i < m, as xi = X (at m = 1 only 1 = xi^0),
+    # at every table size the tests build and at (3,1) without tables
+    contexts = [context(*pkm) for pkm in TABLE_SIZES_BUILT]
+    contexts.append(build_context(FieldParams(3, 1), 4, use_tables=False))
+    for ctx in contexts:
+        assert ctx.exp_enc_bulk(np.arange(ctx.m)).tolist() == [ctx.p ** i for i in range(ctx.m)]

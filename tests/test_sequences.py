@@ -88,7 +88,7 @@ def test_correlation_table_parity_check(ctx31, monkeypatch):
     for tau in (0, 5):
         def odd(ctx, e, v_terms, tau=tau):
             counts = real(ctx, e, v_terms)
-            counts[ctx.from_exp(ctx.params.d * tau).enc, 1] += 1
+            counts[ctx.log(ctx.from_exp(ctx.params.d * tau)) + 1, 1] += 1  # a = xi^(d tau)
             return counts
 
         monkeypatch.setattr(seqs, "character_counts", odd)

@@ -11,7 +11,7 @@ from charsum import walsh as wa
 from charsum.cycint import CycInt
 from charsum.errors import BothCoefficientsZero, RootCountViolation
 from charsum.cli import run
-from charsum.expsum import CoeffPair, S0_bruteforce, character_counts, sweep_order
+from charsum.expsum import CoeffPair, S0_bruteforce, character_counts
 from charsum.field_core import Elem, FieldParams, build_context
 
 
@@ -127,9 +127,12 @@ def test_full_spectrum_matches_walsh_coeff_property(pk, a, b, ys):
         assert _coefficient(ctx, spectrum, y) == ref.walsh_coeff(ctx, pair, y)
     for c, n in spectrum.values:
         assert n == c.norm_squared()
-    # the row of y is the row of a = -y, negated digit by digit
+    # the row of y is the row of a = -y, at the sweep position of -y (row 0
+    # for y = 0 and row l + 1 for -y = xi^l): y negated digit by digit, and
+    # the dlog of -y read from the log table
     weights = ctx.p ** np.arange(ctx.m)
-    minus_y = -(sweep_order(ctx)[:, None] // weights % ctx.p) % ctx.p @ weights
+    y_encs = np.concatenate(([0], ctx.exp_enc_bulk(np.arange(ctx.order))))
+    minus_y = ctx.log_enc[-(y_encs[:, None] // weights % ctx.p) % ctx.p @ weights] + 1
     counts = character_counts(ctx, 1, ((ctx.log(pair.a), ctx.params.d), (ctx.log(pair.b), 2)))
     distinct, inverse = np.unique(counts[minus_y], axis=0, return_inverse=True)
     assert len(distinct) == len(spectrum.values)
