@@ -42,13 +42,13 @@ is, each called by some command on a table context: mul_enc, pow_enc,
 dlog, exp_enc_bulk, sum_logs, vanishes and trace_logs; without tables
 they make one scalar call per element, and vanishes adds encodings,
 with no baby-step giant-step log.  Everything else has one body built
-on those.  On the command path only expsum.character_counts turns dlogs
-back into encodings (exp_enc_bulk), as its butterfly indexes a by
-encoding.  Scalar addition works by digits and the scalar absolute
-trace is the Frobenius sum (rel_trace), the references of sum_logs and
-trace_logs on a table context; add_enc_bulk is scalar addition per
-element.  Subtraction is u + (-v), inversion is u^(q-2), and negation
-works by digits.  A subfield's
+on those.  Outside this module only expsum.character_counts turns an
+array of dlogs back into encodings (exp_enc_bulk) on the command path,
+as its butterfly indexes a by encoding.  Scalar addition works by
+digits and the scalar absolute trace is the Frobenius sum (rel_trace),
+the references of sum_logs and trace_logs on a table context;
+add_enc_bulk is scalar addition per element.  Subtraction is u + (-v),
+inversion is u^(q-2), and negation works by digits.  A subfield's
 elements one at a time are charsum.reference's.
 """
 

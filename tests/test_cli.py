@@ -120,21 +120,52 @@ def test_verify_all_computes_g_and_N_once(capsys, monkeypatch):
     assert counted == [4, 8]
 
 
+def test_verify_all_names_pairs_by_dlog(capsys, monkeypatch):
+    # every layer takes and gives dlogs, and a sum of dlogs is a Zech sum,
+    # so no element goes back from an encoding to its dlog inside prop1's
+    # division route or the two transforms (the sweep of b = g^1 and the
+    # (1, 1) spectrum) at (3,2), whose basis dlogs are 0..m-1.  dlog is the
+    # one way there: the only other methods that read the log table are
+    # mul_enc and pow_enc, on their way back to an encoding
+    inside, logged, entered = [], [], []
+    real = FieldCtx.dlog
+
+    def dlog(ctx, x):
+        logged.extend(inside)
+        return real(ctx, x)
+
+    def within(name, fn):
+        def wrapped(*args, **kwargs):
+            inside.append(name)
+            entered.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapped
+
+    monkeypatch.setattr(FieldCtx, "dlog", dlog)
+    monkeypatch.setattr(expsum, "prop1_kernel_check",
+                        within("prop1_kernel_check", expsum.prop1_kernel_check))
+    transform = within("character_counts", expsum.character_counts)
+    for module in (expsum, walsh):
+        monkeypatch.setattr(module, "character_counts", transform)
+    assert run(["verify-all", "--p", "3", "--k", "2", "--b", "g^1"]) == 0
+    assert capsys.readouterr().out.count("[ok  ]") == 12
+    assert sorted(set(entered)) == ["character_counts", "prop1_kernel_check"]
+    assert entered.count("character_counts") == 2 and logged == []
+    assert _methods_reading("log_enc") == ["mul_enc", "pow_enc", "dlog"]
+
+
 def test_verify_all_names_b_by_dlog(capsys, monkeypatch):
-    # every layer takes and gives dlogs, and a sum of dlogs is a Zech sum, so
-    # no element goes back from an encoding to its dlog but each --b, once,
-    # in the CLI: one scalar dlog over the whole run at (3,2), for b = g^1,
-    # none inside prop1's division route or the two transforms (the sweep of
-    # b = g^1 and the (1, 1) spectrum), whose basis dlogs are 0..m-1.  dlog
-    # is the one way there: the only other methods that read the log table
-    # are mul_enc and pow_enc, on their way back to an encoding
+    # each --b becomes a dlog once, in the CLI: one scalar dlog over the whole
+    # run at (3,2), for b = g^1
     calls = []
     real = FieldCtx.dlog
     monkeypatch.setattr(FieldCtx, "dlog", lambda ctx, x: calls.append(x) or real(ctx, x))
     assert run(["verify-all", "--p", "3", "--k", "2", "--b", "g^1"]) == 0
     assert capsys.readouterr().out.count("[ok  ]") == 12
     assert len(calls) == 1, len(calls)
-    assert _methods_reading("log_enc") == ["mul_enc", "pow_enc", "dlog"]
 
 
 def test_corollary2_names_the_properties_it_evaluated(capsys):

@@ -689,8 +689,8 @@ def _calls(tree, name):
 
 def test_only_the_transform_goes_back_to_encodings():
     # below the parser every element is a dlog; outside field_core only
-    # expsum.character_counts turns dlogs into encodings, with one
-    # exp_enc_bulk gather that puts its butterfly's rows (indexed by the
+    # expsum.character_counts turns an array of dlogs into encodings, with
+    # one exp_enc_bulk gather that puts its butterfly's rows (indexed by the
     # encoding of a) in sweep order, and of charsum.reference, which no
     # command imports, only form_matrices, which needs the digits of its
     # five elements
